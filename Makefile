@@ -1,6 +1,6 @@
 # Convenience targets; `make ci` is what the CI workflow runs.
 
-.PHONY: all build test bench fmt parity regress explain-smoke timeline-smoke engine-smoke gc-smoke trend-smoke why-smoke perfgate ci clean
+.PHONY: all build test bench fmt parity regress explain-smoke timeline-smoke engine-smoke trend-smoke why-smoke perfgate ci clean
 
 all: build
 
@@ -69,29 +69,20 @@ timeline-smoke: build
 	@echo "timeline smoke OK: stall breakdown sums to cycles x warps in every config"
 
 # Engine-profiler smoke (see docs/observability.md): profile the fig13
-# rendering at jobs 1 and 2; the command exits 1 if any region's
-# overhead categories fail to sum to wall x domains, or if the rendered
-# tables are not byte-identical across jobs settings.  The JSON report
-# and HTML page land under _build/ for CI to upload.
+# rendering at jobs 1 and 2 with the Runtime_events GC capture on; the
+# command exits 1 if any region's overhead categories fail to sum to
+# wall x domains, its gc time exceeds its useful time, a GC capture is
+# missing, or the rendered tables are not byte-identical across jobs
+# settings.  Tables, JSON, HTML and the Perfetto trace (engine pid 4 +
+# gc pid 5) land under _build/ for CI to upload.
 engine-smoke: build
 	dune exec bin/rfh.exe -- engine fig13 --warps 8 --jobs 1,2 \
 	  -b VectorAdd,MatrixMul,Reduction,cp \
 	  --json-out _build/engine-fig13.json \
-	  --report-out _build/engine-fig13.html > _build/engine-fig13.txt
-	@echo "engine smoke OK: categories sum to wall x domains; output parity holds"
-
-# GC-profiler smoke (see docs/observability.md): same window as the
-# engine smoke with the Runtime_events GC capture on; the command exits
-# 1 if any region's gc time exceeds its useful time, the 7-way budget
-# sum breaks, or output parity across jobs fails.  Tables, JSON, HTML
-# and the Perfetto trace (engine pid 4 + gc pid 5) land under _build/.
-gc-smoke: build
-	dune exec bin/rfh.exe -- gc fig13 --warps 8 --jobs 1,2 \
-	  -b VectorAdd,MatrixMul,Reduction,cp \
-	  --json-out _build/gc-fig13.json \
-	  --report-out _build/gc-fig13.html \
-	  --trace-out _build/gc-trace.json > _build/gc-fig13.txt
-	@echo "gc smoke OK: 0 <= gc <= useful in every region; output parity holds"
+	  --report-out _build/engine-fig13.html \
+	  --trace-out _build/engine-trace.json > _build/engine-fig13.txt
+	grep -q '"pid":5' _build/engine-trace.json
+	@echo "engine smoke OK: categories sum to wall x domains; 0 <= gc <= useful; output parity holds"
 
 # Trend smoke (see docs/observability.md): append three deterministic
 # history records from the same tree, then gate on them.  Identical
@@ -141,7 +132,7 @@ why-smoke: build
 perfgate: build
 	dune exec bench/perfgate.exe
 
-ci: fmt build test parity regress explain-smoke timeline-smoke engine-smoke gc-smoke trend-smoke why-smoke perfgate
+ci: fmt build test parity regress explain-smoke timeline-smoke engine-smoke trend-smoke why-smoke perfgate
 
 clean:
 	dune clean

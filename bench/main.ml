@@ -433,7 +433,7 @@ let () =
      gate consumes. *)
   let manifest = Experiments.Run_manifest.collect report_options in
   write_json "BENCH_manifest.json" (Obs.Manifest.to_json manifest);
-  Obs.Html_report.write_file ~path:"BENCH_report.html" manifest;
+  Obs.Html_report.(write_page ~path:"BENCH_report.html" (render manifest));
   Printf.printf "wrote BENCH_report.html\n";
   (* One history record merging everything this run measured; the
      append is timed so the overhead claim in docs/observability.md

@@ -7,12 +7,36 @@ open Cmdliner
    wall time, not just the manifest collection's. *)
 let start_ns = Obs.Clock.now_ns ()
 
+(* Exit-code contract shared by every command: 0 = success, 1 = a
+   self-check or gate failed, 2 = an input is missing or unknown.  An
+   unknown benchmark name or artefact target is a missing input. *)
+let die_usage msg = prerr_endline msg; exit 2
+
+let find_bench name =
+  match Workloads.Registry.find name with
+  | Some e -> e
+  | None ->
+    die_usage
+      (Printf.sprintf "unknown benchmark: %s (see 'rfh kernels' for the list)" name)
+
+(* 'all' or one artefact name, as the engine command takes it. *)
+let artefacts_of_target target =
+  if target = "all" then List.map snd Experiments.Report.artefact_names
+  else
+    match List.assoc_opt target Experiments.Report.artefact_names with
+    | Some a -> [ a ]
+    | None ->
+      die_usage
+        ("unknown target: " ^ target ^ " (expected 'all' or one of "
+        ^ String.concat ", " (List.map fst Experiments.Report.artefact_names)
+        ^ ")")
+
 let opts_of ~warps ~seed ~benchmarks ~jobs =
   let base = { (Experiments.Options.default ()) with Experiments.Options.warps; seed } in
   let base = Experiments.Options.with_jobs base jobs in
   match benchmarks with
   | [] -> base
-  | names -> Experiments.Options.with_benchmarks base names
+  | names -> { base with Experiments.Options.benchmarks = List.map find_bench names }
 
 let warps_arg =
   let doc = "Machine-resident warps to simulate per kernel." in
@@ -67,29 +91,57 @@ let rec mkdirs dir =
     Sys.mkdir dir 0o755
   end
 
-let write_manifest_outputs ?compare m ~manifest_out ~report_out =
-  let emit what path write =
+(* Every output file goes through here: create its directory, run
+   [write path], and turn an I/O failure into exit 1. *)
+let write_or_die path write =
+  try
     mkdirs (Filename.dirname path);
-    (try write path
-     with Sys_error msg -> prerr_endline ("cannot write " ^ msg); exit 1);
-    Printf.printf "%s -> %s\n" what path
+    write path
+  with Sys_error msg -> prerr_endline ("cannot write " ^ msg); exit 1
+
+let write_json path j =
+  write_or_die path (fun path ->
+      Out_channel.with_open_text path (fun oc ->
+          Obs.Json.to_channel oc j;
+          output_char oc '\n'))
+
+let write_html path html = write_or_die path (fun path -> Obs.Html_report.write_page ~path html)
+
+(* Self-check collector for the cross-checking commands: [check] records
+   a failed invariant; [report] prints them all and exits 1, or prints
+   [passed]. *)
+let self_checks () =
+  let failures = ref [] in
+  let check what ok = if not ok then failures := what :: !failures in
+  let report ~failed ?passed () =
+    match List.rev !failures with
+    | [] -> Option.iter print_endline passed
+    | fs ->
+      prerr_endline failed;
+      List.iter (fun f -> prerr_endline ("  " ^ f)) fs;
+      exit 1
   in
+  (check, report)
+
+let write_manifest_outputs ?compare m ~manifest_out ~report_out =
   Option.iter
-    (fun path -> emit "manifest" path (fun path -> Obs.Manifest.write_file ~path m))
+    (fun path ->
+      write_or_die path (fun path -> Obs.Manifest.write_file ~path m);
+      Printf.printf "manifest -> %s\n" path)
     manifest_out;
   Option.iter
-    (fun path -> emit "report" path (fun path -> Obs.Html_report.write_file ?compare ~path m))
+    (fun path ->
+      write_html path (Obs.Html_report.render ?compare m);
+      Printf.printf "report -> %s\n" path)
     report_out
 
 let elapsed_wall_s () =
   Obs.Clock.ns_to_ms (Int64.sub (Obs.Clock.now_ns ()) start_ns) /. 1000.0
 
 let append_history m path =
-  mkdirs (Filename.dirname path);
-  (try
-     Obs.History.append ~path
-       (Obs.History.of_manifest ~source:"rfh" ~wall_s:(elapsed_wall_s ()) m)
-   with Sys_error msg -> prerr_endline ("cannot write " ^ msg); exit 1);
+  write_or_die path (fun path ->
+      Obs.History.append ~path
+        (Obs.History.of_manifest ~source:"rfh" ~wall_s:(elapsed_wall_s ()) m));
   Printf.printf "history -> %s\n" path
 
 (* --manifest-out / --report-out / --history-out ride on any figure
@@ -192,9 +244,7 @@ let kernels_cmd =
         (Workloads.Registry.all ());
       Util.Table.print t
     | Some name ->
-      (match Workloads.Registry.find name with
-       | None -> prerr_endline ("unknown benchmark: " ^ name); exit 1
-       | Some e -> print_string (Ir.Kernel.to_string (Lazy.force e.Workloads.Registry.kernel)))
+      print_string (Ir.Kernel.to_string (Lazy.force (find_bench name).Workloads.Registry.kernel))
   in
   Cmd.v (Cmd.info "kernels" ~doc) Term.(const run $ name_arg)
 
@@ -211,71 +261,74 @@ let lrf_conv =
   in
   Arg.conv (parse, print)
 
+let bench_name_arg =
+  Arg.(required & pos 0 (some string) None & info [] ~docv:"NAME" ~doc:"Benchmark name.")
+
+let entries_arg =
+  Arg.(value & opt int 3 & info [ "entries" ] ~docv:"N" ~doc:"ORF entries per thread (1-8).")
+
+let lrf_arg =
+  Arg.(value & opt lrf_conv Alloc.Config.Split & info [ "lrf" ] ~docv:"MODE" ~doc:"LRF mode.")
+
+(* The columns every placement listing (allocate, compile, explain)
+   starts with: strand, a '*' on a strand's first instruction, and the
+   destination and source levels. *)
+let placement_cols ctx placement (i : Ir.Instr.t) =
+  let part = ctx.Alloc.Context.partition and id = i.Ir.Instr.id in
+  let dst =
+    match Alloc.Placement.dest placement ~instr:id with
+    | None -> "-"
+    | Some d ->
+      String.concat ""
+        [
+          (match d.Alloc.Placement.to_lrf with Some bk -> Printf.sprintf "LRF[%d] " bk | None -> "");
+          (match d.Alloc.Placement.to_orf with Some en -> Printf.sprintf "ORF[%d] " en | None -> "");
+          (if d.Alloc.Placement.to_mrf then "MRF" else "");
+        ]
+  in
+  let srcs =
+    List.mapi
+      (fun pos _ -> Alloc.Placement.level_name (Alloc.Placement.src placement ~instr:id ~pos))
+      i.Ir.Instr.srcs
+    |> String.concat ","
+  in
+  ( Strand.Partition.strand_of_instr part id,
+    (if Strand.Partition.starts_strand part id then "*" else " "),
+    dst,
+    srcs )
+
 let allocate_cmd =
   let doc = "Run the allocator on one benchmark and print the operand placements." in
-  let name_arg =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"NAME" ~doc:"Benchmark name.")
-  in
-  let entries_arg =
-    Arg.(value & opt int 3 & info [ "entries" ] ~docv:"N" ~doc:"ORF entries per thread (1-8).")
-  in
-  let lrf_arg =
-    Arg.(value & opt lrf_conv Alloc.Config.Split & info [ "lrf" ] ~docv:"MODE" ~doc:"LRF mode.")
-  in
   let run name entries lrf verbose =
     setup_verbosity verbose;
-    match Workloads.Registry.find name with
-    | None -> prerr_endline ("unknown benchmark: " ^ name); exit 1
-    | Some e ->
-      let k = Lazy.force e.Workloads.Registry.kernel in
-      let ctx = Alloc.Context.create k in
-      let config = Alloc.Config.make ~orf_entries:entries ~lrf () in
-      let placement, stats = Alloc.Allocator.run config ctx in
-      (match Alloc.Verify.check config ctx placement with
-       | Ok () -> ()
-       | Error errs ->
-         prerr_endline "PLACEMENT FAILED VERIFICATION:";
-         List.iter prerr_endline errs);
-      Printf.printf "%s: %d strands; %d write units, %d read units; %d LRF + %d ORF allocations (%d partial)\n\n"
-        e.Workloads.Registry.name
-        (Strand.Partition.num_strands ctx.Alloc.Context.partition)
-        stats.Alloc.Allocator.write_units stats.Alloc.Allocator.read_units
-        stats.Alloc.Allocator.lrf_allocated stats.Alloc.Allocator.orf_allocated
-        stats.Alloc.Allocator.partial_allocated;
-      Ir.Kernel.iter_instrs k (fun _ i ->
-          let id = i.Ir.Instr.id in
-          let strand = Strand.Partition.strand_of_instr ctx.Alloc.Context.partition id in
-          let boundary =
-            if Strand.Partition.starts_strand ctx.Alloc.Context.partition id then "*" else " "
-          in
-          let dst =
-            match Alloc.Placement.dest placement ~instr:id with
-            | None -> "-"
-            | Some d ->
-              String.concat ""
-                [
-                  (match d.Alloc.Placement.to_lrf with Some bk -> Printf.sprintf "LRF[%d] " bk | None -> "");
-                  (match d.Alloc.Placement.to_orf with Some en -> Printf.sprintf "ORF[%d] " en | None -> "");
-                  (if d.Alloc.Placement.to_mrf then "MRF" else "");
-                ]
-          in
-          let srcs =
-            List.mapi
-              (fun pos _ ->
-                Alloc.Placement.level_name (Alloc.Placement.src placement ~instr:id ~pos))
-              i.Ir.Instr.srcs
-            |> String.concat ","
-          in
-          let fills =
-            Alloc.Placement.fills_of placement ~instr:id
-            |> List.map (fun (p, en) -> Printf.sprintf "fill(slot %d -> ORF[%d])" p en)
-            |> String.concat " "
-          in
-          Printf.printf "s%-3d%s %-40s dst: %-18s srcs: %-24s %s\n" strand boundary
-            (Ir.Instr.to_string i) dst srcs fills)
+    let e = find_bench name in
+    let k = Lazy.force e.Workloads.Registry.kernel in
+    let ctx = Alloc.Context.create k in
+    let config = Alloc.Config.make ~orf_entries:entries ~lrf () in
+    let placement, stats = Alloc.Allocator.run config ctx in
+    (match Alloc.Verify.check config ctx placement with
+     | Ok () -> ()
+     | Error errs ->
+       prerr_endline "PLACEMENT FAILED VERIFICATION:";
+       List.iter prerr_endline errs);
+    Printf.printf "%s: %d strands; %d write units, %d read units; %d LRF + %d ORF allocations (%d partial)\n\n"
+      e.Workloads.Registry.name
+      (Strand.Partition.num_strands ctx.Alloc.Context.partition)
+      stats.Alloc.Allocator.write_units stats.Alloc.Allocator.read_units
+      stats.Alloc.Allocator.lrf_allocated stats.Alloc.Allocator.orf_allocated
+      stats.Alloc.Allocator.partial_allocated;
+    Ir.Kernel.iter_instrs k (fun _ i ->
+        let strand, boundary, dst, srcs = placement_cols ctx placement i in
+        let fills =
+          Alloc.Placement.fills_of placement ~instr:i.Ir.Instr.id
+          |> List.map (fun (p, en) -> Printf.sprintf "fill(slot %d -> ORF[%d])" p en)
+          |> String.concat " "
+        in
+        Printf.printf "s%-3d%s %-40s dst: %-18s srcs: %-24s %s\n" strand boundary
+          (Ir.Instr.to_string i) dst srcs fills)
   in
   Cmd.v (Cmd.info "allocate" ~doc)
-    Term.(const run $ name_arg $ entries_arg $ lrf_arg $ verbose_arg)
+    Term.(const run $ bench_name_arg $ entries_arg $ lrf_arg $ verbose_arg)
 
 let selfcheck_cmd =
   let doc =
@@ -322,29 +375,24 @@ let trace_cmd =
     "Capture a benchmark's execution trace (Sec. 5.1 methodology): dynamic block sequences \
      per warp plus the control-flow-edge frequency profile."
   in
-  let name_arg =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"NAME" ~doc:"Benchmark name.")
-  in
   let run name warps seed =
-    match Workloads.Registry.find name with
-    | None -> prerr_endline ("unknown benchmark: " ^ name); exit 1
-    | Some e ->
-      let k = Lazy.force e.Workloads.Registry.kernel in
-      let trace = Sim.Trace.capture ~warps ~seed k in
-      print_string (Sim.Trace.to_string trace);
-      print_newline ();
-      let t =
-        Util.Table.create ~title:"Control-flow edge frequencies"
-          ~columns:[ "Edge"; "Executions" ]
-      in
-      List.iter
-        (fun ((a, b), n) ->
-          let from_ = if a < 0 then "entry" else Printf.sprintf "BB%d" a in
-          Util.Table.add_row t [ Printf.sprintf "%s -> BB%d" from_ b; string_of_int n ])
-        (Sim.Trace.edge_profile trace);
-      Util.Table.print t
+    let e = find_bench name in
+    let k = Lazy.force e.Workloads.Registry.kernel in
+    let trace = Sim.Trace.capture ~warps ~seed k in
+    print_string (Sim.Trace.to_string trace);
+    print_newline ();
+    let t =
+      Util.Table.create ~title:"Control-flow edge frequencies"
+        ~columns:[ "Edge"; "Executions" ]
+    in
+    List.iter
+      (fun ((a, b), n) ->
+        let from_ = if a < 0 then "entry" else Printf.sprintf "BB%d" a in
+        Util.Table.add_row t [ Printf.sprintf "%s -> BB%d" from_ b; string_of_int n ])
+      (Sim.Trace.edge_profile trace);
+    Util.Table.print t
   in
-  Cmd.v (Cmd.info "trace" ~doc) Term.(const run $ name_arg $ warps_arg $ seed_arg)
+  Cmd.v (Cmd.info "trace" ~doc) Term.(const run $ bench_name_arg $ warps_arg $ seed_arg)
 
 let compile_cmd =
   let doc =
@@ -353,12 +401,6 @@ let compile_cmd =
   in
   let file_arg =
     Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc:"Assembly source file.")
-  in
-  let entries_arg =
-    Arg.(value & opt int 3 & info [ "entries" ] ~docv:"N" ~doc:"ORF entries per thread (1-8).")
-  in
-  let lrf_arg =
-    Arg.(value & opt lrf_conv Alloc.Config.Split & info [ "lrf" ] ~docv:"MODE" ~doc:"LRF mode.")
   in
   let run file entries lrf warps seed verbose =
     setup_verbosity verbose;
@@ -379,29 +421,7 @@ let compile_cmd =
          List.iter prerr_endline errs;
          exit 1);
       Ir.Kernel.iter_instrs kernel (fun _ i ->
-          let id = i.Ir.Instr.id in
-          let strand = Strand.Partition.strand_of_instr ctx.Alloc.Context.partition id in
-          let boundary =
-            if Strand.Partition.starts_strand ctx.Alloc.Context.partition id then "*" else " "
-          in
-          let dst =
-            match Alloc.Placement.dest placement ~instr:id with
-            | None -> "-"
-            | Some d ->
-              String.concat ""
-                [
-                  (match d.Alloc.Placement.to_lrf with Some bk -> Printf.sprintf "LRF[%d] " bk | None -> "");
-                  (match d.Alloc.Placement.to_orf with Some en -> Printf.sprintf "ORF[%d] " en | None -> "");
-                  (if d.Alloc.Placement.to_mrf then "MRF" else "");
-                ]
-          in
-          let srcs =
-            List.mapi
-              (fun pos _ ->
-                Alloc.Placement.level_name (Alloc.Placement.src placement ~instr:id ~pos))
-              i.Ir.Instr.srcs
-            |> String.concat ","
-          in
+          let strand, boundary, dst, srcs = placement_cols ctx placement i in
           Printf.printf "s%-3d%s %-40s dst: %-18s srcs: %s\n" strand boundary
             (Ir.Instr.to_string i) dst srcs);
       let traffic =
@@ -444,21 +464,10 @@ let profile_cmd =
     let doc = "Write the allocator/simulator audit log as JSON Lines." in
     Arg.(value & opt (some string) None & info [ "audit-out" ] ~docv:"FILE" ~doc)
   in
-  let entries_arg =
-    Arg.(value & opt int 3 & info [ "entries" ] ~docv:"N" ~doc:"ORF entries per thread (1-8).")
-  in
-  let lrf_arg =
-    Arg.(value & opt lrf_conv Alloc.Config.Split & info [ "lrf" ] ~docv:"MODE" ~doc:"LRF mode.")
-  in
   let run warps seed benchmarks jobs entries lrf trace_out audit_out manifest_out report_out
       verbose =
     let names = if benchmarks = [] then profile_default_benchmarks else benchmarks in
-    let entries_of_name n =
-      match Workloads.Registry.find n with
-      | Some e -> e
-      | None -> prerr_endline ("unknown benchmark: " ^ n); exit 1
-    in
-    let selected = List.map entries_of_name names in
+    let selected = List.map find_bench names in
     (* Recording setup: spans on, metrics zeroed, audit tee of a
        tallying sink + optional JSONL writer + optional -v printer. *)
     Obs.Span.reset ();
@@ -482,11 +491,7 @@ let profile_cmd =
       | Obs.Audit.Evict _ -> incr evict_tally
       | Obs.Audit.Fill _ | Obs.Audit.Strand_boundary _ -> ()
     in
-    let open_out_or_die path =
-      try open_out path
-      with Sys_error msg -> prerr_endline ("cannot write " ^ msg); exit 1
-    in
-    let audit_oc = Option.map open_out_or_die audit_out in
+    let audit_oc = Option.map (fun path -> write_or_die path open_out) audit_out in
     let sinks =
       [ tally ]
       @ (match audit_oc with Some oc -> [ Obs.Audit.jsonl_sink oc ] | None -> [])
@@ -596,37 +601,33 @@ let profile_cmd =
       Util.Table.create ~title:"Audit log summary"
         ~columns:[ "Events"; "Count"; "Cross-check (Energy.Counts writes)" ]
     in
-    let check level name idx =
+    let check, report = self_checks () in
+    let cross_check level name idx =
+      let ok = place_tally.(idx) = expected_of level in
+      check ("place." ^ name ^ " events = Energy.Counts writes") ok;
       Util.Table.add_row audit_summary
         [
           "place." ^ name;
           string_of_int place_tally.(idx);
-          Printf.sprintf "%d (%s)" (expected_of level)
-            (if place_tally.(idx) = expected_of level then "ok" else "MISMATCH");
+          Printf.sprintf "%d (%s)" (expected_of level) (if ok then "ok" else "MISMATCH");
         ]
     in
-    check Energy.Model.Lrf "lrf" 0;
-    check Energy.Model.Orf "orf" 1;
-    check Energy.Model.Mrf "mrf" 2;
-    check Energy.Model.Rfc "rfc" 3;
+    cross_check Energy.Model.Lrf "lrf" 0;
+    cross_check Energy.Model.Orf "orf" 1;
+    cross_check Energy.Model.Mrf "mrf" 2;
+    cross_check Energy.Model.Rfc "rfc" 3;
     Util.Table.add_row audit_summary [ "alloc"; string_of_int !alloc_events; "" ];
     Util.Table.add_row audit_summary [ "desched"; string_of_int !desched_tally; "" ];
     Util.Table.add_row audit_summary [ "evict"; string_of_int !evict_tally; "" ];
     Util.Table.add_row audit_summary [ "total"; string_of_int !event_count; "" ];
     Util.Table.print audit_summary;
-    let parity_ok =
-      place_tally.(0) = expected_of Energy.Model.Lrf
-      && place_tally.(1) = expected_of Energy.Model.Orf
-      && place_tally.(2) = expected_of Energy.Model.Mrf
-      && place_tally.(3) = expected_of Energy.Model.Rfc
-    in
-    (match trace_out with
-     | None -> ()
-     | Some path ->
-       let spans = Obs.Span.spans () in
-       (try Obs.Trace_export.write_file ~path ~process_name:"rfh profile" spans
-        with Sys_error msg -> prerr_endline ("cannot write " ^ msg); exit 1);
-       Printf.printf "trace: %d spans -> %s\n" (List.length spans) path);
+    Option.iter
+      (fun path ->
+        let spans = Obs.Span.spans () in
+        write_or_die path (fun path ->
+            Obs.Trace_export.write_file ~path ~process_name:"rfh profile" spans);
+        Printf.printf "trace: %d spans -> %s\n" (List.length spans) path)
+      trace_out;
     (match audit_oc with
      | None -> ()
      | Some oc ->
@@ -640,10 +641,7 @@ let profile_cmd =
        visible without engine profiling.  Printed last so a manifest
        collection above (--manifest-out/--report-out) is included. *)
     Util.Table.print (Obs.Engine.memo_stats_table (Util.Eprof.memo_stats ()));
-    if not parity_ok then begin
-      prerr_endline "profile: audit/Energy.Counts write totals disagree";
-      exit 1
-    end
+    report ~failed:"profile: audit/Energy.Counts write totals disagree" ()
   in
   Cmd.v (Cmd.info "profile" ~doc)
     Term.(
@@ -675,8 +673,7 @@ let baseline_record_cmd =
   let run warps seed benchmarks jobs path manifest_out report_out =
     let opts = opts_of ~warps ~seed ~benchmarks ~jobs in
     let m = Experiments.Run_manifest.collect opts in
-    mkdirs (Filename.dirname path);
-    Obs.Manifest.write_file ~path m;
+    write_or_die path (fun path -> Obs.Manifest.write_file ~path m);
     Printf.printf "baseline: %d benchmarks, mean normalized energy %.4f -> %s\n"
       (List.length m.Obs.Manifest.benches)
       (Obs.Manifest.mean_norm_energy m)
@@ -741,15 +738,7 @@ let baseline_check_cmd =
       Util.Table.print (Obs.Regress.to_table report);
       Option.iter
         (fun path ->
-          mkdirs (Filename.dirname path);
-          (try
-             let oc = open_out path in
-             Fun.protect
-               ~finally:(fun () -> close_out oc)
-               (fun () ->
-                 output_string oc (Obs.Json.to_string (Obs.Regress.to_json report));
-                 output_char oc '\n')
-           with Sys_error msg -> prerr_endline ("cannot write " ^ msg); exit 1);
+          write_json path (Obs.Regress.to_json report);
           Printf.printf "violations json -> %s\n" path)
         json_out;
       if not (Obs.Regress.ok report) then begin
@@ -785,8 +774,6 @@ let baseline_cmd =
 (* trend: drift analysis over the cross-run performance history.       *)
 
 let history_default_path = "baselines/history.jsonl"
-
-let short_rev rev = if String.length rev > 10 then String.sub rev 0 10 else rev
 
 let trend_cmd =
   let doc =
@@ -860,7 +847,7 @@ let trend_cmd =
                    (fun cp ->
                      let idx = fst s.Obs.Trend.points.(cp) in
                      Printf.sprintf "#%d@%s" idx
-                       (short_rev (recs.(idx).Obs.History.host : Obs.Host.t).git_rev))
+                       (Obs.Html_report.short_rev (recs.(idx).Obs.History.host : Obs.Host.t).git_rev))
                    cps));
             Obs.Trend.sparkline values;
           ])
@@ -869,9 +856,7 @@ let trend_cmd =
     else Util.Table.print table;
     Option.iter
       (fun path ->
-        mkdirs (Filename.dirname path);
-        (try Obs.Html_report.write_trend_page ~history_path ~records ~rejected ~path g
-         with Sys_error msg -> prerr_endline ("cannot write " ^ msg); exit 1);
+        write_html path (Obs.Html_report.render_trend_page ~history_path ~records ~rejected g);
         Printf.printf "trend dashboard -> %s\n" path)
       html_out;
     (* Exit-code contract (documented in docs/observability.md): without
@@ -897,7 +882,7 @@ let trend_cmd =
               "trend check: %s regressed %.4g -> %.4g at record %d (rev %s, source %s, \
                jobs %d)\n"
               f.Obs.Trend.f_series f.Obs.Trend.f_before f.Obs.Trend.f_after
-              f.Obs.Trend.f_index (short_rev f.Obs.Trend.f_rev) f.Obs.Trend.f_source
+              f.Obs.Trend.f_index (Obs.Html_report.short_rev f.Obs.Trend.f_rev) f.Obs.Trend.f_source
               f.Obs.Trend.f_jobs)
           g.Obs.Trend.g_failures;
         if why then begin
@@ -1012,7 +997,7 @@ let why_cmd =
       | None, None -> None
       | Some a, Some b ->
         let load what path =
-          match Obs.Explain_diff.load_jsonl ~path with
+          match Obs.Explain.load_jsonl ~path with
           | Error msg -> exit2 "cannot read %s explain stream %s (%s)" what path msg
           | Ok (decisions, rejected) ->
             if rejected > 0 then
@@ -1031,24 +1016,14 @@ let why_cmd =
     print_string (Obs.Rootcause.to_table ?top r);
     Option.iter
       (fun path ->
-        mkdirs (Filename.dirname path);
-        (try
-           let oc = open_out path in
-           Fun.protect
-             ~finally:(fun () -> close_out oc)
-             (fun () ->
-               output_string oc (Obs.Json.to_string (Obs.Rootcause.to_json r));
-               output_char oc '\n')
-         with Sys_error msg -> prerr_endline ("cannot write " ^ msg); exit 1);
+        write_json path (Obs.Rootcause.to_json r);
         Printf.printf "why json -> %s\n" path)
       json_out;
     Option.iter
       (fun path ->
-        mkdirs (Filename.dirname path);
-        (try
-           Obs.Html_report.write_why_page ~baseline_label:baseline_path
-             ~candidate_label:candidate_path ~path r
-         with Sys_error msg -> prerr_endline ("cannot write " ^ msg); exit 1);
+        write_html path
+          (Obs.Html_report.render_why_page ~baseline_label:baseline_path
+             ~candidate_label:candidate_path r);
         Printf.printf "why report -> %s\n" path)
       report_out;
     (match Obs.Rootcause.check r with
@@ -1104,17 +1079,8 @@ let explain_cmd =
      an HTML report with the decision tables and an energy heatmap; $(b,--trace-out) \
      writes a Perfetto trace with per-cycle counter tracks."
   in
-  let name_arg =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"NAME" ~doc:"Benchmark name.")
-  in
   let top_arg =
     Arg.(value & opt int 10 & info [ "top" ] ~docv:"N" ~doc:"Energy-ranked instructions to print.")
-  in
-  let entries_arg =
-    Arg.(value & opt int 3 & info [ "entries" ] ~docv:"N" ~doc:"ORF entries per thread (1-8).")
-  in
-  let lrf_arg =
-    Arg.(value & opt lrf_conv Alloc.Config.Split & info [ "lrf" ] ~docv:"MODE" ~doc:"LRF mode.")
   in
   let jsonl_out_arg =
     let doc = "Write every allocation decision as JSON Lines to $(docv)." in
@@ -1129,279 +1095,234 @@ let explain_cmd =
   in
   let run name top warps seed entries lrf jsonl_out trace_out report_out verbose =
     setup_verbosity verbose;
-    match Workloads.Registry.find name with
-    | None -> prerr_endline ("unknown benchmark: " ^ name); exit 1
-    | Some e ->
-      let bench = e.Workloads.Registry.name in
-      let kernels = Lazy.force e.Workloads.Registry.kernels in
-      let params = Energy.Params.default in
-      let config = Alloc.Config.make ~orf_entries:entries ~lrf ~params () in
-      if trace_out <> None then begin
-        Obs.Span.reset ();
-        Obs.Span.set_enabled true;
-        Obs.Counters.reset ();
-        Obs.Counters.set_enabled true
-      end;
-      (* Decision recorder: memory sink, teed into the JSONL writer. *)
-      let mem_sink, decisions = Obs.Explain.memory_sink () in
-      let jsonl_oc =
-        Option.map
-          (fun path ->
-            mkdirs (Filename.dirname path);
-            try open_out path
-            with Sys_error msg -> prerr_endline ("cannot write " ^ msg); exit 1)
-          jsonl_out
-      in
-      Obs.Explain.set_sink
-        (Obs.Explain.tee
-           (mem_sink
-            :: (match jsonl_oc with Some oc -> [ Obs.Explain.jsonl_sink oc ] | None -> [])));
-      (* Serial per-kernel pipeline: allocate under the explainer, then
-         account traffic with per-instruction attribution on. *)
-      let per_kernel =
-        List.map
-          (fun k ->
-            let ctx = Alloc.Context.create k in
-            let placement, stats = Alloc.Allocator.run config ctx in
-            let sw =
-              Sim.Traffic.run ~warps ~seed ~attribution:true ctx
-                (Sim.Traffic.Sw { config; placement })
-            in
-            let baseline = Sim.Traffic.run ~warps ~seed ctx Sim.Traffic.Baseline in
-            (k, ctx, placement, stats, sw, baseline))
-          kernels
-      in
-      (* Everything below reads the recorder's memory; stop recording
-         before the manifest collection re-runs the allocator. *)
-      Obs.Explain.disable ();
-      Option.iter close_out jsonl_oc;
-      let all_decisions = decisions () in
-      let reports =
-        List.map
-          (fun (k, ctx, placement, stats, sw, baseline) ->
-            let kname = k.Ir.Kernel.name in
-            let ds =
-              List.filter (fun d -> d.Obs.Explain.kernel = kname) all_decisions
-            in
-            let energies =
-              Energy.Counts.attributed_energies params ~orf_entries:entries
-                sw.Sim.Traffic.counts
-            in
-            let total_pj = Array.fold_left ( +. ) 0.0 energies in
-            let e_sw =
-              (Energy.Counts.energy params ~orf_entries:entries sw.Sim.Traffic.counts)
-                .Energy.Counts.total
-            in
-            let e_base =
-              (Energy.Counts.energy params ~orf_entries:entries baseline.Sim.Traffic.counts)
-                .Energy.Counts.total
-            in
-            let placed =
-              List.length (List.filter Obs.Explain.placed ds)
-            in
-            Printf.printf
-              "kernel %s: %d decisions (%d write units, %d read units); %d placed \
-               upper-level, %d left in MRF; normalized energy %.3f\n"
-              kname (List.length ds) stats.Alloc.Allocator.write_units
-              stats.Alloc.Allocator.read_units placed
-              (List.length ds - placed)
-              (Util.Stats.ratio e_sw e_base);
-            (* Decision table. *)
-            let dt =
-              Util.Table.create ~title:(Printf.sprintf "Decisions: %s" kname)
-                ~columns:
-                  [ "#"; "Value"; "Kind"; "Strand"; "Range"; "Reads"; "LRF"; "ORF"; "Outcome" ]
-            in
-            List.iter
-              (fun (d : Obs.Explain.decision) ->
-                let cand lvl =
-                  List.find_opt
-                    (fun (c : Obs.Explain.candidate) -> c.Obs.Explain.level = lvl)
-                    d.Obs.Explain.candidates
-                in
-                let reads =
-                  let n = List.length d.Obs.Explain.covered in
-                  if d.Obs.Explain.dropped_reads > 0 then
-                    Printf.sprintf "%d (-%d)" n d.Obs.Explain.dropped_reads
-                  else string_of_int n
-                in
-                Util.Table.add_row dt
-                  [
-                    string_of_int d.Obs.Explain.seq;
-                    d.Obs.Explain.reg
-                    ^ (if d.Obs.Explain.mrf_copy then " +mrf-copy" else "");
-                    d.Obs.Explain.kind;
-                    string_of_int d.Obs.Explain.strand;
-                    Printf.sprintf "[%d,%d)" d.Obs.Explain.first d.Obs.Explain.last;
-                    reads;
-                    explain_verdict_str (cand "lrf");
-                    explain_verdict_str (cand "orf");
-                    explain_outcome_str d;
-                  ])
-              ds;
-            Util.Table.print dt;
-            (* Annotated instruction stream: operand levels plus the
-               attributed energy of every static instruction. *)
-            let share pc =
-              if total_pj <= 0.0 || pc >= Array.length energies then 0.0
-              else energies.(pc) /. total_pj
-            in
-            Printf.printf "instructions (attributed register-file energy, %% of %.1f pJ):\n"
-              total_pj;
-            let instr_lines = ref [] in
-            Ir.Kernel.iter_instrs k (fun _ i ->
-                let id = i.Ir.Instr.id in
-                let strand =
-                  Strand.Partition.strand_of_instr ctx.Alloc.Context.partition id
-                in
-                let boundary =
-                  if Strand.Partition.starts_strand ctx.Alloc.Context.partition id then "*"
-                  else " "
-                in
-                let dst =
-                  match Alloc.Placement.dest placement ~instr:id with
-                  | None -> "-"
-                  | Some d ->
-                    String.concat ""
-                      [
-                        (match d.Alloc.Placement.to_lrf with
-                         | Some bk -> Printf.sprintf "LRF[%d] " bk
-                         | None -> "");
-                        (match d.Alloc.Placement.to_orf with
-                         | Some en -> Printf.sprintf "ORF[%d] " en
-                         | None -> "");
-                        (if d.Alloc.Placement.to_mrf then "MRF" else "");
-                      ]
-                in
-                let srcs =
-                  List.mapi
-                    (fun pos _ ->
-                      Alloc.Placement.level_name
-                        (Alloc.Placement.src placement ~instr:id ~pos))
-                    i.Ir.Instr.srcs
-                  |> String.concat ","
-                in
-                let pj = if id < Array.length energies then energies.(id) else 0.0 in
-                instr_lines :=
-                  {
-                    Obs.Explain.pc = id;
-                    strand;
-                    text = Ir.Instr.to_string i;
-                    pj;
-                    share = share id;
-                  }
-                  :: !instr_lines;
-                Printf.printf "s%-3d%s %-40s dst: %-18s srcs: %-20s %8.1f pJ %5.1f%%\n" strand
-                  boundary (Ir.Instr.to_string i) dst srcs pj (100.0 *. share id));
-            print_newline ();
-            (* Top-N energy-bearing instructions. *)
-            let tt =
-              Util.Table.create
-                ~title:(Printf.sprintf "Top %d instructions by attributed energy: %s" top kname)
-                ~columns:[ "PC"; "Strand"; "Instruction"; "pJ"; "Share" ]
-            in
-            List.iter
-              (fun (pc, pj) ->
-                let i = Ir.Kernel.instr k pc in
-                Util.Table.add_row tt
-                  [
-                    string_of_int pc;
-                    string_of_int
-                      (Strand.Partition.strand_of_instr ctx.Alloc.Context.partition pc);
-                    Ir.Instr.to_string i;
-                    Printf.sprintf "%.1f" pj;
-                    Printf.sprintf "%.1f%%" (100.0 *. share pc);
-                  ])
-              (Energy.Counts.top_instrs params ~orf_entries:entries ~n:top
-                 sw.Sim.Traffic.counts);
-            Util.Table.print tt;
-            {
-              Obs.Explain.kr_kernel = kname;
-              kr_decisions = ds;
-              kr_instrs = List.rev !instr_lines;
-              kr_total_pj = total_pj;
-            })
-          per_kernel
-      in
-      (* Cross-check: every live-range unit the allocator considered
-         must have produced exactly one decision event, and the outcome
-         tally must reproduce the manifest's allocator stats. *)
-      let opts = opts_of ~warps ~seed ~benchmarks:[ bench ] ~jobs:1 in
-      let m = Experiments.Run_manifest.collect ~entries ~lrf opts in
-      let row =
-        match
-          List.find_opt (fun b -> b.Obs.Manifest.bench = bench) m.Obs.Manifest.benches
-        with
-        | Some b -> b
-        | None -> prerr_endline "explain: benchmark missing from manifest"; exit 1
-      in
-      let count p = List.length (List.filter p all_decisions) in
-      let lrf_n =
-        count (fun d ->
-            match d.Obs.Explain.outcome with Obs.Explain.To_lrf _ -> true | _ -> false)
-      in
-      let orf_n =
-        count (fun d ->
-            match d.Obs.Explain.outcome with Obs.Explain.To_orf _ -> true | _ -> false)
-      in
-      let partial_n =
-        count (fun d ->
-            match d.Obs.Explain.outcome with
-            | Obs.Explain.To_orf { shortened; _ } -> shortened > 0
-            | _ -> false)
-      in
-      let checks =
-        [
-          ("decisions = write + read units", List.length all_decisions,
-           row.Obs.Manifest.write_units + row.Obs.Manifest.read_units);
-          ("LRF placements", lrf_n, row.Obs.Manifest.lrf_allocs);
-          ("ORF placements", orf_n, row.Obs.Manifest.orf_allocs);
-          ("partial (shortened) placements", partial_n, row.Obs.Manifest.partial_allocs);
-        ]
-      in
-      let ct =
-        Util.Table.create ~title:"Cross-check vs run-manifest allocator stats"
-          ~columns:[ "Check"; "Explainer"; "Manifest"; "" ]
-      in
-      let ok = ref true in
-      List.iter
-        (fun (what, got, want) ->
-          if got <> want then ok := false;
-          Util.Table.add_row ct
-            [ what; string_of_int got; string_of_int want;
-              (if got = want then "ok" else "MISMATCH") ])
-        checks;
-      Util.Table.print ct;
-      Option.iter (fun n -> Printf.printf "jsonl: %d decisions -> %s\n"
-                      (List.length all_decisions) n) jsonl_out;
-      Option.iter
-        (fun path ->
-          mkdirs (Filename.dirname path);
-          (try Obs.Html_report.write_file ~explain:reports ~path m
-           with Sys_error msg -> prerr_endline ("cannot write " ^ msg); exit 1);
-          Printf.printf "report -> %s\n" path)
-        report_out;
-      (match trace_out with
-       | None -> ()
-       | Some path ->
-         let spans = Obs.Span.spans () in
-         let counters = Obs.Counters.tracks () in
-         mkdirs (Filename.dirname path);
-         (try
-            Obs.Trace_export.write_file ~path ~process_name:"rfh explain" ~counters spans
-          with Sys_error msg -> prerr_endline ("cannot write " ^ msg); exit 1);
-         Printf.printf "trace: %d spans, %d counter tracks -> %s\n" (List.length spans)
-           (List.length counters) path;
-         Obs.Counters.set_enabled false;
-         Obs.Span.set_enabled false);
-      if not !ok then begin
-        prerr_endline "explain: decision events disagree with the manifest allocator stats";
-        exit 1
-      end
+    let e = find_bench name in
+    let bench = e.Workloads.Registry.name in
+    let kernels = Lazy.force e.Workloads.Registry.kernels in
+    let params = Energy.Params.default in
+    let config = Alloc.Config.make ~orf_entries:entries ~lrf ~params () in
+    if trace_out <> None then begin
+      Obs.Span.reset ();
+      Obs.Span.set_enabled true;
+      Obs.Counters.reset ();
+      Obs.Counters.set_enabled true
+    end;
+    (* Decision recorder: memory sink, teed into the JSONL writer. *)
+    let mem_sink, decisions = Obs.Explain.memory_sink () in
+    let jsonl_oc = Option.map (fun path -> write_or_die path open_out) jsonl_out in
+    Obs.Explain.set_sink
+      (Obs.Explain.tee
+         (mem_sink
+          :: (match jsonl_oc with Some oc -> [ Obs.Explain.jsonl_sink oc ] | None -> [])));
+    (* Serial per-kernel pipeline: allocate under the explainer, then
+       account traffic with per-instruction attribution on. *)
+    let per_kernel =
+      List.map
+        (fun k ->
+          let ctx = Alloc.Context.create k in
+          let placement, stats = Alloc.Allocator.run config ctx in
+          let sw =
+            Sim.Traffic.run ~warps ~seed ~attribution:true ctx
+              (Sim.Traffic.Sw { config; placement })
+          in
+          let baseline = Sim.Traffic.run ~warps ~seed ctx Sim.Traffic.Baseline in
+          (k, ctx, placement, stats, sw, baseline))
+        kernels
+    in
+    (* Everything below reads the recorder's memory; stop recording
+       before the manifest collection re-runs the allocator. *)
+    Obs.Explain.disable ();
+    Option.iter close_out jsonl_oc;
+    let all_decisions = decisions () in
+    let reports =
+      List.map
+        (fun (k, ctx, placement, stats, sw, baseline) ->
+          let kname = k.Ir.Kernel.name in
+          let ds =
+            List.filter (fun d -> d.Obs.Explain.kernel = kname) all_decisions
+          in
+          let energies =
+            Energy.Counts.attributed_energies params ~orf_entries:entries
+              sw.Sim.Traffic.counts
+          in
+          let total_pj = Array.fold_left ( +. ) 0.0 energies in
+          let e_sw =
+            (Energy.Counts.energy params ~orf_entries:entries sw.Sim.Traffic.counts)
+              .Energy.Counts.total
+          in
+          let e_base =
+            (Energy.Counts.energy params ~orf_entries:entries baseline.Sim.Traffic.counts)
+              .Energy.Counts.total
+          in
+          let placed =
+            List.length (List.filter Obs.Explain.placed ds)
+          in
+          Printf.printf
+            "kernel %s: %d decisions (%d write units, %d read units); %d placed \
+             upper-level, %d left in MRF; normalized energy %.3f\n"
+            kname (List.length ds) stats.Alloc.Allocator.write_units
+            stats.Alloc.Allocator.read_units placed
+            (List.length ds - placed)
+            (Util.Stats.ratio e_sw e_base);
+          (* Decision table. *)
+          let dt =
+            Util.Table.create ~title:(Printf.sprintf "Decisions: %s" kname)
+              ~columns:
+                [ "#"; "Value"; "Kind"; "Strand"; "Range"; "Reads"; "LRF"; "ORF"; "Outcome" ]
+          in
+          List.iter
+            (fun (d : Obs.Explain.decision) ->
+              let cand lvl =
+                List.find_opt
+                  (fun (c : Obs.Explain.candidate) -> c.Obs.Explain.level = lvl)
+                  d.Obs.Explain.candidates
+              in
+              let reads =
+                let n = List.length d.Obs.Explain.covered in
+                if d.Obs.Explain.dropped_reads > 0 then
+                  Printf.sprintf "%d (-%d)" n d.Obs.Explain.dropped_reads
+                else string_of_int n
+              in
+              Util.Table.add_row dt
+                [
+                  string_of_int d.Obs.Explain.seq;
+                  d.Obs.Explain.reg
+                  ^ (if d.Obs.Explain.mrf_copy then " +mrf-copy" else "");
+                  d.Obs.Explain.kind;
+                  string_of_int d.Obs.Explain.strand;
+                  Printf.sprintf "[%d,%d)" d.Obs.Explain.first d.Obs.Explain.last;
+                  reads;
+                  explain_verdict_str (cand "lrf");
+                  explain_verdict_str (cand "orf");
+                  explain_outcome_str d;
+                ])
+            ds;
+          Util.Table.print dt;
+          (* Annotated instruction stream: operand levels plus the
+             attributed energy of every static instruction. *)
+          let share pc =
+            if total_pj <= 0.0 || pc >= Array.length energies then 0.0
+            else energies.(pc) /. total_pj
+          in
+          Printf.printf "instructions (attributed register-file energy, %% of %.1f pJ):\n"
+            total_pj;
+          let instr_lines = ref [] in
+          Ir.Kernel.iter_instrs k (fun _ i ->
+              let id = i.Ir.Instr.id in
+              let strand, boundary, dst, srcs = placement_cols ctx placement i in
+              let pj = if id < Array.length energies then energies.(id) else 0.0 in
+              instr_lines :=
+                {
+                  Obs.Explain.pc = id;
+                  strand;
+                  text = Ir.Instr.to_string i;
+                  pj;
+                  share = share id;
+                }
+                :: !instr_lines;
+              Printf.printf "s%-3d%s %-40s dst: %-18s srcs: %-20s %8.1f pJ %5.1f%%\n" strand
+                boundary (Ir.Instr.to_string i) dst srcs pj (100.0 *. share id));
+          print_newline ();
+          (* Top-N energy-bearing instructions. *)
+          let tt =
+            Util.Table.create
+              ~title:(Printf.sprintf "Top %d instructions by attributed energy: %s" top kname)
+              ~columns:[ "PC"; "Strand"; "Instruction"; "pJ"; "Share" ]
+          in
+          List.iter
+            (fun (pc, pj) ->
+              let i = Ir.Kernel.instr k pc in
+              Util.Table.add_row tt
+                [
+                  string_of_int pc;
+                  string_of_int
+                    (Strand.Partition.strand_of_instr ctx.Alloc.Context.partition pc);
+                  Ir.Instr.to_string i;
+                  Printf.sprintf "%.1f" pj;
+                  Printf.sprintf "%.1f%%" (100.0 *. share pc);
+                ])
+            (Energy.Counts.top_instrs params ~orf_entries:entries ~n:top
+               sw.Sim.Traffic.counts);
+          Util.Table.print tt;
+          {
+            Obs.Explain.kr_kernel = kname;
+            kr_decisions = ds;
+            kr_instrs = List.rev !instr_lines;
+            kr_total_pj = total_pj;
+          })
+        per_kernel
+    in
+    (* Cross-check: every live-range unit the allocator considered
+       must have produced exactly one decision event, and the outcome
+       tally must reproduce the manifest's allocator stats. *)
+    let opts = opts_of ~warps ~seed ~benchmarks:[ bench ] ~jobs:1 in
+    let m = Experiments.Run_manifest.collect ~entries ~lrf opts in
+    let row =
+      match
+        List.find_opt (fun b -> b.Obs.Manifest.bench = bench) m.Obs.Manifest.benches
+      with
+      | Some b -> b
+      | None -> prerr_endline "explain: benchmark missing from manifest"; exit 1
+    in
+    let count p = List.length (List.filter p all_decisions) in
+    let lrf_n =
+      count (fun d ->
+          match d.Obs.Explain.outcome with Obs.Explain.To_lrf _ -> true | _ -> false)
+    in
+    let orf_n =
+      count (fun d ->
+          match d.Obs.Explain.outcome with Obs.Explain.To_orf _ -> true | _ -> false)
+    in
+    let partial_n =
+      count (fun d ->
+          match d.Obs.Explain.outcome with
+          | Obs.Explain.To_orf { shortened; _ } -> shortened > 0
+          | _ -> false)
+    in
+    let checks =
+      [
+        ("decisions = write + read units", List.length all_decisions,
+         row.Obs.Manifest.write_units + row.Obs.Manifest.read_units);
+        ("LRF placements", lrf_n, row.Obs.Manifest.lrf_allocs);
+        ("ORF placements", orf_n, row.Obs.Manifest.orf_allocs);
+        ("partial (shortened) placements", partial_n, row.Obs.Manifest.partial_allocs);
+      ]
+    in
+    let ct =
+      Util.Table.create ~title:"Cross-check vs run-manifest allocator stats"
+        ~columns:[ "Check"; "Explainer"; "Manifest"; "" ]
+    in
+    let check, report = self_checks () in
+    List.iter
+      (fun (what, got, want) ->
+        check (Printf.sprintf "%s: explainer %d, manifest %d" what got want) (got = want);
+        Util.Table.add_row ct
+          [ what; string_of_int got; string_of_int want;
+            (if got = want then "ok" else "MISMATCH") ])
+      checks;
+    Util.Table.print ct;
+    Option.iter (fun n -> Printf.printf "jsonl: %d decisions -> %s\n"
+                    (List.length all_decisions) n) jsonl_out;
+    Option.iter
+      (fun path ->
+        write_html path (Obs.Html_report.render ~explain:reports m);
+        Printf.printf "report -> %s\n" path)
+      report_out;
+    Option.iter
+      (fun path ->
+        let spans = Obs.Span.spans () in
+        let counters = Obs.Counters.tracks () in
+        write_or_die path (fun path ->
+            Obs.Trace_export.write_file ~path ~process_name:"rfh explain" ~counters spans);
+        Printf.printf "trace: %d spans, %d counter tracks -> %s\n" (List.length spans)
+          (List.length counters) path;
+        Obs.Counters.set_enabled false;
+        Obs.Span.set_enabled false)
+      trace_out;
+    report ~failed:"explain: decision events disagree with the manifest allocator stats" ()
   in
   Cmd.v (Cmd.info "explain" ~doc)
     Term.(
-      const run $ name_arg $ top_arg $ warps_arg $ seed_arg $ entries_arg $ lrf_arg
+      const run $ bench_name_arg $ top_arg $ warps_arg $ seed_arg $ entries_arg $ lrf_arg
       $ jsonl_out_arg $ trace_out_arg $ report_out_arg $ verbose_arg)
 
 (* ------------------------------------------------------------------ *)
@@ -1422,9 +1343,6 @@ let timeline_cmd =
      timeline rows render one thread per warp; $(b,--report-out) writes the HTML run \
      report with the stall-attribution section."
   in
-  let name_arg =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"NAME" ~doc:"Benchmark name.")
-  in
   let banks_arg =
     let doc = "MRF banks for the banked operand-fetch configurations (Table 2: 32)." in
     Arg.(value & opt int 32 & info [ "mrf-banks" ] ~docv:"N" ~doc)
@@ -1444,269 +1362,233 @@ let timeline_cmd =
     Arg.(value & opt (some string) None & info [ "trace-out" ] ~docv:"FILE" ~doc)
   in
   let run name warps seed banks top jsonl_out trace_out report_out =
-    match Workloads.Registry.find name with
-    | None -> prerr_endline ("unknown benchmark: " ^ name); exit 1
-    | Some e ->
-      let bench = e.Workloads.Registry.name in
-      let ctx = Alloc.Context.create (Lazy.force e.Workloads.Registry.kernel) in
-      if trace_out <> None then begin
-        Obs.Span.reset ();
-        Obs.Span.set_enabled true;
-        Obs.Counters.reset ();
-        Obs.Counters.set_enabled true
-      end;
-      let base_configs =
-        [
-          ("single-level on-dep", Sim.Perf.Single_level, Sim.Perf.On_dependence);
-          ("two-level-8 on-dep", Sim.Perf.Two_level 8, Sim.Perf.On_dependence);
-          ("two-level-8 strand", Sim.Perf.Two_level 8, Sim.Perf.At_strand_boundaries);
-        ]
+    let e = find_bench name in
+    let bench = e.Workloads.Registry.name in
+    let ctx = Alloc.Context.create (Lazy.force e.Workloads.Registry.kernel) in
+    if trace_out <> None then begin
+      Obs.Span.reset ();
+      Obs.Span.set_enabled true;
+      Obs.Counters.reset ();
+      Obs.Counters.set_enabled true
+    end;
+    let base_configs =
+      [
+        ("single-level on-dep", Sim.Perf.Single_level, Sim.Perf.On_dependence);
+        ("two-level-8 on-dep", Sim.Perf.Two_level 8, Sim.Perf.On_dependence);
+        ("two-level-8 strand", Sim.Perf.Two_level 8, Sim.Perf.At_strand_boundaries);
+      ]
+    in
+    let configs =
+      List.map (fun (l, s, p) -> (l ^ " ideal", s, p, None)) base_configs
+      @ List.map (fun (l, s, p) -> (l ^ " banked", s, p, Some banks)) base_configs
+    in
+    (* The recorder captures the configuration the paper cares most
+       about: the two-level scheduler under the hardware policy with
+       banked operand fetch. *)
+    let primary_label = "two-level-8 on-dep banked" in
+    let mem_sink, intervals = Obs.Timeline.memory_sink () in
+    let jsonl_oc = Option.map (fun path -> write_or_die path open_out) jsonl_out in
+    let check, report = self_checks () in
+    let results =
+      List.map
+        (fun (label, scheduler, policy, mrf_banks) ->
+          let primary = label = primary_label in
+          if primary then
+            Obs.Timeline.set_sink
+              (Obs.Timeline.tee
+                 (mem_sink
+                  :: (match jsonl_oc with
+                      | Some oc -> [ Obs.Timeline.jsonl_sink oc ]
+                      | None -> [])));
+          let r = Sim.Perf.run ~warps ~seed ?mrf_banks ~scheduler ~policy ctx in
+          if primary then Obs.Timeline.disable ();
+          (* Exactness invariant: the breakdown accounts for every
+             warp-cycle, per warp and in total, and the issued total
+             reproduces the instruction count. *)
+          check
+            (Printf.sprintf "%s: stall total = cycles x warps" label)
+            (Sim.Perf.breakdown_total r.Sim.Perf.stalls = r.Sim.Perf.cycles * warps);
+          Array.iter
+            (fun (ws : Sim.Perf.warp_stats) ->
+              check
+                (Printf.sprintf "%s: warp %d breakdown sums to cycles" label
+                   ws.Sim.Perf.warp)
+                (Sim.Perf.breakdown_total ws.Sim.Perf.breakdown = r.Sim.Perf.cycles))
+            r.Sim.Perf.per_warp;
+          check
+            (Printf.sprintf "%s: issued cycles = instructions" label)
+            (r.Sim.Perf.stalls.Sim.Perf.issued = r.Sim.Perf.instructions);
+          (label, r))
+        configs
+    in
+    Option.iter close_out jsonl_oc;
+    let primary_r = List.assoc primary_label results in
+    (* Recorder neutrality: re-running the recorded configuration
+       with the recorder off must reproduce the same breakdown. *)
+    let unrecorded =
+      Sim.Perf.run ~warps ~seed ~mrf_banks:banks ~scheduler:(Sim.Perf.Two_level 8)
+        ~policy:Sim.Perf.On_dependence ctx
+    in
+    check "recorder on/off breakdown identity"
+      (Sim.Perf.breakdown_fields unrecorded.Sim.Perf.stalls
+       = Sim.Perf.breakdown_fields primary_r.Sim.Perf.stalls
+      && unrecorded.Sim.Perf.cycles = primary_r.Sim.Perf.cycles);
+    (* Interval cross-checks: per warp, the recorded intervals tile
+       [0, cycles) and re-derive the breakdown exactly. *)
+    let ivs = intervals () in
+    for w = 0 to warps - 1 do
+      let wivs = List.filter (fun iv -> iv.Obs.Timeline.warp = w) ivs in
+      let rec tiles expected = function
+        | [] -> expected = primary_r.Sim.Perf.cycles
+        | iv :: tl -> iv.Obs.Timeline.start = expected && tiles iv.Obs.Timeline.stop tl
       in
-      let configs =
-        List.map (fun (l, s, p) -> (l ^ " ideal", s, p, None)) base_configs
-        @ List.map (fun (l, s, p) -> (l ^ " banked", s, p, Some banks)) base_configs
+      check (Printf.sprintf "warp %d intervals tile [0, cycles)" w) (tiles 0 wivs);
+      let from_ivs cause =
+        List.fold_left
+          (fun acc iv ->
+            if iv.Obs.Timeline.state = cause then
+              acc + (iv.Obs.Timeline.stop - iv.Obs.Timeline.start)
+            else acc)
+          0 wivs
       in
-      (* The recorder captures the configuration the paper cares most
-         about: the two-level scheduler under the hardware policy with
-         banked operand fetch. *)
-      let primary_label = "two-level-8 on-dep banked" in
-      let mem_sink, intervals = Obs.Timeline.memory_sink () in
-      let jsonl_oc =
-        Option.map
-          (fun path ->
-            mkdirs (Filename.dirname path);
-            try open_out path
-            with Sys_error msg -> prerr_endline ("cannot write " ^ msg); exit 1)
-          jsonl_out
-      in
-      let failures = ref [] in
-      let check what ok = if not ok then failures := what :: !failures in
-      let results =
-        List.map
-          (fun (label, scheduler, policy, mrf_banks) ->
-            let primary = label = primary_label in
-            if primary then
-              Obs.Timeline.set_sink
-                (Obs.Timeline.tee
-                   (mem_sink
-                    :: (match jsonl_oc with
-                        | Some oc -> [ Obs.Timeline.jsonl_sink oc ]
-                        | None -> [])));
-            let r = Sim.Perf.run ~warps ~seed ?mrf_banks ~scheduler ~policy ctx in
-            if primary then Obs.Timeline.disable ();
-            (* Exactness invariant: the breakdown accounts for every
-               warp-cycle, per warp and in total, and the issued total
-               reproduces the instruction count. *)
-            check
-              (Printf.sprintf "%s: stall total = cycles x warps" label)
-              (Sim.Perf.breakdown_total r.Sim.Perf.stalls = r.Sim.Perf.cycles * warps);
-            Array.iter
-              (fun (ws : Sim.Perf.warp_stats) ->
-                check
-                  (Printf.sprintf "%s: warp %d breakdown sums to cycles" label
-                     ws.Sim.Perf.warp)
-                  (Sim.Perf.breakdown_total ws.Sim.Perf.breakdown = r.Sim.Perf.cycles))
-              r.Sim.Perf.per_warp;
-            check
-              (Printf.sprintf "%s: issued cycles = instructions" label)
-              (r.Sim.Perf.stalls.Sim.Perf.issued = r.Sim.Perf.instructions);
-            (label, r))
-          configs
-      in
-      Option.iter close_out jsonl_oc;
-      let primary_r = List.assoc primary_label results in
-      (* Recorder neutrality: re-running the recorded configuration
-         with the recorder off must reproduce the same breakdown. *)
-      let unrecorded =
-        Sim.Perf.run ~warps ~seed ~mrf_banks:banks ~scheduler:(Sim.Perf.Two_level 8)
-          ~policy:Sim.Perf.On_dependence ctx
-      in
-      check "recorder on/off breakdown identity"
-        (Sim.Perf.breakdown_fields unrecorded.Sim.Perf.stalls
-         = Sim.Perf.breakdown_fields primary_r.Sim.Perf.stalls
-        && unrecorded.Sim.Perf.cycles = primary_r.Sim.Perf.cycles);
-      (* Interval cross-checks: per warp, the recorded intervals tile
-         [0, cycles) and re-derive the breakdown exactly. *)
-      let ivs = intervals () in
-      for w = 0 to warps - 1 do
-        let wivs = List.filter (fun iv -> iv.Obs.Timeline.warp = w) ivs in
-        let rec tiles expected = function
-          | [] -> expected = primary_r.Sim.Perf.cycles
-          | iv :: tl -> iv.Obs.Timeline.start = expected && tiles iv.Obs.Timeline.stop tl
-        in
-        check (Printf.sprintf "warp %d intervals tile [0, cycles)" w) (tiles 0 wivs);
-        let from_ivs cause =
-          List.fold_left
-            (fun acc iv ->
-              if iv.Obs.Timeline.state = cause then
-                acc + (iv.Obs.Timeline.stop - iv.Obs.Timeline.start)
-              else acc)
-            0 wivs
-        in
-        let ws = primary_r.Sim.Perf.per_warp.(w) in
-        List.iter
-          (fun cause ->
-            check
-              (Printf.sprintf "warp %d: intervals re-derive %s cycles" w
-                 (Obs.Timeline.state_name cause))
-              (from_ivs cause = Sim.Perf.breakdown_get ws.Sim.Perf.breakdown cause))
-          Obs.Timeline.all_states
-      done;
-      (* JSONL round-trip: the written stream must decode back to the
-         recorded intervals, line for line. *)
-      Option.iter
-        (fun path ->
-          let ic = open_in path in
-          let lines = ref [] in
-          (try
-             while true do
-               lines := input_line ic :: !lines
-             done
-           with End_of_file -> close_in ic);
-          let decoded =
-            List.rev_map
-              (fun line ->
-                match Obs.Json.parse line with
-                | Error err ->
-                  prerr_endline ("timeline: bad JSONL line: " ^ err);
-                  exit 1
-                | Ok j ->
-                  (match Obs.Timeline.of_json j with
-                   | Ok iv -> iv
-                   | Error err ->
-                     prerr_endline ("timeline: undecodable interval: " ^ err);
-                     exit 1))
-              !lines
-          in
+      let ws = primary_r.Sim.Perf.per_warp.(w) in
+      List.iter
+        (fun cause ->
+          check
+            (Printf.sprintf "warp %d: intervals re-derive %s cycles" w
+               (Obs.Timeline.state_name cause))
+            (from_ivs cause = Sim.Perf.breakdown_get ws.Sim.Perf.breakdown cause))
+        Obs.Timeline.all_states
+    done;
+    (* JSONL round-trip: the written stream must decode back to the
+       recorded intervals, line for line, with no rejected line. *)
+    Option.iter
+      (fun path ->
+        match Obs.Timeline.load_jsonl ~path with
+        | Error msg -> check ("jsonl re-read: " ^ msg) false
+        | Ok (decoded, rejected) ->
+          check (Printf.sprintf "jsonl: %d undecodable lines" rejected) (rejected = 0);
           check "jsonl round-trip reproduces the recorded intervals" (decoded = ivs);
           Printf.printf "jsonl: %d intervals -> %s (round-trip ok)\n" (List.length ivs) path)
-        jsonl_out;
-      (* Stall-breakdown table: one row per configuration. *)
-      let bt =
-        Util.Table.create
-          ~title:
-            (Printf.sprintf "Stall attribution: %s (%d warps, %% of cycles x warps)" bench
-               warps)
-          ~columns:
-            ([ "Config"; "Cycles"; "IPC" ]
-            @ List.map Obs.Timeline.state_name Obs.Timeline.all_states)
-      in
-      List.iter
-        (fun (label, (r : Sim.Perf.result)) ->
-          let total = float_of_int (max 1 (Sim.Perf.breakdown_total r.Sim.Perf.stalls)) in
-          Util.Table.add_row bt
-            ([
-               label;
-               string_of_int r.Sim.Perf.cycles;
-               Printf.sprintf "%.3f" r.Sim.Perf.ipc;
-             ]
-            @ List.map
-                (fun cause ->
-                  Printf.sprintf "%.1f%%"
-                    (100.0
-                    *. float_of_int (Sim.Perf.breakdown_get r.Sim.Perf.stalls cause)
-                    /. total))
-                Obs.Timeline.all_states))
-        results;
-      Util.Table.print bt;
-      (* Residency table. *)
-      let rt =
-        Util.Table.create ~title:"Active-set residency"
-          ~columns:
-            [ "Config"; "Entries"; "Exits"; "Resident cycles"; "Mean residency";
-              "Desched LL"; "Desched strand"; "Desched conflict" ]
-      in
-      List.iter
-        (fun (label, (r : Sim.Perf.result)) ->
-          let s = r.Sim.Perf.sched in
-          Util.Table.add_row rt
-            [
-              label;
-              string_of_int s.Sim.Perf.entries;
-              string_of_int s.Sim.Perf.exits;
-              string_of_int s.Sim.Perf.resident_cycles;
-              Printf.sprintf "%.1f" (Sim.Perf.mean_residency s);
-              string_of_int s.Sim.Perf.desched_long_latency;
-              string_of_int s.Sim.Perf.desched_strand_boundary;
-              string_of_int s.Sim.Perf.desched_bank_conflict;
-            ])
-        results;
-      Util.Table.print rt;
-      (* Top stalled warps of the recorded configuration. *)
-      let tt =
-        Util.Table.create
-          ~title:(Printf.sprintf "Top %d stalled warps (%s)" top primary_label)
-          ~columns:
-            ([ "Warp"; "Stalled" ] @ List.map Obs.Timeline.state_name Obs.Timeline.all_states)
-      in
-      let ranked =
-        List.sort
-          (fun (a : Sim.Perf.warp_stats) (b : Sim.Perf.warp_stats) ->
-            match
-              compare
-                (Sim.Perf.stalled_cycles b.Sim.Perf.breakdown)
-                (Sim.Perf.stalled_cycles a.Sim.Perf.breakdown)
-            with
-            | 0 -> compare a.Sim.Perf.warp b.Sim.Perf.warp
-            | c -> c)
-          (Array.to_list primary_r.Sim.Perf.per_warp)
-      in
-      let rec take n = function x :: tl when n > 0 -> x :: take (n - 1) tl | _ -> [] in
-      List.iter
-        (fun (ws : Sim.Perf.warp_stats) ->
-          Util.Table.add_row tt
-            ([
-               string_of_int ws.Sim.Perf.warp;
-               string_of_int (Sim.Perf.stalled_cycles ws.Sim.Perf.breakdown);
-             ]
-            @ List.map
-                (fun cause ->
-                  string_of_int (Sim.Perf.breakdown_get ws.Sim.Perf.breakdown cause))
-                Obs.Timeline.all_states))
-        (take top ranked);
-      Util.Table.print tt;
-      (match trace_out with
-       | None -> ()
-       | Some path ->
-         let spans = Obs.Span.spans () in
-         let counters = Obs.Counters.tracks () in
-         mkdirs (Filename.dirname path);
-         (try
+      jsonl_out;
+    (* Stall-breakdown table: one row per configuration. *)
+    let bt =
+      Util.Table.create
+        ~title:
+          (Printf.sprintf "Stall attribution: %s (%d warps, %% of cycles x warps)" bench
+             warps)
+        ~columns:
+          ([ "Config"; "Cycles"; "IPC" ]
+          @ List.map Obs.Timeline.state_name Obs.Timeline.all_states)
+    in
+    List.iter
+      (fun (label, (r : Sim.Perf.result)) ->
+        let total = float_of_int (max 1 (Sim.Perf.breakdown_total r.Sim.Perf.stalls)) in
+        Util.Table.add_row bt
+          ([
+             label;
+             string_of_int r.Sim.Perf.cycles;
+             Printf.sprintf "%.3f" r.Sim.Perf.ipc;
+           ]
+          @ List.map
+              (fun cause ->
+                Printf.sprintf "%.1f%%"
+                  (100.0
+                  *. float_of_int (Sim.Perf.breakdown_get r.Sim.Perf.stalls cause)
+                  /. total))
+              Obs.Timeline.all_states))
+      results;
+    Util.Table.print bt;
+    (* Residency table. *)
+    let rt =
+      Util.Table.create ~title:"Active-set residency"
+        ~columns:
+          [ "Config"; "Entries"; "Exits"; "Resident cycles"; "Mean residency";
+            "Desched LL"; "Desched strand"; "Desched conflict" ]
+    in
+    List.iter
+      (fun (label, (r : Sim.Perf.result)) ->
+        let s = r.Sim.Perf.sched in
+        Util.Table.add_row rt
+          [
+            label;
+            string_of_int s.Sim.Perf.entries;
+            string_of_int s.Sim.Perf.exits;
+            string_of_int s.Sim.Perf.resident_cycles;
+            Printf.sprintf "%.1f" (Sim.Perf.mean_residency s);
+            string_of_int s.Sim.Perf.desched_long_latency;
+            string_of_int s.Sim.Perf.desched_strand_boundary;
+            string_of_int s.Sim.Perf.desched_bank_conflict;
+          ])
+      results;
+    Util.Table.print rt;
+    (* Top stalled warps of the recorded configuration. *)
+    let tt =
+      Util.Table.create
+        ~title:(Printf.sprintf "Top %d stalled warps (%s)" top primary_label)
+        ~columns:
+          ([ "Warp"; "Stalled" ] @ List.map Obs.Timeline.state_name Obs.Timeline.all_states)
+    in
+    let ranked =
+      List.sort
+        (fun (a : Sim.Perf.warp_stats) (b : Sim.Perf.warp_stats) ->
+          match
+            compare
+              (Sim.Perf.stalled_cycles b.Sim.Perf.breakdown)
+              (Sim.Perf.stalled_cycles a.Sim.Perf.breakdown)
+          with
+          | 0 -> compare a.Sim.Perf.warp b.Sim.Perf.warp
+          | c -> c)
+        (Array.to_list primary_r.Sim.Perf.per_warp)
+    in
+    let rec take n = function x :: tl when n > 0 -> x :: take (n - 1) tl | _ -> [] in
+    List.iter
+      (fun (ws : Sim.Perf.warp_stats) ->
+        Util.Table.add_row tt
+          ([
+             string_of_int ws.Sim.Perf.warp;
+             string_of_int (Sim.Perf.stalled_cycles ws.Sim.Perf.breakdown);
+           ]
+          @ List.map
+              (fun cause ->
+                string_of_int (Sim.Perf.breakdown_get ws.Sim.Perf.breakdown cause))
+              Obs.Timeline.all_states))
+      (take top ranked);
+    Util.Table.print tt;
+    Option.iter
+      (fun path ->
+        let spans = Obs.Span.spans () in
+        let counters = Obs.Counters.tracks () in
+        write_or_die path (fun path ->
             Obs.Trace_export.write_file ~path ~process_name:"rfh timeline" ~counters
-              ~timeline:ivs spans
-          with Sys_error msg -> prerr_endline ("cannot write " ^ msg); exit 1);
-         Printf.printf "trace: %d spans, %d counter tracks, %d timeline slices -> %s\n"
-           (List.length spans) (List.length counters) (List.length ivs) path;
-         Obs.Counters.set_enabled false;
-         Obs.Span.set_enabled false);
-      Option.iter
-        (fun path ->
-          let opts = opts_of ~warps ~seed ~benchmarks:[ bench ] ~jobs:1 in
-          let m = Experiments.Run_manifest.collect opts in
-          mkdirs (Filename.dirname path);
-          (try Obs.Html_report.write_file ~path m
-           with Sys_error msg -> prerr_endline ("cannot write " ^ msg); exit 1);
-          Printf.printf "report -> %s\n" path)
-        report_out;
-      if !failures <> [] then begin
-        prerr_endline "timeline: cross-checks FAILED:";
-        List.iter (fun f -> prerr_endline ("  " ^ f)) (List.rev !failures);
-        exit 1
-      end
-      else
-        Printf.printf
-          "timeline: all cross-checks passed (%d configs; breakdowns sum to cycles x %d \
-           warps)\n"
-          (List.length configs) warps
+              ~timeline:ivs spans);
+        Printf.printf "trace: %d spans, %d counter tracks, %d timeline slices -> %s\n"
+          (List.length spans) (List.length counters) (List.length ivs) path;
+        Obs.Counters.set_enabled false;
+        Obs.Span.set_enabled false)
+      trace_out;
+    Option.iter
+      (fun path ->
+        let opts = opts_of ~warps ~seed ~benchmarks:[ bench ] ~jobs:1 in
+        write_html path (Obs.Html_report.render (Experiments.Run_manifest.collect opts));
+        Printf.printf "report -> %s\n" path)
+      report_out;
+    report ~failed:"timeline: cross-checks FAILED:"
+      ~passed:
+        (Printf.sprintf
+           "timeline: all cross-checks passed (%d configs; breakdowns sum to cycles x %d \
+            warps)"
+           (List.length configs) warps)
+      ()
   in
   Cmd.v (Cmd.info "timeline" ~doc)
     Term.(
-      const run $ name_arg $ warps_arg $ seed_arg $ banks_arg $ top_arg $ jsonl_out_arg
+      const run $ bench_name_arg $ warps_arg $ seed_arg $ banks_arg $ top_arg $ jsonl_out_arg
       $ trace_out_arg $ report_out_arg)
 
 (* ------------------------------------------------------------------ *)
 (* engine: wall-clock profiling of the host engine itself — where does
-   parallel wall x domains go, exactly?                                 *)
+   parallel wall x domains go, exactly, and how much of it is GC?      *)
 
 let engine_cmd =
   let doc =
@@ -1714,10 +1596,14 @@ let engine_cmd =
      requested $(b,--jobs) setting: speedup/efficiency per setting, plus an exact \
      decomposition of every parallel region's wall x domains budget into useful work, \
      spawn, teardown, lock wait, memo wait, dispatch and idle — the categories sum \
-     exactly, and the command exits 1 if any accounting invariant fails or the rendered \
-     tables differ across jobs settings.  $(b,--trace-out) writes a Perfetto trace with \
-     per-domain task slices on a wall-clock process row; $(b,--json-out) writes the \
-     engine reports as JSON; $(b,--report-out) writes a standalone HTML engine report."
+     exactly.  The GC view of the same windows splits every region's useful time into \
+     compute + gc from Runtime_events pauses, with Gc.quick_stat allocation deltas per \
+     region and a pause-duration histogram (p50/p99).  Exits 1 if any accounting \
+     invariant fails, a GC capture is missing, or the rendered tables differ across jobs \
+     settings.  $(b,--trace-out) writes a Perfetto trace with per-domain task slices \
+     (pid 4) and GC pause slices (pid 5) on wall-clock process rows; $(b,--json-out) \
+     writes the engine reports (gc capture included) as JSON; $(b,--report-out) writes a \
+     standalone HTML engine+GC report."
   in
   let target_arg =
     Arg.(
@@ -1731,37 +1617,28 @@ let engine_cmd =
   in
   let trace_out_arg =
     let doc =
-      "Write a Chrome trace-event JSON file: phase spans (pid 1) plus per-domain engine \
-       task/wait slices on their own wall-clock process row (pid 4), all against one \
+      "Write a Chrome trace-event JSON file: phase spans (pid 1), per-domain engine \
+       task/wait slices (pid 4) and per-domain GC pause slices (pid 5), all against one \
        monotonic epoch."
     in
     Arg.(value & opt (some string) None & info [ "trace-out" ] ~docv:"FILE" ~doc)
   in
   let json_out_arg =
-    let doc = "Write the engine reports (one per jobs setting) as a JSON array to $(docv)." in
+    let doc =
+      "Write the engine reports (one per jobs setting, gc capture included) as a JSON \
+       array to $(docv)."
+    in
     Arg.(value & opt (some string) None & info [ "json-out" ] ~docv:"FILE" ~doc)
   in
   let run target warps seed benchmarks jobs_list trace_out json_out report_out =
-    let artefacts =
-      if target = "all" then List.map snd Experiments.Report.artefact_names
-      else
-        match List.assoc_opt target Experiments.Report.artefact_names with
-        | Some a -> [ a ]
-        | None ->
-          prerr_endline
-            ("unknown target: " ^ target ^ " (expected 'all' or one of "
-            ^ String.concat ", " (List.map fst Experiments.Report.artefact_names)
-            ^ ")");
-          exit 1
-    in
+    let artefacts = artefacts_of_target target in
     let jobs_list = List.sort_uniq compare (List.map (fun j -> max 1 j) jobs_list) in
     let jobs_list = if jobs_list = [] then [ 1 ] else jobs_list in
     if trace_out <> None then begin
       Obs.Span.reset ();
       Obs.Span.set_enabled true
     end;
-    let failures = ref [] in
-    let check what ok = if not ok then failures := what :: !failures in
+    let check, report = self_checks () in
     (* One profiled window per jobs setting.  Caches are cleared before
        every window so each run recomputes the same work from scratch —
        the walls are comparable and the memo tables show their real
@@ -1792,10 +1669,13 @@ let engine_cmd =
              (String.equal out out0))
          rest);
     (* Accounting invariants: every category >= 0 and the seven sum to
-       wall x domains in every region, lookups = hits+misses+waits per
-       memo table, contended <= acquisitions per lock. *)
+       wall x domains in every region, 0 <= gc <= useful, lookups =
+       hits+misses+waits per memo table, contended <= acquisitions per
+       lock. *)
     List.iter
       (fun (r : Obs.Engine.report) ->
+        check (Printf.sprintf "jobs=%d: gc capture present" r.Obs.Engine.jobs)
+          (r.Obs.Engine.gc <> None);
         List.iter
           (fun violation -> check (Printf.sprintf "jobs=%d: %s" r.Obs.Engine.jobs violation) false)
           (Obs.Engine.check r))
@@ -1808,216 +1688,52 @@ let engine_cmd =
      | widest :: _ ->
        Util.Table.print (Obs.Engine.memo_table widest);
        Util.Table.print (Obs.Engine.lock_table widest));
-    Option.iter
-      (fun path ->
-        mkdirs (Filename.dirname path);
-        let j = Obs.Json.Arr (List.map Obs.Engine.to_json reports) in
-        (try
-           let oc = open_out path in
-           Fun.protect
-             ~finally:(fun () -> close_out oc)
-             (fun () ->
-               Obs.Json.to_channel oc j;
-               output_char oc '\n')
-         with Sys_error msg -> prerr_endline ("cannot write " ^ msg); exit 1);
-        Printf.printf "engine json: %d reports -> %s\n" (List.length reports) path)
-      json_out;
-    Option.iter
-      (fun path ->
-        mkdirs (Filename.dirname path);
-        (try Obs.Html_report.write_engine_page ~path reports
-         with Sys_error msg -> prerr_endline ("cannot write " ^ msg); exit 1);
-        Printf.printf "engine report -> %s\n" path)
-      report_out;
-    (match trace_out with
-     | None -> ()
-     | Some path ->
-       let spans = Obs.Span.spans () in
-       Obs.Span.set_enabled false;
-       (* One shared zero point: engine epochs and span timestamps are
-          the same CLOCK_MONOTONIC, so the earliest of either works for
-          every row. *)
-       let base_ns =
-         List.fold_left
-           (fun acc (r : Obs.Engine.report) -> min acc r.Obs.Engine.epoch_ns)
-           (match spans with
-            | [] -> (match reports with [] -> 0L | r :: _ -> r.Obs.Engine.epoch_ns)
-            | _ -> Obs.Trace_export.earliest_span_ns spans)
-           reports
-       in
-       let extra = List.concat_map (Obs.Engine.trace_events ~base_ns) reports in
-       mkdirs (Filename.dirname path);
-       (try
-          Obs.Trace_export.write_file ~path ~process_name:"rfh engine" ~base_ns ~extra spans
-        with Sys_error msg -> prerr_endline ("cannot write " ^ msg); exit 1);
-       Printf.printf "trace: %d spans + %d engine rows -> %s\n" (List.length spans)
-         (List.length extra) path);
-    if !failures <> [] then begin
-      prerr_endline "engine: self-checks FAILED:";
-      List.iter (fun f -> prerr_endline ("  " ^ f)) (List.rev !failures);
-      exit 1
-    end
-    else
-      Printf.printf
-        "engine: all self-checks passed (%d jobs settings; categories sum to wall x domains \
-         in every region; rendered tables byte-identical)\n"
-        (List.length jobs_list)
-  in
-  Cmd.v (Cmd.info "engine" ~doc)
-    Term.(
-      const run $ target_arg $ warps_arg $ seed_arg $ benchmarks_arg $ jobs_list_arg
-      $ trace_out_arg $ json_out_arg $ report_out_arg)
-
-(* ------------------------------------------------------------------ *)
-(* gc: the GC view of the same profiled windows — how much of useful
-   task time is the collector, what was allocated, how long pauses are. *)
-
-let gc_cmd =
-  let doc =
-    "Profile the host runtime's GC while regenerating one artefact (or $(b,all)) at each \
-     requested $(b,--jobs) setting: every Eprof region's useful time is split exactly into \
-     compute + gc from Runtime_events pauses, with Gc.quick_stat allocation deltas per \
-     region and a pause-duration histogram (p50/p99).  Exits 1 if any accounting \
-     invariant fails or the rendered tables differ across jobs settings.  \
-     $(b,--trace-out) writes a Perfetto trace with per-domain GC pause slices (pid 5) \
-     next to the engine task slices (pid 4); $(b,--json-out) writes the reports (gc \
-     capture included) as JSON; $(b,--report-out) writes the HTML engine+GC report."
-  in
-  let target_arg =
-    Arg.(
-      value
-      & pos 0 string "fig13"
-      & info [] ~docv:"TARGET" ~doc:"Artefact to regenerate (fig2..tables, or 'all').")
-  in
-  let jobs_list_arg =
-    let doc = "Comma-separated worker-domain settings to profile, e.g. 1,2,4,8." in
-    Arg.(value & opt (list int) [ 1; 2 ] & info [ "jobs"; "j" ] ~docv:"N,N,..." ~doc)
-  in
-  let trace_out_arg =
-    let doc =
-      "Write a Chrome trace-event JSON file: phase spans (pid 1), per-domain engine \
-       task/wait slices (pid 4) and per-domain GC pause slices (pid 5), all against one \
-       monotonic epoch."
-    in
-    Arg.(value & opt (some string) None & info [ "trace-out" ] ~docv:"FILE" ~doc)
-  in
-  let json_out_arg =
-    let doc =
-      "Write the engine reports (one per jobs setting, gc capture included) as a JSON \
-       array to $(docv)."
-    in
-    Arg.(value & opt (some string) None & info [ "json-out" ] ~docv:"FILE" ~doc)
-  in
-  let run target warps seed benchmarks jobs_list trace_out json_out report_out =
-    let artefacts =
-      if target = "all" then List.map snd Experiments.Report.artefact_names
-      else
-        match List.assoc_opt target Experiments.Report.artefact_names with
-        | Some a -> [ a ]
-        | None ->
-          prerr_endline
-            ("unknown target: " ^ target ^ " (expected 'all' or one of "
-            ^ String.concat ", " (List.map fst Experiments.Report.artefact_names)
-            ^ ")");
-          exit 1
-    in
-    let jobs_list = List.sort_uniq compare (List.map (fun j -> max 1 j) jobs_list) in
-    let jobs_list = if jobs_list = [] then [ 1 ] else jobs_list in
-    if trace_out <> None then begin
-      Obs.Span.reset ();
-      Obs.Span.set_enabled true
-    end;
-    let failures = ref [] in
-    let check what ok = if not ok then failures := what :: !failures in
-    let runs =
-      List.map
-        (fun j ->
-          Experiments.Report.clear_caches ();
-          let opts = opts_of ~warps ~seed ~benchmarks ~jobs:j in
-          let rendered, report =
-            Obs.Engine.profile ~label:target ~jobs:j (fun () ->
-                List.concat_map
-                  (fun a -> List.map Util.Table.render (Experiments.Report.tables_of opts a))
-                  artefacts)
-          in
-          (j, String.concat "\n" rendered, report))
-        jobs_list
-    in
-    let reports = List.map (fun (_, _, r) -> r) runs in
-    (match runs with
-     | [] -> ()
-     | (j0, out0, _) :: rest ->
-       List.iter
-         (fun (j, out, _) ->
-           check (Printf.sprintf "rendered tables at jobs=%d byte-identical to jobs=%d" j j0)
-             (String.equal out out0))
-         rest);
-    List.iter
-      (fun (r : Obs.Engine.report) ->
-        check (Printf.sprintf "jobs=%d: gc capture present" r.Obs.Engine.jobs)
-          (r.Obs.Engine.gc <> None);
-        List.iter
-          (fun violation -> check (Printf.sprintf "jobs=%d: %s" r.Obs.Engine.jobs violation) false)
-          (Obs.Engine.check r))
-      reports;
     Util.Table.print (Obs.Engine.gc_summary_table reports);
     Util.Table.print (Obs.Engine.gc_mem_table reports);
     List.iter (fun r -> Util.Table.print (Obs.Engine.gc_region_table r)) reports;
     Option.iter
       (fun path ->
-        mkdirs (Filename.dirname path);
-        let j = Obs.Json.Arr (List.map Obs.Engine.to_json reports) in
-        (try
-           let oc = open_out path in
-           Fun.protect
-             ~finally:(fun () -> close_out oc)
-             (fun () ->
-               Obs.Json.to_channel oc j;
-               output_char oc '\n')
-         with Sys_error msg -> prerr_endline ("cannot write " ^ msg); exit 1);
-        Printf.printf "gc json: %d reports -> %s\n" (List.length reports) path)
+        write_json path (Obs.Json.Arr (List.map Obs.Engine.to_json reports));
+        Printf.printf "engine json: %d reports -> %s\n" (List.length reports) path)
       json_out;
     Option.iter
       (fun path ->
-        mkdirs (Filename.dirname path);
-        (try Obs.Html_report.write_engine_page ~path reports
-         with Sys_error msg -> prerr_endline ("cannot write " ^ msg); exit 1);
-        Printf.printf "gc report -> %s\n" path)
+        write_html path (Obs.Html_report.render_engine_page reports);
+        Printf.printf "engine report -> %s\n" path)
       report_out;
-    (match trace_out with
-     | None -> ()
-     | Some path ->
-       let spans = Obs.Span.spans () in
-       Obs.Span.set_enabled false;
-       let base_ns =
-         List.fold_left
-           (fun acc (r : Obs.Engine.report) -> min acc r.Obs.Engine.epoch_ns)
-           (match spans with
-            | [] -> (match reports with [] -> 0L | r :: _ -> r.Obs.Engine.epoch_ns)
-            | _ -> Obs.Trace_export.earliest_span_ns spans)
-           reports
-       in
-       let extra =
-         List.concat_map (Obs.Engine.trace_events ~base_ns) reports
-         @ List.concat_map (Obs.Engine.gc_trace_events ~base_ns) reports
-       in
-       mkdirs (Filename.dirname path);
-       (try Obs.Trace_export.write_file ~path ~process_name:"rfh gc" ~base_ns ~extra spans
-        with Sys_error msg -> prerr_endline ("cannot write " ^ msg); exit 1);
-       Printf.printf "trace: %d spans + %d engine/gc rows -> %s\n" (List.length spans)
-         (List.length extra) path);
-    if !failures <> [] then begin
-      prerr_endline "gc: self-checks FAILED:";
-      List.iter (fun f -> prerr_endline ("  " ^ f)) (List.rev !failures);
-      exit 1
-    end
-    else
-      Printf.printf
-        "gc: all self-checks passed (%d jobs settings; 0 <= gc <= useful in every region; \
-         rendered tables byte-identical)\n"
-        (List.length jobs_list)
+    Option.iter
+      (fun path ->
+        let spans = Obs.Span.spans () in
+        Obs.Span.set_enabled false;
+        (* One shared zero point: engine epochs and span timestamps are
+           the same CLOCK_MONOTONIC, so the earliest of either works for
+           every row. *)
+        let base_ns =
+          List.fold_left
+            (fun acc (r : Obs.Engine.report) -> min acc r.Obs.Engine.epoch_ns)
+            (match spans with
+             | [] -> (match reports with [] -> 0L | r :: _ -> r.Obs.Engine.epoch_ns)
+             | _ -> Obs.Trace_export.earliest_span_ns spans)
+            reports
+        in
+        let extra =
+          List.concat_map (Obs.Engine.trace_events ~base_ns) reports
+          @ List.concat_map (Obs.Engine.gc_trace_events ~base_ns) reports
+        in
+        write_or_die path (fun path ->
+            Obs.Trace_export.write_file ~path ~process_name:"rfh engine" ~base_ns ~extra spans);
+        Printf.printf "trace: %d spans + %d engine/gc rows -> %s\n" (List.length spans)
+          (List.length extra) path)
+      trace_out;
+    report ~failed:"engine: self-checks FAILED:"
+      ~passed:
+        (Printf.sprintf
+           "engine: all self-checks passed (%d jobs settings; categories sum to wall x \
+            domains and 0 <= gc <= useful in every region; rendered tables byte-identical)"
+           (List.length jobs_list))
+      ()
   in
-  Cmd.v (Cmd.info "gc" ~doc)
+  Cmd.v (Cmd.info "engine" ~doc)
     Term.(
       const run $ target_arg $ warps_arg $ seed_arg $ benchmarks_arg $ jobs_list_arg
       $ trace_out_arg $ json_out_arg $ report_out_arg)
@@ -2028,6 +1744,6 @@ let () =
   let cmds =
     List.map artefact_cmd Experiments.Report.artefact_names
     @ [ all_cmd; kernels_cmd; allocate_cmd; compile_cmd; selfcheck_cmd; trace_cmd; profile_cmd;
-        baseline_cmd; trend_cmd; why_cmd; explain_cmd; timeline_cmd; engine_cmd; gc_cmd ]
+        baseline_cmd; trend_cmd; why_cmd; explain_cmd; timeline_cmd; engine_cmd ]
   in
   exit (Cmd.eval (Cmd.group info cmds))

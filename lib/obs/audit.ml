@@ -24,48 +24,6 @@ type event =
   | Strand_boundary of { instr : int; strand : int }
   | Desched of { warp : int; instr : int; cause : cause }
 
-(* Domain-safety: the enabled flag is atomic (the disabled fast path
-   stays a single load, no lock) and sink invocation is serialized by a
-   mutex, so one sink — a channel writer, a tallying closure — never
-   sees two events at once even when simulators run on worker
-   domains. *)
-
-let on = Atomic.make false
-let mu = Mutex.create ()
-let sink : (event -> unit) ref = ref ignore
-
-(* The sink mutex serializes every audit event from every domain, so
-   it is a prime slowdown suspect under --jobs: profile it. *)
-let sink_lock = Util.Eprof.lock_create "obs.audit.sink"
-
-let is_enabled () = Atomic.get on
-
-let emit ev =
-  if Atomic.get on then begin
-    Util.Eprof.lock_acquire sink_lock mu;
-    Fun.protect ~finally:(fun () -> Mutex.unlock mu) (fun () -> !sink ev)
-  end
-
-let set_sink f =
-  Mutex.lock mu;
-  sink := f;
-  Mutex.unlock mu;
-  Atomic.set on true
-
-let set_enabled b = Atomic.set on b
-
-let disable () =
-  Atomic.set on false;
-  Mutex.lock mu;
-  sink := ignore;
-  Mutex.unlock mu
-
-let memory_sink () =
-  let events = ref [] in
-  ((fun ev -> events := ev :: !events), fun () -> List.rev !events)
-
-let tee sinks ev = List.iter (fun s -> s ev) sinks
-
 (* ------------------------------------------------------------------ *)
 (* Encoding.                                                           *)
 
@@ -212,10 +170,6 @@ let of_json j =
     Ok (Desched { warp; instr; cause })
   | other -> Error (Printf.sprintf "audit event: unknown kind %S" other)
 
-let jsonl_sink oc ev =
-  Json.to_channel oc (to_json ev);
-  output_char oc '\n'
-
 let pp fmt = function
   | Alloc a ->
     Format.fprintf fmt "%s %s -> %s[%d] strand %d [%d, %d) %d reads, savings %.2f%s%s"
@@ -237,4 +191,11 @@ let pp fmt = function
   | Desched d ->
     Format.fprintf fmt "desched warp %d at instr %d (%s)" d.warp d.instr (cause_name d.cause)
 
-let printer_sink fmt ev = Format.fprintf fmt "%a@." pp ev
+include Recorder.Make (struct
+  type t = event
+
+  let name = "audit"
+  let to_json = to_json
+  let of_json = of_json
+  let pp = pp
+end)

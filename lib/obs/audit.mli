@@ -1,11 +1,9 @@
 (** Allocator / scheduler audit log: a structured event sink.
 
     The allocator, the strand partitioner and both simulators report
-    decisions here instead of formatting ad-hoc debug text.  The sink
-    is a plain function behind a flag: when disabled (the default),
-    instrumented call sites see [is_enabled () = false] and skip event
-    construction entirely, so the simulator hot path neither allocates
-    nor calls anything.
+    decisions here, through a {!Recorder}, instead of formatting ad-hoc
+    debug text; disabled, the simulator hot path neither allocates nor
+    calls anything.
 
     Event semantics:
     - [Alloc]: the allocator placed a value (write unit) or a read
@@ -53,33 +51,8 @@ type event =
   | Strand_boundary of { instr : int; strand : int }
   | Desched of { warp : int; instr : int; cause : cause }
 
-val is_enabled : unit -> bool
-(** Cheap flag read — call sites guard event construction with it. *)
-
-val emit : event -> unit
-(** Forward to the installed sink; a no-op when disabled. *)
-
-val set_sink : (event -> unit) -> unit
-(** Install a sink and enable emission. *)
-
-val set_enabled : bool -> unit
-(** Toggle emission without replacing the sink. *)
-
-val disable : unit -> unit
-(** Stop emitting and drop the installed sink. *)
-
-(** {1 Sinks} *)
-
-val memory_sink : unit -> (event -> unit) * (unit -> event list)
-(** Collecting sink; the getter returns events in emission order. *)
-
-val jsonl_sink : out_channel -> event -> unit
-(** One compact JSON object per line. *)
-
-val printer_sink : Format.formatter -> event -> unit
-(** Human-readable one-line-per-event rendering (the [-v] output). *)
-
-val tee : (event -> unit) list -> event -> unit
+include Recorder.S with type t := event
+(** The recorder; [printer_sink] is the [-v] output. *)
 
 (** {1 Encoding} *)
 

@@ -1064,7 +1064,7 @@ let gc_trace_events ~base_ns r =
           ("ph", Json.Str "M");
           ("pid", Json.int pid);
           ("tid", Json.int 0);
-          ("args", Json.Obj [ ("name", Json.Str "rfh gc (wall clock)") ]);
+          ("args", Json.Obj [ ("name", Json.Str "rfh engine gc (wall clock)") ]);
         ]
     in
     let thread_metadata =

@@ -15,7 +15,8 @@
       joined worker finished (join time spent waiting for a still-busy
       worker is imbalance, i.e. [idle]);
     - [lock_wait]: contended acquisitions of the profiled telemetry
-      mutexes ([obs.metrics.*], [obs.audit.sink], [obs.span.spans]);
+      mutexes ([obs.metrics.*], the recorders' [obs.*.sink],
+      [obs.span.spans]);
     - [memo_wait]: blocking on another domain's in-flight
       {!Util.Memo} computation;
     - [dispatch]: worker-loop time outside work items — index

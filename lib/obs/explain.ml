@@ -1,8 +1,5 @@
 (* Allocation-decision explainer: one structured event per live-range
-   candidate the allocator considered, behind the same
-   zero-cost-when-off recorder discipline as Obs.Audit.  The disabled
-   fast path is a single atomic load; sink invocation is serialized so
-   a fan-out over worker domains cannot interleave one sink's state. *)
+   candidate the allocator considered, recorded through Obs.Recorder. *)
 
 type verdict =
   | Chosen
@@ -37,38 +34,6 @@ type decision = {
   candidates : candidate list;
   outcome : outcome;
 }
-
-let on = Atomic.make false
-let mu = Mutex.create ()
-let sink : (decision -> unit) ref = ref ignore
-
-let is_enabled () = Atomic.get on
-
-let emit d =
-  if Atomic.get on then begin
-    Mutex.lock mu;
-    Fun.protect ~finally:(fun () -> Mutex.unlock mu) (fun () -> !sink d)
-  end
-
-let set_sink f =
-  Mutex.lock mu;
-  sink := f;
-  Mutex.unlock mu;
-  Atomic.set on true
-
-let set_enabled b = Atomic.set on b
-
-let disable () =
-  Atomic.set on false;
-  Mutex.lock mu;
-  sink := ignore;
-  Mutex.unlock mu
-
-let memory_sink () =
-  let events = ref [] in
-  ((fun d -> events := d :: !events), fun () -> List.rev !events)
-
-let tee sinks d = List.iter (fun s -> s d) sinks
 
 (* ------------------------------------------------------------------ *)
 (* Derived views.                                                      *)
@@ -242,10 +207,6 @@ let of_json j =
       outcome;
     }
 
-let jsonl_sink oc d =
-  Json.to_channel oc (to_json d);
-  output_char oc '\n'
-
 let verdict_name = function
   | Chosen -> "chosen"
   | Ineligible why -> "ineligible: " ^ why
@@ -274,4 +235,11 @@ let pp fmt d =
     (if d.mrf_copy then "+MRF " else "")
     outcome
 
-let printer_sink fmt d = Format.fprintf fmt "%a@." pp d
+include Recorder.Make (struct
+  type t = decision
+
+  let name = "explain"
+  let to_json = to_json
+  let of_json = of_json
+  let pp = pp
+end)

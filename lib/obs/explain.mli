@@ -3,11 +3,8 @@
     The compile-time allocator emits one {!decision} per live-range
     unit it considers (write units and read-operand units): the
     candidate levels it weighed, the per-level energy-savings estimate,
-    partial-range shortening applied, and the final placement.  The
-    recorder follows the same discipline as {!Audit}: disabled by
-    default, a single atomic load on the fast path, and a
-    mutex-serialized sink so fan-out over domains cannot interleave one
-    sink's internal state.  Decisions are emitted in a deterministic
+    partial-range shortening applied, and the final placement, through
+    a {!Recorder}.  Decisions are emitted in a deterministic
     order (write units first, then read units, both in construction
     order), independent of the priority order in which the allocator
     drained its queues. *)
@@ -48,31 +45,7 @@ type decision = {
   outcome : outcome;
 }
 
-(** {1 Recorder} *)
-
-val is_enabled : unit -> bool
-(** One atomic load; sample it once per allocator run. *)
-
-val emit : decision -> unit
-(** No-op unless enabled.  The sink runs under the recorder mutex. *)
-
-val set_sink : (decision -> unit) -> unit
-(** Install a sink and enable the recorder. *)
-
-val set_enabled : bool -> unit
-
-val disable : unit -> unit
-(** Disable and drop the sink. *)
-
-val memory_sink : unit -> (decision -> unit) * (unit -> decision list)
-(** In-memory sink plus a function returning events in emission order. *)
-
-val jsonl_sink : out_channel -> decision -> unit
-(** One JSON object per line; the caller owns the channel. *)
-
-val printer_sink : Format.formatter -> decision -> unit
-
-val tee : (decision -> unit) list -> decision -> unit
+include Recorder.S with type t := decision
 
 (** {1 Derived views} *)
 

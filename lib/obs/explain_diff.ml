@@ -270,33 +270,6 @@ let align ~a ~b =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Loading.                                                            *)
-
-let load_jsonl ~path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () ->
-        let decisions = ref [] and rejected = ref 0 in
-        (try
-           while true do
-             let line = String.trim (input_line ic) in
-             if line <> "" then
-               match Json.parse line with
-               | Error _ -> incr rejected
-               | Ok j -> (
-                 match Explain.of_json j with
-                 | Ok d -> decisions := d :: !decisions
-                 | Error _ -> incr rejected)
-           done
-         with End_of_file -> ());
-        (List.rev !decisions, !rejected))
-  with
-  | exception Sys_error msg -> Error msg
-  | result -> Ok result
-
-(* ------------------------------------------------------------------ *)
 (* Rendering helpers and the accounting self-check.                    *)
 
 let flip_name = function

@@ -88,11 +88,6 @@ val align : a:Explain.decision list -> b:Explain.decision list -> t
 (** Deterministic: both inputs are sorted by (kernel, seq) before
     alignment, so file order and producer [--jobs] do not matter. *)
 
-val load_jsonl : path:string -> (Explain.decision list * int, string) result
-(** Garbage-tolerant loader: all decodable decision lines in file
-    order plus the count of non-empty lines that failed to decode.
-    [Error] only when the file itself cannot be read. *)
-
 val chosen_savings : Explain.decision -> float
 (** Savings estimate of the [Chosen] candidate (0 when none, i.e. the
     value stayed in the MRF). *)

@@ -67,6 +67,18 @@ td.spark { padding: .1em .3em; } td.spark svg { display: block; }
 .why-bar .pct { width: 6em; font-variant-numeric: tabular-nums; }|}
 
 let pf = Printf.bprintf
+
+(* Every page shares one document shell: the inline stylesheet and
+   nothing else, so each file opens offline on its own. *)
+let page ~title body =
+  Printf.sprintf
+    "<!DOCTYPE html>\n<html lang=en>\n<head>\n<meta charset=utf-8>\n<title>%s</title>\n<style>\n%s\n</style>\n</head>\n<body>\n%s</body>\n</html>\n"
+    title style body
+
+let write_page ~path html = Out_channel.with_open_text path (fun oc -> output_string oc html)
+
+let short_rev rev = if String.length rev > 10 then String.sub rev 0 10 else rev
+
 let num = Printf.sprintf "%.4g"
 let seg_class level = "seg-" ^ String.lowercase_ascii level
 
@@ -544,27 +556,16 @@ let gc_section buf (reports : Engine.report list) =
 
 let render_engine_page (reports : Engine.report list) =
   let buf = Buffer.create 16384 in
-  pf buf "<!DOCTYPE html>\n<html lang=en>\n<head>\n<meta charset=utf-8>\n";
-  pf buf "<title>rfh engine report</title>\n<style>\n%s\n</style>\n</head>\n<body>\n" style;
   pf buf "<h1>rfh engine report</h1>\n";
   (match reports with
   | r :: _ -> pf buf "<p class=muted>target: %s</p>\n" (escape r.Engine.label)
   | [] -> ());
   engine_section buf reports;
   gc_section buf reports;
-  pf buf "</body>\n</html>\n";
-  Buffer.contents buf
-
-let write_engine_page ~path reports =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (render_engine_page reports))
+  page ~title:"rfh engine report" (Buffer.contents buf)
 
 let render ?compare ?explain ?engine (m : Manifest.t) =
   let buf = Buffer.create 16384 in
-  pf buf "<!DOCTYPE html>\n<html lang=en>\n<head>\n<meta charset=utf-8>\n";
-  pf buf "<title>rfh run report</title>\n<style>\n%s\n</style>\n</head>\n<body>\n" style;
   pf buf "<h1>rfh run report</h1>\n";
   pf buf "<p class=muted>schema v%d · %d benchmarks%s</p>\n" Manifest.schema_version
     (List.length m.benches)
@@ -583,14 +584,7 @@ let render ?compare ?explain ?engine (m : Manifest.t) =
     engine_section buf reports;
     gc_section buf reports);
   (match explain with None | Some [] -> () | Some reports -> explain_section buf reports);
-  pf buf "</body>\n</html>\n";
-  Buffer.contents buf
-
-let write_file ?compare ?explain ?engine ~path m =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (render ?compare ?explain ?engine m))
+  page ~title:"rfh run report" (Buffer.contents buf)
 
 (* ------------------------------------------------------------------ *)
 (* Trend dashboard: a standalone page over the cross-run history.
@@ -631,13 +625,9 @@ let trend_sparkline_svg buf (recs : History.t array) (a : Trend.analysis) =
   end;
   pf buf "</svg>"
 
-let short_rev rev = if String.length rev > 10 then String.sub rev 0 10 else rev
-
 let render_trend_page ~history_path ~records ~rejected (g : Trend.gate_result) =
   let recs = Array.of_list records in
   let buf = Buffer.create 16384 in
-  pf buf "<!DOCTYPE html>\n<html lang=en>\n<head>\n<meta charset=utf-8>\n";
-  pf buf "<title>rfh trend dashboard</title>\n<style>\n%s\n</style>\n</head>\n<body>\n" style;
   pf buf "<h1>rfh trend dashboard</h1>\n";
   pf buf "<p class=muted>history: <code>%s</code> · %d record%s%s%s</p>\n"
     (escape history_path) (Array.length recs)
@@ -695,14 +685,7 @@ let render_trend_page ~history_path ~records ~rejected (g : Trend.gate_result) =
     pf buf
       "<p class=muted>z is a robust score (0.6745·(latest−median)/MAD); shift compares the last segment's median against the previous segment's. Gated series fail <code>rfh trend --check</code> on a sustained shift beyond their tolerance in the bad direction.</p>\n"
   end;
-  pf buf "</body>\n</html>\n";
-  Buffer.contents buf
-
-let write_trend_page ~history_path ~records ~rejected ~path g =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (render_trend_page ~history_path ~records ~rejected g))
+  page ~title:"rfh trend dashboard" (Buffer.contents buf)
 
 (* ------------------------------------------------------------------ *)
 (* Why page: the ranked root-cause diagnosis of two runs.  Still one
@@ -835,8 +818,6 @@ let why_explain_section buf (e : Explain_diff.t) =
 
 let render_why_page ~baseline_label ~candidate_label (r : Rootcause.t) =
   let buf = Buffer.create 16384 in
-  pf buf "<!DOCTYPE html>\n<html lang=en>\n<head>\n<meta charset=utf-8>\n";
-  pf buf "<title>rfh why report</title>\n<style>\n%s\n</style>\n</head>\n<body>\n" style;
   pf buf "<h1>rfh why — differential root cause</h1>\n";
   pf buf "<p class=muted>baseline: <code>%s</code> · candidate: <code>%s</code></p>\n"
     (escape baseline_label) (escape candidate_label);
@@ -860,11 +841,4 @@ let render_why_page ~baseline_label ~candidate_label (r : Rootcause.t) =
   why_delta_bars buf r;
   (match r.Rootcause.r_stalls with None -> () | Some s -> why_stall_section buf s);
   (match r.Rootcause.r_explain with None -> () | Some e -> why_explain_section buf e);
-  pf buf "</body>\n</html>\n";
-  Buffer.contents buf
-
-let write_why_page ~baseline_label ~candidate_label ~path r =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (render_why_page ~baseline_label ~candidate_label r))
+  page ~title:"rfh why report" (Buffer.contents buf)

@@ -32,20 +32,9 @@ val render :
   Manifest.t ->
   string
 
-val write_file :
-  ?compare:Manifest.t ->
-  ?explain:Explain.kernel_report list ->
-  ?engine:Engine.report list ->
-  path:string ->
-  Manifest.t ->
-  unit
-
 val render_engine_page : Engine.report list -> string
 (** A standalone engine-only page (same styling, no manifest needed) —
     what [rfh engine --report-out] writes. *)
-
-val write_engine_page : path:string -> Engine.report list -> unit
-(** @raise Sys_error on I/O failure. *)
 
 val render_trend_page :
   history_path:string ->
@@ -60,15 +49,6 @@ val render_trend_page :
     {!History.load}; an exit-2 gate renders a "not enough history"
     banner instead of tables. *)
 
-val write_trend_page :
-  history_path:string ->
-  records:History.t list ->
-  rejected:int ->
-  path:string ->
-  Trend.gate_result ->
-  unit
-(** @raise Sys_error on I/O failure. *)
-
 val render_why_page :
   baseline_label:string -> candidate_label:string -> Rootcause.t -> string
 (** A standalone root-cause page (same styling) — what [rfh why
@@ -78,6 +58,9 @@ val render_why_page :
     stall-share delta tables and the allocation decision diff when
     explain streams were supplied.  The labels are the input paths. *)
 
-val write_why_page :
-  baseline_label:string -> candidate_label:string -> path:string -> Rootcause.t -> unit
-(** @raise Sys_error on I/O failure. *)
+val write_page : path:string -> string -> unit
+(** Write a rendered page to [path].  @raise Sys_error on I/O failure. *)
+
+val short_rev : string -> string
+(** A git revision cut to its first 10 characters, as every trend view
+    prints it. *)

@@ -1,9 +1,6 @@
 (* Warp pipeline timeline: one interval per maximal run of cycles a
-   warp spends in a single pipeline state, behind the same
-   zero-cost-when-off recorder discipline as Obs.Audit / Obs.Explain.
-   The disabled fast path is a single atomic load; sink invocation is
-   serialized so fan-out over worker domains cannot interleave one
-   sink's state. *)
+   warp spends in a single pipeline state, recorded through
+   Obs.Recorder. *)
 
 type state =
   | Issued
@@ -46,38 +43,6 @@ let state_of_name = function
 
 type interval = { warp : int; state : state; start : int; stop : int }
 
-let on = Atomic.make false
-let mu = Mutex.create ()
-let sink : (interval -> unit) ref = ref ignore
-
-let is_enabled () = Atomic.get on
-
-let emit iv =
-  if Atomic.get on then begin
-    Mutex.lock mu;
-    Fun.protect ~finally:(fun () -> Mutex.unlock mu) (fun () -> !sink iv)
-  end
-
-let set_sink f =
-  Mutex.lock mu;
-  sink := f;
-  Mutex.unlock mu;
-  Atomic.set on true
-
-let set_enabled b = Atomic.set on b
-
-let disable () =
-  Atomic.set on false;
-  Mutex.lock mu;
-  sink := ignore;
-  Mutex.unlock mu
-
-let memory_sink () =
-  let events = ref [] in
-  ((fun iv -> events := iv :: !events), fun () -> List.rev !events)
-
-let tee sinks iv = List.iter (fun s -> s iv) sinks
-
 (* ------------------------------------------------------------------ *)
 (* Encoding.                                                           *)
 
@@ -108,11 +73,14 @@ let of_json j =
     if stop < start then Error "timeline: interval ends before it starts"
     else Ok { warp; state; start; stop }
 
-let jsonl_sink oc iv =
-  Json.to_channel oc (to_json iv);
-  output_char oc '\n'
-
 let pp fmt iv =
   Format.fprintf fmt "warp %d [%d, %d) %s" iv.warp iv.start iv.stop (state_name iv.state)
 
-let printer_sink fmt iv = Format.fprintf fmt "%a@." pp iv
+include Recorder.Make (struct
+  type t = interval
+
+  let name = "timeline"
+  let to_json = to_json
+  let of_json = of_json
+  let pp = pp
+end)

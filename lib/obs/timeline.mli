@@ -6,11 +6,10 @@
     warp the emitted intervals tile [\[0, cycles)] exactly — the
     breakdown they induce sums to [cycles x warps], recorder on or off.
 
-    The recorder follows the same discipline as {!Audit} and
-    {!Explain}: disabled by default, a single atomic load on the fast
-    path, a mutex-serialized sink, and deterministic end-of-run
-    emission (warps ascending, then interval start ascending) so a
-    fixed seed yields byte-identical JSONL at any [--jobs] setting. *)
+    Intervals go through a {!Recorder}, emitted deterministically at
+    the end of the run (warps ascending, then interval start
+    ascending) so a fixed seed yields byte-identical JSONL at any
+    [--jobs] setting. *)
 
 (** Why a warp did (or did not) issue on a cycle.  One value per
     warp-cycle:
@@ -49,31 +48,7 @@ type interval = {
   stop : int;  (** first cycle after the state (exclusive) *)
 }
 
-(** {1 Recorder} *)
-
-val is_enabled : unit -> bool
-(** One atomic load; sample it once per simulator run. *)
-
-val emit : interval -> unit
-(** No-op unless enabled.  The sink runs under the recorder mutex. *)
-
-val set_sink : (interval -> unit) -> unit
-(** Install a sink and enable the recorder. *)
-
-val set_enabled : bool -> unit
-
-val disable : unit -> unit
-(** Disable and drop the sink. *)
-
-val memory_sink : unit -> (interval -> unit) * (unit -> interval list)
-(** In-memory sink plus a getter returning intervals in emission order. *)
-
-val jsonl_sink : out_channel -> interval -> unit
-(** One compact JSON object per line; the caller owns the channel. *)
-
-val printer_sink : Format.formatter -> interval -> unit
-
-val tee : (interval -> unit) list -> interval -> unit
+include Recorder.S with type t := interval
 
 (** {1 Encoding} *)
 

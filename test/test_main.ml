@@ -27,7 +27,9 @@ let () =
       ("why", Test_why.suite);
       ("explain", Test_explain.suite);
       ("timeline", Test_timeline.suite);
+      ("recorder", Test_recorder.suite);
       ("engine", Test_engine.suite);
       ("gcprof", Test_gcprof.suite);
       ("properties", Test_properties.suite);
+      ("cli", Test_cli.suite);
     ]

@@ -125,12 +125,12 @@ let test_load_jsonl_garbage_tolerant () =
       output_string oc "{\"ev\":\"wrong-schema\"}\n";
       output_string oc "\n";
       close_out oc;
-      match Obs.Explain_diff.load_jsonl ~path with
+      match Obs.Explain.load_jsonl ~path with
       | Error msg -> Alcotest.failf "load failed: %s" msg
       | Ok (decisions, rejected) ->
         check Alcotest.int "decodable lines loaded" 6 (List.length decisions);
         check Alcotest.int "garbage lines counted, blank skipped" 2 rejected);
-  match Obs.Explain_diff.load_jsonl ~path:"/nonexistent/explain.jsonl" with
+  match Obs.Explain.load_jsonl ~path:"/nonexistent/explain.jsonl" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "missing file must be an Error"
 
