@@ -104,6 +104,12 @@ let stalled_cycles b = breakdown_total b - b.issued - b.finished
 let mean_residency s =
   if s.entries = 0 then 0.0 else float_of_int s.resident_cycles /. float_of_int s.entries
 
+(* The counter bins of a run with Obs.Counters off: never written. *)
+let no_bins : (int, int ref) Hashtbl.t = Hashtbl.create 0
+
+let sample_active_warps cycle n =
+  Obs.Counters.sample "perf.active_warps" ~at:(float_of_int cycle) (float_of_int n)
+
 let m_runs = Obs.Metrics.counter "sim.perf.runs"
 let m_cycles = Obs.Metrics.counter "sim.perf.cycles"
 let m_instructions = Obs.Metrics.counter "sim.perf.instructions"
@@ -121,8 +127,8 @@ let run_inner ?(warps = 32) ?(seed = 0x5eed) ?(max_dynamic_per_warp = 2_000)
      per [counter_window]-cycle window (simulated time, so the tracks
      are byte-deterministic for a fixed seed). *)
   let counter_window = 64 in
-  let issued_bins = if co then Hashtbl.create 64 else Hashtbl.create 0 in
-  let access_bins = if co then Hashtbl.create 64 else Hashtbl.create 0 in
+  let issued_bins = if co then Hashtbl.create 64 else no_bins in
+  let access_bins = if co then Hashtbl.create 64 else no_bins in
   let bin_bump tbl w n =
     match Hashtbl.find_opt tbl w with
     | Some r -> r := !r + n
@@ -131,17 +137,18 @@ let run_inner ?(warps = 32) ?(seed = 0x5eed) ?(max_dynamic_per_warp = 2_000)
   let nr = max 1 k.Ir.Kernel.num_regs in
   let ni = dec.Dec.num_instrs in
   Scratch.ensure_warps s ~warps ~num_regs:nr;
-  let cfs =
-    Array.init warps (fun w ->
-        Scratch.cf s w ~max_dynamic:max_dynamic_per_warp k ~warp:w ~seed)
-  in
+  for w = 0 to warps - 1 do
+    ignore (Scratch.cf s w ~max_dynamic:max_dynamic_per_warp k ~warp:w ~seed)
+  done;
+  let cfs = s.Scratch.cfs in
   for w = 0 to warps - 1 do
     Array.fill s.Scratch.ready.(w) 0 nr 0;
     Array.fill s.Scratch.ready_base.(w) 0 nr 0;
     s.Scratch.ll_len.(w) <- 0;
     s.Scratch.wake.(w) <- 0;
     s.Scratch.in_active.(w) <- false;
-    s.Scratch.stall_until.(w) <- 0
+    s.Scratch.stall_until.(w) <- 0;
+    s.Scratch.ready_since.(w) <- -1
   done;
   Array.fill s.Scratch.unit_free 0 4 0;
   (* Banked-MRF conflict serialization is a static property of each
@@ -182,14 +189,23 @@ let run_inner ?(warps = 32) ?(seed = 0x5eed) ?(max_dynamic_per_warp = 2_000)
   let desched_ll = ref 0 in
   let desched_strand = ref 0 in
   let desched_conflict = ref 0 in
+  (* Unfinished warps: only [issue] can finish a warp, so the loop's
+     termination test is one compare instead of a scan over all warps. *)
+  let live = ref 0 in
+  for w = 0 to warps - 1 do
+    if not (Cf.finished cfs.(w)) then incr live
+  done;
   (* Exact warp-cycle accounting: every cycle classifies every warp
      into one stall cause, so row w sums to the run's cycle count and
      the whole matrix sums to cycles x warps.  Active warps classify
-     per cycle; warps outside the active set have a constant state for
-     the whole stint (a pending warp's PC never moves, so its
-     done-ness and cause are fixed between queue transitions), so they
-     accumulate one [span_state]/[span_start] span instead, flushed
-     into the same matrix at the next transition or at end of run. *)
+     when their state is decided — a cached stall credits its whole
+     stint at once, an issuable warp its waiting cycles when it issues
+     (see [cache_stall] and [try_issue]).  Warps outside the active
+     set have a constant state for the whole stint (a pending warp's
+     PC never moves, so its done-ness and cause are fixed between
+     queue transitions), so they accumulate one
+     [span_state]/[span_start] span instead, flushed into the same
+     matrix at the next transition or at end of run. *)
   let breakdown = s.Scratch.breakdown in
   Array.fill breakdown 0 (warps * 7) 0;
   let span_state = s.Scratch.span_state in
@@ -439,6 +455,8 @@ let run_inner ?(warps = 32) ?(seed = 0x5eed) ?(max_dynamic_per_warp = 2_000)
       if dec.Dec.is_ll.(id) then ll_add w (rb + extra) now
     end;
     Cf.advance cfs.(w);
+    if Cf.finished cfs.(w) then decr live;
+    s.Scratch.ready_since.(w) <- -1;
     incr instructions;
     remove_active w;
     active.(!active_len) <- w;
@@ -475,17 +493,51 @@ let run_inner ?(warps = 32) ?(seed = 0x5eed) ?(max_dynamic_per_warp = 2_000)
      work the split walks duplicated. *)
   let issued = ref false in
   let stall_until = s.Scratch.stall_until in
-  let stall_cause = s.Scratch.stall_cause in
-  let step_active w =
-    (* Blocked-cause fast path.  While a warp is dependence-blocked its
-       own registers are frozen (it cannot issue) and its blocked
-       source set only shrinks as ready cycles pass, so the cached
-       cause holds — and [scan_ll] can never flip on, so no deschedule
-       is missed — until the earliest crossing recorded at scan time.
-       The cache self-invalidates: an issue or a promotion only happens
-       at a cycle >= the cached bound, so a stale entry never fires. *)
-    if !cycle < stall_until.(w) then classify w (cause_of_index stall_cause.(w))
+  let ready_since = s.Scratch.ready_since in
+  let credit w ci n =
+    let k = (w * 7) + ci in
+    breakdown.(k) <- breakdown.(k) + n
+  in
+  (* Stall cache.  Classify warp [w] as [ci] now and credit the rest of
+     the stint, up to [until] (clamped to the cut-off), to its stall
+     matrix row in one add: the cause provably holds through
+     [until - 1], so the cached steps in between touch nothing (the
+     timeline interval opened here stays open, as per-cycle
+     classification of the same cause would leave it) and a dead-cycle
+     jump over them adds nothing either.  The entry self-invalidates:
+     an issue or a promotion only happens at a cycle >= [until]. *)
+  let cache_stall w ci until =
+    classify w (cause_of_index ci);
+    stall_until.(w) <- until;
+    let stop = if until < max_cycles then until else max_cycles in
+    if stop > !cycle + 1 then credit w ci (stop - !cycle - 1)
+  in
+  (* A warp found issuable stays so until it issues: only its own issue
+     writes its scoreboard and long-latency buffer, and ready cycles
+     only pass.  So it is [No_issue_slot] on every cycle from
+     [ready_since] up to its issue, whether its unit is busy or it
+     loses arbitration, and those cycles are credited in one add when
+     it issues (or when the run ends).  A busy unit stays booked until
+     [unit_free] — nobody can issue on it before then — so the walk
+     skips the warp until that cycle.  Returns whether it issued. *)
+  let try_issue w id now =
+    let free = unit_free.(dec.Dec.unit_of.(id)) in
+    if free > now then begin
+      stall_until.(w) <- free;
+      false
+    end
+    else if !issued then false
     else begin
+      credit w 5 (* No_issue_slot *) (now - ready_since.(w));
+      classify w Issued;
+      issued := true;
+      issue w id now;
+      true
+    end
+  in
+  (* One uncached active warp that has not been found issuable. *)
+  let step_active w =
+    let now = !cycle in
     let id = Cf.peek_id cfs.(w) in
     if id < 0 then begin
       classify w Finished;
@@ -495,57 +547,72 @@ let run_inner ?(warps = 32) ?(seed = 0x5eed) ?(max_dynamic_per_warp = 2_000)
         (* Retired for good: neither queue will see it again, so the
            rest of the run is one Finished span starting next cycle. *)
         span_state.(w) <- 6 (* Finished *);
-        span_start.(w) <- !cycle + 1;
+        span_start.(w) <- now + 1;
         refill_active ()
       end
     end
-    else begin
-      let now = !cycle in
-      if at_strand && dec.Dec.starts_strand.(id) && ll_any_pure w now then begin
-        classify w Wait_long_latency;
-        if not !issued then begin
-          audit_desched w id Obs.Audit.Sw_boundary;
-          ll_compact w now;
-          deschedule w ~wake:(ll_max w now)
-        end
-      end
-      else begin
-        scan_srcs w id now;
-        if !scan_blocked then begin
-          let ci =
-            if not !scan_base then 3 (* Bank_conflict_serialization *)
-            else if !scan_ll then 1 (* Wait_long_latency *)
-            else 2 (* Wait_short_latency *)
-          in
-          classify w (cause_of_index ci);
-          if (not at_strand) && two_level && !scan_ll then begin
-            (* Deschedule candidate.  Post-issue the scan has stopped
-               acting for this cycle, and the deschedule must happen on
-               a later pre-issue walk — so this case is never cached. *)
-            if not !issued then begin
-              audit_desched w id
-                (if !scan_base then Obs.Audit.Hw_dependence else Obs.Audit.Bank_conflict);
-              deschedule w ~wake:!scan_wait
-            end
-          end
-          else begin
-            stall_cause.(w) <- ci;
-            stall_until.(w) <- !scan_next
-          end
-        end
-        else if unit_free.(dec.Dec.unit_of.(id)) > now then classify w No_issue_slot
-        else if !issued then classify w No_issue_slot
-        else begin
-          classify w Issued;
-          issued := true;
-          issue w id now
-        end
+    else if at_strand && dec.Dec.starts_strand.(id) && ll_any_pure w now then begin
+      classify w Wait_long_latency;
+      if not !issued then begin
+        audit_desched w id Obs.Audit.Sw_boundary;
+        ll_compact w now;
+        deschedule w ~wake:(ll_max w now)
       end
     end
+    else begin
+      scan_srcs w id now;
+      if !scan_blocked then begin
+        let ci =
+          if not !scan_base then 3 (* Bank_conflict_serialization *)
+          else if !scan_ll then 1 (* Wait_long_latency *)
+          else 2 (* Wait_short_latency *)
+        in
+        if (not at_strand) && two_level && !scan_ll then begin
+          (* Deschedule candidate.  Post-issue the scan has stopped
+             acting for this cycle, and the deschedule must happen on
+             a later pre-issue walk — so this case is never cached. *)
+          classify w (cause_of_index ci);
+          if not !issued then begin
+            audit_desched w id
+              (if !scan_base then Obs.Audit.Hw_dependence else Obs.Audit.Bank_conflict);
+            deschedule w ~wake:!scan_wait
+          end
+        end
+        else
+          (* Dependence-blocked: the warp's own registers are frozen
+             (it cannot issue) and its blocked source set only shrinks
+             as ready cycles pass, so the cause holds — and [scan_ll]
+             can never flip on, so no deschedule is missed — until the
+             earliest crossing recorded by the scan. *)
+          cache_stall w ci !scan_next
+      end
+      else begin
+        ready_since.(w) <- now;
+        if not (try_issue w id now) then begin
+          (* The first No_issue_slot cycle also opens the interval. *)
+          classify w No_issue_slot;
+          ready_since.(w) <- now + 1
+        end
+      end
     end
   in
   let scan = s.Scratch.scan in
-  let classify_and_issue () =
+  (* Dead-cycle jump.  A cycle that issues nothing and moves no warp
+     out of the active set leaves every active warp waiting on a known
+     cycle — a cached stall, or an issuable warp's busy unit — so each
+     following cycle would repeat it exactly, skipping every warp and
+     refilling nothing, until the first of: a wait ends (the horizon),
+     a pending warp may wake into a free slot ([wake_min]), or the
+     cut-off.  Those cycles are skipped; only their residency and the
+     perf.active_warps samples that would have fallen in them are
+     still owed.  The loop body stays in place (no per-run closure for
+     the walk), so its cells are not heap-allocated. *)
+  while !live > 0 && !cycle < max_cycles do
+    promote_end := !cycle;
+    refill_active ();
+    if co && !cycle mod counter_window = 0 then sample_active_warps !cycle !active_len;
+    promote_end := !cycle + 1;
+    let exits0 = !exits in
     issued := false;
     (* Walk a snapshot: membership changes (deschedules, refills)
        apply to the live queue directly and survive the scan.  Warps
@@ -556,26 +623,47 @@ let run_inner ?(warps = 32) ?(seed = 0x5eed) ?(max_dynamic_per_warp = 2_000)
        once. *)
     let n = !active_len in
     Array.blit active 0 scan 0 n;
+    resident_cycles := !resident_cycles + n;
+    let now = !cycle in
+    (* Earliest cycle at which a walked warp's wait ends; a warp left
+       waiting on nothing holds a stale bound <= [now]. *)
+    let horizon = ref max_int in
     for i = 0 to n - 1 do
-      incr resident_cycles;
-      step_active scan.(i)
-    done
-  in
-  let rec all_done_from w = w >= warps || (Cf.finished cfs.(w) && all_done_from (w + 1)) in
-  while (not (all_done_from 0)) && !cycle < max_cycles do
-    promote_end := !cycle;
-    refill_active ();
-    if co && !cycle mod counter_window = 0 then
-      Obs.Counters.sample "perf.active_warps" ~at:(float_of_int !cycle)
-        (float_of_int !active_len);
-    promote_end := !cycle + 1;
-    classify_and_issue ();
-    incr cycle
+      let w = scan.(i) in
+      (* Cached and issuable warps owe nothing per cycle; an issuable
+         one is only looked at until the cycle's issue slot is taken. *)
+      if stall_until.(w) <= now then begin
+        if ready_since.(w) < 0 then step_active w
+        else if not !issued then ignore (try_issue w (Cf.peek_id cfs.(w)) now)
+      end;
+      if stall_until.(w) < !horizon then horizon := stall_until.(w)
+    done;
+    let next = now + 1 in
+    if !issued || !exits <> exits0 || !horizon <= next then cycle := next
+    else begin
+      let target = !horizon in
+      let target =
+        if !active_len < active_limit && !pending_len > 0 && !wake_min < target then !wake_min
+        else target
+      in
+      let target = if max_cycles < target then max_cycles else target in
+      resident_cycles := !resident_cycles + ((target - next) * !active_len);
+      if co then begin
+        let b = ref ((next + counter_window - 1) / counter_window * counter_window) in
+        while !b < target do
+          sample_active_warps !b !active_len;
+          b := !b + counter_window
+        done
+      end;
+      cycle := target
+    end
   done;
   (* Close the spans still open — descheduled and retired warps owe
-     every cycle through the end of the run. *)
+     every cycle through the end of the run, issuable ones their
+     No_issue_slot cycles since [ready_since]. *)
   for w = 0 to warps - 1 do
-    span_flush w !cycle
+    span_flush w !cycle;
+    if ready_since.(w) >= 0 then credit w 5 (!cycle - ready_since.(w))
   done;
   if tl then
     for w = 0 to warps - 1 do

@@ -124,4 +124,18 @@ val run :
     {!Scratch.domain_local}): after a warm-up run, the cycle loop
     allocates no minor words in steady state (recorders off) and
     repeated runs reuse all simulation memory.  Results are identical
-    whatever scratch is passed. *)
+    whatever scratch is passed.
+
+    Cost model: the loop is event-driven.  A cycle costs one walk over
+    the active set, in which a warp waiting on a known cycle (a cached
+    dependence stall, or an issuable warp whose unit is busy) and an
+    issuable warp after the cycle's issue slot is taken each cost one
+    compare; only the issuer, warps whose wait just ended and warps
+    changing queues do real work.  A cycle that issues nothing and
+    moves no warp out of the active set is followed by a jump to the
+    next cycle on which anything can change, so a run of dead cycles
+    costs as much as one cycle (plus one [perf.active_warps] sample
+    per 64 cycles when {!Obs.Counters} is on).  Total work is about
+    (issue cycles + wait expiries + queue moves) x active-set size,
+    independent of how many cycles are dead; the stall attribution
+    stays exact. *)

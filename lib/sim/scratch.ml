@@ -11,7 +11,7 @@ type t = {
   mutable dec_ctx : Alloc.Context.t option;
   mutable dec : Dec.t option;
   (* Per-warp state (outer index = warp). *)
-  mutable cfs : Cf.t option array;
+  mutable cfs : Cf.t array;
   mutable ready : int array array;       (* per register: cycle its value is ready *)
   mutable ready_base : int array array;  (* same, without bank-conflict serialization *)
   mutable ll : int array array;          (* outstanding long-latency ready cycles *)
@@ -32,11 +32,15 @@ type t = {
   mutable breakdown : int array;         (* warps x 7, row-major *)
   mutable span_state : int array;
   mutable span_start : int array;
-  (* Blocked-cause cache for active warps: the classification of a
-     dependence-blocked warp is constant until the next ready(-base)
-     crossing among its blocked sources. *)
+  (* Wait bounds for active warps.  The walk skips a warp before its
+     [stall_until]: the end of a cached dependence stall (the next
+     ready(-base) crossing among its blocked sources; the whole stint
+     is credited to [breakdown] when cached) or of an issuable warp's
+     busy unit.  [ready_since] is -1, or, for a warp whose current
+     instruction was found issuable (it stays so until it issues), the
+     first of its No_issue_slot cycles not yet credited. *)
   mutable stall_until : int array;
-  mutable stall_cause : int array;
+  mutable ready_since : int array;
   (* Banked-MRF conflict tables. *)
   mutable bank_counts : int array;
   mutable conflict_extra : int array;    (* per instruction *)
@@ -67,7 +71,7 @@ let create () =
     span_state = [||];
     span_start = [||];
     stall_until = [||];
-    stall_cause = [||];
+    ready_since = [||];
     bank_counts = [||];
     conflict_extra = [||];
     unit_free = Array.make 4 0;
@@ -123,10 +127,7 @@ let ensure_warps t ~warps ~num_regs =
   t.span_state <- grow_ints t.span_state warps;
   t.span_start <- grow_ints t.span_start warps;
   t.stall_until <- grow_ints t.stall_until warps;
-  t.stall_cause <- grow_ints t.stall_cause warps;
-  if Array.length t.cfs < warps then
-    t.cfs <-
-      Array.init warps (fun i -> if i < Array.length t.cfs then t.cfs.(i) else None)
+  t.ready_since <- grow_ints t.ready_since warps
 
 let ensure_banks t ~banks ~num_instrs =
   t.bank_counts <- grow_ints t.bank_counts banks;
@@ -137,12 +138,14 @@ let ensure_outstanding t n =
   t.out_reg <- grow_ints t.out_reg n;
   t.out_at <- grow_ints t.out_at n
 
+(* [cfs] grows here rather than in [ensure_warps]: a walker can only be
+   created for a kernel. *)
 let cf t i ~max_dynamic kernel ~warp ~seed =
-  match t.cfs.(i) with
-  | Some cf ->
-    Cf.reset cf ~max_dynamic kernel ~warp ~seed;
-    cf
-  | None ->
-    let cf = Cf.create ~max_dynamic kernel ~warp ~seed in
-    t.cfs.(i) <- Some cf;
-    cf
+  let n = Array.length t.cfs in
+  if i >= n then
+    t.cfs <-
+      Array.init (max (i + 1) (2 * n)) (fun j ->
+          if j < n then t.cfs.(j) else Cf.create ~max_dynamic kernel ~warp:j ~seed);
+  let cf = t.cfs.(i) in
+  Cf.reset cf ~max_dynamic kernel ~warp ~seed;
+  cf

@@ -22,7 +22,7 @@
 type t = {
   mutable dec_ctx : Alloc.Context.t option;
   mutable dec : Dec.t option;
-  mutable cfs : Cf.t option array;
+  mutable cfs : Cf.t array;
   mutable ready : int array array;
   mutable ready_base : int array array;
   mutable ll : int array array;
@@ -38,7 +38,7 @@ type t = {
   mutable span_state : int array;
   mutable span_start : int array;
   mutable stall_until : int array;
-  mutable stall_cause : int array;
+  mutable ready_since : int array;
   mutable bank_counts : int array;
   mutable conflict_extra : int array;
   unit_free : int array;

@@ -1,77 +1,20 @@
-(* Regenerates test/perf_golden.json: the full Sim.Perf result of every
-   registry benchmark under each scheduler x policy x banking config the
-   differential test (test_perf_golden.ml) checks.  The committed file
-   was captured from the pre-predecode list-based engine; re-run this
-   only when the simulated semantics deliberately change, never to make
-   a perf-only rewrite pass. *)
+(* Regenerates the committed Sim.Perf goldens (rendered by
+   perf_golden_doc.ml, which test_perf_golden.ml also uses):
 
-let warps = 8
-let max_dynamic = 200
+     dune exec test/gen_perf_golden.exe > test/perf_golden.json
+     dune exec test/gen_perf_golden.exe -- timeline > test/perf_timeline_golden.jsonl
 
-let schedulers = [ ("single", Sim.Perf.Single_level); ("two4", Sim.Perf.Two_level 4) ]
-let policies = [ ("dep", Sim.Perf.On_dependence); ("strand", Sim.Perf.At_strand_boundaries) ]
-let banks = [ 0; 4 ]
-
-let breakdown_json (b : Sim.Perf.stall_breakdown) =
-  Obs.Json.Arr (List.map (fun (_, n) -> Obs.Json.int n) (Sim.Perf.breakdown_fields b))
-
-let result_json bench sname pname bank (r : Sim.Perf.result) =
-  Obs.Json.Obj
-    [
-      ("bench", Obs.Json.Str bench);
-      ("sched", Obs.Json.Str sname);
-      ("policy", Obs.Json.Str pname);
-      ("banks", Obs.Json.int bank);
-      ("cycles", Obs.Json.int r.Sim.Perf.cycles);
-      ("instructions", Obs.Json.int r.Sim.Perf.instructions);
-      ("desched_events", Obs.Json.int r.Sim.Perf.desched_events);
-      ("stalls", breakdown_json r.Sim.Perf.stalls);
-      ( "per_warp",
-        Obs.Json.Arr
-          (Array.to_list
-             (Array.map
-                (fun (w : Sim.Perf.warp_stats) -> breakdown_json w.Sim.Perf.breakdown)
-                r.Sim.Perf.per_warp)) );
-      ( "sched_stats",
-        Obs.Json.Arr
-          (List.map Obs.Json.int
-             [
-               r.Sim.Perf.sched.Sim.Perf.entries;
-               r.Sim.Perf.sched.Sim.Perf.exits;
-               r.Sim.Perf.sched.Sim.Perf.resident_cycles;
-               r.Sim.Perf.sched.Sim.Perf.desched_long_latency;
-               r.Sim.Perf.sched.Sim.Perf.desched_strand_boundary;
-               r.Sim.Perf.sched.Sim.Perf.desched_bank_conflict;
-             ]) );
-    ]
+   perf_golden.json was captured from the pre-predecode list-based
+   engine, perf_timeline_golden.jsonl from the per-cycle engine before
+   dead-cycle jumping.  Re-run this only when the simulated semantics
+   deliberately change, never to make a perf-only rewrite pass. *)
 
 let () =
-  let entries =
-    List.concat_map
-      (fun (e : Workloads.Registry.entry) ->
-        let ctx = Alloc.Context.create (Lazy.force e.Workloads.Registry.kernel) in
-        List.concat_map
-          (fun (sname, scheduler) ->
-            List.concat_map
-              (fun (pname, policy) ->
-                List.map
-                  (fun bank ->
-                    let mrf_banks = if bank = 0 then None else Some bank in
-                    let r =
-                      Sim.Perf.run ~warps ~max_dynamic_per_warp:max_dynamic ?mrf_banks
-                        ~scheduler ~policy ctx
-                    in
-                    result_json e.Workloads.Registry.name sname pname bank r)
-                  banks)
-              policies)
-          schedulers)
-      (Workloads.Registry.all ())
-  in
-  Obs.Json.to_channel stdout
-    (Obs.Json.Obj
-       [
-         ("warps", Obs.Json.int warps);
-         ("max_dynamic_per_warp", Obs.Json.int max_dynamic);
-         ("runs", Obs.Json.Arr entries);
-       ]);
-  print_newline ()
+  match Array.to_list Sys.argv with
+  | [ _ ] ->
+    Obs.Json.to_channel stdout (Perf_golden_doc.results_doc ());
+    print_newline ()
+  | [ _; "timeline" ] -> print_string (Perf_golden_doc.timeline_doc ())
+  | _ ->
+    prerr_endline "usage: gen_perf_golden [timeline]";
+    exit 2

@@ -6,90 +6,24 @@
    it to that: every registry benchmark under every scheduler x policy
    x banking configuration must reproduce the committed results
    byte-for-byte, scratch reuse must not leak state between runs, and
-   the steady-state cycle loop must not allocate. *)
+   the steady-state cycle loop must not allocate.
+
+   test/perf_timeline_golden.jsonl was captured from the per-cycle
+   engine before dead-cycle jumping: the Obs.Timeline intervals and
+   Obs.Counters samples of low-IPC runs, including one cut off by
+   max_cycles inside a dead span, must also reproduce byte-for-byte. *)
 
 let check = Alcotest.check
 
 module B = Ir.Builder
 module Op = Ir.Op
 
-(* --- differential vs the committed pre-rewrite engine -------------- *)
+(* --- differential vs the committed goldens ------------------------- *)
 
-let warps = 8
-let max_dynamic = 200
-
-let schedulers = [ ("single", Sim.Perf.Single_level); ("two4", Sim.Perf.Two_level 4) ]
-let policies = [ ("dep", Sim.Perf.On_dependence); ("strand", Sim.Perf.At_strand_boundaries) ]
-let banks = [ 0; 4 ]
-
-(* Mirrors gen_perf_golden.ml exactly: the comparison is on the
-   serialized JSON, so any drift in any recorded field shows up. *)
-let breakdown_json (b : Sim.Perf.stall_breakdown) =
-  Obs.Json.Arr (List.map (fun (_, n) -> Obs.Json.int n) (Sim.Perf.breakdown_fields b))
-
-let result_json bench sname pname bank (r : Sim.Perf.result) =
-  Obs.Json.Obj
-    [
-      ("bench", Obs.Json.Str bench);
-      ("sched", Obs.Json.Str sname);
-      ("policy", Obs.Json.Str pname);
-      ("banks", Obs.Json.int bank);
-      ("cycles", Obs.Json.int r.Sim.Perf.cycles);
-      ("instructions", Obs.Json.int r.Sim.Perf.instructions);
-      ("desched_events", Obs.Json.int r.Sim.Perf.desched_events);
-      ("stalls", breakdown_json r.Sim.Perf.stalls);
-      ( "per_warp",
-        Obs.Json.Arr
-          (Array.to_list
-             (Array.map
-                (fun (w : Sim.Perf.warp_stats) -> breakdown_json w.Sim.Perf.breakdown)
-                r.Sim.Perf.per_warp)) );
-      ( "sched_stats",
-        Obs.Json.Arr
-          (List.map Obs.Json.int
-             [
-               r.Sim.Perf.sched.Sim.Perf.entries;
-               r.Sim.Perf.sched.Sim.Perf.exits;
-               r.Sim.Perf.sched.Sim.Perf.resident_cycles;
-               r.Sim.Perf.sched.Sim.Perf.desched_long_latency;
-               r.Sim.Perf.sched.Sim.Perf.desched_strand_boundary;
-               r.Sim.Perf.sched.Sim.Perf.desched_bank_conflict;
-             ]) );
-    ]
-
-let current_doc () =
-  let entries =
-    List.concat_map
-      (fun (e : Workloads.Registry.entry) ->
-        let ctx = Alloc.Context.create (Lazy.force e.Workloads.Registry.kernel) in
-        List.concat_map
-          (fun (sname, scheduler) ->
-            List.concat_map
-              (fun (pname, policy) ->
-                List.map
-                  (fun bank ->
-                    let mrf_banks = if bank = 0 then None else Some bank in
-                    let r =
-                      Sim.Perf.run ~warps ~max_dynamic_per_warp:max_dynamic ?mrf_banks
-                        ~scheduler ~policy ctx
-                    in
-                    result_json e.Workloads.Registry.name sname pname bank r)
-                  banks)
-              policies)
-          schedulers)
-      (Workloads.Registry.all ())
-  in
-  Obs.Json.Obj
-    [
-      ("warps", Obs.Json.int warps);
-      ("max_dynamic_per_warp", Obs.Json.int max_dynamic);
-      ("runs", Obs.Json.Arr entries);
-    ]
+let read_committed path = In_channel.with_open_text path In_channel.input_all
 
 let test_differential_golden () =
-  let committed =
-    In_channel.with_open_text "perf_golden.json" In_channel.input_all |> String.trim
-  in
+  let committed = read_committed "perf_golden.json" |> String.trim in
   (* Sanity: the committed capture is well-formed and has full coverage. *)
   (match Obs.Json.parse committed with
    | Error e -> Alcotest.failf "committed golden does not parse: %s" e
@@ -99,15 +33,31 @@ let test_differential_golden () =
        | Some l -> List.length l
        | None -> 0
      in
-     check Alcotest.int "golden run count"
-       (List.length (Workloads.Registry.all ())
-       * List.length schedulers * List.length policies * List.length banks)
-       runs);
-  let current = Obs.Json.to_string (current_doc ()) in
+     check Alcotest.int "golden run count" (Perf_golden_doc.results_run_count ()) runs);
+  let current = Obs.Json.to_string (Perf_golden_doc.results_doc ()) in
   if not (String.equal committed current) then
     Alcotest.fail
       "current engine diverges from the committed pre-rewrite golden \
        (test/perf_golden.json); the rewrite must be bit-identical"
+
+(* The recorder streams: dead-cycle jumping rewrites when timeline
+   intervals close and when perf.active_warps is sampled, so both are
+   held byte-identical to the per-cycle engine's capture. *)
+let test_timeline_golden () =
+  let committed = read_committed "perf_timeline_golden.jsonl" in
+  let current = Perf_golden_doc.timeline_doc () in
+  if not (String.equal committed current) then begin
+    let lines s = String.split_on_char '\n' s in
+    let rec first_diff i a b =
+      match (a, b) with
+      | x :: a', y :: b' when String.equal x y -> first_diff (i + 1) a' b'
+      | x :: _, y :: _ -> Printf.sprintf "line %d: committed %s, current %s" i x y
+      | _ -> Printf.sprintf "line %d: one stream ends early" i
+    in
+    Alcotest.failf
+      "timeline/counter streams diverge from test/perf_timeline_golden.jsonl: %s"
+      (first_diff 1 (lines committed) (lines current))
+  end
 
 (* --- round-robin issue order -------------------------------------- *)
 
@@ -230,36 +180,79 @@ let minor_delta f =
   let r = f () in
   (r, Gc.minor_words () -. before)
 
+let bench name =
+  match Workloads.Registry.find name with
+  | Some e -> Alloc.Context.create (Lazy.force e.Workloads.Registry.kernel)
+  | None -> Alcotest.failf "no bench %s" name
+
 (* The longest-running registry benchmark, so per-run constants drown
    in the per-cycle signal. *)
-let long_bench () =
-  List.find
-    (fun (e : Workloads.Registry.entry) -> e.Workloads.Registry.name = "sad")
-    (Workloads.Registry.all ())
+let long_bench () = bench "sad"
 
 let test_perf_zero_alloc_per_cycle () =
-  let e = long_bench () in
-  let ctx = Alloc.Context.create (Lazy.force e.Workloads.Registry.kernel) in
-  let scratch = Sim.Scratch.create () in
-  let run () =
-    Sim.Perf.run ~warps:32 ~max_dynamic_per_warp:600 ~scratch
-      ~scheduler:(Sim.Perf.Two_level 8) ~policy:Sim.Perf.On_dependence ctx
+  let check_config label ctx scheduler =
+    let scratch = Sim.Scratch.create () in
+    let run () =
+      Sim.Perf.run ~warps:32 ~max_dynamic_per_warp:600 ~scratch ~scheduler
+        ~policy:Sim.Perf.On_dependence ctx
+    in
+    let r0 = run () in
+    ignore (run ());
+    let r1, delta = minor_delta run in
+    check Alcotest.bool (label ^ ": reuse preserves result") true (r0 = r1);
+    let cycles = float_of_int r1.Sim.Perf.cycles in
+    check Alcotest.bool (label ^ ": run is long enough to mean something") true
+      (cycles > 5_000.0);
+    (* The whole warmed run may allocate only its result (a few hundred
+       words): the budget is a small constant, far under one word per
+       cycle.  The list-based engine spent hundreds of words per cycle. *)
+    if delta > 8_192.0 then
+      Alcotest.failf "%s: perf run allocated %.0f minor words over %.0f cycles" label delta
+        cycles;
+    r1
   in
-  let r0 = run () in
-  ignore (run ());
-  let r1, delta = minor_delta run in
-  check Alcotest.bool "reuse preserves result" true (r0 = r1);
-  let cycles = float_of_int r1.Sim.Perf.cycles in
-  check Alcotest.bool "run is long enough to mean something" true (cycles > 5_000.0);
-  (* The whole warmed run may allocate only its result (a few hundred
-     words): the budget is a small constant, far under one word per
-     cycle.  The list-based engine spent hundreds of words per cycle. *)
-  if delta > 8_192.0 then
-    Alcotest.failf "perf run allocated %.0f minor words over %.0f cycles" delta cycles
+  ignore (check_config "sad, Two_level 8" (long_bench ()) (Sim.Perf.Two_level 8));
+  (* Low IPC with one active slot: most cycles are dead, so the run is
+     dominated by dead-cycle jumps and the cached-stall path. *)
+  let r =
+    check_config "ConvolutionSeparable, Two_level 1" (bench "ConvolutionSeparable")
+      (Sim.Perf.Two_level 1)
+  in
+  check Alcotest.bool "ConvolutionSeparable, Two_level 1: low IPC" true (r.Sim.Perf.ipc < 0.5)
+
+(* A cut-off inside a dead span: no warp changes state across cycles
+   1774-1805 of this run (test/perf_timeline_golden.jsonl), so the
+   jump that crosses 1800 is clamped mid-span.  Every warp still owes
+   exactly [max_cycles] warp-cycles, recorder on or off. *)
+let test_cut_mid_jump_is_exact () =
+  let ctx = bench "BicubicTexture" in
+  let warps = 32 and max_cycles = 1_800 in
+  let run () =
+    Sim.Perf.run ~warps ~max_dynamic_per_warp:12 ~max_cycles
+      ~scheduler:(Sim.Perf.Two_level 1) ~policy:Sim.Perf.On_dependence ctx
+  in
+  let r = run () in
+  check Alcotest.int "cut at max_cycles" max_cycles r.Sim.Perf.cycles;
+  check Alcotest.int "breakdown sums to max_cycles x warps" (max_cycles * warps)
+    (Sim.Perf.breakdown_total r.Sim.Perf.stalls);
+  Array.iter
+    (fun (ws : Sim.Perf.warp_stats) ->
+      check Alcotest.int
+        (Printf.sprintf "warp %d sums to max_cycles" ws.Sim.Perf.warp)
+        max_cycles
+        (Sim.Perf.breakdown_total ws.Sim.Perf.breakdown))
+    r.Sim.Perf.per_warp;
+  let sink, intervals = Obs.Timeline.memory_sink () in
+  Obs.Timeline.set_sink sink;
+  let traced = Fun.protect ~finally:Obs.Timeline.disable run in
+  check Alcotest.bool "timeline on: same result" true (traced = r);
+  check Alcotest.int "intervals tile max_cycles x warps" (max_cycles * warps)
+    (List.fold_left
+       (fun acc (iv : Obs.Timeline.interval) -> acc + iv.Obs.Timeline.stop - iv.Obs.Timeline.start)
+       0 (intervals ()))
 
 let test_traffic_zero_alloc_per_instr () =
-  let e = long_bench () in
-  let ctx = Alloc.Context.create (Lazy.force e.Workloads.Registry.kernel) in
+  let ctx = long_bench () in
   let scratch = Sim.Scratch.create () in
   let run () = Sim.Traffic.run ~warps:32 ~scratch ctx Sim.Traffic.Baseline in
   let r0 = run () in
@@ -279,6 +272,8 @@ let suite =
   [
     Alcotest.test_case "288-config differential vs pre-rewrite golden" `Quick
       test_differential_golden;
+    Alcotest.test_case "timeline and counter streams match the per-cycle golden" `Quick
+      test_timeline_golden;
     Alcotest.test_case "round-robin rotation is exact" `Quick test_round_robin_rotation;
     Alcotest.test_case "pending warps re-enter in wake order" `Quick test_wake_order_refill;
     Alcotest.test_case "classification probe is pure across scratches" `Quick
@@ -287,4 +282,6 @@ let suite =
       test_perf_zero_alloc_per_cycle;
     Alcotest.test_case "traffic stepping allocates nothing" `Quick
       test_traffic_zero_alloc_per_instr;
+    Alcotest.test_case "cut at max_cycles mid-jump sums exactly" `Quick
+      test_cut_mid_jump_is_exact;
   ]
