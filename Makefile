@@ -1,6 +1,6 @@
 # Convenience targets; `make ci` is what the CI workflow runs.
 
-.PHONY: all build test bench fmt parity regress explain-smoke timeline-smoke engine-smoke trend-smoke why-smoke perfgate ci clean
+.PHONY: all build test fmt parity regress explain-smoke timeline-smoke engine-smoke trend-smoke why-smoke perfgate ci clean
 
 all: build
 
@@ -9,9 +9,6 @@ build:
 
 test:
 	dune runtest
-
-bench:
-	dune exec bench/main.exe
 
 # Format check. Gated: the check only runs where ocamlformat is
 # installed (dev boxes / CI); .ocamlformat currently disables
@@ -23,6 +20,17 @@ fmt:
 	else \
 	  echo "ocamlformat not installed; skipping format check"; \
 	fi
+
+# Page-parity check for the HTML smokes: every table title a command
+# printed (the line above a header whose dashed underline matches its
+# length) must appear in the page it wrote.  Usage:
+# $(call check_titles,TEXT,HTML).
+check_titles = titles=$$(awk '{ l[NR] = $$0 } END { for (i = 1; i + 2 <= NR; i++) \
+	  if (l[i+2] ~ /^-+$$/ && length(l[i+2]) == length(l[i+1])) print l[i] }' $(1)); \
+	test -n "$$titles" || { echo "$(1): no tables found"; exit 1; }; \
+	echo "$$titles" | while IFS= read -r title; do \
+	  grep -qF -- "$$title" $(2) || { echo "$(2): missing table '$$title'"; exit 1; }; \
+	done
 
 # Multicore smoke: the same artefact rendered serially and on 2
 # domains must be byte-identical (see docs/parallelism.md).
@@ -74,7 +82,8 @@ timeline-smoke: build
 # wall x domains, its gc time exceeds its useful time, a GC capture is
 # missing, or the rendered tables are not byte-identical across jobs
 # settings.  Tables, JSON, HTML and the Perfetto trace (engine pid 4 +
-# gc pid 5) land under _build/ for CI to upload.
+# gc pid 5) land under _build/ for CI to upload; the HTML page must
+# carry every table the command printed.
 engine-smoke: build
 	dune exec bin/rfh.exe -- engine fig13 --warps 8 --jobs 1,2 \
 	  -b VectorAdd,MatrixMul,Reduction,cp \
@@ -82,7 +91,8 @@ engine-smoke: build
 	  --report-out _build/engine-fig13.html \
 	  --trace-out _build/engine-trace.json > _build/engine-fig13.txt
 	grep -q '"pid":5' _build/engine-trace.json
-	@echo "engine smoke OK: categories sum to wall x domains; 0 <= gc <= useful; output parity holds"
+	$(call check_titles,_build/engine-fig13.txt,_build/engine-fig13.html)
+	@echo "engine smoke OK: categories sum to wall x domains; 0 <= gc <= useful; output parity holds; the page has every printed table"
 
 # Trend smoke (see docs/observability.md): append three deterministic
 # history records from the same tree, then gate on them.  Identical
@@ -99,7 +109,8 @@ trend-smoke: build
 	  --history-out _build/trend-history.jsonl > /dev/null
 	dune exec bin/rfh.exe -- trend --history _build/trend-history.jsonl --check \
 	  --html-out _build/trend-dashboard.html > _build/trend.txt
-	@echo "trend smoke OK: three identical runs classify stable; gate exit 0"
+	$(call check_titles,_build/trend.txt,_build/trend-dashboard.html)
+	@echo "trend smoke OK: three identical runs classify stable; gate exit 0; the page has every printed table"
 
 # Root-cause smoke (see docs/observability.md): record a manifest +
 # explain stream, copy them, flip exactly one allocation decision in
@@ -121,7 +132,8 @@ why-smoke: build
 	  --json-out _build/why-rerun.json > /dev/null
 	cmp _build/why.json _build/why-rerun.json
 	grep -q 'top cause — MatrixMul: moved orf -> mrf' _build/why.txt
-	@echo "why smoke OK: the flipped decision ranks #1; analysis is byte-deterministic"
+	$(call check_titles,_build/why.txt,_build/why.html)
+	@echo "why smoke OK: the flipped decision ranks #1; analysis is byte-deterministic; the page has every printed table"
 
 # Performance gate (see docs/performance.md): time the
 # sim:perf-two-level microbenchmark and measure its steady-state

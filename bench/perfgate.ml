@@ -3,8 +3,9 @@
    Times two Sim.Perf probes and measures the steady-state minor-heap
    cost of one run of each:
 
-   - sim:perf-two-level — MatrixMul, 8 warps, Two_level 8, the stage
-     bench of bench/main.ml: a busy loop where few cycles are dead;
+   - sim:perf-two-level — MatrixMul, 8 warps, Two_level 8, capped at
+     300 dynamic instructions per warp: a busy loop where few cycles
+     are dead;
    - sim:perf-lowipc — ConvolutionSeparable, 32 warps, Two_level 1: the
      simulated IPC is about 0.12, so most cycles issue nothing and this
      probe slows by several times if the cycle loop stops jumping
@@ -270,9 +271,6 @@ let () =
               pg_promoted_words = Some m.promoted_words;
               pg_major_words = Some m.major_words;
             };
-        engine = None;
-        gc = None;
-        jobs2_slower = None;
       }
     in
     Obs.History.append ~path record;

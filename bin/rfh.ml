@@ -38,9 +38,25 @@ let opts_of ~warps ~seed ~benchmarks ~jobs =
   | [] -> base
   | names -> { base with Experiments.Options.benchmarks = List.map find_bench names }
 
-let warps_arg =
+(* A numeric flag outside its range is a bad input: exit 2 naming the
+   flag and the value before any command runs with it. *)
+let in_range flag ~lo ?hi arg =
+  let check v =
+    if v < lo || Option.fold ~none:false ~some:(fun hi -> v > hi) hi then
+      die_usage
+        (Printf.sprintf "rfh: %s %d is out of range (expected %s)" flag v
+           (match hi with
+           | Some hi -> Printf.sprintf "%d-%d" lo hi
+           | None -> Printf.sprintf "at least %d" lo))
+    else v
+  in
+  Term.(const check $ arg)
+
+let warps_opt default =
   let doc = "Machine-resident warps to simulate per kernel." in
-  Arg.(value & opt int 32 & info [ "warps" ] ~docv:"N" ~doc)
+  in_range "--warps" ~lo:1 Arg.(value & opt int default & info [ "warps" ] ~docv:"N" ~doc)
+
+let warps_arg = warps_opt 32
 
 let seed_arg =
   let doc = "Deterministic seed for data-dependent branch behaviour." in
@@ -265,7 +281,8 @@ let bench_name_arg =
   Arg.(required & pos 0 (some string) None & info [] ~docv:"NAME" ~doc:"Benchmark name.")
 
 let entries_arg =
-  Arg.(value & opt int 3 & info [ "entries" ] ~docv:"N" ~doc:"ORF entries per thread (1-8).")
+  in_range "--entries" ~lo:1 ~hi:Energy.Params.max_orf_entries
+    Arg.(value & opt int 3 & info [ "entries" ] ~docv:"N" ~doc:"ORF entries per thread (1-8).")
 
 let lrf_arg =
   Arg.(value & opt lrf_conv Alloc.Config.Split & info [ "lrf" ] ~docv:"MODE" ~doc:"LRF mode.")
@@ -660,9 +677,7 @@ let baseline_path_arg =
 (* The gate runs in CI on every push, so its default working set is the
    quick one: 8 warps reproduce the same normalized results for the
    warp-uniform kernels at a fraction of the simulation time. *)
-let baseline_warps_arg =
-  let doc = "Machine-resident warps to simulate per kernel." in
-  Arg.(value & opt int 8 & info [ "warps" ] ~docv:"N" ~doc)
+let baseline_warps_arg = warps_opt 8
 
 let baseline_record_cmd =
   let doc =
@@ -744,7 +759,7 @@ let baseline_check_cmd =
       if not (Obs.Regress.ok report) then begin
         if why then begin
           let r = Obs.Rootcause.analyze ~baseline ~candidate:current () in
-          prerr_string (Obs.Rootcause.to_table ~top:10 r);
+          prerr_endline (Util.Table.render (Obs.Rootcause.to_table ~top:10 r));
           match Obs.Rootcause.top_cause r with
           | Some c ->
             Printf.eprintf "baseline why: top cause — %s: %s — %s\n" c.Obs.Rootcause.c_bench
@@ -783,13 +798,13 @@ let trend_cmd =
   in
   let history_arg =
     let doc =
-      "History JSONL file, appended to by the bench harness, the perfgate and any command's \
+      "History JSONL file, appended to by the perfgate and any command's \
        $(b,--history-out)."
     in
     Arg.(value & opt string history_default_path & info [ "history" ] ~docv:"FILE" ~doc)
   in
   let html_out_arg =
-    let doc = "Write a self-contained HTML trend dashboard (inline SVG sparklines) to $(docv)." in
+    let doc = "Write a self-contained HTML trend dashboard (the gate verdict and the table) to $(docv)." in
     Arg.(value & opt (some string) None & info [ "html-out" ] ~docv:"FILE" ~doc)
   in
   let check_arg =
@@ -811,49 +826,7 @@ let trend_cmd =
     let records, rejected = Obs.History.load ~path:history_path in
     let recs = Array.of_list records in
     let g = Obs.Trend.gate records in
-    let title =
-      Printf.sprintf "Trend over %d record%s (%s)%s" (Array.length recs)
-        (if Array.length recs = 1 then "" else "s")
-        history_path
-        (if rejected = 0 then ""
-         else Printf.sprintf " — %d undecodable line%s skipped" rejected
-                (if rejected = 1 then "" else "s"))
-    in
-    let table =
-      Util.Table.create ~title
-        ~columns:
-          [ "series"; "n"; "median"; "MAD"; "latest"; "z"; "shift"; "verdict";
-            "change points"; "trend" ]
-    in
-    List.iter
-      (fun (a : Obs.Trend.analysis) ->
-        let s = a.Obs.Trend.a_series in
-        let values = Array.map snd s.Obs.Trend.points in
-        Util.Table.add_row table
-          [
-            (s.Obs.Trend.s_name ^ if s.Obs.Trend.s_gated then "" else " (ungated)");
-            string_of_int (Array.length values);
-            Printf.sprintf "%.4g" a.Obs.Trend.a_median;
-            Printf.sprintf "%.4g" a.Obs.Trend.a_mad;
-            Printf.sprintf "%.4g" a.Obs.Trend.a_latest;
-            Printf.sprintf "%.2f" a.Obs.Trend.a_latest_z;
-            Printf.sprintf "%+.1f%%" (100.0 *. a.Obs.Trend.a_shift);
-            Obs.Trend.verdict_name a.Obs.Trend.a_verdict;
-            (match a.Obs.Trend.a_change_points with
-            | [] -> "-"
-            | cps ->
-              String.concat ", "
-                (List.map
-                   (fun cp ->
-                     let idx = fst s.Obs.Trend.points.(cp) in
-                     Printf.sprintf "#%d@%s" idx
-                       (Obs.Html_report.short_rev (recs.(idx).Obs.History.host : Obs.Host.t).git_rev))
-                   cps));
-            Obs.Trend.sparkline values;
-          ])
-      g.Obs.Trend.g_analyses;
-    if csv then (print_endline (Util.Table.csv table); print_newline ())
-    else Util.Table.print table;
+    print_tables csv [ Obs.Trend.table ~history_path ~rejected records g ];
     Option.iter
       (fun path ->
         write_html path (Obs.Html_report.render_trend_page ~history_path ~records ~rejected g);
@@ -882,7 +855,7 @@ let trend_cmd =
               "trend check: %s regressed %.4g -> %.4g at record %d (rev %s, source %s, \
                jobs %d)\n"
               f.Obs.Trend.f_series f.Obs.Trend.f_before f.Obs.Trend.f_after
-              f.Obs.Trend.f_index (Obs.Html_report.short_rev f.Obs.Trend.f_rev) f.Obs.Trend.f_source
+              f.Obs.Trend.f_index (Obs.Host.short_rev f.Obs.Trend.f_rev) f.Obs.Trend.f_source
               f.Obs.Trend.f_jobs)
           g.Obs.Trend.g_failures;
         if why then begin
@@ -909,7 +882,7 @@ let trend_cmd =
               let r = Obs.Rootcause.of_history ~before ~after in
               Printf.eprintf "trend why: record %d vs %d (source %s, jobs %d)\n" before_idx
                 idx after.Obs.History.source after.Obs.History.jobs;
-              prerr_string (Obs.Rootcause.to_table ~top:5 r);
+              prerr_endline (Util.Table.render (Obs.Rootcause.to_table ~top:5 r));
               match Obs.Rootcause.top_cause r with
               | Some c ->
                 Printf.eprintf "trend why: top cause — %s: %s — %s\n" c.Obs.Rootcause.c_bench
@@ -1011,9 +984,8 @@ let why_cmd =
       | _ -> exit2 "--explain-a and --explain-b must be given together"
     in
     let r = Obs.Rootcause.analyze ?explain ~baseline ~candidate () in
-    print_string (Obs.Rootcause.delta_table r);
-    print_newline ();
-    print_string (Obs.Rootcause.to_table ?top r);
+    Util.Table.print (Obs.Rootcause.delta_table r);
+    Util.Table.print (Obs.Rootcause.to_table ?top r);
     Option.iter
       (fun path ->
         write_json path (Obs.Rootcause.to_json r);
@@ -1048,25 +1020,6 @@ let why_cmd =
 (* ------------------------------------------------------------------ *)
 (* explain: decision-level introspection of one benchmark's allocation
    plus per-instruction energy attribution.                            *)
-
-let explain_verdict_str = function
-  | None -> "-"
-  | Some (c : Obs.Explain.candidate) ->
-    (match c.Obs.Explain.verdict with
-     | Obs.Explain.Chosen -> Printf.sprintf "chosen (%.1f pJ)" c.Obs.Explain.savings
-     | Obs.Explain.Ineligible why -> "ineligible: " ^ why
-     | Obs.Explain.Negative_savings ->
-       Printf.sprintf "negative (%.1f pJ)" c.Obs.Explain.savings
-     | Obs.Explain.No_free_slot ->
-       Printf.sprintf "no slot (%.1f pJ)" c.Obs.Explain.savings)
-
-let explain_outcome_str (d : Obs.Explain.decision) =
-  match d.Obs.Explain.outcome with
-  | Obs.Explain.To_lrf { bank } -> Printf.sprintf "LRF[%d]" bank
-  | Obs.Explain.To_orf { entry; shortened } ->
-    if shortened > 0 then Printf.sprintf "ORF[%d] (shortened x%d)" entry shortened
-    else Printf.sprintf "ORF[%d]" entry
-  | Obs.Explain.To_mrf -> "MRF"
 
 let explain_cmd =
   let doc =
@@ -1163,40 +1116,7 @@ let explain_cmd =
             stats.Alloc.Allocator.read_units placed
             (List.length ds - placed)
             (Util.Stats.ratio e_sw e_base);
-          (* Decision table. *)
-          let dt =
-            Util.Table.create ~title:(Printf.sprintf "Decisions: %s" kname)
-              ~columns:
-                [ "#"; "Value"; "Kind"; "Strand"; "Range"; "Reads"; "LRF"; "ORF"; "Outcome" ]
-          in
-          List.iter
-            (fun (d : Obs.Explain.decision) ->
-              let cand lvl =
-                List.find_opt
-                  (fun (c : Obs.Explain.candidate) -> c.Obs.Explain.level = lvl)
-                  d.Obs.Explain.candidates
-              in
-              let reads =
-                let n = List.length d.Obs.Explain.covered in
-                if d.Obs.Explain.dropped_reads > 0 then
-                  Printf.sprintf "%d (-%d)" n d.Obs.Explain.dropped_reads
-                else string_of_int n
-              in
-              Util.Table.add_row dt
-                [
-                  string_of_int d.Obs.Explain.seq;
-                  d.Obs.Explain.reg
-                  ^ (if d.Obs.Explain.mrf_copy then " +mrf-copy" else "");
-                  d.Obs.Explain.kind;
-                  string_of_int d.Obs.Explain.strand;
-                  Printf.sprintf "[%d,%d)" d.Obs.Explain.first d.Obs.Explain.last;
-                  reads;
-                  explain_verdict_str (cand "lrf");
-                  explain_verdict_str (cand "orf");
-                  explain_outcome_str d;
-                ])
-            ds;
-          Util.Table.print dt;
+          Util.Table.print (Obs.Explain.decision_table ~kernel:kname ds);
           (* Annotated instruction stream: operand levels plus the
              attributed energy of every static instruction. *)
           let share pc =
@@ -1632,7 +1552,9 @@ let engine_cmd =
   in
   let run target warps seed benchmarks jobs_list trace_out json_out report_out =
     let artefacts = artefacts_of_target target in
-    let jobs_list = List.sort_uniq compare (List.map (fun j -> max 1 j) jobs_list) in
+    let jobs_list =
+      List.sort_uniq compare (List.map (fun j -> Util.Pool.resolve_jobs (Some j)) jobs_list)
+    in
     let jobs_list = if jobs_list = [] then [ 1 ] else jobs_list in
     if trace_out <> None then begin
       Obs.Span.reset ();
@@ -1680,17 +1602,7 @@ let engine_cmd =
           (fun violation -> check (Printf.sprintf "jobs=%d: %s" r.Obs.Engine.jobs violation) false)
           (Obs.Engine.check r))
       reports;
-    Util.Table.print (Obs.Engine.speedup_table reports);
-    Util.Table.print (Obs.Engine.breakdown_table reports);
-    List.iter (fun r -> Util.Table.print (Obs.Engine.region_table r)) reports;
-    (match List.rev reports with
-     | [] -> ()
-     | widest :: _ ->
-       Util.Table.print (Obs.Engine.memo_table widest);
-       Util.Table.print (Obs.Engine.lock_table widest));
-    Util.Table.print (Obs.Engine.gc_summary_table reports);
-    Util.Table.print (Obs.Engine.gc_mem_table reports);
-    List.iter (fun r -> Util.Table.print (Obs.Engine.gc_region_table r)) reports;
+    List.iter Util.Table.print (Obs.Engine.tables reports);
     Option.iter
       (fun path ->
         write_json path (Obs.Json.Arr (List.map Obs.Engine.to_json reports));

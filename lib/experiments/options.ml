@@ -38,4 +38,4 @@ let with_benchmarks t names =
 
 let with_params t params = { t with params; params_fp = fingerprint params }
 
-let with_jobs t jobs = { t with jobs = (if jobs = 0 then Util.Pool.default_jobs () else max 1 jobs) }
+let with_jobs t jobs = { t with jobs = Util.Pool.resolve_jobs (Some jobs) }

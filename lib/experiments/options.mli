@@ -19,7 +19,7 @@ val default : unit -> t
 
 val quick : unit -> t
 (** 8 warps — same normalized results for warp-uniform kernels, used by
-    the benchmark harness. *)
+    the examples. *)
 
 val with_benchmarks : t -> string list -> t
 (** Restrict to the named benchmarks.

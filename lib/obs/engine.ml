@@ -716,6 +716,16 @@ let gc_region_table r =
     r.regions;
   t
 
+(* The order [rfh engine] prints them in; its --report-out page renders
+   the same list. *)
+let tables reports =
+  let widest = match List.rev reports with [] -> [] | w :: _ -> [ memo_table w; lock_table w ] in
+  [ speedup_table reports; breakdown_table reports ]
+  @ List.map region_table reports
+  @ widest
+  @ [ gc_summary_table reports; gc_mem_table reports ]
+  @ List.map gc_region_table reports
+
 (* ---- interchange ------------------------------------------------- *)
 
 let json_of_cats c =
@@ -831,143 +841,6 @@ let to_json r =
              r.slices) );
     ]
     @ match r.gc with None -> [] | Some g -> [ ("gc", json_of_capture g) ])
-
-let of_json j =
-  let ( let* ) = Result.bind in
-  let err what = Error (Printf.sprintf "engine report: bad or missing %s" what) in
-  let int_field v name = match Option.bind (Json.member name v) Json.to_int with Some i -> Ok i | None -> err name in
-  let str_field v name = match Option.bind (Json.member name v) Json.to_str with Some s -> Ok s | None -> err name in
-  let arr_field v name = match Json.member name v with Some (Json.Arr xs) -> Ok xs | _ -> err name in
-  let all conv xs =
-    List.fold_left
-      (fun acc x ->
-        let* acc = acc in
-        let* v = conv x in
-        Ok (v :: acc))
-      (Ok []) xs
-    |> Result.map List.rev
-  in
-  let* label = str_field j "label" in
-  let* jobs = int_field j "jobs" in
-  let* epoch_s = str_field j "epoch_ns" in
-  let* epoch_ns =
-    match Int64.of_string_opt epoch_s with Some e -> Ok e | None -> err "epoch_ns"
-  in
-  let* wall_ns = int_field j "wall_ns" in
-  let cats_of v =
-    let* useful_ns = int_field v "useful_ns" in
-    let* spawn_ns = int_field v "spawn_ns" in
-    let* teardown_ns = int_field v "teardown_ns" in
-    let* lock_wait_ns = int_field v "lock_wait_ns" in
-    let* memo_wait_ns = int_field v "memo_wait_ns" in
-    let* dispatch_ns = int_field v "dispatch_ns" in
-    let* idle_ns = int_field v "idle_ns" in
-    (* Absent in pre-GC reports; the split defaults to all-compute. *)
-    let gc_ns = Option.value ~default:0 (Option.bind (Json.member "gc_ns" v) Json.to_int) in
-    Ok { useful_ns; spawn_ns; teardown_ns; lock_wait_ns; memo_wait_ns; dispatch_ns; idle_ns; gc_ns }
-  in
-  let* regions =
-    let* xs = arr_field j "regions" in
-    all
-      (fun v ->
-        let* id = int_field v "id" in
-        let* label = str_field v "label" in
-        let* req_jobs = int_field v "req_jobs" in
-        let* domains = int_field v "domains" in
-        let* tasks = int_field v "tasks" in
-        let* caller = int_field v "caller" in
-        let* start_ns = int_field v "start_ns" in
-        let* wall_ns = int_field v "wall_ns" in
-        let* cats = cats_of v in
-        Ok { id; label; req_jobs; domains; tasks; caller; start_ns; wall_ns; cats })
-      xs
-  in
-  let* locks =
-    let* xs = arr_field j "locks" in
-    all
-      (fun v ->
-        let* lock = str_field v "lock" in
-        let* acquisitions = int_field v "acquisitions" in
-        let* contended = int_field v "contended" in
-        let* wait_ns = int_field v "wait_ns" in
-        Ok { Util.Eprof.lock; acquisitions; contended; wait_ns })
-      xs
-  in
-  let* memos =
-    let* xs = arr_field j "memos" in
-    all
-      (fun v ->
-        let* table = str_field v "table" in
-        let* lookups = int_field v "lookups" in
-        let* hits = int_field v "hits" in
-        let* misses = int_field v "misses" in
-        let* waits = int_field v "waits" in
-        let* wait_ns = int_field v "wait_ns" in
-        Ok { Util.Eprof.table; lookups; hits; misses; waits; wait_ns })
-      xs
-  in
-  let* slices =
-    let* xs = arr_field j "slices" in
-    all
-      (fun v ->
-        let* s_name = str_field v "name" in
-        let* s_cat = str_field v "cat" in
-        let* s_dom = int_field v "dom" in
-        let* s_start_ns = int_field v "start_ns" in
-        let* s_dur_ns = int_field v "dur_ns" in
-        Ok { s_name; s_cat; s_dom; s_start_ns; s_dur_ns })
-      xs
-  in
-  let num_field v name =
-    match Option.bind (Json.member name v) Json.to_num with Some n -> Ok n | None -> err name
-  in
-  let* gc =
-    match Json.member "gc" j with
-    | None -> Ok None
-    | Some g ->
-      let* pauses =
-        let* xs = arr_field g "pauses" in
-        all
-          (fun v ->
-            let* gp_ring = int_field v "ring" in
-            let* gp_dom = int_field v "dom" in
-            let* kind_s = str_field v "kind" in
-            let* gp_kind =
-              match Gcprof.kind_of_name kind_s with Some k -> Ok k | None -> err "kind"
-            in
-            let* gp_start_ns = int_field v "start_ns" in
-            let* gp_dur_ns = int_field v "dur_ns" in
-            Ok { Gcprof.gp_ring; gp_dom; gp_kind; gp_start_ns; gp_dur_ns })
-          xs
-      in
-      let* region_mem =
-        let* xs = arr_field g "region_mem" in
-        all
-          (fun v ->
-            let* gm_region = int_field v "region" in
-            let* gm_minor_words = num_field v "minor_words" in
-            let* gm_promoted_words = num_field v "promoted_words" in
-            let* gm_major_words = num_field v "major_words" in
-            let* gm_minor_collections = int_field v "minor_collections" in
-            let* gm_major_collections = int_field v "major_collections" in
-            Ok
-              {
-                Gcprof.gm_region;
-                gm_minor_words;
-                gm_promoted_words;
-                gm_major_words;
-                gm_minor_collections;
-                gm_major_collections;
-              })
-          xs
-      in
-      let* c_lost_events = int_field g "lost_events" in
-      let* c_unmatched = int_field g "unmatched" in
-      Ok
-        (Some
-           { Gcprof.c_pauses = pauses; c_region_mem = region_mem; c_lost_events; c_unmatched })
-  in
-  Ok { label; jobs; epoch_ns; wall_ns; regions; locks; memos; slices; gc }
 
 (* ---- trace export ------------------------------------------------ *)
 

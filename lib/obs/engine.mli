@@ -108,75 +108,36 @@ val check : report -> string list
     [lookups = hits + misses + waits]; per lock,
     [contended <= acquisitions]; per GC pause, duration [>= 0]. *)
 
-val region_seconds : report -> float
-(** Total wall seconds inside parallel regions (serial remainder =
-    [wall - region_seconds]). *)
-
 val agg_categories : report -> categories
 (** Categories summed over all regions (budget =
     [sum of wall × domains]). *)
 
 (** {1 Rendering} *)
 
-val speedup_table : report list -> Util.Table.t
-(** One row per report (give them in ascending-jobs order; the first
-    is the baseline): wall, speedup, efficiency, region/serial
-    split. *)
-
-val breakdown_table : report list -> Util.Table.t
-(** One row per report: the aggregate category shares of the region
-    budget. *)
-
-val region_table : report -> Util.Table.t
-val lock_table : report -> Util.Table.t
-val memo_table : report -> Util.Table.t
+val tables : report list -> Util.Table.t list
+(** Every engine table, in the order [rfh engine] prints them and its
+    [--report-out] page renders them (give the reports in
+    ascending-jobs order; the first is the speedup baseline):
+    speedup, aggregate overhead breakdown, one region table per
+    report, the memo and lock tables of the widest report, then the
+    GC views — pause summary, memory deltas and one per-region GC
+    table per report.  Reports without a GC capture contribute no GC
+    rows. *)
 
 val memo_stats_table : Util.Eprof.memo_stats list -> Util.Table.t
 (** Hit-rate table for cumulative {!Util.Eprof.memo_stats} snapshots
     (used by [rfh profile], where no engine window is recorded). *)
 
-(** {1 GC rendering}
-
-    All of these render from [report.gc] and the per-region [gc_ns]
-    sub-split; reports without a capture contribute no rows (or
-    [None]). *)
-
 val gc_share : report -> float
 (** Aggregate [gc / useful] over all regions ([0.] when no useful
     time was recorded). *)
 
-val gc_pause_summary : report -> Metrics.hist_summary option
-(** Pause-duration histogram summary in {e microseconds} over the
-    window's collecting pauses (minor/major/barrier), built in a
-    private {!Metrics} registry so the default registry — embedded in
-    run manifests — is never touched. *)
-
-type mem_totals = {
-  mt_minor_words : float;
-  mt_promoted_words : float;
-  mt_major_words : float;
-  mt_minor_collections : int;
-  mt_major_collections : int;
-}
-
-val gc_mem_totals : Gcprof.capture -> mem_totals
-(** Region-mem deltas summed over every profiled region. *)
-
-val gc_summary_table : report list -> Util.Table.t
-(** One row per report: useful vs GC ms, GC share of useful, pause
-    counts by kind, p50/p99 pause, lost/unmatched event counts. *)
-
-val gc_mem_table : report list -> Util.Table.t
-(** One row per report: minor/promoted/major megawords, collection
-    counts, allocation rate (minor megawords per useful second). *)
-
-val gc_region_table : report -> Util.Table.t
-(** Per-region useful/GC split and memory deltas for one report. *)
-
 (** {1 Interchange} *)
 
 val to_json : report -> Json.t
-val of_json : Json.t -> (report, string) result
+(** Fixed field order (byte-stable); the [gc] object, with its
+    [lost_events] and [unmatched] counts, only when a capture ran.
+    Write-only: nothing reads engine JSON back. *)
 
 val trace_pid : int
 (** Process row for engine slices in exported traces:

@@ -213,19 +213,20 @@ let verdict_name = function
   | Negative_savings -> "negative savings"
   | No_free_slot -> "no free slot"
 
+let outcome_name d =
+  match d.outcome with
+  | To_lrf { bank } -> Printf.sprintf "LRF[%d]" bank
+  | To_orf { entry; shortened } ->
+    if shortened > 0 then Printf.sprintf "ORF[%d] (shortened x%d)" entry shortened
+    else Printf.sprintf "ORF[%d]" entry
+  | To_mrf -> "MRF"
+
 let pp fmt d =
   let cand c =
     Printf.sprintf "%s %.2f (%s)" (String.uppercase_ascii c.level) c.savings
       (verdict_name c.verdict)
   in
-  let outcome =
-    match d.outcome with
-    | To_lrf { bank } -> Printf.sprintf "-> LRF[%d]" bank
-    | To_orf { entry; shortened } ->
-      Printf.sprintf "-> ORF[%d]%s" entry
-        (if shortened > 0 then Printf.sprintf " (shortened x%d)" shortened else "")
-    | To_mrf -> "-> MRF"
-  in
+  let outcome = "-> " ^ outcome_name d in
   Format.fprintf fmt "#%d %s %s %s strand %d [%d, %d) %d reads%s %s%s %s" d.seq d.kernel
     d.kind d.reg d.strand d.first d.last (List.length d.covered)
     (if d.dropped_reads > 0 then Printf.sprintf " (-%d dropped)" d.dropped_reads else "")
@@ -243,3 +244,41 @@ include Recorder.Make (struct
   let of_json = of_json
   let pp = pp
 end)
+
+(* ------------------------------------------------------------------ *)
+(* The per-kernel decision table [rfh explain] prints and its
+   --report-out page renders.                                          *)
+
+let verdict_cell = function
+  | None -> "-"
+  | Some c -> (
+    match c.verdict with
+    | Chosen -> Printf.sprintf "chosen (%.1f pJ)" c.savings
+    | Ineligible why -> "ineligible: " ^ why
+    | Negative_savings -> Printf.sprintf "negative (%.1f pJ)" c.savings
+    | No_free_slot -> Printf.sprintf "no slot (%.1f pJ)" c.savings)
+
+let decision_table ~kernel ds =
+  let t =
+    Util.Table.create ~title:(Printf.sprintf "Decisions: %s" kernel)
+      ~columns:[ "#"; "Value"; "Kind"; "Strand"; "Range"; "Reads"; "LRF"; "ORF"; "Outcome" ]
+  in
+  List.iter
+    (fun d ->
+      let cand lvl = List.find_opt (fun c -> c.level = lvl) d.candidates in
+      let n = List.length d.covered in
+      Util.Table.add_row t
+        [
+          string_of_int d.seq;
+          (d.reg ^ if d.mrf_copy then " +mrf-copy" else "");
+          d.kind;
+          string_of_int d.strand;
+          Printf.sprintf "[%d,%d)" d.first d.last;
+          (if d.dropped_reads > 0 then Printf.sprintf "%d (-%d)" n d.dropped_reads
+           else string_of_int n);
+          verdict_cell (cand "lrf");
+          verdict_cell (cand "orf");
+          outcome_name d;
+        ])
+    ds;
+  t

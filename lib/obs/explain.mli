@@ -80,3 +80,12 @@ val to_json : decision -> Json.t
 val of_json : Json.t -> (decision, string) result
 val pp : Format.formatter -> decision -> unit
 val verdict_name : verdict -> string
+
+(** {1 Rendering} *)
+
+val decision_table : kernel:string -> decision list -> Util.Table.t
+(** ["Decisions: <kernel>"]: one row per decision — seq, value (with
+    [+mrf-copy]), unit kind, strand, live range, reads served (with
+    the partial-range drop), the LRF and ORF verdicts with their
+    savings estimates, and the final placement.  What [rfh explain]
+    prints and its [--report-out] page renders. *)

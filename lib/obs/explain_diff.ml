@@ -307,3 +307,49 @@ let check t =
     (fun p -> expect "changed pair has at least one flip" (p.p_flips <> []))
     t.d_pairs;
   List.rev !bad
+
+let tables t =
+  let kt =
+    Util.Table.create
+      ~title:
+        (Printf.sprintf
+           "Allocation decision diff: %d vs %d decisions, %d aligned, %d changed, %d / %d unmatched"
+           t.d_total_a t.d_total_b t.d_aligned (List.length t.d_pairs) (List.length t.d_only_a)
+           (List.length t.d_only_b))
+      ~columns:
+        [ "kernel"; "aligned"; "changed"; "moves"; "verdict flips"; "savings Δ (pJ)"; "dropped Δ" ]
+  in
+  List.iter
+    (fun k ->
+      Util.Table.add_row kt
+        [
+          k.ks_kernel;
+          string_of_int k.ks_aligned;
+          string_of_int k.ks_changed;
+          (if k.ks_moves = [] then "-"
+           else
+             String.concat ", "
+               (List.map (fun m -> Printf.sprintf "%s→%s ×%d" m.m_from m.m_to m.m_count) k.ks_moves));
+          string_of_int k.ks_verdict_flips;
+          Printf.sprintf "%+.4g" k.ks_savings_delta;
+          Printf.sprintf "%+d" k.ks_dropped_delta;
+        ])
+    t.d_kernels;
+  let pt =
+    Util.Table.create ~title:"Changed live ranges"
+      ~columns:[ "kernel"; "kind"; "reg"; "strand"; "first"; "flips" ]
+  in
+  List.iter
+    (fun p ->
+      let k = p.p_key in
+      Util.Table.add_row pt
+        [
+          k.k_kernel;
+          k.k_kind;
+          k.k_reg;
+          string_of_int k.k_strand;
+          string_of_int k.k_first;
+          String.concat "; " (List.map flip_name p.p_flips);
+        ])
+    t.d_pairs;
+  [ kt; pt ]

@@ -101,3 +101,8 @@ val check : t -> string list
     [aligned + |only_a| = total_a] (and the b side), that per-kernel
     stats sum back to the stream totals, and that the move buckets
     reproduce the level-flip pairs exactly. *)
+
+val tables : t -> Util.Table.t list
+(** The per-kernel summary (aligned, changed, level moves, verdict
+    flips, savings and dropped-read deltas; the title carries the
+    stream totals) and the changed live ranges with their flips. *)

@@ -15,13 +15,6 @@ let kind_name = function
   | Barrier -> "barrier"
   | Other -> "other"
 
-let kind_of_name = function
-  | "minor" -> Some Minor
-  | "major" -> Some Major
-  | "barrier" -> Some Barrier
-  | "other" -> Some Other
-  | _ -> None
-
 let counts_as_gc = function Minor | Major | Barrier -> true | Other -> false
 
 type pause = {

@@ -47,8 +47,6 @@ type kind =
 val kind_name : kind -> string
 (** ["minor"], ["major"], ["barrier"], ["other"]. *)
 
-val kind_of_name : string -> kind option
-
 val counts_as_gc : kind -> bool
 (** Whether a pause of this kind charges a region's [gc] split
     ({!Minor}, {!Major} and {!Barrier} do; {!Other} does not). *)

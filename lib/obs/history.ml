@@ -19,15 +19,6 @@ type perfgate = {
   pg_major_words : float option;
 }
 
-type engine = { eng_useful : float; eng_spawn : float; eng_idle : float }
-
-type gc = {
-  hg_gc_share : float;  (* gc / useful over the widest engine window *)
-  hg_minor_words : float;
-  hg_pause_p50_ns : float;
-  hg_pause_p99_ns : float;
-}
-
 type t = {
   timestamp : string;
   source : string;
@@ -36,9 +27,6 @@ type t = {
   wall_s : float;
   benches : bench_point list;
   perfgate : perfgate option;
-  engine : engine option;
-  gc : gc option;
-  jobs2_slower : bool option;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -57,8 +45,7 @@ let bench_point_of_bench (b : Manifest.bench) =
         b.Manifest.stalls;
   }
 
-let of_manifest ?timestamp ?host ?perfgate ?engine ?gc ?jobs2_slower ~source ~wall_s
-    (m : Manifest.t) =
+let of_manifest ?timestamp ?host ?perfgate ~source ~wall_s (m : Manifest.t) =
   {
     timestamp = (match timestamp with Some s -> s | None -> Host.utc_now ());
     source;
@@ -67,15 +54,14 @@ let of_manifest ?timestamp ?host ?perfgate ?engine ?gc ?jobs2_slower ~source ~wa
     wall_s;
     benches = List.map bench_point_of_bench m.Manifest.benches;
     perfgate;
-    engine;
-    gc;
-    jobs2_slower;
   }
 
 (* ------------------------------------------------------------------ *)
 (* Codec.  Field order is fixed so records are byte-stable; optional
    sections are omitted entirely rather than encoded as null, keeping
-   lines compact and the decoder's presence test trivial.              *)
+   lines compact and the decoder's presence test trivial.  Keys the
+   decoder does not know (the retired [engine], [gc] and [jobs2_slower]
+   sections of older records) are ignored.                             *)
 
 let bench_point_to_json p =
   Json.Obj
@@ -98,23 +84,6 @@ let perfgate_to_json g =
     @ opt "promoted_words" g.pg_promoted_words
     @ opt "major_words" g.pg_major_words)
 
-let gc_to_json g =
-  Json.Obj
-    [
-      ("gc_share", Json.Num g.hg_gc_share);
-      ("minor_words", Json.Num g.hg_minor_words);
-      ("pause_p50_ns", Json.Num g.hg_pause_p50_ns);
-      ("pause_p99_ns", Json.Num g.hg_pause_p99_ns);
-    ]
-
-let engine_to_json e =
-  Json.Obj
-    [
-      ("useful", Json.Num e.eng_useful);
-      ("spawn", Json.Num e.eng_spawn);
-      ("idle", Json.Num e.eng_idle);
-    ]
-
 let to_json (r : t) =
   let opt name f = function Some v -> [ (name, f v) ] | None -> [] in
   Json.Obj
@@ -127,10 +96,7 @@ let to_json (r : t) =
        ("wall_s", Json.Num r.wall_s);
        ("benches", Json.Arr (List.map bench_point_to_json r.benches));
      ]
-    @ opt "perfgate" perfgate_to_json r.perfgate
-    @ opt "engine" engine_to_json r.engine
-    @ opt "gc" gc_to_json r.gc
-    @ opt "jobs2_slower" (fun b -> Json.Bool b) r.jobs2_slower)
+    @ opt "perfgate" perfgate_to_json r.perfgate)
 
 let to_string r = Json.to_string (to_json r)
 
@@ -183,19 +149,6 @@ let perfgate_of_json j =
       pg_major_words = opt "major_words";
     }
 
-let gc_of_json j =
-  let* hg_gc_share = field j "gc_share" Json.to_num in
-  let* hg_minor_words = field j "minor_words" Json.to_num in
-  let* hg_pause_p50_ns = field j "pause_p50_ns" Json.to_num in
-  let* hg_pause_p99_ns = field j "pause_p99_ns" Json.to_num in
-  Ok { hg_gc_share; hg_minor_words; hg_pause_p50_ns; hg_pause_p99_ns }
-
-let engine_of_json j =
-  let* eng_useful = field j "useful" Json.to_num in
-  let* eng_spawn = field j "spawn" Json.to_num in
-  let* eng_idle = field j "idle" Json.to_num in
-  Ok { eng_useful; eng_spawn; eng_idle }
-
 let opt_field j name conv =
   match Json.member name j with
   | None -> Ok None
@@ -219,15 +172,7 @@ let of_json j =
       | _ -> Error "history: missing or ill-typed field \"benches\""
     in
     let* perfgate = opt_field j "perfgate" perfgate_of_json in
-    let* engine = opt_field j "engine" engine_of_json in
-    let* gc = opt_field j "gc" gc_of_json in
-    let* jobs2_slower =
-      opt_field j "jobs2_slower" (fun v ->
-          match Json.to_bool v with
-          | Some b -> Ok b
-          | None -> Error "history: \"jobs2_slower\" not a bool")
-    in
-    Ok { timestamp; source; host; jobs; wall_s; benches; perfgate; engine; gc; jobs2_slower }
+    Ok { timestamp; source; host; jobs; wall_s; benches; perfgate }
 
 let of_string s =
   let* j = Json.parse s in

@@ -2,13 +2,13 @@
 
     Every other observability layer (manifests, timelines, engine
     profiles) describes exactly one run; this one accumulates.  Each
-    appender — the bench harness, the perfgate, [rfh … --history-out]
-    — adds one schema-versioned line to [baselines/history.jsonl]
-    carrying whatever that run measured: per-benchmark IPC /
-    normalized energy / stall-cause shares, perfgate ns-per-run and
-    minor words, engine useful/spawn/idle shares, total wall time —
-    always stamped with the UTC timestamp, host fingerprint (which
-    includes the git revision and dirty flag) and jobs setting.
+    appender — the perfgate and [rfh … --history-out] — adds one
+    schema-versioned line to [baselines/history.jsonl] carrying
+    whatever that run measured: per-benchmark IPC / normalized energy
+    / stall-cause shares, perfgate ns-per-run and minor words, total
+    wall time — always stamped with the UTC timestamp, host
+    fingerprint (which includes the git revision and dirty flag) and
+    jobs setting.
     {!Trend} turns the accumulated series into drift verdicts and
     [rfh trend] renders them.
 
@@ -16,7 +16,10 @@
     printing): two records built from the same measurements differ
     only in timestamp and git revision.  {!load} skips lines it cannot
     decode instead of failing — a history file survives partial
-    writes, merges and schema drift, reporting how much it skipped. *)
+    writes, merges and schema drift, reporting how much it skipped.
+    Sections it does not know are ignored, so records written by the
+    retired bench harness (with [engine], [gc] and [jobs2_slower]
+    sections) still load. *)
 
 val schema_version : int
 
@@ -42,41 +45,20 @@ type perfgate = {
   pg_major_words : float option;  (** major words per probed run *)
 }
 
-type engine = {
-  eng_useful : float;  (** share of the parallel-region budget (0..1) *)
-  eng_spawn : float;
-  eng_idle : float;
-}
-
-type gc = {
-  hg_gc_share : float;
-      (** gc / useful (0..1) over the widest engine window's regions *)
-  hg_minor_words : float;  (** summed region quick_stat deltas *)
-  hg_pause_p50_ns : float;
-  hg_pause_p99_ns : float;
-}
-
 type t = {
   timestamp : string;  (** UTC, {!Host.utc_now} format *)
-  source : string;  (** ["bench"], ["perfgate"], ["rfh"] … *)
+  source : string;  (** ["perfgate"], ["rfh"] … *)
   host : Host.t;
   jobs : int;
   wall_s : float;  (** whole-run wall clock of the appender *)
   benches : bench_point list;
   perfgate : perfgate option;
-  engine : engine option;
-  gc : gc option;  (** GC capture summary of the same window as [engine] *)
-  jobs2_slower : bool option;
-      (** Part 4's warning: run_all at jobs=2 lost to serial *)
 }
 
 val of_manifest :
   ?timestamp:string ->
   ?host:Host.t ->
   ?perfgate:perfgate ->
-  ?engine:engine ->
-  ?gc:gc ->
-  ?jobs2_slower:bool ->
   source:string ->
   wall_s:float ->
   Manifest.t ->

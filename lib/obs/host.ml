@@ -50,6 +50,8 @@ let git_rev_of root =
     else if head <> "" then Some head
     else None)
 
+let short_rev rev = if String.length rev > 10 then String.sub rev 0 10 else rev
+
 let git_dirty_of root =
   (* `git diff --quiet HEAD` exits 1 when tracked files changed; any
      other status (127 = no git, 128 = not a repo) reads as clean. *)

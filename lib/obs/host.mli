@@ -23,6 +23,10 @@ type t = {
 val fingerprint : unit -> t
 (** The current host's fingerprint (cached after the first call). *)
 
+val short_rev : string -> string
+(** A git revision cut to its first 10 characters, as every trend view
+    prints it. *)
+
 val utc_now : unit -> string
 (** Current UTC wall-clock time as ["YYYY-MM-DDTHH:MM:SSZ"]. *)
 

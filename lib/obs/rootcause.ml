@@ -378,32 +378,47 @@ let check t =
 (* Rendering.                                                          *)
 
 let to_table ?top t =
-  let buf = Buffer.create 1024 in
   let causes =
     match top with
     | None -> t.r_causes
     | Some n -> List.filteri (fun i _ -> i < n) t.r_causes
   in
-  Buffer.add_string buf "rank  score     kind    bench             cause\n";
+  let tbl =
+    Util.Table.create
+      ~title:
+        (if causes = [] then "Ranked causes (none: the runs are equivalent)" else "Ranked causes")
+      ~columns:[ "rank"; "score"; "kind"; "bench"; "cause" ]
+  in
   List.iteri
     (fun i c ->
-      Buffer.add_string buf
-        (Printf.sprintf "%4d  %-8s  %-6s  %-16s  %s — %s\n" (i + 1) (num c.c_score)
-           (kind_name c.c_kind) c.c_bench c.c_what c.c_delta))
+      Util.Table.add_row tbl
+        [
+          string_of_int (i + 1);
+          num c.c_score;
+          kind_name c.c_kind;
+          c.c_bench;
+          c.c_what ^ " — " ^ c.c_delta;
+        ])
     causes;
-  if causes = [] then Buffer.add_string buf "(no causes: runs are equivalent)\n";
-  Buffer.contents buf
+  tbl
 
 let delta_table t =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "bench             metric            baseline     candidate     delta%\n";
+  let tbl =
+    Util.Table.create ~title:"Metric deltas"
+      ~columns:[ "bench"; "metric"; "baseline"; "candidate"; "delta%" ]
+  in
   List.iter
     (fun m ->
-      Buffer.add_string buf
-        (Printf.sprintf "%-16s  %-16s  %11s  %12s  %+9.4g\n" m.md_bench m.md_metric
-           (num m.md_a) (num m.md_b) (m.md_rel *. 100.0)))
+      Util.Table.add_row tbl
+        [
+          m.md_bench;
+          m.md_metric;
+          num m.md_a;
+          num m.md_b;
+          Printf.sprintf "%+.4g" (m.md_rel *. 100.0);
+        ])
     t.r_metrics;
-  Buffer.contents buf
+  tbl
 
 (* ------------------------------------------------------------------ *)
 (* JSON.                                                               *)

@@ -89,13 +89,15 @@ val check : t -> string list
     delta, and the embedded {!Stall_diff.check} / {!Explain_diff.check}
     accountings hold. *)
 
-val to_table : ?top:int -> t -> string
-(** Ranked cause table ([top] defaults to all), one line per cause,
-    byte-deterministic. *)
+val to_table : ?top:int -> t -> Util.Table.t
+(** ["Ranked causes"]: one row per cause ([top] defaults to all) —
+    rank, score, kind, bench, and the cause with its quantified delta.
+    Byte-deterministic; [rfh why] prints it and its [--report-out]
+    page renders it. *)
 
-val delta_table : t -> string
-(** Per-benchmark metric delta table (all metrics, including
-    unchanged ones), byte-deterministic. *)
+val delta_table : t -> Util.Table.t
+(** ["Metric deltas"]: per-benchmark metric deltas (all metrics,
+    including unchanged ones), byte-deterministic. *)
 
 val to_json : t -> Json.t
 (** Machine-readable analysis: ranked causes, metric deltas, stall

@@ -150,3 +150,26 @@ let check t =
         && List.fold_left (fun acc c -> acc + c.cd_count_b) 0 b.sb_causes = b.sb_total_b))
     t.s_benches;
   List.rev !bad
+
+let tables t =
+  List.map
+    (fun b ->
+      let tbl =
+        Util.Table.create
+          ~title:
+            (Printf.sprintf "Stall attribution deltas: %s (budget %d → %d warp-cycles)" b.sb_bench
+               b.sb_total_a b.sb_total_b)
+          ~columns:[ "cause"; "baseline"; "candidate"; "share Δ (pp)" ]
+      in
+      List.iter
+        (fun c ->
+          Util.Table.add_row tbl
+            [
+              c.cd_cause;
+              string_of_int c.cd_count_a;
+              string_of_int c.cd_count_b;
+              Printf.sprintf "%+.4g" (c.cd_delta *. 100.0);
+            ])
+        b.sb_causes;
+      tbl)
+    t.s_benches

@@ -54,3 +54,7 @@ val check : t -> string list
     so the deltas sum to 0; all counts nonnegative; cause lists agree.
     A bench with an all-zero stall budget (no perf run recorded) is
     skipped rather than failed. *)
+
+val tables : t -> Util.Table.t list
+(** One table per common bench: per-cause warp-cycle counts on each
+    side and the share delta in percentage points. *)

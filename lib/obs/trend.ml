@@ -226,8 +226,6 @@ let series_of_history (records : History.t list) =
       bench_names
   in
   let pg f r = Option.map f r.History.perfgate in
-  let eng f r = Option.map f r.History.engine in
-  let gcm f r = Option.map f r.History.gc in
   let tail =
     [
       (* ns/run and minor words gate CI; the tolerances are wide
@@ -243,21 +241,6 @@ let series_of_history (records : History.t list) =
         (collect (fun r -> Option.bind r.History.perfgate (fun g -> g.History.pg_promoted_words)));
       mk "perfgate.major_words" Lower_better 0.5 true
         (collect (fun r -> Option.bind r.History.perfgate (fun g -> g.History.pg_major_words)));
-      mk "engine.useful" Higher_better 0.2 false
-        (collect (eng (fun e -> e.History.eng_useful)));
-      mk "engine.spawn" Lower_better 0.2 false
-        (collect (eng (fun e -> e.History.eng_spawn)));
-      mk "engine.idle" Lower_better 0.2 false
-        (collect (eng (fun e -> e.History.eng_idle)));
-      (* GC share gates: a creeping collector bill shows up here long
-         before wall time moves.  Pause p99 stays advisory — tail
-         pauses are scheduler noise across hosts. *)
-      mk "gc.share" Lower_better 0.35 true
-        (collect (gcm (fun g -> g.History.hg_gc_share)));
-      mk "gc.minor_words" Lower_better 0.5 true
-        (collect (gcm (fun g -> g.History.hg_minor_words)));
-      mk "gc.pause_p99_ns" Lower_better 0.5 false
-        (collect (gcm (fun g -> g.History.hg_pause_p99_ns)));
       mk "wall_s" Lower_better 0.5 false
         (collect (fun (r : History.t) -> Some r.History.wall_s));
     ]
@@ -311,3 +294,51 @@ let gate ?(min_records = 3) (records : History.t list) =
     in
     { g_exit = (if failures = [] then 0 else 1); g_failures = failures; g_analyses = analyses }
   end
+
+(* ------------------------------------------------------------------ *)
+(* Rendering: the one series table [rfh trend] prints and its
+   dashboard renders.                                                  *)
+
+let plural n = if n = 1 then "" else "s"
+
+let table ~history_path ~rejected (records : History.t list) g =
+  let recs = Array.of_list records in
+  let title =
+    Printf.sprintf "Trend over %d record%s (%s)%s" (Array.length recs)
+      (plural (Array.length recs)) history_path
+      (if rejected = 0 then ""
+       else Printf.sprintf " — %d undecodable line%s skipped" rejected (plural rejected))
+  in
+  let t =
+    Util.Table.create ~title
+      ~columns:
+        [ "series"; "n"; "median"; "MAD"; "latest"; "z"; "shift"; "verdict"; "change points";
+          "trend" ]
+  in
+  List.iter
+    (fun a ->
+      let s = a.a_series in
+      let values = Array.map snd s.points in
+      Util.Table.add_row t
+        [
+          (s.s_name ^ if s.s_gated then "" else " (ungated)");
+          string_of_int (Array.length values);
+          Printf.sprintf "%.4g" a.a_median;
+          Printf.sprintf "%.4g" a.a_mad;
+          Printf.sprintf "%.4g" a.a_latest;
+          Printf.sprintf "%.2f" a.a_latest_z;
+          Printf.sprintf "%+.1f%%" (100.0 *. a.a_shift);
+          verdict_name a.a_verdict;
+          (match a.a_change_points with
+          | [] -> "-"
+          | cps ->
+            String.concat ", "
+              (List.map
+                 (fun cp ->
+                   let idx = fst s.points.(cp) in
+                   Printf.sprintf "#%d@%s" idx (Host.short_rev recs.(idx).History.host.Host.git_rev))
+                 cps));
+          sparkline values;
+        ])
+    g.g_analyses;
+  t

@@ -2,7 +2,7 @@
 
     Each numeric quantity a history record carries (per-benchmark IPC
     and normalized energy, perfgate ns-per-run / p90 / minor words,
-    engine shares, wall time) becomes a named {!series} of sparse
+    wall time) becomes a named {!series} of sparse
     points [(record_index, value)] — sparse because records from
     different appenders carry different sections.  {!analyze} applies
     robust statistics: median and MAD for location/scale, a
@@ -87,15 +87,14 @@ val series_of_history : History.t list -> series list
     IPC (gated, higher better, tol 5%) and normalized energy (gated,
     lower better, tol 5%) in first-seen bench order, then perfgate
     ns-per-run (gated, tol 35% — it is wall-clock), p90 (ungated),
-    minor/promoted/major words (gated, tol 50%), engine shares
-    (ungated), GC share of useful (gated, tol 35%), GC minor words
-    (gated, tol 50%), GC pause p99 (ungated), wall time (ungated). *)
+    minor/promoted/major words (gated, tol 50%), wall time
+    (ungated). *)
 
 type failure = {
   f_series : string;
   f_index : int;  (** history record index where the last segment starts *)
   f_rev : string;  (** git revision of that record *)
-  f_source : string;  (** offending record's appender (["bench"], ["rfh"] …) *)
+  f_source : string;  (** offending record's appender (["perfgate"], ["rfh"] …) *)
   f_jobs : int;  (** offending record's jobs setting *)
   f_before : float;  (** previous segment median *)
   f_after : float;  (** last segment median *)
@@ -110,3 +109,11 @@ type gate_result = {
 val gate : ?min_records:int -> History.t list -> gate_result
 (** [min_records] defaults to 3: with fewer records the result is
     exit 2 and no analyses are attempted. *)
+
+val table :
+  history_path:string -> rejected:int -> History.t list -> gate_result -> Util.Table.t
+(** The series table [rfh trend] prints and its [--html-out] dashboard
+    renders: one row per analysis (name, n, median, MAD, latest, z,
+    shift, verdict, change points as [#record@rev], Unicode
+    sparkline).  The title names the record count, [history_path]
+    and the [rejected] undecodable-line count from {!History.load}. *)

@@ -52,3 +52,35 @@ let escape_csv s =
 let csv t =
   let line row = String.concat "," (List.map escape_csv row) in
   String.concat "\n" (line t.columns :: List.map line (rows_in_order t))
+
+let escape_html s =
+  let buf = Buffer.create (String.length s) in
+  String.iter
+    (function
+      | '&' -> Buffer.add_string buf "&amp;"
+      | '<' -> Buffer.add_string buf "&lt;"
+      | '>' -> Buffer.add_string buf "&gt;"
+      | '"' -> Buffer.add_string buf "&quot;"
+      | '\'' -> Buffer.add_string buf "&#39;"
+      | c -> Buffer.add_char buf c)
+    s;
+  Buffer.contents buf
+
+let html t =
+  let ncols = List.length t.columns in
+  let buf = Buffer.create 1024 in
+  let row tag cells =
+    Buffer.add_string buf "<tr>";
+    List.iteri
+      (fun i c ->
+        Printf.bprintf buf "<%s%s>%s</%s>" tag
+          (if i = 0 then " class=l" else "")
+          (escape_html c) tag)
+      (cells @ List.init (ncols - List.length cells) (fun _ -> ""));
+    Buffer.add_string buf "</tr>\n"
+  in
+  Printf.bprintf buf "<table>\n<caption>%s</caption>\n" (escape_html t.title);
+  row "th" t.columns;
+  List.iter (row "td") (rows_in_order t);
+  Buffer.add_string buf "</table>\n";
+  Buffer.contents buf

@@ -1,7 +1,8 @@
-(** Plain-text table renderer for experiment reports.
+(** Table renderer for experiment reports.
 
     Every experiment driver renders its paper table/figure through this
-    module so that `rfh <figure>` output is uniform and diffable. *)
+    module so that `rfh <figure>` output is uniform and diffable; the
+    HTML pages render the same values through {!html}. *)
 
 type t
 
@@ -23,3 +24,13 @@ val print : t -> unit
 
 val csv : t -> string
 (** Comma-separated rendering (header + rows, no title). *)
+
+val html : t -> string
+(** HTML rendering: one [<table>] with the title as its [<caption>],
+    a header row and one row per {!add_row} (short rows padded with
+    empty cells).  Every cell is plain text, escaped once; the first
+    column carries [class=l] (left-aligned). *)
+
+val escape_html : string -> string
+(** Escape ampersand, angle brackets and both quote characters for
+    HTML text and attribute values. *)

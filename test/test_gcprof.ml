@@ -115,123 +115,25 @@ let test_lost_events_tolerated () =
   let g = match report.Obs.Engine.gc with Some g -> g | None -> Alcotest.fail "no capture" in
   (* Simulate an overrun ring: the consumer reports dropped events and
      an unmatched phase end.  Attribution degrades (some pauses
-     missing) but every invariant and the JSON round-trip survive. *)
+     missing) but every invariant holds and the JSON still carries
+     both counts, byte-stably. *)
   let degraded =
     { report with Obs.Engine.gc = Some { g with Obs.Gcprof.c_lost_events = 7; c_unmatched = 2 } }
   in
   check Alcotest.(list string) "degraded capture passes check" []
     (Obs.Engine.check degraded);
-  let s = Obs.Json.to_string (Obs.Engine.to_json degraded) in
+  let j = Obs.Engine.to_json degraded in
+  let gc_int name =
+    Option.bind (Obs.Json.member "gc" j) (fun g -> Option.bind (Obs.Json.member name g) Obs.Json.to_int)
+  in
+  check Alcotest.(option int) "lost_events encoded" (Some 7) (gc_int "lost_events");
+  check Alcotest.(option int) "unmatched encoded" (Some 2) (gc_int "unmatched");
+  let s = Obs.Json.to_string j in
+  check Alcotest.string "encoding is deterministic" s
+    (Obs.Json.to_string (Obs.Engine.to_json degraded));
   match Obs.Json.parse s with
   | Error e -> Alcotest.failf "degraded report does not re-parse: %s" e
-  | Ok j -> (
-    match Obs.Engine.of_json j with
-    | Error e -> Alcotest.failf "degraded report does not decode: %s" e
-    | Ok r' ->
-      check Alcotest.bool "lost/unmatched counts survive the round-trip" true
-        (match r'.Obs.Engine.gc with
-        | Some g' -> g'.Obs.Gcprof.c_lost_events = 7 && g'.Obs.Gcprof.c_unmatched = 2
-        | None -> false);
-      check Alcotest.string "re-encodes byte-identically" s
-        (Obs.Json.to_string (Obs.Engine.to_json r')))
-
-(* --- history gc section: JSONL round-trip + byte stability ---------- *)
-
-let history_record ~gc =
-  {
-    Obs.History.timestamp = "2026-08-08T00:00:00Z";
-    source = "test";
-    host =
-      {
-        Obs.Host.cores = 8;
-        os = "Unix";
-        ocaml = "5.1.1";
-        git_rev = "deadbeef";
-        git_dirty = false;
-      };
-    jobs = 2;
-    wall_s = 1.5;
-    benches = [];
-    perfgate = None;
-    engine = None;
-    gc;
-    jobs2_slower = None;
-  }
-
-let test_history_gc_roundtrip () =
-  let r =
-    history_record
-      ~gc:
-        (Some
-           {
-             Obs.History.hg_gc_share = 0.182;
-             hg_minor_words = 9_700_000.0;
-             hg_pause_p50_ns = 142_000.0;
-             hg_pause_p99_ns = 3_143_000.0;
-           })
-  in
-  let once = Obs.History.to_string r in
-  (match Obs.History.of_string once with
-  | Error e -> Alcotest.fail e
-  | Ok decoded ->
-    check Alcotest.string "encode/decode/re-encode is byte-stable" once
-      (Obs.History.to_string decoded);
-    (match decoded.Obs.History.gc with
-    | Some g -> check (Alcotest.float 1e-9) "gc share survives" 0.182 g.Obs.History.hg_gc_share
-    | None -> Alcotest.fail "gc section lost"));
-  (* Records without a capture omit the section entirely — the
-     pre-gcprof encoding — so old committed lines stay byte-stable. *)
-  let bare = Obs.History.to_string (history_record ~gc:None) in
-  check Alcotest.bool "no gc key without a capture" false
-    (Obs.Json.member "gc"
-       (Result.get_ok (Obs.Json.parse bare))
-    <> None);
-  match Obs.History.of_string bare with
-  | Error e -> Alcotest.fail e
-  | Ok decoded ->
-    check Alcotest.bool "absent section decodes to None" true
-      (decoded.Obs.History.gc = None);
-    check Alcotest.string "bare record also byte-stable" bare
-      (Obs.History.to_string decoded)
-
-(* --- trend gate fires on a sustained GC-share step ------------------ *)
-
-let jitter = [| 0.3; -0.2; 0.1; -0.4; 0.25; 0.0; -0.1; 0.35; -0.3; 0.15; -0.25; 0.05 |]
-
-let gc_history ~step =
-  List.init 12 (fun i ->
-      let base = if step && i >= 8 then 0.15 else 0.05 in
-      {
-        (history_record
-           ~gc:
-             (Some
-                {
-                  Obs.History.hg_gc_share = base +. (jitter.(i) /. 1000.0);
-                  hg_minor_words = 9.7e6 +. (jitter.(i) *. 1000.0);
-                  hg_pause_p50_ns = 140_000.0;
-                  hg_pause_p99_ns = 3_000_000.0;
-                }))
-        with
-        Obs.History.timestamp = Printf.sprintf "2026-08-%02dT00:00:00Z" (i + 1);
-        host =
-          {
-            Obs.Host.cores = 8;
-            os = "Unix";
-            ocaml = "5.1.1";
-            git_rev = Printf.sprintf "rev%03d" i;
-            git_dirty = false;
-          };
-      })
-
-let test_trend_gates_gc_share_step () =
-  let g = Obs.Trend.gate (gc_history ~step:true) in
-  check Alcotest.int "3x gc-share step fails the gate" 1 g.Obs.Trend.g_exit;
-  check Alcotest.bool "failure names gc.share" true
-    (List.exists
-       (fun (f : Obs.Trend.failure) -> f.Obs.Trend.f_series = "gc.share")
-       g.Obs.Trend.g_failures);
-  let clean = Obs.Trend.gate (gc_history ~step:false) in
-  check Alcotest.int "flat gc share passes" 0 clean.Obs.Trend.g_exit
+  | Ok j' -> check Alcotest.string "parse/print is byte-identical" s (Obs.Json.to_string j')
 
 (* --- manifest byte-parity with the GC recorder on or off ------------ *)
 
@@ -297,8 +199,6 @@ let suite =
     Alcotest.test_case "compute+gc = useful exactly" `Quick (isolated test_gc_split_exact);
     Alcotest.test_case "region quick_stat deltas" `Quick (isolated test_region_mem_deltas);
     Alcotest.test_case "lost events tolerated" `Quick (isolated test_lost_events_tolerated);
-    Alcotest.test_case "history gc round-trip" `Quick (isolated test_history_gc_roundtrip);
-    Alcotest.test_case "trend gates gc share" `Quick (isolated test_trend_gates_gc_share_step);
     Alcotest.test_case "manifest parity with gcprof" `Quick
       (isolated test_manifest_parity_gcprof_off_and_on);
     Alcotest.test_case "disabled recorder is invisible" `Quick

@@ -33,16 +33,6 @@ let sample_record ?(rev = "cafe0000") ?(timestamp = "2026-08-08T00:00:00Z") () =
           pg_promoted_words = Some 12.0;
           pg_major_words = Some 40.0;
         };
-    engine = Some { Obs.History.eng_useful = 0.4; eng_spawn = 0.1; eng_idle = 0.5 };
-    gc =
-      Some
-        {
-          Obs.History.hg_gc_share = 0.18;
-          hg_minor_words = 9.7e6;
-          hg_pause_p50_ns = 142000.0;
-          hg_pause_p99_ns = 3143000.0;
-        };
-    jobs2_slower = Some true;
   }
 
 let test_roundtrip () =
@@ -54,13 +44,11 @@ let test_roundtrip () =
     check Alcotest.string "encode/decode/re-encode is byte-stable" once
       (Obs.History.to_string decoded);
     check Alcotest.string "source survives" "test" decoded.Obs.History.source;
-    check Alcotest.(option bool) "jobs2_slower survives" (Some true)
-      decoded.Obs.History.jobs2_slower
+    check Alcotest.(option (float 0.0)) "perfgate promoted words survive" (Some 12.0)
+      (Option.bind decoded.Obs.History.perfgate (fun g -> g.Obs.History.pg_promoted_words))
 
 let test_optional_sections_omitted () =
-  let r =
-    { (sample_record ()) with Obs.History.perfgate = None; engine = None; jobs2_slower = None }
-  in
+  let r = { (sample_record ()) with Obs.History.perfgate = None } in
   let s = Obs.History.to_string r in
   let contains needle =
     let n = String.length needle and len = String.length s in
@@ -68,14 +56,9 @@ let test_optional_sections_omitted () =
     go 0
   in
   check Alcotest.bool "perfgate omitted, not null" false (contains "perfgate");
-  check Alcotest.bool "engine omitted" false (contains "engine");
-  check Alcotest.bool "jobs2_slower omitted" false (contains "jobs2_slower");
   match Obs.History.of_string s with
   | Error e -> Alcotest.fail e
-  | Ok d ->
-    check Alcotest.bool "decodes to None sections" true
-      (d.Obs.History.perfgate = None && d.Obs.History.engine = None
-      && d.Obs.History.jobs2_slower = None)
+  | Ok d -> check Alcotest.bool "decodes to a None section" true (d.Obs.History.perfgate = None)
 
 let test_rejects_garbage () =
   List.iter
@@ -108,6 +91,45 @@ let test_append_load_with_garbage () =
       check Alcotest.int "two bad lines counted (blank skipped silently)" 2 rejected;
       check Alcotest.(list string) "file order preserved" [ "rev1"; "rev2" ]
         (List.map (fun (r : Obs.History.t) -> r.Obs.History.host.Obs.Host.git_rev) records))
+
+(* Records written before the engine and GC sections were retired
+   still carry [engine], [gc] and [jobs2_slower]; the decoder ignores
+   them. *)
+let test_retired_sections_ignored () =
+  let current = Obs.History.to_string (sample_record ()) in
+  let legacy =
+    match Obs.Json.parse current with
+    | Ok (Obs.Json.Obj fields) ->
+      Obs.Json.to_string
+        (Obs.Json.Obj
+           (fields
+           @ [
+               ( "engine",
+                 Obs.Json.Obj
+                   [ ("useful", Obs.Json.Num 0.16); ("spawn", Obs.Json.Num 0.13); ("idle", Obs.Json.Num 0.68) ]
+               );
+               ( "gc",
+                 Obs.Json.Obj
+                   [
+                     ("share", Obs.Json.Num 0.02);
+                     ("minor_words", Obs.Json.Num 1e6);
+                     ("pause_p99_ns", Obs.Json.Num 4e4);
+                   ] );
+               ("jobs2_slower", Obs.Json.Bool true);
+             ]))
+    | _ -> Alcotest.fail "record does not re-parse as an object"
+  in
+  match Obs.History.of_string legacy with
+  | Error e -> Alcotest.fail e
+  | Ok r -> check Alcotest.string "decodes to the current record" current (Obs.History.to_string r)
+
+(* The committed history starts with 4 records, the first written by
+   the retired harness.  Runs append to the file, so later records may
+   follow; none may be rejected. *)
+let test_committed_history_loads () =
+  let records, rejected = Obs.History.load ~path:"../baselines/history.jsonl" in
+  check Alcotest.bool "the committed records load" true (List.length records >= 4);
+  check Alcotest.int "none rejected" 0 rejected
 
 let test_load_missing_file () =
   let records, rejected = Obs.History.load ~path:"/nonexistent/history.jsonl" in
@@ -169,6 +191,8 @@ let suite =
     Alcotest.test_case "decoder rejects garbage" `Quick test_rejects_garbage;
     Alcotest.test_case "append/load skips garbage lines" `Quick test_append_load_with_garbage;
     Alcotest.test_case "missing file loads empty" `Quick test_load_missing_file;
+    Alcotest.test_case "retired sections ignored" `Quick test_retired_sections_ignored;
+    Alcotest.test_case "committed history loads" `Quick test_committed_history_loads;
     Alcotest.test_case "byte-stable modulo timestamp/rev" `Quick
       test_byte_stable_modulo_timestamp_rev;
     Alcotest.test_case "manifest stall counts become shares" `Quick

@@ -569,23 +569,47 @@ let test_energy_counts_json_roundtrip () =
     check Alcotest.string "re-encode is byte-identical" (Obs.Json.to_string j)
       (Obs.Json.to_string (Energy.Counts.to_json c'))
 
+(* Every page must open from disk offline: no scripts, no fetches. *)
+let check_standalone html =
+  check Alcotest.bool "is a complete document" true
+    (Helpers.count_sub html "<!DOCTYPE html>" = 1 && Helpers.count_sub html "</html>" = 1);
+  List.iter
+    (fun needle ->
+      check Alcotest.int (Printf.sprintf "no external fetch (%s)" needle) 0 (Helpers.count_sub html needle))
+    [ "http"; "src="; "href="; "<script" ]
+
 let test_html_report_standalone () =
   let m = collect_small () in
   let html = Obs.Html_report.render m in
-  let contains needle =
-    let n = String.length needle and len = String.length html in
-    let rec go i = i + n <= len && (String.sub html i n = needle || go (i + 1)) in
-    go 0
-  in
-  check Alcotest.bool "is a complete document" true
-    (contains "<!DOCTYPE html>" && contains "</html>");
+  check_standalone html;
   check Alcotest.bool "mentions each benchmark" true
-    (contains "VectorAdd" && contains "MatrixMul");
-  List.iter
-    (fun needle ->
-      check Alcotest.bool (Printf.sprintf "no external fetch (%s)" needle) false
-        (contains needle))
-    [ "http://"; "https://"; "src="; "href="; "<script" ]
+    (Helpers.count_sub html "VectorAdd" > 0 && Helpers.count_sub html "MatrixMul" > 0)
+
+(* The explain page is the run report plus one decision table (the one
+   [rfh explain] prints) and one heatmap per kernel. *)
+let test_explain_page_standalone () =
+  let m = collect_small () in
+  let k = Lazy.force (Option.get (Workloads.Registry.find "MatrixMul")).Workloads.Registry.kernel in
+  let sink, decisions = Obs.Explain.memory_sink () in
+  Obs.Explain.set_sink sink;
+  Fun.protect ~finally:Obs.Explain.disable (fun () ->
+      ignore (Alloc.Allocator.run (Alloc.Config.make ()) (Alloc.Context.create k)));
+  let report =
+    {
+      Obs.Explain.kr_kernel = k.Ir.Kernel.name;
+      kr_decisions = decisions ();
+      kr_instrs = [ { Obs.Explain.pc = 0; strand = 0; text = "ld <r1> & r2"; pj = 2.0; share = 1.0 } ];
+      kr_total_pj = 2.0;
+    }
+  in
+  let plain = Obs.Html_report.render m in
+  let html = Obs.Html_report.render ~explain:[ report ] m in
+  check_standalone html;
+  check Alcotest.int "one <table per table: the run report's plus the decision table"
+    (Helpers.count_sub plain "<table" + 1) (Helpers.count_sub html "<table");
+  check Alcotest.int "the decision table rendered" 1
+    (Helpers.count_sub html (Printf.sprintf "<caption>Decisions: %s</caption>" k.Ir.Kernel.name));
+  check Alcotest.bool "heatmap text escaped" true (Helpers.count_sub html "ld &lt;r1&gt; &amp; r2" = 1)
 
 let suite =
   [
@@ -613,4 +637,5 @@ let suite =
     Alcotest.test_case "regress timing tolerance" `Quick (isolated test_regress_timing_tolerance);
     Alcotest.test_case "energy counts JSON round-trip" `Quick (isolated test_energy_counts_json_roundtrip);
     Alcotest.test_case "html report standalone" `Quick (isolated test_html_report_standalone);
+    Alcotest.test_case "explain page standalone" `Quick (isolated test_explain_page_standalone);
   ]

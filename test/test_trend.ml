@@ -122,9 +122,6 @@ let record i ~ns =
           pg_promoted_words = None;
           pg_major_words = None;
         };
-    engine = None;
-    gc = None;
-    jobs2_slower = None;
   }
 
 let clean_history = List.mapi (fun i ns -> record i ~ns) flat_noise
@@ -141,8 +138,8 @@ let test_series_extraction () =
       "bench.VectorAdd.ipc"; "bench.VectorAdd.norm_energy"; "perfgate.ns_per_run";
       "perfgate.p90_ns"; "perfgate.minor_words"; "wall_s";
     ];
-  check Alcotest.bool "no empty series (engine absent)" false
-    (List.exists (fun s -> s.Obs.Trend.s_name = "engine.useful") series)
+  check Alcotest.bool "no empty series (promoted words absent)" false
+    (List.exists (fun s -> s.Obs.Trend.s_name = "perfgate.promoted_words") series)
 
 let test_gate_regression_names_series_and_rev () =
   let g = Obs.Trend.gate regressed_history in

@@ -228,6 +228,21 @@ let test_table_float_row () =
   check Alcotest.bool "formatted" true
     (String.length (Util.Table.csv t) > 0)
 
+(* One HTML renderer for every page: cells are plain text escaped
+   once, the title is the caption, short rows are padded. *)
+let test_table_html () =
+  let t = Util.Table.create ~title:"Fig <1> & 'q'" ~columns:[ "a"; "b"; "c" ] in
+  Util.Table.add_row t [ "<x>"; "\"y\" & 'z'" ];
+  check Alcotest.string "escaped title and cells, short row padded"
+    "<table>\n<caption>Fig &lt;1&gt; &amp; &#39;q&#39;</caption>\n\
+     <tr><th class=l>a</th><th>b</th><th>c</th></tr>\n\
+     <tr><td class=l>&lt;x&gt;</td><td>&quot;y&quot; &amp; &#39;z&#39;</td><td></td></tr>\n\
+     </table>\n"
+    (Util.Table.html t);
+  check Alcotest.string "header-only table"
+    "<table>\n<caption>H</caption>\n<tr><th class=l>only</th></tr>\n</table>\n"
+    (Util.Table.html (Util.Table.create ~title:"H" ~columns:[ "only" ]))
+
 let suite =
   [
     Alcotest.test_case "prng deterministic" `Quick test_prng_deterministic;
@@ -255,6 +270,7 @@ let suite =
     Alcotest.test_case "bitset fill-all" `Quick test_bitset_fill_all;
     Alcotest.test_case "bitset capacity mismatch" `Quick test_bitset_capacity_mismatch;
     Alcotest.test_case "table render" `Quick test_table_render;
+    Alcotest.test_case "table html" `Quick test_table_html;
     Alcotest.test_case "table row too long" `Quick test_table_row_too_long;
     Alcotest.test_case "table csv" `Quick test_table_csv;
     Alcotest.test_case "table float row" `Quick test_table_float_row;

@@ -184,8 +184,9 @@ let test_rootcause_stall_perturbation_top_cause () =
   check Alcotest.string "analysis is byte-deterministic"
     (Obs.Json.to_string (Obs.Rootcause.to_json r))
     (Obs.Json.to_string (Obs.Rootcause.to_json r2));
-  check Alcotest.string "ranked table is byte-deterministic" (Obs.Rootcause.to_table r)
-    (Obs.Rootcause.to_table r2)
+  check Alcotest.string "ranked table is byte-deterministic"
+    (Util.Table.render (Obs.Rootcause.to_table r))
+    (Util.Table.render (Obs.Rootcause.to_table r2))
 
 (* Manifest collection is byte-identical at any --jobs, so the ranked
    causes must be too. *)
@@ -194,7 +195,8 @@ let test_rootcause_jobs_parity () =
   let c1, _ = bump_min_stall (collect_manifest ~jobs:1 ()) in
   let c4, _ = bump_min_stall (collect_manifest ~jobs:4 ()) in
   let table jobs_manifest =
-    Obs.Rootcause.to_table (Obs.Rootcause.analyze ~baseline:base ~candidate:jobs_manifest ())
+    Util.Table.render
+      (Obs.Rootcause.to_table (Obs.Rootcause.analyze ~baseline:base ~candidate:jobs_manifest ()))
   in
   check Alcotest.string "jobs 1 vs 4 rank byte-identically" (table c1) (table c4)
 
@@ -317,6 +319,13 @@ let test_cli_report_out dir =
     (contains page "<!DOCTYPE html>" && contains page "</html>");
   check Alcotest.bool "renders the ranked cause" true (contains page "moved orf -&gt; mrf");
   check Alcotest.bool "self-check banner" true (contains page "self-check passed");
+  (* Same order as the command prints: deltas first, then causes. *)
+  (match
+     ( Helpers.find_sub page "<caption>Metric deltas</caption>",
+       Helpers.find_sub page "<caption>Ranked causes</caption>" )
+   with
+  | Some d, Some c -> check Alcotest.bool "metric deltas before ranked causes" true (d < c)
+  | _ -> Alcotest.fail "why page lacks the metric-delta or ranked-cause table");
   List.iter
     (fun needle ->
       check Alcotest.bool (Printf.sprintf "no external fetch (%s)" needle) false
