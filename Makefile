@@ -136,11 +136,11 @@ why-smoke: build
 	@echo "why smoke OK: the flipped decision ranks #1; analysis is byte-deterministic; the page has every printed table"
 
 # Performance gate (see docs/performance.md): time the
-# sim:perf-two-level microbenchmark and measure its steady-state
-# allocation, failing if ns_per_run regresses >2x over the committed
-# threshold in baselines/perfgate.json or if the cycle loop allocates
-# again.  The measurement lands in _build/perfgate.json for CI to
-# upload.
+# sim:perf-two-level, sim:perf-lowipc and sim:traffic-hw probes and
+# measure their steady-state allocation, failing if a probe's median
+# regresses >2x over its committed threshold in baselines/perfgate.json
+# or if a simulator loop allocates again.  The measurements land in
+# _build/perfgate.json for CI to upload.
 perfgate: build
 	dune exec bench/perfgate.exe
 

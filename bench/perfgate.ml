@@ -1,7 +1,7 @@
 (* Performance gate (make perfgate; wired into make ci).
 
-   Times two Sim.Perf probes and measures the steady-state minor-heap
-   cost of one run of each:
+   Times two Sim.Perf probes and one Sim.Traffic probe and measures the
+   steady-state minor-heap cost of one run of each:
 
    - sim:perf-two-level — MatrixMul, 8 warps, Two_level 8, capped at
      300 dynamic instructions per warp: a busy loop where few cycles
@@ -9,19 +9,24 @@
    - sim:perf-lowipc — ConvolutionSeparable, 32 warps, Two_level 1: the
      simulated IPC is about 0.12, so most cycles issue nothing and this
      probe slows by several times if the cycle loop stops jumping
-     dead cycles, which the first probe barely notices.
+     dead cycles, which the first probe barely notices;
+   - sim:traffic-hw — sad, 32 warps, a 3-entry hardware RFC with a
+     hardware LRF: the traffic walk's costliest scheme, which replays
+     both caches on every dynamic instruction.
 
    Every number is checked against the committed threshold file
    baselines/perfgate.json:
 
    - each probe's median ns per run may regress at most 2x over its own
-     committed threshold (ns_per_run, lowipc_ns_per_run): generous
-     enough for machine-to-machine variance, tight enough to catch the
-     cycle loop re-growing a per-cycle allocation, a quadratic scan or
-     a lost dead-cycle jump;
+     committed threshold (ns_per_run, lowipc_ns_per_run,
+     traffic_ns_per_run): generous enough for machine-to-machine
+     variance, tight enough to catch a loop re-growing a per-step
+     allocation, a quadratic scan, a lost dead-cycle jump or a cache
+     replay back on polymorphic compare;
    - minor words per run must stay under the committed cap.  The
-     steady-state loop allocates nothing, so a run costs only the
-     result record — a constant independent of cycle count;
+     steady-state loops allocate nothing, so a run costs only its
+     result and per-run records — a constant independent of run
+     length;
    - promoted and major words per run (Gc.quick_stat deltas averaged
      over the timed runs) must stay under their committed caps: a
      steady-state allocation regression whose garbage survives minor
@@ -60,29 +65,64 @@ let history_path =
   if Array.exists (( = ) "--no-history") Sys.argv then None
   else Some (Option.value ~default:"baselines/history.jsonl" (arg_value "--history"))
 
-(* [key] names the probe's ns-per-run threshold in the baseline file. *)
-type probe = { name : string; key : string; run : unit -> Sim.Perf.result }
+(* [key] names the probe's ns-per-run threshold in the baseline file.
+   [warm] makes two warm-up runs, which fill the domain-local scratch
+   and the predecode cache, then one more whose minor words it returns
+   with that run's result fields; scratch reuse must not change the
+   result.  [timed] is one run. *)
+type probe = {
+  name : string;
+  key : string;
+  warm : unit -> (string * Obs.Json.t) list * float;
+  timed : unit -> unit;
+}
+
+let probe (type r) ~name ~key (run : unit -> r) (fields : r -> (string * Obs.Json.t) list) =
+  let warm () =
+    let r0 = run () in
+    ignore (run ());
+    let w0 = Gc.minor_words () in
+    let r1 = run () in
+    let minor_words = Gc.minor_words () -. w0 in
+    if r1 <> r0 then begin
+      Printf.eprintf "perfgate: %s: scratch reuse changed the simulation result\n" name;
+      exit 1
+    end;
+    (fields r1, minor_words)
+  in
+  { name; key; warm; timed = (fun () -> ignore (run ())) }
+
+let perf_fields (r : Sim.Perf.result) =
+  [
+    ("cycles", Obs.Json.int r.Sim.Perf.cycles);
+    ("instructions", Obs.Json.int r.Sim.Perf.instructions);
+  ]
+
+let traffic_fields (r : Sim.Traffic.result) =
+  [
+    ("dynamic_instrs", Obs.Json.int r.Sim.Traffic.dynamic_instrs);
+    ("desched_events", Obs.Json.int r.Sim.Traffic.desched_events);
+  ]
 
 let probes () =
   let ctx name = Alloc.Context.create (Rfh.benchmark name) in
-  let mm = ctx "MatrixMul" and conv = ctx "ConvolutionSeparable" in
+  let mm = ctx "MatrixMul" and conv = ctx "ConvolutionSeparable" and sad = ctx "sad" in
   [
-    {
-      name = "sim:perf-two-level";
-      key = "ns_per_run";
-      run =
-        (fun () ->
-          Sim.Perf.run ~warps:8 ~max_dynamic_per_warp:300 ~scheduler:(Sim.Perf.Two_level 8)
-            ~policy:Sim.Perf.On_dependence mm);
-    };
-    {
-      name = "sim:perf-lowipc";
-      key = "lowipc_ns_per_run";
-      run =
-        (fun () ->
-          Sim.Perf.run ~warps:32 ~max_dynamic_per_warp:300 ~scheduler:(Sim.Perf.Two_level 1)
-            ~policy:Sim.Perf.On_dependence conv);
-    };
+    probe ~name:"sim:perf-two-level" ~key:"ns_per_run"
+      (fun () ->
+        Sim.Perf.run ~warps:8 ~max_dynamic_per_warp:300 ~scheduler:(Sim.Perf.Two_level 8)
+          ~policy:Sim.Perf.On_dependence mm)
+      perf_fields;
+    probe ~name:"sim:perf-lowipc" ~key:"lowipc_ns_per_run"
+      (fun () ->
+        Sim.Perf.run ~warps:32 ~max_dynamic_per_warp:300 ~scheduler:(Sim.Perf.Two_level 1)
+          ~policy:Sim.Perf.On_dependence conv)
+      perf_fields;
+    probe ~name:"sim:traffic-hw" ~key:"traffic_ns_per_run"
+      (fun () ->
+        Sim.Traffic.run ~warps:32 sad
+          (Sim.Traffic.Hw { (Sim.Traffic.hw_defaults ~rfc_entries:3) with with_lrf = true }))
+      traffic_fields;
   ]
 
 let median a =
@@ -103,22 +143,11 @@ type measured = {
   minor_words : float;  (* one warmed run *)
   promoted_words : float;  (* per run, averaged over the timed runs *)
   major_words : float;
-  result : Sim.Perf.result;
+  fields : (string * Obs.Json.t) list;  (* the warmed run's result *)
 }
 
 let measure p =
-  (* Two warm-up runs fill the domain-local scratch and the predecode
-     cache, so both the allocation probe and the timed runs see steady
-     state; scratch reuse must not change the result. *)
-  let r0 = p.run () in
-  ignore (p.run ());
-  let w0 = Gc.minor_words () in
-  let r1 = p.run () in
-  let minor_words = Gc.minor_words () -. w0 in
-  if r1 <> r0 then begin
-    Printf.eprintf "perfgate: %s: scratch reuse changed the simulation result\n" p.name;
-    exit 1
-  end;
+  let fields, minor_words = p.warm () in
   (* Promoted/major probe over the whole timed loop: a single run's
      delta is lumpy (promotion only happens when a minor collection
      lands mid-run), so the average over the timed runs is gated. *)
@@ -126,7 +155,7 @@ let measure p =
   let samples =
     Array.init timed_runs (fun _ ->
         let t0 = Obs.Clock.now_ns () in
-        ignore (p.run ());
+        p.timed ();
         Int64.to_float (Int64.sub (Obs.Clock.now_ns ()) t0))
   in
   let qs1 = Gc.quick_stat () in
@@ -138,7 +167,7 @@ let measure p =
     minor_words;
     promoted_words = per_run (qs1.Gc.promoted_words -. qs0.Gc.promoted_words);
     major_words = per_run (qs1.Gc.major_words -. qs0.Gc.major_words);
-    result = r1;
+    fields;
   }
 
 let read_baseline () =
@@ -223,7 +252,7 @@ let () =
       (allowed_ns /. 1e6) m.minor_words minor_cap m.promoted_words promoted_cap m.major_words
       major_cap;
     Obs.Json.Obj
-      [
+      ([
         ("benchmark", Obs.Json.Str name);
         ("ns_per_run", Obs.Json.Num m.ns);
         ("p90_ns_per_run", Obs.Json.Num m.p90_ns);
@@ -235,10 +264,9 @@ let () =
         ("max_promoted_words_per_run", Obs.Json.Num promoted_cap);
         ("major_words_per_run", Obs.Json.Num m.major_words);
         ("max_major_words_per_run", Obs.Json.Num major_cap);
-        ("cycles", Obs.Json.int m.result.Sim.Perf.cycles);
-        ("instructions", Obs.Json.int m.result.Sim.Perf.instructions);
-        ("pass", Obs.Json.Bool (List.length !failures = failed0));
       ]
+      @ m.fields
+      @ [ ("pass", Obs.Json.Bool (List.length !failures = failed0)) ])
   in
   let probes_json = List.map probe_json ns_thresholds in
   write_json artifact_path

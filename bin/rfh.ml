@@ -426,34 +426,24 @@ let compile_cmd =
     let source = really_input_string ic len in
     close_in ic;
     match Ir.Asm.parse ~name:(Filename.remove_extension (Filename.basename file)) source with
-    | Error msg -> prerr_endline ("parse error: " ^ msg); exit 1
+    | Error msg -> die_usage ("parse error: " ^ msg)
     | Ok kernel ->
-      let ctx = Alloc.Context.create kernel in
+      let context = Alloc.Context.create kernel in
       let config = Alloc.Config.make ~orf_entries:entries ~lrf () in
-      let placement = Alloc.Allocator.place config ctx in
-      (match Alloc.Verify.check config ctx placement with
+      let placement, stats = Alloc.Allocator.run config context in
+      (match Alloc.Verify.check config context placement with
        | Ok () -> ()
        | Error errs ->
          prerr_endline "PLACEMENT FAILED VERIFICATION:";
          List.iter prerr_endline errs;
          exit 1);
       Ir.Kernel.iter_instrs kernel (fun _ i ->
-          let strand, boundary, dst, srcs = placement_cols ctx placement i in
+          let strand, boundary, dst, srcs = placement_cols context placement i in
           Printf.printf "s%-3d%s %-40s dst: %-18s srcs: %s\n" strand boundary
             (Ir.Instr.to_string i) dst srcs);
-      let traffic =
-        Sim.Traffic.run ~warps ~seed ctx (Sim.Traffic.Sw { config; placement })
-      in
-      let baseline = Sim.Traffic.run ~warps ~seed ctx Sim.Traffic.Baseline in
-      let energy c =
-        (Energy.Counts.energy config.Alloc.Config.params ~orf_entries:entries c)
-          .Energy.Counts.total
-      in
-      let ratio =
-        Util.Stats.ratio (energy traffic.Sim.Traffic.counts) (energy baseline.Sim.Traffic.counts)
-      in
-      Printf.printf "\nnormalized register-file energy: %.3f (%.1f%% saved)\n" ratio
-        (100.0 *. (1.0 -. ratio))
+      let m = Rfh.measure ~warps ~seed { Rfh.context; config; placement; stats } in
+      Printf.printf "\nnormalized register-file energy: %.3f (%.1f%% saved)\n"
+        m.Rfh.normalized_energy m.Rfh.savings_percent
   in
   Cmd.v (Cmd.info "compile" ~doc)
     Term.(const run $ file_arg $ entries_arg $ lrf_arg $ warps_arg $ seed_arg $ verbose_arg)

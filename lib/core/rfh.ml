@@ -4,7 +4,6 @@ module Analysis = Analysis
 module Strand = Strand
 module Energy = Energy
 module Alloc = Alloc
-module Machine = Machine
 module Transform = Transform
 module Sim = Sim
 module Workloads = Workloads
@@ -53,7 +52,10 @@ let measure ?(warps = 32) ?(seed = 0x5eed) compiled =
     (Energy.Counts.energy params ~orf_entries:entries baseline.Sim.Traffic.counts)
       .Energy.Counts.total
   in
-  let normalized_energy = Util.Stats.ratio total_energy_pj baseline_energy_pj in
+  (* A kernel with no register traffic saves nothing. *)
+  let normalized_energy =
+    if baseline_energy_pj = 0.0 then 1.0 else total_energy_pj /. baseline_energy_pj
+  in
   {
     traffic;
     baseline;

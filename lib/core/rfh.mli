@@ -16,8 +16,8 @@
     - {!Strand}: strand partitioning (Sec. 4.1);
     - {!Alloc}: the energy-driven allocator (Sec. 4) and its verifier;
     - {!Energy}: the Table 3/4 energy model;
-    - {!Machine}: the hardware RFC baseline structures;
-    - {!Sim}: traffic accounting and the SM timing simulator;
+    - {!Sim}: traffic accounting (including the hardware RFC baseline)
+      and the SM timing simulator;
     - {!Workloads}: the 36 Table-1 benchmarks and a random generator;
     - {!Experiments}: drivers regenerating every paper table/figure. *)
 
@@ -27,7 +27,6 @@ module Analysis = Analysis
 module Strand = Strand
 module Energy = Energy
 module Alloc = Alloc
-module Machine = Machine
 module Transform = Transform
 module Sim = Sim
 module Workloads = Workloads
@@ -53,7 +52,9 @@ type measurement = {
   baseline : Sim.Traffic.result;
   total_energy_pj : float;     (** per-128-bit-access units, see Energy.Counts *)
   baseline_energy_pj : float;
-  normalized_energy : float;   (** 1.0 = single-level register file *)
+  normalized_energy : float;
+      (** 1.0 = single-level register file (also when the kernel has no
+          register traffic at all) *)
   savings_percent : float;
 }
 

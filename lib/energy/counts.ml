@@ -96,26 +96,31 @@ let add_write t level dp ?pc ?(n = 1) () =
   | Some a, Some pc -> attr_bump a.awrites a c pc n
   | _ -> ()
 
-(* Hot-loop variants: plain labelled ints, so calls box nothing —
-   [add_read t l dp ~pc () ] allocates a [Some pc] per call, which is
-   most of what the traffic simulator's attribution path allocated.
-   [pc = -1] counts in the aggregate and is dropped from attribution,
-   exactly like an out-of-range [?pc]. *)
+(* Per-pc count rows: a simulator tallies each static instruction's
+   accesses in a flat int row of [row_cells] cells (reads, then writes,
+   in the [cell] order of the aggregate arrays, then RFC probes) and
+   folds the rows in once at the end of a run. *)
 
-let bump_read t level dp ~pc ~n =
-  let c = cell level dp in
-  t.reads.(c) <- t.reads.(c) + n;
-  match t.attrib with Some a -> attr_bump a.areads a c pc n | None -> ()
+let row_cells = (2 * attr_cells) + 1
+let read_cell level dp = cell level dp
+let write_cell level dp = attr_cells + cell level dp
+let probe_cell = row_cells - 1
 
-let bump_write t level dp ~pc ~n =
-  let c = cell level dp in
-  t.writes.(c) <- t.writes.(c) + n;
-  match t.attrib with Some a -> attr_bump a.awrites a c pc n | None -> ()
-
-let bump_rfc_probe t ~pc ~n =
-  t.probes <- t.probes + n;
+let add_row t row ~off ~times ~pc =
+  for c = 0 to attr_cells - 1 do
+    t.reads.(c) <- t.reads.(c) + (times * row.(off + c));
+    t.writes.(c) <- t.writes.(c) + (times * row.(off + attr_cells + c))
+  done;
+  let probes = times * row.(off + probe_cell) in
+  t.probes <- t.probes + probes;
   match t.attrib with
-  | Some a when pc >= 0 && pc < a.instrs -> a.aprobes.(pc) <- a.aprobes.(pc) + n
+  | Some a when pc >= 0 && pc < a.instrs ->
+    let base = pc * attr_cells in
+    for c = 0 to attr_cells - 1 do
+      a.areads.(base + c) <- a.areads.(base + c) + (times * row.(off + c));
+      a.awrites.(base + c) <- a.awrites.(base + c) + (times * row.(off + attr_cells + c))
+    done;
+    a.aprobes.(pc) <- a.aprobes.(pc) + probes
   | _ -> ()
 
 let add_rfc_probe t ?pc ?(n = 1) () =

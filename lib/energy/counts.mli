@@ -25,18 +25,31 @@ val add_write : t -> Model.level -> Model.datapath -> ?pc:int -> ?n:int -> unit 
 val add_rfc_probe : t -> ?pc:int -> ?n:int -> unit -> unit
 (** RFC tag lookups that miss (tag energy, no data access). *)
 
-(** {2 Allocation-free variants}
+(** {2 Per-pc count rows}
 
-    Same counting semantics as the [add_*] functions, with plain
-    labelled int arguments instead of options: a call allocates nothing
-    (the [?pc] optionals box a [Some] per call).  Pass [pc = -1] for "no
-    attribution" — it counts in the aggregate and is dropped from the
-    attribution table, like any out-of-range pc.  These are what the
-    simulators' per-instruction paths use. *)
+    A simulator that charges every access to a static instruction can
+    tally them in a flat int array, one row of [row_cells] cells per
+    instruction, and fold each row in once at the end of its run. *)
 
-val bump_read : t -> Model.level -> Model.datapath -> pc:int -> n:int -> unit
-val bump_write : t -> Model.level -> Model.datapath -> pc:int -> n:int -> unit
-val bump_rfc_probe : t -> pc:int -> n:int -> unit
+val row_cells : int
+(** Cells per row: reads and writes per (level, datapath), then RFC
+    probes. *)
+
+val read_cell : Model.level -> Model.datapath -> int
+(** Row cell of reads at that level and datapath.  A level's [Shared]
+    cell directly follows its [Private] one, for reads and writes
+    alike. *)
+
+val write_cell : Model.level -> Model.datapath -> int
+
+val probe_cell : int
+(** Row cell of RFC tag probes that missed. *)
+
+val add_row : t -> int array -> off:int -> times:int -> pc:int -> unit
+(** [add_row t row ~off ~times ~pc] adds [times] × the row starting at
+    [row.(off)] to the aggregate counts and, when attribution is on,
+    to instruction [pc]'s attribution row (an out-of-range [pc] is
+    dropped from attribution only, as with [?pc]). *)
 
 (** {1 Per-instruction attribution}
 

@@ -45,10 +45,20 @@ type t = {
   mutable bank_counts : int array;
   mutable conflict_extra : int array;    (* per instruction *)
   unit_free : int array;
-  (* Traffic: per-warp outstanding (register, issue index) pairs. *)
-  mutable out_reg : int array;
-  mutable out_at : int array;
-  mutable out_len : int;
+  (* Traffic walk: per-pc count rows ([Energy.Counts.row_cells] cells
+     each), executions and flag bits; the HW scheme's per-pc live-after
+     table ([pc * num_regs + reg]); per register, the walk time of its
+     last long-latency issue (-1 = none) and its RFC residency; the RFC
+     FIFO, oldest first; counter-track windows (MRF, ORF, LRF per
+     window). *)
+  mutable tr_rows : int array;
+  mutable tr_exec : int array;
+  mutable tr_flags : int array;
+  mutable tr_live : bool array;
+  mutable tr_issued : int array;
+  mutable tr_cached : bool array;
+  mutable tr_rfc : int array;
+  mutable tr_bins : int array;
 }
 
 let create () =
@@ -75,9 +85,14 @@ let create () =
     bank_counts = [||];
     conflict_extra = [||];
     unit_free = Array.make 4 0;
-    out_reg = [||];
-    out_at = [||];
-    out_len = 0;
+    tr_rows = [||];
+    tr_exec = [||];
+    tr_flags = [||];
+    tr_live = [||];
+    tr_issued = [||];
+    tr_cached = [||];
+    tr_rfc = [||];
+    tr_bins = [||];
   }
 
 let key : t Domain.DLS.key = Domain.DLS.new_key create
@@ -134,9 +149,20 @@ let ensure_banks t ~banks ~num_instrs =
   Array.fill t.bank_counts 0 banks 0;
   t.conflict_extra <- grow_ints t.conflict_extra num_instrs
 
-let ensure_outstanding t n =
-  t.out_reg <- grow_ints t.out_reg n;
-  t.out_at <- grow_ints t.out_at n
+let ensure_traffic t ~num_instrs ~num_regs ~rfc_entries ~live =
+  let rows = num_instrs * Energy.Counts.row_cells in
+  t.tr_rows <- grow_ints t.tr_rows rows;
+  Array.fill t.tr_rows 0 rows 0;
+  t.tr_exec <- grow_ints t.tr_exec num_instrs;
+  Array.fill t.tr_exec 0 num_instrs 0;
+  t.tr_flags <- grow_ints t.tr_flags num_instrs;
+  Array.fill t.tr_flags 0 num_instrs 0;
+  if live then t.tr_live <- grow_bools t.tr_live (num_instrs * num_regs);
+  t.tr_issued <- grow_ints t.tr_issued num_regs;
+  Array.fill t.tr_issued 0 num_regs (-1);
+  t.tr_cached <- grow_bools t.tr_cached num_regs;
+  Array.fill t.tr_cached 0 num_regs false;
+  t.tr_rfc <- grow_ints t.tr_rfc rfc_entries
 
 (* [cfs] grows here rather than in [ensure_warps]: a walker can only be
    created for a kernel. *)

@@ -1,8 +1,8 @@
 (** Reusable simulation buffers.
 
     {!Perf.run} and {!Traffic.run} keep all per-run mutable state — warp
-    scoreboards, scheduler queues, stall matrices, outstanding-operation
-    buffers, the {!Dec} predecode — in a scratch so sweeps that simulate
+    scoreboards, scheduler queues, stall matrices, per-pc count rows,
+    the RFC replay, the {!Dec} predecode — in a scratch so sweeps that simulate
     the same kernels under many configurations reuse memory instead of
     reallocating per run.  After a warm-up run at the largest
     configuration, a simulation's steady-state cycle loop allocates
@@ -42,9 +42,14 @@ type t = {
   mutable bank_counts : int array;
   mutable conflict_extra : int array;
   unit_free : int array;
-  mutable out_reg : int array;
-  mutable out_at : int array;
-  mutable out_len : int;
+  mutable tr_rows : int array;
+  mutable tr_exec : int array;
+  mutable tr_flags : int array;
+  mutable tr_live : bool array;
+  mutable tr_issued : int array;
+  mutable tr_cached : bool array;
+  mutable tr_rfc : int array;
+  mutable tr_bins : int array;
 }
 
 val create : unit -> t
@@ -61,5 +66,6 @@ val dec_for : t -> Alloc.Context.t -> Dec.t
 
 val ensure_warps : t -> warps:int -> num_regs:int -> unit
 val ensure_banks : t -> banks:int -> num_instrs:int -> unit
-val ensure_outstanding : t -> int -> unit
+val ensure_traffic :
+  t -> num_instrs:int -> num_regs:int -> rfc_entries:int -> live:bool -> unit
 val cf : t -> int -> max_dynamic:int -> Ir.Kernel.t -> warp:int -> seed:int -> Cf.t

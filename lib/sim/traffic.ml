@@ -26,373 +26,469 @@ let m_dynamic = Obs.Metrics.counter "sim.traffic.dynamic_instrs"
 let m_desched = Obs.Metrics.counter "sim.traffic.desched_events"
 let m_capped = Obs.Metrics.counter "sim.traffic.capped_warps"
 
-let audit_level = function
-  | Energy.Model.Mrf -> Obs.Audit.Mrf
-  | Energy.Model.Orf -> Obs.Audit.Orf
-  | Energy.Model.Lrf -> Obs.Audit.Lrf
-  | Energy.Model.Rfc -> Obs.Audit.Rfc
-
 (* Dynamic-instruction window width for the counter tracks. *)
 let counter_window = 32
+
+(* Count-row cells (Energy.Counts layout).  A level's Shared cell
+   follows its Private one, so [cell + dpi] picks the datapath. *)
+let cells = Energy.Counts.row_cells
+let rd level = Energy.Counts.read_cell level Energy.Model.Private
+let wr level = Energy.Counts.write_cell level Energy.Model.Private
+let rd_mrf = rd Energy.Model.Mrf
+let rd_orf = rd Energy.Model.Orf
+let rd_rfc = rd Energy.Model.Rfc
+let rd_lrf = rd Energy.Model.Lrf
+let wr_mrf = wr Energy.Model.Mrf
+let wr_orf = wr Energy.Model.Orf
+let wr_rfc = wr Energy.Model.Rfc
+let wr_lrf = wr Energy.Model.Lrf
+let probe = Energy.Counts.probe_cell
+
+(* Per-pc flag bits. *)
+let ll_issue = 1 (* Sw: a long-latency result the deschedule check tracks *)
+let shared_consumer = 2 (* Hw: some read of the result is on the shared datapath *)
+let backward_last = 4 (* Hw: last instruction of a backward-branching block *)
+
+(* One run's walk state.  The arrays are the scratch's; [clock] counts
+   the run's dynamic instructions, so it is also each instruction's
+   "walk time".
+
+   Outstanding long-latency writes are [issued] (per register, the walk
+   time of its last long-latency issue) plus [cleared] (the walk time
+   of the warp's start or last deschedule): an entry is live while it
+   was issued since [cleared] and is younger than [shadow].  A re-issue
+   replaces a register's entry and expired entries are always the
+   oldest, so the newest issue, [last_ll], is live iff any entry is.
+
+   The hardware RFC is a FIFO of register names, oldest first, in
+   [rfc.(0 .. rfc_len - 1)], with [cached.(r)] iff [r] is resident; the
+   hardware LRF has one entry, [lrf] (-1 = empty). *)
+type walk = {
+  s : Scratch.t;
+  dec : Dec.t;
+  rows : int array;
+  exec : int array;
+  flags : int array;
+  live : bool array;
+  issued : int array;
+  cached : bool array;
+  rfc : int array;
+  nr : int;
+  shadow : int;
+  placement : Alloc.Placement.t option;  (* None = Hw *)
+  sw : bool;  (* strand-start deschedules: Sw only *)
+  rfc_entries : int;
+  has_lrf : bool;
+  never_flush : bool;
+  back_flush : bool;
+  au : bool;
+  co : bool;
+  mutable warp : int;
+  mutable clock : int;
+  mutable cleared : int;
+  mutable last_ll : int;
+  mutable rfc_len : int;
+  mutable lrf : int;
+  mutable windows : int;  (* counter windows in use *)
+  mutable desched : int;
+  mutable capped : int;
+}
+
+let add w i n = w.rows.(i) <- w.rows.(i) + n
+let charge w id cell = add w ((id * cells) + cell) 1
+
+(* Audit events: every counted write is mirrored by a Place event
+   (guarded on [au] so the disabled path stays a plain counter bump):
+   summing Place events per level therefore reproduces the
+   Energy.Counts write totals exactly. *)
+let place w id level = Obs.Audit.emit (Obs.Audit.Place { warp = w.warp; instr = id; level })
+
+let evict w id level ~writeback =
+  Obs.Audit.emit (Obs.Audit.Evict { warp = w.warp; instr = id; level; writeback })
+
+let desched w id cause =
+  w.desched <- w.desched + 1;
+  if w.au then Obs.Audit.emit (Obs.Audit.Desched { warp = w.warp; instr = id; cause })
+
+let outstanding w at g = at >= w.cleared && g - at < w.shadow
+
+let rec blocked w srcs base p n g =
+  p < n && (outstanding w w.issued.(srcs.(base + p)) g || blocked w srcs base (p + 1) n g)
+
+(* --- Baseline and Sw: every count is static per instruction ------- *)
+
+(* The per-pc rows of a placement; a walk step only counts executions. *)
+let static_table w placement =
+  let dec = w.dec in
+  for id = 0 to dec.Dec.num_instrs - 1 do
+    let dpi = if dec.Dec.shared_dp.(id) then 1 else 0 in
+    for pos = 0 to dec.Dec.nsrcs.(id) - 1 do
+      match Alloc.Placement.src placement ~instr:id ~pos with
+      | Alloc.Placement.From_mrf -> charge w id (rd_mrf + dpi)
+      | Alloc.Placement.From_orf _ -> charge w id (rd_orf + dpi)
+      | Alloc.Placement.From_lrf _ -> charge w id rd_lrf
+    done;
+    add w ((id * cells) + wr_orf + dpi)
+      (List.length (Alloc.Placement.fills_of placement ~instr:id));
+    match Alloc.Placement.dest placement ~instr:id with
+    | Some dest when dec.Dec.dst.(id) >= 0 ->
+      if dest.Alloc.Placement.to_mrf then charge w id (wr_mrf + dpi);
+      if Option.is_some dest.Alloc.Placement.to_orf then charge w id (wr_orf + dpi);
+      if Option.is_some dest.Alloc.Placement.to_lrf then charge w id wr_lrf;
+      if dec.Dec.is_ll.(id) then w.flags.(id) <- ll_issue
+    | _ -> ()
+  done
+
+(* The Place/Fill events of one execution, in the order the placement
+   lists them: fills, then the destination levels. *)
+let emit_static w placement id =
+  List.iter
+    (fun (pos, entry) ->
+      place w id Obs.Audit.Orf;
+      Obs.Audit.emit (Obs.Audit.Fill { warp = w.warp; instr = id; pos; entry }))
+    (Alloc.Placement.fills_of placement ~instr:id);
+  match Alloc.Placement.dest placement ~instr:id with
+  | Some dest when w.dec.Dec.dst.(id) >= 0 ->
+    if dest.Alloc.Placement.to_mrf then place w id Obs.Audit.Mrf;
+    if Option.is_some dest.Alloc.Placement.to_orf then place w id Obs.Audit.Orf;
+    if Option.is_some dest.Alloc.Placement.to_lrf then place w id Obs.Audit.Lrf
+  | _ -> ()
+
+let static_step w placement id g =
+  w.exec.(id) <- w.exec.(id) + 1;
+  if w.sw then begin
+    (* Compiler-scheduled deschedule point. *)
+    if w.dec.Dec.starts_strand.(id) && outstanding w w.last_ll g then begin
+      desched w id Obs.Audit.Sw_boundary;
+      w.cleared <- g
+    end;
+    if w.flags.(id) land ll_issue <> 0 then begin
+      w.issued.(w.dec.Dec.dst.(id)) <- g;
+      w.last_ll <- g
+    end
+  end;
+  if w.au then emit_static w placement id
+
+(* --- Hw: the RFC and LRF replayed per dynamic instruction ---------- *)
+
+let rec any_shared shared_dp = function
+  | [] -> false
+  | (r : Analysis.Duchain.read) :: tl ->
+    shared_dp.(r.Analysis.Duchain.read_instr) || any_shared shared_dp tl
+
+(* Static liveness after every instruction, and the flag bits. *)
+let hw_tables w (ctx : Alloc.Context.t) =
+  let dec = w.dec and k = ctx.Alloc.Context.kernel in
+  for id = 0 to dec.Dec.num_instrs - 1 do
+    let bits = Analysis.Liveness.live_after_bits ctx.Alloc.Context.liveness ~instr_id:id in
+    for r = 0 to k.Ir.Kernel.num_regs - 1 do
+      w.live.((id * w.nr) + r) <- Util.Bitset.mem bits r
+    done
+  done;
+  List.iter
+    (fun (inst : Analysis.Duchain.instance) ->
+      if any_shared dec.Dec.shared_dp inst.Analysis.Duchain.reads then
+        let d = inst.Analysis.Duchain.def in
+        w.flags.(d) <- w.flags.(d) lor shared_consumer)
+    (Analysis.Duchain.instances ctx.Alloc.Context.duchain);
+  Array.iter
+    (fun (b : Ir.Block.t) ->
+      if Ir.Terminator.is_backward b.Ir.Block.term ~at:b.Ir.Block.label then
+        Option.iter
+          (fun id -> w.flags.(id) <- w.flags.(id) lor backward_last)
+          (Ir.Block.last_id b))
+    k.Ir.Kernel.blocks
+
+let live_after w id r = w.live.((id * w.nr) + r)
+
+let rec reads srcs base p n r = p < n && (srcs.(base + p) = r || reads srcs base (p + 1) n r)
+
+(* Liveness just before [id] executes, where flushes happen. *)
+let live_before w id r =
+  let dec = w.dec in
+  reads dec.Dec.srcs (id * Dec.max_srcs) 0 dec.Dec.nsrcs.(id) r
+  || (dec.Dec.dst.(id) <> r && live_after w id r)
+
+(* A value leaving the RFC or LRF (whose read is [cell]) is written
+   back to the MRF iff it is live. *)
+let writeback w id ~cell level live =
+  if live then begin
+    charge w id cell;
+    if w.au then evict w id level ~writeback:true;
+    charge w id wr_mrf;
+    if w.au then place w id Obs.Audit.Mrf
+  end
+  else if w.au then evict w id level ~writeback:false
+
+(* Write-allocate: a resident register is overwritten in place (no
+   eviction, FIFO position unchanged); otherwise it is appended,
+   evicting the oldest entry when the RFC is full. *)
+let rfc_insert w id r =
+  if not w.cached.(r) then begin
+    let n = w.rfc_len in
+    if n < w.rfc_entries then begin
+      w.rfc.(n) <- r;
+      w.rfc_len <- n + 1
+    end
+    else begin
+      let e = w.rfc.(0) in
+      for i = 1 to n - 1 do
+        w.rfc.(i - 1) <- w.rfc.(i)
+      done;
+      w.rfc.(n - 1) <- r;
+      w.cached.(e) <- false;
+      writeback w id ~cell:rd_rfc Obs.Audit.Rfc (live_after w id e)
+    end;
+    w.cached.(r) <- true
+  end;
+  charge w id wr_rfc;
+  if w.au then place w id Obs.Audit.Rfc
+
+let rfc_remove w r =
+  if w.cached.(r) then begin
+    w.cached.(r) <- false;
+    let m = ref 0 in
+    for i = 0 to w.rfc_len - 1 do
+      let x = w.rfc.(i) in
+      if x <> r then begin
+        w.rfc.(!m) <- x;
+        incr m
+      end
+    done;
+    w.rfc_len <- !m
+  end
+
+(* Deschedule (or backward-branch) flush: the LRF, then the RFC in
+   FIFO order. *)
+let flush w id =
+  let l = w.lrf in
+  if l >= 0 then begin
+    w.lrf <- -1;
+    writeback w id ~cell:rd_lrf Obs.Audit.Lrf (live_before w id l)
+  end;
+  for i = 0 to w.rfc_len - 1 do
+    let r = w.rfc.(i) in
+    w.cached.(r) <- false;
+    writeback w id ~cell:rd_rfc Obs.Audit.Rfc (live_before w id r)
+  done;
+  w.rfc_len <- 0
+
+let hw_step w id g =
+  let dec = w.dec in
+  let base = id * Dec.max_srcs and ns = dec.Dec.nsrcs.(id) in
+  let dpi = if dec.Dec.shared_dp.(id) then 1 else 0 in
+  (* Deschedule on an unresolved long-latency dependence. *)
+  if blocked w dec.Dec.srcs base 0 ns g then begin
+    desched w id Obs.Audit.Hw_dependence;
+    if not w.never_flush then flush w id;
+    w.cleared <- g
+  end;
+  for pos = 0 to ns - 1 do
+    let r = dec.Dec.srcs.(base + pos) in
+    if dpi = 0 && w.lrf = r then charge w id rd_lrf
+    else if w.cached.(r) then charge w id (rd_rfc + dpi)
+    else begin
+      charge w id probe;
+      charge w id (rd_mrf + dpi)
+    end
+  done;
+  let d = dec.Dec.dst.(id) in
+  if d >= 0 then begin
+    if dec.Dec.is_ll.(id) then begin
+      (* Long-latency results bypass the hierarchy (Sec. 2.2). *)
+      charge w id (wr_mrf + dpi);
+      if w.au then place w id Obs.Audit.Mrf;
+      rfc_remove w d;
+      if w.lrf = d then w.lrf <- -1;
+      w.issued.(d) <- g
+    end
+    else if w.has_lrf && dpi = 0 && w.flags.(id) land shared_consumer = 0 then begin
+      (* LRF insert; the evicted value cascades into the RFC. *)
+      let e = w.lrf in
+      if e <> d then begin
+        w.lrf <- d;
+        if e >= 0 then begin
+          if live_after w id e then begin
+            charge w id rd_lrf;
+            if w.au then evict w id Obs.Audit.Lrf ~writeback:true;
+            rfc_insert w id e
+          end
+          else if w.au then evict w id Obs.Audit.Lrf ~writeback:false
+        end
+      end;
+      charge w id wr_lrf;
+      if w.au then place w id Obs.Audit.Lrf;
+      rfc_remove w d
+    end
+    else begin
+      rfc_insert w id d;
+      if w.lrf = d then w.lrf <- -1
+    end
+  end;
+  if w.back_flush && w.flags.(id) land backward_last <> 0 then flush w id
+
+(* --- the walk ------------------------------------------------------ *)
+
+let level_sum rows off level =
+  rows.(off + rd level) + rows.(off + rd level + 1) + rows.(off + wr level)
+  + rows.(off + wr level + 1)
+
+(* Counter tracks: add [sign] x instruction [id]'s row, per level, to
+   the window of warp-local index [now].  Hw rows accumulate, so a step
+   adds its row after minus before. *)
+let bin_levels w id now sign =
+  let win = now / counter_window in
+  let s = w.s in
+  if Array.length s.Scratch.tr_bins < 3 * (win + 1) then begin
+    let bins = Array.make (6 * (win + 1)) 0 in
+    Array.blit s.Scratch.tr_bins 0 bins 0 (Array.length s.Scratch.tr_bins);
+    s.Scratch.tr_bins <- bins
+  end;
+  if win >= w.windows then w.windows <- win + 1;
+  let off = id * cells and bins = s.Scratch.tr_bins in
+  List.iteri
+    (fun li level ->
+      let i = (3 * win) + li in
+      bins.(i) <- bins.(i) + (sign * level_sum w.rows off level))
+    Energy.Model.[ Mrf; Orf; Lrf ]
+
+let rec walk_warp w cf base =
+  let id = Cf.peek_id cf in
+  if id < 0 then begin
+    if Cf.hit_cap cf then w.capped <- w.capped + 1
+  end
+  else begin
+    let g = w.clock in
+    w.clock <- g + 1;
+    (match w.placement with
+     | Some pl ->
+       static_step w pl id g;
+       if w.co then bin_levels w id (g - base) 1
+     | None ->
+       if w.co then bin_levels w id (g - base) (-1);
+       hw_step w id g;
+       if w.co then bin_levels w id (g - base) 1);
+    Cf.advance cf;
+    walk_warp w cf base
+  end
+
+(* Emit the window bins as counter samples stamped with the warp-local
+   dynamic-instruction index at the window start. *)
+let emit_counters w =
+  let bins = w.s.Scratch.tr_bins in
+  List.iteri
+    (fun li name ->
+      for win = 0 to w.windows - 1 do
+        let v = bins.((3 * win) + li) in
+        if v <> 0 then
+          Obs.Counters.sample name ~at:(float_of_int (win * counter_window)) (float_of_int v)
+      done)
+    [ "traffic.mrf_accesses"; "traffic.orf_accesses"; "traffic.lrf_accesses" ]
+
+(* The one fold: per-pc rows (Sw/Baseline rows times executions) into
+   the per-strand counts, the merged counts and their attribution. *)
+let fold w ~attribution (ctx : Alloc.Context.t) =
+  let partition = ctx.Alloc.Context.partition in
+  let ni = w.dec.Dec.num_instrs in
+  let create _ =
+    let c = Energy.Counts.create () in
+    if attribution then Energy.Counts.enable_attribution c ~instrs:ni;
+    c
+  in
+  let per_strand = Array.init (max 1 (Strand.Partition.num_strands partition)) create in
+  let counts = create () in
+  let static = Option.is_some w.placement in
+  for pc = 0 to ni - 1 do
+    let times = if static then w.exec.(pc) else 1 in
+    if times > 0 then begin
+      let off = pc * cells in
+      Energy.Counts.add_row
+        per_strand.(Strand.Partition.strand_of_instr partition pc)
+        w.rows ~off ~times ~pc;
+      Energy.Counts.add_row counts w.rows ~off ~times ~pc
+    end
+  done;
+  (counts, per_strand)
 
 let run_inner ?(warps = 32) ?(seed = 0x5eed) ?max_dynamic_per_warp ?(long_latency_shadow = 50)
     ?(attribution = false) ?scratch (ctx : Alloc.Context.t) scheme =
   let s = match scratch with Some s -> s | None -> Scratch.domain_local () in
   let k = ctx.Alloc.Context.kernel in
   let dec = Scratch.dec_for s ctx in
-  let partition = ctx.Alloc.Context.partition in
-  let num_strands = max 1 (Strand.Partition.num_strands partition) in
-  let per_strand = Array.init num_strands (fun _ -> Energy.Counts.create ()) in
-  if attribution then
-    Array.iter
-      (fun c -> Energy.Counts.enable_attribution c ~instrs:(Ir.Kernel.instr_count k))
-      per_strand;
-  let desched_events = ref 0 in
-  let dynamic_instrs = ref 0 in
-  let capped_warps = ref 0 in
-  (* Audit enablement is sampled once per run: the sink never changes
-     mid-run, and the hot path must not pay for a closure per access.
-     Counter sampling follows the same discipline. *)
-  let au = Obs.Audit.is_enabled () in
-  let co = Obs.Counters.is_enabled () in
-  (* Per-level accesses per window of warp-local dynamic instructions,
-     summed across warps; window index is the simulated timestamp. *)
-  let level_bins = Array.init 3 (fun _ -> Hashtbl.create (if co then 32 else 0)) in
-  let bin_bump tbl w n =
-    if n <> 0 then
-      match Hashtbl.find_opt tbl w with
-      | Some r -> r := !r + n
-      | None -> Hashtbl.add tbl w (ref n)
-  in
-  let level_total c l = Energy.Counts.reads c l + Energy.Counts.writes c l in
   let nr = max 1 k.Ir.Kernel.num_regs in
-  let max_dynamic = match max_dynamic_per_warp with Some m -> m | None -> 100_000 in
-  Scratch.ensure_warps s ~warps ~num_regs:nr;
-  Scratch.ensure_outstanding s nr;
-  (* All loop helpers take every variable as an argument: a [let rec]
-     closing over locals of an enclosing per-call function would
-     allocate a closure on each call. *)
-  let rec src_mem srcs base p n r = p < n && (srcs.(base + p) = r || src_mem srcs base (p + 1) n r) in
-  (* Liveness of [r] just before instruction [id] executes. *)
-  let live_before_id id r =
-    src_mem dec.Dec.srcs (id * Dec.max_srcs) 0 dec.Dec.nsrcs.(id) r
-    || (dec.Dec.dst.(id) <> r
-        && Analysis.Liveness.live_after_instr ctx.Alloc.Context.liveness ~instr_id:id r)
+  let max_dynamic = Option.value max_dynamic_per_warp ~default:100_000 in
+  (* Baseline and Sw have no hardware caches: their [opts] are unread. *)
+  let placement, opts =
+    match scheme with
+    | Baseline -> (Some (Alloc.Placement.baseline k), hw_defaults ~rfc_entries:0)
+    | Sw { placement; _ } -> (Some placement, hw_defaults ~rfc_entries:0)
+    | Hw opts ->
+      if opts.rfc_entries < 1 then invalid_arg "Sim.Traffic.run: rfc_entries < 1";
+      (None, opts)
   in
-  (* Per-warp outstanding long-latency writes — a flat (register, issue
-     index) buffer in the scratch, compacted as entries resolve after a
-     fixed warp-local instruction distance.  Entry order is immaterial:
-     the observables are membership and non-emptiness. *)
-  let rec out_keep reg at n now i m =
-    if i >= n then m
-    else if now - at.(i) < long_latency_shadow then begin
-      reg.(m) <- reg.(i);
-      at.(m) <- at.(i);
-      out_keep reg at n now (i + 1) (m + 1)
-    end
-    else out_keep reg at n now (i + 1) m
+  let hw = Option.is_none placement in
+  Scratch.ensure_traffic s ~num_instrs:dec.Dec.num_instrs ~num_regs:nr
+    ~rfc_entries:opts.rfc_entries ~live:hw;
+  (* Recorder enablement is sampled once per run: the sinks never
+     change mid-run. *)
+  let co = Obs.Counters.is_enabled () in
+  if co then Array.fill s.Scratch.tr_bins 0 (Array.length s.Scratch.tr_bins) 0;
+  let w =
+    {
+      s;
+      dec;
+      rows = s.Scratch.tr_rows;
+      exec = s.Scratch.tr_exec;
+      flags = s.Scratch.tr_flags;
+      live = s.Scratch.tr_live;
+      issued = s.Scratch.tr_issued;
+      cached = s.Scratch.tr_cached;
+      rfc = s.Scratch.tr_rfc;
+      nr;
+      shadow = long_latency_shadow;
+      placement;
+      sw = (match scheme with Sw _ -> true | Baseline | Hw _ -> false);
+      rfc_entries = opts.rfc_entries;
+      has_lrf = opts.with_lrf;
+      never_flush = opts.never_flush;
+      back_flush = opts.flush_on_backward_branch;
+      au = Obs.Audit.is_enabled ();
+      co;
+      warp = 0;
+      clock = 0;
+      cleared = 0;
+      last_ll = -1;
+      rfc_len = 0;
+      lrf = -1;
+      windows = 0;
+      desched = 0;
+      capped = 0;
+    }
   in
-  let o_expire now =
-    s.Scratch.out_len <- out_keep s.Scratch.out_reg s.Scratch.out_at s.Scratch.out_len now 0 0
-  in
-  let rec out_drop reg at n r i m =
-    if i >= n then m
-    else if reg.(i) = r then out_drop reg at n r (i + 1) m
-    else begin
-      reg.(m) <- reg.(i);
-      at.(m) <- at.(i);
-      out_drop reg at n r (i + 1) (m + 1)
-    end
-  in
-  let o_add r now =
-    o_expire now;
-    let reg = s.Scratch.out_reg in
-    let at = s.Scratch.out_at in
-    let m = out_drop reg at s.Scratch.out_len r 0 0 in
-    reg.(m) <- r;
-    at.(m) <- now;
-    s.Scratch.out_len <- m + 1
-  in
-  let rec out_mem reg n r i = i < n && (reg.(i) = r || out_mem reg n r (i + 1)) in
-  let o_blocks r now =
-    o_expire now;
-    out_mem s.Scratch.out_reg s.Scratch.out_len r 0
-  in
-  let rec any_blocks srcs base p n now =
-    p < n && (o_blocks srcs.(base + p) now || any_blocks srcs base (p + 1) n now)
-  in
-  let o_any now =
-    o_expire now;
-    s.Scratch.out_len > 0
-  in
-  (* Precomputed static facts for the hardware scheme. *)
-  let shared_consumer =
-    let a = Array.make (Ir.Kernel.instr_count k) false in
-    List.iter
-      (fun (inst : Analysis.Duchain.instance) ->
-        if
-          List.exists
-            (fun (r : Analysis.Duchain.read) ->
-              Ir.Op.is_shared_datapath (Ir.Kernel.instr k r.Analysis.Duchain.read_instr).Ir.Instr.op)
-            inst.Analysis.Duchain.reads
-        then a.(inst.Analysis.Duchain.def) <- true)
-      (Analysis.Duchain.instances ctx.Alloc.Context.duchain);
-    a
-  in
-  let backward_block_last_instr =
-    let s = Hashtbl.create 8 in
-    Array.iter
-      (fun (b : Ir.Block.t) ->
-        if Ir.Terminator.is_backward b.Ir.Block.term ~at:b.Ir.Block.label then
-          Option.iter (fun id -> Hashtbl.add s id ()) (Ir.Block.last_id b))
-      k.Ir.Kernel.blocks;
-    s
-  in
-  let run_warp warp =
+  (match placement with Some pl -> static_table w pl | None -> hw_tables w ctx);
+  for warp = 0 to warps - 1 do
     let cf = Scratch.cf s warp ~max_dynamic k ~warp ~seed in
-    s.Scratch.out_len <- 0;
-    let rfc, hw_lrf =
-      match scheme with
-      | Hw opts ->
-        ( Some (Machine.Tagged_cache.create ~entries:opts.rfc_entries),
-          if opts.with_lrf then Some (Machine.Tagged_cache.create ~entries:1) else None )
-      | Baseline | Sw _ -> (None, None)
-    in
-    (* Every Energy.Counts write below is mirrored by an audit placement
-       event (guarded on [au] so the common disabled path stays a plain
-       counter bump): summing Place events per level therefore
-       reproduces the Energy.Counts write totals exactly. *)
-    let emit_place level ~instr =
-      Obs.Audit.emit (Obs.Audit.Place { warp; instr; level = audit_level level })
-    in
-    let place c level dp ~instr =
-      Energy.Counts.bump_write c level dp ~pc:instr ~n:1;
-      if au then emit_place level ~instr
-    in
-    let desched ~instr cause =
-      incr desched_events;
-      if au then Obs.Audit.emit (Obs.Audit.Desched { warp; instr; cause })
-    in
-    let evict ~instr level ~writeback =
-      if au then
-        Obs.Audit.emit (Obs.Audit.Evict { warp; instr; level = audit_level level; writeback })
-    in
-    (* Writeback one evicted RFC value if still live at the eviction point. *)
-    let writeback_rfc_evict c ~liveness_check ~instr reg =
-      if liveness_check reg then begin
-        Energy.Counts.bump_read c Energy.Model.Rfc Energy.Model.Private ~pc:instr ~n:1;
-        evict ~instr Energy.Model.Rfc ~writeback:true;
-        place c Energy.Model.Mrf Energy.Model.Private ~instr
-      end
-      else evict ~instr Energy.Model.Rfc ~writeback:false
-    in
-    let insert_rfc c cache ~liveness_check ~instr reg =
-      Option.iter
-        (writeback_rfc_evict c ~liveness_check ~instr)
-        (Machine.Tagged_cache.insert cache reg);
-      place c Energy.Model.Rfc Energy.Model.Private ~instr
-    in
-    let flush_caches c instr =
-      let liveness_check = live_before_id instr in
-      Option.iter
-        (fun lrf ->
-          List.iter
-            (fun r ->
-              if liveness_check r then begin
-                Energy.Counts.bump_read c Energy.Model.Lrf Energy.Model.Private ~pc:instr ~n:1;
-                evict ~instr Energy.Model.Lrf ~writeback:true;
-                place c Energy.Model.Mrf Energy.Model.Private ~instr
-              end
-              else evict ~instr Energy.Model.Lrf ~writeback:false)
-            (Machine.Tagged_cache.flush lrf))
-        hw_lrf;
-      Option.iter
-        (fun cache ->
-          List.iter
-            (fun r ->
-              if liveness_check r then begin
-                Energy.Counts.bump_read c Energy.Model.Rfc Energy.Model.Private ~pc:instr ~n:1;
-                evict ~instr Energy.Model.Rfc ~writeback:true;
-                place c Energy.Model.Mrf Energy.Model.Private ~instr
-              end
-              else evict ~instr Energy.Model.Rfc ~writeback:false)
-            (Machine.Tagged_cache.flush cache))
-        rfc
-    in
-    (* Audit Fill events for the Sw scheme, walked without a per-step
-       closure. *)
-    let rec emit_fills id = function
-      | [] -> ()
-      | (pos, entry) :: tl ->
-        emit_place Energy.Model.Orf ~instr:id;
-        Obs.Audit.emit (Obs.Audit.Fill { warp; instr = id; pos; entry });
-        emit_fills id tl
-    in
-    let rec count_fills = function [] -> 0 | _ :: tl -> 1 + count_fills tl in
-    let rec step () =
-      let id = Cf.peek_id cf in
-      if id < 0 then begin
-        if Cf.hit_cap cf then incr capped_warps
-      end
-      else begin
-        let now = Cf.dynamic_count cf in
-        let c = per_strand.(Strand.Partition.strand_of_instr partition id) in
-        let consumer_dp =
-          if dec.Dec.shared_dp.(id) then Energy.Model.Shared else Energy.Model.Private
-        in
-        let ns = dec.Dec.nsrcs.(id) in
-        let d = dec.Dec.dst.(id) in
-        (* Per-window counter tracks are deltas over this instruction's
-           aggregate counts — exact for every scheme, including cache
-           evictions charged to the instruction that triggered them. *)
-        let b_mrf = if co then level_total c Energy.Model.Mrf else 0 in
-        let b_orf = if co then level_total c Energy.Model.Orf else 0 in
-        let b_lrf = if co then level_total c Energy.Model.Lrf else 0 in
-        (match scheme with
-         | Baseline ->
-           Energy.Counts.bump_read c Energy.Model.Mrf consumer_dp ~pc:id ~n:ns;
-           if d >= 0 then begin
-             Energy.Counts.bump_write c Energy.Model.Mrf consumer_dp ~pc:id ~n:1;
-             if au then emit_place Energy.Model.Mrf ~instr:id
-           end
-         | Sw { placement; _ } ->
-           (* Compiler-scheduled deschedule point. *)
-           if dec.Dec.starts_strand.(id) && o_any now then begin
-             desched ~instr:id Obs.Audit.Sw_boundary;
-             s.Scratch.out_len <- 0
-           end;
-           for pos = 0 to ns - 1 do
-             match Alloc.Placement.src placement ~instr:id ~pos with
-             | Alloc.Placement.From_mrf ->
-               Energy.Counts.bump_read c Energy.Model.Mrf consumer_dp ~pc:id ~n:1
-             | Alloc.Placement.From_orf _ ->
-               Energy.Counts.bump_read c Energy.Model.Orf consumer_dp ~pc:id ~n:1
-             | Alloc.Placement.From_lrf _ ->
-               Energy.Counts.bump_read c Energy.Model.Lrf Energy.Model.Private ~pc:id ~n:1
-           done;
-           let fills = Alloc.Placement.fills_of placement ~instr:id in
-           (match fills with
-            | [] -> ()
-            | _ ->
-              Energy.Counts.bump_write c Energy.Model.Orf consumer_dp ~pc:id
-                ~n:(count_fills fills);
-              if au then emit_fills id fills);
-           (match Alloc.Placement.dest placement ~instr:id with
-            | Some dest when d >= 0 ->
-              if dest.Alloc.Placement.to_mrf then begin
-                Energy.Counts.bump_write c Energy.Model.Mrf consumer_dp ~pc:id ~n:1;
-                if au then emit_place Energy.Model.Mrf ~instr:id
-              end;
-              if Option.is_some dest.Alloc.Placement.to_orf then begin
-                Energy.Counts.bump_write c Energy.Model.Orf consumer_dp ~pc:id ~n:1;
-                if au then emit_place Energy.Model.Orf ~instr:id
-              end;
-              if Option.is_some dest.Alloc.Placement.to_lrf then begin
-                Energy.Counts.bump_write c Energy.Model.Lrf Energy.Model.Private ~pc:id ~n:1;
-                if au then emit_place Energy.Model.Lrf ~instr:id
-              end;
-              if dec.Dec.is_ll.(id) then o_add d now
-            | _ -> ())
-         | Hw opts ->
-           let cache = Option.get rfc in
-           (* Deschedule on an unresolved long-latency dependence. *)
-           if any_blocks dec.Dec.srcs (id * Dec.max_srcs) 0 ns now then begin
-             desched ~instr:id Obs.Audit.Hw_dependence;
-             if not opts.never_flush then flush_caches c id;
-             s.Scratch.out_len <- 0
-           end;
-           for pos = 0 to ns - 1 do
-             let r = dec.Dec.srcs.((id * Dec.max_srcs) + pos) in
-             let lrf_hit =
-               consumer_dp = Energy.Model.Private
-               && (match hw_lrf with
-                   | Some lrf -> Machine.Tagged_cache.contains lrf r
-                   | None -> false)
-             in
-             if lrf_hit then
-               Energy.Counts.bump_read c Energy.Model.Lrf Energy.Model.Private ~pc:id ~n:1
-             else if Machine.Tagged_cache.contains cache r then
-               Energy.Counts.bump_read c Energy.Model.Rfc consumer_dp ~pc:id ~n:1
-             else begin
-               Energy.Counts.bump_rfc_probe c ~pc:id ~n:1;
-               Energy.Counts.bump_read c Energy.Model.Mrf consumer_dp ~pc:id ~n:1
-             end
-           done;
-           if d >= 0 then begin
-             let liveness_check r =
-               Analysis.Liveness.live_after_instr ctx.Alloc.Context.liveness ~instr_id:id r
-             in
-             if dec.Dec.is_ll.(id) then begin
-               (* Long-latency results bypass the hierarchy (Sec. 2.2). *)
-               place c Energy.Model.Mrf consumer_dp ~instr:id;
-               Machine.Tagged_cache.remove cache d;
-               Option.iter (fun lrf -> Machine.Tagged_cache.remove lrf d) hw_lrf;
-               o_add d now
-             end
-             else begin
-               match hw_lrf with
-               | Some lrf when consumer_dp = Energy.Model.Private && not shared_consumer.(id)
-                 ->
-                 (* LRF insert; evicted value cascades into the RFC. *)
-                 Option.iter
-                   (fun evicted ->
-                     if liveness_check evicted then begin
-                       Energy.Counts.bump_read c Energy.Model.Lrf Energy.Model.Private ~pc:id
-                         ~n:1;
-                       evict ~instr:id Energy.Model.Lrf ~writeback:true;
-                       insert_rfc c cache ~liveness_check ~instr:id evicted
-                     end
-                     else evict ~instr:id Energy.Model.Lrf ~writeback:false)
-                   (Machine.Tagged_cache.insert lrf d);
-                 place c Energy.Model.Lrf Energy.Model.Private ~instr:id;
-                 Machine.Tagged_cache.remove cache d
-               | Some _ | None ->
-                 insert_rfc c cache ~liveness_check ~instr:id d;
-                 Option.iter (fun lrf -> Machine.Tagged_cache.remove lrf d) hw_lrf
-             end
-           end;
-           if opts.flush_on_backward_branch && Hashtbl.mem backward_block_last_instr id then
-             flush_caches c id);
-        if co then begin
-          let w = now / counter_window in
-          bin_bump level_bins.(0) w (level_total c Energy.Model.Mrf - b_mrf);
-          bin_bump level_bins.(1) w (level_total c Energy.Model.Orf - b_orf);
-          bin_bump level_bins.(2) w (level_total c Energy.Model.Lrf - b_lrf)
-        end;
-        Cf.advance cf;
-        step ()
-      end
-    in
-    step ();
-    dynamic_instrs := !dynamic_instrs + Cf.dynamic_count cf
-  in
-  for w = 0 to warps - 1 do
-    run_warp w
+    w.warp <- warp;
+    w.cleared <- w.clock;
+    for i = 0 to w.rfc_len - 1 do
+      w.cached.(w.rfc.(i)) <- false
+    done;
+    w.rfc_len <- 0;
+    w.lrf <- -1;
+    walk_warp w cf w.clock
   done;
-  (* Emit the window bins, sorted, as counter samples stamped with the
-     warp-local dynamic-instruction index at the window start. *)
-  if co then
-    List.iteri
-      (fun li name ->
-        Hashtbl.fold (fun w r acc -> (w, !r) :: acc) level_bins.(li) []
-        |> List.sort (fun (a, _) (b, _) -> compare (a : int) b)
-        |> List.iter (fun (w, v) ->
-               Obs.Counters.sample name
-                 ~at:(float_of_int (w * counter_window))
-                 (float_of_int v)))
-      [ "traffic.mrf_accesses"; "traffic.orf_accesses"; "traffic.lrf_accesses" ];
-  let counts = Energy.Counts.create () in
-  Array.iter (fun c -> Energy.Counts.merge_into ~dst:counts c) per_strand;
+  if co then emit_counters w;
+  let counts, per_strand = fold w ~attribution ctx in
   Obs.Metrics.incr m_runs;
-  Obs.Metrics.incr ~by:!dynamic_instrs m_dynamic;
-  Obs.Metrics.incr ~by:!desched_events m_desched;
-  Obs.Metrics.incr ~by:!capped_warps m_capped;
+  Obs.Metrics.incr ~by:w.clock m_dynamic;
+  Obs.Metrics.incr ~by:w.desched m_desched;
+  Obs.Metrics.incr ~by:w.capped m_capped;
   {
     counts;
     per_strand;
-    dynamic_instrs = !dynamic_instrs;
-    desched_events = !desched_events;
-    capped_warps = !capped_warps;
+    dynamic_instrs = w.clock;
+    desched_events = w.desched;
+    capped_warps = w.capped;
   }
 
 let run ?warps ?seed ?max_dynamic_per_warp ?long_latency_shadow ?attribution ?scratch ctx

@@ -22,7 +22,25 @@
     deschedules (and flushes) the warp only if it executes within
     [long_latency_shadow] warp-local instructions of the load — the
     DRAM latency divided by the warp's issue share under the two-level
-    scheduler. *)
+    scheduler.
+
+    {b Cost model.}  One walk visits every warp's dynamic instruction
+    stream; its per-instruction path reads int arrays in {!Scratch} and
+    {!Dec} and calls only {!Cf}.  Under [Baseline] and [Sw] every
+    access count is fixed per static instruction by the placement
+    ([Baseline] is {!Alloc.Placement.baseline} with deschedules off),
+    so a step only counts the instruction's executions and checks the
+    strand-start deschedule, in O(1) per dynamic instruction.  Under
+    [Hw] a step replays the RFC and LRF, in O(sources) plus O(RFC
+    entries) per eviction or removal, and charges each access to the
+    instruction's row.  Per run: O(static instructions) to build the
+    [Sw]/[Baseline] table, or O(static instructions x registers) for
+    the [Hw] liveness table; then one fold of the per-instruction rows
+    (times their executions) into [per_strand], [counts] and, with
+    [attribution], the attribution tables.  A warmed run allocates
+    only its result and a few per-run records, whatever its length.
+    Audit events and counter samples, when their recorders are on,
+    are emitted per dynamic instruction. *)
 
 type hw_options = {
   rfc_entries : int;
@@ -61,8 +79,10 @@ val run :
     warp's 1-in-8 issue share under the two-level scheduler).
 
     [scratch] (default: this domain's {!Scratch.domain_local}) supplies
-    the reusable walker state and outstanding-operation buffers; results
-    are identical whatever scratch is passed.
+    the reusable walker state, per-instruction rows and cache replay
+    arrays; results are identical whatever scratch is passed.
+
+    @raise Invalid_argument if an [Hw] scheme has [rfc_entries < 1].
 
     [attribution] (default [false]) enables the per-instruction
     attribution tables of {!Energy.Counts} on [per_strand] and the

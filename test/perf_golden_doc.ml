@@ -1,4 +1,4 @@
-(* The two committed Sim.Perf goldens, rendered from the current engine.
+(* The committed simulator goldens, rendered from the current engines.
    gen_perf_golden.ml prints them to (re)capture the files and
    test_perf_golden.ml compares them byte-for-byte, so the generator and
    the gate can never drift apart. *)
@@ -108,8 +108,28 @@ let ctx_of name =
   | Some e -> Alloc.Context.create (Lazy.force e.Workloads.Registry.kernel)
   | None -> invalid_arg ("perf golden: unknown bench " ^ name)
 
+let line buf j =
+  Buffer.add_string buf (Obs.Json.to_string j);
+  Buffer.add_char buf '\n'
+
+(* Every recorded counter sample, tracks by name, samples by time. *)
+let counter_lines buf =
+  List.iter
+    (fun (t : Obs.Counters.track) ->
+      List.iter
+        (fun (s : Obs.Counters.sample) ->
+          line buf
+            (Obs.Json.Obj
+               [
+                 ("track", Obs.Json.Str t.Obs.Counters.track);
+                 ("at", Obs.Json.Num s.Obs.Counters.at);
+                 ("value", Obs.Json.Num s.Obs.Counters.value);
+               ]))
+        t.Obs.Counters.samples)
+    (Obs.Counters.tracks ())
+
 (* Header line, then every interval in emission order, then every
-   counter sample (tracks by name, samples by time). *)
+   counter sample. *)
 let record_run buf ~bench ~sname ~pname ~bank ?max_cycles ~scheduler ~policy ctx =
   let sink, intervals = Obs.Timeline.memory_sink () in
   Obs.Timeline.set_sink sink;
@@ -125,11 +145,7 @@ let record_run buf ~bench ~sname ~pname ~bank ?max_cycles ~scheduler ~policy ctx
         Sim.Perf.run ~warps:tl_warps ~max_dynamic_per_warp:tl_max_dynamic ?max_cycles
           ?mrf_banks ~scheduler ~policy ctx)
   in
-  let line j =
-    Buffer.add_string buf (Obs.Json.to_string j);
-    Buffer.add_char buf '\n'
-  in
-  line
+  line buf
     (Obs.Json.Obj
        [
          ("bench", Obs.Json.Str bench);
@@ -141,20 +157,8 @@ let record_run buf ~bench ~sname ~pname ~bank ?max_cycles ~scheduler ~policy ctx
          ("cycles", Obs.Json.int r.Sim.Perf.cycles);
          ("instructions", Obs.Json.int r.Sim.Perf.instructions);
        ]);
-  List.iter (fun iv -> line (Obs.Timeline.to_json iv)) (intervals ());
-  List.iter
-    (fun (t : Obs.Counters.track) ->
-      List.iter
-        (fun (s : Obs.Counters.sample) ->
-          line
-            (Obs.Json.Obj
-               [
-                 ("track", Obs.Json.Str t.Obs.Counters.track);
-                 ("at", Obs.Json.Num s.Obs.Counters.at);
-                 ("value", Obs.Json.Num s.Obs.Counters.value);
-               ]))
-        t.Obs.Counters.samples)
-    (Obs.Counters.tracks ());
+  List.iter (fun iv -> line buf (Obs.Timeline.to_json iv)) (intervals ());
+  counter_lines buf;
   Obs.Counters.reset ()
 
 let timeline_doc () =
@@ -175,4 +179,136 @@ let timeline_doc () =
   let bench, sname, scheduler, max_cycles = tl_cut in
   record_run buf ~bench ~sname ~pname:"dep" ~bank:0 ~max_cycles ~scheduler
     ~policy:Sim.Perf.On_dependence (ctx_of bench);
+  Buffer.contents buf
+
+(* --- traffic walk: test/traffic_golden.jsonl ---------------------- *)
+
+(* Two sections.  Results: every registry benchmark under every scheme
+   shape the figures use (Baseline; SW two-level and split-LRF and HW
+   with and without an LRF at 1, 3 and 8 entries; the two Sec. 7 HW
+   flush variants), one line per run with the merged counts, the
+   per-strand counts, and the run totals.  Verbatim: short runs whose
+   every recorder output is pinned — the Obs.Audit stream in emission
+   order, the traffic.* counter samples and the whole attribution
+   ranking — so the order events are emitted in and the pc every access
+   is charged to are held as well as the totals. *)
+
+let tr_warps = 32
+
+let hw ?(with_lrf = false) ?(never_flush = false) ?(flush_on_backward_branch = false) n =
+  Sim.Traffic.Hw
+    { (Sim.Traffic.hw_defaults ~rfc_entries:n) with with_lrf; never_flush; flush_on_backward_branch }
+
+let sw lrf entries ctx =
+  let config = Alloc.Config.make ~orf_entries:entries ~lrf () in
+  Sim.Traffic.Sw { config; placement = Alloc.Allocator.place config ctx }
+
+let tr_schemes =
+  ("baseline", fun _ -> Sim.Traffic.Baseline)
+  :: List.concat_map
+       (fun n ->
+         [
+           (Printf.sprintf "sw-two-%d" n, sw Alloc.Config.No_lrf n);
+           (Printf.sprintf "sw-split-%d" n, sw Alloc.Config.Split n);
+           (Printf.sprintf "hw-%d" n, fun _ -> hw n);
+           (Printf.sprintf "hw-lrf-%d" n, fun _ -> hw ~with_lrf:true n);
+         ])
+       [ 1; 3; 8 ]
+  @ [
+      ("hw-3-never-flush", fun _ -> hw ~never_flush:true 3);
+      ("hw-3-backward-flush", fun _ -> hw ~flush_on_backward_branch:true 3);
+    ]
+
+(* Every count cell: reads then writes, MRF/ORF/RFC/LRF, private then
+   shared, then the RFC probes. *)
+let counts_cells c =
+  let levels = Energy.Model.[ Mrf; Orf; Rfc; Lrf ] and dps = Energy.Model.[ Private; Shared ] in
+  let cells get = List.concat_map (fun l -> List.map (fun dp -> get c l dp) dps) levels in
+  Obs.Json.Arr
+    (List.map Obs.Json.int
+       (cells Energy.Counts.reads_dp @ cells Energy.Counts.writes_dp
+       @ [ Energy.Counts.rfc_probes c ]))
+
+let traffic_results buf =
+  line buf
+    (Obs.Json.Obj [ ("section", Obs.Json.Str "results"); ("warps", Obs.Json.int tr_warps) ]);
+  List.iter
+    (fun (e : Workloads.Registry.entry) ->
+      let ctx = Alloc.Context.create (Lazy.force e.Workloads.Registry.kernel) in
+      List.iter
+        (fun (sname, scheme) ->
+          let r = Sim.Traffic.run ~warps:tr_warps ctx (scheme ctx) in
+          line buf
+            (Obs.Json.Obj
+               [
+                 ("bench", Obs.Json.Str e.Workloads.Registry.name);
+                 ("scheme", Obs.Json.Str sname);
+                 ("counts", Energy.Counts.to_json r.Sim.Traffic.counts);
+                 ( "per_strand",
+                   Obs.Json.Arr (Array.to_list (Array.map counts_cells r.Sim.Traffic.per_strand)) );
+                 ("dynamic_instrs", Obs.Json.int r.Sim.Traffic.dynamic_instrs);
+                 ("desched_events", Obs.Json.int r.Sim.Traffic.desched_events);
+                 ("capped_warps", Obs.Json.int r.Sim.Traffic.capped_warps);
+               ]))
+        tr_schemes)
+    (Workloads.Registry.all ())
+
+let vb_warps = 2
+let vb_max_dynamic = 200
+let vb_benches = [ "VectorAdd"; "MatrixMul" ]
+
+let vb_schemes =
+  [
+    ("sw-split-3", sw Alloc.Config.Split 3);
+    ("hw-lrf-3-backward-flush", fun _ -> hw ~with_lrf:true ~flush_on_backward_branch:true 3);
+  ]
+
+let traffic_verbatim buf bench (sname, scheme) =
+  let ctx = ctx_of bench in
+  let scheme = scheme ctx in
+  let sink, events = Obs.Audit.memory_sink () in
+  Obs.Audit.set_sink sink;
+  Obs.Counters.reset ();
+  Obs.Counters.set_enabled true;
+  let r =
+    Fun.protect
+      ~finally:(fun () ->
+        Obs.Audit.disable ();
+        Obs.Counters.set_enabled false)
+      (fun () ->
+        Sim.Traffic.run ~warps:vb_warps ~max_dynamic_per_warp:vb_max_dynamic ~attribution:true
+          ctx scheme)
+  in
+  line buf
+    (Obs.Json.Obj
+       [
+         ("section", Obs.Json.Str "verbatim");
+         ("bench", Obs.Json.Str bench);
+         ("scheme", Obs.Json.Str sname);
+         ("warps", Obs.Json.int vb_warps);
+         ("max_dynamic_per_warp", Obs.Json.int vb_max_dynamic);
+         ("counts", Energy.Counts.to_json r.Sim.Traffic.counts);
+         ("dynamic_instrs", Obs.Json.int r.Sim.Traffic.dynamic_instrs);
+         ("desched_events", Obs.Json.int r.Sim.Traffic.desched_events);
+       ]);
+  List.iter (fun ev -> line buf (Obs.Audit.to_json ev)) (events ());
+  counter_lines buf;
+  Obs.Counters.reset ();
+  let top =
+    Energy.Counts.top_instrs Energy.Params.default ~orf_entries:3
+      ~n:(Ir.Kernel.instr_count ctx.Alloc.Context.kernel)
+      r.Sim.Traffic.counts
+  in
+  line buf
+    (Obs.Json.Obj
+       [
+         ( "top_instrs",
+           Obs.Json.Arr
+             (List.map (fun (pc, pj) -> Obs.Json.Arr [ Obs.Json.int pc; Obs.Json.Num pj ]) top) );
+       ])
+
+let traffic_doc () =
+  let buf = Buffer.create (1 lsl 20) in
+  traffic_results buf;
+  List.iter (fun bench -> List.iter (traffic_verbatim buf bench) vb_schemes) vb_benches;
   Buffer.contents buf

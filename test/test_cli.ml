@@ -11,18 +11,37 @@ let contains haystack needle =
   let rec go i = i + n <= len && (String.sub haystack i n = needle || go (i + 1)) in
   go 0
 
+(* Run the built binary; its exit code and combined output. *)
+let run_rfh args =
+  let out = Filename.temp_file "rfh_cli" ".txt" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove out)
+    (fun () ->
+      let code = Sys.command (Printf.sprintf "%s %s > %s 2>&1" rfh_exe args out) in
+      (code, In_channel.with_open_text out In_channel.input_all))
+
 let exits_2 (args, bad) () =
   if not (Sys.file_exists rfh_exe) then Alcotest.skip ()
   else begin
-    let out = Filename.temp_file "rfh_cli" ".txt" in
+    let code, text = run_rfh args in
+    check Alcotest.int "exit 2" 2 code;
+    check Alcotest.bool "no uncaught exception" false (contains text "uncaught exception");
+    check Alcotest.bool ("names the bad input: " ^ bad) true (contains text bad)
+  end
+
+(* [rfh compile] on a temporary assembly file holding [source]. *)
+let compile_asm ~source ~code ~expect () =
+  if not (Sys.file_exists rfh_exe) then Alcotest.skip ()
+  else begin
+    let asm = Filename.temp_file "rfh_cli" ".asm" in
     Fun.protect
-      ~finally:(fun () -> Sys.remove out)
+      ~finally:(fun () -> Sys.remove asm)
       (fun () ->
-        let code = Sys.command (Printf.sprintf "%s %s > %s 2>&1" rfh_exe args out) in
-        let text = In_channel.with_open_text out In_channel.input_all in
-        check Alcotest.int "exit 2" 2 code;
+        Out_channel.with_open_text asm (fun oc -> output_string oc source);
+        let got, text = run_rfh ("compile " ^ Filename.quote asm) in
+        check Alcotest.int "exit code" code got;
         check Alcotest.bool "no uncaught exception" false (contains text "uncaught exception");
-        check Alcotest.bool ("names the bad input: " ^ bad) true (contains text bad))
+        check Alcotest.bool ("prints: " ^ expect) true (contains text expect))
   end
 
 (* Each case is the arguments and the text the message must contain. *)
@@ -40,4 +59,13 @@ let suite =
       ("profile -b mm --entries 0", "--entries 0");
       ("fig13 -b mm --warps 0", "--warps 0");
       ("baseline check --warps=-1", "--warps -1");
+    ]
+  @ [
+      (* A parse error is bad input: exit 2, naming the line. *)
+      Alcotest.test_case "rfh compile bad.asm" `Quick
+        (compile_asm ~source:"entry:\n  mov %i\n  bogus.op %x, %i\n" ~code:2
+           ~expect:"line 3: unknown mnemonic");
+      (* No register traffic: nothing to save, not 100% saved. *)
+      Alcotest.test_case "rfh compile empty.asm" `Quick
+        (compile_asm ~source:"" ~code:0 ~expect:"energy: 1.000 (0.0% saved)");
     ]

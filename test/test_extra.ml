@@ -106,6 +106,14 @@ let test_facade () =
      Alcotest.fail "expected Not_found"
    with Not_found -> ())
 
+(* A kernel with no register traffic: no baseline energy, nothing
+   saved. *)
+let test_facade_empty_kernel () =
+  let m = Rfh.measure ~warps:4 (Rfh.compile (Ir.Builder.finalize (Ir.Builder.create "empty"))) in
+  check (Alcotest.float 0.0) "baseline energy" 0.0 m.Rfh.baseline_energy_pj;
+  check (Alcotest.float 0.0) "normalized" 1.0 m.Rfh.normalized_energy;
+  check (Alcotest.float 0.0) "savings" 0.0 m.Rfh.savings_percent
+
 let test_sweep_cache_stability () =
   let opts =
     Experiments.Options.with_benchmarks
@@ -142,6 +150,7 @@ let suite =
     Alcotest.test_case "simt narrow warp" `Quick test_simt_narrow_warp;
     Alcotest.test_case "asm entry loop" `Quick test_asm_entry_loop;
     Alcotest.test_case "facade compile/measure" `Quick test_facade;
+    Alcotest.test_case "facade empty kernel saves nothing" `Quick test_facade_empty_kernel;
     Alcotest.test_case "sweep cache stability" `Quick test_sweep_cache_stability;
     Alcotest.test_case "mirror covers ORF writes" `Quick test_mirror_config_disables_dead_elision;
   ]

@@ -9,7 +9,6 @@ let () =
       ("strand", Test_strand.suite);
       ("energy", Test_energy.suite);
       ("alloc", Test_alloc.suite);
-      ("machine", Test_machine.suite);
       ("sim", Test_sim.suite);
       ("perf-golden", Test_perf_golden.suite);
       ("simt", Test_simt.suite);

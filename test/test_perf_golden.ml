@@ -11,7 +11,13 @@
    test/perf_timeline_golden.jsonl was captured from the per-cycle
    engine before dead-cycle jumping: the Obs.Timeline intervals and
    Obs.Counters samples of low-IPC runs, including one cut off by
-   max_cycles inside a dead span, must also reproduce byte-for-byte. *)
+   max_cycles inside a dead span, must also reproduce byte-for-byte.
+
+   test/traffic_golden.jsonl was captured from the per-operand
+   Sim.Traffic walk over list-based FIFO caches, before the flat walk:
+   every registry benchmark's counts under fifteen scheme shapes, plus
+   the audit stream, counter samples and attribution ranking of four
+   short runs, byte-for-byte. *)
 
 let check = Alcotest.check
 
@@ -40,12 +46,10 @@ let test_differential_golden () =
       "current engine diverges from the committed pre-rewrite golden \
        (test/perf_golden.json); the rewrite must be bit-identical"
 
-(* The recorder streams: dead-cycle jumping rewrites when timeline
-   intervals close and when perf.active_warps is sampled, so both are
-   held byte-identical to the per-cycle engine's capture. *)
-let test_timeline_golden () =
-  let committed = read_committed "perf_timeline_golden.jsonl" in
-  let current = Perf_golden_doc.timeline_doc () in
+(* A JSONL golden must match byte-for-byte; a failure names the first
+   line that differs. *)
+let check_jsonl_golden ~what path current =
+  let committed = read_committed path in
   if not (String.equal committed current) then begin
     let lines s = String.split_on_char '\n' s in
     let rec first_diff i a b =
@@ -54,10 +58,23 @@ let test_timeline_golden () =
       | x :: _, y :: _ -> Printf.sprintf "line %d: committed %s, current %s" i x y
       | _ -> Printf.sprintf "line %d: one stream ends early" i
     in
-    Alcotest.failf
-      "timeline/counter streams diverge from test/perf_timeline_golden.jsonl: %s"
+    Alcotest.failf "%s diverge from test/%s: %s" what path
       (first_diff 1 (lines committed) (lines current))
   end
+
+(* The recorder streams: dead-cycle jumping rewrites when timeline
+   intervals close and when perf.active_warps is sampled, so both are
+   held byte-identical to the per-cycle engine's capture. *)
+let test_timeline_golden () =
+  check_jsonl_golden ~what:"timeline/counter streams" "perf_timeline_golden.jsonl"
+    (Perf_golden_doc.timeline_doc ())
+
+(* The traffic walk: counts, per-strand counts and run totals, and the
+   audit/counter/attribution streams, held to the list-based walk's
+   capture. *)
+let test_traffic_golden () =
+  check_jsonl_golden ~what:"traffic results or streams" "traffic_golden.jsonl"
+    (Perf_golden_doc.traffic_doc ())
 
 (* --- round-robin issue order -------------------------------------- *)
 
@@ -253,20 +270,38 @@ let test_cut_mid_jump_is_exact () =
 
 let test_traffic_zero_alloc_per_instr () =
   let ctx = long_bench () in
-  let scratch = Sim.Scratch.create () in
-  let run () = Sim.Traffic.run ~warps:32 ~scratch ctx Sim.Traffic.Baseline in
-  let r0 = run () in
-  ignore (run ());
-  let r1, delta = minor_delta run in
-  check Alcotest.bool "reuse preserves result" true
-    (r0.Sim.Traffic.counts = r1.Sim.Traffic.counts
-    && r0.Sim.Traffic.dynamic_instrs = r1.Sim.Traffic.dynamic_instrs);
-  let instrs = float_of_int r1.Sim.Traffic.dynamic_instrs in
-  check Alcotest.bool "stream is long enough to mean something" true (instrs > 5_000.0);
-  (* Per-warp setup allocates a bounded handful of closures; the
-     per-instruction stepping path must allocate nothing. *)
-  if delta > 8_192.0 +. (0.1 *. instrs) then
-    Alcotest.failf "traffic run allocated %.0f minor words over %.0f instrs" delta instrs
+  let sw lrf =
+    let config = Alloc.Config.make ~lrf () in
+    Sim.Traffic.Sw { config; placement = Alloc.Allocator.place config ctx }
+  in
+  let hw with_lrf =
+    Sim.Traffic.Hw { (Sim.Traffic.hw_defaults ~rfc_entries:3) with Sim.Traffic.with_lrf }
+  in
+  List.iter
+    (fun (label, scheme) ->
+      let scratch = Sim.Scratch.create () in
+      let run () = Sim.Traffic.run ~warps:32 ~scratch ctx scheme in
+      let r0 = run () in
+      ignore (run ());
+      let r1, delta = minor_delta run in
+      check Alcotest.bool (label ^ ": reuse preserves result") true (r0 = r1);
+      let instrs = float_of_int r1.Sim.Traffic.dynamic_instrs in
+      check Alcotest.bool (label ^ ": stream is long enough to mean something") true
+        (instrs > 5_000.0);
+      (* Per-run tables live in the scratch, so a warmed run allocates
+         only its result and a handful of per-run records: a flat budget,
+         however long the stream.  The list-based HW cache allocated
+         about 130k words per run here. *)
+      if delta > 8_192.0 then
+        Alcotest.failf "%s: traffic run allocated %.0f minor words over %.0f instrs" label delta
+          instrs)
+    [
+      ("Baseline", Sim.Traffic.Baseline);
+      ("SW two-level", sw Alloc.Config.No_lrf);
+      ("SW split LRF", sw Alloc.Config.Split);
+      ("HW", hw false);
+      ("HW+LRF", hw true);
+    ]
 
 let suite =
   [
@@ -274,6 +309,8 @@ let suite =
       test_differential_golden;
     Alcotest.test_case "timeline and counter streams match the per-cycle golden" `Quick
       test_timeline_golden;
+    Alcotest.test_case "traffic walk matches the list-based golden" `Quick
+      test_traffic_golden;
     Alcotest.test_case "round-robin rotation is exact" `Quick test_round_robin_rotation;
     Alcotest.test_case "pending warps re-enter in wake order" `Quick test_wake_order_refill;
     Alcotest.test_case "classification probe is pure across scratches" `Quick

@@ -215,6 +215,136 @@ let test_traffic_per_strand_sums () =
   in
   check Alcotest.int "per-strand partitions totals" (Energy.Counts.total_reads r.Sim.Traffic.counts) sum
 
+(* --- Traffic: the hardware RFC/LRF replay, case by case ------------ *)
+
+(* One warp under Hw, with the audit stream captured: the counts and
+   the (instr, level, writeback) of every Evict event. *)
+let hw_replay ?(with_lrf = false) ?long_latency_shadow ~rfc_entries k =
+  let sink, events = Obs.Audit.memory_sink () in
+  Obs.Audit.set_sink sink;
+  let r =
+    Fun.protect ~finally:Obs.Audit.disable (fun () ->
+        Sim.Traffic.run ~warps:1 ?long_latency_shadow (Alloc.Context.create k)
+          (Sim.Traffic.Hw { (Sim.Traffic.hw_defaults ~rfc_entries) with Sim.Traffic.with_lrf }))
+  in
+  let evicts =
+    List.filter_map
+      (function
+        | Obs.Audit.Evict { instr; level; writeback; _ } ->
+          Some (instr, Obs.Audit.level_name level, writeback)
+        | _ -> None)
+      (events ())
+  in
+  (r.Sim.Traffic.counts, evicts)
+
+let evict_list = Alcotest.(list (triple int string bool))
+
+let test_traffic_hw_rfc_entries_invalid () =
+  let b = B.create "t" in
+  ignore (B.op0 b Op.Mov ());
+  let ctx = Alloc.Context.create (B.finalize b) in
+  Alcotest.check_raises "zero entries" (Invalid_argument "Sim.Traffic.run: rfc_entries < 1")
+    (fun () ->
+      ignore (Sim.Traffic.run ~warps:1 ctx (Sim.Traffic.Hw (Sim.Traffic.hw_defaults ~rfc_entries:0))))
+
+let test_traffic_hw_hit_after_write () =
+  (* mov x; store x x: the write allocates x, both reads hit. *)
+  let b = B.create "t" in
+  let x = B.op0 b Op.Mov () in
+  B.store b Op.St_global ~addr:x ~value:x;
+  let c, evicts = hw_replay ~rfc_entries:2 (B.finalize b) in
+  check Alcotest.int "rfc writes" 1 (Energy.Counts.writes c Energy.Model.Rfc);
+  check Alcotest.int "rfc reads" 2 (Energy.Counts.reads c Energy.Model.Rfc);
+  check Alcotest.int "no mrf reads" 0 (Energy.Counts.reads c Energy.Model.Mrf);
+  check Alcotest.int "no probes" 0 (Energy.Counts.rfc_probes c);
+  check evict_list "no evictions" [] evicts
+
+let test_traffic_hw_evicts_oldest () =
+  (* 0: a = mov; 1: b = mov; 2: e = b + b; 3: store a e.  The 2-entry
+     RFC is full at 2: FIFO evicts a (live: written back) rather than b
+     (dead after 2, so evicting it would write nothing back).  The store
+     then misses on a. *)
+  let b = B.create "t" in
+  let a = B.op0 b Op.Mov () in
+  let bb = B.op0 b Op.Mov () in
+  let e = B.op2 b Op.Iadd bb bb in
+  B.store b Op.St_global ~addr:a ~value:e;
+  let c, evicts = hw_replay ~rfc_entries:2 (B.finalize b) in
+  check evict_list "a evicted at 2, written back" [ (2, "rfc", true) ] evicts;
+  check Alcotest.int "rfc writes: a, b, e" 3 (Energy.Counts.writes c Energy.Model.Rfc);
+  check Alcotest.int "rfc reads: b twice, a's writeback, e" 4
+    (Energy.Counts.reads c Energy.Model.Rfc);
+  check Alcotest.int "mrf writes: a's writeback" 1 (Energy.Counts.writes c Energy.Model.Mrf);
+  check Alcotest.int "mrf reads: a at the store" 1 (Energy.Counts.reads c Energy.Model.Mrf);
+  check Alcotest.int "probes: the store's miss on a" 1 (Energy.Counts.rfc_probes c)
+
+let test_traffic_hw_rewrite_in_place () =
+  (* 0: a = mov; 1: b = mov; 2: a = a + b; 3: c = mov; 4: store a c.
+     Rewriting resident a at 2 evicts nothing and keeps a oldest, so c
+     evicts a (live: written back), not b (dead after 2). *)
+  let b = B.create "t" in
+  let a = B.op0 b Op.Mov () in
+  let bb = B.op0 b Op.Mov () in
+  B.op2_into b Op.Iadd ~dst:a a bb;
+  let c = B.op0 b Op.Mov () in
+  B.store b Op.St_global ~addr:a ~value:c;
+  let counts, evicts = hw_replay ~rfc_entries:2 (B.finalize b) in
+  check evict_list "only c evicts, and it evicts a" [ (3, "rfc", true) ] evicts;
+  check Alcotest.int "rfc writes: a, b, a, c" 4 (Energy.Counts.writes counts Energy.Model.Rfc);
+  check Alcotest.int "probes: the store's miss on a" 1 (Energy.Counts.rfc_probes counts)
+
+let test_traffic_hw_ll_write_drops_copy () =
+  (* 0: a = mov; 1: a = ld a; 2: store a a.  The long-latency result
+     goes to the MRF and drops the stale cached a, so both store reads
+     miss.  A zero shadow keeps the load from descheduling the warp (a
+     deschedule would flush the RFC anyway). *)
+  let b = B.create "t" in
+  let a = B.op0 b Op.Mov () in
+  B.op1_into b Op.Ld_global ~dst:a a;
+  B.store b Op.St_global ~addr:a ~value:a;
+  let c, evicts = hw_replay ~long_latency_shadow:0 ~rfc_entries:2 (B.finalize b) in
+  check Alcotest.int "rfc reads: the load's address" 1 (Energy.Counts.reads c Energy.Model.Rfc);
+  check Alcotest.int "mrf writes: the load result" 1 (Energy.Counts.writes c Energy.Model.Mrf);
+  check Alcotest.int "probes: both store reads miss" 2 (Energy.Counts.rfc_probes c);
+  check Alcotest.int "mrf reads: both store reads" 2 (Energy.Counts.reads c Energy.Model.Mrf);
+  check evict_list "removal is not an eviction" [] evicts
+
+let test_traffic_hw_flush_order () =
+  (* 0: l = ld; 1: a = mov; 2: b = mov; 3: store a a; 4: d = l + b;
+     5: store d d.  Instruction 4 waits on the load: the deschedule
+     flushes the RFC in FIFO order, a (dead) then b (read by 4). *)
+  let b = B.create "t" in
+  let l = B.op0 b Op.Ld_global () in
+  let a = B.op0 b Op.Mov () in
+  let bb = B.op0 b Op.Mov () in
+  B.store b Op.St_global ~addr:a ~value:a;
+  let d = B.op2 b Op.Fadd l bb in
+  B.store b Op.St_global ~addr:d ~value:d;
+  let c, evicts = hw_replay ~rfc_entries:3 (B.finalize b) in
+  check evict_list "flushed oldest first" [ (4, "rfc", false); (4, "rfc", true) ] evicts;
+  check Alcotest.int "mrf writes: l and b's writeback" 2 (Energy.Counts.writes c Energy.Model.Mrf);
+  check Alcotest.int "probes: l and b at 4" 2 (Energy.Counts.rfc_probes c)
+
+let test_traffic_hw_lrf_replaces () =
+  (* HW+LRF, 2-entry RFC.  0: x = mov; 1: y = mov; 2: z = y + x;
+     3: w = z + z; 4: store w w.  The 1-entry LRF takes x, then y
+     (x is live: it cascades into the RFC), then z (y is dead).  w feeds
+     the shared datapath, so it bypasses the LRF. *)
+  let b = B.create "t" in
+  let x = B.op0 b Op.Mov () in
+  let y = B.op0 b Op.Mov () in
+  let z = B.op2 b Op.Iadd y x in
+  let w = B.op2 b Op.Iadd z z in
+  B.store b Op.St_global ~addr:w ~value:w;
+  let c, evicts = hw_replay ~with_lrf:true ~rfc_entries:2 (B.finalize b) in
+  check evict_list "each write replaces the entry" [ (1, "lrf", true); (2, "lrf", false) ] evicts;
+  check Alcotest.int "lrf writes: x, y, z" 3 (Energy.Counts.writes c Energy.Model.Lrf);
+  check Alcotest.int "lrf reads: x's cascade, y, z twice" 4 (Energy.Counts.reads c Energy.Model.Lrf);
+  check Alcotest.int "rfc writes: x, w" 2 (Energy.Counts.writes c Energy.Model.Rfc);
+  check Alcotest.int "rfc reads: x, w twice" 3 (Energy.Counts.reads c Energy.Model.Rfc);
+  check Alcotest.int "no mrf traffic" 0
+    (Energy.Counts.reads c Energy.Model.Mrf + Energy.Counts.writes c Energy.Model.Mrf)
+
 (* --- Value trace --------------------------------------------------- *)
 
 let test_value_trace_exact () =
@@ -364,6 +494,15 @@ let suite =
     Alcotest.test_case "traffic sw desched events" `Quick test_traffic_sw_desched_events;
     Alcotest.test_case "traffic deterministic" `Quick test_traffic_deterministic;
     Alcotest.test_case "traffic per-strand sums" `Quick test_traffic_per_strand_sums;
+    Alcotest.test_case "traffic hw zero rfc entries rejected" `Quick
+      test_traffic_hw_rfc_entries_invalid;
+    Alcotest.test_case "traffic hw hit after write" `Quick test_traffic_hw_hit_after_write;
+    Alcotest.test_case "traffic hw evicts oldest" `Quick test_traffic_hw_evicts_oldest;
+    Alcotest.test_case "traffic hw rewrite in place" `Quick test_traffic_hw_rewrite_in_place;
+    Alcotest.test_case "traffic hw ll write drops copy" `Quick
+      test_traffic_hw_ll_write_drops_copy;
+    Alcotest.test_case "traffic hw flush order" `Quick test_traffic_hw_flush_order;
+    Alcotest.test_case "traffic hw 1-entry lrf replaces" `Quick test_traffic_hw_lrf_replaces;
     Alcotest.test_case "value trace exact" `Quick test_value_trace_exact;
     Alcotest.test_case "value trace merge" `Quick test_value_trace_merge;
     Alcotest.test_case "perf single warp latency" `Quick test_perf_single_warp_latency;
