@@ -135,12 +135,12 @@ why-smoke: build
 	$(call check_titles,_build/why.txt,_build/why.html)
 	@echo "why smoke OK: the flipped decision ranks #1; analysis is byte-deterministic; the page has every printed table"
 
-# Performance gate (see docs/performance.md): time the
-# sim:perf-two-level, sim:perf-lowipc and sim:traffic-hw probes and
-# measure their steady-state allocation, failing if a probe's median
-# regresses >2x over its committed threshold in baselines/perfgate.json
-# or if a simulator loop allocates again.  The measurements land in
-# _build/perfgate.json for CI to upload.
+# Performance gate (see docs/performance.md): time the four probes
+# sim:perf-two-level, sim:perf-lowipc, sim:traffic-hw and
+# compile:verify and measure their steady-state allocation, failing if
+# a probe's median regresses >2x over its committed threshold in
+# baselines/perfgate.json or if a probe allocates past its caps there.
+# The measurements land in _build/perfgate.json for CI to upload.
 perfgate: build
 	dune exec bench/perfgate.exe
 

@@ -1,7 +1,8 @@
 (* Performance gate (make perfgate; wired into make ci).
 
-   Times two Sim.Perf probes and one Sim.Traffic probe and measures the
-   steady-state minor-heap cost of one run of each:
+   Times four probes — two Sim.Perf, one Sim.Traffic and one
+   Alloc.Verify — and measures the steady-state minor-heap cost of one
+   run of each:
 
    - sim:perf-two-level — MatrixMul, 8 warps, Two_level 8, capped at
      300 dynamic instructions per warp: a busy loop where few cycles
@@ -12,26 +13,38 @@
      dead cycles, which the first probe barely notices;
    - sim:traffic-hw — sad, 32 warps, a 3-entry hardware RFC with a
      hardware LRF: the traffic walk's costliest scheme, which replays
-     both caches on every dynamic instruction.
+     both caches on every dynamic instruction;
+   - compile:verify — Alloc.Verify.check alone on the size-256
+     generated kernel of seed 1 (1,678 instructions, 388 blocks, 1,150
+     registers) under the default config; the context and placement
+     are built outside the timed region.
 
    Every number is checked against the committed threshold file
    baselines/perfgate.json:
 
    - each probe's median ns per run may regress at most 2x over its own
      committed threshold (ns_per_run, lowipc_ns_per_run,
-     traffic_ns_per_run): generous enough for machine-to-machine
-     variance, tight enough to catch a loop re-growing a per-step
-     allocation, a quadratic scan, a lost dead-cycle jump or a cache
-     replay back on polymorphic compare;
+     traffic_ns_per_run, verify_ns_per_run): generous enough for
+     machine-to-machine variance, tight enough to catch a loop
+     re-growing a per-step allocation, a quadratic scan, a lost
+     dead-cycle jump, a cache replay back on polymorphic compare or a
+     verifier fixpoint back on per-visit state copies;
    - minor words per run must stay under the committed cap.  The
-     steady-state loops allocate nothing, so a run costs only its
-     result and per-run records — a constant independent of run
-     length;
+     simulator loops allocate nothing in the steady state, so a run
+     costs only its result and per-run records — a constant
+     independent of run length;
    - promoted and major words per run (Gc.quick_stat deltas averaged
      over the timed runs) must stay under their committed caps: a
      steady-state allocation regression whose garbage survives minor
      collection would pass the minor-words gate while growing the
      major heap every run.
+
+   The simulator probes share one set of caps (max_minor_words_per_run,
+   max_promoted_words_per_run, max_major_words_per_run).  The verifier
+   probe has its own (the same keys prefixed verify_): a check
+   allocates one entry state per block, and on this kernel the array
+   holding them is too large for the minor heap, so the next minor
+   collection promotes them.
 
    Each probe is timed --runs times (default 5); the gate compares the
    median, and the p90 rides along as a tail-latency indicator.  The
@@ -65,6 +78,26 @@ let history_path =
   if Array.exists (( = ) "--no-history") Sys.argv then None
   else Some (Option.value ~default:"baselines/history.jsonl" (arg_value "--history"))
 
+(* The allocation caps a probe is held to: the baseline-file keys
+   (the prefix names the set) and the values recorded into a fresh
+   baseline. *)
+type caps = { prefix : string; minor : float; promoted : float; major : float }
+
+(* The fixed budgets the zero-alloc tests also enforce: the simulator
+   steady state promotes nothing, so anything beyond slack for an
+   unluckily-timed minor collection is a regression. *)
+let sim_caps = { prefix = ""; minor = 8192.0; promoted = 8192.0; major = 16384.0 }
+
+(* A check on the probe's kernel allocates ~24k minor words, ~3k major
+   words (its arrays over all 388 blocks) and, averaged over runs,
+   promotes ~11k (its entry states).  The round-robin fixpoint it
+   replaced allocated 380,804 minor and 3.76 M major words per run. *)
+let verify_caps = { prefix = "verify_"; minor = 65536.0; promoted = 32768.0; major = 65536.0 }
+
+(* [what] is "minor", "promoted" or "major". *)
+let cap_key c what = Printf.sprintf "%smax_%s_words_per_run" c.prefix what
+let cap_defaults c = [ ("minor", c.minor); ("promoted", c.promoted); ("major", c.major) ]
+
 (* [key] names the probe's ns-per-run threshold in the baseline file.
    [warm] makes two warm-up runs, which fill the domain-local scratch
    and the predecode cache, then one more whose minor words it returns
@@ -73,11 +106,13 @@ let history_path =
 type probe = {
   name : string;
   key : string;
+  caps : caps;
   warm : unit -> (string * Obs.Json.t) list * float;
   timed : unit -> unit;
 }
 
-let probe (type r) ~name ~key (run : unit -> r) (fields : r -> (string * Obs.Json.t) list) =
+let probe (type r) ~name ~key ?(caps = sim_caps) (run : unit -> r)
+    (fields : r -> (string * Obs.Json.t) list) =
   let warm () =
     let r0 = run () in
     ignore (run ());
@@ -90,7 +125,7 @@ let probe (type r) ~name ~key (run : unit -> r) (fields : r -> (string * Obs.Jso
     end;
     (fields r1, minor_words)
   in
-  { name; key; warm; timed = (fun () -> ignore (run ())) }
+  { name; key; caps; warm; timed = (fun () -> ignore (run ())) }
 
 let perf_fields (r : Sim.Perf.result) =
   [
@@ -104,9 +139,16 @@ let traffic_fields (r : Sim.Traffic.result) =
     ("desched_events", Obs.Json.int r.Sim.Traffic.desched_events);
   ]
 
+let verify_fields = function
+  | Ok () -> [ ("verdict", Obs.Json.Str "ok") ]
+  | Error errs -> [ ("verdict", Obs.Json.Str "rejected"); ("errors", Obs.Json.int (List.length errs)) ]
+
 let probes () =
   let ctx name = Alloc.Context.create (Rfh.benchmark name) in
   let mm = ctx "MatrixMul" and conv = ctx "ConvolutionSeparable" and sad = ctx "sad" in
+  let gen = Alloc.Context.create (Workloads.Generator.kernel ~size:256 ~seed:1 ()) in
+  let config = Alloc.Config.make () in
+  let placement = Alloc.Allocator.place config gen in
   [
     probe ~name:"sim:perf-two-level" ~key:"ns_per_run"
       (fun () ->
@@ -123,6 +165,9 @@ let probes () =
         Sim.Traffic.run ~warps:32 sad
           (Sim.Traffic.Hw { (Sim.Traffic.hw_defaults ~rfc_entries:3) with with_lrf = true }))
       traffic_fields;
+    probe ~name:"compile:verify" ~key:"verify_ns_per_run" ~caps:verify_caps
+      (fun () -> Alloc.Verify.check config gen placement)
+      verify_fields;
   ]
 
 let median a =
@@ -194,10 +239,6 @@ let () =
   let wall0 = Obs.Clock.now_ns () in
   let ms = List.map measure (probes ()) in
   let baseline = read_baseline () in
-  (* The caps recorded into a fresh baseline are the fixed allocation
-     budgets the zero-alloc tests also enforce: the steady-state loop
-     promotes nothing, so anything beyond slack for an unluckily-timed
-     minor collection is a regression. *)
   let recorded = ref [] in
   let threshold key default =
     match List.assoc_opt key baseline with
@@ -207,18 +248,21 @@ let () =
       default
   in
   let ns_thresholds = List.map (fun m -> (m, threshold m.probe.key m.ns)) ms in
-  let minor_cap = threshold "max_minor_words_per_run" 8192.0 in
-  let promoted_cap = threshold "max_promoted_words_per_run" 8192.0 in
-  let major_cap = threshold "max_major_words_per_run" 16384.0 in
+  let caps =
+    List.concat_map
+      (fun c ->
+        List.map
+          (fun (what, default) ->
+            let key = cap_key c what in
+            (key, threshold key default))
+          (cap_defaults c))
+      [ sim_caps; verify_caps ]
+  in
   if !recorded <> [] then begin
     write_json baseline_path
       (Obs.Json.Obj
          (List.map (fun (m, t) -> (m.probe.key, Obs.Json.Num t)) ns_thresholds
-         @ [
-             ("max_minor_words_per_run", Obs.Json.Num minor_cap);
-             ("max_promoted_words_per_run", Obs.Json.Num promoted_cap);
-             ("max_major_words_per_run", Obs.Json.Num major_cap);
-           ]));
+         @ List.map (fun (key, v) -> (key, Obs.Json.Num v)) caps));
     Printf.printf "perfgate: recorded %s from this run into %s\n"
       (String.concat ", " (List.rev !recorded))
       baseline_path
@@ -227,14 +271,14 @@ let () =
   let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
   let probe_json (m, threshold_ns) =
     let name = m.probe.name in
+    let cap what = List.assoc (cap_key m.probe.caps what) caps in
+    let minor_cap = cap "minor" and promoted_cap = cap "promoted" and major_cap = cap "major" in
     let allowed_ns = 2.0 *. threshold_ns in
     let failed0 = List.length !failures in
     if m.ns > allowed_ns then
       fail "%s ns_per_run regressed more than 2x over %s (%s)" name baseline_path m.probe.key;
     if m.minor_words > minor_cap then
-      fail
-        "%s steady-state run allocates %.0f minor words (cap %.0f); the cycle loop is \
-         allocating again"
+      fail "%s steady-state run allocates %.0f minor words (cap %.0f); a loop is allocating again"
         name m.minor_words minor_cap;
     if m.promoted_words > promoted_cap then
       fail

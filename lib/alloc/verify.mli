@@ -15,6 +15,28 @@
     - fills read the filled register from the MRF in the same slot.
 
     Used both as a unit-test oracle and as a qcheck property over
-    randomly generated kernels. *)
+    randomly generated kernels.
+
+    A placement whose arrays do not match the kernel's length, or whose
+    source placements do not match an instruction's arity, is not
+    replayed: the result is [Error] with {!Placement.check_shape}'s
+    message alone.  Any other shape finding is reported first, ahead of
+    the replay's.
+
+    {b Cost model.}  Each check allocates one scratch state and, when a
+    block is first reached, its entry state: ORF and LRF cells as
+    [int array]s and the current-MRF-copy set as a {!Util.Bitset} over
+    the registers.  A worklist always takes the pending block earliest
+    in reverse postorder, replays it into the scratch state in O(its
+    instructions x (sources + ORF entries + LRF banks)), and meets the
+    result into each successor's entry in place, in O(ORF entries + LRF
+    banks + registers / 8); a successor whose entry changed becomes
+    pending.  Entries only descend in a finite lattice, so a block is
+    revisited only when its entry lost information.  A last pass
+    replays every reached block once, in block order, and reports; the
+    messages come out in that order.  On the size-256 generated kernel
+    of seed 1 (1,678 instructions, 388 blocks, 1,150 registers) the
+    worklist makes 557 block visits, and a check takes 1.1-1.8 ms on a
+    2-vCPU KVM host and allocates about 24k minor words. *)
 
 val check : Config.t -> Context.t -> Placement.t -> (unit, string list) result

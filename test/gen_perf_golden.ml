@@ -1,16 +1,21 @@
-(* Regenerates the committed simulator goldens (rendered by
-   perf_golden_doc.ml, which test_perf_golden.ml also uses):
+(* Regenerates the committed goldens (rendered by perf_golden_doc.ml,
+   which test_perf_golden.ml also uses):
 
      dune exec test/gen_perf_golden.exe > test/perf_golden.json
      dune exec test/gen_perf_golden.exe -- timeline > test/perf_timeline_golden.jsonl
      dune exec test/gen_perf_golden.exe -- traffic > test/traffic_golden.jsonl
+     dune exec test/gen_perf_golden.exe -- verify > test/verify_golden.jsonl
 
    perf_golden.json was captured from the pre-predecode list-based
    engine, perf_timeline_golden.jsonl from the per-cycle engine before
    dead-cycle jumping, traffic_golden.jsonl from the per-operand
-   Sim.Traffic walk over list-based FIFO caches.  Re-run this only when
-   the simulated semantics deliberately change, never to make a
-   perf-only rewrite pass. *)
+   Sim.Traffic walk over list-based FIFO caches, verify_golden.jsonl
+   from the round-robin Alloc.Verify fixpoint over boxed cells before
+   the worklist.  Re-run this only when the simulated semantics or the
+   verdicts deliberately change, never to make a perf-only rewrite
+   pass.  The allocator's multi-definition clobber fix (ROADMAP item 1)
+   is such a change: it turns the rejecting seeds' verdicts into "ok",
+   so it regenerates verify_golden.jsonl deliberately. *)
 
 let () =
   match Array.to_list Sys.argv with
@@ -19,6 +24,7 @@ let () =
     print_newline ()
   | [ _; "timeline" ] -> print_string (Perf_golden_doc.timeline_doc ())
   | [ _; "traffic" ] -> print_string (Perf_golden_doc.traffic_doc ())
+  | [ _; "verify" ] -> print_string (Perf_golden_doc.verify_doc ())
   | _ ->
-    prerr_endline "usage: gen_perf_golden [timeline|traffic]";
+    prerr_endline "usage: gen_perf_golden [timeline|traffic|verify]";
     exit 2

@@ -1,7 +1,7 @@
-(* The committed simulator goldens, rendered from the current engines.
-   gen_perf_golden.ml prints them to (re)capture the files and
-   test_perf_golden.ml compares them byte-for-byte, so the generator and
-   the gate can never drift apart. *)
+(* The committed simulator and verifier goldens, rendered from the
+   current engines.  gen_perf_golden.ml prints them to (re)capture the
+   files and test_perf_golden.ml compares them byte-for-byte, so the
+   generator and the gate can never drift apart. *)
 
 (* --- result records: test/perf_golden.json ------------------------- *)
 
@@ -311,4 +311,85 @@ let traffic_doc () =
   let buf = Buffer.create (1 lsl 20) in
   traffic_results buf;
   List.iter (fun bench -> List.iter (traffic_verbatim buf bench) vb_schemes) vb_benches;
+  Buffer.contents buf
+
+(* --- verifier verdicts: test/verify_golden.jsonl ------------------- *)
+
+(* The allocator configuration [prop_allocator_sound] (test_properties.ml)
+   pairs with a generator seed: every LRF mode, ORF size 1-8, and
+   partial ranges and read operands on and off. *)
+let config_of_seed seed =
+  let lrf =
+    match seed mod 3 with
+    | 0 -> Alloc.Config.No_lrf
+    | 1 -> Alloc.Config.Unified
+    | _ -> Alloc.Config.Split
+  in
+  Alloc.Config.make
+    ~orf_entries:(1 + (seed / 3 mod 8))
+    ~lrf
+    ~partial_ranges:(seed mod 2 = 0)
+    ~read_operands:(seed mod 5 <> 0)
+    ()
+
+(* Every seed in 0-99,999 whose size-10 kernel the allocator places
+   wrongly under [config_of_seed]. *)
+let prop_rejecting_seeds =
+  [
+    148; 467; 2176; 10403; 16130; 17718; 18488; 19178; 22818; 26338; 26441; 27336;
+    27963; 28705; 29143; 29985; 31934; 37409; 37970; 38332; 39979; 42924; 46824;
+    57773; 58745; 60302; 60942; 65953; 73578; 78851; 79058; 82382; 83118; 90650;
+    93181; 96419;
+  ]
+
+(* The two compile-gen kernels the allocator places wrongly at
+   benchmark seed 1 (size 12, default config). *)
+let compile_gen_rejecting_seeds = [ 63; 221 ]
+
+(* Four sections, each a header line then one line per (generator seed,
+   size, config) with the verdict and, on a rejection, every message in
+   order: seeds 0-999 at sizes 8-32; seeds 0-4 at sizes 128 and 256;
+   the rejecting seeds above at their own size and config. *)
+let verdict_line buf ~seed ~size config =
+  let k = Workloads.Generator.kernel ~size ~seed () in
+  let ctx = Alloc.Context.create k in
+  let placement = Alloc.Allocator.place config ctx in
+  let verdict =
+    match Alloc.Verify.check config ctx placement with
+    | Ok () -> [ ("verdict", Obs.Json.Str "ok") ]
+    | Error errs ->
+      [
+        ("verdict", Obs.Json.Str "rejected");
+        ("errors", Obs.Json.Arr (List.map (fun e -> Obs.Json.Str e) errs));
+      ]
+  in
+  line buf
+    (Obs.Json.Obj
+       ([
+          ("seed", Obs.Json.int seed);
+          ("size", Obs.Json.int size);
+          ("config", Obs.Json.Str (Format.asprintf "%a" Alloc.Config.pp config));
+        ]
+       @ verdict))
+
+let verify_doc () =
+  let buf = Buffer.create (1 lsl 18) in
+  let section name = line buf (Obs.Json.Obj [ ("section", Obs.Json.Str name) ]) in
+  section "sweep";
+  for seed = 0 to 999 do
+    verdict_line buf ~seed ~size:(8 + (seed mod 25)) (config_of_seed seed)
+  done;
+  section "large";
+  List.iter
+    (fun size ->
+      for seed = 0 to 4 do
+        verdict_line buf ~seed ~size (config_of_seed seed)
+      done)
+    [ 128; 256 ];
+  section "prop-rejects";
+  List.iter (fun seed -> verdict_line buf ~seed ~size:10 (config_of_seed seed)) prop_rejecting_seeds;
+  section "compile-gen-rejects";
+  List.iter
+    (fun seed -> verdict_line buf ~seed ~size:12 (Alloc.Config.make ()))
+    compile_gen_rejecting_seeds;
   Buffer.contents buf

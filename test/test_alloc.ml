@@ -441,6 +441,139 @@ let test_verify_catches_shared_lrf () =
    | Ok () -> Alcotest.fail "verifier accepted a shared-datapath LRF read"
    | Error _ -> ())
 
+(* The control-flow cases below hand-build their placements from
+   {!Alloc.Placement.baseline}, so they hold whatever the allocator
+   decides.  Each pairs the rejected placement with a sound variant
+   that differs in one write, so the rejection is the meet's doing. *)
+
+let verdict = Alcotest.(result unit (list string))
+let orf_dest ?(to_mrf = true) e = { Alloc.Placement.to_lrf = None; to_orf = Some e; to_mrf }
+
+(* A hammock: only the taken arm writes r to ORF[0], the join reads it
+   from there.  The join is no strand boundary, so only the meet of the
+   two arms loses r. *)
+let test_verify_hammock_one_arm () =
+  let b = B.create "hammock" in
+  let p = B.op0 b Op.Mov () in
+  let r = B.fresh b in
+  let else_l = B.new_label b in
+  let join = B.new_label b in
+  B.branch b ~pred:p ~target:else_l (Ir.Terminator.Taken_with_prob 0.5);
+  let (_ : B.label) = B.here b in
+  B.op1_into b Op.Mov ~dst:r p;  (* instr 2 *)
+  B.jump b join;
+  B.start_block b else_l;
+  B.op1_into b Op.Mov ~dst:r p;  (* instr 3 *)
+  B.start_block b join;
+  let use = B.op1 b Op.Mov r in  (* instr 4 *)
+  B.store b Op.St_shared ~addr:p ~value:use;
+  let k = B.finalize b in
+  let config = Alloc.Config.make ~lrf:Alloc.Config.No_lrf () in
+  let ctx = Alloc.Context.create k in
+  let placement ~both_arms =
+    let pl = Alloc.Placement.baseline k in
+    Alloc.Placement.set_dest pl ~instr:2 (orf_dest 0);
+    if both_arms then Alloc.Placement.set_dest pl ~instr:3 (orf_dest 0);
+    Alloc.Placement.set_src pl ~instr:4 ~pos:0 (Alloc.Placement.From_orf 0);
+    pl
+  in
+  check verdict "both arms write ORF[0]" (Ok ())
+    (Alloc.Verify.check config ctx (placement ~both_arms:true));
+  check verdict "one arm writes ORF[0]"
+    (Error
+       [ Printf.sprintf "instr 4 slot 0: ORF[0] does not hold %s on every path" (Ir.Reg.to_string r) ])
+    (Alloc.Verify.check config ctx (placement ~both_arms:false))
+
+(* A loop whose head reads v from the MRF while the body redefines v
+   into the ORF only: the MRF copy is current on entry and stale on the
+   back edge alone.  The body's second block reads v too, so the
+   back edge's state must flow through the head again to reach it. *)
+let test_verify_loop_back_edge_stale () =
+  let b = B.create "loop" in
+  let v = B.op0 b Op.Mov () in  (* instr 0 *)
+  let head = B.here b in
+  let u = B.op1 b Op.Mov v in  (* instr 1 *)
+  let (_ : B.label) = B.here b in
+  let w = B.op2 b Op.Iadd u v in  (* instr 2 *)
+  B.op1_into b Op.Mov ~dst:v w;  (* instr 3 *)
+  let p = B.op1 b Op.Setp w in
+  B.branch b ~pred:p ~target:head (Ir.Terminator.Loop 3);
+  let (_ : B.label) = B.here b in
+  B.ret b;
+  let k = B.finalize b in
+  let config = Alloc.Config.make () in
+  let ctx = Alloc.Context.create k in
+  let placement ~to_mrf =
+    let pl = Alloc.Placement.baseline k in
+    Alloc.Placement.set_dest pl ~instr:3 (orf_dest ~to_mrf 0);
+    pl
+  in
+  check verdict "redefinition keeps an MRF copy" (Ok ())
+    (Alloc.Verify.check config ctx (placement ~to_mrf:true));
+  let stale slot =
+    Printf.sprintf "%s: MRF read of %s but the MRF copy is stale" slot (Ir.Reg.to_string v)
+  in
+  check verdict "redefinition skips the MRF"
+    (Error [ stale "instr 1 slot 0"; stale "instr 2 slot 1" ])
+    (Alloc.Verify.check config ctx (placement ~to_mrf:false))
+
+(* The multi-definition clobber (generator seed 148 under a 2-entry
+   ORF): both definitions of x form one write unit on ORF[1]; y is
+   written to ORF[1] between them and read there on both sides of x's
+   second definition, which overwrites the entry. *)
+let test_verify_clobber_shape () =
+  let b = B.create "clobber" in
+  let a = B.fresh b in
+  let x = B.op1 b Op.Mov a in  (* instr 0 *)
+  let u1 = B.op1 b Op.Mov x in  (* instr 1 *)
+  let y = B.op1 b Op.Ld_shared a in  (* instr 2 *)
+  let u2 = B.op2 b Op.Iadd y a in  (* instr 3 *)
+  B.op1_into b Op.Mov ~dst:x a;  (* instr 4 *)
+  let u3 = B.op2 b Op.Iadd a y in  (* instr 5 *)
+  B.store b Op.St_global ~addr:u1 ~value:u2;
+  B.store b Op.St_global ~addr:u3 ~value:x;
+  let k = B.finalize b in
+  let config = Alloc.Config.make ~orf_entries:2 ~lrf:Alloc.Config.Unified () in
+  let ctx = Alloc.Context.create k in
+  let placement ~clobber =
+    let pl = Alloc.Placement.baseline k in
+    Alloc.Placement.set_dest pl ~instr:0 (orf_dest 1);
+    Alloc.Placement.set_src pl ~instr:1 ~pos:0 (Alloc.Placement.From_orf 1);
+    Alloc.Placement.set_dest pl ~instr:2 (orf_dest 1);
+    Alloc.Placement.set_src pl ~instr:3 ~pos:0 (Alloc.Placement.From_orf 1);
+    if clobber then Alloc.Placement.set_dest pl ~instr:4 (orf_dest 1);
+    Alloc.Placement.set_src pl ~instr:5 ~pos:1 (Alloc.Placement.From_orf 1);
+    pl
+  in
+  check verdict "second definition to the MRF only" (Ok ())
+    (Alloc.Verify.check config ctx (placement ~clobber:false));
+  check verdict "second definition clobbers ORF[1]"
+    (Error
+       [ Printf.sprintf "instr 5 slot 1: ORF[1] does not hold %s on every path" (Ir.Reg.to_string y) ])
+    (Alloc.Verify.check config ctx (placement ~clobber:true))
+
+(* A placement whose arrays do not fit the kernel is reported, not
+   replayed: the replay would index past them. *)
+let test_verify_malformed_placement () =
+  let ctx = Alloc.Context.create (Rfh.benchmark "VectorAdd") in
+  let k = ctx.Alloc.Context.kernel in
+  let config = Alloc.Config.make () in
+  let first_sourced =
+    Ir.Kernel.fold_instrs k ~init:None ~f:(fun acc _ i ->
+        match acc with
+        | None when i.Ir.Instr.srcs <> [] -> Some i.Ir.Instr.id
+        | _ -> acc)
+    |> Option.get
+  in
+  let no_srcs = Alloc.Placement.baseline k in
+  no_srcs.Alloc.Placement.srcs.(first_sourced) <- [||];
+  check verdict "source arity mismatch"
+    (Error [ Printf.sprintf "instr %d: source placement arity mismatch" first_sourced ])
+    (Alloc.Verify.check config ctx no_srcs);
+  check verdict "no destination array"
+    (Error [ "placement arrays do not match the kernel" ])
+    (Alloc.Verify.check config ctx { (Alloc.Placement.baseline k) with Alloc.Placement.dsts = [||] })
+
 let suite =
   [
     Alcotest.test_case "occupancy basic" `Quick test_occupancy_basic;
@@ -469,4 +602,8 @@ let suite =
     Alcotest.test_case "verify: stale ORF read" `Quick test_verify_catches_bad_src;
     Alcotest.test_case "verify: stale MRF read" `Quick test_verify_catches_missing_mrf_copy;
     Alcotest.test_case "verify: shared LRF read" `Quick test_verify_catches_shared_lrf;
+    Alcotest.test_case "verify: one-armed hammock ORF read" `Quick test_verify_hammock_one_arm;
+    Alcotest.test_case "verify: stale MRF on back edge" `Quick test_verify_loop_back_edge_stale;
+    Alcotest.test_case "verify: multi-definition clobber" `Quick test_verify_clobber_shape;
+    Alcotest.test_case "verify: malformed placement" `Quick test_verify_malformed_placement;
   ]

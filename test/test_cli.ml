@@ -44,6 +44,16 @@ let compile_asm ~source ~code ~expect () =
         check Alcotest.bool ("prints: " ^ expect) true (contains text expect))
   end
 
+(* [rfh selfcheck]: every benchmark kernel under all 24 hierarchy
+   configurations (ORF sizes 1-8 x the three LRF modes) verifies. *)
+let selfcheck () =
+  if not (Sys.file_exists rfh_exe) then Alcotest.skip ()
+  else begin
+    let code, text = run_rfh "selfcheck" in
+    check Alcotest.int "exit 0" 0 code;
+    check Alcotest.string "summary" "selfcheck: 1464 placements verified, 0 failures\n" text
+  end
+
 (* Each case is the arguments and the text the message must contain. *)
 let suite =
   List.map
@@ -68,4 +78,5 @@ let suite =
       (* No register traffic: nothing to save, not 100% saved. *)
       Alcotest.test_case "rfh compile empty.asm" `Quick
         (compile_asm ~source:"" ~code:0 ~expect:"energy: 1.000 (0.0% saved)");
+      Alcotest.test_case "rfh selfcheck" `Quick selfcheck;
     ]

@@ -17,7 +17,13 @@
    Sim.Traffic walk over list-based FIFO caches, before the flat walk:
    every registry benchmark's counts under fifteen scheme shapes, plus
    the audit stream, counter samples and attribution ranking of four
-   short runs, byte-for-byte. *)
+   short runs, byte-for-byte.
+
+   test/verify_golden.jsonl was captured from the round-robin
+   Alloc.Verify fixpoint over boxed cells, before the worklist: the
+   verdict and every message, in order, on generated kernels (a seed
+   sweep, large kernels, and every kernel the allocator places wrongly),
+   byte-for-byte. *)
 
 let check = Alcotest.check
 
@@ -75,6 +81,12 @@ let test_timeline_golden () =
 let test_traffic_golden () =
   check_jsonl_golden ~what:"traffic results or streams" "traffic_golden.jsonl"
     (Perf_golden_doc.traffic_doc ())
+
+(* The verifier: verdicts, message text and message order on generated
+   kernels, held to the round-robin fixpoint's capture. *)
+let test_verify_golden () =
+  check_jsonl_golden ~what:"verifier verdicts" "verify_golden.jsonl"
+    (Perf_golden_doc.verify_doc ())
 
 (* --- round-robin issue order -------------------------------------- *)
 
@@ -311,6 +323,8 @@ let suite =
       test_timeline_golden;
     Alcotest.test_case "traffic walk matches the list-based golden" `Quick
       test_traffic_golden;
+    Alcotest.test_case "verifier verdicts match the round-robin golden" `Quick
+      test_verify_golden;
     Alcotest.test_case "round-robin rotation is exact" `Quick test_round_robin_rotation;
     Alcotest.test_case "pending warps re-enter in wake order" `Quick test_wake_order_refill;
     Alcotest.test_case "classification probe is pure across scratches" `Quick

@@ -6,19 +6,7 @@ let kernel_of_seed ?(size = 10) seed = Workloads.Generator.kernel ~size ~seed ()
 
 let seed_arb = QCheck.make ~print:string_of_int (QCheck.Gen.int_bound 100_000)
 
-let config_of_seed seed =
-  let lrf =
-    match seed mod 3 with
-    | 0 -> Alloc.Config.No_lrf
-    | 1 -> Alloc.Config.Unified
-    | _ -> Alloc.Config.Split
-  in
-  Alloc.Config.make
-    ~orf_entries:(1 + (seed / 3 mod 8))
-    ~lrf
-    ~partial_ranges:(seed mod 2 = 0)
-    ~read_operands:(seed mod 5 <> 0)
-    ()
+let config_of_seed = Perf_golden_doc.config_of_seed
 
 let prop_allocator_sound =
   QCheck.Test.make ~count:150 ~name:"allocator placements verify on random kernels" seed_arb
