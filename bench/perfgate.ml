@@ -1,8 +1,8 @@
 (* Performance gate (make perfgate; wired into make ci).
 
-   Times four probes — two Sim.Perf, one Sim.Traffic and one
-   Alloc.Verify — and measures the steady-state minor-heap cost of one
-   run of each:
+   Times six probes — two Sim.Perf, one Sim.Traffic and three on the
+   compile path (Alloc.Context, Alloc.Allocator, Alloc.Verify) — and
+   measures the steady-state minor-heap cost of one run of each:
 
    - sim:perf-two-level — MatrixMul, 8 warps, Two_level 8, capped at
      300 dynamic instructions per warp: a busy loop where few cycles
@@ -14,21 +14,29 @@
    - sim:traffic-hw — sad, 32 warps, a 3-entry hardware RFC with a
      hardware LRF: the traffic walk's costliest scheme, which replays
      both caches on every dynamic instruction;
-   - compile:verify — Alloc.Verify.check alone on the size-256
-     generated kernel of seed 1 (1,678 instructions, 388 blocks, 1,150
-     registers) under the default config; the context and placement
-     are built outside the timed region.
+   - compile:context — Alloc.Context.create (every analysis, the
+     strand partition and must-defined) on the size-256 generated
+     kernel of seed 1 (1,678 instructions, 388 blocks, 1,150
+     registers);
+   - compile:allocate — Alloc.Allocator.run on that kernel under the
+     default config, on a context built outside the timed region (what
+     the compile path outputs is pinned by test/placement_golden.jsonl,
+     not here);
+   - compile:verify — Alloc.Verify.check alone on that kernel under
+     the default config; the context and placement are built outside
+     the timed region.
 
    Every number is checked against the committed threshold file
    baselines/perfgate.json:
 
    - each probe's median ns per run may regress at most 2x over its own
      committed threshold (ns_per_run, lowipc_ns_per_run,
-     traffic_ns_per_run, verify_ns_per_run): generous enough for
-     machine-to-machine variance, tight enough to catch a loop
-     re-growing a per-step allocation, a quadratic scan, a lost
-     dead-cycle jump, a cache replay back on polymorphic compare or a
-     verifier fixpoint back on per-visit state copies;
+     traffic_ns_per_run, context_ns_per_run, allocate_ns_per_run,
+     verify_ns_per_run): generous enough for machine-to-machine
+     variance, tight enough to catch a loop re-growing a per-step
+     allocation, a quadratic scan, a lost dead-cycle jump, a cache
+     replay back on polymorphic compare or a verifier fixpoint back on
+     per-visit state copies;
    - minor words per run must stay under the committed cap.  The
      simulator loops allocate nothing in the steady state, so a run
      costs only its result and per-run records — a constant
@@ -40,11 +48,16 @@
      major heap every run.
 
    The simulator probes share one set of caps (max_minor_words_per_run,
-   max_promoted_words_per_run, max_major_words_per_run).  The verifier
-   probe has its own (the same keys prefixed verify_): a check
-   allocates one entry state per block, and on this kernel the array
-   holding them is too large for the minor heap, so the next minor
-   collection promotes them.
+   max_promoted_words_per_run, max_major_words_per_run).  Each compile
+   probe has its own (the same keys prefixed context_, allocate_ or
+   verify_): those runs build per-kernel tables, so they allocate in
+   proportion to the kernel, and the caps sit between today's cost and
+   the cost of the per-comparison scoring and per-query copies they
+   replaced, so a return to either fails on allocation even where the
+   2x time tolerance would let it pass.  A check allocates one entry
+   state per block, and on this kernel the array holding them is too
+   large for the minor heap, so the next minor collection promotes
+   them.
 
    Each probe is timed --runs times (default 5); the gate compares the
    median, and the p90 rides along as a tail-latency indicator.  The
@@ -94,6 +107,15 @@ let sim_caps = { prefix = ""; minor = 8192.0; promoted = 8192.0; major = 16384.0
    replaced allocated 380,804 minor and 3.76 M major words per run. *)
 let verify_caps = { prefix = "verify_"; minor = 65536.0; promoted = 32768.0; major = 65536.0 }
 
+(* Context.create on the probe's kernel allocates ~444k minor words and
+   promotes ~191k (its tables outlive the minor collections that land
+   mid-build), ~231k major words in all; an allocator run allocates
+   ~355k, promotes ~64k and grows the major heap by ~80k.  Before the
+   compile path moved to word bitsets, per-operand reaching tables and
+   once-scored candidates they cost 777k/249k/279k and 1,206k/102k/114k. *)
+let context_caps = { prefix = "context_"; minor = 524288.0; promoted = 229376.0; major = 262144.0 }
+let allocate_caps = { prefix = "allocate_"; minor = 524288.0; promoted = 81920.0; major = 98304.0 }
+
 (* [what] is "minor", "promoted" or "major". *)
 let cap_key c what = Printf.sprintf "%smax_%s_words_per_run" c.prefix what
 let cap_defaults c = [ ("minor", c.minor); ("promoted", c.promoted); ("major", c.major) ]
@@ -120,7 +142,7 @@ let probe (type r) ~name ~key ?(caps = sim_caps) (run : unit -> r)
     let r1 = run () in
     let minor_words = Gc.minor_words () -. w0 in
     if r1 <> r0 then begin
-      Printf.eprintf "perfgate: %s: scratch reuse changed the simulation result\n" name;
+      Printf.eprintf "perfgate: %s: a repeated run (reusing its scratch) changed the result\n" name;
       exit 1
     end;
     (fields r1, minor_words)
@@ -146,7 +168,8 @@ let verify_fields = function
 let probes () =
   let ctx name = Alloc.Context.create (Rfh.benchmark name) in
   let mm = ctx "MatrixMul" and conv = ctx "ConvolutionSeparable" and sad = ctx "sad" in
-  let gen = Alloc.Context.create (Workloads.Generator.kernel ~size:256 ~seed:1 ()) in
+  let gen_kernel = Workloads.Generator.kernel ~size:256 ~seed:1 () in
+  let gen = Alloc.Context.create gen_kernel in
   let config = Alloc.Config.make () in
   let placement = Alloc.Allocator.place config gen in
   [
@@ -165,6 +188,17 @@ let probes () =
         Sim.Traffic.run ~warps:32 sad
           (Sim.Traffic.Hw { (Sim.Traffic.hw_defaults ~rfc_entries:3) with with_lrf = true }))
       traffic_fields;
+    probe ~name:"compile:context" ~key:"context_ns_per_run" ~caps:context_caps
+      (fun () -> Alloc.Context.create gen_kernel)
+      (fun (c : Alloc.Context.t) ->
+        [ ("strands", Obs.Json.int (Strand.Partition.num_strands c.Alloc.Context.partition)) ]);
+    probe ~name:"compile:allocate" ~key:"allocate_ns_per_run" ~caps:allocate_caps
+      (fun () -> Alloc.Allocator.run config gen)
+      (fun (_, (s : Alloc.Allocator.stats)) ->
+        [
+          ("candidates", Obs.Json.int (s.write_units + s.read_units));
+          ("placed", Obs.Json.int (s.lrf_allocated + s.orf_allocated));
+        ]);
     probe ~name:"compile:verify" ~key:"verify_ns_per_run" ~caps:verify_caps
       (fun () -> Alloc.Verify.check config gen placement)
       verify_fields;
@@ -256,7 +290,7 @@ let () =
             let key = cap_key c what in
             (key, threshold key default))
           (cap_defaults c))
-      [ sim_caps; verify_caps ]
+      [ sim_caps; context_caps; allocate_caps; verify_caps ]
   in
   if !recorded <> [] then begin
     write_json baseline_path

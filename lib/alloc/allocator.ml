@@ -69,9 +69,18 @@ let savings_of config k target cand =
      | `Lrf -> neg_infinity  (* read units are ORF-only *)
      | `Orf -> Savings.read_unit config ~reads:(List.map (consumer_dp k) cand.covered))
 
-let priority_of config k target cand =
-  let first, last = interval_of cand in
-  Savings.priority ~savings:(savings_of config k target cand) ~first ~last
+(* A phase visits its candidates in decreasing priority, construction
+   (id) order on ties.  Each priority is computed once and one stable
+   sort orders the phase: a waiting candidate's priority never changes,
+   since only the candidate being placed is ever shortened. *)
+let by_priority savings cands =
+  List.map
+    (fun c ->
+      let first, last = interval_of c in
+      (Savings.priority ~savings:savings.(c.id) ~first ~last, c))
+    cands
+  |> List.stable_sort (fun (p, _) (q, _) -> Float.compare q p)
+  |> List.map snd
 
 (* Drop the last covered read (Sec. 4.3's iterative shortening).
    Returns false when the candidate cannot be shortened further. *)
@@ -89,9 +98,8 @@ let shorten cand =
 
 let dedup_reads reads =
   let compare_read (a : Analysis.Duchain.read) (b : Analysis.Duchain.read) =
-    compare
-      (a.Analysis.Duchain.read_instr, a.Analysis.Duchain.slot)
-      (b.Analysis.Duchain.read_instr, b.Analysis.Duchain.slot)
+    let c = Int.compare a.Analysis.Duchain.read_instr b.Analysis.Duchain.read_instr in
+    if c <> 0 then c else Int.compare a.Analysis.Duchain.slot b.Analysis.Duchain.slot
   in
   List.sort_uniq compare_read reads
 
@@ -166,9 +174,16 @@ let build_write_units config (ctx : Context.t) (members : Analysis.Duchain.insta
     let strand = List.hd strands in
     let same_strand_defs = List.for_all (Int.equal strand) strands in
     if same_strand_defs && not any_long_latency then begin
+      (* One instance's reads are already ascending and distinct; a
+         merged group's share their join reads. *)
       let reads =
-        dedup_reads
-          (List.concat_map (fun (m : Analysis.Duchain.instance) -> m.Analysis.Duchain.reads) members)
+        match members with
+        | [ m ] -> m.Analysis.Duchain.reads
+        | _ ->
+          dedup_reads
+            (List.concat_map
+               (fun (m : Analysis.Duchain.instance) -> m.Analysis.Duchain.reads)
+               members)
       in
       [ make_write_unit config ctx ~defs ~reg ~strand ~reads ~extra_uncovered:false ]
     end
@@ -183,8 +198,8 @@ let build_write_units config (ctx : Context.t) (members : Analysis.Duchain.insta
               List.partition
                 (fun (r : Analysis.Duchain.read) ->
                   match
-                    Analysis.Reaching.reaching_before ctx.Context.reaching
-                      ~instr_id:r.Analysis.Duchain.read_instr reg
+                    Analysis.Reaching.reaching_operand ctx.Context.reaching
+                      ~instr_id:r.Analysis.Duchain.read_instr ~slot:r.Analysis.Duchain.slot
                   with
                   | [ only ] -> only = d
                   | [] | _ :: _ -> false)
@@ -193,35 +208,48 @@ let build_write_units config (ctx : Context.t) (members : Analysis.Duchain.insta
             Some
               (make_write_unit config ctx ~defs:[ d ] ~reg
                  ~strand:(Strand.Partition.strand_of_instr partition d)
-                 ~reads:(dedup_reads unique) ~extra_uncovered:(shared_reads <> []))
+                 ~reads:unique ~extra_uncovered:(shared_reads <> []))
           end)
         members
 
 (* Build read units (Sec. 4.4): per (strand, register), reads whose
-   reaching definitions all lie outside the strand. *)
+   reaching definitions all lie outside the strand.
+
+   Strands are layout intervals, so walking the kernel visits each
+   (strand, register) group in one stretch: [cell] holds the current
+   strand's group of each register, and a group is added to [table]
+   once, when it is first seen.  The table fixes the units' order: the
+   interval sort below is stable, so ties keep [Hashtbl.fold]'s order
+   over those keys. *)
 let build_read_units (ctx : Context.t) =
   let k = ctx.Context.kernel in
   let partition = ctx.Context.partition in
   let reaching = ctx.Context.reaching in
-  let table : (int * Ir.Reg.t, Analysis.Duchain.read list) Hashtbl.t = Hashtbl.create 64 in
+  let table : (int * Ir.Reg.t, Analysis.Duchain.read list ref) Hashtbl.t = Hashtbl.create 64 in
+  let cell = Array.make k.Ir.Kernel.num_regs (ref []) in
+  let cell_strand = Array.make k.Ir.Kernel.num_regs (-1) in
   Ir.Kernel.iter_instrs k (fun _ i ->
       let id = i.Ir.Instr.id in
       let strand = Strand.Partition.strand_of_instr partition id in
       List.iteri
         (fun slot r ->
-          let defs = Analysis.Reaching.reaching_before reaching ~instr_id:id r in
+          let defs = Analysis.Reaching.reaching_operand reaching ~instr_id:id ~slot in
           let all_outside =
             List.for_all (fun d -> Strand.Partition.strand_of_instr partition d <> strand) defs
           in
           if all_outside then begin
-            let key = (strand, r) in
-            let prev = Option.value ~default:[] (Hashtbl.find_opt table key) in
-            Hashtbl.replace table key ({ Analysis.Duchain.read_instr = id; slot } :: prev)
+            if cell_strand.(r) <> strand then begin
+              cell_strand.(r) <- strand;
+              cell.(r) <- ref [];
+              Hashtbl.add table (strand, r) cell.(r)
+            end;
+            cell.(r) := { Analysis.Duchain.read_instr = id; slot } :: !(cell.(r))
           end)
         i.Ir.Instr.srcs);
   Hashtbl.fold
     (fun (strand, reg) reads acc ->
-      match dedup_reads reads with
+      (* Collected in reverse layout order, each (instr, slot) once. *)
+      match List.rev !reads with
       | [] | [ _ ] -> acc  (* a single read cannot profit *)
       | first :: rest ->
         (* Later reads must be dominated by the fill read so the ORF
@@ -238,25 +266,29 @@ let build_read_units (ctx : Context.t) =
         in
         if dominated = [] then acc
         else
-          {
-            id = -1;
-            kind = Read_unit;
-            reg;
-            strand;
-            covered = first :: dominated;
-            mrf_write_required = true;
-            width = 1;
-            producer_dp = Energy.Model.Private;
-            lrf_bank = None;
-          }
-          :: acc)
+          let c =
+            {
+              id = -1;
+              kind = Read_unit;
+              reg;
+              strand;
+              covered = first :: dominated;
+              mrf_write_required = true;
+              width = 1;
+              producer_dp = Energy.Model.Private;
+              lrf_bank = None;
+            }
+          in
+          (interval_of c, c) :: acc)
     table []
-  |> List.sort (fun a b -> compare (interval_of a) (interval_of b))
+  |> List.stable_sort (fun ((f1, l1), _) ((f2, l2), _) ->
+         let c = Int.compare f1 f2 in
+         if c <> 0 then c else Int.compare l1 l2)
+  |> List.map snd
 
 (* Report one allocation decision to the metrics registry and the
    audit sink (Obs.Audit). *)
-let audit_alloc config k target c ~slot ~partial =
-  let savings = savings_of config k target c in
+let audit_alloc target c ~savings ~slot ~partial =
   Obs.Metrics.observe m_unit_savings savings;
   if Obs.Audit.is_enabled () then begin
     let first, last = interval_of c in
@@ -376,27 +408,35 @@ let run_inner config (ctx : Context.t) =
   let duchain = ctx.Context.duchain in
   (* Sampled once per run: the allocator hot path sees one bool. *)
   let ex = Obs.Explain.is_enabled () in
-  (* Write units: one per def-use group, visiting each group once. *)
-  let seen_groups = Hashtbl.create 64 in
+  (* Write units: one per def-use group, visiting each group once
+     (group ids are instruction ids). *)
+  let seen_groups = Array.make (Ir.Kernel.instr_count k) false in
   let write_units =
     List.concat_map
       (fun (inst : Analysis.Duchain.instance) ->
         let g = inst.Analysis.Duchain.group in
-        if Hashtbl.mem seen_groups g then []
+        if seen_groups.(g) then []
         else begin
-          Hashtbl.add seen_groups g ();
+          seen_groups.(g) <- true;
           build_write_units config ctx (Analysis.Duchain.group_members duchain g)
         end)
       (Analysis.Duchain.instances duchain)
   in
   let read_units = if config.Config.read_operands then build_read_units ctx else [] in
   (* Dense ids: write units first, then read units, in construction
-     order.  The renumbering copies are what every later phase works
-     on, so physical-identity bookkeeping below stays coherent. *)
+     order.  Every later phase works on the renumbered copies and keys
+     its per-candidate arrays by id. *)
   let write_units = List.mapi (fun i c -> { c with id = i }) write_units in
   let nw = List.length write_units in
   let read_units = List.mapi (fun i c -> { c with id = nw + i }) read_units in
   let all_units = write_units @ read_units in
+  let ncands = nw + List.length read_units in
+  (* Each candidate's savings at each level, computed once.  LRF
+     savings exist only for LRF-eligible write units. *)
+  let lrf_savings = Array.make ncands neg_infinity in
+  List.iter
+    (fun c -> if c.lrf_bank <> None then lrf_savings.(c.id) <- savings_of config k `Lrf c)
+    write_units;
   let trails =
     if ex then
       Array.of_list
@@ -430,7 +470,7 @@ let run_inner config (ctx : Context.t) =
                 verdict = Obs.Explain.Ineligible (lrf_ineligibility config k c);
               }
         else begin
-          let s = savings_of config k `Lrf c in
+          let s = lrf_savings.(c.id) in
           if s <= 0.0 then
             (trail c).t_lrf <-
               Some
@@ -448,20 +488,11 @@ let run_inner config (ctx : Context.t) =
   let stats = ref { write_units = List.length write_units; read_units = List.length read_units;
                     lrf_allocated = 0; orf_allocated = 0; partial_allocated = 0 } in
   (* Phase 1: LRF. *)
-  let cmp_by p a b = compare (p a) (p b) in
-  let lrf_queue =
-    Util.Pqueue.of_list ~cmp:(cmp_by (priority_of config k `Lrf))
-      (List.filter
-         (fun c -> c.lrf_bank <> None && savings_of config k `Lrf c > 0.0)
-         write_units)
-  in
   let lrf_allocs : (cand * int) list ref = ref [] in
-  (* Physical identity: structurally equal candidates must stay distinct. *)
-  let lrf_done : cand list ref = ref [] in
-  let rec drain_lrf () =
-    match Util.Pqueue.pop lrf_queue with
-    | None -> ()
-    | Some c ->
+  let in_lrf = Array.make ncands false in
+  List.iter
+    (fun c ->
+      let savings = lrf_savings.(c.id) in
       let first, last = interval_of c in
       let bank =
         match config.Config.lrf, c.lrf_bank with
@@ -474,39 +505,31 @@ let run_inner config (ctx : Context.t) =
         | (Config.No_lrf | Config.Unified | Config.Split), None -> None
         | Config.No_lrf, Some _ -> None
       in
-      (match bank with
-       | Some b ->
-         Occupancy.reserve lrf_occ.(c.strand) ~entry:b ~first ~last;
-         lrf_allocs := (c, b) :: !lrf_allocs;
-         lrf_done := c :: !lrf_done;
-         audit_alloc config k `Lrf c ~slot:b ~partial:false;
-         if ex then begin
-           (trail c).t_lrf <-
-             Some
-               {
-                 Obs.Explain.level = "lrf";
-                 savings = finite (savings_of config k `Lrf c);
-                 verdict = Obs.Explain.Chosen;
-               };
-           (trail c).t_outcome <- Obs.Explain.To_lrf { bank = b }
-         end;
-         stats := { !stats with lrf_allocated = !stats.lrf_allocated + 1 }
-       | None ->
-         if ex then
-           (trail c).t_lrf <-
-             Some
-               {
-                 Obs.Explain.level = "lrf";
-                 savings = finite (savings_of config k `Lrf c);
-                 verdict = Obs.Explain.No_free_slot;
-               });
-      drain_lrf ()
-  in
-  drain_lrf ();
+      match bank with
+      | Some b ->
+        Occupancy.reserve lrf_occ.(c.strand) ~entry:b ~first ~last;
+        lrf_allocs := (c, b) :: !lrf_allocs;
+        in_lrf.(c.id) <- true;
+        audit_alloc `Lrf c ~savings ~slot:b ~partial:false;
+        if ex then begin
+          (trail c).t_lrf <-
+            Some
+              { Obs.Explain.level = "lrf"; savings = finite savings; verdict = Obs.Explain.Chosen };
+          (trail c).t_outcome <- Obs.Explain.To_lrf { bank = b }
+        end;
+        stats := { !stats with lrf_allocated = !stats.lrf_allocated + 1 }
+      | None ->
+        if ex then
+          (trail c).t_lrf <-
+            Some
+              {
+                Obs.Explain.level = "lrf";
+                savings = finite savings;
+                verdict = Obs.Explain.No_free_slot;
+              })
+    (by_priority lrf_savings (List.filter (fun c -> lrf_savings.(c.id) > 0.0) write_units));
   (* Phase 2: ORF for everything not already in the LRF. *)
-  let orf_candidates =
-    List.filter (fun c -> not (List.memq c !lrf_done)) write_units @ read_units
-  in
+  let orf_candidates = List.filter (fun c -> not in_lrf.(c.id)) write_units @ read_units in
   (* Variable-ORF support (Sec. 7): every ORF-resident value keeps an
      MRF copy so a warp granted fewer entries can fall back to it.
      LRF values are exempt — LRF banks are per-warp, never pooled. *)
@@ -514,10 +537,12 @@ let run_inner config (ctx : Context.t) =
     List.iter
       (fun c -> match c.kind with Write_unit _ -> c.mrf_write_required <- true | Read_unit -> ())
       orf_candidates;
+  let orf_savings = Array.make ncands neg_infinity in
+  List.iter (fun c -> orf_savings.(c.id) <- savings_of config k `Orf c) orf_candidates;
   if ex then
     List.iter
       (fun c ->
-        let s = savings_of config k `Orf c in
+        let s = orf_savings.(c.id) in
         if s <= 0.0 then
           (trail c).t_orf <-
             Some
@@ -527,65 +552,56 @@ let run_inner config (ctx : Context.t) =
                 verdict = Obs.Explain.Negative_savings;
               })
       orf_candidates;
-  let orf_queue =
-    Util.Pqueue.of_list ~cmp:(cmp_by (priority_of config k `Orf))
-      (List.filter (fun c -> savings_of config k `Orf c > 0.0) orf_candidates)
-  in
   let orf_allocs : (cand * int) list ref = ref [] in
-  let rec drain_orf () =
-    match Util.Pqueue.pop orf_queue with
-    | None -> ()
-    | Some c ->
-      let rec attempt ~shortened =
-        let s = savings_of config k `Orf c in
-        if s <= 0.0 then begin
-          (* Shortening drove the estimate negative: give up. *)
-          if ex then
-            (trail c).t_orf <-
-              Some
-                {
-                  Obs.Explain.level = "orf";
-                  savings = finite s;
-                  verdict = Obs.Explain.Negative_savings;
-                }
+  (* A candidate that does not fit is shortened and retried in place;
+     it never goes back in the queue. *)
+  let rec attempt c ~savings:s ~shortened =
+    if s <= 0.0 then begin
+      (* Shortening drove the estimate negative: give up. *)
+      if ex then
+        (trail c).t_orf <-
+          Some
+            {
+              Obs.Explain.level = "orf";
+              savings = finite s;
+              verdict = Obs.Explain.Negative_savings;
+            }
+    end
+    else begin
+      let first, last = interval_of c in
+      match Occupancy.find_free orf_occ.(c.strand) ~width:c.width ~first ~last with
+      | Some e ->
+        Occupancy.reserve_range orf_occ.(c.strand) ~entry:e ~width:c.width ~first ~last;
+        orf_allocs := (c, e) :: !orf_allocs;
+        audit_alloc `Orf c ~savings:s ~slot:e ~partial:shortened;
+        if ex then begin
+          (trail c).t_orf <-
+            Some { Obs.Explain.level = "orf"; savings = finite s; verdict = Obs.Explain.Chosen };
+          (trail c).t_outcome <-
+            Obs.Explain.To_orf { entry = e; shortened = (trail c).t_shortened }
+        end;
+        stats :=
+          { !stats with
+            orf_allocated = !stats.orf_allocated + 1;
+            partial_allocated = !stats.partial_allocated + (if shortened then 1 else 0) }
+      | None ->
+        if config.Config.partial_ranges && shorten c then begin
+          if ex then (trail c).t_shortened <- (trail c).t_shortened + 1;
+          attempt c ~savings:(savings_of config k `Orf c) ~shortened:true
         end
-        else begin
-          let first, last = interval_of c in
-          match Occupancy.find_free orf_occ.(c.strand) ~width:c.width ~first ~last with
-          | Some e ->
-            Occupancy.reserve_range orf_occ.(c.strand) ~entry:e ~width:c.width ~first ~last;
-            orf_allocs := (c, e) :: !orf_allocs;
-            audit_alloc config k `Orf c ~slot:e ~partial:shortened;
-            if ex then begin
-              (trail c).t_orf <-
-                Some
-                  { Obs.Explain.level = "orf"; savings = finite s; verdict = Obs.Explain.Chosen };
-              (trail c).t_outcome <-
-                Obs.Explain.To_orf { entry = e; shortened = (trail c).t_shortened }
-            end;
-            stats :=
-              { !stats with
-                orf_allocated = !stats.orf_allocated + 1;
-                partial_allocated = !stats.partial_allocated + (if shortened then 1 else 0) }
-          | None ->
-            if config.Config.partial_ranges && shorten c then begin
-              if ex then (trail c).t_shortened <- (trail c).t_shortened + 1;
-              attempt ~shortened:true
-            end
-            else if ex then
-              (trail c).t_orf <-
-                Some
-                  {
-                    Obs.Explain.level = "orf";
-                    savings = finite s;
-                    verdict = Obs.Explain.No_free_slot;
-                  }
-        end
-      in
-      attempt ~shortened:false;
-      drain_orf ()
+        else if ex then
+          (trail c).t_orf <-
+            Some
+              {
+                Obs.Explain.level = "orf";
+                savings = finite s;
+                verdict = Obs.Explain.No_free_slot;
+              }
+    end
   in
-  drain_orf ();
+  List.iter
+    (fun c -> attempt c ~savings:orf_savings.(c.id) ~shortened:false)
+    (by_priority orf_savings (List.filter (fun c -> orf_savings.(c.id) > 0.0) orf_candidates));
   (* Emit placements. *)
   let set_covered_srcs level c =
     List.iter

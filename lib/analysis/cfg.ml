@@ -61,3 +61,35 @@ let backward_targets t =
   let targets = Array.make t.num_blocks false in
   List.iter (fun (_, dst) -> targets.(dst) <- true) (backward_edges t);
   targets
+
+let solve_union t ~forward ~join ~transfer ~kill =
+  let nb = t.num_blocks in
+  let sources, sinks = if forward then (t.preds, t.succs) else (t.succs, t.preds) in
+  let tmp = Util.Bitset.create (if nb = 0 then 0 else Util.Bitset.capacity kill.(0)) in
+  let pending = Array.make nb true in
+  let step = if forward then 1 else -1 in
+  let cursor = ref (if forward then 0 else nb - 1) in
+  while !cursor >= 0 && !cursor < nb do
+    let b = !cursor in
+    cursor := b + step;
+    if pending.(b) then begin
+      pending.(b) <- false;
+      let grew =
+        List.fold_left
+          (fun grew x -> Util.Bitset.union_into ~dst:join.(b) transfer.(x) || grew)
+          false sources.(b)
+      in
+      if grew then begin
+        Util.Bitset.clear_all tmp;
+        ignore (Util.Bitset.union_into ~dst:tmp join.(b));
+        ignore (Util.Bitset.diff_into ~dst:tmp kill.(b));
+        if Util.Bitset.union_into ~dst:transfer.(b) tmp then
+          List.iter
+            (fun x ->
+              pending.(x) <- true;
+              (* A sink the sweep has passed moves the cursor back. *)
+              if (x - !cursor) * step < 0 then cursor := x)
+            sinks.(b)
+      end
+    end
+  done

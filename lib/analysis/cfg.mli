@@ -26,3 +26,18 @@ val backward_edges : t -> (int * int) list
 val backward_targets : t -> bool array
 (** [backward_targets.(b)] iff some backward edge targets [b]; such
     blocks must begin a new strand. *)
+
+val solve_union :
+  t ->
+  forward:bool ->
+  join:Util.Bitset.t array ->
+  transfer:Util.Bitset.t array ->
+  kill:Util.Bitset.t array ->
+  unit
+(** The least fixpoint of a union (may) dataflow problem, solved in
+    place: [join.(b)] becomes the union of [transfer] over b's
+    predecessors (successors unless [forward]), and [transfer.(b)]
+    grows by [join.(b) - kill.(b)].  Call it with empty joins and each
+    [transfer.(b)] holding b's gen set.  A layout-order sweep (reverse
+    unless [forward]) revisits a block only when one of its sources
+    grew, and allocates one scratch set. *)

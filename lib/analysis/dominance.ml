@@ -45,8 +45,11 @@ let idom t b =
 let dominates t a b =
   if t.rpo_index.(a) < 0 || t.rpo_index.(b) < 0 then false
   else begin
-    (* Walk b's dominator chain upwards; rpo index strictly decreases. *)
-    let rec walk x = if x = a then true else if x = 0 then a = 0 else walk t.idom.(x) in
+    (* Walk b's dominator chain upwards; rpo index strictly decreases,
+       so a cannot appear once the chain is at or before it in RPO. *)
+    let rec walk x =
+      if x = a then true else if t.rpo_index.(x) <= t.rpo_index.(a) then false else walk t.idom.(x)
+    in
     walk b
   end
 

@@ -7,41 +7,23 @@ type t = {
 let compute (k : Ir.Kernel.t) (cfg : Cfg.t) =
   let nb = Ir.Kernel.block_count k in
   let nr = k.Ir.Kernel.num_regs in
-  let use = Array.init nb (fun _ -> Util.Bitset.create nr) in
+  (* live_in starts as use(b), read before any write in b; def(b):
+     written in b. *)
+  let live_in = Array.init nb (fun _ -> Util.Bitset.create nr) in
   let def = Array.init nb (fun _ -> Util.Bitset.create nr) in
-  (* use(b): read before any write in b; def(b): written in b. *)
   Array.iter
     (fun (b : Ir.Block.t) ->
       let l = b.Ir.Block.label in
       Array.iter
         (fun (i : Ir.Instr.t) ->
           List.iter
-            (fun r -> if not (Util.Bitset.mem def.(l) r) then Util.Bitset.set use.(l) r)
+            (fun r -> if not (Util.Bitset.mem def.(l) r) then Util.Bitset.set live_in.(l) r)
             i.Ir.Instr.srcs;
           Option.iter (fun r -> Util.Bitset.set def.(l) r) i.Ir.Instr.dst)
         b.Ir.Block.instrs)
     k.Ir.Kernel.blocks;
-  let live_in = Array.init nb (fun _ -> Util.Bitset.create nr) in
   let live_out = Array.init nb (fun _ -> Util.Bitset.create nr) in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    for b = nb - 1 downto 0 do
-      let out = Util.Bitset.create nr in
-      List.iter (fun s -> ignore (Util.Bitset.union_into ~dst:out live_in.(s))) cfg.Cfg.succs.(b);
-      if not (Util.Bitset.equal out live_out.(b)) then begin
-        changed := true;
-        live_out.(b) <- out
-      end;
-      let inb = Util.Bitset.copy live_out.(b) in
-      ignore (Util.Bitset.diff_into ~dst:inb def.(b));
-      ignore (Util.Bitset.union_into ~dst:inb use.(b));
-      if not (Util.Bitset.equal inb live_in.(b)) then begin
-        changed := true;
-        live_in.(b) <- inb
-      end
-    done
-  done;
+  Cfg.solve_union cfg ~forward:false ~join:live_out ~transfer:live_in ~kill:def;
   (* Per-instruction live-after sets by a backward walk of each block. *)
   let after_instr = Array.init (Ir.Kernel.instr_count k) (fun _ -> Util.Bitset.create nr) in
   Array.iter
@@ -50,7 +32,7 @@ let compute (k : Ir.Kernel.t) (cfg : Cfg.t) =
       let n = Array.length b.Ir.Block.instrs in
       for idx = n - 1 downto 0 do
         let i = b.Ir.Block.instrs.(idx) in
-        after_instr.(i.Ir.Instr.id) <- Util.Bitset.copy live;
+        ignore (Util.Bitset.union_into ~dst:after_instr.(i.Ir.Instr.id) live);
         Option.iter (fun r -> Util.Bitset.clear live r) i.Ir.Instr.dst;
         List.iter (fun r -> Util.Bitset.set live r) i.Ir.Instr.srcs
       done)

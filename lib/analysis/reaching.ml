@@ -4,94 +4,105 @@ type t = {
   block_in : Util.Bitset.t array;          (* def-site sets at block entry *)
   block_out : Util.Bitset.t array;
   def_index : int array;                   (* instr id -> dense def index, or -1 *)
-  def_by_index : int array;                (* dense def index -> instr id *)
+  operands : int list array;               (* instr id * num_slots + slot -> reaching defs *)
 }
+
+let entry_defs t block r =
+  List.filter (fun d -> Util.Bitset.mem t.block_in.(block) t.def_index.(d)) t.def_sites.(r)
 
 let compute (k : Ir.Kernel.t) (cfg : Cfg.t) =
   let nb = Ir.Kernel.block_count k in
   let nr = k.Ir.Kernel.num_regs in
-  (* Dense numbering of definition sites. *)
-  let def_index = Array.make (Ir.Kernel.instr_count k) (-1) in
-  let defs = ref [] in
-  let ndefs = ref 0 in
-  Ir.Kernel.iter_instrs k (fun _ i ->
-      if Option.is_some i.Ir.Instr.dst then begin
-        def_index.(i.Ir.Instr.id) <- !ndefs;
-        defs := i.Ir.Instr.id :: !defs;
-        incr ndefs
-      end);
-  let def_by_index = Array.of_list (List.rev !defs) in
-  let nd = !ndefs in
+  let ni = Ir.Kernel.instr_count k in
+  (* Each register's definition sites, and a dense numbering of all
+     sites (the bit positions, last site first). *)
+  let def_index = Array.make ni (-1) in
   let def_sites = Array.make nr [] in
-  Ir.Kernel.iter_instrs k (fun _ i ->
-      Option.iter (fun r -> def_sites.(r) <- i.Ir.Instr.id :: def_sites.(r)) i.Ir.Instr.dst);
-  Array.iteri (fun r l -> def_sites.(r) <- List.rev l) def_sites;
-  (* gen/kill per block. *)
-  let gen = Array.init nb (fun _ -> Util.Bitset.create nd) in
-  let kill = Array.init nb (fun _ -> Util.Bitset.create nd) in
-  Array.iter
-    (fun (b : Ir.Block.t) ->
-      let l = b.Ir.Block.label in
-      Array.iter
-        (fun (i : Ir.Instr.t) ->
-          Option.iter
-            (fun r ->
-              (* This def kills all other defs of r and generates itself. *)
-              List.iter
-                (fun d ->
-                  let di = def_index.(d) in
-                  if d <> i.Ir.Instr.id then begin
-                    Util.Bitset.set kill.(l) di;
-                    Util.Bitset.clear gen.(l) di
-                  end)
-                def_sites.(r);
-              Util.Bitset.set gen.(l) def_index.(i.Ir.Instr.id);
-              Util.Bitset.clear kill.(l) def_index.(i.Ir.Instr.id))
-            i.Ir.Instr.dst)
-        b.Ir.Block.instrs)
-    k.Ir.Kernel.blocks;
-  let block_in = Array.init nb (fun _ -> Util.Bitset.create nd) in
-  let block_out = Array.init nb (fun _ -> Util.Bitset.create nd) in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    for b = 0 to nb - 1 do
-      let inb = Util.Bitset.create nd in
-      List.iter (fun p -> ignore (Util.Bitset.union_into ~dst:inb block_out.(p))) cfg.Cfg.preds.(b);
-      if not (Util.Bitset.equal inb block_in.(b)) then begin
-        changed := true;
-        block_in.(b) <- inb
-      end;
-      let out = Util.Bitset.copy block_in.(b) in
-      ignore (Util.Bitset.diff_into ~dst:out kill.(b));
-      ignore (Util.Bitset.union_into ~dst:out gen.(b));
-      if not (Util.Bitset.equal out block_out.(b)) then begin
-        changed := true;
-        block_out.(b) <- out
-      end
-    done
+  let nd = ref 0 in
+  for id = ni - 1 downto 0 do
+    Option.iter
+      (fun r ->
+        def_sites.(r) <- id :: def_sites.(r);
+        def_index.(id) <- !nd;
+        incr nd)
+      (Ir.Kernel.instr k id).Ir.Instr.dst
   done;
-  { kernel = k; def_sites; block_in; block_out; def_index; def_by_index }
+  let nd = !nd in
+  (* block_out starts as gen(b), the last def of each register written
+     in b; kill(b): every def of those registers (gen re-adds the
+     survivors).  [last_def.(r)] is r's last def in the block being
+     walked while [last_block.(r)] names that block. *)
+  let block_out = Array.init nb (fun _ -> Util.Bitset.create nd) in
+  let kill = Array.init nb (fun _ -> Util.Bitset.create nd) in
+  let last_def = Array.make nr (-1) and last_block = Array.make nr (-1) in
+  Array.iter
+    (fun (i : Ir.Instr.t) ->
+      let l = Ir.Kernel.block_of k i.Ir.Instr.id in
+      Option.iter
+        (fun r ->
+          if last_block.(r) <> l then
+            List.iter (fun d -> Util.Bitset.set kill.(l) def_index.(d)) def_sites.(r)
+          else Util.Bitset.clear block_out.(l) def_index.(last_def.(r));
+          Util.Bitset.set block_out.(l) def_index.(i.Ir.Instr.id);
+          last_def.(r) <- i.Ir.Instr.id;
+          last_block.(r) <- l)
+        i.Ir.Instr.dst)
+    k.Ir.Kernel.instrs;
+  let block_in = Array.init nb (fun _ -> Util.Bitset.create nd) in
+  Cfg.solve_union cfg ~forward:true ~join:block_in ~transfer:block_out ~kill;
+  (* The per-operand table, one forward walk: the last in-block def if
+     there is one, else the register's defs live at block entry (one
+     list per block and register). *)
+  let t =
+    { kernel = k; def_sites; block_in; block_out; def_index;
+      operands = Array.make (ni * Ir.Instr.num_slots) [] }
+  in
+  let singleton = Array.map (fun (i : Ir.Instr.t) -> [ i.Ir.Instr.id ]) k.Ir.Kernel.instrs in
+  let at_entry = Array.make nr [] and at_entry_block = Array.make nr (-1) in
+  Array.fill last_block 0 nr (-1);
+  Array.iter
+    (fun (i : Ir.Instr.t) ->
+      let id = i.Ir.Instr.id in
+      let l = Ir.Kernel.block_of k id in
+      List.iteri
+        (fun slot r ->
+          t.operands.((id * Ir.Instr.num_slots) + slot) <-
+            (if last_block.(r) = l then singleton.(last_def.(r))
+             else begin
+               if at_entry_block.(r) <> l then begin
+                 at_entry_block.(r) <- l;
+                 at_entry.(r) <- entry_defs t l r
+               end;
+               at_entry.(r)
+             end))
+        i.Ir.Instr.srcs;
+      Option.iter
+        (fun r ->
+          last_def.(r) <- id;
+          last_block.(r) <- l)
+        i.Ir.Instr.dst)
+    k.Ir.Kernel.instrs;
+  t
 
-let defs_of_reg t r = t.def_sites.(r)
+let reaching_operand t ~instr_id ~slot = t.operands.((instr_id * Ir.Instr.num_slots) + slot)
 
 let reaching_before t ~instr_id r =
   let k = t.kernel in
   let block = Ir.Kernel.block_of k instr_id in
-  (* Walk the block from its top, tracking the last in-block def of r. *)
-  let b = k.Ir.Kernel.blocks.(block) in
-  let last_def = ref None in
-  (try
-     Array.iter
-       (fun (i : Ir.Instr.t) ->
-         if i.Ir.Instr.id >= instr_id then raise Exit;
-         if i.Ir.Instr.dst = Some r then last_def := Some i.Ir.Instr.id)
-       b.Ir.Block.instrs
-   with Exit -> ());
-  match !last_def with
-  | Some d -> [ d ]
-  | None ->
-    List.filter (fun d -> Util.Bitset.mem t.block_in.(block) t.def_index.(d)) t.def_sites.(r)
+  (* Not an operand: the last def of r before the instruction in its
+     block, else r's defs live at block entry. *)
+  let rec last_def id =
+    if id < 0 || Ir.Kernel.block_of k id <> block then entry_defs t block r
+    else
+      match (Ir.Kernel.instr k id).Ir.Instr.dst with
+      | Some x when x = r -> [ id ]
+      | Some _ | None -> last_def (id - 1)
+  in
+  let rec find slot = function
+    | [] -> last_def (instr_id - 1)
+    | r' :: rest -> if r' = r then reaching_operand t ~instr_id ~slot else find (slot + 1) rest
+  in
+  find 0 (Ir.Kernel.instr k instr_id).Ir.Instr.srcs
 
 let reaches_block_end t ~block ~def =
   let di = t.def_index.(def) in

@@ -10,18 +10,13 @@ let compute (k : Ir.Kernel.t) (cfg : Analysis.Cfg.t) (partition : Partition.t) =
   let reachable = Analysis.Cfg.reachable cfg in
   let entry_sets = Array.init nb (fun _ -> Util.Bitset.create nr) in
   let out_sets = Array.init nb (fun _ -> Util.Bitset.create nr) in
-  let first_strand_instr b =
-    (* Strand context entering block b: does its first instruction start
-       a strand?  Empty blocks inherit the incoming context. *)
-    match Ir.Block.first_id k.Ir.Kernel.blocks.(b) with
-    | Some id -> Some id
-    | None -> None
-  in
   for l = 0 to nb - 1 do
     let b = k.Ir.Kernel.blocks.(l) in
-    let entry = Util.Bitset.create nr in
+    let entry = entry_sets.(l) in
+    (* Strand context entering block l: does its first instruction start
+       a strand?  Empty blocks inherit the incoming context. *)
     let boundary_at_start =
-      match first_strand_instr l with
+      match Ir.Block.first_id b with
       | Some id -> Partition.starts_strand partition id
       | None -> false
     in
@@ -33,32 +28,29 @@ let compute (k : Ir.Kernel.t) (cfg : Analysis.Cfg.t) (partition : Partition.t) =
         ignore (Util.Bitset.union_into ~dst:entry out_sets.(first));
         List.iter (fun p -> ignore (Util.Bitset.inter_into ~dst:entry out_sets.(p))) rest
     end;
-    entry_sets.(l) <- Util.Bitset.copy entry;
-    let cur = entry in
+    let cur = out_sets.(l) in
+    ignore (Util.Bitset.union_into ~dst:cur entry);
     Array.iter
       (fun (i : Ir.Instr.t) ->
         if Partition.starts_strand partition i.Ir.Instr.id then Util.Bitset.clear_all cur;
         Option.iter (fun r -> Util.Bitset.set cur r) i.Ir.Instr.dst)
-      b.Ir.Block.instrs;
-    out_sets.(l) <- cur
+      b.Ir.Block.instrs
   done;
   { kernel = k; partition; entry_sets }
 
+(* Walk back from the instruction to the last strand start or write of
+   [r] in its block; the block's entry set answers if neither comes
+   first.  A write at a strand's first instruction follows the reset. *)
 let must_defined_before t ~instr_id r =
   let k = t.kernel in
   let block = Ir.Kernel.block_of k instr_id in
-  let b = k.Ir.Kernel.blocks.(block) in
-  let cur = Util.Bitset.copy t.entry_sets.(block) in
-  let result = ref false in
-  (try
-     Array.iter
-       (fun (i : Ir.Instr.t) ->
-         if Partition.starts_strand t.partition i.Ir.Instr.id then Util.Bitset.clear_all cur;
-         if i.Ir.Instr.id = instr_id then begin
-           result := Util.Bitset.mem cur r;
-           raise Exit
-         end;
-         Option.iter (fun x -> Util.Bitset.set cur x) i.Ir.Instr.dst)
-       b.Ir.Block.instrs
-   with Exit -> ());
-  !result
+  let rec back id =
+    if Partition.starts_strand t.partition id then false
+    else if id = 0 || Ir.Kernel.block_of k (id - 1) <> block then
+      Util.Bitset.mem t.entry_sets.(block) r
+    else
+      match (Ir.Kernel.instr k (id - 1)).Ir.Instr.dst with
+      | Some x when x = r -> true
+      | Some _ | None -> back (id - 1)
+  in
+  back instr_id

@@ -19,4 +19,10 @@ val compute : Ir.Kernel.t -> Analysis.Cfg.t -> Partition.t -> t
 
 val must_defined_before : t -> instr_id:int -> Ir.Reg.t -> bool
 (** Was the register definitely written between the current strand's
-    start and this instruction, on every path? *)
+    start and this instruction, on every path?
+
+    Cost model: {!compute} keeps one [num_regs]-bit set per block, the
+    must-defined registers at its entry.  A query reads the register's
+    bit there and replays the block's instructions before [instr_id]
+    (a strand start clears it, a write of the register sets it): O(the
+    instruction's position in its block), and it allocates nothing. *)

@@ -66,15 +66,15 @@ let compute ?(kinds = all_boundaries) (k : Ir.Kernel.t) (cfg : Analysis.Cfg.t)
     Array.iter
       (fun (i : Ir.Instr.t) ->
         let id = i.Ir.Instr.id in
-        let consumes_pending =
-          List.exists
-            (fun r ->
-              List.exists
-                (fun d -> Util.Bitset.mem pending d)
-                (Analysis.Reaching.reaching_before reaching ~instr_id:id r))
-            i.Ir.Instr.srcs
+        let rec consumes_pending slot = function
+          | [] -> false
+          | _ :: rest ->
+            List.exists
+              (fun d -> Util.Bitset.mem pending d)
+              (Analysis.Reaching.reaching_operand reaching ~instr_id:id ~slot)
+            || consumes_pending (slot + 1) rest
         in
-        if consumes_pending then begin
+        if consumes_pending 0 i.Ir.Instr.srcs then begin
           boundary_before.(id) <- kinds.long_latency;
           Util.Bitset.clear_all pending
         end;

@@ -393,3 +393,118 @@ let verify_doc () =
     (fun seed -> verdict_line buf ~seed ~size:12 (Alloc.Config.make ()))
     compile_gen_rejecting_seeds;
   Buffer.contents buf
+
+(* --- allocator placements: test/placement_golden.jsonl ------------- *)
+
+(* Six configs that between them cover the three LRF modes, ORF sizes
+   1, 2, 3, 5 and 8, and each of partial ranges off, read operands off
+   and mirror_mrf on. *)
+let curated_configs =
+  Alloc.Config.
+    [
+      make ~orf_entries:1 ~lrf:No_lrf ();
+      make ~orf_entries:2 ~lrf:Unified ();
+      make ();
+      make ~orf_entries:5 ~lrf:Split ~partial_ranges:false ();
+      make ~orf_entries:8 ~lrf:No_lrf ~read_operands:false ();
+      make ~orf_entries:3 ~lrf:Unified ~mirror_mrf:true ();
+    ]
+
+let level_token = function
+  | Alloc.Placement.From_lrf b -> Printf.sprintf "L%d" b
+  | Alloc.Placement.From_orf e -> Printf.sprintf "O%d" e
+  | Alloc.Placement.From_mrf -> "M"
+
+(* One token per instruction: destination targets joined by '+' ('-'
+   when the instruction has no result), ':', the source levels in slot
+   order, then ':' and the fills (slot>entry) in placement order if
+   there are any. *)
+let instr_token (p : Alloc.Placement.t) id =
+  let dest =
+    match p.Alloc.Placement.dsts.(id) with
+    | None -> "-"
+    | Some d ->
+      String.concat "+"
+        (List.filter_map Fun.id
+           [
+             Option.map (Printf.sprintf "L%d") d.Alloc.Placement.to_lrf;
+             Option.map (Printf.sprintf "O%d") d.Alloc.Placement.to_orf;
+             (if d.Alloc.Placement.to_mrf then Some "M" else None);
+           ])
+  in
+  let srcs =
+    String.concat "," (Array.to_list (Array.map level_token p.Alloc.Placement.srcs.(id)))
+  in
+  match p.Alloc.Placement.fills.(id) with
+  | [] -> Printf.sprintf "%s:%s" dest srcs
+  | fills ->
+    Printf.sprintf "%s:%s:%s" dest srcs
+      (String.concat "," (List.map (fun (pos, e) -> Printf.sprintf "%d>%d" pos e) fills))
+
+let placement_line buf ~label ctx config =
+  let placement, (s : Alloc.Allocator.stats) = Alloc.Allocator.run config ctx in
+  let n = Ir.Kernel.instr_count ctx.Alloc.Context.kernel in
+  line buf
+    (Obs.Json.Obj
+       [
+         ("kernel", Obs.Json.Str label);
+         ( "config",
+           Obs.Json.Str
+             (Format.asprintf "%a%s" Alloc.Config.pp config
+                (if config.Alloc.Config.mirror_mrf then " mirror-mrf" else "")) );
+         ( "stats",
+           Obs.Json.Arr
+             (List.map Obs.Json.int
+                Alloc.Allocator.
+                  [ s.write_units; s.read_units; s.lrf_allocated; s.orf_allocated;
+                    s.partial_allocated ]) );
+         ("instrs", Obs.Json.Str (String.concat " " (List.init n (instr_token placement))));
+       ])
+
+(* Four sections: every registry kernel under [curated_configs];
+   generator seeds 0-299 at sizes 8-48 and seeds 0-2 at sizes 128 and
+   256, each under [config_of_seed]; then MatrixMul's audit events
+   (strand boundaries and allocations) and explain decisions under the
+   default config, verbatim and in emission order. *)
+let placement_doc () =
+  let buf = Buffer.create (1 lsl 20) in
+  let section name = line buf (Obs.Json.Obj [ ("section", Obs.Json.Str name) ]) in
+  section "curated";
+  List.iter
+    (fun (e : Workloads.Registry.entry) ->
+      List.iter
+        (fun (k : Ir.Kernel.t) ->
+          let ctx = Alloc.Context.create k in
+          let label = e.Workloads.Registry.name ^ "/" ^ k.Ir.Kernel.name in
+          List.iter (placement_line buf ~label ctx) curated_configs)
+        (Lazy.force e.Workloads.Registry.kernels))
+    (Workloads.Registry.all ());
+  let generated ~seed ~size =
+    let ctx = Alloc.Context.create (Workloads.Generator.kernel ~size ~seed ()) in
+    placement_line buf ~label:(Printf.sprintf "gen seed %d size %d" seed size) ctx
+      (config_of_seed seed)
+  in
+  section "generated";
+  for seed = 0 to 299 do
+    generated ~seed ~size:(8 + (seed mod 41))
+  done;
+  section "large";
+  List.iter
+    (fun size ->
+      for seed = 0 to 2 do
+        generated ~seed ~size
+      done)
+    [ 128; 256 ];
+  section "matrixmul-streams";
+  let audit_sink, audit_events = Obs.Audit.memory_sink () in
+  let explain_sink, decisions = Obs.Explain.memory_sink () in
+  Obs.Audit.set_sink audit_sink;
+  Obs.Explain.set_sink explain_sink;
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.Audit.disable ();
+      Obs.Explain.disable ())
+    (fun () -> ignore (Alloc.Allocator.run (Alloc.Config.make ()) (ctx_of "MatrixMul")));
+  List.iter (fun ev -> line buf (Obs.Audit.to_json ev)) (audit_events ());
+  List.iter (fun d -> line buf (Obs.Explain.to_json d)) (decisions ());
+  Buffer.contents buf

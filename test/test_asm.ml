@@ -116,6 +116,77 @@ let prop_roundtrip_random =
         && Ir.Kernel.block_count k = Ir.Kernel.block_count k2
         && Ir.Asm.to_source k3 = normalized)
 
+(* Mutated sources: the printed text of every registry kernel and of
+   small generated ones, with one truncation, one flipped byte, or one
+   dropped or duplicated line.  The parser must return rather than
+   raise; a kernel that parses (unreachable or empty blocks, reads of
+   registers never written, dangling labels and all) must go through
+   the analyses, the allocator under two configs and the verifier
+   without raising.  A rejected placement is a verdict, not a failure. *)
+let mutation_sources =
+  lazy
+    (Array.of_list
+       (List.concat_map
+          (fun (e : Workloads.Registry.entry) ->
+            List.map Ir.Asm.to_source (Lazy.force e.Workloads.Registry.kernels))
+          (Workloads.Registry.all ())
+       @ List.init 40 (fun seed ->
+             Ir.Asm.to_source (Workloads.Generator.kernel ~size:6 ~seed ()))))
+
+type mutation = Truncate | Flip of int | Drop_line | Dup_line
+
+let mutate src m pos =
+  let lines () = String.split_on_char '\n' src in
+  let edit_line f =
+    let ls = lines () in
+    let at = pos mod List.length ls in
+    String.concat "\n" (List.concat (List.mapi (fun i l -> if i = at then f l else [ l ]) ls))
+  in
+  match m with
+  | Truncate -> String.sub src 0 (pos mod (String.length src + 1))
+  | Flip x ->
+    let b = Bytes.of_string src in
+    let at = pos mod Bytes.length b in
+    Bytes.set b at (Char.chr (Char.code (Bytes.get b at) lxor x));
+    Bytes.to_string b
+  | Drop_line -> edit_line (fun _ -> [])
+  | Dup_line -> edit_line (fun l -> [ l; l ])
+
+let show_mutation = function
+  | Truncate -> "truncate"
+  | Flip x -> Printf.sprintf "flip 0x%02x" x
+  | Drop_line -> "drop line"
+  | Dup_line -> "duplicate line"
+
+let prop_mutated_asm_never_raises =
+  let gen =
+    QCheck.Gen.(
+      triple (int_bound 100_000)
+        (oneof
+           [
+             return Truncate;
+             map (fun x -> Flip x) (int_range 1 255);
+             return Drop_line;
+             return Dup_line;
+           ])
+        (int_bound 1_000_000))
+  in
+  QCheck.Test.make ~count:2000 ~name:"mutated asm parses or errors, and compiles without raising"
+    (QCheck.make
+       ~print:(fun (src, m, pos) -> Printf.sprintf "source %d, %s at %d" src (show_mutation m) pos)
+       gen)
+    (fun (src, m, pos) ->
+      let sources = Lazy.force mutation_sources in
+      match Ir.Asm.parse ~name:"mutant" (mutate sources.(src mod Array.length sources) m pos) with
+      | Error _ -> true
+      | Ok k ->
+        let ctx = Alloc.Context.create k in
+        List.iter
+          (fun config ->
+            ignore (Alloc.Verify.check config ctx (fst (Alloc.Allocator.run config ctx))))
+          [ Alloc.Config.make (); Alloc.Config.make ~orf_entries:1 ~lrf:Alloc.Config.No_lrf () ];
+        true)
+
 let suite =
   [
     Alcotest.test_case "parse saxpy" `Quick test_parse_saxpy;
@@ -125,4 +196,5 @@ let suite =
     Alcotest.test_case "line numbers" `Quick test_parse_line_numbers;
     Alcotest.test_case "round-trip benchmarks" `Quick test_roundtrip_idempotent;
     QCheck_alcotest.to_alcotest prop_roundtrip_random;
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 2 |]) prop_mutated_asm_never_raises;
   ]

@@ -23,7 +23,15 @@
    Alloc.Verify fixpoint over boxed cells, before the worklist: the
    verdict and every message, in order, on generated kernels (a seed
    sweep, large kernels, and every kernel the allocator places wrongly),
-   byte-for-byte. *)
+   byte-for-byte.
+
+   test/placement_golden.jsonl was captured from the allocator's
+   binary-heap queues over list-based reaching and def-use tables,
+   before the compile path moved to word bitsets and once-scored
+   candidates: every instruction's destination levels, source levels
+   and fills plus the allocator stats, on the registry kernels under
+   six configs and on generated kernels, and MatrixMul's audit and
+   explain streams, byte-for-byte. *)
 
 let check = Alcotest.check
 
@@ -87,6 +95,12 @@ let test_traffic_golden () =
 let test_verify_golden () =
   check_jsonl_golden ~what:"verifier verdicts" "verify_golden.jsonl"
     (Perf_golden_doc.verify_doc ())
+
+(* The allocator: every placement and stat, and one kernel's audit and
+   explain streams, held to the heap-ordered allocator's capture. *)
+let test_placement_golden () =
+  check_jsonl_golden ~what:"allocator placements or streams" "placement_golden.jsonl"
+    (Perf_golden_doc.placement_doc ())
 
 (* --- round-robin issue order -------------------------------------- *)
 
@@ -325,6 +339,8 @@ let suite =
       test_traffic_golden;
     Alcotest.test_case "verifier verdicts match the round-robin golden" `Quick
       test_verify_golden;
+    Alcotest.test_case "allocator placements match the heap-ordered golden" `Quick
+      test_placement_golden;
     Alcotest.test_case "round-robin rotation is exact" `Quick test_round_robin_rotation;
     Alcotest.test_case "pending warps re-enter in wake order" `Quick test_wake_order_refill;
     Alcotest.test_case "classification probe is pure across scratches" `Quick

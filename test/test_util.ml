@@ -1,5 +1,5 @@
-(* Unit tests for the util library: PRNG, priority queue, statistics,
-   bitsets and the table renderer. *)
+(* Unit tests for the util library: PRNG, statistics, bitsets and the
+   table renderer. *)
 
 let check = Alcotest.check
 
@@ -80,38 +80,6 @@ let test_hash2_deterministic () =
   check Alcotest.int "stable" (Util.Prng.hash2 3 4) (Util.Prng.hash2 3 4);
   check Alcotest.bool "nonneg" true (Util.Prng.hash2 (-5) 7 >= 0);
   check Alcotest.bool "order matters" true (Util.Prng.hash2 1 2 <> Util.Prng.hash2 2 1)
-
-(* --- Pqueue ------------------------------------------------------- *)
-
-let test_pqueue_order () =
-  let q = Util.Pqueue.of_list ~cmp:compare [ 3; 1; 4; 1; 5; 9; 2; 6 ] in
-  check
-    Alcotest.(list int)
-    "descending drain" [ 9; 6; 5; 4; 3; 2; 1; 1 ]
-    (Util.Pqueue.to_sorted_list q)
-
-let test_pqueue_fifo_ties () =
-  (* Equal priorities must pop in insertion order (determinism). *)
-  let q = Util.Pqueue.create ~cmp:(fun (a, _) (b, _) -> compare a b) in
-  List.iter (Util.Pqueue.push q) [ (1, "a"); (1, "b"); (1, "c") ];
-  check
-    Alcotest.(list string)
-    "insertion order on ties" [ "a"; "b"; "c" ]
-    (List.map snd (Util.Pqueue.to_sorted_list q))
-
-let test_pqueue_mixed_ops () =
-  let q = Util.Pqueue.create ~cmp:compare in
-  check Alcotest.bool "empty" true (Util.Pqueue.is_empty q);
-  check (Alcotest.option Alcotest.int) "pop empty" None (Util.Pqueue.pop q);
-  Util.Pqueue.push q 5;
-  Util.Pqueue.push q 10;
-  check (Alcotest.option Alcotest.int) "peek" (Some 10) (Util.Pqueue.peek q);
-  check Alcotest.int "length" 2 (Util.Pqueue.length q);
-  check (Alcotest.option Alcotest.int) "pop max" (Some 10) (Util.Pqueue.pop q);
-  Util.Pqueue.push q 1;
-  check (Alcotest.option Alcotest.int) "pop" (Some 5) (Util.Pqueue.pop q);
-  check (Alcotest.option Alcotest.int) "pop" (Some 1) (Util.Pqueue.pop q);
-  check Alcotest.bool "empty again" true (Util.Pqueue.is_empty q)
 
 (* --- Stats -------------------------------------------------------- *)
 
@@ -200,6 +168,139 @@ let test_bitset_capacity_mismatch () =
   Alcotest.check_raises "mismatch" (Invalid_argument "Bitset: capacity mismatch") (fun () ->
       ignore (Util.Bitset.union_into ~dst:a b))
 
+(* A word-based Bitset against a [bool array] model: random
+   set/clear/union/inter/diff/fill/clear-all/copy steps on two sets of
+   one capacity, every returned "changed" flag checked, and after every
+   step mem, equal, is_empty, count, elements and iter order compared.
+   The capacities straddle the 63-bit word boundaries. *)
+type bitset_step =
+  | Set of bool * int  (* true: the first set *)
+  | Clear of bool * int
+  | Union of bool  (* true: into the first set from the second *)
+  | Inter of bool
+  | Diff of bool
+  | Fill of bool
+  | Clear_all of bool
+  | Copy of bool  (* true: the first set becomes a copy of the second *)
+
+let bitset_case_gen =
+  let open QCheck.Gen in
+  let capacity =
+    frequency
+      [
+        (1, oneofl [ 0; 1 ]);
+        (2, int_range 61 64);
+        (2, int_range 123 128);
+        (2, int_bound 2_000);
+      ]
+  in
+  let step =
+    let* first = bool and* i = int_bound 1_000_000 and* k = int_bound 9 in
+    return
+      (match k with
+       | 0 | 1 -> Set (first, i)
+       | 2 -> Clear (first, i)
+       | 3 -> Union first
+       | 4 -> Inter first
+       | 5 -> Diff first
+       | 6 -> Fill first
+       | 7 -> Clear_all first
+       | _ -> Copy first)
+  in
+  pair capacity (list_size (int_range 1 40) step)
+
+let show_step = function
+  | Set (f, i) -> Printf.sprintf "set %b %d" f i
+  | Clear (f, i) -> Printf.sprintf "clear %b %d" f i
+  | Union f -> Printf.sprintf "union %b" f
+  | Inter f -> Printf.sprintf "inter %b" f
+  | Diff f -> Printf.sprintf "diff %b" f
+  | Fill f -> Printf.sprintf "fill %b" f
+  | Clear_all f -> Printf.sprintf "clear_all %b" f
+  | Copy f -> Printf.sprintf "copy %b" f
+
+let prop_bitset_model =
+  QCheck.Test.make ~count:300 ~name:"bitset matches a bool-array model"
+    (QCheck.make
+       ~print:(fun (cap, steps) ->
+         Printf.sprintf "capacity %d: %s" cap (String.concat "; " (List.map show_step steps)))
+       bitset_case_gen)
+    (fun (cap, steps) ->
+      let module B = Util.Bitset in
+      let sets = [| B.create cap; B.create cap |] in
+      let models = [| Array.make cap false; Array.make cap false |] in
+      let pick first = if first then 0 else 1 in
+      let fail fmt = QCheck.Test.fail_reportf fmt in
+      let agree what =
+        Array.iteri
+          (fun s set ->
+            let m = models.(s) in
+            let members = List.filter (fun i -> m.(i)) (List.init cap Fun.id) in
+            Array.iteri
+              (fun i b -> if B.mem set i <> b then fail "%s: set %d mem %d" what s i)
+              m;
+            if B.elements set <> members then fail "%s: set %d elements" what s;
+            let seen = ref [] in
+            B.iter set (fun i -> seen := i :: !seen);
+            if List.rev !seen <> members then fail "%s: set %d iter order" what s;
+            if B.count set <> List.length members then fail "%s: set %d count" what s;
+            if B.is_empty set <> (members = []) then fail "%s: set %d is_empty" what s;
+            if B.capacity set <> cap then fail "%s: set %d capacity" what s)
+          sets;
+        if B.equal sets.(0) sets.(1) <> (models.(0) = models.(1)) then fail "%s: equal" what
+      in
+      let binop what op f first =
+        let d = pick first in
+        let before = Array.copy models.(d) in
+        Array.iteri (fun i x -> models.(d).(i) <- f x models.(1 - d).(i)) before;
+        let changed = op ~dst:sets.(d) sets.(1 - d) in
+        if changed <> (before <> models.(d)) then fail "%s: changed flag %b" what changed
+      in
+      List.iter
+        (fun step ->
+          (match step with
+           | Set (f, i) when cap > 0 ->
+             B.set sets.(pick f) (i mod cap);
+             models.(pick f).(i mod cap) <- true
+           | Clear (f, i) when cap > 0 ->
+             B.clear sets.(pick f) (i mod cap);
+             models.(pick f).(i mod cap) <- false
+           | Set _ | Clear _ -> ()
+           | Union f -> binop "union" B.union_into ( || ) f
+           | Inter f -> binop "inter" B.inter_into ( && ) f
+           | Diff f -> binop "diff" B.diff_into (fun x y -> x && not y) f
+           | Fill f ->
+             B.fill_all sets.(pick f);
+             Array.fill models.(pick f) 0 cap true
+           | Clear_all f ->
+             B.clear_all sets.(pick f);
+             Array.fill models.(pick f) 0 cap false
+           | Copy f ->
+             sets.(pick f) <- B.copy sets.(1 - pick f);
+             models.(pick f) <- Array.copy models.(1 - pick f));
+          agree (show_step step))
+        steps;
+      (* The error texts are part of the interface. *)
+      let raises msg f =
+        match f () with
+        | _ -> fail "no %S" msg
+        | exception Invalid_argument m when m = msg -> ()
+        | exception Invalid_argument m -> fail "%S instead of %S" m msg
+      in
+      let a = sets.(0) and other = B.create (cap + 1) in
+      List.iter
+        (fun i ->
+          let msg = Printf.sprintf "Bitset: index %d out of [0, %d)" i cap in
+          raises msg (fun () -> B.set a i);
+          raises msg (fun () -> B.clear a i);
+          raises msg (fun () -> ignore (B.mem a i)))
+        [ -1; cap ];
+      List.iter
+        (fun op -> raises "Bitset: capacity mismatch" (fun () -> ignore (op ~dst:a other)))
+        [ B.union_into; B.inter_into; B.diff_into ];
+      raises "Bitset.create" (fun () -> B.create (-1));
+      true)
+
 (* --- Table -------------------------------------------------------- *)
 
 let test_table_render () =
@@ -256,9 +357,6 @@ let suite =
     Alcotest.test_case "prng pick" `Quick test_prng_pick;
     Alcotest.test_case "prng weighted pick" `Quick test_prng_weighted_pick;
     Alcotest.test_case "hash2" `Quick test_hash2_deterministic;
-    Alcotest.test_case "pqueue order" `Quick test_pqueue_order;
-    Alcotest.test_case "pqueue fifo ties" `Quick test_pqueue_fifo_ties;
-    Alcotest.test_case "pqueue mixed ops" `Quick test_pqueue_mixed_ops;
     Alcotest.test_case "stats mean" `Quick test_stats_mean;
     Alcotest.test_case "stats geomean" `Quick test_stats_geomean;
     Alcotest.test_case "stats percent/ratio" `Quick test_stats_percent_ratio;
@@ -269,6 +367,7 @@ let suite =
     Alcotest.test_case "bitset ops" `Quick test_bitset_ops;
     Alcotest.test_case "bitset fill-all" `Quick test_bitset_fill_all;
     Alcotest.test_case "bitset capacity mismatch" `Quick test_bitset_capacity_mismatch;
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 17 |]) prop_bitset_model;
     Alcotest.test_case "table render" `Quick test_table_render;
     Alcotest.test_case "table html" `Quick test_table_html;
     Alcotest.test_case "table row too long" `Quick test_table_row_too_long;
