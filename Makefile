@@ -42,13 +42,17 @@ parity: build
 
 # Regression gate (see docs/observability.md): check the fresh run
 # manifest against the committed golden one, recording it first if it
-# does not exist yet.  The check also leaves the manifest and the HTML
-# report under _build/ for CI to upload.
+# does not exist yet.  The check also leaves the manifest, its stdout
+# and the HTML report under _build/ for CI to upload; the page must
+# carry every table the check printed.
 regress: build
 	@if [ -f baselines/default.json ]; then \
 	  dune exec bin/rfh.exe -- baseline check \
 	    --manifest-out _build/run-manifest.json \
-	    --report-out _build/run-report.html; \
+	    --report-out _build/run-report.html > _build/regress.txt \
+	    || { cat _build/regress.txt; exit 1; }; \
+	  cat _build/regress.txt; \
+	  $(call check_titles,_build/regress.txt,_build/run-report.html); \
 	else \
 	  echo "no baseline recorded yet; recording baselines/default.json"; \
 	  dune exec bin/rfh.exe -- baseline record \
@@ -58,23 +62,28 @@ regress: build
 
 # Allocation-explainer smoke (see docs/observability.md): the decision
 # stream must cross-check against the manifest's allocator stats, and
-# the JSONL + HTML outputs land under _build/ for CI to upload.
+# the JSONL + HTML outputs land under _build/ for CI to upload; the
+# page must carry every table the command printed.
 explain-smoke: build
 	dune exec bin/rfh.exe -- explain mm --top 10 --warps 8 \
 	  --jsonl-out _build/explain-mm.jsonl \
 	  --report-out _build/explain-mm.html > _build/explain-mm.txt
-	@echo "explain smoke OK: decision stream matches the manifest allocator stats"
+	$(call check_titles,_build/explain-mm.txt,_build/explain-mm.html)
+	@echo "explain smoke OK: decision stream matches the manifest allocator stats; the page has every printed table"
 
 # Warp-timeline smoke (see docs/observability.md): every warp-cycle
 # must be attributed to a stall cause (the command exits 1 if the
 # breakdown does not sum to cycles x warps, or if the recorded interval
-# stream disagrees with it), and the JSONL + Perfetto trace land under
-# _build/ for CI to upload.
+# stream disagrees with it), and the JSONL, Perfetto trace and HTML
+# page land under _build/ for CI to upload; the page must carry every
+# table the command printed.
 timeline-smoke: build
 	dune exec bin/rfh.exe -- timeline mm --warps 16 --mrf-banks 8 --top 5 \
 	  --jsonl-out _build/timeline-mm.jsonl \
-	  --trace-out _build/timeline-mm-trace.json > _build/timeline-mm.txt
-	@echo "timeline smoke OK: stall breakdown sums to cycles x warps in every config"
+	  --trace-out _build/timeline-mm-trace.json \
+	  --report-out _build/timeline-mm.html > _build/timeline-mm.txt
+	$(call check_titles,_build/timeline-mm.txt,_build/timeline-mm.html)
+	@echo "timeline smoke OK: stall breakdown sums to cycles x warps in every config; the page has every printed table"
 
 # Engine-profiler smoke (see docs/observability.md): profile the fig13
 # rendering at jobs 1 and 2 with the Runtime_events GC capture on; the

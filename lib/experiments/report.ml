@@ -48,11 +48,6 @@ let tables_of opts a =
         [ Config_tables.table2 (); Config_tables.table3 opts.Options.params;
           Config_tables.table4 opts.Options.params ])
 
-let run opts artefacts =
-  List.iter (fun a -> List.iter Util.Table.print (tables_of opts a)) artefacts
-
-let run_all opts = run opts (List.map snd artefact_names)
-
 let clear_caches () =
   Sweep.clear_caches ();
   Perf_study.clear_cache ()

@@ -1,4 +1,4 @@
-(** Run experiments and render their tables. *)
+(** The paper's artefacts and the tables that render them. *)
 
 type artefact =
   | Fig2 | Fig11 | Fig12 | Fig13 | Fig14 | Fig15
@@ -9,11 +9,7 @@ val artefact_names : (string * artefact) list
     ["tables"]. *)
 
 val tables_of : Options.t -> artefact -> Util.Table.t list
-
-val run : Options.t -> artefact list -> unit
-(** Print each artefact's tables to stdout. *)
-
-val run_all : Options.t -> unit
+(** The artefact's tables, in the order [rfh] prints them. *)
 
 val clear_caches : unit -> unit
 (** Reset every experiment memo table (cold-regeneration timing). *)

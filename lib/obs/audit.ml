@@ -199,3 +199,32 @@ include Recorder.Make (struct
   let of_json = of_json
   let pp = pp
 end)
+
+let summary_table events ~expected =
+  let t =
+    Util.Table.create ~title:"Audit log summary"
+      ~columns:[ "Events"; "Count"; "Cross-check (Energy.Counts writes)" ]
+  in
+  let count p = List.length (List.filter p events) in
+  let checks =
+    List.map
+      (fun level ->
+        let got = count (function Place p -> p.level = level | _ -> false) and want = expected level in
+        Util.Table.add_row t
+          [
+            "place." ^ level_name level;
+            string_of_int got;
+            Printf.sprintf "%d (%s)" want (if got = want then "ok" else "MISMATCH");
+          ];
+        (level, got = want))
+      [ Lrf; Orf; Mrf; Rfc ]
+  in
+  List.iter
+    (fun (name, p) -> Util.Table.add_row t [ name; string_of_int (count p); "" ])
+    [
+      ("alloc", function Alloc _ -> true | _ -> false);
+      ("desched", function Desched _ -> true | _ -> false);
+      ("evict", function Evict _ -> true | _ -> false);
+      ("total", fun _ -> true);
+    ];
+  (t, checks)

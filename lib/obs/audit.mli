@@ -51,7 +51,7 @@ type event =
   | Strand_boundary of { instr : int; strand : int }
   | Desched of { warp : int; instr : int; cause : cause }
 
-include Recorder.S with type t := event
+include Recorder.S with type t = event
 (** The recorder; [printer_sink] is the [-v] output. *)
 
 (** {1 Encoding} *)
@@ -61,3 +61,11 @@ val cause_name : cause -> string
 val to_json : event -> Json.t
 val of_json : Json.t -> (event, string) result
 val pp : Format.formatter -> event -> unit
+
+(** {1 Summary} *)
+
+val summary_table : event list -> expected:(level -> int) -> Util.Table.t * (level * bool) list
+(** ["Audit log summary"]: [Place] events per level, each checked
+    against [expected] (the {!Energy.Counts} write total of the same
+    runs), then the [Alloc], [Desched], [Evict] and all-event counts.
+    Also returns each level's check. *)

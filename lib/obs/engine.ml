@@ -853,35 +853,6 @@ let trace_events ~base_ns r =
       (List.map (fun s -> s.s_dom) r.slices
       @ List.map (fun (reg : region) -> reg.caller) r.regions)
   in
-  let process_metadata =
-    Json.Obj
-      [
-        ("name", Json.Str "process_name");
-        ("ph", Json.Str "M");
-        ("pid", Json.int trace_pid);
-        ("tid", Json.int 0);
-        ("args", Json.Obj [ ("name", Json.Str "rfh engine (wall clock)") ]);
-      ]
-  in
-  let thread_metadata =
-    List.map
-      (fun did ->
-        Json.Obj
-          [
-            ("name", Json.Str "thread_name");
-            ("ph", Json.Str "M");
-            ("pid", Json.int trace_pid);
-            ("tid", Json.int did);
-            ( "args",
-              Json.Obj
-                [
-                  ( "name",
-                    Json.Str
-                      (if did = 0 then "domain 0 (main)" else Printf.sprintf "domain %d" did) );
-                ] );
-          ])
-      domains
-  in
   let region_events =
     List.map
       (fun (reg : region) ->
@@ -914,7 +885,8 @@ let trace_events ~base_ns r =
           ])
       r.slices
   in
-  (process_metadata :: thread_metadata) @ region_events @ slice_events
+  Trace_export.process_rows ~pid:trace_pid ~name:"rfh engine (wall clock)" domains
+  @ region_events @ slice_events
 
 (* An unresolved pause (ring never handshook) still renders, on a
    sentinel row, so nothing silently disappears from the trace. *)
@@ -929,37 +901,6 @@ let gc_trace_events ~base_ns r =
     let tid_of dom = if dom >= 0 then dom else gc_unresolved_tid in
     let tids =
       List.sort_uniq compare (List.map (fun (p : Gcprof.pause) -> tid_of p.gp_dom) g.c_pauses)
-    in
-    let process_metadata =
-      Json.Obj
-        [
-          ("name", Json.Str "process_name");
-          ("ph", Json.Str "M");
-          ("pid", Json.int pid);
-          ("tid", Json.int 0);
-          ("args", Json.Obj [ ("name", Json.Str "rfh engine gc (wall clock)") ]);
-        ]
-    in
-    let thread_metadata =
-      List.map
-        (fun tid ->
-          Json.Obj
-            [
-              ("name", Json.Str "thread_name");
-              ("ph", Json.Str "M");
-              ("pid", Json.int pid);
-              ("tid", Json.int tid);
-              ( "args",
-                Json.Obj
-                  [
-                    ( "name",
-                      Json.Str
-                        (if tid = gc_unresolved_tid then "unresolved"
-                         else if tid = 0 then "domain 0 (main)"
-                         else Printf.sprintf "domain %d" tid) );
-                  ] );
-            ])
-        tids
     in
     let pause_events =
       List.map
@@ -977,4 +918,8 @@ let gc_trace_events ~base_ns r =
             ])
         g.c_pauses
     in
-    (process_metadata :: thread_metadata) @ pause_events
+    Trace_export.process_rows ~pid ~name:"rfh engine gc (wall clock)"
+      ~thread:(fun tid ->
+        if tid = gc_unresolved_tid then "unresolved" else Trace_export.domain_name tid)
+      tids
+    @ pause_events

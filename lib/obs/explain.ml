@@ -282,3 +282,53 @@ let decision_table ~kernel ds =
         ])
     ds;
   t
+
+(* The top-[n] table [rfh explain] prints per kernel: instructions by
+   attributed energy, highest first, ties by pc. *)
+let top_table ~n (r : kernel_report) =
+  let t =
+    Util.Table.create
+      ~title:(Printf.sprintf "Top %d instructions by attributed energy: %s" n r.kr_kernel)
+      ~columns:[ "PC"; "Strand"; "Instruction"; "pJ"; "Share" ]
+  in
+  let ranked =
+    List.stable_sort
+      (fun a b -> match compare b.pj a.pj with 0 -> compare a.pc b.pc | c -> c)
+      r.kr_instrs
+  in
+  List.iteri
+    (fun i l ->
+      if i < n then
+        Util.Table.add_row t
+          [
+            string_of_int l.pc;
+            string_of_int l.strand;
+            l.text;
+            Printf.sprintf "%.1f" l.pj;
+            Printf.sprintf "%.1f%%" (100.0 *. l.share);
+          ])
+    ranked;
+  t
+
+let stats_checks ds (b : Manifest.bench) =
+  let count p = List.length (List.filter p ds) in
+  [
+    ("decisions = write + read units", List.length ds, b.write_units + b.read_units);
+    ("LRF placements", count (fun d -> match d.outcome with To_lrf _ -> true | _ -> false), b.lrf_allocs);
+    ("ORF placements", count (fun d -> match d.outcome with To_orf _ -> true | _ -> false), b.orf_allocs);
+    ( "partial (shortened) placements",
+      count (fun d -> match d.outcome with To_orf { shortened; _ } -> shortened > 0 | _ -> false),
+      b.partial_allocs );
+  ]
+
+let cross_check_table checks =
+  let t =
+    Util.Table.create ~title:"Cross-check vs run-manifest allocator stats"
+      ~columns:[ "Check"; "Explainer"; "Manifest"; "" ]
+  in
+  List.iter
+    (fun (what, got, want) ->
+      Util.Table.add_row t
+        [ what; string_of_int got; string_of_int want; (if got = want then "ok" else "MISMATCH") ])
+    checks;
+  t

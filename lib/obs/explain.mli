@@ -45,7 +45,7 @@ type decision = {
   outcome : outcome;
 }
 
-include Recorder.S with type t := decision
+include Recorder.S with type t = decision
 
 (** {1 Derived views} *)
 
@@ -89,3 +89,20 @@ val decision_table : kernel:string -> decision list -> Util.Table.t
     the partial-range drop), the LRF and ORF verdicts with their
     savings estimates, and the final placement.  What [rfh explain]
     prints and its [--report-out] page renders. *)
+
+val top_table : n:int -> kernel_report -> Util.Table.t
+(** ["Top <n> instructions by attributed energy: <kernel>"]: the [n]
+    instructions carrying the most attributed energy, highest first
+    (ties by pc), with strand, text, pJ and share of the kernel's
+    total. *)
+
+val stats_checks : decision list -> Manifest.bench -> (string * int * int) list
+(** The explainer-vs-manifest cross-checks of one benchmark: each
+    check's name, the count from the decision stream and the count
+    from the manifest's allocator stats.  Every live-range unit the
+    allocator considered must have produced exactly one decision, and
+    the outcome tally must reproduce the stats. *)
+
+val cross_check_table : (string * int * int) list -> Util.Table.t
+(** ["Cross-check vs run-manifest allocator stats"]: one row per
+    {!stats_checks} entry, marked [ok] or [MISMATCH]. *)

@@ -1,8 +1,9 @@
 (* Self-contained HTML pages: inline CSS, no scripts, no external
    assets — each file must open from disk offline and attach to CI runs
-   as a single artifact.  A page is the Util.Table values its command
-   prints, rendered by Util.Table.html, plus the charts that have no
-   table form. *)
+   as a single artifact.  A page is a list of blocks: the Util.Table
+   values its command prints, rendered by Util.Table.html, the charts
+   and banners that have no table form, and the run report where the
+   command collects a manifest. *)
 
 let escape = Util.Table.escape_html
 
@@ -54,16 +55,29 @@ h3 { font-size: 1.05em; margin-top: 1.5em; } h4 { font-size: .95em; }
 
 let pf = Printf.bprintf
 
+type block = Table of Util.Table.t | Html of string
+
 (* Every page shares one document shell: the inline stylesheet and
    nothing else, so each file opens offline on its own. *)
-let page ~title body =
+let page ~title blocks =
+  let body =
+    String.concat ""
+      (List.map (function Table t -> Util.Table.html t | Html h -> h) blocks)
+  in
   Printf.sprintf
-    "<!DOCTYPE html>\n<html lang=en>\n<head>\n<meta charset=utf-8>\n<title>%s</title>\n<style>\n%s\n</style>\n</head>\n<body>\n%s</body>\n</html>\n"
-    title style body
+    "<!DOCTYPE html>\n<html lang=en>\n<head>\n<meta charset=utf-8>\n<title>%s</title>\n<style>\n%s\n</style>\n</head>\n<body>\n<h1>%s</h1>\n%s</body>\n</html>\n"
+    (escape title) style (escape title) body
 
 let write_page ~path html = Out_channel.with_open_text path (fun oc -> output_string oc html)
 
-let table buf t = Buffer.add_string buf (Util.Table.html t)
+(* A block drawn into a buffer. *)
+let html draw =
+  let buf = Buffer.create 4096 in
+  draw buf;
+  Html (Buffer.contents buf)
+
+let heading text = Html (Printf.sprintf "<h2>%s</h2>\n" (escape text))
+let muted text = Html (Printf.sprintf "<p class=muted>%s</p>\n" (escape text))
 
 let num = Printf.sprintf "%.4g"
 
@@ -141,7 +155,8 @@ let stall_bars buf (benches : Manifest.bench list) =
              b.stalls))
       benches
 
-let heatmap buf (r : Explain.kernel_report) =
+let heatmap (r : Explain.kernel_report) =
+  html @@ fun buf ->
   pf buf "<h4>Energy heatmap</h4>\n";
   pf buf
     "<p class=muted>background intensity &prop; attributed register-file energy per instruction</p>\n";
@@ -166,7 +181,8 @@ let engine_ms ns = float_of_int ns /. 1e6
    the seven exact categories, one stacked bar per --jobs setting and
    per region, then the compute/gc sub-split of useful time (gc is a
    slice of useful, not an eighth category). *)
-let engine_bars buf (reports : Engine.report list) =
+let engine_bars (reports : Engine.report list) =
+  html @@ fun buf ->
   pf buf "<h2>Overhead breakdown</h2>\n";
   legend buf (List.map (fun name -> (eg_class name, name)) Engine.category_names);
   let cat_bar label cats =
@@ -215,7 +231,8 @@ let engine_bars buf (reports : Engine.report list) =
    counts) a rise is. *)
 let metric_worse metric rel = if metric = "ipc" then rel < 0.0 else rel > 0.0
 
-let why_delta_bars buf (r : Rootcause.t) =
+let why_delta_bars (r : Rootcause.t) =
+  html @@ fun buf ->
   pf buf "<h2>Per-benchmark metric deltas</h2>\n";
   if r.r_metrics = [] then pf buf "<p class=muted>no benchmarks common to both sides</p>\n"
   else begin
@@ -350,64 +367,47 @@ let audit_table (a : Manifest.audit) =
   t
 
 (* ------------------------------------------------------------------ *)
-(* Pages.                                                              *)
+(* Run report and page headers.                                        *)
 
-let render ?compare ?explain (m : Manifest.t) =
-  let buf = Buffer.create 16384 in
-  pf buf "<h1>rfh run report</h1>\n";
-  pf buf "<p class=muted>schema v%d · %d benchmarks%s</p>\n" Manifest.schema_version
-    (List.length m.benches)
-    (if compare = None then "" else " · compared against baseline");
-  let mean = Manifest.mean_norm_energy m in
-  pf buf "<p class=headline>mean normalized RF energy: <strong>%s</strong>%s</p>\n" (num mean)
-    (match compare with
-    | None -> ""
-    | Some base ->
-      let bmean = Manifest.mean_norm_energy base in
-      Printf.sprintf " (baseline %s, %+0.4g)" (num bmean) (mean -. bmean));
-  table buf (options_table m.options);
-  energy_bars buf m;
-  table buf (bench_table ?compare m);
+let render ?compare (m : Manifest.t) =
   let with_stalls = List.filter (fun (b : Manifest.bench) -> b.stalls <> []) m.benches in
-  stall_bars buf with_stalls;
-  if with_stalls <> [] then table buf (residency_table with_stalls);
-  table buf (phase_table m);
-  table buf (Metrics.to_table m.metrics);
-  table buf (audit_table m.audit);
-  (match explain with
-  | None | Some [] -> ()
-  | Some reports ->
-    pf buf "<h2>Allocation explainer</h2>\n";
-    List.iter
-      (fun (r : Explain.kernel_report) ->
-        pf buf "<h3>%s</h3>\n" (escape r.kr_kernel);
-        pf buf "<p class=muted>%d decisions &middot; %d placed &middot; %s pJ attributed</p>\n"
-          (List.length r.kr_decisions)
-          (List.length (List.filter Explain.placed r.kr_decisions))
-          (num r.kr_total_pj);
-        table buf (Explain.decision_table ~kernel:r.kr_kernel r.kr_decisions);
-        if r.kr_instrs <> [] then heatmap buf r)
-      reports);
-  page ~title:"rfh run report" (Buffer.contents buf)
+  [
+    html (fun buf ->
+        pf buf "<h2>rfh run report</h2>\n";
+        pf buf "<p class=muted>schema v%d · %d benchmarks%s</p>\n" Manifest.schema_version
+          (List.length m.benches)
+          (if compare = None then "" else " · compared against baseline");
+        let mean = Manifest.mean_norm_energy m in
+        pf buf "<p class=headline>mean normalized RF energy: <strong>%s</strong>%s</p>\n"
+          (num mean)
+          (match compare with
+          | None -> ""
+          | Some base ->
+            let bmean = Manifest.mean_norm_energy base in
+            Printf.sprintf " (baseline %s, %+0.4g)" (num bmean) (mean -. bmean)));
+    Table (options_table m.options);
+    html (fun buf -> energy_bars buf m);
+    Table (bench_table ?compare m);
+    html (fun buf -> stall_bars buf with_stalls);
+  ]
+  @ (if with_stalls <> [] then [ Table (residency_table with_stalls) ] else [])
+  @ [ Table (phase_table m); Table (Metrics.to_table m.metrics); Table (audit_table m.audit) ]
 
-let render_engine_page (reports : Engine.report list) =
-  let buf = Buffer.create 16384 in
-  pf buf "<h1>rfh engine report</h1>\n";
-  (match reports with
-  | r :: _ -> pf buf "<p class=muted>target: %s</p>\n" (escape r.label)
-  | [] -> ());
-  List.iter (table buf) (Engine.tables reports);
-  engine_bars buf reports;
-  page ~title:"rfh engine report" (Buffer.contents buf)
+let explain_header (r : Explain.kernel_report) =
+  html @@ fun buf ->
+  pf buf "<h3>%s</h3>\n" (escape r.kr_kernel);
+  pf buf "<p class=muted>%d decisions &middot; %d placed &middot; %s pJ attributed</p>\n"
+    (List.length r.kr_decisions)
+    (List.length (List.filter Explain.placed r.kr_decisions))
+    (num r.kr_total_pj)
 
-let render_trend_page ~history_path ~records ~rejected (g : Trend.gate_result) =
-  let buf = Buffer.create 16384 in
-  pf buf "<h1>rfh trend dashboard</h1>\n";
+let trend_header ~records (g : Trend.gate_result) =
+  html @@ fun buf ->
   (match (records, List.rev records) with
   | (first : History.t) :: _, (last : History.t) :: _ ->
     pf buf "<p class=muted>%s … %s</p>\n" (escape first.timestamp) (escape last.timestamp)
   | _ -> ());
-  (match g.g_exit with
+  match g.g_exit with
   | 2 ->
     pf buf "<p class=gate-fail>Not enough history to judge drift (need at least 3 records).</p>\n"
   | 1 ->
@@ -420,15 +420,14 @@ let render_trend_page ~history_path ~records ~rejected (g : Trend.gate_result) =
           (escape (Host.short_rev f.f_rev)))
       g.g_failures;
     pf buf "</ul>\n"
-  | _ -> pf buf "<p class=gate-ok>No sustained drift in any gated series.</p>\n");
-  table buf (Trend.table ~history_path ~rejected records g);
-  pf buf
-    "<p class=muted>z is a robust score (0.6745·(latest−median)/MAD); shift compares the last segment's median against the previous segment's. Gated series fail rfh trend --check on a sustained shift beyond their tolerance in the bad direction.</p>\n";
-  page ~title:"rfh trend dashboard" (Buffer.contents buf)
+  | _ -> pf buf "<p class=gate-ok>No sustained drift in any gated series.</p>\n"
 
-let render_why_page ~baseline_label ~candidate_label (r : Rootcause.t) =
-  let buf = Buffer.create 16384 in
-  pf buf "<h1>rfh why — differential root cause</h1>\n";
+let trend_note =
+  Html
+    "<p class=muted>z is a robust score (0.6745·(latest−median)/MAD); shift compares the last segment's median against the previous segment's. Gated series fail rfh trend --check on a sustained shift beyond their tolerance in the bad direction.</p>\n"
+
+let why_header ~baseline_label ~candidate_label (r : Rootcause.t) =
+  html @@ fun buf ->
   pf buf "<p class=muted>baseline: %s · candidate: %s</p>\n" (escape baseline_label)
     (escape candidate_label);
   (match Rootcause.check r with
@@ -446,10 +445,11 @@ let render_why_page ~baseline_label ~candidate_label (r : Rootcause.t) =
   if r.r_only_a <> [] || r.r_only_b <> [] then
     pf buf "<p class=gate-fail>benchmarks only in baseline: [%s] · only in candidate: [%s]</p>\n"
       (escape (String.concat ", " r.r_only_a))
-      (escape (String.concat ", " r.r_only_b));
-  table buf (Rootcause.delta_table r);
-  table buf (Rootcause.to_table r);
-  why_delta_bars buf r;
-  Option.iter (fun s -> List.iter (table buf) (Stall_diff.tables s)) r.r_stalls;
-  Option.iter (fun e -> List.iter (table buf) (Explain_diff.tables e)) r.r_explain;
-  page ~title:"rfh why report" (Buffer.contents buf)
+      (escape (String.concat ", " r.r_only_b))
+
+let why_details (r : Rootcause.t) =
+  why_delta_bars r
+  :: List.map
+       (fun t -> Table t)
+       (Option.fold ~none:[] ~some:Stall_diff.tables r.r_stalls
+       @ Option.fold ~none:[] ~some:Explain_diff.tables r.r_explain)

@@ -23,6 +23,8 @@ module type S = sig
 end
 
 module Make (E : EVENT) = struct
+  type t = E.t
+
   let on = Atomic.make false
   let mu = Mutex.create ()
   let sink : (E.t -> unit) ref = ref ignore

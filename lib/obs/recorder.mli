@@ -62,4 +62,6 @@ module type S = sig
       [Error] only when the file itself cannot be read. *)
 end
 
-module Make (E : EVENT) : S with type t := E.t
+module Make (E : EVENT) : S with type t = E.t
+(** [t] stays visible, so a recorder can be passed as a first-class
+    [S] module. *)

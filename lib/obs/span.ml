@@ -67,3 +67,20 @@ let totals () =
     (recorded ());
   Hashtbl.fold (fun name agg acc -> (name, agg) :: acc) table []
   |> List.sort (fun (_, (_, a)) (_, (_, b)) -> compare b a)
+
+let totals_table ~wall_ms =
+  let t =
+    Util.Table.create ~title:"Profile: per-phase time (inclusive)"
+      ~columns:[ "Phase"; "Calls"; "Total ms"; "% of wall" ]
+  in
+  List.iter
+    (fun (phase, (calls, total_ms)) ->
+      Util.Table.add_row t
+        [
+          phase;
+          string_of_int calls;
+          Printf.sprintf "%.3f" total_ms;
+          Printf.sprintf "%.1f" (Util.Stats.percent total_ms wall_ms);
+        ])
+    (totals ());
+  t

@@ -33,3 +33,7 @@ val totals : unit -> (string * (int * float)) list
 (** Per-name aggregation of recorded spans: [(name, (calls, total_ms))]
     sorted by descending total time.  Nested spans are counted in their
     parents too, as in any inclusive-time profile. *)
+
+val totals_table : wall_ms:float -> Util.Table.t
+(** ["Profile: per-phase time (inclusive)"]: {!totals} as a table,
+    each phase's time also as a percentage of [wall_ms]. *)

@@ -48,7 +48,7 @@ type interval = {
   stop : int;  (** first cycle after the state (exclusive) *)
 }
 
-include Recorder.S with type t := interval
+include Recorder.S with type t = interval
 
 (** {1 Encoding} *)
 

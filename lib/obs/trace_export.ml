@@ -28,31 +28,25 @@ let engine_pid = 4
    task slice and the collector time inside it are one vertical. *)
 let gc_pid = 5
 
-let json_of_timeline (ivs : Timeline.interval list) =
-  let warps = List.sort_uniq compare (List.map (fun iv -> iv.Timeline.warp) ivs) in
-  let process_metadata =
+(* Every track source names its process row and its thread rows with
+   the same metadata events; domain 0 is the main domain. *)
+let domain_name did = if did = 0 then "domain 0 (main)" else Printf.sprintf "domain %d" did
+
+let process_rows ~pid ~name ?(thread = domain_name) tids =
+  let row what tid label =
     Json.Obj
       [
-        ("name", Json.Str "process_name");
+        ("name", Json.Str what);
         ("ph", Json.Str "M");
-        ("pid", Json.int timeline_pid);
-        ("tid", Json.int 0);
-        ("args", Json.Obj [ ("name", Json.Str "rfh warp timeline (cycles)") ]);
+        ("pid", Json.int pid);
+        ("tid", Json.int tid);
+        ("args", Json.Obj [ ("name", Json.Str label) ]);
       ]
   in
-  let thread_metadata =
-    List.map
-      (fun w ->
-        Json.Obj
-          [
-            ("name", Json.Str "thread_name");
-            ("ph", Json.Str "M");
-            ("pid", Json.int timeline_pid);
-            ("tid", Json.int w);
-            ("args", Json.Obj [ ("name", Json.Str (Printf.sprintf "warp %d" w)) ]);
-          ])
-      warps
-  in
+  row "process_name" 0 name :: List.map (fun tid -> row "thread_name" tid (thread tid)) tids
+
+let json_of_timeline (ivs : Timeline.interval list) =
+  let warps = List.sort_uniq compare (List.map (fun iv -> iv.Timeline.warp) ivs) in
   let events =
     List.map
       (fun (iv : Timeline.interval) ->
@@ -68,42 +62,14 @@ let json_of_timeline (ivs : Timeline.interval list) =
           ])
       ivs
   in
-  (process_metadata :: thread_metadata) @ events
+  process_rows ~pid:timeline_pid ~name:"rfh warp timeline (cycles)"
+    ~thread:(Printf.sprintf "warp %d") warps
+  @ events
 
 let json_of_counters (tracks : Counters.track list) =
   let domains =
     List.concat_map (fun (t : Counters.track) -> List.map (fun s -> s.Counters.domain) t.Counters.samples) tracks
     |> List.sort_uniq compare
-  in
-  let process_metadata =
-    Json.Obj
-      [
-        ("name", Json.Str "process_name");
-        ("ph", Json.Str "M");
-        ("pid", Json.int counters_pid);
-        ("tid", Json.int 0);
-        ("args", Json.Obj [ ("name", Json.Str "rfh counters (simulated time)") ]);
-      ]
-  in
-  let thread_metadata =
-    List.map
-      (fun did ->
-        Json.Obj
-          [
-            ("name", Json.Str "thread_name");
-            ("ph", Json.Str "M");
-            ("pid", Json.int counters_pid);
-            ("tid", Json.int did);
-            ( "args",
-              Json.Obj
-                [
-                  ( "name",
-                    Json.Str
-                      (if did = 0 then "domain 0 (main)" else Printf.sprintf "domain %d" did)
-                  );
-                ] );
-          ])
-      domains
   in
   let events =
     List.concat_map
@@ -123,7 +89,7 @@ let json_of_counters (tracks : Counters.track list) =
           t.Counters.samples)
       tracks
   in
-  (process_metadata :: thread_metadata) @ events
+  process_rows ~pid:counters_pid ~name:"rfh counters (simulated time)" domains @ events
 
 let earliest_span_ns spans =
   List.fold_left
@@ -134,41 +100,11 @@ let earliest_span_ns spans =
 let json_of_spans ?(process_name = "rfh") ?(counters = []) ?(timeline = []) ?base_ns ?(extra = [])
     spans =
   let base = match base_ns with Some b -> b | None -> earliest_span_ns spans in
-  let process_metadata =
-    Json.Obj
-      [
-        ("name", Json.Str "process_name");
-        ("ph", Json.Str "M");
-        ("pid", Json.int spans_pid);
-        ("tid", Json.int 0);
-        ("args", Json.Obj [ ("name", Json.Str process_name) ]);
-      ]
-  in
   (* One trace track (tid) per recording domain: spans from a --jobs N
      fan-out render as N parallel rows in Perfetto instead of
-     collapsing onto one.  Domain 0 is the main domain. *)
+     collapsing onto one. *)
   let domains =
     List.sort_uniq compare (List.map (fun (s : Span.span) -> s.Span.domain) spans)
-  in
-  let thread_metadata =
-    List.map
-      (fun did ->
-        Json.Obj
-          [
-            ("name", Json.Str "thread_name");
-            ("ph", Json.Str "M");
-            ("pid", Json.int spans_pid);
-            ("tid", Json.int did);
-            ( "args",
-              Json.Obj
-                [
-                  ( "name",
-                    Json.Str
-                      (if did = 0 then "domain 0 (main)" else Printf.sprintf "domain %d" did)
-                  );
-                ] );
-          ])
-      domains
   in
   let events =
     List.map
@@ -192,8 +128,8 @@ let json_of_spans ?(process_name = "rfh") ?(counters = []) ?(timeline = []) ?bas
     [
       ( "traceEvents",
         Json.Arr
-          ((process_metadata :: thread_metadata) @ events @ counter_events @ timeline_events
-          @ extra) );
+          (process_rows ~pid:spans_pid ~name:process_name domains
+          @ events @ counter_events @ timeline_events @ extra) );
       ("displayTimeUnit", Json.Str "ms");
     ]
 

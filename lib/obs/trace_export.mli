@@ -52,6 +52,14 @@ val engine_pid : int
 val gc_pid : int
 (** [5] — GC pause rows ({!Engine.gc_trace_events}). *)
 
+val domain_name : int -> string
+(** ["domain N"]; domain 0 is ["domain 0 (main)"]. *)
+
+val process_rows : pid:int -> name:string -> ?thread:(int -> string) -> int list -> Json.t list
+(** The metadata rows every track source starts with: process [pid]
+    named [name], then one thread row per tid, named by [thread]
+    (default {!domain_name}). *)
+
 val earliest_span_ns : Span.span list -> int64
 (** The default rebase point: the earliest span timestamp (0 when
     there are no spans). *)

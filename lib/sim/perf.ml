@@ -104,6 +104,76 @@ let stalled_cycles b = breakdown_total b - b.issued - b.finished
 let mean_residency s =
   if s.entries = 0 then 0.0 else float_of_int s.resident_cycles /. float_of_int s.entries
 
+(* The tables [rfh timeline] prints, one row per labelled run (or per
+   warp of one run). *)
+
+let stall_table ~bench ~warps runs =
+  let t =
+    Util.Table.create
+      ~title:(Printf.sprintf "Stall attribution: %s (%d warps, %% of cycles x warps)" bench warps)
+      ~columns:([ "Config"; "Cycles"; "IPC" ] @ List.map Obs.Timeline.state_name Obs.Timeline.all_states)
+  in
+  List.iter
+    (fun (label, r) ->
+      let total = float_of_int (max 1 (breakdown_total r.stalls)) in
+      Util.Table.add_row t
+        ([ label; string_of_int r.cycles; Printf.sprintf "%.3f" r.ipc ]
+        @ List.map
+            (fun cause ->
+              Printf.sprintf "%.1f%%" (100.0 *. float_of_int (breakdown_get r.stalls cause) /. total))
+            Obs.Timeline.all_states))
+    runs;
+  t
+
+let residency_table runs =
+  let t =
+    Util.Table.create ~title:"Active-set residency"
+      ~columns:
+        [ "Config"; "Entries"; "Exits"; "Resident cycles"; "Mean residency"; "Desched LL";
+          "Desched strand"; "Desched conflict" ]
+  in
+  List.iter
+    (fun (label, r) ->
+      let s = r.sched in
+      Util.Table.add_row t
+        [
+          label;
+          string_of_int s.entries;
+          string_of_int s.exits;
+          string_of_int s.resident_cycles;
+          Printf.sprintf "%.1f" (mean_residency s);
+          string_of_int s.desched_long_latency;
+          string_of_int s.desched_strand_boundary;
+          string_of_int s.desched_bank_conflict;
+        ])
+    runs;
+  t
+
+let top_warps_table ~n ~label r =
+  let t =
+    Util.Table.create
+      ~title:(Printf.sprintf "Top %d stalled warps (%s)" n label)
+      ~columns:([ "Warp"; "Stalled" ] @ List.map Obs.Timeline.state_name Obs.Timeline.all_states)
+  in
+  let ranked =
+    List.stable_sort
+      (fun a b ->
+        match compare (stalled_cycles b.breakdown) (stalled_cycles a.breakdown) with
+        | 0 -> compare a.warp b.warp
+        | c -> c)
+      (Array.to_list r.per_warp)
+  in
+  List.iteri
+    (fun i ws ->
+      if i < n then
+        Util.Table.add_row t
+          ([ string_of_int ws.warp; string_of_int (stalled_cycles ws.breakdown) ]
+          @ List.map
+              (fun cause -> string_of_int (breakdown_get ws.breakdown cause))
+              Obs.Timeline.all_states))
+    ranked;
+  t
+
 (* The counter bins of a run with Obs.Counters off: never written. *)
 let no_bins : (int, int ref) Hashtbl.t = Hashtbl.create 0
 

@@ -99,6 +99,20 @@ val mean_residency : sched_stats -> float
 (** Average active-set visit length in cycles ([resident_cycles /
     entries]; [0.] when there were no entries). *)
 
+val stall_table : bench:string -> warps:int -> (string * result) list -> Util.Table.t
+(** ["Stall attribution: <bench> (<warps> warps, % of cycles x
+    warps)"]: per labelled run, cycles, IPC and each stall cause's
+    share of the run's warp-cycles. *)
+
+val residency_table : (string * result) list -> Util.Table.t
+(** ["Active-set residency"]: per labelled run, active-set entries,
+    exits, resident cycles, mean residency and deschedules by cause. *)
+
+val top_warps_table : n:int -> label:string -> result -> Util.Table.t
+(** ["Top <n> stalled warps (<label>)"]: the [n] warps of one run
+    with the most stalled cycles (ties by warp id), with their
+    per-cause breakdown. *)
+
 val run :
   ?warps:int ->
   ?seed:int ->

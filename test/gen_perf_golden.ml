@@ -6,6 +6,7 @@
      dune exec test/gen_perf_golden.exe -- traffic > test/traffic_golden.jsonl
      dune exec test/gen_perf_golden.exe -- verify > test/verify_golden.jsonl
      dune exec test/gen_perf_golden.exe -- placement > test/placement_golden.jsonl
+     dune build && dune exec test/gen_perf_golden.exe -- cli > test/cli_golden.txt
 
    perf_golden.json was captured from the pre-predecode list-based
    engine, perf_timeline_golden.jsonl from the per-cycle engine before
@@ -21,7 +22,9 @@
    is such a change: it turns the rejecting seeds' verdicts into "ok",
    so it regenerates verify_golden.jsonl deliberately, and it changes
    the rejecting kernels' placements, so it regenerates
-   placement_golden.jsonl deliberately too. *)
+   placement_golden.jsonl deliberately too.  cli_golden.txt is the rfh
+   transcript (see cli_transcript.ml); run from the repository root, it
+   drives the built bin/rfh.exe. *)
 
 let () =
   match Array.to_list Sys.argv with
@@ -32,6 +35,9 @@ let () =
   | [ _; "traffic" ] -> print_string (Perf_golden_doc.traffic_doc ())
   | [ _; "verify" ] -> print_string (Perf_golden_doc.verify_doc ())
   | [ _; "placement" ] -> print_string (Perf_golden_doc.placement_doc ())
+  | [ _; "cli" ] ->
+    print_string
+      (Cli_transcript.render ~rfh:"_build/default/bin/rfh.exe" ~baseline:"baselines/default.json")
   | _ ->
-    prerr_endline "usage: gen_perf_golden [timeline|traffic|verify|placement]";
+    prerr_endline "usage: gen_perf_golden [timeline|traffic|verify|placement|cli]";
     exit 2

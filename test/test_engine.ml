@@ -200,7 +200,8 @@ let test_report_json_byte_stable () =
 (* --- Standalone page ------------------------------------------------ *)
 
 (* The --report-out page is the tables [rfh engine] prints, in the same
-   order, plus the overhead bars — and opens offline. *)
+   order, plus the overhead bars — and opens offline.  Built from the
+   blocks the command passes to the page. *)
 let test_engine_page_standalone () =
   let reports =
     List.map
@@ -208,7 +209,10 @@ let test_engine_page_standalone () =
       [ 1; 2 ]
   in
   let tables = Obs.Engine.tables reports in
-  let html = Obs.Html_report.render_engine_page reports in
+  let html =
+    Obs.Html_report.page ~title:"rfh engine report"
+      (List.map (fun t -> Obs.Html_report.Table t) tables @ [ Obs.Html_report.engine_bars reports ])
+  in
   check Alcotest.int "one <table per engine table" (List.length tables) (Helpers.count_sub html "<table");
   let captions =
     List.filter_map

@@ -580,13 +580,13 @@ let check_standalone html =
 
 let test_html_report_standalone () =
   let m = collect_small () in
-  let html = Obs.Html_report.render m in
+  let html = Obs.Html_report.page ~title:"rfh run report" (Obs.Html_report.render m) in
   check_standalone html;
   check Alcotest.bool "mentions each benchmark" true
     (Helpers.count_sub html "VectorAdd" > 0 && Helpers.count_sub html "MatrixMul" > 0)
 
-(* The explain page is the run report plus one decision table (the one
-   [rfh explain] prints) and one heatmap per kernel. *)
+(* An explain page's kernel section is the decision table [rfh explain]
+   prints and the kernel's heatmap, ahead of the run report. *)
 let test_explain_page_standalone () =
   let m = collect_small () in
   let k = Lazy.force (Option.get (Workloads.Registry.find "MatrixMul")).Workloads.Registry.kernel in
@@ -602,8 +602,16 @@ let test_explain_page_standalone () =
       kr_total_pj = 2.0;
     }
   in
-  let plain = Obs.Html_report.render m in
-  let html = Obs.Html_report.render ~explain:[ report ] m in
+  let plain = Obs.Html_report.page ~title:"rfh explain" (Obs.Html_report.render m) in
+  let html =
+    Obs.Html_report.page ~title:"rfh explain"
+      ([
+         Obs.Html_report.explain_header report;
+         Obs.Html_report.Table (Obs.Explain.decision_table ~kernel:report.kr_kernel report.kr_decisions);
+         Obs.Html_report.heatmap report;
+       ]
+      @ Obs.Html_report.render m)
+  in
   check_standalone html;
   check Alcotest.int "one <table per table: the run report's plus the decision table"
     (Helpers.count_sub plain "<table" + 1) (Helpers.count_sub html "<table");

@@ -178,12 +178,19 @@ let test_gate_short_history_is_exit_2 () =
 
 (* Same self-containment contract as the run report: the dashboard must
    open from disk offline, so no scripts and no external fetches; the
-   change-point annotations must carry the offending git rev. *)
+   change-point annotations must carry the offending git rev.  The page
+   is built from the blocks [rfh trend --html-out] writes: the verdict
+   header, the table the command prints and the note. *)
 let test_trend_page_standalone () =
   let g = Obs.Trend.gate regressed_history in
   let html =
-    Obs.Html_report.render_trend_page ~history_path:"baselines/history.jsonl"
-      ~records:regressed_history ~rejected:1 g
+    Obs.Html_report.page ~title:"rfh trend dashboard"
+      [
+        Obs.Html_report.trend_header ~records:regressed_history g;
+        Obs.Html_report.Table
+          (Obs.Trend.table ~history_path:"baselines/history.jsonl" ~rejected:1 regressed_history g);
+        Obs.Html_report.trend_note;
+      ]
   in
   let has needle =
     let n = String.length needle and len = String.length html in
