@@ -32,13 +32,15 @@ check_titles = titles=$$(awk '{ l[NR] = $$0 } END { for (i = 1; i + 2 <= NR; i++
 	  grep -qF -- "$$title" $(2) || { echo "$(2): missing table '$$title'"; exit 1; }; \
 	done
 
-# Multicore smoke: the same artefact rendered serially and on 2
+# Multicore smoke: every artefact rendered serially and on 2 and 4
 # domains must be byte-identical (see docs/parallelism.md).
 parity: build
-	dune exec bin/rfh.exe -- fig13 --warps 8 --jobs 1 > _build/parity-serial.txt
-	dune exec bin/rfh.exe -- fig13 --warps 8 --jobs 2 > _build/parity-jobs2.txt
+	dune exec bin/rfh.exe -- all --warps 8 --jobs 1 > _build/parity-serial.txt
+	dune exec bin/rfh.exe -- all --warps 8 --jobs 2 > _build/parity-jobs2.txt
+	dune exec bin/rfh.exe -- all --warps 8 --jobs 4 > _build/parity-jobs4.txt
 	diff -u _build/parity-serial.txt _build/parity-jobs2.txt
-	@echo "parity OK: fig13 --jobs 2 is byte-identical to serial"
+	diff -u _build/parity-serial.txt _build/parity-jobs4.txt
+	@echo "parity OK: rfh all --jobs 2 and --jobs 4 are byte-identical to serial"
 
 # Regression gate (see docs/observability.md): check the fresh run
 # manifest against the committed golden one, recording it first if it

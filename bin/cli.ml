@@ -38,16 +38,17 @@ let artefacts_of_target target =
 
 (* An input file: a missing or unreadable one is a bad input, named
    with the system's reason. *)
+let cannot_read path msg =
+  let prefix = path ^ ": " in
+  let reason =
+    if String.starts_with ~prefix msg then
+      String.sub msg (String.length prefix) (String.length msg - String.length prefix)
+    else msg
+  in
+  die_usage (Printf.sprintf "rfh: cannot read %s (%s)" path reason)
+
 let read_input path =
-  try In_channel.with_open_bin path In_channel.input_all
-  with Sys_error msg ->
-    let prefix = path ^ ": " in
-    let reason =
-      if String.starts_with ~prefix msg then
-        String.sub msg (String.length prefix) (String.length msg - String.length prefix)
-      else msg
-    in
-    die_usage (Printf.sprintf "rfh: cannot read %s (%s)" path reason)
+  try In_channel.with_open_bin path In_channel.input_all with Sys_error msg -> cannot_read path msg
 
 (* A numeric flag outside its range is a bad input: exit 2 naming the
    flag and the value before any command runs with it. *)

@@ -60,7 +60,10 @@ let cmd =
        Exit codes are unchanged."
   in
   let run history_path html_out check why csv =
-    let records, rejected = Obs.History.load ~path:history_path in
+    let records, rejected =
+      try Obs.History.load ~path:history_path
+      with Sys_error msg -> Cli.cannot_read history_path msg
+    in
     let recs = Array.of_list records in
     let g = Obs.Trend.gate records in
     Cli.emit ~csv ~label:"trend dashboard" ~title:"rfh trend dashboard" ?report_out:html_out

@@ -26,11 +26,19 @@ let () =
           Rfh.Energy.Params.wire_pj_per_mm_32b =
             Rfh.Energy.Params.default.Rfh.Energy.Params.wire_pj_per_mm_32b *. scale }
       in
-      let opts = { (Options.quick ()) with Options.params } in
+      (* [with_params] refreshes the fingerprint the run memo is keyed
+         on, so each scale is priced afresh. *)
+      let opts = Options.with_params (Options.quick ()) params in
+      let keys =
+        List.concat_map
+          (fun s -> List.map (fun n -> (s, n)) [ 1; 2; 3; 4; 5; 6; 7; 8 ])
+          [ Sweep.Hw_two; Sweep.Hw_three; Sweep.Sw_two; Sweep.Sw_three_split ]
+      in
+      let means =
+        Sweep.means opts keys (fun e (scheme, entries) -> Sweep.energy_ratio opts e scheme ~entries)
+      in
       let best scheme =
-        List.fold_left
-          (fun acc entries -> min acc (Sweep.mean_energy_ratio opts scheme ~entries))
-          infinity [ 1; 2; 3; 4; 5; 6; 7; 8 ]
+        List.fold_left (fun acc ((s, _), v) -> if s = scheme then min acc v else acc) infinity means
       in
       let hw = best Sweep.Hw_two in
       let hw3 = best Sweep.Hw_three in

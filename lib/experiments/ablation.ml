@@ -4,66 +4,44 @@ type variant = {
   delta_vs_full : float;
 }
 
-let sw_ratio (opts : Options.t) e config =
-  let energy =
-    List.fold_left
-      (fun acc ctx ->
-        let placement = Alloc.Allocator.place config ctx in
-        let traffic =
-          Sim.Traffic.run ~warps:opts.Options.warps ~seed:opts.Options.seed ctx
-            (Sim.Traffic.Sw { config; placement })
-        in
-        acc
-        +. (Energy.Counts.energy opts.Options.params ~orf_entries:config.Alloc.Config.orf_entries
-              traffic.Sim.Traffic.counts)
-             .Energy.Counts.total)
-      0.0 (Sweep.contexts e)
-  in
-  let base =
-    (Sweep.run opts e Sweep.Baseline ~entries:1).Sweep.energy.Energy.Counts.total
-  in
-  Util.Stats.ratio energy base
+let sw_ratio (opts : Options.t) config e =
+  Sweep.vs_baseline opts e
+    (Sweep.traffic_energy opts (Sweep.contexts e) ~orf_entries:config.Alloc.Config.orf_entries
+       (Sweep.sw_scheme config))
 
-let mean_sw (opts : Options.t) config =
-  Util.Stats.mean (List.map (fun e -> sw_ratio opts e config) opts.Options.benchmarks)
-
-let hw_tagless_ratio (opts : Options.t) ~entries =
-  let tagless = Energy.Params.tagless in
-  Util.Stats.mean
-    (List.map
-       (fun e ->
-         let r = Sweep.run opts e Sweep.Hw_two ~entries in
-         let energy =
-           (Energy.Counts.energy tagless ~orf_entries:entries
-              r.Sweep.traffic.Sim.Traffic.counts)
-             .Energy.Counts.total
-         in
-         let base = (Sweep.run opts e Sweep.Baseline ~entries:1).Sweep.energy.Energy.Counts.total in
-         Util.Stats.ratio energy base)
-       opts.Options.benchmarks)
+let hw_tagless_ratio (opts : Options.t) ~entries e =
+  let r = Sweep.run opts e Sweep.Hw_two ~entries in
+  Sweep.vs_baseline opts e
+    (Energy.Counts.energy Energy.Params.tagless ~orf_entries:entries
+       r.Sweep.traffic.Sim.Traffic.counts)
+      .Energy.Counts.total
 
 let compute ?(entries = 3) (opts : Options.t) =
-  let cfg ~lrf ~partial ~read_op =
-    Alloc.Config.make ~orf_entries:entries ~lrf ~partial_ranges:partial ~read_operands:read_op
-      ~params:opts.Options.params ()
+  let sw ~lrf ~partial ~read_op =
+    sw_ratio opts
+      (Alloc.Config.make ~orf_entries:entries ~lrf ~partial_ranges:partial ~read_operands:read_op
+         ~params:opts.Options.params ())
   in
-  let full = mean_sw opts (cfg ~lrf:Alloc.Config.Split ~partial:true ~read_op:true) in
-  let mk label v = { label; normalized_energy = v; delta_vs_full = 100.0 *. (v -. full) } in
-  [
-    mk "full design (split LRF, partial ranges, read operands)" full;
-    mk "baseline algorithm only (Sec. 4.2)"
-      (mean_sw opts (cfg ~lrf:Alloc.Config.Split ~partial:false ~read_op:false));
-    mk "+ partial ranges only (Sec. 4.3)"
-      (mean_sw opts (cfg ~lrf:Alloc.Config.Split ~partial:true ~read_op:false));
-    mk "+ read operands only (Sec. 4.4)"
-      (mean_sw opts (cfg ~lrf:Alloc.Config.Split ~partial:false ~read_op:true));
-    mk "unified LRF instead of split (Sec. 6.3)"
-      (mean_sw opts (cfg ~lrf:Alloc.Config.Unified ~partial:true ~read_op:true));
-    mk "no LRF (two-level)"
-      (mean_sw opts (cfg ~lrf:Alloc.Config.No_lrf ~partial:true ~read_op:true));
-    mk "HW RFC with free tags (tag-energy ablation)" (hw_tagless_ratio opts ~entries);
-    mk "HW RFC with tag energy" (Sweep.mean_energy_ratio opts Sweep.Hw_two ~entries);
-  ]
+  let variants =
+    [
+      ( "full design (split LRF, partial ranges, read operands)",
+        sw ~lrf:Alloc.Config.Split ~partial:true ~read_op:true );
+      ( "baseline algorithm only (Sec. 4.2)",
+        sw ~lrf:Alloc.Config.Split ~partial:false ~read_op:false );
+      ("+ partial ranges only (Sec. 4.3)", sw ~lrf:Alloc.Config.Split ~partial:true ~read_op:false);
+      ("+ read operands only (Sec. 4.4)", sw ~lrf:Alloc.Config.Split ~partial:false ~read_op:true);
+      ( "unified LRF instead of split (Sec. 6.3)",
+        sw ~lrf:Alloc.Config.Unified ~partial:true ~read_op:true );
+      ("no LRF (two-level)", sw ~lrf:Alloc.Config.No_lrf ~partial:true ~read_op:true);
+      ("HW RFC with free tags (tag-energy ablation)", hw_tagless_ratio opts ~entries);
+      ("HW RFC with tag energy", fun e -> Sweep.energy_ratio opts e Sweep.Hw_two ~entries);
+    ]
+  in
+  let means = Sweep.means opts variants (fun e (_, ratio) -> ratio e) in
+  let full = snd (List.hd means) in
+  List.map
+    (fun ((label, _), v) -> { label; normalized_energy = v; delta_vs_full = 100.0 *. (v -. full) })
+    means
 
 let table ?entries opts =
   let t =

@@ -7,14 +7,13 @@ type row = {
 }
 
 let compute ?(entries = 3) (opts : Options.t) =
-  List.map
-    (fun (e : Workloads.Registry.entry) ->
-      let config =
-        Alloc.Config.make ~orf_entries:entries ~lrf:Alloc.Config.Split ~params:opts.Options.params ()
-      in
-      let energy c =
-        (Energy.Counts.energy opts.Options.params ~orf_entries:entries c).Energy.Counts.total
-      in
+  let config =
+    Alloc.Config.make ~orf_entries:entries ~lrf:Alloc.Config.Split ~params:opts.Options.params ()
+  in
+  let energy c =
+    (Energy.Counts.energy opts.Options.params ~orf_entries:entries c).Energy.Counts.total
+  in
+  Sweep.per_bench opts (fun (e : Workloads.Registry.entry) ->
       let uniform_ratio = Sweep.energy_ratio opts e Sweep.Sw_three_split ~entries in
       let warps = min 8 opts.Options.warps in
       let base_e = ref 0.0 and sw_e = ref 0.0 in
@@ -38,7 +37,6 @@ let compute ?(entries = 3) (opts : Options.t) =
         uniform_ratio;
         divergent_ratio = Util.Stats.ratio !sw_e !base_e;
       })
-    opts.Options.benchmarks
 
 let table ?entries opts =
   let rows = compute ?entries opts in

@@ -10,10 +10,12 @@ type result = {
 
 let compute ?(entries = 3) (opts : Options.t) =
   let model = Energy.Chip.paper in
-  let rf_saving = 1.0 -. Sweep.mean_energy_ratio opts Sweep.Sw_three_split ~entries in
+  let ratio e entries = Sweep.energy_ratio opts e Sweep.Sw_three_split ~entries in
+  let rf_saving = 1.0 -. List.assoc entries (Sweep.means opts [ entries ] ratio) in
   let chip_saving = Energy.Chip.chip_saving model ~rf_saving in
   let best = Energy.Chip.encoding_overhead model ~extra_bits:1 in
   let worst = Energy.Chip.encoding_overhead model ~extra_bits:5 in
+  (* The fan-out above compiled every context; this only reads them. *)
   let strands, instrs =
     List.fold_left
       (fun acc (e : Workloads.Registry.entry) ->

@@ -1,24 +1,18 @@
+(* Breakdown order: MRF, ORF, RFC, LRF. *)
+let levels = [ Energy.Model.Mrf; Energy.Model.Orf; Energy.Model.Rfc; Energy.Model.Lrf ]
+
+(* Per level, the mean per-benchmark (access / baseline total) and
+   (wire / baseline total). *)
 let components ?(entries = 3) (opts : Options.t) =
-  (* Mean per-benchmark (component / baseline-total). *)
-  let per_bench (e : Workloads.Registry.entry) =
-    let base = (Sweep.run opts e Sweep.Baseline ~entries:1).Sweep.energy.Energy.Counts.total in
+  let share e (level, part) =
     let bd = (Sweep.run opts e Sweep.Sw_three_split ~entries).Sweep.energy in
-    List.map
-      (fun (le : Energy.Counts.level_energy) ->
-        (le.Energy.Counts.level, Util.Stats.ratio le.Energy.Counts.access base,
-         Util.Stats.ratio le.Energy.Counts.wire base))
-      bd.Energy.Counts.levels
+    let le = List.find (fun le -> le.Energy.Counts.level = level) bd.Energy.Counts.levels in
+    Sweep.vs_baseline opts e
+      (match part with `Access -> le.Energy.Counts.access | `Wire -> le.Energy.Counts.wire)
   in
-  let rows = Sweep.per_bench opts per_bench in
-  match rows with
-  | [] -> []
-  | first :: _ ->
-    List.mapi
-      (fun i (level, _, _) ->
-        let acc = Util.Stats.mean (List.map (fun r -> let _, a, _ = List.nth r i in a) rows) in
-        let wire = Util.Stats.mean (List.map (fun r -> let _, _, w = List.nth r i in w) rows) in
-        (level, acc, wire))
-      first
+  let keys = List.concat_map (fun l -> [ (l, `Access); (l, `Wire) ]) levels in
+  let means = Sweep.means opts keys share in
+  List.map (fun l -> (l, List.assoc (l, `Access) means, List.assoc (l, `Wire) means)) levels
 
 let table ?entries opts =
   let t =

@@ -1,37 +1,29 @@
-(* Value traces are collected per benchmark on the option's worker
-   pool; each task forces only its own entry's kernels, and the merge
-   runs serially in entry order, so the merged statistics — and the
-   rendered tables — match the serial run exactly. *)
-let collect_stats (opts : Options.t) entries =
-  Sim.Value_trace.merge
-    (List.concat
-       (Util.Pool.parallel_map ~jobs:opts.Options.jobs
-          ~label:"fig2.value_trace"
-          (fun (e : Workloads.Registry.entry) ->
-            List.map
-              (Sim.Value_trace.collect ~warps:(min 4 opts.Options.warps) ~seed:opts.Options.seed)
-              (Lazy.force e.Workloads.Registry.kernels))
-          entries))
-
-let suite_stats (opts : Options.t) suite =
-  collect_stats opts
-    (List.filter (fun (e : Workloads.Registry.entry) -> e.Workloads.Registry.suite = suite)
-       opts.Options.benchmarks)
-
-let suites_of (opts : Options.t) =
-  List.filter
-    (fun s ->
-      List.exists (fun (e : Workloads.Registry.entry) -> e.Workloads.Registry.suite = s)
-        opts.Options.benchmarks)
-    Workloads.Suite.all
+(* One value-trace fan-out per benchmark (each task forces only its
+   own entry's kernels); the merges run serially in entry order, so
+   the merged statistics match the serial run exactly. *)
+let traces (opts : Options.t) =
+  Sweep.per_bench opts (fun (e : Workloads.Registry.entry) ->
+      ( e.Workloads.Registry.suite,
+        List.map
+          (Sim.Value_trace.collect ~warps:(min 4 opts.Options.warps) ~seed:opts.Options.seed)
+          (Lazy.force e.Workloads.Registry.kernels) ))
 
 let percent_row stats bucket_of buckets =
   let h = bucket_of stats in
   List.map (fun pred -> 100.0 *. Util.Stats.hfraction h pred) buckets
 
 let tables opts =
-  (* One trace collection per suite feeds both tables. *)
-  let stats_by_suite = List.map (fun s -> (s, suite_stats opts s)) (suites_of opts) in
+  (* One trace collection per benchmark feeds both tables, merged per
+     suite present in the selection. *)
+  let traces = traces opts in
+  let stats_by_suite =
+    List.filter_map
+      (fun s ->
+        match List.filter (fun (s', _) -> s' = s) traces with
+        | [] -> None
+        | mine -> Some (s, Sim.Value_trace.merge (List.concat_map snd mine)))
+      Workloads.Suite.all
+  in
   let reads_table =
     let t =
       Util.Table.create ~title:"Figure 2(a): percent of all values, by times read"
@@ -67,6 +59,6 @@ let tables opts =
   in
   [ reads_table; lifetime_table ]
 
-let read_once_fraction (opts : Options.t) =
-  let stats = collect_stats opts opts.Options.benchmarks in
+let read_once_fraction opts =
+  let stats = Sim.Value_trace.merge (List.concat_map snd (traces opts)) in
   Util.Stats.hfraction stats.Sim.Value_trace.read_counts (fun n -> n = 1)

@@ -12,11 +12,6 @@ type result = {
   scheduling_real_5at5 : float;
 }
 
-let mean_over opts f = Util.Stats.mean (List.map f opts.Options.benchmarks)
-
-let baseline_energy opts e =
-  (Sweep.run opts e Sweep.Baseline ~entries:1).Sweep.energy.Energy.Counts.total
-
 (* Re-price the baseline's access counts as if every operand lived at
    the given level (the idealized bounds). *)
 let repriced_ratio (opts : Options.t) e ~level ~entries =
@@ -45,7 +40,7 @@ let repriced_ratio (opts : Options.t) e ~level ~entries =
         +. (float_of_int r *. Energy.Model.read_energy params ~orf_entries:entries level dp)
         +. (float_of_int w *. Energy.Model.write_energy params ~orf_entries:entries level dp))
     dp_list;
-  Util.Stats.ratio !total (baseline_energy opts e)
+  Sweep.vs_baseline opts e !total
 
 (* Oracle per-strand ORF sizing: for each strand pick the entry count
    that minimizes that strand's energy. *)
@@ -72,7 +67,7 @@ let variable_orf_ratio (opts : Options.t) e =
     in
     if best < infinity then oracle_total := !oracle_total +. best
   done;
-  Util.Stats.ratio !oracle_total (baseline_energy opts e)
+  Sweep.vs_baseline opts e !oracle_total
 
 (* Sec. 7's variable scheme under a realistic scheduler: compile for
    the full 8-entry namespace with MRF mirroring; 8 active warps share
@@ -96,75 +91,54 @@ let variable_realistic_ratio (opts : Options.t) e =
              .Energy.Counts.total)
       0.0 (Sweep.contexts e)
   in
-  Util.Stats.ratio energy (baseline_energy opts e)
+  Sweep.vs_baseline opts e energy
 
-let custom_sw_ratio (opts : Options.t) e ~boundary_kinds ~orf_entries ~cost_entries =
+let custom_sw_ratio (opts : Options.t) ?boundary_kinds ~orf_entries e =
   let config =
     Alloc.Config.make ~orf_entries ~lrf:Alloc.Config.Split ~params:opts.Options.params
-      ~orf_cost_entries:cost_entries ()
+      ~orf_cost_entries:3 ()
   in
-  let energy =
-    List.fold_left
-      (fun acc kernel ->
-        let ctx = Alloc.Context.create ?boundary_kinds kernel in
-        let placement = Alloc.Allocator.place config ctx in
-        let traffic =
-          Sim.Traffic.run ~warps:opts.Options.warps ~seed:opts.Options.seed ctx
-            (Sim.Traffic.Sw { config; placement })
-        in
-        acc
-        +. (Energy.Counts.energy opts.Options.params ~orf_entries:cost_entries
-              traffic.Sim.Traffic.counts)
-             .Energy.Counts.total)
-      0.0
-      (Lazy.force e.Workloads.Registry.kernels)
+  let ctxs =
+    List.map (Alloc.Context.create ?boundary_kinds) (Lazy.force e.Workloads.Registry.kernels)
   in
-  Util.Stats.ratio energy (baseline_energy opts e)
+  Sweep.vs_baseline opts e (Sweep.traffic_energy opts ctxs ~orf_entries:3 (Sweep.sw_scheme config))
 
-let hw_ratio (opts : Options.t) e ~flush_on_backward =
-  let energy =
-    List.fold_left
-      (fun acc ctx ->
-        let traffic =
-          Sim.Traffic.run ~warps:opts.Options.warps ~seed:opts.Options.seed ctx
-            (Sim.Traffic.Hw
-               { (Sim.Traffic.hw_defaults ~rfc_entries:3) with
-                 Sim.Traffic.flush_on_backward_branch = flush_on_backward })
-        in
-        acc
-        +. (Energy.Counts.energy opts.Options.params ~orf_entries:3 traffic.Sim.Traffic.counts)
-             .Energy.Counts.total)
-      0.0 (Sweep.contexts e)
+let hw_ratio (opts : Options.t) ~flush_on_backward e =
+  let hw =
+    Sim.Traffic.Hw
+      { (Sim.Traffic.hw_defaults ~rfc_entries:3) with
+        Sim.Traffic.flush_on_backward_branch = flush_on_backward }
   in
-  Util.Stats.ratio energy (baseline_energy opts e)
+  Sweep.vs_baseline opts e
+    (Sweep.traffic_energy opts (Sweep.contexts e) ~orf_entries:3 (fun _ -> hw))
 
+(* One fan-out; the cells are in the record's field order. *)
 let compute (opts : Options.t) =
-  let fixed_best = Sweep.mean_energy_ratio opts Sweep.Sw_three_split ~entries:3 in
-  {
-    fixed_best;
-    ideal_all_lrf = mean_over opts (fun e -> repriced_ratio opts e ~level:Energy.Model.Lrf ~entries:1);
-    ideal_all_orf = mean_over opts (fun e -> repriced_ratio opts e ~level:Energy.Model.Orf ~entries:5);
-    variable_orf_oracle = mean_over opts (variable_orf_ratio opts);
-    variable_orf_realistic = mean_over opts (variable_realistic_ratio opts);
-    hw_flush_backward = mean_over opts (hw_ratio opts ~flush_on_backward:true);
-    hw_keep_backward = mean_over opts (hw_ratio opts ~flush_on_backward:false);
-    sw_past_backward =
-      mean_over opts
-        (custom_sw_ratio opts
-           ~boundary_kinds:
-             (Some { Strand.Partition.long_latency = true; backward = false; merge = true })
-           ~orf_entries:3 ~cost_entries:3);
-    sw_never_flush =
-      mean_over opts
-        (custom_sw_ratio opts
-           ~boundary_kinds:
-             (Some { Strand.Partition.long_latency = false; backward = true; merge = false })
-           ~orf_entries:3 ~cost_entries:3);
-    scheduling_ideal_8at3 =
-      mean_over opts (custom_sw_ratio opts ~boundary_kinds:None ~orf_entries:8 ~cost_entries:3);
-    scheduling_real_5at5 =
-      mean_over opts (custom_sw_ratio opts ~boundary_kinds:None ~orf_entries:5 ~cost_entries:3);
-  }
+  let cells =
+    [
+      (fun e -> Sweep.energy_ratio opts e Sweep.Sw_three_split ~entries:3);
+      (fun e -> repriced_ratio opts e ~level:Energy.Model.Lrf ~entries:1);
+      (fun e -> repriced_ratio opts e ~level:Energy.Model.Orf ~entries:5);
+      variable_orf_ratio opts;
+      variable_realistic_ratio opts;
+      hw_ratio opts ~flush_on_backward:true;
+      hw_ratio opts ~flush_on_backward:false;
+      custom_sw_ratio opts ~orf_entries:3
+        ~boundary_kinds:{ Strand.Partition.long_latency = true; backward = false; merge = true };
+      custom_sw_ratio opts ~orf_entries:3
+        ~boundary_kinds:{ Strand.Partition.long_latency = false; backward = true; merge = false };
+      custom_sw_ratio opts ~orf_entries:8;
+      custom_sw_ratio opts ~orf_entries:5;
+    ]
+  in
+  match List.map snd (Sweep.means opts cells (fun e cell -> cell e)) with
+  | [ fixed_best; ideal_all_lrf; ideal_all_orf; variable_orf_oracle; variable_orf_realistic;
+      hw_flush_backward; hw_keep_backward; sw_past_backward; sw_never_flush;
+      scheduling_ideal_8at3; scheduling_real_5at5 ] ->
+    { fixed_best; ideal_all_lrf; ideal_all_orf; variable_orf_oracle; variable_orf_realistic;
+      hw_flush_backward; hw_keep_backward; sw_past_backward; sw_never_flush;
+      scheduling_ideal_8at3; scheduling_real_5at5 }
+  | _ -> assert false
 
 let table opts =
   let r = compute opts in

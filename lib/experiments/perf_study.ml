@@ -17,41 +17,44 @@ let result (opts : Options.t) (e : Workloads.Registry.entry) ~policy ~active =
 
 let ipc opts e ~policy ~active = (result opts e ~policy ~active).Sim.Perf.ipc
 
-let relative_ipc (opts : Options.t) ~policy ~active =
-  Util.Stats.mean
-    (Sweep.per_bench opts (fun e ->
-         let single = ipc opts e ~policy:Sim.Perf.On_dependence ~active:32 in
-         Util.Stats.ratio (ipc opts e ~policy ~active) single))
+let ipc_ratio opts e ~policy ~active =
+  let single = ipc opts e ~policy:Sim.Perf.On_dependence ~active:32 in
+  Util.Stats.ratio (ipc opts e ~policy ~active) single
 
-let table opts =
-  let t =
+let stall_share opts e ~policy ~active cause =
+  let r = result opts e ~policy ~active in
+  let total = Sim.Perf.breakdown_total r.Sim.Perf.stalls in
+  if total = 0 then 0.0
+  else 100.0 *. float_of_int (Sim.Perf.breakdown_get r.Sim.Perf.stalls cause) /. float_of_int total
+
+let policies = [ Sim.Perf.On_dependence; Sim.Perf.At_strand_boundaries ]
+
+let stall_configs =
+  [ (Sim.Perf.On_dependence, 32); (Sim.Perf.On_dependence, 8); (Sim.Perf.At_strand_boundaries, 8) ]
+
+let tables opts =
+  let keys =
+    List.concat_map (fun active -> List.map (fun p -> `Ipc (p, active)) policies) active_range
+    @ List.concat_map
+        (fun cause -> List.map (fun (p, active) -> `Stall (p, active, cause)) stall_configs)
+        Obs.Timeline.all_states
+  in
+  let cell e = function
+    | `Ipc (policy, active) -> ipc_ratio opts e ~policy ~active
+    | `Stall (policy, active, cause) -> stall_share opts e ~policy ~active cause
+  in
+  let means = Sweep.means opts keys cell in
+  let ipc_table =
     Util.Table.create
       ~title:"Two-level warp scheduler: mean IPC relative to the single-level scheduler"
       ~columns:[ "Active warps"; "HW policy (on dependence)"; "SW policy (strand boundaries)" ]
   in
   List.iter
     (fun active ->
-      Util.Table.add_float_row t (string_of_int active) ~decimals:3
-        [
-          relative_ipc opts ~policy:Sim.Perf.On_dependence ~active;
-          relative_ipc opts ~policy:Sim.Perf.At_strand_boundaries ~active;
-        ])
+      Util.Table.add_float_row ipc_table (string_of_int active) ~decimals:3
+        (List.map (fun p -> List.assoc (`Ipc (p, active)) means) policies))
     active_range;
-  t
-
-let stall_share (opts : Options.t) ~policy ~active cause =
-  Util.Stats.mean
-    (Sweep.per_bench opts (fun e ->
-         let r = result opts e ~policy ~active in
-         let total = Sim.Perf.breakdown_total r.Sim.Perf.stalls in
-         if total = 0 then 0.0
-         else
-           100.0
-           *. float_of_int (Sim.Perf.breakdown_get r.Sim.Perf.stalls cause)
-           /. float_of_int total))
-
-let stall_table opts =
-  let t =
+  let stall_table =
     Util.Table.create
       ~title:"Where the cycles went: mean % of warp-cycles per stall cause (32 warps)"
       ~columns:
@@ -59,13 +62,9 @@ let stall_table opts =
   in
   List.iter
     (fun cause ->
-      Util.Table.add_float_row t (Obs.Timeline.state_name cause) ~decimals:2
-        [
-          stall_share opts ~policy:Sim.Perf.On_dependence ~active:32 cause;
-          stall_share opts ~policy:Sim.Perf.On_dependence ~active:8 cause;
-          stall_share opts ~policy:Sim.Perf.At_strand_boundaries ~active:8 cause;
-        ])
+      Util.Table.add_float_row stall_table (Obs.Timeline.state_name cause) ~decimals:2
+        (List.map (fun (p, active) -> List.assoc (`Stall (p, active, cause)) means) stall_configs))
     Obs.Timeline.all_states;
-  t
+  [ ipc_table; stall_table ]
 
 let clear_cache () = Util.Memo.reset result_cache

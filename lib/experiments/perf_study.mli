@@ -4,21 +4,18 @@
     deschedule-on-dependence and the software scheme's
     deschedule-at-strand-boundaries). *)
 
-val table : Options.t -> Util.Table.t
+val tables : Options.t -> Util.Table.t list
+(** Two tables from one fan-out over the benchmarks.  The IPC table:
+    per active-warp count and descheduling policy, the mean over
+    benchmarks of IPC(two-level) / IPC(single-level).  Where the
+    warp-cycles went: one row per {!Sim.Perf.stall_cause}, columns for
+    the single-level scheduler and the two-level scheduler (8 active
+    warps) under both policies, each cell the mean over benchmarks of
+    that cause's share of the [cycles x warps] budget (in %).  Each
+    configuration is simulated once and memoized. *)
 
-val stall_table : Options.t -> Util.Table.t
-(** Companion to {!table}: where the warp-cycles went.  One row per
-    {!Sim.Perf.stall_cause}, columns for the single-level scheduler and
-    the two-level scheduler (8 active warps) under both policies, each
-    cell the mean over benchmarks of that cause's share of the
-    [cycles x warps] budget (in %).  Reuses {!table}'s memoized
-    simulator runs. *)
-
-val relative_ipc : Options.t -> policy:Sim.Perf.policy -> active:int -> float
-(** Mean over benchmarks of IPC(two-level with [active]) /
-    IPC(single-level). *)
-
-val stall_share : Options.t -> policy:Sim.Perf.policy -> active:int -> Sim.Perf.stall_cause -> float
-(** Mean over benchmarks of one cause's share of warp-cycles, in %. *)
+val ipc_ratio :
+  Options.t -> Workloads.Registry.entry -> policy:Sim.Perf.policy -> active:int -> float
+(** IPC(two-level with [active]) / IPC(single-level) on one benchmark. *)
 
 val clear_cache : unit -> unit

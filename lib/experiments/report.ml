@@ -37,7 +37,7 @@ let tables_of opts a =
       | Fig13 -> [ Energy_sweep.table opts ]
       | Fig14 -> [ Energy_breakdown.table opts ]
       | Fig15 -> [ Per_benchmark.table opts ]
-      | Perf -> [ Perf_study.table opts; Perf_study.stall_table opts ]
+      | Perf -> Perf_study.tables opts
       | Encoding -> [ Encoding.table opts ]
       | Limit -> [ Limit.table opts ]
       | Ablation -> [ Ablation.table opts ]

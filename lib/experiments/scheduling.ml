@@ -7,43 +7,32 @@ type row = {
   best : float;
 }
 
-let sw_energy (opts : Options.t) ~entries kernel =
-  let ctx = Alloc.Context.create kernel in
-  let config =
-    Alloc.Config.make ~orf_entries:entries ~lrf:Alloc.Config.Split ~params:opts.Options.params ()
-  in
+(* The allocator's placement, which must pass the verifier: the
+   passes must not hand it a kernel it places wrongly. *)
+let verified config ctx =
   let placement = Alloc.Allocator.place config ctx in
   (match Alloc.Verify.check config ctx placement with
    | Ok () -> ()
    | Error errs ->
      failwith
-       (Printf.sprintf "scheduling study: %s failed verification: %s" kernel.Ir.Kernel.name
-          (String.concat "; " errs)));
-  let traffic =
-    Sim.Traffic.run ~warps:opts.Options.warps ~seed:opts.Options.seed ctx
-      (Sim.Traffic.Sw { config; placement })
-  in
-  (Energy.Counts.energy opts.Options.params ~orf_entries:entries traffic.Sim.Traffic.counts)
-    .Energy.Counts.total
-
-let baseline_energy (opts : Options.t) kernel =
-  let ctx = Alloc.Context.create kernel in
-  let traffic =
-    Sim.Traffic.run ~warps:opts.Options.warps ~seed:opts.Options.seed ctx Sim.Traffic.Baseline
-  in
-  (Energy.Counts.energy opts.Options.params ~orf_entries:1 traffic.Sim.Traffic.counts)
-    .Energy.Counts.total
+       (Printf.sprintf "scheduling study: %s failed verification: %s"
+          ctx.Alloc.Context.kernel.Ir.Kernel.name (String.concat "; " errs)));
+  Sim.Traffic.Sw { config; placement }
 
 let compute ?(entries = 3) ?(factor = 4) (opts : Options.t) =
-  List.map
-    (fun (e : Workloads.Registry.entry) ->
+  let config =
+    Alloc.Config.make ~orf_entries:entries ~lrf:Alloc.Config.Split ~params:opts.Options.params ()
+  in
+  Sweep.per_bench opts (fun (e : Workloads.Registry.entry) ->
       let ks = Lazy.force e.Workloads.Registry.kernels in
       (* Every variant is normalized to ITS OWN single-level baseline:
          unrolling changes the dynamic instruction count, so absolute
          energies are not comparable, ratios are. *)
       let ratio transform =
-        let sum f = List.fold_left (fun acc k -> acc +. f (transform k)) 0.0 ks in
-        Util.Stats.ratio (sum (sw_energy opts ~entries)) (sum (baseline_energy opts))
+        let ctxs = List.map (fun k -> Alloc.Context.create (transform k)) ks in
+        Util.Stats.ratio
+          (Sweep.traffic_energy opts ctxs ~orf_entries:entries (verified config))
+          (Sweep.traffic_energy opts ctxs ~orf_entries:1 (fun _ -> Sim.Traffic.Baseline))
       in
       let original = ratio Fun.id in
       let rescheduled = ratio Transform.Reschedule.kernel in
@@ -59,7 +48,6 @@ let compute ?(entries = 3) ?(factor = 4) (opts : Options.t) =
         unrolled_rescheduled;
         best = List.fold_left min original [ rescheduled; unrolled; unrolled_rescheduled ];
       })
-    opts.Options.benchmarks
 
 let table ?entries ?factor opts =
   let rows = compute ?entries ?factor opts in

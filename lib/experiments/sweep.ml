@@ -62,6 +62,8 @@ let merge_traffic (results : Sim.Traffic.result list) =
 let run_cache : (string * scheme * int * int * int * string, run) Util.Memo.t =
   Util.Memo.create ~name:"sweep.run" 256
 
+let sw_scheme config ctx = Sim.Traffic.Sw { config; placement = Alloc.Allocator.place config ctx }
+
 let sim_scheme (opts : Options.t) ctx scheme ~entries =
   match scheme with
   | Baseline -> Sim.Traffic.Baseline
@@ -72,9 +74,7 @@ let sim_scheme (opts : Options.t) ctx scheme ~entries =
       | Sw_three_unified -> Alloc.Config.Unified
       | _ -> Alloc.Config.Split
     in
-    let config = Alloc.Config.make ~orf_entries:entries ~lrf ~params:opts.Options.params () in
-    let placement = Alloc.Allocator.place config ctx in
-    Sim.Traffic.Sw { config; placement }
+    sw_scheme (Alloc.Config.make ~orf_entries:entries ~lrf ~params:opts.Options.params ()) ctx
   | Hw_two -> Sim.Traffic.Hw (Sim.Traffic.hw_defaults ~rfc_entries:entries)
   | Hw_three ->
     Sim.Traffic.Hw { (Sim.Traffic.hw_defaults ~rfc_entries:entries) with Sim.Traffic.with_lrf = true }
@@ -89,10 +89,7 @@ let run (opts : Options.t) (e : Workloads.Registry.entry) scheme ~entries =
         merge_traffic
           (List.map
              (fun ctx ->
-               (* Domain-local scratch: each sweep worker reuses one set
-                  of walker/outstanding buffers across all its runs. *)
-               Sim.Traffic.run ~warps:opts.Options.warps ~seed:opts.Options.seed
-                 ~scratch:(Sim.Scratch.domain_local ()) ctx
+               Sim.Traffic.run ~warps:opts.Options.warps ~seed:opts.Options.seed ctx
                  (sim_scheme opts ctx scheme ~entries))
              (contexts e))
       in
@@ -103,39 +100,26 @@ let run (opts : Options.t) (e : Workloads.Registry.entry) scheme ~entries =
       in
       { traffic; energy })
 
+let vs_baseline opts e pj =
+  Util.Stats.ratio pj (run opts e Baseline ~entries:1).energy.Energy.Counts.total
+
 let energy_ratio opts e scheme ~entries =
-  let base = (run opts e Baseline ~entries:1).energy.Energy.Counts.total in
-  let this = (run opts e scheme ~entries).energy.Energy.Counts.total in
-  Util.Stats.ratio this base
+  vs_baseline opts e (run opts e scheme ~entries).energy.Energy.Counts.total
 
-let mean_energy_ratio (opts : Options.t) scheme ~entries =
-  Util.Stats.mean (per_bench opts (fun e -> energy_ratio opts e scheme ~entries))
+let means opts keys cell =
+  let rows = per_bench opts (fun e -> Array.of_list (List.map (cell e) keys)) in
+  List.mapi (fun i k -> (k, Util.Stats.mean (List.map (fun row -> row.(i)) rows))) keys
 
-let mean_access_ratio (opts : Options.t) scheme ~entries direction =
-  let levels = [ Energy.Model.Lrf; Energy.Model.Rfc; Energy.Model.Orf; Energy.Model.Mrf ] in
-  let per_bench_row (e : Workloads.Registry.entry) =
-    let base = (run opts e Baseline ~entries:1).traffic.Sim.Traffic.counts in
-    let this = (run opts e scheme ~entries).traffic.Sim.Traffic.counts in
-    let total_base =
-      float_of_int
-        (match direction with
-         | `Reads -> Energy.Counts.total_reads base
-         | `Writes -> Energy.Counts.total_writes base)
-    in
-    List.map
-      (fun level ->
-        let n =
-          match direction with
-          | `Reads -> Energy.Counts.reads this level
-          | `Writes -> Energy.Counts.writes this level
-        in
-        Util.Stats.ratio (float_of_int n) total_base)
-      levels
-  in
-  let rows = per_bench opts per_bench_row in
-  List.mapi
-    (fun i level -> (level, Util.Stats.mean (List.map (fun row -> List.nth row i) rows)))
-    levels
+let traffic_energy (opts : Options.t) ctxs ~orf_entries scheme =
+  List.fold_left
+    (fun acc ctx ->
+      let traffic =
+        Sim.Traffic.run ~warps:opts.Options.warps ~seed:opts.Options.seed ctx (scheme ctx)
+      in
+      acc
+      +. (Energy.Counts.energy opts.Options.params ~orf_entries traffic.Sim.Traffic.counts)
+           .Energy.Counts.total)
+    0.0 ctxs
 
 let clear_caches () =
   Util.Memo.reset context_cache;

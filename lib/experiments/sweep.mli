@@ -38,25 +38,38 @@ val per_bench : Options.t -> (Workloads.Registry.entry -> 'a) -> 'a list
     ({!Util.Pool.parallel_map}); results are in benchmark order, so
     downstream tables are identical to a serial run.  The memo tables
     behind {!run} and {!context} are domain-safe with in-flight
-    deduplication. *)
+    deduplication.  Every artefact is one such region. *)
+
+val means :
+  Options.t -> 'k list -> (Workloads.Registry.entry -> 'k -> float) -> ('k * float) list
+(** [means opts keys cell]: one {!per_bench} region whose task for
+    benchmark [e] computes [cell e k] for every key; returns each key
+    with the {!Util.Stats.mean} of its cells in benchmark order, in key
+    order.  An empty selection gives [0.0] for every key. *)
 
 val clear_caches : unit -> unit
 (** Drop all memoized runs and contexts (used by the benchmark harness
     to time cold regeneration). *)
 
+val vs_baseline : Options.t -> Workloads.Registry.entry -> float -> float
+(** Energy (pJ) normalized to the single-level baseline's total on the
+    same benchmark. *)
+
 val energy_ratio : Options.t -> Workloads.Registry.entry -> scheme -> entries:int -> float
 (** Total access+wire energy normalized to the single-level baseline
     on the same benchmark. *)
 
-val mean_energy_ratio : Options.t -> scheme -> entries:int -> float
-(** Arithmetic mean of per-benchmark normalized energy over the
-    option's workload set. *)
+val sw_scheme : Alloc.Config.t -> Alloc.Context.t -> Sim.Traffic.scheme
+(** The software scheme under [config]: the allocator's placement of
+    the context. *)
 
-val mean_access_ratio :
+val traffic_energy :
   Options.t ->
-  scheme ->
-  entries:int ->
-  [ `Reads | `Writes ] ->
-  (Energy.Model.level * float) list
-(** Per-level accesses normalized to the baseline's total (the stacked
-    bars of Figs. 11 and 12), averaged over benchmarks. *)
+  Alloc.Context.t list ->
+  orf_entries:int ->
+  (Alloc.Context.t -> Sim.Traffic.scheme) ->
+  float
+(** Unmemoized: each context's traffic under [scheme ctx] priced at
+    [orf_entries], and the totals summed over the contexts in list
+    order.  {!run} prices the merged counts instead, so the two round
+    differently. *)

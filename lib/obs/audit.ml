@@ -117,11 +117,7 @@ let to_json = function
 
 let of_json j =
   let ( let* ) = Result.bind in
-  let field name conv =
-    match Option.bind (Json.member name j) conv with
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "audit event: missing or ill-typed field %S" name)
-  in
+  let field name conv = Json.field "audit event" j name conv in
   let int_f name = field name Json.to_int in
   let str_f name = field name Json.to_str in
   let bool_f name = field name Json.to_bool in

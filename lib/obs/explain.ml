@@ -141,11 +141,7 @@ let to_json d =
 
 let of_json j =
   let ( let* ) = Result.bind in
-  let field name conv =
-    match Option.bind (Json.member name j) conv with
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "explain: missing or ill-typed field %S" name)
-  in
+  let field name conv = Json.field "explain" j name conv in
   let* seq = field "seq" Json.to_int in
   let* kernel = field "kernel" Json.to_str in
   let* reg = field "reg" Json.to_str in

@@ -102,10 +102,7 @@ let to_string r = Json.to_string (to_json r)
 
 let ( let* ) = Result.bind
 
-let field j name conv =
-  match Option.bind (Json.member name j) conv with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "history: missing or ill-typed field %S" name)
+let field j = Json.field "history" j
 
 let all_results l =
   List.fold_right
@@ -119,17 +116,15 @@ let bench_point_of_json j =
   let* hb_bench = field j "bench" Json.to_str in
   let* hb_ipc = field j "ipc" Json.to_num in
   let* hb_norm_energy = field j "norm_energy" Json.to_num in
+  let* kvs = field j "stalls" Json.to_obj in
   let* hb_stalls =
-    match Json.member "stalls" j with
-    | Some (Json.Obj kvs) ->
-      all_results
-        (List.map
-           (fun (k, v) ->
-             match Json.to_num v with
-             | Some f -> Ok (k, f)
-             | None -> Error (Printf.sprintf "history: stall %S not a number" k))
-           kvs)
-    | _ -> Error "history: missing or ill-typed field \"stalls\""
+    all_results
+      (List.map
+         (fun (k, v) ->
+           match Json.to_num v with
+           | Some f -> Ok (k, f)
+           | None -> Error (Printf.sprintf "history: stall %S not a number" k))
+         kvs)
   in
   Ok { hb_bench; hb_ipc; hb_norm_energy; hb_stalls }
 
@@ -166,11 +161,8 @@ let of_json j =
     let* host = Result.bind (field j "host" Option.some) Host.of_json in
     let* jobs = field j "jobs" Json.to_int in
     let* wall_s = field j "wall_s" Json.to_num in
-    let* benches =
-      match Json.member "benches" j with
-      | Some (Json.Arr l) -> all_results (List.map bench_point_of_json l)
-      | _ -> Error "history: missing or ill-typed field \"benches\""
-    in
+    let* benches = field j "benches" Json.to_list in
+    let* benches = all_results (List.map bench_point_of_json benches) in
     let* perfgate = opt_field j "perfgate" perfgate_of_json in
     Ok { timestamp; source; host; jobs; wall_s; benches; perfgate }
 

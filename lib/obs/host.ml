@@ -98,10 +98,7 @@ let to_json (h : t) =
 
 let ( let* ) = Result.bind
 
-let field j name conv =
-  match Option.bind (Json.member name j) conv with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "host: missing or ill-typed field %S" name)
+let field j = Json.field "host" j
 
 let of_json j =
   let* cores = field j "cores" Json.to_int in

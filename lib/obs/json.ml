@@ -203,6 +203,11 @@ let member key = function
   | Obj fields -> List.assoc_opt key fields
   | _ -> None
 
+let field what j name conv =
+  match Option.bind (member name j) conv with
+  | Some v -> Ok v
+  | None -> Error (Printf.sprintf "%s: missing or ill-typed field %S" what name)
+
 let to_num = function Num x -> Some x | _ -> None
 
 let to_int = function
@@ -214,3 +219,4 @@ let to_str = function Str s -> Some s | _ -> None
 let to_bool = function Bool b -> Some b | _ -> None
 
 let to_list = function Arr xs -> Some xs | _ -> None
+let to_obj = function Obj fields -> Some fields | _ -> None

@@ -31,8 +31,13 @@ val parse : string -> (t, string) result
 val member : string -> t -> t option
 (** Field lookup on an object ([None] on anything else). *)
 
+val field : string -> t -> string -> (t -> 'a option) -> ('a, string) result
+(** [field what j name conv]: field [name] of [j] through [conv], else
+    [Error "WHAT: missing or ill-typed field \"NAME\""]. *)
+
 val to_num : t -> float option
 val to_int : t -> int option
 val to_str : t -> string option
 val to_bool : t -> bool option
 val to_list : t -> t list option
+val to_obj : t -> (string * t) list option

@@ -143,10 +143,7 @@ let to_string m = Json.to_string (to_json m)
 
 let ( let* ) = Result.bind
 
-let field j name conv =
-  match Option.bind (Json.member name j) conv with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "manifest: missing or ill-typed field %S" name)
+let field j = Json.field "manifest" j
 
 let int_f j name = field j name Json.to_int
 let num_f j name = field j name Json.to_num
@@ -188,18 +185,16 @@ let bench_of_json j =
   let* total_pj = num_f j "total_pj" in
   let* baseline_pj = num_f j "baseline_pj" in
   let* ipc = num_f j "ipc" in
+  let* stall_fields = field j "stalls" Json.to_obj in
   let* stalls =
-    match Json.member "stalls" j with
-    | Some (Json.Obj fields) ->
-      List.fold_left
-        (fun acc (cause, v) ->
-          let* acc = acc in
-          match Json.to_int v with
-          | Some n -> Ok ((cause, n) :: acc)
-          | None -> Error "manifest: non-integer stall count")
-        (Ok []) fields
-      |> Result.map List.rev
-    | _ -> Error "manifest: missing or ill-typed field \"stalls\""
+    List.fold_left
+      (fun acc (cause, v) ->
+        let* acc = acc in
+        match Json.to_int v with
+        | Some n -> Ok ((cause, n) :: acc)
+        | None -> Error "manifest: non-integer stall count")
+      (Ok []) stall_fields
+    |> Result.map List.rev
   in
   let* sched =
     let* s = field j "sched" Option.some in
@@ -220,11 +215,7 @@ let bench_of_json j =
       }
   in
   let* counts = field j "counts" Option.some in
-  let* energy_fields =
-    match Json.member "energy_pj" j with
-    | Some (Json.Obj fields) -> Ok fields
-    | _ -> Error "manifest: missing or ill-typed field \"energy_pj\""
-  in
+  let* energy_fields = field j "energy_pj" Json.to_obj in
   let* energy_pj =
     List.fold_left
       (fun acc (level, v) ->

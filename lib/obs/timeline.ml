@@ -58,11 +58,7 @@ let to_json iv =
 
 let of_json j =
   let ( let* ) = Result.bind in
-  let field name conv =
-    match Option.bind (Json.member name j) conv with
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "timeline: missing or ill-typed field %S" name)
-  in
+  let field name conv = Json.field "timeline" j name conv in
   let* ev = field "ev" Json.to_str in
   if ev <> "interval" then Error (Printf.sprintf "timeline: unknown event kind %S" ev)
   else

@@ -242,6 +242,8 @@ let suite =
       ("timeline mm --top=-1", "--top -1");
       ("why base.json cand.json --top 0", "--top 0");
       ("compile /nonexistent.asm", "cannot read /nonexistent.asm");
+      ("trend --history /", "cannot read / (Is a directory)");
+      ("trend --history / --check", "cannot read / (Is a directory)");
     ]
   @ [
       (* A parse error is bad input: exit 2, naming the line. *)

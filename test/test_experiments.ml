@@ -10,7 +10,14 @@ let opts = lazy { (Experiments.Options.default ()) with Experiments.Options.warp
 
 let test_fig13_shape () =
   let opts = Lazy.force opts in
-  let e scheme ~entries = Experiments.Sweep.mean_energy_ratio opts scheme ~entries in
+  let means =
+    Experiments.Sweep.means opts
+      (List.concat_map
+         (fun s -> List.map (fun n -> (s, n)) [ 1; 3; 6; 8 ])
+         Experiments.Sweep.all_schemes)
+      (fun e (scheme, entries) -> Experiments.Sweep.energy_ratio opts e scheme ~entries)
+  in
+  let e scheme ~entries = List.assoc (scheme, entries) means in
   List.iter
     (fun entries ->
       check Alcotest.bool "SW beats HW at every size" true
@@ -80,13 +87,16 @@ let test_perf_no_penalty_at_8 () =
     Experiments.Options.with_benchmarks (Lazy.force opts)
       [ "VectorAdd"; "MatrixMul"; "Mandelbrot"; "Reduction"; "hotspot" ]
   in
-  let rel = Experiments.Perf_study.relative_ipc opts ~policy:Sim.Perf.On_dependence ~active:8 in
-  check Alcotest.bool "8 active warps match single-level" true (rel >= 0.95);
-  let rel_sw =
-    Experiments.Perf_study.relative_ipc opts ~policy:Sim.Perf.At_strand_boundaries ~active:8
+  let means =
+    Experiments.Sweep.means opts
+      Sim.Perf.[ (On_dependence, 8); (At_strand_boundaries, 8); (On_dependence, 2) ]
+      (fun e (policy, active) -> Experiments.Perf_study.ipc_ratio opts e ~policy ~active)
   in
+  let rel = List.assoc (Sim.Perf.On_dependence, 8) means in
+  check Alcotest.bool "8 active warps match single-level" true (rel >= 0.95);
+  let rel_sw = List.assoc (Sim.Perf.At_strand_boundaries, 8) means in
   check Alcotest.bool "SW policy too" true (rel_sw >= 0.95);
-  let rel2 = Experiments.Perf_study.relative_ipc opts ~policy:Sim.Perf.On_dependence ~active:2 in
+  let rel2 = List.assoc (Sim.Perf.On_dependence, 2) means in
   check Alcotest.bool "2 active warps lose IPC" true (rel2 < 0.9)
 
 let test_encoding_overhead () =
@@ -234,6 +244,88 @@ let test_run_all_parity () =
   let parallel = render_all (Experiments.Options.with_jobs base 4) in
   check Alcotest.string "jobs=4 output byte-identical to jobs=1" serial parallel
 
+(* Every computing artefact is one per-benchmark fan-out: exactly one
+   profiled region with one task per benchmark; [tables] computes
+   nothing and opens none. *)
+let test_one_region_per_artefact () =
+  let opts =
+    Experiments.Options.with_jobs
+      (Experiments.Options.with_benchmarks
+         { (Experiments.Options.default ()) with Experiments.Options.warps = 8 }
+         [ "VectorAdd"; "MatrixMul"; "Reduction"; "cp" ])
+      2
+  in
+  List.iter
+    (fun (name, artefact) ->
+      Experiments.Report.clear_caches ();
+      let _, report =
+        Obs.Engine.profile ~gcprof:false ~jobs:2 (fun () ->
+            Experiments.Report.tables_of opts artefact)
+      in
+      let regions = report.Obs.Engine.regions in
+      if artefact = Experiments.Report.Tables then
+        check Alcotest.int "tables opens no region" 0 (List.length regions)
+      else begin
+        check Alcotest.int (name ^ ": one region") 1 (List.length regions);
+        List.iter
+          (fun (r : Obs.Engine.region) ->
+            check Alcotest.int (name ^ ": one task per benchmark") 4 r.Obs.Engine.tasks)
+          regions
+      end)
+    Experiments.Report.artefact_names
+
+(* An empty selection renders every artefact, and every mean over no
+   benchmarks is 0.0. *)
+let test_empty_selection () =
+  let opts = { (Experiments.Options.default ()) with Experiments.Options.benchmarks = [] } in
+  check
+    Alcotest.(list (pair int (float 0.0)))
+    "means of nothing" [ (1, 0.0); (2, 0.0) ]
+    (Experiments.Sweep.means opts [ 1; 2 ] (fun _ _ -> Alcotest.fail "no benchmark to compute"));
+  let rendered =
+    List.map
+      (fun (name, a) -> (name, List.map Util.Table.render (Experiments.Report.tables_of opts a)))
+      Experiments.Report.artefact_names
+  in
+  (* Tables whose cells after the one-word row label are all means. *)
+  List.iter
+    (fun name ->
+      List.iter
+        (fun text ->
+          let lines = List.filter (( <> ) "") (String.split_on_char '\n' text) in
+          List.iteri
+            (fun i line ->
+              if i >= 3 then
+                match String.split_on_char ' ' line |> List.filter (( <> ) "") with
+                | _label :: cells ->
+                  List.iter
+                    (fun c ->
+                      check (Alcotest.float 0.0) (name ^ " cell " ^ c) 0.0 (float_of_string c))
+                    cells
+                | [] -> ())
+            lines)
+        (List.assoc name rendered))
+    [ "fig11"; "fig12"; "fig13"; "perf"; "divergence"; "scheduling" ];
+  let limit = Experiments.Limit.compute opts in
+  List.iter
+    (fun v -> check (Alcotest.float 0.0) "limit mean" 0.0 v)
+    Experiments.Limit.
+      [
+        limit.fixed_best; limit.ideal_all_lrf; limit.ideal_all_orf; limit.variable_orf_oracle;
+        limit.variable_orf_realistic; limit.hw_flush_backward; limit.hw_keep_backward;
+        limit.sw_past_backward; limit.sw_never_flush; limit.scheduling_ideal_8at3;
+        limit.scheduling_real_5at5;
+      ];
+  List.iter
+    (fun v ->
+      check (Alcotest.float 0.0) (v.Experiments.Ablation.label ^ " mean") 0.0
+        v.Experiments.Ablation.normalized_energy)
+    (Experiments.Ablation.compute opts);
+  let enc = Experiments.Encoding.compute opts in
+  check (Alcotest.float 0.0) "encoding: mean ratio 0.0, saving 1.0" 1.0
+    enc.Experiments.Encoding.rf_saving;
+  check (Alcotest.float 0.0) "fig14 MRF share" 0.0 (Experiments.Energy_breakdown.mrf_share opts)
+
 let test_options_jobs () =
   let o = Experiments.Options.default () in
   check Alcotest.int "default serial" 1 o.Experiments.Options.jobs;
@@ -273,6 +365,8 @@ let suite =
     Alcotest.test_case "pressure table" `Quick test_pressure_table;
     Alcotest.test_case "report tables exist" `Quick test_report_tables_exist;
     Alcotest.test_case "run_all parity jobs=1 vs jobs=4" `Slow test_run_all_parity;
+    Alcotest.test_case "one region per artefact" `Slow test_one_region_per_artefact;
+    Alcotest.test_case "empty selection" `Quick test_empty_selection;
     Alcotest.test_case "options jobs + fingerprint" `Quick test_options_jobs;
     Alcotest.test_case "options unknown benchmark" `Quick test_options_unknown_benchmark;
   ]
