@@ -1,8 +1,8 @@
 (* Performance gate (make perfgate; wired into make ci).
 
-   Times six probes — two Sim.Perf, one Sim.Traffic and three on the
-   compile path (Alloc.Context, Alloc.Allocator, Alloc.Verify) — and
-   measures the steady-state minor-heap cost of one run of each:
+   Times seven probes — three Sim.Perf, one Sim.Traffic and three on
+   the compile path (Alloc.Context, Alloc.Allocator, Alloc.Verify) —
+   and measures the steady-state minor-heap cost of one run of each:
 
    - sim:perf-two-level — MatrixMul, 8 warps, Two_level 8, capped at
      300 dynamic instructions per warp: a busy loop where few cycles
@@ -11,6 +11,11 @@
      simulated IPC is about 0.12, so most cycles issue nothing and this
      probe slows by several times if the cycle loop stops jumping
      dead cycles, which the first probe barely notices;
+   - sim:perf-single-level — MatrixMul, 32 warps, Single_level, capped
+     at 100 dynamic instructions per warp: every warp sits in one
+     active queue, so the walk is at its longest, and this probe slows
+     if a queue move or the walk starts copying or shifting the queue
+     again;
    - sim:traffic-hw — sad, 32 warps, a 3-entry hardware RFC with a
      hardware LRF: the traffic walk's costliest scheme, which replays
      both caches on every dynamic instruction;
@@ -31,10 +36,11 @@
 
    - each probe's median ns per run may regress at most 2x over its own
      committed threshold (ns_per_run, lowipc_ns_per_run,
-     traffic_ns_per_run, context_ns_per_run, allocate_ns_per_run,
-     verify_ns_per_run): generous enough for machine-to-machine
-     variance, tight enough to catch a loop re-growing a per-step
-     allocation, a quadratic scan, a lost dead-cycle jump, a cache
+     single_level_ns_per_run, traffic_ns_per_run, context_ns_per_run,
+     allocate_ns_per_run, verify_ns_per_run): generous enough for
+     machine-to-machine variance, tight enough to catch a loop
+     re-growing a per-step allocation, a quadratic scan, a lost
+     dead-cycle jump, an active queue copied per cycle again, a cache
      replay back on polymorphic compare or a verifier fixpoint back on
      per-visit state copies;
    - minor words per run must stay under the committed cap.  The
@@ -183,6 +189,11 @@ let probes () =
         Sim.Perf.run ~warps:32 ~max_dynamic_per_warp:300 ~scheduler:(Sim.Perf.Two_level 1)
           ~policy:Sim.Perf.On_dependence conv)
       perf_fields;
+    probe ~name:"sim:perf-single-level" ~key:"single_level_ns_per_run"
+      (fun () ->
+        Sim.Perf.run ~warps:32 ~max_dynamic_per_warp:100 ~scheduler:Sim.Perf.Single_level
+          ~policy:Sim.Perf.On_dependence mm)
+      perf_fields;
     probe ~name:"sim:traffic-hw" ~key:"traffic_ns_per_run"
       (fun () ->
         Sim.Traffic.run ~warps:32 sad
@@ -229,7 +240,13 @@ let measure p =
   let fields, minor_words = p.warm () in
   (* Promoted/major probe over the whole timed loop: a single run's
      delta is lumpy (promotion only happens when a minor collection
-     lands mid-run), so the average over the timed runs is gated. *)
+     lands mid-run), so the average over the timed runs is gated.  The
+     timed loop starts on an empty minor heap: otherwise what was
+     allocated before it (every probe's inputs, built up front, and
+     the scratch growth of earlier probes and of this warm-up) is
+     promoted by whichever probe's window the next minor collection
+     happens to land in, and charged to that probe's steady state. *)
+  Gc.minor ();
   let qs0 = Gc.quick_stat () in
   let samples =
     Array.init timed_runs (fun _ ->

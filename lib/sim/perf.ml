@@ -216,7 +216,6 @@ let run_inner ?(warps = 32) ?(seed = 0x5eed) ?(max_dynamic_per_warp = 2_000)
     Array.fill s.Scratch.ready_base.(w) 0 nr 0;
     s.Scratch.ll_len.(w) <- 0;
     s.Scratch.wake.(w) <- 0;
-    s.Scratch.in_active.(w) <- false;
     s.Scratch.stall_until.(w) <- 0;
     s.Scratch.ready_since.(w) <- -1
   done;
@@ -235,20 +234,38 @@ let run_inner ?(warps = 32) ?(seed = 0x5eed) ?(max_dynamic_per_warp = 2_000)
   let active_limit = match scheduler with Single_level -> warps | Two_level n -> max 1 n in
   let at_strand = policy = At_strand_boundaries in
   let two_level = match scheduler with Two_level _ -> true | Single_level -> false in
-  (* Active set as an ordered prefix of [s.active] (round-robin rotates
-     it); the rest sit in [s.pending] and re-enter in wake order. *)
-  let active = s.Scratch.active in
+  (* Active set as a doubly linked queue over warp ids in round-robin
+     order: [head] first, [tail] last (-1 when empty), each queued
+     warp's neighbours in [next_active]/[prev_active] (-1 at the ends),
+     so every queue move is an O(1) link update.  The rest sit in
+     [s.pending] and re-enter in wake order. *)
+  let next_active = s.Scratch.next_active in
+  let prev_active = s.Scratch.prev_active in
+  let head = ref (-1) in
+  let tail = ref (-1) in
+  let active_len = ref 0 in
+  let push_back w =
+    let t = !tail in
+    prev_active.(w) <- t;
+    next_active.(w) <- -1;
+    if t >= 0 then next_active.(t) <- w else head := w;
+    tail := w;
+    incr active_len
+  in
+  let unlink w =
+    let p = prev_active.(w) and n = next_active.(w) in
+    if p >= 0 then next_active.(p) <- n else head := n;
+    if n >= 0 then prev_active.(n) <- p else tail := p;
+    decr active_len
+  in
   let pending = s.Scratch.pending in
-  let in_active = s.Scratch.in_active in
   let init_active = if active_limit < warps then active_limit else warps in
-  for i = 0 to init_active - 1 do
-    active.(i) <- i;
-    in_active.(i) <- true
+  for w = 0 to init_active - 1 do
+    push_back w
   done;
   for i = 0 to warps - init_active - 1 do
     pending.(i) <- init_active + i
   done;
-  let active_len = ref init_active in
   let pending_len = ref (warps - init_active) in
   let cycle = ref 0 in
   let instructions = ref 0 in
@@ -281,7 +298,7 @@ let run_inner ?(warps = 32) ?(seed = 0x5eed) ?(max_dynamic_per_warp = 2_000)
   let span_state = s.Scratch.span_state in
   let span_start = s.Scratch.span_start in
   for w = 0 to warps - 1 do
-    if in_active.(w) then span_state.(w) <- -1
+    if w < init_active then span_state.(w) <- -1
     else begin
       span_state.(w) <-
         cause_index (if Cf.finished cfs.(w) then Finished else Descheduled_pending);
@@ -407,9 +424,7 @@ let run_inner ?(warps = 32) ?(seed = 0x5eed) ?(max_dynamic_per_warp = 2_000)
         let w = s.Scratch.ready_buf.(j) in
         span_flush w !promote_end;
         span_state.(w) <- -1;
-        active.(!active_len) <- w;
-        active_len := !active_len + 1;
-        in_active.(w) <- true
+        push_back w
       done;
       entries := !entries + take;
       (* New pending order: leftover ready warps first, then the rest —
@@ -431,18 +446,6 @@ let run_inner ?(warps = 32) ?(seed = 0x5eed) ?(max_dynamic_per_warp = 2_000)
       done
     end
   in
-  let rec index_of arr n w i =
-    if i >= n then -1 else if arr.(i) = w then i else index_of arr n w (i + 1)
-  in
-  let remove_active w =
-    let n = !active_len in
-    let i = index_of active n w 0 in
-    if i >= 0 then begin
-      Array.blit active (i + 1) active i (n - i - 1);
-      active_len := n - 1;
-      in_active.(w) <- false
-    end
-  in
   let deschedule w ~wake =
     s.Scratch.wake.(w) <- wake;
     if wake < !wake_min then wake_min := wake;
@@ -451,7 +454,7 @@ let run_inner ?(warps = 32) ?(seed = 0x5eed) ?(max_dynamic_per_warp = 2_000)
        refill below cannot promote it back within this cycle). *)
     span_state.(w) <- 4 (* Descheduled_pending *);
     span_start.(w) <- !cycle + 1;
-    remove_active w;
+    unlink w;
     pending.(!pending_len) <- w;
     pending_len := !pending_len + 1;
     incr desched_events;
@@ -528,10 +531,8 @@ let run_inner ?(warps = 32) ?(seed = 0x5eed) ?(max_dynamic_per_warp = 2_000)
     if Cf.finished cfs.(w) then decr live;
     s.Scratch.ready_since.(w) <- -1;
     incr instructions;
-    remove_active w;
-    active.(!active_len) <- w;
-    active_len := !active_len + 1;
-    in_active.(w) <- true
+    unlink w;
+    push_back w
   in
   let classify w cause =
     let ci = (w * 7) + cause_index cause in
@@ -612,7 +613,7 @@ let run_inner ?(warps = 32) ?(seed = 0x5eed) ?(max_dynamic_per_warp = 2_000)
     if id < 0 then begin
       classify w Finished;
       if not !issued then begin
-        remove_active w;
+        unlink w;
         incr exits;
         (* Retired for good: neither queue will see it again, so the
            rest of the run is one Finished span starting next cycle. *)
@@ -666,7 +667,6 @@ let run_inner ?(warps = 32) ?(seed = 0x5eed) ?(max_dynamic_per_warp = 2_000)
       end
     end
   in
-  let scan = s.Scratch.scan in
   (* Dead-cycle jump.  A cycle that issues nothing and moves no warp
      out of the active set leaves every active warp waiting on a known
      cycle — a cached stall, or an issuable warp's busy unit — so each
@@ -684,22 +684,26 @@ let run_inner ?(warps = 32) ?(seed = 0x5eed) ?(max_dynamic_per_warp = 2_000)
     promote_end := !cycle + 1;
     let exits0 = !exits in
     issued := false;
-    (* Walk a snapshot: membership changes (deschedules, refills)
-       apply to the live queue directly and survive the scan.  Warps
-       outside the snapshot are covered by their open spans — pending
-       and retired warps owe this cycle at their constant state, and a
-       mid-walk promotion closes the span at the next cycle boundary
-       ([promote_end]), so every warp-cycle lands in the matrix exactly
-       once. *)
-    let n = !active_len in
-    Array.blit active 0 scan 0 n;
-    resident_cycles := !resident_cycles + n;
+    (* Walk the live queue in place, from the head through [last], the
+       warp queued last when the walk began, reading each successor
+       before stepping.  A step unlinks only the warp being stepped and
+       appends only behind [last] (the issuer moving to the back, a
+       refill promotion), so the walk visits exactly the warps queued
+       at its start, in order.  Warps outside it are covered by their
+       open spans — pending and retired warps owe this cycle at their
+       constant state, and a mid-walk promotion closes the span at the
+       next cycle boundary ([promote_end]), so every warp-cycle lands
+       in the matrix exactly once. *)
+    resident_cycles := !resident_cycles + !active_len;
     let now = !cycle in
     (* Earliest cycle at which a walked warp's wait ends; a warp left
        waiting on nothing holds a stale bound <= [now]. *)
     let horizon = ref max_int in
-    for i = 0 to n - 1 do
-      let w = scan.(i) in
+    let last = !tail in
+    let cur = ref !head in
+    while !cur >= 0 do
+      let w = !cur in
+      cur := if w = last then -1 else next_active.(w);
       (* Cached and issuable warps owe nothing per cycle; an issuable
          one is only looked at until the cycle's issue slot is taken. *)
       if stall_until.(w) <= now then begin

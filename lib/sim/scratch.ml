@@ -17,11 +17,14 @@ type t = {
   mutable ll : int array array;          (* outstanding long-latency ready cycles *)
   mutable ll_len : int array;
   mutable wake : int array;
-  (* Two-level scheduler queues and their refill scratch. *)
-  mutable active : int array;
+  (* Two-level scheduler queues and their refill scratch.  The active
+     queue is a doubly linked list over warp ids (each queued warp's
+     successor and predecessor, -1 at the ends; its head and tail are
+     per-run cells), walked in place every cycle; [pending] is a flat
+     prefix in wake order. *)
+  mutable next_active : int array;
+  mutable prev_active : int array;
   mutable pending : int array;
-  mutable in_active : bool array;
-  mutable scan : int array;
   mutable ready_buf : int array;
   mutable rest_buf : int array;
   (* Stall attribution.  [span_state]/[span_start] carry the constant
@@ -71,10 +74,9 @@ let create () =
     ll = [||];
     ll_len = [||];
     wake = [||];
-    active = [||];
+    next_active = [||];
+    prev_active = [||];
     pending = [||];
-    in_active = [||];
-    scan = [||];
     ready_buf = [||];
     rest_buf = [||];
     breakdown = [||];
@@ -132,10 +134,9 @@ let ensure_warps t ~warps ~num_regs =
   t.ll <- grow_rows t.ll warps ~inner:8;
   t.ll_len <- grow_ints t.ll_len warps;
   t.wake <- grow_ints t.wake warps;
-  t.active <- grow_ints t.active warps;
+  t.next_active <- grow_ints t.next_active warps;
+  t.prev_active <- grow_ints t.prev_active warps;
   t.pending <- grow_ints t.pending warps;
-  t.in_active <- grow_bools t.in_active warps;
-  t.scan <- grow_ints t.scan warps;
   t.ready_buf <- grow_ints t.ready_buf warps;
   t.rest_buf <- grow_ints t.rest_buf warps;
   t.breakdown <- grow_ints t.breakdown (warps * 7);

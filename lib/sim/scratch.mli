@@ -28,10 +28,9 @@ type t = {
   mutable ll : int array array;
   mutable ll_len : int array;
   mutable wake : int array;
-  mutable active : int array;
+  mutable next_active : int array;
+  mutable prev_active : int array;
   mutable pending : int array;
-  mutable in_active : bool array;
-  mutable scan : int array;
   mutable ready_buf : int array;
   mutable rest_buf : int array;
   mutable breakdown : int array;

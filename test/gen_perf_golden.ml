@@ -3,6 +3,7 @@
 
      dune exec test/gen_perf_golden.exe > test/perf_golden.json
      dune exec test/gen_perf_golden.exe -- timeline > test/perf_timeline_golden.jsonl
+     dune exec test/gen_perf_golden.exe -- wide > test/perf_wide_golden.jsonl
      dune exec test/gen_perf_golden.exe -- traffic > test/traffic_golden.jsonl
      dune exec test/gen_perf_golden.exe -- verify > test/verify_golden.jsonl
      dune exec test/gen_perf_golden.exe -- placement > test/placement_golden.jsonl
@@ -10,7 +11,9 @@
 
    perf_golden.json was captured from the pre-predecode list-based
    engine, perf_timeline_golden.jsonl from the per-cycle engine before
-   dead-cycle jumping, traffic_golden.jsonl from the per-operand
+   dead-cycle jumping, perf_wide_golden.jsonl from the engine that
+   walked a per-cycle array snapshot of its active queue, before the
+   linked queue walked in place, traffic_golden.jsonl from the per-operand
    Sim.Traffic walk over list-based FIFO caches, verify_golden.jsonl
    from the round-robin Alloc.Verify fixpoint over boxed cells before
    the worklist, placement_golden.jsonl from the allocator's
@@ -32,6 +35,7 @@ let () =
     Obs.Json.to_channel stdout (Perf_golden_doc.results_doc ());
     print_newline ()
   | [ _; "timeline" ] -> print_string (Perf_golden_doc.timeline_doc ())
+  | [ _; "wide" ] -> print_string (Perf_golden_doc.wide_doc ())
   | [ _; "traffic" ] -> print_string (Perf_golden_doc.traffic_doc ())
   | [ _; "verify" ] -> print_string (Perf_golden_doc.verify_doc ())
   | [ _; "placement" ] -> print_string (Perf_golden_doc.placement_doc ())
@@ -39,5 +43,5 @@ let () =
     print_string
       (Cli_transcript.render ~rfh:"_build/default/bin/rfh.exe" ~baseline:"baselines/default.json")
   | _ ->
-    prerr_endline "usage: gen_perf_golden [timeline|traffic|verify|placement|cli]";
+    prerr_endline "usage: gen_perf_golden [timeline|wide|traffic|verify|placement|cli]";
     exit 2

@@ -15,6 +15,26 @@ let banks = [ 0; 4 ]
 let breakdown_json (b : Sim.Perf.stall_breakdown) =
   Obs.Json.Arr (List.map (fun (_, n) -> Obs.Json.int n) (Sim.Perf.breakdown_fields b))
 
+let per_warp_json (r : Sim.Perf.result) =
+  Obs.Json.Arr
+    (Array.to_list
+       (Array.map
+          (fun (w : Sim.Perf.warp_stats) -> breakdown_json w.Sim.Perf.breakdown)
+          r.Sim.Perf.per_warp))
+
+let sched_stats_json (s : Sim.Perf.sched_stats) =
+  Obs.Json.Arr
+    (List.map Obs.Json.int
+       Sim.Perf.
+         [
+           s.entries;
+           s.exits;
+           s.resident_cycles;
+           s.desched_long_latency;
+           s.desched_strand_boundary;
+           s.desched_bank_conflict;
+         ])
+
 let result_json bench sname pname bank (r : Sim.Perf.result) =
   Obs.Json.Obj
     [
@@ -26,23 +46,8 @@ let result_json bench sname pname bank (r : Sim.Perf.result) =
       ("instructions", Obs.Json.int r.Sim.Perf.instructions);
       ("desched_events", Obs.Json.int r.Sim.Perf.desched_events);
       ("stalls", breakdown_json r.Sim.Perf.stalls);
-      ( "per_warp",
-        Obs.Json.Arr
-          (Array.to_list
-             (Array.map
-                (fun (w : Sim.Perf.warp_stats) -> breakdown_json w.Sim.Perf.breakdown)
-                r.Sim.Perf.per_warp)) );
-      ( "sched_stats",
-        Obs.Json.Arr
-          (List.map Obs.Json.int
-             [
-               r.Sim.Perf.sched.Sim.Perf.entries;
-               r.Sim.Perf.sched.Sim.Perf.exits;
-               r.Sim.Perf.sched.Sim.Perf.resident_cycles;
-               r.Sim.Perf.sched.Sim.Perf.desched_long_latency;
-               r.Sim.Perf.sched.Sim.Perf.desched_strand_boundary;
-               r.Sim.Perf.sched.Sim.Perf.desched_bank_conflict;
-             ]) );
+      ("per_warp", per_warp_json r);
+      ("sched_stats", sched_stats_json r.Sim.Perf.sched);
     ]
 
 let results_doc () =
@@ -179,6 +184,83 @@ let timeline_doc () =
   let bench, sname, scheduler, max_cycles = tl_cut in
   record_run buf ~bench ~sname ~pname:"dep" ~bank:0 ~max_cycles ~scheduler
     ~policy:Sim.Perf.On_dependence (ctx_of bench);
+  Buffer.contents buf
+
+(* --- full-width runs: test/perf_wide_golden.jsonl ----------------- *)
+
+(* The results golden runs 8 warps and the timeline golden 12
+   instructions per warp, so neither pins a long run with a long active
+   queue.  These do: 32 warps under Single_level and Two_level 8 and
+   16, and 100 warps under Single_level and Two_level 64, on benches
+   that mix high IPC (MatrixMul, Mandelbrot, ConvolutionSeparable)
+   with deschedule-heavy low IPC (sad, Reduction, ConvolutionTexture,
+   BoxFilter, lu).  One line per run: the totals, the scheduler stats
+   and the MD5 of the per-warp rows. *)
+let wide_max_dynamic = 300
+
+let wide_benches =
+  [
+    "MatrixMul"; "Mandelbrot"; "ConvolutionSeparable"; "BoxFilter"; "sad"; "Reduction";
+    "ConvolutionTexture"; "lu";
+  ]
+
+let wide_grid =
+  [
+    ( 32,
+      wide_benches,
+      [
+        ("single", Sim.Perf.Single_level);
+        ("two8", Sim.Perf.Two_level 8);
+        ("two16", Sim.Perf.Two_level 16);
+      ] );
+    ( 100,
+      [ "MatrixMul"; "sad" ],
+      [ ("single", Sim.Perf.Single_level); ("two64", Sim.Perf.Two_level 64) ] );
+  ]
+
+let wide_banks = [ 0; 8 ]
+
+let wide_doc () =
+  let buf = Buffer.create (1 lsl 16) in
+  List.iter
+    (fun (warps, benches, schedulers) ->
+      List.iter
+        (fun bench ->
+          let ctx = ctx_of bench in
+          List.iter
+            (fun (sname, scheduler) ->
+              List.iter
+                (fun (pname, policy) ->
+                  List.iter
+                    (fun bank ->
+                      let mrf_banks = if bank = 0 then None else Some bank in
+                      let r =
+                        Sim.Perf.run ~warps ~max_dynamic_per_warp:wide_max_dynamic ?mrf_banks
+                          ~scheduler ~policy ctx
+                      in
+                      line buf
+                        (Obs.Json.Obj
+                           [
+                             ("bench", Obs.Json.Str bench);
+                             ("warps", Obs.Json.int warps);
+                             ("sched", Obs.Json.Str sname);
+                             ("policy", Obs.Json.Str pname);
+                             ("banks", Obs.Json.int bank);
+                             ("cycles", Obs.Json.int r.Sim.Perf.cycles);
+                             ("instructions", Obs.Json.int r.Sim.Perf.instructions);
+                             ("desched_events", Obs.Json.int r.Sim.Perf.desched_events);
+                             ("stalls", breakdown_json r.Sim.Perf.stalls);
+                             ("sched_stats", sched_stats_json r.Sim.Perf.sched);
+                             ( "per_warp_md5",
+                               Obs.Json.Str
+                                 (Digest.to_hex
+                                    (Digest.string (Obs.Json.to_string (per_warp_json r)))) );
+                           ]))
+                    wide_banks)
+                policies)
+            schedulers)
+        benches)
+    wide_grid;
   Buffer.contents buf
 
 (* --- traffic walk: test/traffic_golden.jsonl ---------------------- *)

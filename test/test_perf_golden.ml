@@ -13,6 +13,12 @@
    Obs.Counters samples of low-IPC runs, including one cut off by
    max_cycles inside a dead span, must also reproduce byte-for-byte.
 
+   test/perf_wide_golden.jsonl was captured from the engine that
+   walked a per-cycle array snapshot of its active queue, before the
+   linked queue walked in place: 112 runs of 32 and 100 warps at 300
+   instructions per warp (totals, scheduler stats and the MD5 of the
+   per-warp rows), byte-for-byte.
+
    test/traffic_golden.jsonl was captured from the per-operand
    Sim.Traffic walk over list-based FIFO caches, before the flat walk:
    every registry benchmark's counts under fifteen scheme shapes, plus
@@ -83,6 +89,13 @@ let test_timeline_golden () =
   check_jsonl_golden ~what:"timeline/counter streams" "perf_timeline_golden.jsonl"
     (Perf_golden_doc.timeline_doc ())
 
+(* Long full-width runs: 32 and 100 warps at 300 instructions per warp,
+   where the active queue is longest, held to the capture from the
+   engine that walked an array snapshot of the queue every cycle. *)
+let test_wide_golden () =
+  check_jsonl_golden ~what:"full-width results" "perf_wide_golden.jsonl"
+    (Perf_golden_doc.wide_doc ())
+
 (* The traffic walk: counts, per-strand counts and run totals, and the
    audit/counter/attribution streams, held to the list-based walk's
    capture. *)
@@ -113,42 +126,53 @@ let independent_kernel n =
   done;
   B.finalize b
 
+(* Strict rotation: warp [v] gets its [k]-th issue at cycle [k*w + v],
+   so the run takes exactly [w * k_instrs] cycles and warp [v] spends
+   its tail [w - 1 - v] cycles classified Finished.  Checked at 4, 32
+   and 70 warps (a short queue, the default width, and more warps than
+   a machine word has bits), under Single_level and under a Two_level
+   scheduler whose active set holds every warp. *)
 let test_round_robin_rotation () =
-  let k_instrs = 5 and w = 4 in
+  let k_instrs = 5 in
   let ctx = Alloc.Context.create (independent_kernel k_instrs) in
-  let r =
-    Sim.Perf.run ~warps:w ~max_dynamic_per_warp:100 ~scheduler:Sim.Perf.Single_level
-      ~policy:Sim.Perf.On_dependence ctx
-  in
-  (* Strict rotation: warp [v] gets its [k]-th issue at cycle [k*w + v],
-     so the run takes exactly [w * k_instrs] cycles and warp [v] spends
-     its tail [w - 1 - v] cycles classified Finished. *)
-  check Alcotest.int "cycles" (w * k_instrs) r.Sim.Perf.cycles;
-  check Alcotest.int "instructions" (w * k_instrs) r.Sim.Perf.instructions;
-  check Alcotest.int "no deschedules" 0 r.Sim.Perf.desched_events;
-  check Alcotest.int "no dependence stalls" 0
-    (r.Sim.Perf.stalls.Sim.Perf.wait_long_latency
-    + r.Sim.Perf.stalls.Sim.Perf.wait_short_latency
-    + r.Sim.Perf.stalls.Sim.Perf.bank_conflict_serialization
-    + r.Sim.Perf.stalls.Sim.Perf.descheduled_pending);
-  Array.iter
-    (fun (ws : Sim.Perf.warp_stats) ->
-      let v = ws.Sim.Perf.warp in
-      check Alcotest.int
-        (Printf.sprintf "warp %d issued" v)
-        k_instrs ws.Sim.Perf.breakdown.Sim.Perf.issued;
-      check Alcotest.int
-        (Printf.sprintf "warp %d finished tail" v)
-        (w - 1 - v)
-        ws.Sim.Perf.breakdown.Sim.Perf.finished;
-      check Alcotest.int
-        (Printf.sprintf "warp %d lost arbitration" v)
-        ((w * k_instrs) - k_instrs - (w - 1 - v))
-        ws.Sim.Perf.breakdown.Sim.Perf.no_issue_slot)
-    r.Sim.Perf.per_warp;
-  check Alcotest.int "entries" w r.Sim.Perf.sched.Sim.Perf.entries;
-  check Alcotest.int "exits" 0 r.Sim.Perf.sched.Sim.Perf.exits;
-  check Alcotest.int "resident" (w * w * k_instrs) r.Sim.Perf.sched.Sim.Perf.resident_cycles
+  List.iter
+    (fun (w, sname, scheduler) ->
+      let r =
+        Sim.Perf.run ~warps:w ~max_dynamic_per_warp:100 ~scheduler
+          ~policy:Sim.Perf.On_dependence ctx
+      in
+      let is what = Printf.sprintf "%d warps, %s: %s" w sname what in
+      check Alcotest.int (is "cycles") (w * k_instrs) r.Sim.Perf.cycles;
+      check Alcotest.int (is "instructions") (w * k_instrs) r.Sim.Perf.instructions;
+      check Alcotest.int (is "no deschedules") 0 r.Sim.Perf.desched_events;
+      check Alcotest.int (is "no dependence stalls") 0
+        (r.Sim.Perf.stalls.Sim.Perf.wait_long_latency
+        + r.Sim.Perf.stalls.Sim.Perf.wait_short_latency
+        + r.Sim.Perf.stalls.Sim.Perf.bank_conflict_serialization
+        + r.Sim.Perf.stalls.Sim.Perf.descheduled_pending);
+      Array.iter
+        (fun (ws : Sim.Perf.warp_stats) ->
+          let v = ws.Sim.Perf.warp in
+          check Alcotest.int
+            (is (Printf.sprintf "warp %d issued" v))
+            k_instrs ws.Sim.Perf.breakdown.Sim.Perf.issued;
+          check Alcotest.int
+            (is (Printf.sprintf "warp %d finished tail" v))
+            (w - 1 - v)
+            ws.Sim.Perf.breakdown.Sim.Perf.finished;
+          check Alcotest.int
+            (is (Printf.sprintf "warp %d lost arbitration" v))
+            ((w * k_instrs) - k_instrs - (w - 1 - v))
+            ws.Sim.Perf.breakdown.Sim.Perf.no_issue_slot)
+        r.Sim.Perf.per_warp;
+      check Alcotest.int (is "entries") w r.Sim.Perf.sched.Sim.Perf.entries;
+      check Alcotest.int (is "exits") 0 r.Sim.Perf.sched.Sim.Perf.exits;
+      check Alcotest.int (is "resident") (w * w * k_instrs)
+        r.Sim.Perf.sched.Sim.Perf.resident_cycles)
+    (List.concat_map
+       (fun w ->
+         [ (w, "Single_level", Sim.Perf.Single_level); (w, "Two_level", Sim.Perf.Two_level w) ])
+       [ 4; 32; 70 ])
 
 (* --- wake-order refill -------------------------------------------- *)
 
@@ -255,6 +279,9 @@ let test_perf_zero_alloc_per_cycle () =
     r1
   in
   ignore (check_config "sad, Two_level 8" (long_bench ()) (Sim.Perf.Two_level 8));
+  (* Every warp in one active queue: the walk visits all 32 each cycle
+     and moves the issuer to the back. *)
+  ignore (check_config "sad, Single_level" (long_bench ()) Sim.Perf.Single_level);
   (* Low IPC with one active slot: most cycles are dead, so the run is
      dominated by dead-cycle jumps and the cached-stall path. *)
   let r =
@@ -335,6 +362,7 @@ let suite =
       test_differential_golden;
     Alcotest.test_case "timeline and counter streams match the per-cycle golden" `Quick
       test_timeline_golden;
+    Alcotest.test_case "full-width runs match the array-queue golden" `Quick test_wide_golden;
     Alcotest.test_case "traffic walk matches the list-based golden" `Quick
       test_traffic_golden;
     Alcotest.test_case "verifier verdicts match the round-robin golden" `Quick
