@@ -1,6 +1,6 @@
 (* Performance gate (make perfgate; wired into make ci).
 
-   Times seven probes — three Sim.Perf, one Sim.Traffic and three on
+   Times eight probes — four Sim.Perf, one Sim.Traffic and three on
    the compile path (Alloc.Context, Alloc.Allocator, Alloc.Verify) —
    and measures the steady-state minor-heap cost of one run of each:
 
@@ -13,9 +13,16 @@
      dead cycles, which the first probe barely notices;
    - sim:perf-single-level — MatrixMul, 32 warps, Single_level, capped
      at 100 dynamic instructions per warp: every warp sits in one
-     active queue, so the walk is at its longest, and this probe slows
+     active queue, so the queue is at its longest, and this probe slows
      if a queue move or the walk starts copying or shifting the queue
      again;
+   - sim:perf-two-level-16 — MatrixMul, 32 warps, Two_level 16 under
+     At_strand_boundaries with an 8-bank MRF, capped at 100 dynamic
+     instructions per warp: most cycles issue with many warps still
+     waiting behind the issuer, whose owed cycles are credited at
+     their next visit through the strand-boundary and bank-conflict
+     causes, so this probe slows if the walk goes back to classifying
+     every warp behind the issuer each cycle;
    - sim:traffic-hw — sad, 32 warps, a 3-entry hardware RFC with a
      hardware LRF: the traffic walk's costliest scheme, which replays
      both caches on every dynamic instruction;
@@ -36,7 +43,8 @@
 
    - each probe's median ns per run may regress at most 2x over its own
      committed threshold (ns_per_run, lowipc_ns_per_run,
-     single_level_ns_per_run, traffic_ns_per_run, context_ns_per_run,
+     single_level_ns_per_run, two_level_16_ns_per_run,
+     traffic_ns_per_run, context_ns_per_run,
      allocate_ns_per_run, verify_ns_per_run): generous enough for
      machine-to-machine variance, tight enough to catch a loop
      re-growing a per-step allocation, a quadratic scan, a lost
@@ -193,6 +201,11 @@ let probes () =
       (fun () ->
         Sim.Perf.run ~warps:32 ~max_dynamic_per_warp:100 ~scheduler:Sim.Perf.Single_level
           ~policy:Sim.Perf.On_dependence mm)
+      perf_fields;
+    probe ~name:"sim:perf-two-level-16" ~key:"two_level_16_ns_per_run"
+      (fun () ->
+        Sim.Perf.run ~warps:32 ~max_dynamic_per_warp:100 ~mrf_banks:8
+          ~scheduler:(Sim.Perf.Two_level 16) ~policy:Sim.Perf.At_strand_boundaries mm)
       perf_fields;
     probe ~name:"sim:traffic-hw" ~key:"traffic_ns_per_run"
       (fun () ->

@@ -83,7 +83,7 @@ let jobs =
     "Worker domains for the per-benchmark fan-out.  1 (the default) is the exact serial \
      path; 0 means one per recommended core.  Output is byte-identical at any setting."
   in
-  Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~docv:"N" ~doc)
+  in_range "--jobs" ~lo:0 Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~docv:"N" ~doc)
 
 (* --warps --seed -b as one serial options value; without -b the
    selection is [default_benchmarks] (all 36 when empty). *)

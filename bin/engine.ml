@@ -25,7 +25,9 @@ let cmd =
   in
   let jobs_list =
     let doc = "Comma-separated worker-domain settings to profile, e.g. 1,2,4,8." in
-    Arg.(value & opt (list int) [ 1; 2 ] & info [ "jobs"; "j" ] ~docv:"N,N,..." ~doc)
+    Term.(
+      const (List.map (Cli.check_range "--jobs" ~lo:0))
+      $ Arg.(value & opt (list int) [ 1; 2 ] & info [ "jobs"; "j" ] ~docv:"N,N,..." ~doc))
   in
   let trace_out =
     Cli.trace_out

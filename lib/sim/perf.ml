@@ -174,6 +174,10 @@ let top_warps_table ~n ~label r =
     ranked;
   t
 
+(* The stall row of a dependence-blocked scan: bank conflicts once every
+   blocked source's base latency has elapsed, else a long or short wait. *)
+let blocked_row ~base ~ll = if not base then 3 else if ll then 1 else 2
+
 (* The counter bins of a run with Obs.Counters off: never written. *)
 let no_bins : (int, int ref) Hashtbl.t = Hashtbl.create 0
 
@@ -314,6 +318,8 @@ let run_inner ?(warps = 32) ?(seed = 0x5eed) ?(max_dynamic_per_warp = 2_000)
     if tl then Array.make warps [] else [||]
   in
   let unit_free = s.Scratch.unit_free in
+  let stall_until = s.Scratch.stall_until in
+  let ready_since = s.Scratch.ready_since in
   (* Outstanding long-latency ready cycles, per warp: a compacting
      int buffer + count.  Compaction (dropping entries <= now) is
      observably neutral — membership is only ever tested against ready
@@ -354,14 +360,17 @@ let run_inner ?(warps = 32) ?(seed = 0x5eed) ?(max_dynamic_per_warp = 2_000)
     s.Scratch.ll_len.(w) <- n + 1
   in
   let rec ll_any_from buf n now i = i < n && (buf.(i) > now || ll_any_from buf n now (i + 1)) in
-  let ll_any_pure w now = ll_any_from s.Scratch.ll.(w) s.Scratch.ll_len.(w) now 0 in
+  (* The helpers marked [@inline] serve both the step and the
+     catch-up: a local function with one caller is substituted into it,
+     one with two is called, and these sit on the walk's hot path. *)
+  let[@inline] ll_any_pure w now = ll_any_from s.Scratch.ll.(w) s.Scratch.ll_len.(w) now 0 in
   let rec ll_mem_from buf n v i = i < n && (buf.(i) = v || ll_mem_from buf n v (i + 1)) in
-  let ll_mem w v = ll_mem_from s.Scratch.ll.(w) s.Scratch.ll_len.(w) v 0 in
+  let[@inline] ll_mem w v = ll_mem_from s.Scratch.ll.(w) s.Scratch.ll_len.(w) v 0 in
   let rec ll_max_from buf n acc i =
     if i >= n then acc
     else ll_max_from buf n (if buf.(i) > acc then buf.(i) else acc) (i + 1)
   in
-  let ll_max w acc = ll_max_from s.Scratch.ll.(w) s.Scratch.ll_len.(w) acc 0 in
+  let[@inline] ll_max w acc = ll_max_from s.Scratch.ll.(w) s.Scratch.ll_len.(w) acc 0 in
   let warp_done w = Cf.finished cfs.(w) in
   (* Close warp [w]'s constant-state span at cycle [stop]: credit the
      whole stint to its stall matrix row in one add, and feed the
@@ -389,10 +398,11 @@ let run_inner ?(warps = 32) ?(seed = 0x5eed) ?(max_dynamic_per_warp = 2_000)
       end
     end
   in
-  (* Span end for warps a refill promotes: the start-of-cycle refill
-     runs before classification (the promoted warp is classified as
-     active this cycle), a mid-walk refill after it (the warp already
-     owes this cycle as pending). *)
+  (* Span end for warps a refill promotes, and so the first cycle
+     their active classification owes: the start-of-cycle refill runs
+     before classification (the promoted warp is classified as active
+     this cycle), a mid-walk refill after it (the warp already owes
+     this cycle as pending). *)
   let promote_end = ref 0 in
   (* Conservative lower bound on the earliest wake among non-finished
      pending warps: while it sits in the future the partition below
@@ -424,6 +434,7 @@ let run_inner ?(warps = 32) ?(seed = 0x5eed) ?(max_dynamic_per_warp = 2_000)
         let w = s.Scratch.ready_buf.(j) in
         span_flush w !promote_end;
         span_state.(w) <- -1;
+        stall_until.(w) <- !promote_end;
         push_back w
       done;
       entries := !entries + take;
@@ -480,7 +491,7 @@ let run_inner ?(warps = 32) ?(seed = 0x5eed) ?(max_dynamic_per_warp = 2_000)
      sources: the first cycle this instruction's blocked classification
      could change. *)
   let scan_next = ref 0 in
-  let scan_srcs w id now =
+  let[@inline] scan_srcs w id now =
     scan_wait := now;
     scan_blocked := false;
     scan_base := false;
@@ -529,12 +540,13 @@ let run_inner ?(warps = 32) ?(seed = 0x5eed) ?(max_dynamic_per_warp = 2_000)
     end;
     Cf.advance cfs.(w);
     if Cf.finished cfs.(w) then decr live;
-    s.Scratch.ready_since.(w) <- -1;
+    ready_since.(w) <- -1;
+    stall_until.(w) <- now + 1;
     incr instructions;
     unlink w;
     push_back w
   in
-  let classify w cause =
+  let classify w cause t =
     let ci = (w * 7) + cause_index cause in
     breakdown.(ci) <- breakdown.(ci) + 1;
     if tl then begin
@@ -542,46 +554,42 @@ let run_inner ?(warps = 32) ?(seed = 0x5eed) ?(max_dynamic_per_warp = 2_000)
       | Some (st, _) when st = cause -> ()
       | Some (st, start) ->
         closed_ivs.(w) <-
-          { Obs.Timeline.warp = w; state = st; start; stop = !cycle } :: closed_ivs.(w);
-        open_iv.(w) <- Some (cause, !cycle)
-      | None -> open_iv.(w) <- Some (cause, !cycle)
+          { Obs.Timeline.warp = w; state = st; start; stop = t } :: closed_ivs.(w);
+        open_iv.(w) <- Some (cause, t)
+      | None -> open_iv.(w) <- Some (cause, t)
     end
   in
   (* Classification and issue fused into ONE active-order walk per
-     cycle.  The attribution stays exact — every warp-cycle classifies
-     against start-of-cycle state, exactly as a pure probe pass
-     followed by an issue pass would — because the only cross-warp
-     state an issue mutates is [unit_free], and a warp reached after
-     the issuer classifies [No_issue_slot] either way: its unit is
-     booked for at least a full cycle, or the single issue slot is
-     gone.  Per-warp effects (ready times, the ll buffer, the PC)
-     touch only the issuing warp, which the walk never revisits.
-     Warps ahead of the issuer in round-robin order take their
-     deschedule side effects as they are classified (the scan stops
-     acting, but not classifying, at the first issuer); warps a
-     mid-walk refill promotes were already classified as pending and
-     wait for the next cycle.  Fusing halves the per-active-warp scan
-     work the split walks duplicated. *)
+     cycle, which ends at the warp that issues.  Every warp it visits
+     classifies against start-of-cycle state, exactly as a pure probe
+     pass followed by an issue pass would: the only cross-warp state an
+     issue mutates is [unit_free] and the cycle's one issue slot, and
+     the warps ahead of the issuer are classified already.  Warps
+     behind the issuer can no longer issue, deschedule or retire this
+     cycle, and what they would be classified as depends on their own
+     frozen state alone, so the walk leaves them: each owes the cycles
+     from its [stall_until] and credits them at its next visit
+     ([catch_up]).  Warps a mid-walk refill promotes were already
+     classified as pending and wait for the next cycle.  Fusing halves
+     the per-active-warp scan work the split walks duplicated. *)
   let issued = ref false in
-  let stall_until = s.Scratch.stall_until in
-  let ready_since = s.Scratch.ready_since in
   let credit w ci n =
     let k = (w * 7) + ci in
     breakdown.(k) <- breakdown.(k) + n
   in
-  (* Stall cache.  Classify warp [w] as [ci] now and credit the rest of
-     the stint, up to [until] (clamped to the cut-off), to its stall
-     matrix row in one add: the cause provably holds through
+  (* Stall cache.  Classify warp [w] as [ci] at cycle [t] and credit
+     the rest of the stint, up to [until] (clamped to the cut-off), to
+     its stall matrix row in one add: the cause provably holds through
      [until - 1], so the cached steps in between touch nothing (the
      timeline interval opened here stays open, as per-cycle
      classification of the same cause would leave it) and a dead-cycle
      jump over them adds nothing either.  The entry self-invalidates:
      an issue or a promotion only happens at a cycle >= [until]. *)
-  let cache_stall w ci until =
-    classify w (cause_of_index ci);
+  let[@inline] cache_stall w ci until t =
+    classify w (cause_of_index ci) t;
     stall_until.(w) <- until;
     let stop = if until < max_cycles then until else max_cycles in
-    if stop > !cycle + 1 then credit w ci (stop - !cycle - 1)
+    if stop > t + 1 then credit w ci (stop - t - 1)
   in
   (* A warp found issuable stays so until it issues: only its own issue
      writes its scoreboard and long-latency buffer, and ready cycles
@@ -597,57 +605,84 @@ let run_inner ?(warps = 32) ?(seed = 0x5eed) ?(max_dynamic_per_warp = 2_000)
       stall_until.(w) <- free;
       false
     end
-    else if !issued then false
     else begin
       credit w 5 (* No_issue_slot *) (now - ready_since.(w));
-      classify w Issued;
+      classify w Issued now;
       issued := true;
       issue w id now;
       true
     end
   in
-  (* One uncached active warp that has not been found issuable. *)
-  let step_active w =
-    let now = !cycle in
-    let id = Cf.peek_id cfs.(w) in
-    if id < 0 then begin
-      classify w Finished;
-      if not !issued then begin
-        unlink w;
-        incr exits;
-        (* Retired for good: neither queue will see it again, so the
-           rest of the run is one Finished span starting next cycle. *)
-        span_state.(w) <- 6 (* Finished *);
-        span_start.(w) <- now + 1;
-        refill_active ()
+  (* Under [On_dependence] a two-level scheduler deschedules a warp
+     blocked on a long-latency result at its visit: never cached. *)
+  let desched_on_dep = (not at_strand) && two_level in
+  (* Catch-up: credit the cycles [stall_until, now) that warp [w], at
+     instruction [id] and not issuable, sat behind an issuer (a
+     dead-cycle jump never passes a walked warp's [stall_until]: the
+     target is at most the horizon).  A visit on those cycles could
+     only have classified it, and its ready rows, long-latency buffer
+     and PC are frozen while it cannot issue, so the cause changes
+     only at the crossings a scan reports.  Each segment gets the cause
+     a visit at its first cycle would have given, its timeline interval
+     opening there: [Finished] through [now]; at a strand start with
+     long-latency results outstanding, [Wait_long_latency] until the
+     last is ready; else the scan's blocked cause until [scan_next],
+     or, found issuable, one [No_issue_slot] cycle and [ready_since]
+     after it.  A blocked stint past [now] that is no deschedule
+     candidate is cached as the skipped visit would have cached it.
+     Returns whether the warp is still to be stepped at [now]: not when
+     that cache runs past [now], nor when it was found issuable. *)
+  let rec catch_up w id now =
+    let t = stall_until.(w) in
+    if id < 0 then (cache_stall w 6 (* Finished *) now t; true)
+    else if at_strand && dec.Dec.starts_strand.(id) && ll_any_pure w t then begin
+      let e = ll_max w t in
+      cache_stall w 1 (* Wait_long_latency *) (if e < now then e else now) t;
+      e >= now || catch_up w id now
+    end
+    else begin
+      scan_srcs w id t;
+      if !scan_blocked then begin
+        let e = !scan_next in
+        let e = if e > now && desched_on_dep && !scan_ll then now else e in
+        cache_stall w (blocked_row ~base:!scan_base ~ll:!scan_ll) e t;
+        if e < now then catch_up w id now else e = now
+      end
+      else begin
+        classify w No_issue_slot t;
+        ready_since.(w) <- t + 1;
+        false
       end
     end
+  in
+  (* One active warp, at instruction [id], that owes no cycle before
+     [now] and has not been found issuable. *)
+  let step_active w id now =
+    if id < 0 then begin
+      classify w Finished now;
+      unlink w;
+      incr exits;
+      (* Retired for good: neither queue will see it again, so the
+         rest of the run is one Finished span starting next cycle. *)
+      span_state.(w) <- 6 (* Finished *);
+      span_start.(w) <- now + 1;
+      refill_active ()
+    end
     else if at_strand && dec.Dec.starts_strand.(id) && ll_any_pure w now then begin
-      classify w Wait_long_latency;
-      if not !issued then begin
-        audit_desched w id Obs.Audit.Sw_boundary;
-        ll_compact w now;
-        deschedule w ~wake:(ll_max w now)
-      end
+      classify w Wait_long_latency now;
+      audit_desched w id Obs.Audit.Sw_boundary;
+      ll_compact w now;
+      deschedule w ~wake:(ll_max w now)
     end
     else begin
       scan_srcs w id now;
       if !scan_blocked then begin
-        let ci =
-          if not !scan_base then 3 (* Bank_conflict_serialization *)
-          else if !scan_ll then 1 (* Wait_long_latency *)
-          else 2 (* Wait_short_latency *)
-        in
-        if (not at_strand) && two_level && !scan_ll then begin
-          (* Deschedule candidate.  Post-issue the scan has stopped
-             acting for this cycle, and the deschedule must happen on
-             a later pre-issue walk — so this case is never cached. *)
-          classify w (cause_of_index ci);
-          if not !issued then begin
-            audit_desched w id
-              (if !scan_base then Obs.Audit.Hw_dependence else Obs.Audit.Bank_conflict);
-            deschedule w ~wake:!scan_wait
-          end
+        let ci = blocked_row ~base:!scan_base ~ll:!scan_ll in
+        if desched_on_dep && !scan_ll then begin
+          classify w (cause_of_index ci) now;
+          audit_desched w id
+            (if !scan_base then Obs.Audit.Hw_dependence else Obs.Audit.Bank_conflict);
+          deschedule w ~wake:!scan_wait
         end
         else
           (* Dependence-blocked: the warp's own registers are frozen
@@ -655,13 +690,13 @@ let run_inner ?(warps = 32) ?(seed = 0x5eed) ?(max_dynamic_per_warp = 2_000)
              as ready cycles pass, so the cause holds — and [scan_ll]
              can never flip on, so no deschedule is missed — until the
              earliest crossing recorded by the scan. *)
-          cache_stall w ci !scan_next
+          cache_stall w ci !scan_next now
       end
       else begin
         ready_since.(w) <- now;
         if not (try_issue w id now) then begin
           (* The first No_issue_slot cycle also opens the interval. *)
-          classify w No_issue_slot;
+          classify w No_issue_slot now;
           ready_since.(w) <- now + 1
         end
       end
@@ -686,14 +721,16 @@ let run_inner ?(warps = 32) ?(seed = 0x5eed) ?(max_dynamic_per_warp = 2_000)
     issued := false;
     (* Walk the live queue in place, from the head through [last], the
        warp queued last when the walk began, reading each successor
-       before stepping.  A step unlinks only the warp being stepped and
-       appends only behind [last] (the issuer moving to the back, a
-       refill promotion), so the walk visits exactly the warps queued
-       at its start, in order.  Warps outside it are covered by their
-       open spans — pending and retired warps owe this cycle at their
-       constant state, and a mid-walk promotion closes the span at the
-       next cycle boundary ([promote_end]), so every warp-cycle lands
-       in the matrix exactly once. *)
+       after the step.  A step unlinks only the warp being stepped,
+       leaving its own links as they were, and appends only behind
+       [last] (the issuer moving to the back, a refill promotion), so
+       the walk visits the warps queued at its start, in order, and
+       ends at the issuer: the move leaves it without a successor.
+       Warps outside the walk are covered by their open spans — pending
+       and retired warps owe this cycle at their constant state, and a
+       mid-walk promotion closes the span at the next cycle boundary
+       ([promote_end]) — and warps behind the issuer by their next
+       catch-up, so every warp-cycle lands in the matrix exactly once. *)
     resident_cycles := !resident_cycles + !active_len;
     let now = !cycle in
     (* Earliest cycle at which a walked warp's wait ends; a warp left
@@ -703,14 +740,18 @@ let run_inner ?(warps = 32) ?(seed = 0x5eed) ?(max_dynamic_per_warp = 2_000)
     let cur = ref !head in
     while !cur >= 0 do
       let w = !cur in
-      cur := if w = last then -1 else next_active.(w);
-      (* Cached and issuable warps owe nothing per cycle; an issuable
-         one is only looked at until the cycle's issue slot is taken. *)
-      if stall_until.(w) <= now then begin
-        if ready_since.(w) < 0 then step_active w
-        else if not !issued then ignore (try_issue w (Cf.peek_id cfs.(w)) now)
+      (* Cached and issuable warps owe nothing per cycle. *)
+      let su = stall_until.(w) in
+      if su <= now then begin
+        let id = Cf.peek_id cfs.(w) in
+        (* A warp that sat behind an issuer first credits what it owes,
+           which may leave it cached past [now] or issuable. *)
+        if ready_since.(w) >= 0 then ignore (try_issue w id now)
+        else if su = now || catch_up w id now then step_active w id now
+        else if ready_since.(w) >= 0 then ignore (try_issue w id now)
       end;
-      if stall_until.(w) < !horizon then horizon := stall_until.(w)
+      if stall_until.(w) < !horizon then horizon := stall_until.(w);
+      cur := if w = last then -1 else next_active.(w)
     done;
     let next = now + 1 in
     if !issued || !exits <> exits0 || !horizon <= next then cycle := next
@@ -737,6 +778,8 @@ let run_inner ?(warps = 32) ?(seed = 0x5eed) ?(max_dynamic_per_warp = 2_000)
      No_issue_slot cycles since [ready_since]. *)
   for w = 0 to warps - 1 do
     span_flush w !cycle;
+    if span_state.(w) < 0 && ready_since.(w) < 0 && stall_until.(w) < !cycle then
+      ignore (catch_up w (Cf.peek_id cfs.(w)) !cycle);
     if ready_since.(w) >= 0 then credit w 5 (!cycle - ready_since.(w))
   done;
   if tl then

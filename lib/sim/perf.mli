@@ -143,16 +143,20 @@ val run :
     Cost model: the loop is event-driven.  The active set is a linked
     round-robin queue walked in place, so moving the issuer to the
     back, a deschedule, a retirement and a refill promotion are each
-    an O(1) link update and no cycle copies or shifts the queue.  A
-    cycle costs one compare per active warp — a warp waiting on a
-    known cycle (a cached dependence stall, or an issuable warp whose
-    unit is busy), or an issuable warp after the cycle's issue slot is
-    taken — plus the real work of the issuer, the warps whose wait
-    just ended and the warps changing queues.  A cycle that issues
-    nothing and moves no warp out of the active set is followed by a
-    jump to the next cycle on which anything can change, so a run of
-    dead cycles costs as much as one cycle (plus one
-    [perf.active_warps] sample per 64 cycles when {!Obs.Counters} is
-    on).  Total work is about (issue cycles + wait expiries) x
-    active-set size compares plus the real work, independent of how
-    many cycles are dead; the stall attribution stays exact. *)
+    an O(1) link update and no cycle copies or shifts the queue.  The
+    walk ends at the warp that issues: the warps behind it can no
+    longer act that cycle, and each credits the cycles it missed at
+    its next visit, one segment per change of cause.  So a cycle costs
+    one compare per waiting warp ahead of the issuer — a warp waiting
+    on a known cycle (a cached dependence stall, or an issuable warp
+    whose unit is busy) — plus the real work of the issuer, the warps
+    whose wait just ended, the warps catching up and the warps
+    changing queues.  A cycle that issues nothing and moves no warp
+    out of the active set is followed by a jump to the next cycle on
+    which anything can change, so a run of dead cycles costs as much
+    as one cycle (plus one [perf.active_warps] sample per 64 cycles
+    when {!Obs.Counters} is on).  Total work is about one compare per
+    waiting warp ahead of each issuer, plus one per active warp on
+    each cycle that issues nothing and is not jumped, plus the real
+    work, independent of how many cycles are dead; the stall
+    attribution stays exact. *)

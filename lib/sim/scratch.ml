@@ -35,13 +35,18 @@ type t = {
   mutable breakdown : int array;         (* warps x 7, row-major *)
   mutable span_state : int array;
   mutable span_start : int array;
-  (* Wait bounds for active warps.  The walk skips a warp before its
-     [stall_until]: the end of a cached dependence stall (the next
-     ready(-base) crossing among its blocked sources; the whole stint
-     is credited to [breakdown] when cached) or of an issuable warp's
-     busy unit.  [ready_since] is -1, or, for a warp whose current
+  (* Wait bounds for active warps; the walk skips a warp before its
+     [stall_until].  [ready_since] is -1, or, for a warp whose current
      instruction was found issuable (it stays so until it issues), the
-     first of its No_issue_slot cycles not yet credited. *)
+     first of its No_issue_slot cycles not yet credited, and its
+     [stall_until] is the end of its unit's busy spell.  Otherwise
+     [stall_until] is the first cycle not yet credited to the warp's
+     row of [breakdown]: the end of a cached dependence stall (the next
+     ready(-base) crossing among its blocked sources; the whole stint
+     is credited when cached), the cycle after its last issue or
+     classification, or the end of the pending span a promotion
+     closed.  Below the walk's cycle, it marks the cycles the warp sat
+     behind an issuer, which its next visit credits first. *)
   mutable stall_until : int array;
   mutable ready_since : int array;
   (* Banked-MRF conflict tables. *)

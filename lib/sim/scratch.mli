@@ -37,6 +37,7 @@ type t = {
   mutable span_state : int array;
   mutable span_start : int array;
   mutable stall_until : int array;
+      (* per active warp: wait bound, or first cycle not yet credited *)
   mutable ready_since : int array;
   mutable bank_counts : int array;
   mutable conflict_extra : int array;

@@ -4,6 +4,7 @@
      dune exec test/gen_perf_golden.exe > test/perf_golden.json
      dune exec test/gen_perf_golden.exe -- timeline > test/perf_timeline_golden.jsonl
      dune exec test/gen_perf_golden.exe -- wide > test/perf_wide_golden.jsonl
+     dune exec test/gen_perf_golden.exe -- cut > test/perf_cut_golden.jsonl
      dune exec test/gen_perf_golden.exe -- traffic > test/traffic_golden.jsonl
      dune exec test/gen_perf_golden.exe -- verify > test/verify_golden.jsonl
      dune exec test/gen_perf_golden.exe -- placement > test/placement_golden.jsonl
@@ -13,12 +14,14 @@
    engine, perf_timeline_golden.jsonl from the per-cycle engine before
    dead-cycle jumping, perf_wide_golden.jsonl from the engine that
    walked a per-cycle array snapshot of its active queue, before the
-   linked queue walked in place, traffic_golden.jsonl from the per-operand
-   Sim.Traffic walk over list-based FIFO caches, verify_golden.jsonl
-   from the round-robin Alloc.Verify fixpoint over boxed cells before
-   the worklist, placement_golden.jsonl from the allocator's
-   binary-heap queues over list-based reaching and def-use tables
-   before the compile path moved to word bitsets and once-scored
+   linked queue walked in place, perf_cut_golden.jsonl from the engine
+   whose walk classified every warp behind the issuer each cycle,
+   before the walk ended at the issue, traffic_golden.jsonl from the
+   per-operand Sim.Traffic walk over list-based FIFO caches,
+   verify_golden.jsonl from the round-robin Alloc.Verify fixpoint over
+   boxed cells before the worklist, placement_golden.jsonl from the
+   allocator's binary-heap queues over list-based reaching and def-use
+   tables before the compile path moved to word bitsets and once-scored
    candidates.  Re-run this only when the simulated semantics or the
    verdicts deliberately change, never to make a perf-only rewrite
    pass.  The allocator's multi-definition clobber fix (ROADMAP item 1)
@@ -36,6 +39,7 @@ let () =
     print_newline ()
   | [ _; "timeline" ] -> print_string (Perf_golden_doc.timeline_doc ())
   | [ _; "wide" ] -> print_string (Perf_golden_doc.wide_doc ())
+  | [ _; "cut" ] -> print_string (Perf_golden_doc.cut_doc ())
   | [ _; "traffic" ] -> print_string (Perf_golden_doc.traffic_doc ())
   | [ _; "verify" ] -> print_string (Perf_golden_doc.verify_doc ())
   | [ _; "placement" ] -> print_string (Perf_golden_doc.placement_doc ())
@@ -43,5 +47,5 @@ let () =
     print_string
       (Cli_transcript.render ~rfh:"_build/default/bin/rfh.exe" ~baseline:"baselines/default.json")
   | _ ->
-    prerr_endline "usage: gen_perf_golden [timeline|wide|traffic|verify|placement|cli]";
+    prerr_endline "usage: gen_perf_golden [timeline|wide|cut|traffic|verify|placement|cli]";
     exit 2

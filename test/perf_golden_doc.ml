@@ -133,20 +133,32 @@ let counter_lines buf =
         t.Obs.Counters.samples)
     (Obs.Counters.tracks ())
 
-(* Header line, then every interval in emission order, then every
+(* [f ()] with the Obs.Timeline and Obs.Counters recorders on, and the
+   streams it recorded: every interval in emission order, then every
    counter sample. *)
-let record_run buf ~bench ~sname ~pname ~bank ?max_cycles ~scheduler ~policy ctx =
+let recorded f =
   let sink, intervals = Obs.Timeline.memory_sink () in
   Obs.Timeline.set_sink sink;
   Obs.Counters.reset ();
   Obs.Counters.set_enabled true;
-  let mrf_banks = if bank = 0 then None else Some bank in
   let r =
     Fun.protect
       ~finally:(fun () ->
         Obs.Timeline.disable ();
         Obs.Counters.set_enabled false)
-      (fun () ->
+      f
+  in
+  let streams = Buffer.create (1 lsl 16) in
+  List.iter (fun iv -> line streams (Obs.Timeline.to_json iv)) (intervals ());
+  counter_lines streams;
+  Obs.Counters.reset ();
+  (r, Buffer.contents streams)
+
+(* Header line, then the run's recorded streams. *)
+let record_run buf ~bench ~sname ~pname ~bank ?max_cycles ~scheduler ~policy ctx =
+  let mrf_banks = if bank = 0 then None else Some bank in
+  let r, streams =
+    recorded (fun () ->
         Sim.Perf.run ~warps:tl_warps ~max_dynamic_per_warp:tl_max_dynamic ?max_cycles
           ?mrf_banks ~scheduler ~policy ctx)
   in
@@ -162,9 +174,7 @@ let record_run buf ~bench ~sname ~pname ~bank ?max_cycles ~scheduler ~policy ctx
          ("cycles", Obs.Json.int r.Sim.Perf.cycles);
          ("instructions", Obs.Json.int r.Sim.Perf.instructions);
        ]);
-  List.iter (fun iv -> line buf (Obs.Timeline.to_json iv)) (intervals ());
-  counter_lines buf;
-  Obs.Counters.reset ()
+  Buffer.add_string buf streams
 
 let timeline_doc () =
   let buf = Buffer.create (1 lsl 20) in
@@ -262,6 +272,83 @@ let wide_doc () =
         benches)
     wide_grid;
   Buffer.contents buf
+
+(* --- runs cut in busy stretches: test/perf_cut_golden.jsonl -------- *)
+
+(* The wide golden's runs end when every warp finishes, and the
+   timeline golden's cut falls in a dead span under Two_level 1, where
+   no warp ever sits behind the issuer.  These runs are cut at
+   [max_cycles] while many warps wait behind each cycle's issuer, so
+   the end-of-run flush of every warp's owed cycles and the clamp of a
+   stall cached past the cut are pinned.  One line per run: the totals,
+   the scheduler stats, the MD5 of the per-warp rows and the MD5 of the
+   run's Timeline intervals and Counters samples (recorded in a second
+   run, which must return the same result). *)
+let cut_warps = 32
+let cut_max_dynamic = 300
+let cut_benches = [ "MatrixMul"; "sad"; "lu" ]
+
+let cut_schedulers =
+  [
+    ("single", Sim.Perf.Single_level); ("two8", Sim.Perf.Two_level 8);
+    ("two16", Sim.Perf.Two_level 16);
+  ]
+
+let cut_banks = [ 0; 8 ]
+let cut_cycles = [ 700; 1_500 ]
+
+(* Every cut run: [max_cycles], the result with the recorders off, the
+   result with them on, and the line the golden holds for it. *)
+let cut_runs () =
+  List.concat_map
+    (fun bench ->
+      let ctx = ctx_of bench in
+      List.concat_map
+        (fun (sname, scheduler) ->
+          List.concat_map
+            (fun (pname, policy) ->
+              List.concat_map
+                (fun bank ->
+                  List.map
+                    (fun max_cycles ->
+                      let mrf_banks = if bank = 0 then None else Some bank in
+                      let run () =
+                        Sim.Perf.run ~warps:cut_warps ~max_dynamic_per_warp:cut_max_dynamic
+                          ~max_cycles ?mrf_banks ~scheduler ~policy ctx
+                      in
+                      let r = run () in
+                      let recorded_r, streams = recorded run in
+                      let md5 s = Obs.Json.Str (Digest.to_hex (Digest.string s)) in
+                      ( max_cycles,
+                        r,
+                        recorded_r,
+                        Obs.Json.Obj
+                          [
+                            ("bench", Obs.Json.Str bench);
+                            ("sched", Obs.Json.Str sname);
+                            ("policy", Obs.Json.Str pname);
+                            ("banks", Obs.Json.int bank);
+                            ("max_cycles", Obs.Json.int max_cycles);
+                            ("cycles", Obs.Json.int r.Sim.Perf.cycles);
+                            ("instructions", Obs.Json.int r.Sim.Perf.instructions);
+                            ("desched_events", Obs.Json.int r.Sim.Perf.desched_events);
+                            ("stalls", breakdown_json r.Sim.Perf.stalls);
+                            ("sched_stats", sched_stats_json r.Sim.Perf.sched);
+                            ("per_warp_md5", md5 (Obs.Json.to_string (per_warp_json r)));
+                            ("streams_md5", md5 streams);
+                          ] ))
+                    cut_cycles)
+                cut_banks)
+            policies)
+        cut_schedulers)
+    cut_benches
+
+let cut_doc_of runs =
+  let buf = Buffer.create (1 lsl 15) in
+  List.iter (fun (_, _, _, j) -> line buf j) runs;
+  Buffer.contents buf
+
+let cut_doc () = cut_doc_of (cut_runs ())
 
 (* --- traffic walk: test/traffic_golden.jsonl ---------------------- *)
 

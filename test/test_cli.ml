@@ -236,6 +236,8 @@ let suite =
       ("profile -b mm --entries 0", "--entries 0");
       ("fig13 -b mm --warps 0", "--warps 0");
       ("baseline check --warps=-1", "--warps -1");
+      ("fig15 -b mm --jobs=-3", "--jobs -3");
+      ("engine fig13 -b mm --jobs 1,-2", "--jobs -2");
       ("timeline mm --mrf-banks=-3", "--mrf-banks -3");
       ("timeline mm --mrf-banks 0", "--mrf-banks 0");
       ("explain mm --top=-1", "--top -1");

@@ -19,6 +19,13 @@
    instructions per warp (totals, scheduler stats and the MD5 of the
    per-warp rows), byte-for-byte.
 
+   test/perf_cut_golden.jsonl was captured from the engine whose walk
+   classified every warp behind the issuer each cycle, before the walk
+   ended at the issue: 72 runs of 32 warps cut at 700 or 1,500 cycles
+   while many warps wait behind the issuer (totals, scheduler stats,
+   and the MD5 of the per-warp rows and of the recorder streams),
+   byte-for-byte.
+
    test/traffic_golden.jsonl was captured from the per-operand
    Sim.Traffic walk over list-based FIFO caches, before the flat walk:
    every registry benchmark's counts under fifteen scheme shapes, plus
@@ -95,6 +102,26 @@ let test_timeline_golden () =
 let test_wide_golden () =
   check_jsonl_golden ~what:"full-width results" "perf_wide_golden.jsonl"
     (Perf_golden_doc.wide_doc ())
+
+(* Runs cut at max_cycles in busy stretches, where warps behind each
+   cycle's issuer still owe cycles when the run ends: every warp's row
+   sums to the cut, the recorders do not change the result, and the
+   totals, rows and streams match the capture. *)
+let test_cut_golden () =
+  let runs = Perf_golden_doc.cut_runs () in
+  List.iter
+    (fun (max_cycles, (r : Sim.Perf.result), recorded, _) ->
+      check Alcotest.int "cut at max_cycles" max_cycles r.Sim.Perf.cycles;
+      check Alcotest.bool "recorders on: same result" true (recorded = r);
+      Array.iter
+        (fun (ws : Sim.Perf.warp_stats) ->
+          check Alcotest.int
+            (Printf.sprintf "warp %d sums to max_cycles" ws.Sim.Perf.warp)
+            max_cycles
+            (Sim.Perf.breakdown_total ws.Sim.Perf.breakdown))
+        r.Sim.Perf.per_warp)
+    runs;
+  check_jsonl_golden ~what:"cut runs" "perf_cut_golden.jsonl" (Perf_golden_doc.cut_doc_of runs)
 
 (* The traffic walk: counts, per-strand counts and run totals, and the
    audit/counter/attribution streams, held to the list-based walk's
@@ -363,6 +390,8 @@ let suite =
     Alcotest.test_case "timeline and counter streams match the per-cycle golden" `Quick
       test_timeline_golden;
     Alcotest.test_case "full-width runs match the array-queue golden" `Quick test_wide_golden;
+    Alcotest.test_case "runs cut in busy stretches match the cut golden" `Quick
+      test_cut_golden;
     Alcotest.test_case "traffic walk matches the list-based golden" `Quick
       test_traffic_golden;
     Alcotest.test_case "verifier verdicts match the round-robin golden" `Quick
