@@ -10,16 +10,11 @@ build:
 test:
 	dune runtest
 
-# Format check. Gated: the check only runs where ocamlformat is
-# installed (dev boxes / CI); .ocamlformat currently disables
-# reformatting, so the check is a no-op scaffold for incremental
-# adoption.
+# Format check: dune-project enables formatting for dune files only,
+# which dune formats itself, so the check needs no ocamlformat and runs
+# everywhere.  `dune fmt` applies the fixes it reports.
 fmt:
-	@if command -v ocamlformat >/dev/null 2>&1; then \
-	  dune build @fmt; \
-	else \
-	  echo "ocamlformat not installed; skipping format check"; \
-	fi
+	dune build @fmt
 
 # Page-parity check for the HTML smokes: every table title a command
 # printed (the line above a header whose dashed underline matches its
@@ -155,7 +150,10 @@ why-smoke: build
 # allocates past its caps there.  (The compile probes time the
 # compile path; `make test` pins its output with
 # test/placement_golden.jsonl.)
-# The measurements land in _build/perfgate.json for CI to upload.
+# The measurements land in _build/perfgate.json for CI to upload; the
+# gate appends to a history file only when given --history FILE (CI
+# passes baselines/history.jsonl), so this target leaves the tree
+# clean.
 perfgate: build
 	dune exec bench/perfgate.exe
 

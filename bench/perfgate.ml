@@ -76,10 +76,10 @@
    Each probe is timed --runs times (default 5); the gate compares the
    median, and the p90 rides along as a tail-latency indicator.  The
    measured numbers land in _build/perfgate.json for CI to upload, so
-   the trajectory is recorded even when the gate passes, and one
-   history record (of the sim:perf-two-level probe) is appended to
-   baselines/history.jsonl (--history to redirect, --no-history to
-   skip) so rfh trend sees the cross-run series.  A threshold missing
+   the trajectory is recorded even when the gate passes.  With
+   --history FILE, one history record (of the sim:perf-two-level probe)
+   is appended to FILE so rfh trend sees the cross-run series; without
+   it nothing else is written.  A threshold missing
    from the file — all of them on a fresh tree — is recorded from the
    current measurement (the regress-gate convention). *)
 
@@ -101,9 +101,7 @@ let timed_runs =
   | Some _ -> prerr_endline "perfgate: --runs wants a positive integer"; exit 2
   | None -> default_timed_runs
 
-let history_path =
-  if Array.exists (( = ) "--no-history") Sys.argv then None
-  else Some (Option.value ~default:"baselines/history.jsonl" (arg_value "--history"))
+let history_path = arg_value "--history"
 
 (* The allocation caps a probe is held to: the baseline-file keys
    (the prefix names the set) and the values recorded into a fresh

@@ -108,15 +108,7 @@ let bench_row (opts : Options.t) scheme ~entries (e : Workloads.Registry.entry)
     baseline_pj = base.Sweep.energy.Energy.Counts.total;
     ipc = perf.Sim.Perf.ipc;
     stalls = Sim.Perf.breakdown_fields perf.Sim.Perf.stalls;
-    sched =
-      {
-        Obs.Manifest.entries = perf.Sim.Perf.sched.Sim.Perf.entries;
-        exits = perf.Sim.Perf.sched.Sim.Perf.exits;
-        resident_cycles = perf.Sim.Perf.sched.Sim.Perf.resident_cycles;
-        desched_long_latency = perf.Sim.Perf.sched.Sim.Perf.desched_long_latency;
-        desched_strand_boundary = perf.Sim.Perf.sched.Sim.Perf.desched_strand_boundary;
-        desched_bank_conflict = perf.Sim.Perf.sched.Sim.Perf.desched_bank_conflict;
-      };
+    sched = perf.Sim.Perf.sched;
     counts = Energy.Counts.to_json traffic.Sim.Traffic.counts;
     energy_pj =
       List.map

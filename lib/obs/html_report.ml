@@ -322,16 +322,13 @@ let residency_table (benches : Manifest.bench list) =
   List.iter
     (fun (b : Manifest.bench) ->
       let s = b.sched in
-      let mean =
-        if s.entries = 0 then 0.0 else float_of_int s.resident_cycles /. float_of_int s.entries
-      in
       Util.Table.add_row t
         [
           b.bench;
           string_of_int s.entries;
           string_of_int s.exits;
           string_of_int s.resident_cycles;
-          Printf.sprintf "%.1f" mean;
+          Printf.sprintf "%.1f" (Manifest.mean_residency s);
           string_of_int s.desched_long_latency;
           string_of_int s.desched_strand_boundary;
           string_of_int s.desched_bank_conflict;

@@ -315,6 +315,9 @@ let read_file ~path =
   | exception Sys_error msg -> Error msg
   | contents -> of_string (String.trim contents)
 
+let mean_residency (s : sched) =
+  if s.entries = 0 then 0.0 else float_of_int s.resident_cycles /. float_of_int s.entries
+
 let mean_norm_energy m =
   match m.benches with
   | [] -> 0.0

@@ -91,5 +91,11 @@ val write_file : path:string -> t -> unit
 
 val read_file : path:string -> (t, string) result
 
+val mean_residency : sched -> float
+(** Average active-set visit length in cycles: [resident_cycles /
+    entries], [0.] when there were no entries.  Entries, not exits: the
+    warp whose last issue ends the run never leaves the active set, so
+    a run has more entries than exits. *)
+
 val mean_norm_energy : t -> float
 (** Arithmetic mean of per-benchmark normalized energy (0 if empty). *)

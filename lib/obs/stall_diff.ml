@@ -41,10 +41,6 @@ let total_of (b : Manifest.bench) =
 
 let share total n = if total = 0 then 0.0 else float_of_int n /. float_of_int total
 
-let mean_residency (s : Manifest.sched) =
-  if s.Manifest.exits = 0 then 0.0
-  else float_of_int s.Manifest.resident_cycles /. float_of_int s.Manifest.exits
-
 let bench_diff (a : Manifest.bench) (b : Manifest.bench) =
   let ta = total_of a and tb = total_of b in
   (* Walk side a's cause order (the manifest order is fixed), then
@@ -89,7 +85,7 @@ let bench_diff (a : Manifest.bench) (b : Manifest.bench) =
         sd_entries = (sa.Manifest.entries, sb.Manifest.entries);
         sd_exits = (sa.Manifest.exits, sb.Manifest.exits);
         sd_resident_cycles = (sa.Manifest.resident_cycles, sb.Manifest.resident_cycles);
-        sd_mean_residency = (mean_residency sa, mean_residency sb);
+        sd_mean_residency = (Manifest.mean_residency sa, Manifest.mean_residency sb);
         sd_desched_long_latency =
           (sa.Manifest.desched_long_latency, sb.Manifest.desched_long_latency);
         sd_desched_strand_boundary =

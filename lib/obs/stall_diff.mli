@@ -27,7 +27,7 @@ type sched_delta = {
   sd_entries : int * int;  (** (baseline, candidate) *)
   sd_exits : int * int;
   sd_resident_cycles : int * int;
-  sd_mean_residency : float * float;  (** resident cycles / exits *)
+  sd_mean_residency : float * float;  (** {!Manifest.mean_residency} *)
   sd_desched_long_latency : int * int;
   sd_desched_strand_boundary : int * int;
   sd_desched_bank_conflict : int * int;

@@ -23,7 +23,7 @@ type stall_breakdown = {
 
 type warp_stats = { warp : int; breakdown : stall_breakdown }
 
-type sched_stats = {
+type sched_stats = Obs.Manifest.sched = {
   entries : int;
   exits : int;
   resident_cycles : int;
@@ -41,15 +41,6 @@ type result = {
   per_warp : warp_stats array;
   sched : sched_stats;
 }
-
-let cause_index = function
-  | Issued -> 0
-  | Wait_long_latency -> 1
-  | Wait_short_latency -> 2
-  | Bank_conflict_serialization -> 3
-  | Descheduled_pending -> 4
-  | No_issue_slot -> 5
-  | Finished -> 6
 
 let cause_of_index = function
   | 0 -> Issued
@@ -101,8 +92,7 @@ let breakdown_total b =
 
 let stalled_cycles b = breakdown_total b - b.issued - b.finished
 
-let mean_residency s =
-  if s.entries = 0 then 0.0 else float_of_int s.resident_cycles /. float_of_int s.entries
+let mean_residency = Obs.Manifest.mean_residency
 
 (* The tables [rfh timeline] prints, one row per labelled run (or per
    warp of one run). *)
@@ -219,9 +209,7 @@ let run_inner ?(warps = 32) ?(seed = 0x5eed) ?(max_dynamic_per_warp = 2_000)
     Array.fill s.Scratch.ready.(w) 0 nr 0;
     Array.fill s.Scratch.ready_base.(w) 0 nr 0;
     s.Scratch.ll_len.(w) <- 0;
-    s.Scratch.wake.(w) <- 0;
-    s.Scratch.stall_until.(w) <- 0;
-    s.Scratch.ready_since.(w) <- -1
+    s.Scratch.wake.(w) <- 0
   done;
   Array.fill s.Scratch.unit_free 0 4 0;
   (* Banked-MRF conflict serialization is a static property of each
@@ -286,40 +274,60 @@ let run_inner ?(warps = 32) ?(seed = 0x5eed) ?(max_dynamic_per_warp = 2_000)
   for w = 0 to warps - 1 do
     if not (Cf.finished cfs.(w)) then incr live
   done;
-  (* Exact warp-cycle accounting: every cycle classifies every warp
-     into one stall cause, so row w sums to the run's cycle count and
-     the whole matrix sums to cycles x warps.  Active warps classify
-     when their state is decided — a cached stall credits its whole
-     stint at once, an issuable warp its waiting cycles when it issues
-     (see [cache_stall] and [try_issue]).  Warps outside the active
-     set have a constant state for the whole stint (a pending warp's
-     PC never moves, so its done-ness and cause are fixed between
-     queue transitions), so they accumulate one
-     [span_state]/[span_start] span instead, flushed into the same
-     matrix at the next transition or at end of run. *)
+  (* Exact warp-cycle accounting: every warp is in one open stint, a
+     stall row of [breakdown] and the cycle it began, from cycle 0 to
+     the end of the run.  [classify] moves a warp to a new row at a
+     cycle, crediting the stint it ends, and the run's end closes every
+     stint, so row w sums to the run's cycle count and the whole matrix
+     sums to cycles x warps.  Active warps start in an empty [Issued]
+     stint that their first classification ends; initially pending
+     warps in the pending (or, already done, [Finished]) stint they
+     keep until promoted. *)
   let breakdown = s.Scratch.breakdown in
   Array.fill breakdown 0 (warps * 7) 0;
-  let span_state = s.Scratch.span_state in
-  let span_start = s.Scratch.span_start in
+  let stint_cause = s.Scratch.stint_cause in
+  let stint_start = s.Scratch.stint_start in
+  let stall_until = s.Scratch.stall_until in
   for w = 0 to warps - 1 do
-    if w < init_active then span_state.(w) <- -1
+    stint_start.(w) <- 0;
+    if w < init_active then begin
+      stint_cause.(w) <- 0 (* Issued *);
+      stall_until.(w) <- 0
+    end
     else begin
-      span_state.(w) <-
-        cause_index (if Cf.finished cfs.(w) then Finished else Descheduled_pending);
-      span_start.(w) <- 0
+      stint_cause.(w) <- (if Cf.finished cfs.(w) then 6 (* Finished *) else 4 (* pending *));
+      stall_until.(w) <- max_int
     end
   done;
-  (* Open timeline interval per warp: (state, start cycle).  Closed
-     intervals accumulate newest-first and are emitted at end of run. *)
-  let open_iv : (stall_cause * int) option array =
-    if tl then Array.make warps None else [||]
-  in
+  (* With the timeline recorder on, each ended stint is one interval;
+     they accumulate newest-first and are emitted at end of run. *)
   let closed_ivs : Obs.Timeline.interval list array =
     if tl then Array.make warps [] else [||]
   in
+  (* End warp [w]'s stint at cycle [t]: the one place a warp-cycle is
+     credited.  An empty stint (two classifications in one cycle) adds
+     nothing and emits no interval. *)
+  let[@inline] end_stint w t =
+    let si = stint_cause.(w) and start = stint_start.(w) in
+    let k = (w * 7) + si in
+    breakdown.(k) <- breakdown.(k) + (t - start);
+    if tl && t > start then
+      closed_ivs.(w) <-
+        { Obs.Timeline.warp = w; state = cause_of_index si; start; stop = t } :: closed_ivs.(w)
+  in
+  (* Warp [w] is in row [ci] from cycle [t] on.  Every caller passes the
+     first cycle of the cause it names, and a call with the warp's
+     current row changes nothing, so a stint runs from one change of
+     cause to the next, and its interval is the merged one per-cycle
+     classification would emit. *)
+  let classify w ci t =
+    if stint_cause.(w) <> ci then begin
+      end_stint w t;
+      stint_cause.(w) <- ci;
+      stint_start.(w) <- t
+    end
+  in
   let unit_free = s.Scratch.unit_free in
-  let stall_until = s.Scratch.stall_until in
-  let ready_since = s.Scratch.ready_since in
   (* Outstanding long-latency ready cycles, per warp: a compacting
      int buffer + count.  Compaction (dropping entries <= now) is
      observably neutral — membership is only ever tested against ready
@@ -372,37 +380,11 @@ let run_inner ?(warps = 32) ?(seed = 0x5eed) ?(max_dynamic_per_warp = 2_000)
   in
   let[@inline] ll_max w acc = ll_max_from s.Scratch.ll.(w) s.Scratch.ll_len.(w) acc 0 in
   let warp_done w = Cf.finished cfs.(w) in
-  (* Close warp [w]'s constant-state span at cycle [stop]: credit the
-     whole stint to its stall matrix row in one add, and feed the
-     timeline the state change exactly where per-cycle classification
-     would have (identical consecutive states merge into one interval
-     either way). *)
-  let span_flush w stop =
-    let si = span_state.(w) in
-    if si >= 0 then begin
-      let start = span_start.(w) in
-      if stop > start then begin
-        let ci = (w * 7) + si in
-        breakdown.(ci) <- breakdown.(ci) + (stop - start);
-        if tl then begin
-          let cause = cause_of_index si in
-          match open_iv.(w) with
-          | Some (st, _) when st = cause -> ()
-          | Some (st, s0) ->
-            closed_ivs.(w) <-
-              { Obs.Timeline.warp = w; state = st; start = s0; stop = start }
-              :: closed_ivs.(w);
-            open_iv.(w) <- Some (cause, start)
-          | None -> open_iv.(w) <- Some (cause, start)
-        end
-      end
-    end
-  in
-  (* Span end for warps a refill promotes, and so the first cycle
-     their active classification owes: the start-of-cycle refill runs
+  (* The first cycle a refill-promoted warp is classified as active,
+     which ends its pending stint: the start-of-cycle refill runs
      before classification (the promoted warp is classified as active
-     this cycle), a mid-walk refill after it (the warp already owes
-     this cycle as pending). *)
+     this cycle), a mid-walk refill after it (the warp is pending
+     through this cycle). *)
   let promote_end = ref 0 in
   (* Conservative lower bound on the earliest wake among non-finished
      pending warps: while it sits in the future the partition below
@@ -432,8 +414,6 @@ let run_inner ?(warps = 32) ?(seed = 0x5eed) ?(max_dynamic_per_warp = 2_000)
       let take = if !nready < missing then !nready else missing in
       for j = 0 to take - 1 do
         let w = s.Scratch.ready_buf.(j) in
-        span_flush w !promote_end;
-        span_state.(w) <- -1;
         stall_until.(w) <- !promote_end;
         push_back w
       done;
@@ -461,10 +441,12 @@ let run_inner ?(warps = 32) ?(seed = 0x5eed) ?(max_dynamic_per_warp = 2_000)
     s.Scratch.wake.(w) <- wake;
     if wake < !wake_min then wake_min := wake;
     (* The warp was classified as active for this cycle; its pending
-       span starts next cycle (a wake is always in the future, so the
-       refill below cannot promote it back within this cycle). *)
-    span_state.(w) <- 4 (* Descheduled_pending *);
-    span_start.(w) <- !cycle + 1;
+       stint starts next cycle (a wake is always in the future, so the
+       refill below cannot promote it back within this cycle) and holds
+       until its first classification as active, at the [promote_end]
+       of the refill that promotes it.  Till then it owes no catch-up. *)
+    classify w 4 (* Descheduled_pending *) (!cycle + 1);
+    stall_until.(w) <- max_int;
     unlink w;
     pending.(!pending_len) <- w;
     pending_len := !pending_len + 1;
@@ -540,24 +522,10 @@ let run_inner ?(warps = 32) ?(seed = 0x5eed) ?(max_dynamic_per_warp = 2_000)
     end;
     Cf.advance cfs.(w);
     if Cf.finished cfs.(w) then decr live;
-    ready_since.(w) <- -1;
     stall_until.(w) <- now + 1;
     incr instructions;
     unlink w;
     push_back w
-  in
-  let classify w cause t =
-    let ci = (w * 7) + cause_index cause in
-    breakdown.(ci) <- breakdown.(ci) + 1;
-    if tl then begin
-      match open_iv.(w) with
-      | Some (st, _) when st = cause -> ()
-      | Some (st, start) ->
-        closed_ivs.(w) <-
-          { Obs.Timeline.warp = w; state = st; start; stop = t } :: closed_ivs.(w);
-        open_iv.(w) <- Some (cause, t)
-      | None -> open_iv.(w) <- Some (cause, t)
-    end
   in
   (* Classification and issue fused into ONE active-order walk per
      cycle, which ends at the warp that issues.  Every warp it visits
@@ -567,36 +535,28 @@ let run_inner ?(warps = 32) ?(seed = 0x5eed) ?(max_dynamic_per_warp = 2_000)
      the warps ahead of the issuer are classified already.  Warps
      behind the issuer can no longer issue, deschedule or retire this
      cycle, and what they would be classified as depends on their own
-     frozen state alone, so the walk leaves them: each owes the cycles
-     from its [stall_until] and credits them at its next visit
-     ([catch_up]).  Warps a mid-walk refill promotes were already
-     classified as pending and wait for the next cycle.  Fusing halves
+     frozen state alone, so the walk leaves them: each is decided
+     through its [stall_until] and classifies the cycles after it at
+     its next visit ([catch_up]).  Warps a mid-walk refill promotes are
+     pending through this cycle and wait for the next.  Fusing halves
      the per-active-warp scan work the split walks duplicated. *)
   let issued = ref false in
-  let credit w ci n =
-    let k = (w * 7) + ci in
-    breakdown.(k) <- breakdown.(k) + n
-  in
-  (* Stall cache.  Classify warp [w] as [ci] at cycle [t] and credit
-     the rest of the stint, up to [until] (clamped to the cut-off), to
-     its stall matrix row in one add: the cause provably holds through
-     [until - 1], so the cached steps in between touch nothing (the
-     timeline interval opened here stays open, as per-cycle
-     classification of the same cause would leave it) and a dead-cycle
-     jump over them adds nothing either.  The entry self-invalidates:
-     an issue or a promotion only happens at a cycle >= [until]. *)
+  (* Stall cache.  Classify warp [w] as [ci] from cycle [t]: the cause
+     provably holds through [until - 1], so the walk skips the warp
+     until then and a dead-cycle jump over those cycles touches nothing;
+     the stint stays open until the next classification, at or after
+     [until], or the end of the run, which comes no later than the
+     cut-off.  The entry self-invalidates: an issue or a promotion only
+     happens at a cycle >= [until]. *)
   let[@inline] cache_stall w ci until t =
-    classify w (cause_of_index ci) t;
-    stall_until.(w) <- until;
-    let stop = if until < max_cycles then until else max_cycles in
-    if stop > t + 1 then credit w ci (stop - t - 1)
+    classify w ci t;
+    stall_until.(w) <- until
   in
   (* A warp found issuable stays so until it issues: only its own issue
      writes its scoreboard and long-latency buffer, and ready cycles
-     only pass.  So it is [No_issue_slot] on every cycle from
-     [ready_since] up to its issue, whether its unit is busy or it
-     loses arbitration, and those cycles are credited in one add when
-     it issues (or when the run ends).  A busy unit stays booked until
+     only pass.  So its [No_issue_slot] stint runs up to its issue,
+     whether its unit is busy or it sat behind an issuer, and the
+     walk only tries to issue it.  A busy unit stays booked until
      [unit_free] — nobody can issue on it before then — so the walk
      skips the warp until that cycle.  Returns whether it issued. *)
   let try_issue w id now =
@@ -606,8 +566,7 @@ let run_inner ?(warps = 32) ?(seed = 0x5eed) ?(max_dynamic_per_warp = 2_000)
       false
     end
     else begin
-      credit w 5 (* No_issue_slot *) (now - ready_since.(w));
-      classify w Issued now;
+      classify w 0 (* Issued *) now;
       issued := true;
       issue w id now;
       true
@@ -616,22 +575,22 @@ let run_inner ?(warps = 32) ?(seed = 0x5eed) ?(max_dynamic_per_warp = 2_000)
   (* Under [On_dependence] a two-level scheduler deschedules a warp
      blocked on a long-latency result at its visit: never cached. *)
   let desched_on_dep = (not at_strand) && two_level in
-  (* Catch-up: credit the cycles [stall_until, now) that warp [w], at
+  (* Catch-up: classify the cycles [stall_until, now) that warp [w], at
      instruction [id] and not issuable, sat behind an issuer (a
      dead-cycle jump never passes a walked warp's [stall_until]: the
      target is at most the horizon).  A visit on those cycles could
      only have classified it, and its ready rows, long-latency buffer
      and PC are frozen while it cannot issue, so the cause changes
      only at the crossings a scan reports.  Each segment gets the cause
-     a visit at its first cycle would have given, its timeline interval
-     opening there: [Finished] through [now]; at a strand start with
-     long-latency results outstanding, [Wait_long_latency] until the
-     last is ready; else the scan's blocked cause until [scan_next],
-     or, found issuable, one [No_issue_slot] cycle and [ready_since]
-     after it.  A blocked stint past [now] that is no deschedule
-     candidate is cached as the skipped visit would have cached it.
-     Returns whether the warp is still to be stepped at [now]: not when
-     that cache runs past [now], nor when it was found issuable. *)
+     a visit at its first cycle would have given, from that cycle on:
+     [Finished] through [now]; at a strand start with long-latency
+     results outstanding, [Wait_long_latency] until the last is ready;
+     else the scan's blocked cause until [scan_next], or, found
+     issuable, [No_issue_slot] until it issues.  A blocked stint past
+     [now] that is no deschedule candidate is cached as the skipped
+     visit would have cached it.  Returns whether the warp is still to
+     be stepped at [now]: not when that cache runs past [now], nor
+     when it was found issuable. *)
   let rec catch_up w id now =
     let t = stall_until.(w) in
     if id < 0 then (cache_stall w 6 (* Finished *) now t; true)
@@ -649,8 +608,7 @@ let run_inner ?(warps = 32) ?(seed = 0x5eed) ?(max_dynamic_per_warp = 2_000)
         if e < now then catch_up w id now else e = now
       end
       else begin
-        classify w No_issue_slot t;
-        ready_since.(w) <- t + 1;
+        classify w 5 (* No_issue_slot *) t;
         false
       end
     end
@@ -659,17 +617,15 @@ let run_inner ?(warps = 32) ?(seed = 0x5eed) ?(max_dynamic_per_warp = 2_000)
      [now] and has not been found issuable. *)
   let step_active w id now =
     if id < 0 then begin
-      classify w Finished now;
+      (* Retired for good: neither queue will see it again, so its
+         [Finished] stint runs to the end of the run. *)
+      classify w 6 (* Finished *) now;
       unlink w;
       incr exits;
-      (* Retired for good: neither queue will see it again, so the
-         rest of the run is one Finished span starting next cycle. *)
-      span_state.(w) <- 6 (* Finished *);
-      span_start.(w) <- now + 1;
       refill_active ()
     end
     else if at_strand && dec.Dec.starts_strand.(id) && ll_any_pure w now then begin
-      classify w Wait_long_latency now;
+      classify w 1 (* Wait_long_latency *) now;
       audit_desched w id Obs.Audit.Sw_boundary;
       ll_compact w now;
       deschedule w ~wake:(ll_max w now)
@@ -679,7 +635,7 @@ let run_inner ?(warps = 32) ?(seed = 0x5eed) ?(max_dynamic_per_warp = 2_000)
       if !scan_blocked then begin
         let ci = blocked_row ~base:!scan_base ~ll:!scan_ll in
         if desched_on_dep && !scan_ll then begin
-          classify w (cause_of_index ci) now;
+          classify w ci now;
           audit_desched w id
             (if !scan_base then Obs.Audit.Hw_dependence else Obs.Audit.Bank_conflict);
           deschedule w ~wake:!scan_wait
@@ -692,14 +648,7 @@ let run_inner ?(warps = 32) ?(seed = 0x5eed) ?(max_dynamic_per_warp = 2_000)
              earliest crossing recorded by the scan. *)
           cache_stall w ci !scan_next now
       end
-      else begin
-        ready_since.(w) <- now;
-        if not (try_issue w id now) then begin
-          (* The first No_issue_slot cycle also opens the interval. *)
-          classify w No_issue_slot now;
-          ready_since.(w) <- now + 1
-        end
-      end
+      else if not (try_issue w id now) then classify w 5 (* No_issue_slot *) now
     end
   in
   (* Dead-cycle jump.  A cycle that issues nothing and moves no warp
@@ -726,11 +675,12 @@ let run_inner ?(warps = 32) ?(seed = 0x5eed) ?(max_dynamic_per_warp = 2_000)
        [last] (the issuer moving to the back, a refill promotion), so
        the walk visits the warps queued at its start, in order, and
        ends at the issuer: the move leaves it without a successor.
-       Warps outside the walk are covered by their open spans — pending
-       and retired warps owe this cycle at their constant state, and a
-       mid-walk promotion closes the span at the next cycle boundary
-       ([promote_end]) — and warps behind the issuer by their next
-       catch-up, so every warp-cycle lands in the matrix exactly once. *)
+       Warps outside the walk stay in their open stints — pending and
+       retired warps keep their constant cause, and a mid-walk promotion
+       ends the pending stint at the next cycle boundary
+       ([promote_end]) — and warps behind the issuer classify this cycle
+       at their next catch-up, so every warp-cycle lands in the matrix
+       exactly once. *)
     resident_cycles := !resident_cycles + !active_len;
     let now = !cycle in
     (* Earliest cycle at which a walked warp's wait ends; a warp left
@@ -744,11 +694,11 @@ let run_inner ?(warps = 32) ?(seed = 0x5eed) ?(max_dynamic_per_warp = 2_000)
       let su = stall_until.(w) in
       if su <= now then begin
         let id = Cf.peek_id cfs.(w) in
-        (* A warp that sat behind an issuer first credits what it owes,
-           which may leave it cached past [now] or issuable. *)
-        if ready_since.(w) >= 0 then ignore (try_issue w id now)
+        (* A warp that sat behind an issuer first classifies what it
+           owes, which may leave it cached past [now] or issuable. *)
+        if stint_cause.(w) = 5 (* No_issue_slot *) then ignore (try_issue w id now)
         else if su = now || catch_up w id now then step_active w id now
-        else if ready_since.(w) >= 0 then ignore (try_issue w id now)
+        else if stint_cause.(w) = 5 then ignore (try_issue w id now)
       end;
       if stall_until.(w) < !horizon then horizon := stall_until.(w);
       cur := if w = last then -1 else next_active.(w)
@@ -773,24 +723,17 @@ let run_inner ?(warps = 32) ?(seed = 0x5eed) ?(max_dynamic_per_warp = 2_000)
       cycle := target
     end
   done;
-  (* Close the spans still open — descheduled and retired warps owe
-     every cycle through the end of the run, issuable ones their
-     No_issue_slot cycles since [ready_since]. *)
+  (* End of run.  An active warp still owing cycles behind an issuer
+     classifies them first (pending warps hold [max_int], an issuable
+     one is [No_issue_slot] through the end, and a retired one only
+     re-classifies [Finished], which changes nothing); then every stint
+     closes at the last cycle, which is at most the cut-off. *)
   for w = 0 to warps - 1 do
-    span_flush w !cycle;
-    if span_state.(w) < 0 && ready_since.(w) < 0 && stall_until.(w) < !cycle then
+    if stall_until.(w) < !cycle && stint_cause.(w) <> 5 then
       ignore (catch_up w (Cf.peek_id cfs.(w)) !cycle);
-    if ready_since.(w) >= 0 then credit w 5 (!cycle - ready_since.(w))
+    end_stint w !cycle;
+    if tl then List.iter Obs.Timeline.emit (List.rev closed_ivs.(w))
   done;
-  if tl then
-    for w = 0 to warps - 1 do
-      (match open_iv.(w) with
-       | Some (st, start) when !cycle > start ->
-         closed_ivs.(w) <-
-           { Obs.Timeline.warp = w; state = st; start; stop = !cycle } :: closed_ivs.(w)
-       | _ -> ());
-      List.iter Obs.Timeline.emit (List.rev closed_ivs.(w))
-    done;
   if co then
     List.iter
       (fun (name, tbl) ->

@@ -24,9 +24,13 @@
     accounting: it never changes simulated timing, and it is exact —
     for every run, {!breakdown_total}[ result.stalls = cycles * warps]
     and each warp's breakdown sums to [cycles], whether or not the
-    {!Obs.Timeline} recorder is enabled.  When the recorder is on, the
-    same classification is emitted as per-warp state intervals tiling
-    [\[0, cycles)]. *)
+    {!Obs.Timeline} recorder is enabled.  Each warp is in one stint, a
+    cause and the cycle it began, from cycle 0 to the end of the run;
+    a classification to another cause ends the stint and credits its
+    length, so the matrix is credited once per change of cause, not
+    once per cycle.  When the recorder is on, each ended stint is also
+    emitted as one per-warp state interval, so the intervals tile
+    [\[0, cycles)] and re-derive the breakdown exactly. *)
 
 type scheduler =
   | Single_level            (** all warps schedulable every cycle *)
@@ -60,8 +64,9 @@ type stall_breakdown = {
 type warp_stats = { warp : int; breakdown : stall_breakdown }
 
 (** Active-set residency: how warps moved through the two-level
-    scheduler's active set, plus deschedule events by cause. *)
-type sched_stats = {
+    scheduler's active set, plus deschedule events by cause.  The run
+    manifest records it as it is. *)
+type sched_stats = Obs.Manifest.sched = {
   entries : int;  (** initial fill + every pending->active promotion *)
   exits : int;  (** deschedules + finished-warp removals *)
   resident_cycles : int;  (** warp-cycles spent occupying an active slot *)
@@ -96,8 +101,9 @@ val stalled_cycles : stall_breakdown -> int
 (** Warp-cycles neither issued nor finished. *)
 
 val mean_residency : sched_stats -> float
-(** Average active-set visit length in cycles ([resident_cycles /
-    entries]; [0.] when there were no entries). *)
+(** {!Obs.Manifest.mean_residency}: average active-set visit length in
+    cycles ([resident_cycles / entries]; [0.] when there were no
+    entries). *)
 
 val stall_table : bench:string -> warps:int -> (string * result) list -> Util.Table.t
 (** ["Stall attribution: <bench> (<warps> warps, % of cycles x
@@ -145,8 +151,10 @@ val run :
     back, a deschedule, a retirement and a refill promotion are each
     an O(1) link update and no cycle copies or shifts the queue.  The
     walk ends at the warp that issues: the warps behind it can no
-    longer act that cycle, and each credits the cycles it missed at
-    its next visit, one segment per change of cause.  So a cycle costs
+    longer act that cycle, and each classifies the cycles it missed at
+    its next visit, one segment per change of cause.  A waiting warp
+    is credited nothing per cycle: its stint is credited in one add
+    when its cause changes or the run ends.  So a cycle costs
     one compare per waiting warp ahead of the issuer — a warp waiting
     on a known cycle (a cached dependence stall, or an issuable warp
     whose unit is busy) — plus the real work of the issuer, the warps

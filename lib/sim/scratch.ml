@@ -27,28 +27,24 @@ type t = {
   mutable pending : int array;
   mutable ready_buf : int array;
   mutable rest_buf : int array;
-  (* Stall attribution.  [span_state]/[span_start] carry the constant
-     classification of warps outside the active set (pending or
-     retired), accumulated as one span per stint instead of one
-     increment per cycle; -1 marks a warp under per-cycle (active)
-     classification. *)
+  (* Stall attribution.  Every warp is in one open stint from cycle 0
+     to the end of the run: its row of [breakdown] ([stint_cause]) and
+     the cycle it began ([stint_start]).  A classification to another
+     row ends the stint, crediting its length to the matrix. *)
   mutable breakdown : int array;         (* warps x 7, row-major *)
-  mutable span_state : int array;
-  mutable span_start : int array;
-  (* Wait bounds for active warps; the walk skips a warp before its
-     [stall_until].  [ready_since] is -1, or, for a warp whose current
-     instruction was found issuable (it stays so until it issues), the
-     first of its No_issue_slot cycles not yet credited, and its
-     [stall_until] is the end of its unit's busy spell.  Otherwise
-     [stall_until] is the first cycle not yet credited to the warp's
-     row of [breakdown]: the end of a cached dependence stall (the next
-     ready(-base) crossing among its blocked sources; the whole stint
-     is credited when cached), the cycle after its last issue or
-     classification, or the end of the pending span a promotion
-     closed.  Below the walk's cycle, it marks the cycles the warp sat
-     behind an issuer, which its next visit credits first. *)
+  mutable stint_cause : int array;
+  mutable stint_start : int array;
+  (* Per warp, how far its classification is decided: through
+     [stall_until - 1], so the walk skips an active warp before it.  It
+     is the end of a cached dependence stall (the next ready(-base)
+     crossing among its blocked sources), the end of the busy spell of
+     the unit an issuable ([No_issue_slot]) warp waits on, the cycle
+     after its last issue or classification, or the [promote_end] of
+     the refill that promoted it.  Below the walk's cycle, it marks the
+     cycles the warp sat behind an issuer, which its next visit
+     classifies first.  A pending warp holds [max_int]: it owes nothing
+     until promoted. *)
   mutable stall_until : int array;
-  mutable ready_since : int array;
   (* Banked-MRF conflict tables. *)
   mutable bank_counts : int array;
   mutable conflict_extra : int array;    (* per instruction *)
@@ -85,10 +81,9 @@ let create () =
     ready_buf = [||];
     rest_buf = [||];
     breakdown = [||];
-    span_state = [||];
-    span_start = [||];
+    stint_cause = [||];
+    stint_start = [||];
     stall_until = [||];
-    ready_since = [||];
     bank_counts = [||];
     conflict_extra = [||];
     unit_free = Array.make 4 0;
@@ -145,10 +140,9 @@ let ensure_warps t ~warps ~num_regs =
   t.ready_buf <- grow_ints t.ready_buf warps;
   t.rest_buf <- grow_ints t.rest_buf warps;
   t.breakdown <- grow_ints t.breakdown (warps * 7);
-  t.span_state <- grow_ints t.span_state warps;
-  t.span_start <- grow_ints t.span_start warps;
-  t.stall_until <- grow_ints t.stall_until warps;
-  t.ready_since <- grow_ints t.ready_since warps
+  t.stint_cause <- grow_ints t.stint_cause warps;
+  t.stint_start <- grow_ints t.stint_start warps;
+  t.stall_until <- grow_ints t.stall_until warps
 
 let ensure_banks t ~banks ~num_instrs =
   t.bank_counts <- grow_ints t.bank_counts banks;

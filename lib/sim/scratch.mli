@@ -34,11 +34,10 @@ type t = {
   mutable ready_buf : int array;
   mutable rest_buf : int array;
   mutable breakdown : int array;
-  mutable span_state : int array;
-  mutable span_start : int array;
+  mutable stint_cause : int array;
+  mutable stint_start : int array;
   mutable stall_until : int array;
-      (* per active warp: wait bound, or first cycle not yet credited *)
-  mutable ready_since : int array;
+      (* per warp: cause decided through the cycle before; max_int while pending *)
   mutable bank_counts : int array;
   mutable conflict_extra : int array;
   unit_free : int array;

@@ -1,5 +1,6 @@
-(* Substring helpers shared by the suites that inspect rendered text
-   and HTML pages. *)
+(* Helpers shared by more than one suite: substring search for the
+   suites that inspect rendered text and HTML pages, and the timeline
+   tiling check for the suites that record Sim.Perf runs. *)
 
 (* Offset of the first occurrence of [needle] in [s] at or after [from]. *)
 let find_sub ?(from = 0) s needle =
@@ -13,3 +14,59 @@ let count_sub s needle =
     match find_sub ~from s needle with None -> acc | Some i -> go (i + 1) (acc + 1)
   in
   go 0 0
+
+(* What is wrong with a run's recorded timeline, empty when nothing:
+   each warp's intervals, in emission order, must tile [0, cycles)
+   with no gap, overlap or empty interval; neighbouring intervals must
+   differ in state (equal states merge); and per cause the intervals
+   must re-derive the warp's stall row, which sums to [cycles]. *)
+let timeline_errors (r : Sim.Perf.result) (ivs : Obs.Timeline.interval list) =
+  let cycles = r.Sim.Perf.cycles in
+  let warps = Array.length r.Sim.Perf.per_warp in
+  let by_warp = Array.make warps [] in
+  let errs = ref [] in
+  let fail fmt = Printf.ksprintf (fun m -> errs := m :: !errs) fmt in
+  List.iter
+    (fun (iv : Obs.Timeline.interval) ->
+      if iv.warp < 0 || iv.warp >= warps then fail "interval of unknown warp %d" iv.warp
+      else by_warp.(iv.warp) <- iv :: by_warp.(iv.warp))
+    ivs;
+  Array.iteri
+    (fun w rev ->
+      let wivs = List.rev rev in
+      let rec tiles expected = function
+        | [] ->
+          if expected <> cycles then fail "warp %d: intervals end at %d, not %d" w expected cycles
+        | (iv : Obs.Timeline.interval) :: tl ->
+          if iv.start <> expected || iv.stop <= iv.start then
+            fail "warp %d: interval [%d, %d) where [%d, ...) was due" w iv.start iv.stop expected
+          else tiles iv.stop tl
+      in
+      tiles 0 wivs;
+      let rec maximal = function
+        | (a : Obs.Timeline.interval) :: (b :: _ as tl) ->
+          if a.state = b.state then
+            fail "warp %d: neighbours [%d, %d) and [%d, %d) are both %s" w a.start a.stop b.start
+              b.stop (Obs.Timeline.state_name a.state)
+          else maximal tl
+        | _ -> ()
+      in
+      maximal wivs;
+      let row = r.Sim.Perf.per_warp.(w).Sim.Perf.breakdown in
+      if Sim.Perf.breakdown_total row <> cycles then
+        fail "warp %d: row sums to %d, not %d" w (Sim.Perf.breakdown_total row) cycles;
+      List.iter
+        (fun cause ->
+          let sum =
+            List.fold_left
+              (fun acc (iv : Obs.Timeline.interval) ->
+                if iv.state = cause then acc + (iv.stop - iv.start) else acc)
+              0 wivs
+          in
+          let n = Sim.Perf.breakdown_get row cause in
+          if sum <> n then
+            fail "warp %d: intervals give %s %d, the row %d" w (Obs.Timeline.state_name cause) sum
+              n)
+        Obs.Timeline.all_states)
+    by_warp;
+  List.rev !errs

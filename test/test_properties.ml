@@ -206,6 +206,64 @@ let prop_transformed_kernels_verify =
       | Ok () -> true
       | Error errs -> QCheck.Test.fail_reportf "seed %d: %s" seed (String.concat "; " errs))
 
+(* A Sim.Perf run on a generated kernel: kernel seed and size, warps,
+   active-set size (0 = single-level), strand-boundary policy, MRF
+   banks and cut-off. *)
+type perf_case = {
+  seed : int;
+  size : int;
+  warps : int;
+  active : int;
+  strand : bool;
+  banks : int option;
+  cut : int option;
+}
+
+let perf_case_arb =
+  let gen =
+    let open QCheck.Gen in
+    let* seed = int_bound 100_000 in
+    let* size = int_range 2 9 in
+    let* warps = int_range 1 24 in
+    let* active = int_range 0 8 in
+    let* strand = bool in
+    let* banks = oneofl [ None; Some 2; Some 8 ] in
+    let* cut = opt (int_range 50 3_049) in
+    return { seed; size; warps; active; strand; banks; cut }
+  in
+  let print c =
+    Printf.sprintf "seed %d, size %d, %d warps, %s/%s, banks %s, cut %s" c.seed c.size c.warps
+      (if c.active = 0 then "single" else Printf.sprintf "two-level-%d" c.active)
+      (if c.strand then "strand" else "on-dep")
+      (match c.banks with None -> "-" | Some b -> string_of_int b)
+      (match c.cut with None -> "-" | Some n -> string_of_int n)
+  in
+  QCheck.make ~print gen
+
+(* The timeline tiling invariant beyond the hand-written benchmarks:
+   on generated kernels, cut runs included, the recorded intervals
+   tile each warp's [0, cycles) and re-derive its stall row, and
+   recording changes nothing in the result. *)
+let prop_timeline_tiles =
+  QCheck.Test.make ~count:300 ~name:"perf timeline tiles and re-derives on random runs"
+    perf_case_arb (fun c ->
+      let ctx = Alloc.Context.create (kernel_of_seed ~size:c.size c.seed) in
+      let run () =
+        Sim.Perf.run ~warps:c.warps ~seed:c.seed ~max_dynamic_per_warp:300 ?max_cycles:c.cut
+          ?mrf_banks:c.banks
+          ~scheduler:(if c.active = 0 then Sim.Perf.Single_level else Sim.Perf.Two_level c.active)
+          ~policy:(if c.strand then Sim.Perf.At_strand_boundaries else Sim.Perf.On_dependence)
+          ctx
+      in
+      Obs.Timeline.disable ();
+      let off = run () in
+      let sink, intervals = Obs.Timeline.memory_sink () in
+      Obs.Timeline.set_sink sink;
+      let on = Fun.protect ~finally:Obs.Timeline.disable run in
+      match Helpers.timeline_errors on (intervals ()) with
+      | [] -> on = off || QCheck.Test.fail_report "the recorder changed the result"
+      | e :: _ -> QCheck.Test.fail_report e)
+
 (* Every property draws from its own generator seeded with one fixed
    value, so each `dune runtest` checks the same kernels and tier-1 is
    deterministic.  Unpinned, about one run in six drew a kernel seed on
@@ -229,6 +287,7 @@ let suite =
       prop_hw_reads_at_least_baseline;
       prop_traffic_deterministic;
       prop_perf_conservation;
+      prop_timeline_tiles;
       prop_occupancy_no_double_booking;
       prop_limit_relaxations_monotone;
     ]

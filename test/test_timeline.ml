@@ -145,40 +145,8 @@ let test_intervals_tile_and_rederive () =
       ~policy:Sim.Perf.On_dependence ctx
   in
   check Alcotest.bool "intervals recorded" true (ivs <> []);
-  for w = 0 to 7 do
-    let wivs = List.filter (fun iv -> iv.Obs.Timeline.warp = w) ivs in
-    (* Emission order is warp-ascending then start-ascending, so the
-       per-warp sublist is already sorted: check it tiles [0, cycles)
-       with no gap, overlap or empty interval. *)
-    let rec tiles expected = function
-      | [] -> expected = r.Sim.Perf.cycles
-      | iv :: tl ->
-        iv.Obs.Timeline.start = expected
-        && iv.Obs.Timeline.stop > iv.Obs.Timeline.start
-        && tiles iv.Obs.Timeline.stop tl
-    in
-    check Alcotest.bool (Printf.sprintf "warp %d tiles [0, cycles)" w) true (tiles 0 wivs);
-    (* Consecutive intervals were merged: neighbours differ in state. *)
-    let rec no_adjacent_dup = function
-      | a :: (b :: _ as tl) ->
-        a.Obs.Timeline.state <> b.Obs.Timeline.state && no_adjacent_dup tl
-      | _ -> true
-    in
-    check Alcotest.bool (Printf.sprintf "warp %d intervals are maximal" w) true
-      (no_adjacent_dup wivs);
-    List.iter
-      (fun cause ->
-        check Alcotest.int
-          (Printf.sprintf "warp %d: intervals re-derive %s" w (Obs.Timeline.state_name cause))
-          (Sim.Perf.breakdown_get r.Sim.Perf.per_warp.(w).Sim.Perf.breakdown cause)
-          (List.fold_left
-             (fun acc iv ->
-               if iv.Obs.Timeline.state = cause then
-                 acc + (iv.Obs.Timeline.stop - iv.Obs.Timeline.start)
-               else acc)
-             0 wivs))
-      Obs.Timeline.all_states
-  done
+  check Alcotest.(list string) "intervals tile [0, cycles) and re-derive every row" []
+    (Helpers.timeline_errors r ivs)
 
 let test_interval_stream_deterministic () =
   let ctx = ctx_of "VectorAdd" in

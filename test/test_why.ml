@@ -223,6 +223,28 @@ let test_stall_diff_invariants () =
       (b.Obs.Stall_diff.sb_total_b - b.Obs.Stall_diff.sb_total_a)
   | bs -> Alcotest.failf "expected 1 bench, got %d" (List.length bs)
 
+(* BinomialOptions' residency in baselines/default.json: the warp whose
+   last issue ends the run never leaves the active set, so entries =
+   exits + 1.  The mean is per entry on every surface. *)
+let test_mean_residency_per_entry () =
+  let m = collect_manifest () in
+  let b = List.hd m.Obs.Manifest.benches in
+  let sched =
+    { b.Obs.Manifest.sched with Obs.Manifest.entries = 8; exits = 7; resident_cycles = 15_935 }
+  in
+  check (Alcotest.float 0.0) "resident cycles / entries" 1991.875
+    (Obs.Manifest.mean_residency sched);
+  check (Alcotest.float 0.0) "no entries" 0.0
+    (Obs.Manifest.mean_residency { sched with Obs.Manifest.entries = 0 });
+  let m' = { m with Obs.Manifest.benches = [ { b with Obs.Manifest.sched } ] } in
+  match (Obs.Stall_diff.diff ~baseline:m' ~current:m').Obs.Stall_diff.s_benches with
+  | [ d ] ->
+    check
+      Alcotest.(pair (float 0.0) (float 0.0))
+      "why reports the same mean" (1991.875, 1991.875)
+      d.Obs.Stall_diff.sb_sched.Obs.Stall_diff.sd_mean_residency
+  | ds -> Alcotest.failf "expected 1 bench, got %d" (List.length ds)
+
 (* --- rfh why / baseline check --why end-to-end -------------------- *)
 
 let rfh_exe = "../bin/rfh.exe"
@@ -393,6 +415,7 @@ let suite =
     Alcotest.test_case "rootcause: decision flip is top cause" `Quick
       test_rootcause_explain_perturbation_top_cause;
     Alcotest.test_case "stall_diff invariants" `Quick test_stall_diff_invariants;
+    Alcotest.test_case "mean residency per entry" `Quick test_mean_residency_per_entry;
     Alcotest.test_case "rfh why: identical runs" `Quick (with_temp_dir test_cli_identical);
     Alcotest.test_case "rfh why: flip ranked #1, deterministic" `Quick
       (with_temp_dir test_cli_flip_is_top_cause);
