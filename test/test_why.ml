@@ -415,7 +415,6 @@ let suite =
     Alcotest.test_case "rootcause: decision flip is top cause" `Quick
       test_rootcause_explain_perturbation_top_cause;
     Alcotest.test_case "stall_diff invariants" `Quick test_stall_diff_invariants;
-    Alcotest.test_case "mean residency per entry" `Quick test_mean_residency_per_entry;
     Alcotest.test_case "rfh why: identical runs" `Quick (with_temp_dir test_cli_identical);
     Alcotest.test_case "rfh why: flip ranked #1, deterministic" `Quick
       (with_temp_dir test_cli_flip_is_top_cause);
@@ -426,4 +425,5 @@ let suite =
       (with_temp_dir test_cli_garbage_stream);
     Alcotest.test_case "rfh baseline check --why" `Quick
       (with_temp_dir test_cli_baseline_check_why);
+    Alcotest.test_case "mean residency per entry" `Quick test_mean_residency_per_entry;
   ]
