@@ -141,13 +141,13 @@ why-smoke: build
 	$(call check_titles,_build/why.txt,_build/why.html)
 	@echo "why smoke OK: the flipped decision ranks #1; analysis is byte-deterministic; the page has every printed table"
 
-# Performance gate (see docs/performance.md): time the eight probes
+# Performance gate (see docs/performance.md): time the nine probes
 # sim:perf-two-level, sim:perf-lowipc, sim:perf-single-level,
-# sim:perf-two-level-16, sim:traffic-hw, compile:context,
-# compile:allocate and compile:verify and measure their steady-state
-# allocation, failing if a probe's median regresses >2x over its
-# committed threshold in baselines/perfgate.json or if a probe
-# allocates past its caps there.  (The compile probes time the
+# sim:perf-two-level-16, sim:traffic-hw, sim:traffic-sw,
+# compile:context, compile:allocate and compile:verify and measure
+# their steady-state allocation, failing if a probe's median regresses
+# >2x over its committed threshold in baselines/perfgate.json or if a
+# probe allocates past its caps there.  (The compile probes time the
 # compile path; `make test` pins its output with
 # test/placement_golden.jsonl.)
 # The measurements land in _build/perfgate.json for CI to upload; the

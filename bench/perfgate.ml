@@ -1,6 +1,6 @@
 (* Performance gate (make perfgate; wired into make ci).
 
-   Times eight probes — four Sim.Perf, one Sim.Traffic and three on
+   Times nine probes — four Sim.Perf, two Sim.Traffic and three on
    the compile path (Alloc.Context, Alloc.Allocator, Alloc.Verify) —
    and measures the steady-state minor-heap cost of one run of each:
 
@@ -26,6 +26,12 @@
    - sim:traffic-hw — sad, 32 warps, a 3-entry hardware RFC with a
      hardware LRF: the traffic walk's costliest scheme, which replays
      both caches on every dynamic instruction;
+   - sim:traffic-sw — sad, 32 warps, the software hierarchy under the
+     default config (placement built outside the timed region): sad
+     has no probabilistic branch, so every warp replays one stream and
+     the run walks warp 0 alone; this probe slows several times if
+     Baseline and Sw runs go back to walking every warp, which
+     sim:traffic-hw cannot see;
    - compile:context — Alloc.Context.create (every analysis, the
      strand partition and must-defined) on the size-256 generated
      kernel of seed 1 (1,678 instructions, 388 blocks, 1,150
@@ -44,7 +50,7 @@
    - each probe's median ns per run may regress at most 2x over its own
      committed threshold (ns_per_run, lowipc_ns_per_run,
      single_level_ns_per_run, two_level_16_ns_per_run,
-     traffic_ns_per_run, context_ns_per_run,
+     traffic_ns_per_run, traffic_sw_ns_per_run, context_ns_per_run,
      allocate_ns_per_run, verify_ns_per_run): generous enough for
      machine-to-machine variance, tight enough to catch a loop
      re-growing a per-step allocation, a quadratic scan, a lost
@@ -184,6 +190,7 @@ let probes () =
   let gen = Alloc.Context.create gen_kernel in
   let config = Alloc.Config.make () in
   let placement = Alloc.Allocator.place config gen in
+  let sad_sw = Sim.Traffic.Sw { config; placement = Alloc.Allocator.place config sad } in
   [
     probe ~name:"sim:perf-two-level" ~key:"ns_per_run"
       (fun () ->
@@ -209,6 +216,9 @@ let probes () =
       (fun () ->
         Sim.Traffic.run ~warps:32 sad
           (Sim.Traffic.Hw { (Sim.Traffic.hw_defaults ~rfc_entries:3) with with_lrf = true }))
+      traffic_fields;
+    probe ~name:"sim:traffic-sw" ~key:"traffic_sw_ns_per_run"
+      (fun () -> Sim.Traffic.run ~warps:32 sad sad_sw)
       traffic_fields;
     probe ~name:"compile:context" ~key:"context_ns_per_run" ~caps:context_caps
       (fun () -> Alloc.Context.create gen_kernel)
@@ -351,8 +361,8 @@ let () =
       fail "%s steady-state run grows the major heap by %.0f words (cap %.0f)" name
         m.major_words major_cap;
     Printf.printf
-      "perfgate: %s %.2f ms/run median over %d, p90 %.2f ms (threshold %.2f ms, allowed \
-       %.2f ms), %.0f minor words/run (cap %.0f), %.0f promoted (cap %.0f), %.0f major (cap \
+      "perfgate: %s %.3f ms/run median over %d, p90 %.3f ms (threshold %.3f ms, allowed \
+       %.3f ms), %.0f minor words/run (cap %.0f), %.0f promoted (cap %.0f), %.0f major (cap \
        %.0f)\n"
       name (m.ns /. 1e6) timed_runs (m.p90_ns /. 1e6) (threshold_ns /. 1e6)
       (allowed_ns /. 1e6) m.minor_words minor_cap m.promoted_words promoted_cap m.major_words

@@ -18,5 +18,5 @@ let cmd =
       stats.Alloc.Allocator.partial_allocated;
     Cli.list_placements ~fills:true ctx placement k
   in
-  Cmd.v (Cmd.info "allocate" ~doc)
+  Cmd.v (Cmd.info "allocate" ~doc ~exits:Cli.exits)
     Term.(const run $ Cli.bench_name $ Cli.entries $ Cli.lrf $ Cli.verbose)

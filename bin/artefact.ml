@@ -43,7 +43,7 @@ let cmd name artefacts =
     Cli.emit ~csv ~title:("rfh " ^ name) ?report_out
       (List.map (fun t -> Cli.Table t) tables @ metrics @ saved @ run_report)
   in
-  Cmd.v (Cmd.info name ~doc:(doc_of name))
+  Cmd.v (Cmd.info name ~doc:(doc_of name) ~exits:Cli.exits)
     Term.(
       const run $ Cli.options () $ Cli.csv $ metrics $ Cli.manifest_out $ Cli.report_out ()
       $ Cli.history_out)

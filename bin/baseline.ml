@@ -29,7 +29,7 @@ let record =
       :: saved
       @ run_report)
   in
-  Cmd.v (Cmd.info "record" ~doc)
+  Cmd.v (Cmd.info "record" ~doc ~exits:Cli.exits)
     Term.(const run $ options $ path $ Cli.manifest_out $ Cli.report_out ())
 
 let check =
@@ -94,11 +94,11 @@ let check =
         exit 1
       end
   in
-  Cmd.v (Cmd.info "check" ~doc)
+  Cmd.v (Cmd.info "check" ~doc ~exits:Cli.exits)
     Term.(
       const run $ options $ path $ float_tol $ timing_tol $ Cli.manifest_out $ Cli.report_out ()
       $ json_out $ why)
 
 let cmd =
   let doc = "Record or check the regression-gate golden manifest." in
-  Cmd.group (Cmd.info "baseline" ~doc) [ record; check ]
+  Cmd.group (Cmd.info "baseline" ~doc ~exits:Cli.exits) [ record; check ]

@@ -13,9 +13,21 @@ let start_ns = Obs.Clock.now_ns ()
 
 (* ------------------------------------------------------------------ *)
 (* Exit codes: 0 = success, 1 = a self-check or gate failed, 2 = an
-   input is missing or unknown.                                        *)
+   input is missing or unknown or the command line does not parse,
+   125 = an uncaught exception.  Every command's --help lists them.    *)
 
 let die_usage msg = prerr_endline msg; exit 2
+
+let exits =
+  [
+    Cmd.Exit.info 0 ~doc:"on success.";
+    Cmd.Exit.info 1 ~doc:"when a self-check, an invariant or a gate failed.";
+    Cmd.Exit.info 2
+      ~doc:
+        "on bad input: a missing, unreadable or unknown input, a flag out of range, or a \
+         command line that does not parse.";
+    Cmd.Exit.info 125 ~doc:"on an unexpected internal error (an uncaught exception).";
+  ]
 
 let find_bench name =
   match Workloads.Registry.find name with

@@ -24,5 +24,5 @@ let cmd =
       Printf.printf "\nnormalized register-file energy: %.3f (%.1f%% saved)\n"
         m.Rfh.normalized_energy m.Rfh.savings_percent
   in
-  Cmd.v (Cmd.info "compile" ~doc)
+  Cmd.v (Cmd.info "compile" ~doc ~exits:Cli.exits)
     Term.(const run $ file $ Cli.entries $ Cli.lrf $ Cli.warps () $ Cli.seed $ Cli.verbose)

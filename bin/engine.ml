@@ -127,7 +127,7 @@ let cmd =
            (List.length jobs_list))
       ()
   in
-  Cmd.v (Cmd.info "engine" ~doc)
+  Cmd.v (Cmd.info "engine" ~doc ~exits:Cli.exits)
     Term.(
       const run $ target $ Cli.selection () $ jobs_list $ trace_out $ json_out
       $ Cli.report_out ())

@@ -130,7 +130,7 @@ let cmd =
       @ saved @ trace_line @ run_report);
     report ~failed:"explain: decision events disagree with the manifest allocator stats" ()
   in
-  Cmd.v (Cmd.info "explain" ~doc)
+  Cmd.v (Cmd.info "explain" ~doc ~exits:Cli.exits)
     Term.(
       const run $ Cli.bench_name $ top $ Cli.warps () $ Cli.seed $ Cli.entries $ Cli.lrf
       $ jsonl_out $ trace_out $ Cli.report_out () $ Cli.verbose)

@@ -33,4 +33,4 @@ let cmd =
     | Some name ->
       print_string (Ir.Kernel.to_string (Lazy.force (Cli.find_bench name).Workloads.Registry.kernel))
   in
-  Cmd.v (Cmd.info "kernels" ~doc) Term.(const run $ name_arg)
+  Cmd.v (Cmd.info "kernels" ~doc ~exits:Cli.exits) Term.(const run $ name_arg)

@@ -125,7 +125,7 @@ let cmd =
       @ trace_line @ audit_line @ saved @ [ Cli.Table memo ] @ run_report);
     report ~failed:"profile: audit/Energy.Counts write totals disagree" ()
   in
-  Cmd.v (Cmd.info "profile" ~doc)
+  Cmd.v (Cmd.info "profile" ~doc ~exits:Cli.exits)
     Term.(
       const run $ Cli.options ~default_benchmarks () $ Cli.entries $ Cli.lrf $ trace_out $ audit_out
       $ Cli.manifest_out $ Cli.report_out () $ Cli.verbose)

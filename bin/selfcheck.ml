@@ -41,4 +41,4 @@ let cmd =
     Printf.printf "selfcheck: %d placements verified, %d failures\n" !checked !failed;
     if !failed > 0 then exit 1
   in
-  Cmd.v (Cmd.info "selfcheck" ~doc) Term.(const run $ const ())
+  Cmd.v (Cmd.info "selfcheck" ~doc ~exits:Cli.exits) Term.(const run $ const ())

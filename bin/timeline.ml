@@ -138,7 +138,9 @@ let cmd =
       (jsonl_line
       @ [
           Cli.Table (Sim.Perf.stall_table ~bench ~warps results);
-          Cli.Table (Sim.Perf.residency_table results);
+          Cli.Table
+            (Obs.Manifest.residency_table ~label:"Config"
+               (List.map (fun (label, r) -> (label, r.Sim.Perf.sched)) results));
           Cli.Table (Sim.Perf.top_warps_table ~n:top ~label:primary_label (List.assoc primary_label results));
         ]
       @ trace_line @ saved @ run_report);
@@ -149,7 +151,7 @@ let cmd =
            (List.length configs) warps)
       ()
   in
-  Cmd.v (Cmd.info "timeline" ~doc)
+  Cmd.v (Cmd.info "timeline" ~doc ~exits:Cli.exits)
     Term.(
       const run $ Cli.bench_name $ Cli.warps () $ Cli.seed $ banks $ top $ jsonl_out $ trace_out
       $ Cli.report_out ())

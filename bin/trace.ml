@@ -24,4 +24,5 @@ let cmd =
     let trace = Sim.Trace.capture ~warps ~seed k in
     Cli.emit [ Cli.Text (Sim.Trace.to_string trace ^ "\n"); Cli.Table (edge_table trace) ]
   in
-  Cmd.v (Cmd.info "trace" ~doc) Term.(const run $ Cli.bench_name $ Cli.warps () $ Cli.seed)
+  Cmd.v (Cmd.info "trace" ~doc ~exits:Cli.exits)
+    Term.(const run $ Cli.bench_name $ Cli.warps () $ Cli.seed)

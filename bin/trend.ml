@@ -103,4 +103,5 @@ let cmd =
            (0 = clean, 2 = not enough history).";
         exit 1
   in
-  Cmd.v (Cmd.info "trend" ~doc) Term.(const run $ history $ html_out $ check $ why $ Cli.csv)
+  Cmd.v (Cmd.info "trend" ~doc ~exits:Cli.exits)
+    Term.(const run $ history $ html_out $ check $ why $ Cli.csv)

@@ -99,7 +99,7 @@ let cmd =
       (Option.value (Cli.top_cause "why" r)
          ~default:"why: no causes — the runs are equivalent under every probe.")
   in
-  Cmd.v (Cmd.info "why" ~doc)
+  Cmd.v (Cmd.info "why" ~doc ~exits:Cli.exits)
     Term.(
       const run $ baseline_pos $ candidate_pos $ explain_a $ explain_b $ json_out $ report_out
       $ top)

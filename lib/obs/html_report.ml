@@ -312,30 +312,6 @@ let bench_table ?compare (m : Manifest.t) =
     m.benches;
   t
 
-let residency_table (benches : Manifest.bench list) =
-  let t =
-    Util.Table.create ~title:"Active-set residency"
-      ~columns:
-        [ "benchmark"; "entries"; "exits"; "resident cycles"; "mean residency"; "desched LL";
-          "desched strand"; "desched conflict" ]
-  in
-  List.iter
-    (fun (b : Manifest.bench) ->
-      let s = b.sched in
-      Util.Table.add_row t
-        [
-          b.bench;
-          string_of_int s.entries;
-          string_of_int s.exits;
-          string_of_int s.resident_cycles;
-          Printf.sprintf "%.1f" (Manifest.mean_residency s);
-          string_of_int s.desched_long_latency;
-          string_of_int s.desched_strand_boundary;
-          string_of_int s.desched_bank_conflict;
-        ])
-    benches;
-  t
-
 let phase_table (m : Manifest.t) =
   let t = Util.Table.create ~title:"Phase times" ~columns:[ "phase"; "calls"; "total ms" ] in
   List.iter
@@ -387,7 +363,13 @@ let render ?compare (m : Manifest.t) =
     Table (bench_table ?compare m);
     html (fun buf -> stall_bars buf with_stalls);
   ]
-  @ (if with_stalls <> [] then [ Table (residency_table with_stalls) ] else [])
+  @ (if with_stalls <> [] then
+       [
+         Table
+           (Manifest.residency_table ~label:"benchmark"
+              (List.map (fun (b : Manifest.bench) -> (b.bench, b.sched)) with_stalls));
+       ]
+     else [])
   @ [ Table (phase_table m); Table (Metrics.to_table m.metrics); Table (audit_table m.audit) ]
 
 let explain_header (r : Explain.kernel_report) =

@@ -318,6 +318,29 @@ let read_file ~path =
 let mean_residency (s : sched) =
   if s.entries = 0 then 0.0 else float_of_int s.resident_cycles /. float_of_int s.entries
 
+let residency_table ~label rows =
+  let t =
+    Util.Table.create ~title:"Active-set residency"
+      ~columns:
+        [ label; "Entries"; "Exits"; "Resident cycles"; "Mean residency"; "Desched LL";
+          "Desched strand"; "Desched conflict" ]
+  in
+  List.iter
+    (fun (name, s) ->
+      Util.Table.add_row t
+        [
+          name;
+          string_of_int s.entries;
+          string_of_int s.exits;
+          string_of_int s.resident_cycles;
+          Printf.sprintf "%.1f" (mean_residency s);
+          string_of_int s.desched_long_latency;
+          string_of_int s.desched_strand_boundary;
+          string_of_int s.desched_bank_conflict;
+        ])
+    rows;
+  t
+
 let mean_norm_energy m =
   match m.benches with
   | [] -> 0.0

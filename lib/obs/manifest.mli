@@ -97,5 +97,11 @@ val mean_residency : sched -> float
     warp whose last issue ends the run never leaves the active set, so
     a run has more entries than exits. *)
 
+val residency_table : label:string -> (string * sched) list -> Util.Table.t
+(** ["Active-set residency"]: per labelled row (the first column is
+    headed [label]), active-set entries, exits, resident cycles, mean
+    residency and deschedules by cause.  [rfh timeline] prints it per
+    scheduler configuration; the run report, per benchmark. *)
+
 val mean_norm_energy : t -> float
 (** Arithmetic mean of per-benchmark normalized energy (0 if empty). *)

@@ -131,3 +131,11 @@ let advance t =
 let finished t = t.block < 0
 let dynamic_count t = t.executed
 let hit_cap t = t.block < 0 && t.capped
+
+let warp_invariant (k : Ir.Kernel.t) =
+  Array.for_all
+    (fun (b : Ir.Block.t) ->
+      match b.Ir.Block.term with
+      | Ir.Terminator.Branch { behavior = Ir.Terminator.Taken_with_prob _; _ } -> false
+      | _ -> true)
+    k.Ir.Kernel.blocks

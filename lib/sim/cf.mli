@@ -39,3 +39,9 @@ val dynamic_count : t -> int
 
 val hit_cap : t -> bool
 (** Did the walk stop because of [max_dynamic] rather than [Ret]? *)
+
+val warp_invariant : Ir.Kernel.t -> bool
+(** [true] iff no block of the kernel ends in a [Taken_with_prob]
+    branch.  Those branches are the only place a walk reads its warp,
+    so on such a kernel every warp replays the same stream for a given
+    seed and cap (as {!Trace.capture} shows, warp by warp). *)

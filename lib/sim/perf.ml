@@ -115,30 +115,6 @@ let stall_table ~bench ~warps runs =
     runs;
   t
 
-let residency_table runs =
-  let t =
-    Util.Table.create ~title:"Active-set residency"
-      ~columns:
-        [ "Config"; "Entries"; "Exits"; "Resident cycles"; "Mean residency"; "Desched LL";
-          "Desched strand"; "Desched conflict" ]
-  in
-  List.iter
-    (fun (label, r) ->
-      let s = r.sched in
-      Util.Table.add_row t
-        [
-          label;
-          string_of_int s.entries;
-          string_of_int s.exits;
-          string_of_int s.resident_cycles;
-          Printf.sprintf "%.1f" (mean_residency s);
-          string_of_int s.desched_long_latency;
-          string_of_int s.desched_strand_boundary;
-          string_of_int s.desched_bank_conflict;
-        ])
-    runs;
-  t
-
 let top_warps_table ~n ~label r =
   let t =
     Util.Table.create

@@ -385,9 +385,10 @@ let emit_counters w =
       done)
     [ "traffic.mrf_accesses"; "traffic.orf_accesses"; "traffic.lrf_accesses" ]
 
-(* The one fold: per-pc rows (Sw/Baseline rows times executions) into
-   the per-strand counts, the merged counts and their attribution. *)
-let fold w ~attribution (ctx : Alloc.Context.t) =
+(* The one fold: per-pc rows (Sw/Baseline rows times executions, each
+   walked warp standing for [weight] warps) into the per-strand counts,
+   the merged counts and their attribution. *)
+let fold w ~weight ~attribution (ctx : Alloc.Context.t) =
   let partition = ctx.Alloc.Context.partition in
   let ni = w.dec.Dec.num_instrs in
   let create _ =
@@ -399,7 +400,7 @@ let fold w ~attribution (ctx : Alloc.Context.t) =
   let counts = create () in
   let static = Option.is_some w.placement in
   for pc = 0 to ni - 1 do
-    let times = if static then w.exec.(pc) else 1 in
+    let times = if static then w.exec.(pc) * weight else 1 in
     if times > 0 then begin
       let off = pc * cells in
       Energy.Counts.add_row
@@ -466,7 +467,18 @@ let run_inner ?(warps = 32) ?(seed = 0x5eed) ?max_dynamic_per_warp ?(long_latenc
     }
   in
   (match placement with Some pl -> static_table w pl | None -> hw_tables w ctx);
-  for warp = 0 to warps - 1 do
+  (* Under Baseline and Sw a step's counts are static per pc, and each
+     warp starts with [cleared] at the walk clock, so no earlier warp's
+     long-latency issue is outstanding: a warp's counts depend only on
+     its stream.  On a warp-invariant kernel every warp replays one
+     stream, so warp 0 is walked alone and stands for all [warps].  The
+     audit and counter recorders emit per warp, so their runs walk
+     every warp. *)
+  let walked, weight =
+    if (not hw) && (not w.au) && (not co) && Cf.warp_invariant k then (min warps 1, warps)
+    else (warps, 1)
+  in
+  for warp = 0 to walked - 1 do
     let cf = Scratch.cf s warp ~max_dynamic k ~warp ~seed in
     w.warp <- warp;
     w.cleared <- w.clock;
@@ -478,18 +490,15 @@ let run_inner ?(warps = 32) ?(seed = 0x5eed) ?max_dynamic_per_warp ?(long_latenc
     walk_warp w cf w.clock
   done;
   if co then emit_counters w;
-  let counts, per_strand = fold w ~attribution ctx in
+  let counts, per_strand = fold w ~weight ~attribution ctx in
+  let dynamic_instrs = w.clock * weight
+  and desched_events = w.desched * weight
+  and capped_warps = w.capped * weight in
   Obs.Metrics.incr m_runs;
-  Obs.Metrics.incr ~by:w.clock m_dynamic;
-  Obs.Metrics.incr ~by:w.desched m_desched;
-  Obs.Metrics.incr ~by:w.capped m_capped;
-  {
-    counts;
-    per_strand;
-    dynamic_instrs = w.clock;
-    desched_events = w.desched;
-    capped_warps = w.capped;
-  }
+  Obs.Metrics.incr ~by:dynamic_instrs m_dynamic;
+  Obs.Metrics.incr ~by:desched_events m_desched;
+  Obs.Metrics.incr ~by:capped_warps m_capped;
+  { counts; per_strand; dynamic_instrs; desched_events; capped_warps }
 
 let run ?warps ?seed ?max_dynamic_per_warp ?long_latency_shadow ?attribution ?scratch ctx
     scheme =

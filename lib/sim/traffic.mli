@@ -1,8 +1,9 @@
 (** Register-file traffic accounting.
 
-    Executes every warp's dynamic instruction stream and counts
-    accesses to each level of the register-file hierarchy under a
-    given scheme:
+    Executes every warp's dynamic instruction stream (or, where every
+    warp's stream is the same, one warp's, weighted: see the cost
+    model) and counts accesses to each level of the register-file
+    hierarchy under a given scheme:
 
     - [Baseline]: the single-level register file every figure is
       normalized to — every operand is an MRF access.
@@ -24,23 +25,36 @@
     DRAM latency divided by the warp's issue share under the two-level
     scheduler.
 
-    {b Cost model.}  One walk visits every warp's dynamic instruction
-    stream; its per-instruction path reads int arrays in {!Scratch} and
-    {!Dec} and calls only {!Cf}.  Under [Baseline] and [Sw] every
+    {b Cost model.}  One walk visits the warps' dynamic instruction
+    streams; its per-instruction path reads int arrays in {!Scratch}
+    and {!Dec} and calls only {!Cf}.  Under [Baseline] and [Sw] every
     access count is fixed per static instruction by the placement
     ([Baseline] is {!Alloc.Placement.baseline} with deschedules off),
     so a step only counts the instruction's executions and checks the
     strand-start deschedule, in O(1) per dynamic instruction.  Under
     [Hw] a step replays the RFC and LRF, in O(sources) plus O(RFC
     entries) per eviction or removal, and charges each access to the
-    instruction's row.  Per run: O(static instructions) to build the
-    [Sw]/[Baseline] table, or O(static instructions x registers) for
-    the [Hw] liveness table; then one fold of the per-instruction rows
-    (times their executions) into [per_strand], [counts] and, with
-    [attribution], the attribution tables.  A warmed run allocates
-    only its result and a few per-run records, whatever its length.
-    Audit events and counter samples, when their recorders are on,
-    are emitted per dynamic instruction. *)
+    instruction's row.
+
+    Which warps are walked: under [Hw], every warp.  Under [Baseline]
+    and [Sw] on a {!Cf.warp_invariant} kernel, warp 0 alone, standing
+    for all [warps]: every warp replays one stream, each warp starts
+    with no long-latency issue outstanding, and a step's counts are
+    static per instruction, so each warp adds the same executions,
+    deschedules and caps.  The fold multiplies the executions, and the
+    result's [dynamic_instrs], [desched_events] and [capped_warps] (and
+    the [sim.traffic.*] metric counters) are warp 0's times [warps].
+    A kernel with a [Taken_with_prob] branch, or a run with the audit
+    or counter recorder on (both emit per warp), walks every warp.
+
+    Per run: O(blocks) for the invariance check; O(static
+    instructions) to build the [Sw]/[Baseline] table, or O(static
+    instructions x registers) for the [Hw] liveness table; then one
+    fold of the per-instruction rows (times their executions) into
+    [per_strand], [counts] and, with [attribution], the attribution
+    tables.  A warmed run allocates only its result and a few per-run
+    records, whatever its length.  Audit events and counter samples,
+    when their recorders are on, are emitted per dynamic instruction. *)
 
 type hw_options = {
   rfc_entries : int;

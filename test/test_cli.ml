@@ -1,7 +1,8 @@
 (* The rfh CLI end-to-end through the built binary: the exit-code
    contract for bad inputs (an unknown benchmark or artefact target, a
-   missing input file or a numeric flag out of range prints one clean
-   message naming it and exits 2 — never an uncaught exception), the
+   missing input file, a numeric flag out of range or a command line
+   that does not parse prints one clean message naming it and exits 2
+   — never an uncaught exception), the
    transcript of every subcommand, the trace rows, and page parity. *)
 
 let check = Alcotest.check
@@ -222,9 +223,11 @@ let page_parity () =
   end
 
 (* Each case is the arguments and the text the message must contain. *)
+let exits_2_cases =
+  List.map (fun (args, bad) -> Alcotest.test_case ("rfh " ^ args) `Quick (exits_2 (args, bad)))
+
 let suite =
-  List.map
-    (fun (args, bad) -> Alcotest.test_case ("rfh " ^ args) `Quick (exits_2 (args, bad)))
+  exits_2_cases
     [
       ("fig2 -b nope", "nope");
       ("kernels nope", "nope");
@@ -260,3 +263,10 @@ let suite =
       Alcotest.test_case "rfh trace rows" `Quick trace_rows;
       Alcotest.test_case "rfh pages carry the printed tables" `Quick page_parity;
     ]
+  (* A command line that does not parse is bad input too. *)
+  @ exits_2_cases
+      [
+        ("fig13 --warps abc", "invalid value 'abc'");
+        ("fig13 --bogus", "unknown option '--bogus'");
+        ("nosuchcmd", "unknown command 'nosuchcmd'");
+      ]

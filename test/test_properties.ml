@@ -264,6 +264,87 @@ let prop_timeline_tiles =
       | [] -> on = off || QCheck.Test.fail_report "the recorder changed the result"
       | e :: _ -> QCheck.Test.fail_report e)
 
+(* A Sim.Traffic run on a generated kernel: kernel seed and size,
+   whether its branches may be probabilistic (warp-dependent), warps,
+   the walk's seed and per-warp dynamic cap. *)
+type traffic_case = {
+  kseed : int;
+  ksize : int;
+  prob : bool;
+  twarps : int;
+  tseed : int;
+  tcap : int option;
+}
+
+let traffic_case_arb =
+  let gen =
+    let open QCheck.Gen in
+    let* kseed = int_bound 100_000 in
+    let* ksize = int_range 2 8 in
+    let* prob = bool in
+    let* twarps = int_range 1 32 in
+    let* tseed = oneofl [ 1; 0x5eed ] in
+    let* tcap = opt (int_range 20 400) in
+    return { kseed; ksize; prob; twarps; tseed; tcap }
+  in
+  let print c =
+    Printf.sprintf "kernel seed %d, size %d, prob branches %b, %d warps, seed %d, cap %s" c.kseed
+      c.ksize c.prob c.twarps c.tseed
+      (match c.tcap with None -> "-" | Some n -> string_of_int n)
+  in
+  QCheck.make ~print gen
+
+(* Baseline and Sw runs on a warp-invariant kernel walk one warp and
+   weight it; with the audit recorder on (a discarding sink) every run
+   walks every warp.  The two must agree in every field, attribution
+   tables included, under Baseline, Sw under the default config and
+   under [config_of_seed] (all three LRF modes, ORF sizes 1-8), and Hw
+   with and without its LRF. *)
+let prop_traffic_one_walk =
+  QCheck.Test.make ~count:120 ~name:"traffic one-warp walk = every-warp walk" traffic_case_arb
+    (fun c ->
+      let k = Workloads.Generator.kernel ~size:c.ksize ~prob_branches:c.prob ~seed:c.kseed () in
+      let ctx = Alloc.Context.create k in
+      let sw config = Sim.Traffic.Sw { config; placement = Alloc.Allocator.place config ctx } in
+      let schemes =
+        [
+          ("baseline", Sim.Traffic.Baseline);
+          ("sw default (split LRF)", sw (Alloc.Config.make ()));
+          ("sw seed config", sw (config_of_seed c.kseed));
+          ("hw", Sim.Traffic.Hw (Sim.Traffic.hw_defaults ~rfc_entries:3));
+          ( "hw lrf",
+            Sim.Traffic.Hw { (Sim.Traffic.hw_defaults ~rfc_entries:2) with with_lrf = true } );
+        ]
+      in
+      let run attribution scheme =
+        Sim.Traffic.run ~warps:c.twarps ~seed:c.tseed ?max_dynamic_per_warp:c.tcap ~attribution
+          ctx scheme
+      in
+      let every_warp attribution scheme =
+        Obs.Audit.set_sink (fun _ -> ());
+        Fun.protect ~finally:Obs.Audit.disable (fun () -> run attribution scheme)
+      in
+      List.for_all
+        (fun (name, scheme) ->
+          List.for_all
+            (fun attribution ->
+              let got = run attribution scheme and want = every_warp attribution scheme in
+              let field what a b =
+                a = b
+                || QCheck.Test.fail_reportf "%s%s: %s differs from the every-warp walk's" name
+                     (if attribution then " (attribution)" else "")
+                     what
+              in
+              field "counts" got.Sim.Traffic.counts want.Sim.Traffic.counts
+              && field "per_strand" got.Sim.Traffic.per_strand want.Sim.Traffic.per_strand
+              && field "dynamic_instrs" got.Sim.Traffic.dynamic_instrs
+                   want.Sim.Traffic.dynamic_instrs
+              && field "desched_events" got.Sim.Traffic.desched_events
+                   want.Sim.Traffic.desched_events
+              && field "capped_warps" got.Sim.Traffic.capped_warps want.Sim.Traffic.capped_warps)
+            [ false; true ])
+        schemes)
+
 (* Every property draws from its own generator seeded with one fixed
    value, so each `dune runtest` checks the same kernels and tier-1 is
    deterministic.  Unpinned, about one run in six drew a kernel seed on
@@ -290,4 +371,5 @@ let suite =
       prop_timeline_tiles;
       prop_occupancy_no_double_booking;
       prop_limit_relaxations_monotone;
+      prop_traffic_one_walk;
     ]

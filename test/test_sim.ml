@@ -53,7 +53,8 @@ let test_cf_cap () =
   check Alcotest.bool "capped" true (Sim.Cf.hit_cap cf);
   check Alcotest.int "stopped at cap" 50 (Sim.Cf.dynamic_count cf)
 
-let test_cf_prob_branch_varies_by_warp () =
+(* One probabilistic branch over one instruction. *)
+let prob_kernel () =
   let b = B.create "p" in
   let x = B.op0 b Op.Mov () in
   let join = B.new_label b in
@@ -63,7 +64,10 @@ let test_cf_prob_branch_varies_by_warp () =
   ignore (B.op0 b Op.Mov ());
   B.start_block b join;
   B.ret b;
-  let k = B.finalize b in
+  B.finalize b
+
+let test_cf_prob_branch_varies_by_warp () =
+  let k = prob_kernel () in
   let lengths =
     List.init 16 (fun w -> List.length (drain (Sim.Cf.create k ~warp:w ~seed:3)))
   in
@@ -476,6 +480,35 @@ let test_perf_banked_attribution () =
   check Alcotest.int "conflict-free banking never blames banking" 0
     (run (Some 1024)).Sim.Perf.stalls.Sim.Perf.bank_conflict_serialization
 
+(* [Sim.Cf.warp_invariant] is what lets [Sim.Traffic] walk one warp
+   for all: on every registry kernel it holds for, all 32 warps capture
+   one block sequence at both seeds; a kernel with a probabilistic
+   branch is not invariant. *)
+let test_cf_warp_invariant () =
+  let kernels =
+    List.concat_map
+      (fun (e : Workloads.Registry.entry) -> Lazy.force e.Workloads.Registry.kernels)
+      (Workloads.Registry.all ())
+  in
+  check Alcotest.int "registry kernels" 61 (List.length kernels);
+  let invariant = List.filter Sim.Cf.warp_invariant kernels in
+  check Alcotest.int "warp-invariant kernels" 55 (List.length invariant);
+  List.iter
+    (fun k ->
+      List.iter
+        (fun seed ->
+          let t = Sim.Trace.capture ~warps:32 ~seed k in
+          let first = Sim.Trace.block_sequence t ~warp:0 in
+          for warp = 1 to 31 do
+            if Sim.Trace.block_sequence t ~warp <> first then
+              Alcotest.failf "%s, seed %d: warp %d's blocks differ from warp 0's"
+                k.Ir.Kernel.name seed warp
+          done)
+        [ 1; 0x5eed ])
+    invariant;
+  check Alcotest.bool "a probabilistic branch is not invariant" false
+    (Sim.Cf.warp_invariant (prob_kernel ()))
+
 let suite =
   [
     Alcotest.test_case "perf bank conflicts" `Quick test_perf_bank_conflicts;
@@ -508,4 +541,6 @@ let suite =
     Alcotest.test_case "perf single warp latency" `Quick test_perf_single_warp_latency;
     Alcotest.test_case "perf more warps help" `Quick test_perf_more_warps_help;
     Alcotest.test_case "perf two-level policies" `Quick test_perf_two_level_policies;
+    Alcotest.test_case "cf warp-invariant kernels replay one stream" `Quick
+      test_cf_warp_invariant;
   ]
