@@ -38,16 +38,29 @@ let check =
      counts, relative tolerance for other floats, timings only with $(b,--timing-tol).  \
      Exits 1 on violations, 2 if the baseline is missing."
   in
+  (* A tolerance is a finite number, at least 0: a negative one flags
+     equal values as drift and NaN passes every comparison, so either
+     exits 2 naming the flag before the run. *)
+  let tolerance flag v =
+    if Float.is_finite v && v >= 0.0 then v
+    else
+      Cli.die_usage
+        (Printf.sprintf "rfh: %s %g is out of range (expected a finite number, at least 0)" flag v)
+  in
   let float_tol =
     let doc = "Relative tolerance for non-integral numbers." in
-    Arg.(value & opt float 1e-9 & info [ "float-tol" ] ~docv:"TOL" ~doc)
+    Term.(
+      const (tolerance "--float-tol")
+      $ Arg.(value & opt float 1e-9 & info [ "float-tol" ] ~docv:"TOL" ~doc))
   in
   let timing_tol =
     let doc =
       "Also compare wall-clock timing fields (phase total_ms) with this relative tolerance; \
        without it they are skipped."
     in
-    Arg.(value & opt (some float) None & info [ "timing-tol" ] ~docv:"TOL" ~doc)
+    Term.(
+      const (Option.map (tolerance "--timing-tol"))
+      $ Arg.(value & opt (some float) None & info [ "timing-tol" ] ~docv:"TOL" ~doc))
   in
   let json_out =
     Cli.json_out

@@ -32,6 +32,17 @@ let dest t ~instr = t.dsts.(instr)
 let src t ~instr ~pos = t.srcs.(instr).(pos)
 let fills_of t ~instr = t.fills.(instr)
 
+let within t ~orf_entries =
+  let level = function From_orf e when e >= orf_entries -> From_mrf | l -> l in
+  let targets d =
+    match d.to_orf with Some e when e >= orf_entries -> { d with to_orf = None } | _ -> d
+  in
+  {
+    dsts = Array.map (Option.map targets) t.dsts;
+    srcs = Array.map (Array.map level) t.srcs;
+    fills = Array.map (List.filter (fun (_, e) -> e < orf_entries)) t.fills;
+  }
+
 let set_dest t ~instr d = t.dsts.(instr) <- Some d
 let set_src t ~instr ~pos level = t.srcs.(instr).(pos) <- level
 let add_fill t ~instr ~pos ~entry = t.fills.(instr) <- (pos, entry) :: t.fills.(instr)

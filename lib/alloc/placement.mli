@@ -36,6 +36,13 @@ val dest : t -> instr:int -> dest option
 val src : t -> instr:int -> pos:int -> level
 val fills_of : t -> instr:int -> (int * int) list
 
+val within : t -> orf_entries:int -> t
+(** [within p ~orf_entries:n] is [p] on an ORF of its first [n]
+    entries: a source in an entry [>= n] is read from the MRF, and fills
+    of such entries and destination writes to them are dropped.  The
+    MRF then holds every value only when [p] was compiled with
+    {!Config.mirror_mrf}. *)
+
 val set_dest : t -> instr:int -> dest -> unit
 val set_src : t -> instr:int -> pos:int -> level -> unit
 val add_fill : t -> instr:int -> pos:int -> entry:int -> unit

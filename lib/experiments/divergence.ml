@@ -19,16 +19,13 @@ let compute ?(entries = 3) (opts : Options.t) =
       let base_e = ref 0.0 and sw_e = ref 0.0 in
       let eff = ref [] and div = ref 0 in
       List.iter
-        (fun ctx ->
-          let placement = Alloc.Allocator.place config ctx in
-          let base = Sim.Simt.traffic ~warps ~seed:opts.Options.seed ctx ~scheme:`Baseline in
-          let sw =
-            Sim.Simt.traffic ~warps ~seed:opts.Options.seed ctx ~scheme:(`Sw (config, placement))
-          in
-          base_e := !base_e +. energy base.Sim.Simt.counts;
-          sw_e := !sw_e +. energy sw.Sim.Simt.counts;
-          eff := base.Sim.Simt.stats.Sim.Simt.simd_efficiency :: !eff;
-          div := !div + base.Sim.Simt.stats.Sim.Simt.divergent_branches)
+        (fun (ctx : Alloc.Context.t) ->
+          let r = Sim.Simt.traffic ~warps ~seed:opts.Options.seed ctx in
+          let price p = energy (Sim.Traffic.price ctx p r.Sim.Simt.clusters) in
+          base_e := !base_e +. price (Alloc.Placement.baseline ctx.Alloc.Context.kernel);
+          sw_e := !sw_e +. price (Alloc.Allocator.place config ctx);
+          eff := r.Sim.Simt.stats.Sim.Simt.simd_efficiency :: !eff;
+          div := !div + r.Sim.Simt.stats.Sim.Simt.divergent_branches)
         (Sweep.contexts e);
       {
         name = e.Workloads.Registry.name;

@@ -159,7 +159,7 @@ let run_warp ?threads_per_warp ?max_dynamic (k : Ir.Kernel.t) ~warp ~seed ~on_in
   run_warp_pre ?threads_per_warp ?max_dynamic postdom k ~warp ~seed ~on_instr
 
 type traffic_result = {
-  counts : Energy.Counts.t;
+  clusters : int array;
   stats : stats;
 }
 
@@ -180,20 +180,16 @@ let merge_stats a b =
 (* Warp-instruction window width for the [simt.active_threads] track. *)
 let counter_window = 32
 
-let traffic ?(warps = 32) ?(seed = 0x5eed) ?max_dynamic_per_warp (ctx : Alloc.Context.t) ~scheme =
+let traffic ?(warps = 32) ?(seed = 0x5eed) ?max_dynamic_per_warp (ctx : Alloc.Context.t) =
   Obs.Span.with_span "simulate.simt" @@ fun () ->
   let k = ctx.Alloc.Context.kernel in
-  let counts = Energy.Counts.create () in
+  let clusters = Array.make (Ir.Kernel.instr_count k) 0 in
   let co = Obs.Counters.is_enabled () in
   (* Active threads summed per window of warp-local instructions,
      accumulated across warps. *)
   let active_bins = Hashtbl.create 32 in
   let warp_instr = ref 0 in
-  let datapath_of_op op =
-    if Ir.Op.is_shared_datapath op then Energy.Model.Shared else Energy.Model.Private
-  in
-  let on_instr (i : Ir.Instr.t) ~active ~clusters =
-    let id = i.Ir.Instr.id in
+  let on_instr (i : Ir.Instr.t) ~active ~clusters:c =
     if co then begin
       let w = !warp_instr / counter_window in
       (match Hashtbl.find_opt active_bins w with
@@ -201,40 +197,8 @@ let traffic ?(warps = 32) ?(seed = 0x5eed) ?max_dynamic_per_warp (ctx : Alloc.Co
       | None -> Hashtbl.add active_bins w (ref active));
       incr warp_instr
     end;
-    let dp = datapath_of_op i.Ir.Instr.op in
-    match scheme with
-    | `Baseline ->
-      List.iter
-        (fun _ -> Energy.Counts.add_read counts Energy.Model.Mrf dp ~pc:id ~n:clusters ())
-        i.Ir.Instr.srcs;
-      if Option.is_some i.Ir.Instr.dst then
-        Energy.Counts.add_write counts Energy.Model.Mrf dp ~pc:id ~n:clusters ()
-    | `Sw (_, placement) ->
-      List.iteri
-        (fun pos _ ->
-          match Alloc.Placement.src placement ~instr:id ~pos with
-          | Alloc.Placement.From_mrf ->
-            Energy.Counts.add_read counts Energy.Model.Mrf dp ~pc:id ~n:clusters ()
-          | Alloc.Placement.From_orf _ ->
-            Energy.Counts.add_read counts Energy.Model.Orf dp ~pc:id ~n:clusters ()
-          | Alloc.Placement.From_lrf _ ->
-            Energy.Counts.add_read counts Energy.Model.Lrf Energy.Model.Private ~pc:id
-              ~n:clusters ())
-        i.Ir.Instr.srcs;
-      List.iter
-        (fun (_pos, _entry) ->
-          Energy.Counts.add_write counts Energy.Model.Orf dp ~pc:id ~n:clusters ())
-        (Alloc.Placement.fills_of placement ~instr:id);
-      (match i.Ir.Instr.dst, Alloc.Placement.dest placement ~instr:id with
-       | Some _, Some dest ->
-         if dest.Alloc.Placement.to_mrf then
-           Energy.Counts.add_write counts Energy.Model.Mrf dp ~pc:id ~n:clusters ();
-         if Option.is_some dest.Alloc.Placement.to_orf then
-           Energy.Counts.add_write counts Energy.Model.Orf dp ~pc:id ~n:clusters ();
-         if Option.is_some dest.Alloc.Placement.to_lrf then
-           Energy.Counts.add_write counts Energy.Model.Lrf Energy.Model.Private ~pc:id
-             ~n:clusters ()
-       | _, _ -> ())
+    let id = i.Ir.Instr.id in
+    clusters.(id) <- clusters.(id) + c
   in
   let postdom = Analysis.Postdom.compute k (Analysis.Cfg.of_kernel k) in
   let stats = ref None in
@@ -265,4 +229,4 @@ let traffic ?(warps = 32) ?(seed = 0x5eed) ?max_dynamic_per_warp (ctx : Alloc.Co
   Obs.Metrics.incr m_runs;
   Obs.Metrics.incr ~by:stats.divergent_branches m_divergent;
   Obs.Metrics.incr ~by:stats.reconvergences m_reconvergences;
-  { counts; stats }
+  { clusters; stats }

@@ -43,20 +43,19 @@ val run_warp :
     clusters (= 128-bit bank accesses per operand). *)
 
 type traffic_result = {
-  counts : Energy.Counts.t;
-  (** in units of bank accesses: comparable across divergence levels,
-      NOT directly against {!Traffic.run}'s per-warp-operand units *)
+  clusters : int array;
+  (** per instruction id: the active clusters of its executions, summed
+      over every warp.  As {!Traffic.price} weights they give counts in
+      units of bank accesses: comparable across divergence levels, NOT
+      directly against {!Traffic.run}'s per-warp-operand units *)
   stats : stats;
 }
 
 val traffic :
-  ?warps:int ->
-  ?seed:int ->
-  ?max_dynamic_per_warp:int ->
-  Alloc.Context.t ->
-  scheme:[ `Baseline | `Sw of Alloc.Config.t * Alloc.Placement.t ] ->
-  traffic_result
-(** Divergence-aware register-file traffic: each operand access is
-    weighted by the number of active clusters.  Reports into
-    {!Obs.Metrics} ([sim.simt.runs], [sim.simt.divergent_branches],
+  ?warps:int -> ?seed:int -> ?max_dynamic_per_warp:int -> Alloc.Context.t -> traffic_result
+(** Divergence-aware register-file traffic: one walk of every warp, in
+    which each instruction execution weighs its active clusters, so
+    [Traffic.price ctx placement r.clusters] prices any placement of the
+    context under that divergence.  Reports into {!Obs.Metrics}
+    ([sim.simt.runs], [sim.simt.divergent_branches],
     [sim.simt.reconvergences]) and records a [simulate.simt] span. *)

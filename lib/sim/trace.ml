@@ -140,11 +140,16 @@ let of_string s =
                 String.split_on_char ' ' body
                 |> List.filter (fun x -> x <> "")
                 |> List.map (fun tok ->
-                       match String.index_opt tok 'x' with
-                       | Some i ->
-                         ( int_of_string (String.sub tok 0 i),
-                           int_of_string (String.sub tok (i + 1) (String.length tok - i - 1)) )
-                       | None -> (int_of_string tok, 1))
+                       let block, repeats =
+                         match String.index_opt tok 'x' with
+                         | Some i ->
+                           ( int_of_string (String.sub tok 0 i),
+                             int_of_string (String.sub tok (i + 1) (String.length tok - i - 1)) )
+                         | None -> (int_of_string tok, 1)
+                       in
+                       if block < 0 then failwith ("negative block: " ^ tok);
+                       if repeats < 1 then failwith ("repeat count below 1: " ^ tok);
+                       (block, repeats))
               in
               sequences.(w) <- entries
           end)

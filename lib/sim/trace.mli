@@ -46,4 +46,5 @@ val synthesize : t -> Ir.Kernel.t -> seed:int -> int list
 
 val to_string : t -> string
 val of_string : string -> (t, string) result
-(** Round-trips [to_string]. *)
+(** Round-trips [to_string].  [Error] on a malformed header or line, a
+    warp out of range, a negative block or a repeat count below 1. *)

@@ -44,10 +44,9 @@ let wr_rfc = wr Energy.Model.Rfc
 let wr_lrf = wr Energy.Model.Lrf
 let probe = Energy.Counts.probe_cell
 
-(* Per-pc flag bits. *)
-let ll_issue = 1 (* Sw: a long-latency result the deschedule check tracks *)
-let shared_consumer = 2 (* Hw: some read of the result is on the shared datapath *)
-let backward_last = 4 (* Hw: last instruction of a backward-branching block *)
+(* Per-pc flag bits (Hw). *)
+let shared_consumer = 1 (* some read of the result is on the shared datapath *)
+let backward_last = 2 (* last instruction of a backward-branching block *)
 
 (* One run's walk state.  The arrays are the scratch's; [clock] counts
    the run's dynamic instructions, so it is also each instruction's
@@ -67,7 +66,7 @@ type walk = {
   s : Scratch.t;
   dec : Dec.t;
   rows : int array;
-  exec : int array;
+  exec : int array;  (* per pc: executions (Baseline, Sw), or 1 (Hw) *)
   flags : int array;
   live : bool array;
   issued : int array;
@@ -94,8 +93,11 @@ type walk = {
   mutable capped : int;
 }
 
-let add w i n = w.rows.(i) <- w.rows.(i) + n
-let charge w id cell = add w ((id * cells) + cell) 1
+let add rows id cell n =
+  let i = (id * cells) + cell in
+  rows.(i) <- rows.(i) + n
+
+let charge w id cell = add w.rows id cell 1
 
 (* Audit events: every counted write is mirrored by a Place event
    (guarded on [au] so the disabled path stays a plain counter bump):
@@ -117,25 +119,23 @@ let rec blocked w srcs base p n g =
 
 (* --- Baseline and Sw: every count is static per instruction ------- *)
 
-(* The per-pc rows of a placement; a walk step only counts executions. *)
-let static_table w placement =
-  let dec = w.dec in
+(* The per-pc rows of a placement, added into [rows]: what one
+   execution of each instruction costs. *)
+let static_rows rows (dec : Dec.t) placement =
   for id = 0 to dec.Dec.num_instrs - 1 do
     let dpi = if dec.Dec.shared_dp.(id) then 1 else 0 in
     for pos = 0 to dec.Dec.nsrcs.(id) - 1 do
       match Alloc.Placement.src placement ~instr:id ~pos with
-      | Alloc.Placement.From_mrf -> charge w id (rd_mrf + dpi)
-      | Alloc.Placement.From_orf _ -> charge w id (rd_orf + dpi)
-      | Alloc.Placement.From_lrf _ -> charge w id rd_lrf
+      | Alloc.Placement.From_mrf -> add rows id (rd_mrf + dpi) 1
+      | Alloc.Placement.From_orf _ -> add rows id (rd_orf + dpi) 1
+      | Alloc.Placement.From_lrf _ -> add rows id rd_lrf 1
     done;
-    add w ((id * cells) + wr_orf + dpi)
-      (List.length (Alloc.Placement.fills_of placement ~instr:id));
+    add rows id (wr_orf + dpi) (List.length (Alloc.Placement.fills_of placement ~instr:id));
     match Alloc.Placement.dest placement ~instr:id with
     | Some dest when dec.Dec.dst.(id) >= 0 ->
-      if dest.Alloc.Placement.to_mrf then charge w id (wr_mrf + dpi);
-      if Option.is_some dest.Alloc.Placement.to_orf then charge w id (wr_orf + dpi);
-      if Option.is_some dest.Alloc.Placement.to_lrf then charge w id wr_lrf;
-      if dec.Dec.is_ll.(id) then w.flags.(id) <- ll_issue
+      if dest.Alloc.Placement.to_mrf then add rows id (wr_mrf + dpi) 1;
+      if Option.is_some dest.Alloc.Placement.to_orf then add rows id (wr_orf + dpi) 1;
+      if Option.is_some dest.Alloc.Placement.to_lrf then add rows id wr_lrf 1
     | _ -> ()
   done
 
@@ -162,7 +162,7 @@ let static_step w placement id g =
       desched w id Obs.Audit.Sw_boundary;
       w.cleared <- g
     end;
-    if w.flags.(id) land ll_issue <> 0 then begin
+    if w.dec.Dec.is_ll.(id) then begin
       w.issued.(w.dec.Dec.dst.(id)) <- g;
       w.last_ll <- g
     end
@@ -176,9 +176,12 @@ let rec any_shared shared_dp = function
   | (r : Analysis.Duchain.read) :: tl ->
     shared_dp.(r.Analysis.Duchain.read_instr) || any_shared shared_dp tl
 
-(* Static liveness after every instruction, and the flag bits. *)
+(* Static liveness after every instruction, and the flag bits.  A Hw
+   row accumulates every execution's charges, so the fold weighs it
+   once. *)
 let hw_tables w (ctx : Alloc.Context.t) =
   let dec = w.dec and k = ctx.Alloc.Context.kernel in
+  Array.fill w.exec 0 dec.Dec.num_instrs 1;
   for id = 0 to dec.Dec.num_instrs - 1 do
     let bits = Analysis.Liveness.live_after_bits ctx.Alloc.Context.liveness ~instr_id:id in
     for r = 0 to k.Ir.Kernel.num_regs - 1 do
@@ -385,12 +388,11 @@ let emit_counters w =
       done)
     [ "traffic.mrf_accesses"; "traffic.orf_accesses"; "traffic.lrf_accesses" ]
 
-(* The one fold: per-pc rows (Sw/Baseline rows times executions, each
-   walked warp standing for [weight] warps) into the per-strand counts,
-   the merged counts and their attribution. *)
-let fold w ~weight ~attribution (ctx : Alloc.Context.t) =
+(* The one fold: each pc's row times [weights.(pc) * scale] into the
+   per-strand counts, the merged counts and their attribution. *)
+let fold (ctx : Alloc.Context.t) (dec : Dec.t) rows weights ~scale ~attribution =
   let partition = ctx.Alloc.Context.partition in
-  let ni = w.dec.Dec.num_instrs in
+  let ni = dec.Dec.num_instrs in
   let create _ =
     let c = Energy.Counts.create () in
     if attribution then Energy.Counts.enable_attribution c ~instrs:ni;
@@ -398,18 +400,24 @@ let fold w ~weight ~attribution (ctx : Alloc.Context.t) =
   in
   let per_strand = Array.init (max 1 (Strand.Partition.num_strands partition)) create in
   let counts = create () in
-  let static = Option.is_some w.placement in
   for pc = 0 to ni - 1 do
-    let times = if static then w.exec.(pc) * weight else 1 in
+    let times = weights.(pc) * scale in
     if times > 0 then begin
       let off = pc * cells in
       Energy.Counts.add_row
         per_strand.(Strand.Partition.strand_of_instr partition pc)
-        w.rows ~off ~times ~pc;
-      Energy.Counts.add_row counts w.rows ~off ~times ~pc
+        rows ~off ~times ~pc;
+      Energy.Counts.add_row counts rows ~off ~times ~pc
     end
   done;
   (counts, per_strand)
+
+let price ctx placement weights =
+  let s = Scratch.domain_local () in
+  let dec = Scratch.dec_for s ctx in
+  Scratch.ensure_traffic s ~num_instrs:dec.Dec.num_instrs ~num_regs:1 ~rfc_entries:0 ~live:false;
+  static_rows s.Scratch.tr_rows dec placement;
+  fst (fold ctx dec s.Scratch.tr_rows weights ~scale:1 ~attribution:false)
 
 let run_inner ?(warps = 32) ?(seed = 0x5eed) ?max_dynamic_per_warp ?(long_latency_shadow = 50)
     ?(attribution = false) ?scratch (ctx : Alloc.Context.t) scheme =
@@ -466,7 +474,7 @@ let run_inner ?(warps = 32) ?(seed = 0x5eed) ?max_dynamic_per_warp ?(long_latenc
       capped = 0;
     }
   in
-  (match placement with Some pl -> static_table w pl | None -> hw_tables w ctx);
+  (match placement with Some pl -> static_rows w.rows dec pl | None -> hw_tables w ctx);
   (* Under Baseline and Sw a step's counts are static per pc, and each
      warp starts with [cleared] at the walk clock, so no earlier warp's
      long-latency issue is outstanding: a warp's counts depend only on
@@ -490,7 +498,7 @@ let run_inner ?(warps = 32) ?(seed = 0x5eed) ?max_dynamic_per_warp ?(long_latenc
     walk_warp w cf w.clock
   done;
   if co then emit_counters w;
-  let counts, per_strand = fold w ~weight ~attribution ctx in
+  let counts, per_strand = fold ctx dec w.rows w.exec ~scale:weight ~attribution in
   let dynamic_instrs = w.clock * weight
   and desched_events = w.desched * weight
   and capped_warps = w.capped * weight in

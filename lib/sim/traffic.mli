@@ -52,9 +52,11 @@
     instructions x registers) for the [Hw] liveness table; then one
     fold of the per-instruction rows (times their executions) into
     [per_strand], [counts] and, with [attribution], the attribution
-    tables.  A warmed run allocates only its result and a few per-run
-    records, whatever its length.  Audit events and counter samples,
-    when their recorders are on, are emitted per dynamic instruction. *)
+    tables.  {!price} is the same table and fold over weights its
+    caller counted.  A warmed run allocates only its result and a few
+    per-run records, whatever its length.  Audit events and counter
+    samples, when their recorders are on, are emitted per dynamic
+    instruction. *)
 
 type hw_options = {
   rfc_entries : int;
@@ -109,3 +111,12 @@ val run :
     [traffic.lrf_accesses] counter tracks: per-level accesses summed
     over windows of 32 warp-local dynamic instructions, accumulated
     across warps, stamped with the window-start instruction index. *)
+
+val price : Alloc.Context.t -> Alloc.Placement.t -> int array -> Energy.Counts.t
+(** [price ctx placement weights] is the counts of [weights.(pc)]
+    executions of each instruction [pc] under [placement] ([weights]
+    has one entry per instruction): {!run}'s per-pc rows and fold for
+    [Baseline] and [Sw], without a walk.  This is the one place a
+    placement becomes counts: {!Simt} weights each pc by its active
+    clusters and {!Variable_orf} by its executions under each ORF
+    grant.  The rows are built in this domain's {!Scratch.domain_local}. *)

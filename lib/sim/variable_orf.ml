@@ -27,9 +27,6 @@ let strand_requests (ctx : Alloc.Context.t) (placement : Alloc.Placement.t) =
       | Some _ | None -> ());
   Array.map Hashtbl.length used
 
-let datapath_of_op op =
-  if Ir.Op.is_shared_datapath op then Energy.Model.Shared else Energy.Model.Private
-
 type warp_state = {
   cf : Cf.t;
   mutable grant : int;  (* entries this warp's current strand holds *)
@@ -39,10 +36,17 @@ let run ?(active = 8) ?(warps = 32) ?(seed = 0x5eed) ?max_dynamic_per_warp ~pool
     ~(config : Alloc.Config.t) ~placement (ctx : Alloc.Context.t) =
   if not config.Alloc.Config.mirror_mrf then
     invalid_arg "Variable_orf.run: the placement must be compiled with mirror_mrf";
+  if pool_entries < 0 then invalid_arg "Variable_orf.run: pool_entries < 0";
   let k = ctx.Alloc.Context.kernel in
   let partition = ctx.Alloc.Context.partition in
   let requests = strand_requests ctx placement in
-  let counts = Energy.Counts.create () in
+  (* [executions.(g).(pc)]: executions of [pc] under a grant of [g]
+     entries.  A grant never exceeds its request. *)
+  let executions =
+    Array.init
+      (Array.fold_left max 0 requests + 1)
+      (fun _ -> Array.make (Ir.Kernel.instr_count k) 0)
+  in
   let pool_free = ref pool_entries in
   let strand_executions = ref 0 in
   let full_grants = ref 0 in
@@ -68,34 +72,6 @@ let run ?(active = 8) ?(warps = 32) ?(seed = 0x5eed) ?max_dynamic_per_warp ~pool
     if got >= want then incr full_grants else incr partial_grants;
     entries_denied := !entries_denied + (want - got)
   in
-  let execute st (i : Ir.Instr.t) =
-    let id = i.Ir.Instr.id in
-    let dp = datapath_of_op i.Ir.Instr.op in
-    let in_grant e = e < st.grant in
-    List.iteri
-      (fun pos _ ->
-        match Alloc.Placement.src placement ~instr:id ~pos with
-        | Alloc.Placement.From_mrf -> Energy.Counts.add_read counts Energy.Model.Mrf dp ()
-        | Alloc.Placement.From_orf e ->
-          if in_grant e then Energy.Counts.add_read counts Energy.Model.Orf dp ()
-          else Energy.Counts.add_read counts Energy.Model.Mrf dp ()
-        | Alloc.Placement.From_lrf _ ->
-          Energy.Counts.add_read counts Energy.Model.Lrf Energy.Model.Private ())
-      i.Ir.Instr.srcs;
-    List.iter
-      (fun (_pos, e) ->
-        if in_grant e then Energy.Counts.add_write counts Energy.Model.Orf dp ())
-      (Alloc.Placement.fills_of placement ~instr:id);
-    match i.Ir.Instr.dst, Alloc.Placement.dest placement ~instr:id with
-    | Some _, Some dest ->
-      if dest.Alloc.Placement.to_mrf then Energy.Counts.add_write counts Energy.Model.Mrf dp ();
-      (match dest.Alloc.Placement.to_orf with
-       | Some e when in_grant e -> Energy.Counts.add_write counts Energy.Model.Orf dp ()
-       | Some _ | None -> ());
-      if Option.is_some dest.Alloc.Placement.to_lrf then
-        Energy.Counts.add_write counts Energy.Model.Lrf Energy.Model.Private ()
-    | _, _ -> ()
-  in
   (* Round-robin, one instruction per turn: concurrent strands compete
      for the pool exactly as concurrently-active warps would. *)
   while not (Queue.is_empty active_set) do
@@ -108,12 +84,22 @@ let run ?(active = 8) ?(warps = 32) ?(seed = 0x5eed) ?max_dynamic_per_warp ~pool
          incr next_warp
        end
      | Some i ->
-       if Strand.Partition.starts_strand partition i.Ir.Instr.id then
-         acquire st (Strand.Partition.strand_of_instr partition i.Ir.Instr.id);
-       execute st i;
+       let id = i.Ir.Instr.id in
+       if Strand.Partition.starts_strand partition id then
+         acquire st (Strand.Partition.strand_of_instr partition id);
+       let row = executions.(st.grant) in
+       row.(id) <- row.(id) + 1;
        Cf.advance st.cf;
        Queue.add st active_set)
   done;
+  (* An entry past the grant is read from the MRF copy mirror_mrf
+     keeps, and is neither filled nor written. *)
+  let counts = Energy.Counts.create () in
+  Array.iteri
+    (fun g execs ->
+      Energy.Counts.merge_into ~dst:counts
+        (Traffic.price ctx (Alloc.Placement.within placement ~orf_entries:g) execs))
+    executions;
   {
     counts;
     strand_executions = !strand_executions;

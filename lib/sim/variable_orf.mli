@@ -14,7 +14,11 @@
     Warps interleave round-robin at instruction granularity (the
     active set holds [active] warps; finished warps are replaced), so
     grant contention reflects genuinely concurrent strands — no oracle
-    knowledge of future warps. *)
+    knowledge of future warps.
+
+    The walk only counts each instruction's executions per grant size
+    [g]; {!Traffic.price} then prices grant [g]'s executions under
+    [Alloc.Placement.within placement ~orf_entries:g]. *)
 
 type result = {
   counts : Energy.Counts.t;
@@ -34,7 +38,8 @@ val run :
   placement:Alloc.Placement.t ->
   Alloc.Context.t ->
   result
-(** @raise Invalid_argument unless [config.mirror_mrf] is set. *)
+(** @raise Invalid_argument unless [config.mirror_mrf] is set, or if
+    [pool_entries < 0]. *)
 
 val strand_requests : Alloc.Context.t -> Alloc.Placement.t -> int array
 (** Per strand: distinct ORF entries its placement touches — the

@@ -8,6 +8,7 @@
      dune exec test/gen_perf_golden.exe -- traffic > test/traffic_golden.jsonl
      dune exec test/gen_perf_golden.exe -- verify > test/verify_golden.jsonl
      dune exec test/gen_perf_golden.exe -- placement > test/placement_golden.jsonl
+     dune exec test/gen_perf_golden.exe -- simt > test/simt_golden.jsonl
      dune build && dune exec test/gen_perf_golden.exe -- cli > test/cli_golden.txt
 
    perf_golden.json was captured from the pre-predecode list-based
@@ -22,9 +23,11 @@
    boxed cells before the worklist, placement_golden.jsonl from the
    allocator's binary-heap queues over list-based reaching and def-use
    tables before the compile path moved to word bitsets and once-scored
-   candidates.  Re-run this only when the simulated semantics or the
-   verdicts deliberately change, never to make a perf-only rewrite
-   pass.  The allocator's multi-definition clobber fix (ROADMAP item 1)
+   candidates, simt_golden.jsonl from the Sim.Simt and Sim.Variable_orf
+   walks that priced every dynamic instruction operand by operand,
+   before they reused Sim.Traffic's per-pc rows.  Re-run this only
+   when the simulated semantics or the verdicts deliberately change,
+   never to make a perf-only rewrite pass.  The allocator's multi-definition clobber fix (ROADMAP item 1)
    is such a change: it turns the rejecting seeds' verdicts into "ok",
    so it regenerates verify_golden.jsonl deliberately, and it changes
    the rejecting kernels' placements, so it regenerates
@@ -43,9 +46,10 @@ let () =
   | [ _; "traffic" ] -> print_string (Perf_golden_doc.traffic_doc ())
   | [ _; "verify" ] -> print_string (Perf_golden_doc.verify_doc ())
   | [ _; "placement" ] -> print_string (Perf_golden_doc.placement_doc ())
+  | [ _; "simt" ] -> print_string (Perf_golden_doc.simt_doc ())
   | [ _; "cli" ] ->
     print_string
       (Cli_transcript.render ~rfh:"_build/default/bin/rfh.exe" ~baseline:"baselines/default.json")
   | _ ->
-    prerr_endline "usage: gen_perf_golden [timeline|wide|cut|traffic|verify|placement|cli]";
+    prerr_endline "usage: gen_perf_golden [timeline|wide|cut|traffic|verify|placement|simt|cli]";
     exit 2

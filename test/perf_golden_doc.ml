@@ -677,3 +677,83 @@ let placement_doc () =
   List.iter (fun ev -> line buf (Obs.Audit.to_json ev)) (audit_events ());
   List.iter (fun d -> line buf (Obs.Explain.to_json d)) (decisions ());
   Buffer.contents buf
+
+(* --- SIMT and variable-ORF walks: test/simt_golden.jsonl ----------- *)
+
+(* Every kernel of every registry benchmark at two (warps, seed)
+   points.  Per kernel and point, one line holds the divergence-aware
+   counts (Sim.Simt's cluster weights) of the all-MRF baseline and of
+   the SW placement (3 ORF entries, split LRF) with the SIMT stats,
+   then one line per pool size holds
+   Sim.Variable_orf's counts and grant counters, for the 8-entry
+   mirror_mrf placement the limit study runs with 8 active warps. *)
+let simt_points = [ (8, 0x5eed); (32, 1) ]
+let simt_pools = [ 0; 5; 12; 24; 64 ]
+
+let simt_stats_json (s : Sim.Simt.stats) =
+  Obs.Json.Obj
+    [
+      ("warp_instructions", Obs.Json.int s.Sim.Simt.warp_instructions);
+      ("thread_instructions", Obs.Json.int s.Sim.Simt.thread_instructions);
+      ("simd_efficiency", Obs.Json.Num s.Sim.Simt.simd_efficiency);
+      ("max_stack_depth", Obs.Json.int s.Sim.Simt.max_stack_depth);
+      ("divergent_branches", Obs.Json.int s.Sim.Simt.divergent_branches);
+      ("reconvergences", Obs.Json.int s.Sim.Simt.reconvergences);
+    ]
+
+let simt_doc () =
+  let buf = Buffer.create (1 lsl 18) in
+  let sw_config = Alloc.Config.make ~orf_entries:3 ~lrf:Alloc.Config.Split () in
+  let vorf_config =
+    Alloc.Config.make ~orf_entries:8 ~lrf:Alloc.Config.Split ~orf_cost_entries:3
+      ~mirror_mrf:true ()
+  in
+  List.iter
+    (fun (e : Workloads.Registry.entry) ->
+      List.iter
+        (fun (k : Ir.Kernel.t) ->
+          let ctx = Alloc.Context.create k in
+          let label = e.Workloads.Registry.name ^ "/" ^ k.Ir.Kernel.name in
+          let sw = Alloc.Allocator.place sw_config ctx in
+          let vorf = Alloc.Allocator.place vorf_config ctx in
+          List.iter
+            (fun (warps, seed) ->
+              let point =
+                [
+                  ("kernel", Obs.Json.Str label);
+                  ("warps", Obs.Json.int warps);
+                  ("seed", Obs.Json.int seed);
+                ]
+              in
+              let r = Sim.Simt.traffic ~warps ~seed ctx in
+              let price p = Energy.Counts.to_json (Sim.Traffic.price ctx p r.Sim.Simt.clusters) in
+              line buf
+                (Obs.Json.Obj
+                   (point
+                   @ [
+                       ("baseline", price (Alloc.Placement.baseline k));
+                       ("sw", price sw);
+                       ("stats", simt_stats_json r.Sim.Simt.stats);
+                     ]));
+              List.iter
+                (fun pool ->
+                  let r =
+                    Sim.Variable_orf.run ~active:8 ~warps ~seed ~pool_entries:pool
+                      ~config:vorf_config ~placement:vorf ctx
+                  in
+                  line buf
+                    (Obs.Json.Obj
+                       (point
+                       @ [
+                           ("pool", Obs.Json.int pool);
+                           ("counts", Energy.Counts.to_json r.Sim.Variable_orf.counts);
+                           ("strand_executions", Obs.Json.int r.Sim.Variable_orf.strand_executions);
+                           ("full_grants", Obs.Json.int r.Sim.Variable_orf.full_grants);
+                           ("partial_grants", Obs.Json.int r.Sim.Variable_orf.partial_grants);
+                           ("entries_denied", Obs.Json.int r.Sim.Variable_orf.entries_denied);
+                         ])))
+                simt_pools)
+            simt_points)
+        (Lazy.force e.Workloads.Registry.kernels))
+    (Workloads.Registry.all ());
+  Buffer.contents buf

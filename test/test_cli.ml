@@ -270,3 +270,12 @@ let suite =
         ("fig13 --bogus", "unknown option '--bogus'");
         ("nosuchcmd", "unknown command 'nosuchcmd'");
       ]
+  (* A negative tolerance flags equal values as drift and NaN passes
+     every comparison: both are out of range. *)
+  @ exits_2_cases
+      [
+        ("baseline check --float-tol=-1", "--float-tol -1");
+        ("baseline check --float-tol nan", "--float-tol nan");
+        ("baseline check --timing-tol=-0.5", "--timing-tol -0.5");
+        ("baseline check --timing-tol inf", "--timing-tol inf");
+      ]

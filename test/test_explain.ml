@@ -295,7 +295,7 @@ let run_counter_workload () =
   ignore (Sim.Traffic.run ~warps:4 ctx (Sim.Traffic.Sw { config; placement }));
   ignore
     (Sim.Perf.run ~warps:4 ~scheduler:(Sim.Perf.Two_level 2) ~policy:Sim.Perf.On_dependence ctx);
-  ignore (Sim.Simt.traffic ~warps:4 ctx ~scheme:(`Sw (config, placement)));
+  ignore (Sim.Simt.traffic ~warps:4 ctx);
   Obs.Counters.tracks ()
 
 (* Golden-stability property: simulated-time stamps make fixed-seed

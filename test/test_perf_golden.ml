@@ -44,7 +44,14 @@
    candidates: every instruction's destination levels, source levels
    and fills plus the allocator stats, on the registry kernels under
    six configs and on generated kernels, and MatrixMul's audit and
-   explain streams, byte-for-byte. *)
+   explain streams, byte-for-byte.
+
+   test/simt_golden.jsonl was captured from the Sim.Simt and
+   Sim.Variable_orf walks that priced every dynamic instruction operand
+   by operand, before they reused Sim.Traffic's per-pc rows: every
+   registry kernel's SIMT baseline and SW counts and stats, and its
+   variable-ORF counts and grant counters at five pool sizes, at two
+   (warps, seed) points, byte-for-byte. *)
 
 let check = Alcotest.check
 
@@ -141,6 +148,12 @@ let test_verify_golden () =
 let test_placement_golden () =
   check_jsonl_golden ~what:"allocator placements or streams" "placement_golden.jsonl"
     (Perf_golden_doc.placement_doc ())
+
+(* The SIMT and variable-ORF walks: counts, stats and grant counters,
+   held to the capture from the walks that priced operand by operand. *)
+let test_simt_golden () =
+  check_jsonl_golden ~what:"SIMT or variable-ORF results" "simt_golden.jsonl"
+    (Perf_golden_doc.simt_doc ())
 
 (* --- round-robin issue order -------------------------------------- *)
 
@@ -408,4 +421,6 @@ let suite =
       test_traffic_zero_alloc_per_instr;
     Alcotest.test_case "cut at max_cycles mid-jump sums exactly" `Quick
       test_cut_mid_jump_is_exact;
+    Alcotest.test_case "SIMT and variable-ORF walks match the per-operand golden" `Quick
+      test_simt_golden;
   ]

@@ -57,6 +57,22 @@ let test_of_string_errors () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "accepted out-of-range warp"
 
+(* A repeat count below 1 or a negative block is an error, not a trace
+   that block_sequence, replay and edge_profile fail on later. *)
+let test_of_string_bad_entries () =
+  List.iter
+    (fun (line, what) ->
+      match Sim.Trace.of_string ("trace v1 warps=1\nwarp 0: 1 " ^ line) with
+      | Error msg ->
+        check Alcotest.bool ("names " ^ what ^ ": " ^ msg) true (String.ends_with ~suffix:line msg)
+      | Ok _ -> Alcotest.failf "accepted %s (%s)" what line)
+    [
+      ("0x-2", "a negative repeat count");
+      ("0x0", "a zero repeat count");
+      ("-1", "a negative block");
+      ("-3x2", "a repeated negative block");
+    ]
+
 let test_edge_profile_loop () =
   (* An 8-trip self loop: the backedge fires 7 times per warp. *)
   let k = Workloads.Micro.loop_carried 8 in
@@ -106,4 +122,5 @@ let suite =
     Alcotest.test_case "edge profile loop" `Quick test_edge_profile_loop;
     Alcotest.test_case "synthesize plausible" `Quick test_synthesize_plausible;
     Alcotest.test_case "capture deterministic" `Quick test_capture_deterministic;
+    Alcotest.test_case "of_string rejects bad entries" `Quick test_of_string_bad_entries;
   ]

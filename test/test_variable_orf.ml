@@ -73,6 +73,14 @@ let test_deterministic () =
   in
   check (Alcotest.float 1e-9) "deterministic" (run ()) (run ())
 
+(* A negative pool would grant negative entries and deny more than a
+   strand requests. *)
+let test_negative_pool_rejected () =
+  let ctx, config, placement = setup "MatrixMul" in
+  Alcotest.check_raises "negative pool"
+    (Invalid_argument "Variable_orf.run: pool_entries < 0")
+    (fun () -> ignore (Sim.Variable_orf.run ~warps:4 ~pool_entries:(-1) ~config ~placement ctx))
+
 let suite =
   [
     Alcotest.test_case "requires mirror" `Quick test_requires_mirror;
@@ -82,4 +90,5 @@ let suite =
     Alcotest.test_case "large pool = no denials" `Quick test_large_pool_no_denials;
     Alcotest.test_case "monotone in pool" `Quick test_monotone_in_pool;
     Alcotest.test_case "deterministic" `Quick test_deterministic;
+    Alcotest.test_case "negative pool rejected" `Quick test_negative_pool_rejected;
   ]
