@@ -1,6 +1,6 @@
 # Convenience targets; `make ci` is what the CI workflow runs.
 
-.PHONY: all build test fmt parity regress explain-smoke timeline-smoke engine-smoke trend-smoke why-smoke perfgate ci clean
+.PHONY: all build test fmt polycmp parity regress explain-smoke timeline-smoke engine-smoke trend-smoke why-smoke perfgate ci clean
 
 all: build
 
@@ -15,6 +15,28 @@ test:
 # everywhere.  `dune fmt` applies the fixes it reports.
 fmt:
 	dune build @fmt
+
+# Typed-comparison guard: no compiled module of the simulator or the
+# compile path may call OCaml's polymorphic comparison.  `=`, `<` or
+# `compare` on a value whose type is left polymorphic (a local `let rec`
+# over an array, a tuple helper) compiles to a C call such as
+# caml_equal that walks the generic representation; annotating the
+# operands as int makes it one machine compare.  `nm -u` lists each
+# object's undefined symbols; a missing nm fails the check.
+POLYCMP_DIRS = $(addprefix _build/default/lib/,sim alloc analysis strand)
+POLYCMP_SYMS = caml_(equal|notequal|compare|lessthan|lessequal|greaterthan|greaterequal)
+polycmp: build
+	@command -v nm > /dev/null || { echo "polycmp: nm not found"; exit 1; }
+	@objs=$$(find $(POLYCMP_DIRS) -name '*.o'); \
+	test -n "$$objs" || { echo "polycmp: no objects under $(POLYCMP_DIRS)"; exit 1; }; \
+	bad=0; \
+	for o in $$objs; do \
+	  syms=$$(nm -u "$$o") || { echo "polycmp: nm failed on $$o"; exit 1; }; \
+	  refs=$$(echo "$$syms" | awk '{ print $$NF }' | grep -xE '$(POLYCMP_SYMS)' | tr '\n' ' '); \
+	  if [ -n "$$refs" ]; then echo "$$o: $$refs"; bad=1; fi; \
+	done; \
+	test $$bad = 0 || { echo "polycmp: polymorphic comparison in the objects above; annotate the operands' types"; exit 1; }
+	@echo "polycmp OK: no object under lib/{sim,alloc,analysis,strand} calls polymorphic comparison"
 
 # Page-parity check for the HTML smokes: every table title a command
 # printed (the line above a header whose dashed underline matches its
@@ -157,7 +179,7 @@ why-smoke: build
 perfgate: build
 	dune exec bench/perfgate.exe
 
-ci: fmt build test parity regress explain-smoke timeline-smoke engine-smoke trend-smoke why-smoke perfgate
+ci: fmt build test polycmp parity regress explain-smoke timeline-smoke engine-smoke trend-smoke why-smoke perfgate
 
 clean:
 	dune clean

@@ -2,7 +2,6 @@ type t = {
   kernel : Ir.Kernel.t;
   cfg : Analysis.Cfg.t;
   dominance : Analysis.Dominance.t;
-  liveness : Analysis.Liveness.t;
   reaching : Analysis.Reaching.t;
   duchain : Analysis.Duchain.t;
   partition : Strand.Partition.t;
@@ -13,7 +12,6 @@ let create ?boundary_kinds kernel =
   let span = Obs.Span.with_span in
   let cfg = span "cfg" (fun () -> Analysis.Cfg.of_kernel kernel) in
   let dominance = span "dominance" (fun () -> Analysis.Dominance.compute cfg) in
-  let liveness = span "liveness" (fun () -> Analysis.Liveness.compute kernel cfg) in
   let reaching = span "reaching" (fun () -> Analysis.Reaching.compute kernel cfg) in
   let duchain = span "duchain" (fun () -> Analysis.Duchain.compute kernel reaching) in
   let partition =
@@ -22,4 +20,4 @@ let create ?boundary_kinds kernel =
   let must_defined =
     span "must_defined" (fun () -> Strand.Must_defined.compute kernel cfg partition)
   in
-  { kernel; cfg; dominance; liveness; reaching; duchain; partition; must_defined }
+  { kernel; cfg; dominance; reaching; duchain; partition; must_defined }

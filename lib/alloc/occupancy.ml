@@ -10,7 +10,7 @@ let create ~entries =
 let entries t = t.num_entries
 
 (* Half-open interval overlap. *)
-let overlaps (a1, a2) (b1, b2) = a1 < b2 && b1 < a2
+let overlaps ((a1 : int), (a2 : int)) (b1, b2) = a1 < b2 && b1 < a2
 
 let available t ~entry ~first ~last =
   entry >= 0 && entry < t.num_entries && first < last

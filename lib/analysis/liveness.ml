@@ -1,7 +1,7 @@
 type t = {
+  kernel : Ir.Kernel.t;
   block_live_in : Util.Bitset.t array;
   block_live_out : Util.Bitset.t array;
-  after_instr : Util.Bitset.t array;  (* indexed by instruction id *)
 }
 
 let compute (k : Ir.Kernel.t) (cfg : Cfg.t) =
@@ -24,24 +24,26 @@ let compute (k : Ir.Kernel.t) (cfg : Cfg.t) =
     k.Ir.Kernel.blocks;
   let live_out = Array.init nb (fun _ -> Util.Bitset.create nr) in
   Cfg.solve_union cfg ~forward:false ~join:live_out ~transfer:live_in ~kill:def;
-  (* Per-instruction live-after sets by a backward walk of each block. *)
-  let after_instr = Array.init (Ir.Kernel.instr_count k) (fun _ -> Util.Bitset.create nr) in
-  Array.iter
-    (fun (b : Ir.Block.t) ->
-      let live = Util.Bitset.copy live_out.(b.Ir.Block.label) in
-      let n = Array.length b.Ir.Block.instrs in
-      for idx = n - 1 downto 0 do
-        let i = b.Ir.Block.instrs.(idx) in
-        ignore (Util.Bitset.union_into ~dst:after_instr.(i.Ir.Instr.id) live);
-        Option.iter (fun r -> Util.Bitset.clear live r) i.Ir.Instr.dst;
-        List.iter (fun r -> Util.Bitset.set live r) i.Ir.Instr.srcs
-      done)
-    k.Ir.Kernel.blocks;
-  { block_live_in = live_in; block_live_out = live_out; after_instr }
+  { kernel = k; block_live_in = live_in; block_live_out = live_out }
 
 let live_in_bits t b = t.block_live_in.(b)
 let live_out_bits t b = t.block_live_out.(b)
-let live_after_bits t ~instr_id = t.after_instr.(instr_id)
+
+(* One block, bottom up: [live] starts as the block's live-out set and
+   is stepped back over each instruction after [f] has seen it. *)
+let walk_block t live (b : Ir.Block.t) f =
+  Util.Bitset.clear_all live;
+  ignore (Util.Bitset.union_into ~dst:live t.block_live_out.(b.Ir.Block.label));
+  for idx = Array.length b.Ir.Block.instrs - 1 downto 0 do
+    let i = b.Ir.Block.instrs.(idx) in
+    f i live;
+    Option.iter (fun r -> Util.Bitset.clear live r) i.Ir.Instr.dst;
+    List.iter (fun r -> Util.Bitset.set live r) i.Ir.Instr.srcs
+  done
+
+let iter_live_after t f =
+  let live = Util.Bitset.create t.kernel.Ir.Kernel.num_regs in
+  Array.iter (fun b -> walk_block t live b f) t.kernel.Ir.Kernel.blocks
 
 let set_of_bitset bs =
   let acc = ref Ir.Reg.Set.empty in
@@ -51,4 +53,11 @@ let set_of_bitset bs =
 let live_in t b = set_of_bitset t.block_live_in.(b)
 let live_out t b = set_of_bitset t.block_live_out.(b)
 
-let live_after_instr t ~instr_id r = Util.Bitset.mem t.after_instr.(instr_id) r
+let live_after_instr t ~instr_id r =
+  let k = t.kernel in
+  let found = ref false in
+  walk_block t
+    (Util.Bitset.create k.Ir.Kernel.num_regs)
+    k.Ir.Kernel.blocks.(Ir.Kernel.block_of k instr_id)
+    (fun i live -> if i.Ir.Instr.id = instr_id then found := Util.Bitset.mem live r);
+  !found

@@ -2,8 +2,17 @@
 
     The RFC baseline uses this as the "static liveness information
     encoded in the program binary" that elides writebacks of dead
-    values (paper Sec. 2.2); the allocator uses it for live-out tests
-    at strand boundaries. *)
+    values (paper Sec. 2.2), and the pressure study counts live
+    registers with it.  The allocator does not read liveness, so
+    [Alloc.Context] does not compute it: each reader computes it where
+    it runs ([Sim.Traffic] once per [Hw] run, {!Pressure.compute} once
+    per kernel).
+
+    Cost model: {!compute} solves the block-level dataflow and keeps
+    only the block live-in and live-out sets, [2 x blocks] bitsets of
+    [num_regs] bits.  Per-instruction sets are not stored: {!iter_live_after}
+    streams them from one backward walk per block over a single scratch
+    set, O(instructions + blocks x num_regs / 63) words touched. *)
 
 type t
 
@@ -17,10 +26,13 @@ val live_in_bits : t -> int -> Util.Bitset.t
 val live_out_bits : t -> int -> Util.Bitset.t
 (** Live registers at block exit; same aliasing caveat. *)
 
-val live_after_bits : t -> instr_id:int -> Util.Bitset.t
-(** Registers live immediately after the instruction; same aliasing
-    caveat.  [Util.Bitset.count] of this is the register pressure at
-    that point. *)
+val iter_live_after : t -> (Ir.Instr.t -> Util.Bitset.t -> unit) -> unit
+(** [iter_live_after t f] calls [f i live] once per instruction, with
+    [live] the registers live immediately after [i].  Blocks come in
+    layout order and each block's instructions bottom up.  [live] is
+    one scratch set the walk reuses: read it inside [f] only, and do
+    not modify it.  [Util.Bitset.count live] is the register pressure
+    after [i]. *)
 
 val live_in : t -> int -> Ir.Reg.Set.t
 (** Live registers at block entry.  Materialises a fresh set per call —
@@ -31,5 +43,6 @@ val live_out : t -> int -> Ir.Reg.Set.t
 
 val live_after_instr : t -> instr_id:int -> Ir.Reg.t -> bool
 (** Is the register live immediately after the given instruction
-    (i.e. might some path still read the value it holds)?  O(1):
-    per-instruction sets are precomputed. *)
+    (i.e. might some path still read the value it holds)?  Walks the
+    instruction's block from its end, so a query costs O(block); use
+    {!iter_live_after} to visit every instruction. *)

@@ -4,21 +4,20 @@ type t = {
   max_live_instr : int;
 }
 
-let compute (k : Ir.Kernel.t) (cfg : Cfg.t) (liveness : Liveness.t) =
-  ignore cfg;
+let compute (k : Ir.Kernel.t) (cfg : Cfg.t) =
   let used = Hashtbl.create 32 in
   Ir.Kernel.iter_instrs k (fun _ i ->
       List.iter (fun r -> Hashtbl.replace used r ()) i.Ir.Instr.srcs;
       Option.iter (fun r -> Hashtbl.replace used r ()) i.Ir.Instr.dst);
   let max_live = ref 0 in
   let max_at = ref 0 in
-  Ir.Kernel.iter_instrs k (fun _ i ->
-      (* Registers live just after each instruction: a popcount of the
-         precomputed live-after bitset, not a per-register probe loop. *)
-      let n = Util.Bitset.count (Liveness.live_after_bits liveness ~instr_id:i.Ir.Instr.id) in
-      if n > !max_live then begin
+  (* The walk visits each block bottom up; the lowest id wins a tie, as
+     in a layout-order scan. *)
+  Liveness.iter_live_after (Liveness.compute k cfg) (fun i live ->
+      let n = Util.Bitset.count live and id = i.Ir.Instr.id in
+      if n > !max_live || (n = !max_live && id < !max_at) then begin
         max_live := n;
-        max_at := i.Ir.Instr.id
+        max_at := id
       end);
   { registers_used = Hashtbl.length used; max_live = !max_live; max_live_instr = !max_at }
 

@@ -4,7 +4,11 @@
     per thread for 1024 resident threads (Sec. 2).  This analysis
     reports the pressure a kernel actually exerts, and the number of
     machine-resident warps an MRF budget supports (the standard GPU
-    occupancy computation). *)
+    occupancy computation).
+
+    {!compute} runs {!Liveness.compute} on the kernel and counts each
+    instruction's live-after set as {!Liveness.iter_live_after} streams
+    it. *)
 
 type t = {
   registers_used : int;   (** distinct architectural registers *)
@@ -12,7 +16,7 @@ type t = {
   max_live_instr : int;   (** instruction id where the peak occurs *)
 }
 
-val compute : Ir.Kernel.t -> Cfg.t -> Liveness.t -> t
+val compute : Ir.Kernel.t -> Cfg.t -> t
 
 val resident_warps : ?mrf_bytes:int -> ?threads_per_warp:int -> ?bytes_per_reg:int -> int -> int
 (** [resident_warps registers] is the warp count a register file can

@@ -6,10 +6,7 @@ let table (opts : Options.t) =
   List.iter (Util.Table.add_row t)
     (Sweep.per_bench opts (fun (e : Workloads.Registry.entry) ->
          let ctx = Sweep.context e in
-         let p =
-           Analysis.Pressure.compute ctx.Alloc.Context.kernel ctx.Alloc.Context.cfg
-             ctx.Alloc.Context.liveness
-         in
+         let p = Analysis.Pressure.compute ctx.Alloc.Context.kernel ctx.Alloc.Context.cfg in
          [
            e.Workloads.Registry.name;
            string_of_int p.Analysis.Pressure.registers_used;

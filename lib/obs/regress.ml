@@ -123,9 +123,17 @@ let diff_json ?(float_tol = 1e-9) ?timing_tol ~baseline ~current () =
   go "" baseline current;
   { violations = List.rev !violations; compared = !compared }
 
+(* A manifest file stores floats as [Json] prints them, to 12
+   significant digits.  Both sides go through one encode/decode round
+   trip, so a fresh run is compared at the precision its baseline file
+   holds, and a tolerance of 0 passes on an unchanged tree. *)
+let as_stored m =
+  match Json.parse (Json.to_string (Manifest.to_json m)) with
+  | Ok j -> j
+  | Error msg -> invalid_arg ("Regress.diff: manifest JSON does not re-parse: " ^ msg)
+
 let diff ?float_tol ?timing_tol ~baseline ~current () =
-  diff_json ?float_tol ?timing_tol ~baseline:(Manifest.to_json baseline)
-    ~current:(Manifest.to_json current) ()
+  diff_json ?float_tol ?timing_tol ~baseline:(as_stored baseline) ~current:(as_stored current) ()
 
 let to_table r =
   let title =

@@ -39,7 +39,10 @@ val diff :
   unit ->
   report
 (** [float_tol] defaults to [1e-9].  [timing_tol] absent means timing
-    fields are not compared at all. *)
+    fields are not compared at all.  Both manifests are compared as a
+    file stores them: after one {!Json} encode/decode round trip, which
+    keeps 12 significant digits of a non-integral number.  So a fresh
+    run diffs clean against its own recorded file at [float_tol] 0. *)
 
 val diff_json :
   ?float_tol:float ->

@@ -313,7 +313,7 @@ let run_inner ?(warps = 32) ?(seed = 0x5eed) ?(max_dynamic_per_warp = 2_000)
   (* All loop helpers take every variable as an argument: a [let rec]
      that closes over locals of an enclosing per-call function would
      allocate a closure on each call. *)
-  let rec ll_keep buf n now i m =
+  let rec ll_keep (buf : int array) n now i m =
     if i >= n then m
     else begin
       let t = buf.(i) in
@@ -343,14 +343,18 @@ let run_inner ?(warps = 32) ?(seed = 0x5eed) ?(max_dynamic_per_warp = 2_000)
     buf.(n) <- v;
     s.Scratch.ll_len.(w) <- n + 1
   in
-  let rec ll_any_from buf n now i = i < n && (buf.(i) > now || ll_any_from buf n now (i + 1)) in
+  let rec ll_any_from (buf : int array) n now i =
+    i < n && (buf.(i) > now || ll_any_from buf n now (i + 1))
+  in
   (* The helpers marked [@inline] serve both the step and the
      catch-up: a local function with one caller is substituted into it,
      one with two is called, and these sit on the walk's hot path. *)
   let[@inline] ll_any_pure w now = ll_any_from s.Scratch.ll.(w) s.Scratch.ll_len.(w) now 0 in
-  let rec ll_mem_from buf n v i = i < n && (buf.(i) = v || ll_mem_from buf n v (i + 1)) in
+  let rec ll_mem_from (buf : int array) n v i =
+    i < n && (buf.(i) = v || ll_mem_from buf n v (i + 1))
+  in
   let[@inline] ll_mem w v = ll_mem_from s.Scratch.ll.(w) s.Scratch.ll_len.(w) v 0 in
-  let rec ll_max_from buf n acc i =
+  let rec ll_max_from (buf : int array) n acc i =
     if i >= n then acc
     else ll_max_from buf n (if buf.(i) > acc then buf.(i) else acc) (i + 1)
   in

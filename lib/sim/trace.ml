@@ -5,7 +5,7 @@ type t = {
 
 let warps t = Array.length t.sequences
 
-let rle_push acc block =
+let rle_push acc (block : int) =
   match acc with
   | (b, n) :: rest when b = block -> (b, n + 1) :: rest
   | _ -> (block, 1) :: acc
@@ -65,7 +65,11 @@ let edge_profile t =
       in
       pairs expanded)
     t.sequences;
-  Hashtbl.fold (fun e n acc -> (e, n) :: acc) counts [] |> List.sort compare
+  Hashtbl.fold (fun e n acc -> (e, n) :: acc) counts []
+  |> List.sort (fun ((a, b), n) ((a', b'), n') ->
+         match Int.compare a a' with
+         | 0 -> ( match Int.compare b b' with 0 -> Int.compare n n' | c -> c)
+         | c -> c)
 
 let synthesize t (k : Ir.Kernel.t) ~seed =
   let profile = edge_profile t in

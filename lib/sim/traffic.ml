@@ -176,18 +176,20 @@ let rec any_shared shared_dp = function
   | (r : Analysis.Duchain.read) :: tl ->
     shared_dp.(r.Analysis.Duchain.read_instr) || any_shared shared_dp tl
 
-(* Static liveness after every instruction, and the flag bits.  A Hw
+(* Static liveness after every instruction, and the flag bits.  The
+   compile path builds no liveness, so each run computes it here.  A Hw
    row accumulates every execution's charges, so the fold weighs it
    once. *)
 let hw_tables w (ctx : Alloc.Context.t) =
   let dec = w.dec and k = ctx.Alloc.Context.kernel in
   Array.fill w.exec 0 dec.Dec.num_instrs 1;
-  for id = 0 to dec.Dec.num_instrs - 1 do
-    let bits = Analysis.Liveness.live_after_bits ctx.Alloc.Context.liveness ~instr_id:id in
-    for r = 0 to k.Ir.Kernel.num_regs - 1 do
-      w.live.((id * w.nr) + r) <- Util.Bitset.mem bits r
-    done
-  done;
+  Analysis.Liveness.iter_live_after
+    (Analysis.Liveness.compute k ctx.Alloc.Context.cfg)
+    (fun i live ->
+      let row = i.Ir.Instr.id * w.nr in
+      for r = 0 to k.Ir.Kernel.num_regs - 1 do
+        w.live.(row + r) <- Util.Bitset.mem live r
+      done);
   List.iter
     (fun (inst : Analysis.Duchain.instance) ->
       if any_shared dec.Dec.shared_dp inst.Analysis.Duchain.reads then
@@ -204,7 +206,8 @@ let hw_tables w (ctx : Alloc.Context.t) =
 
 let live_after w id r = w.live.((id * w.nr) + r)
 
-let rec reads srcs base p n r = p < n && (srcs.(base + p) = r || reads srcs base (p + 1) n r)
+let rec reads (srcs : int array) base p n r =
+  p < n && (srcs.(base + p) = r || reads srcs base (p + 1) n r)
 
 (* Liveness just before [id] executes, where flushes happen. *)
 let live_before w id r =

@@ -48,15 +48,18 @@
     or counter recorder on (both emit per warp), walks every warp.
 
     Per run: O(blocks) for the invariance check; O(static
-    instructions) to build the [Sw]/[Baseline] table, or O(static
-    instructions x registers) for the [Hw] liveness table; then one
+    instructions) to build the [Sw]/[Baseline] table.  A [Hw] run
+    computes the kernel's block liveness itself ([Alloc.Context]
+    carries none) and fills its live-after table from one backward
+    walk per block, in O(static instructions x registers).  Then one
     fold of the per-instruction rows (times their executions) into
     [per_strand], [counts] and, with [attribution], the attribution
     tables.  {!price} is the same table and fold over weights its
     caller counted.  A warmed run allocates only its result and a few
-    per-run records, whatever its length.  Audit events and counter
-    samples, when their recorders are on, are emitted per dynamic
-    instruction. *)
+    per-run records, whatever its length; a [Hw] run also allocates
+    the block liveness sets, O(blocks x registers / 63) words.  Audit
+    events and counter samples, when their recorders are on, are
+    emitted per dynamic instruction. *)
 
 type hw_options = {
   rfc_entries : int;

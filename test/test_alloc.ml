@@ -574,6 +574,27 @@ let test_verify_malformed_placement () =
     (Error [ "placement arrays do not match the kernel" ])
     (Alloc.Verify.check config ctx { (Alloc.Placement.baseline k) with Alloc.Placement.dsts = [||] })
 
+(* The context holds what the allocator and the verifier read; liveness
+   is not among it, so building one opens no liveness span. *)
+let test_context_spans () =
+  let k = Workloads.Generator.kernel ~size:6 ~seed:3 () in
+  Obs.Span.reset ();
+  Obs.Span.set_enabled true;
+  let names =
+    Fun.protect
+      ~finally:(fun () ->
+        Obs.Span.set_enabled false;
+        Obs.Span.reset ())
+      (fun () ->
+        ignore (Alloc.Context.create k);
+        List.map (fun (sp : Obs.Span.span) -> sp.Obs.Span.name) (Obs.Span.spans ()))
+  in
+  check
+    Alcotest.(list string)
+    "one span per analysis, in order"
+    [ "cfg"; "dominance"; "reaching"; "duchain"; "partition"; "must_defined" ]
+    names
+
 let suite =
   [
     Alcotest.test_case "occupancy basic" `Quick test_occupancy_basic;
@@ -606,4 +627,5 @@ let suite =
     Alcotest.test_case "verify: stale MRF on back edge" `Quick test_verify_loop_back_edge_stale;
     Alcotest.test_case "verify: multi-definition clobber" `Quick test_verify_clobber_shape;
     Alcotest.test_case "verify: malformed placement" `Quick test_verify_malformed_placement;
+    Alcotest.test_case "context: analysis spans" `Quick test_context_spans;
   ]

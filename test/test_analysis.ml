@@ -247,9 +247,7 @@ let test_pressure () =
   let z = B.op2 b Op.Iadd x y in
   B.store b Op.St_global ~addr:z ~value:z;
   let k = B.finalize b in
-  let cfg = Analysis.Cfg.of_kernel k in
-  let live = Analysis.Liveness.compute k cfg in
-  let p = Analysis.Pressure.compute k cfg live in
+  let p = Analysis.Pressure.compute k (Analysis.Cfg.of_kernel k) in
   check Alcotest.int "3 registers" 3 p.Analysis.Pressure.registers_used;
   check Alcotest.int "peak live 2" 2 p.Analysis.Pressure.max_live
 

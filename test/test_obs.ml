@@ -619,6 +619,34 @@ let test_explain_page_standalone () =
     (Helpers.count_sub html (Printf.sprintf "<caption>Decisions: %s</caption>" k.Ir.Kernel.name));
   check Alcotest.bool "heatmap text escaped" true (Helpers.count_sub html "ld &lt;r1&gt; &amp; r2" = 1)
 
+(* A recorded manifest keeps 12 significant digits of each float; the
+   gate compares a fresh run at that precision, so a run diffs clean
+   against its own file at tolerance 0. *)
+let test_regress_zero_tol_against_own_file () =
+  let m = collect_small () in
+  let third = 0.1 +. 0.2 in
+  let m =
+    match m.Obs.Manifest.benches with
+    | b :: rest ->
+      { m with Obs.Manifest.benches = { b with Obs.Manifest.norm_energy = third } :: rest }
+    | [] -> Alcotest.fail "no benches collected"
+  in
+  let path = Filename.temp_file "rfh_regress" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Obs.Manifest.write_file ~path m;
+      match Obs.Manifest.read_file ~path with
+      | Error e -> Alcotest.fail e
+      | Ok stored ->
+        let stored_energy = (List.hd stored.Obs.Manifest.benches).Obs.Manifest.norm_energy in
+        check Alcotest.bool "the file rounds the float" true (stored_energy <> third);
+        let r = Obs.Regress.diff ~float_tol:0.0 ~baseline:stored ~current:m () in
+        check
+          Alcotest.(list string)
+          "no violation at tolerance 0" []
+          (List.map (fun v -> v.Obs.Regress.path) r.Obs.Regress.violations))
+
 let suite =
   [
     Alcotest.test_case "counter arithmetic" `Quick (isolated test_counter_arithmetic);
@@ -646,4 +674,6 @@ let suite =
     Alcotest.test_case "energy counts JSON round-trip" `Quick (isolated test_energy_counts_json_roundtrip);
     Alcotest.test_case "html report standalone" `Quick (isolated test_html_report_standalone);
     Alcotest.test_case "explain page standalone" `Quick (isolated test_explain_page_standalone);
+    Alcotest.test_case "regress tolerance 0 against own file" `Quick
+      (isolated test_regress_zero_tol_against_own_file);
   ]
