@@ -16,14 +16,15 @@ test:
 fmt:
 	dune build @fmt
 
-# Typed-comparison guard: no compiled module of the simulator or the
-# compile path may call OCaml's polymorphic comparison.  `=`, `<` or
+# Typed-comparison guard: no compiled module of the simulator, the
+# compile path or the utilities they share (the bitsets that carry the
+# dataflow) may call OCaml's polymorphic comparison.  `=`, `<` or
 # `compare` on a value whose type is left polymorphic (a local `let rec`
 # over an array, a tuple helper) compiles to a C call such as
 # caml_equal that walks the generic representation; annotating the
 # operands as int makes it one machine compare.  `nm -u` lists each
 # object's undefined symbols; a missing nm fails the check.
-POLYCMP_DIRS = $(addprefix _build/default/lib/,sim alloc analysis strand)
+POLYCMP_DIRS = $(addprefix _build/default/lib/,util sim alloc analysis strand)
 POLYCMP_SYMS = caml_(equal|notequal|compare|lessthan|lessequal|greaterthan|greaterequal)
 polycmp: build
 	@command -v nm > /dev/null || { echo "polycmp: nm not found"; exit 1; }
@@ -36,7 +37,7 @@ polycmp: build
 	  if [ -n "$$refs" ]; then echo "$$o: $$refs"; bad=1; fi; \
 	done; \
 	test $$bad = 0 || { echo "polycmp: polymorphic comparison in the objects above; annotate the operands' types"; exit 1; }
-	@echo "polycmp OK: no object under lib/{sim,alloc,analysis,strand} calls polymorphic comparison"
+	@echo "polycmp OK: no object under lib/{util,sim,alloc,analysis,strand} calls polymorphic comparison"
 
 # Page-parity check for the HTML smokes: every table title a command
 # printed (the line above a header whose dashed underline matches its
@@ -163,10 +164,11 @@ why-smoke: build
 	$(call check_titles,_build/why.txt,_build/why.html)
 	@echo "why smoke OK: the flipped decision ranks #1; analysis is byte-deterministic; the page has every printed table"
 
-# Performance gate (see docs/performance.md): time the nine probes
+# Performance gate (see docs/performance.md): time the ten probes
 # sim:perf-two-level, sim:perf-lowipc, sim:perf-single-level,
 # sim:perf-two-level-16, sim:traffic-hw, sim:traffic-sw,
-# compile:context, compile:allocate and compile:verify and measure
+# compile:context, compile:allocate, compile:verify and
+# compile:context-1024 and measure
 # their steady-state allocation, failing if a probe's median regresses
 # >2x over its committed threshold in baselines/perfgate.json or if a
 # probe allocates past its caps there.  (The compile probes time the

@@ -1,7 +1,8 @@
 (* Performance gate (make perfgate; wired into make ci).
 
-   Times nine probes — four Sim.Perf, two Sim.Traffic and three on
-   the compile path (Alloc.Context, Alloc.Allocator, Alloc.Verify) —
+   Times ten probes — four Sim.Perf, two Sim.Traffic and four on the
+   compile path (Alloc.Context at two kernel sizes, Alloc.Allocator,
+   Alloc.Verify) —
    and measures the steady-state minor-heap cost of one run of each:
 
    - sim:perf-two-level — MatrixMul, 8 warps, Two_level 8, capped at
@@ -42,7 +43,12 @@
      not here);
    - compile:verify — Alloc.Verify.check alone on that kernel under
      the default config; the context and placement are built outside
-     the timed region.
+     the timed region;
+   - compile:context-1024 — Alloc.Context.create on the size-1024
+     generated kernel of seed 1 (6,410 instructions, 1,542 blocks,
+     4,397 registers): the compile path's scaling gate, which slows by
+     several times per instruction if an analysis goes back to a dense
+     table over every definition site or register per block.
 
    Every number is checked against the committed threshold file
    baselines/perfgate.json:
@@ -51,7 +57,7 @@
      committed threshold (ns_per_run, lowipc_ns_per_run,
      single_level_ns_per_run, two_level_16_ns_per_run,
      traffic_ns_per_run, traffic_sw_ns_per_run, context_ns_per_run,
-     allocate_ns_per_run, verify_ns_per_run): generous enough for
+     allocate_ns_per_run, verify_ns_per_run, context_1024_ns_per_run): generous enough for
      machine-to-machine variance, tight enough to catch a loop
      re-growing a per-step allocation, a quadratic scan, a lost
      dead-cycle jump, an active queue copied per cycle again, a cache
@@ -69,15 +75,17 @@
 
    The simulator probes share one set of caps (max_minor_words_per_run,
    max_promoted_words_per_run, max_major_words_per_run).  Each compile
-   probe has its own (the same keys prefixed context_, allocate_ or
-   verify_): those runs build per-kernel tables, so they allocate in
-   proportion to the kernel, and the caps sit between today's cost and
-   the cost of the per-comparison scoring and per-query copies they
-   replaced, so a return to either fails on allocation even where the
-   2x time tolerance would let it pass.  A check allocates one entry
-   state per block, and on this kernel the array holding them is too
-   large for the minor heap, so the next minor collection promotes
-   them.
+   probe has its own (the same keys prefixed context_, allocate_,
+   verify_ or context_1024_): those runs build per-kernel tables, so
+   they allocate in proportion to the kernel, and the caps sit between
+   today's cost and the cost of what they replaced, so a return to it
+   fails on allocation even where the 2x time tolerance would let it
+   pass.  Every compile-path table past the 256-word minor-heap limit
+   holds immediates (flat int arrays and bit matrices), so a run
+   promotes almost nothing; the promoted caps fail if a table of
+   pointers (per-block sets, per-instruction lists or records) comes
+   back, whose cells the write barrier would promote live or dead, and
+   the major caps fail if a dense blocks x sites table does.
 
    Each probe is timed --runs times (default 5); the gate compares the
    median, and the p90 rides along as a tail-latency indicator.  The
@@ -119,20 +127,28 @@ type caps = { prefix : string; minor : float; promoted : float; major : float }
    unluckily-timed minor collection is a regression. *)
 let sim_caps = { prefix = ""; minor = 8192.0; promoted = 8192.0; major = 16384.0 }
 
-(* A check on the probe's kernel allocates ~24k minor words, ~3k major
-   words (its arrays over all 388 blocks) and, averaged over runs,
-   promotes ~11k (its entry states).  The round-robin fixpoint it
-   replaced allocated 380,804 minor and 3.76 M major words per run. *)
-let verify_caps = { prefix = "verify_"; minor = 65536.0; promoted = 32768.0; major = 65536.0 }
+(* A check on the probe's kernel allocates ~9k minor words and ~12k
+   major words (its block-entry tables) and promotes nothing.  The
+   round-robin fixpoint it replaced allocated 380,804 minor and 3.76 M
+   major words per run; the per-block entry states after it, 24k minor
+   words, which the next minor collection promoted. *)
+let verify_caps = { prefix = "verify_"; minor = 16384.0; promoted = 32768.0; major = 65536.0 }
 
-(* Context.create on the probe's kernel allocates ~444k minor words and
-   promotes ~191k (its tables outlive the minor collections that land
-   mid-build), ~231k major words in all; an allocator run allocates
-   ~355k, promotes ~64k and grows the major heap by ~80k.  Before the
-   compile path moved to word bitsets, per-operand reaching tables and
-   once-scored candidates they cost 777k/249k/279k and 1,206k/102k/114k. *)
-let context_caps = { prefix = "context_"; minor = 524288.0; promoted = 229376.0; major = 262144.0 }
-let allocate_caps = { prefix = "allocate_"; minor = 524288.0; promoted = 81920.0; major = 98304.0 }
+(* Context.create on the probe's kernel allocates ~65k minor words and
+   ~64k major words and promotes ~2k; an allocator run allocates ~270k
+   minor and ~50k major words and promotes ~29k (its candidate lists,
+   live across the run's minor collections).  With per-block sets and
+   per-instruction lists and records they cost 329k/124k/160k and
+   355k/57k/80k (minor/promoted/major), and before the compile path
+   moved to word bitsets, per-operand reaching tables and once-scored
+   candidates 777k/249k/279k and 1,206k/102k/114k.  At size 1024,
+   Context.create allocates ~261k minor and ~402k major words and
+   promotes ~14k; with per-block sets over every definition site it
+   cost 2,084k/1,151k/1,316k. *)
+let context_caps = { prefix = "context_"; minor = 131072.0; promoted = 16384.0; major = 98304.0 }
+let allocate_caps = { prefix = "allocate_"; minor = 327680.0; promoted = 49152.0; major = 65536.0 }
+let context_1024_caps =
+  { prefix = "context_1024_"; minor = 786432.0; promoted = 65536.0; major = 655360.0 }
 
 (* [what] is "minor", "promoted" or "major". *)
 let cap_key c what = Printf.sprintf "%smax_%s_words_per_run" c.prefix what
@@ -188,6 +204,7 @@ let probes () =
   let mm = ctx "MatrixMul" and conv = ctx "ConvolutionSeparable" and sad = ctx "sad" in
   let gen_kernel = Workloads.Generator.kernel ~size:256 ~seed:1 () in
   let gen = Alloc.Context.create gen_kernel in
+  let gen_1024 = Workloads.Generator.kernel ~size:1024 ~seed:1 () in
   let config = Alloc.Config.make () in
   let placement = Alloc.Allocator.place config gen in
   let sad_sw = Sim.Traffic.Sw { config; placement = Alloc.Allocator.place config sad } in
@@ -234,6 +251,10 @@ let probes () =
     probe ~name:"compile:verify" ~key:"verify_ns_per_run" ~caps:verify_caps
       (fun () -> Alloc.Verify.check config gen placement)
       verify_fields;
+    probe ~name:"compile:context-1024" ~key:"context_1024_ns_per_run" ~caps:context_1024_caps
+      (fun () -> Alloc.Context.create gen_1024)
+      (fun (c : Alloc.Context.t) ->
+        [ ("strands", Obs.Json.int (Strand.Partition.num_strands c.Alloc.Context.partition)) ]);
   ]
 
 let median a =
@@ -328,7 +349,7 @@ let () =
             let key = cap_key c what in
             (key, threshold key default))
           (cap_defaults c))
-      [ sim_caps; context_caps; allocate_caps; verify_caps ]
+      [ sim_caps; context_caps; allocate_caps; verify_caps; context_1024_caps ]
   in
   if !recorded <> [] then begin
     write_json baseline_path

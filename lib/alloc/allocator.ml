@@ -19,25 +19,29 @@ type kind =
   | Read_unit
 
 (* One allocation candidate: a value (or MRF-resident read range) and
-   the reads an upper-level copy would serve. *)
+   the reads an upper-level copy would serve.  A read is its operand
+   index ({!Analysis.Duchain.operand}), so the covered list holds
+   immediates. *)
 type cand = {
   id : int;  (* dense per-run index; keys the explainer's side table *)
   kind : kind;
   reg : Ir.Reg.t;
   strand : int;
-  mutable covered : Analysis.Duchain.read list;  (* ascending by instr; head of a
-                                                    Read_unit is the MRF-served fill *)
-  mutable mrf_write_required : bool;             (* write units only *)
+  mutable covered : int list;  (* operand indices, ascending; head of a
+                                  Read_unit is the MRF-served fill *)
+  mutable mrf_write_required : bool;  (* write units only *)
   width : int;
   producer_dp : Energy.Model.datapath;
   lrf_bank : int option;  (* eligible LRF bank, if any *)
 }
 
+let read_instr o = o / Ir.Instr.num_slots
+let read_slot o = o mod Ir.Instr.num_slots
+
 let datapath_of_op op =
   if Ir.Op.is_shared_datapath op then Energy.Model.Shared else Energy.Model.Private
 
-let consumer_dp k (r : Analysis.Duchain.read) =
-  datapath_of_op (Ir.Kernel.instr k r.Analysis.Duchain.read_instr).Ir.Instr.op
+let consumer_dp k o = datapath_of_op (Ir.Kernel.instr k (read_instr o)).Ir.Instr.op
 
 (* Half-open occupancy span: the write occupies at least its own slot,
    and protection extends up to (excluding) the last covered read. *)
@@ -48,15 +52,13 @@ let interval_of cand =
     (d, d + 1)
   | Write_unit { defs }, reads ->
     let d = List.fold_left min max_int defs in
-    let last = List.fold_left (fun acc r -> max acc r.Analysis.Duchain.read_instr) d reads in
+    let last = List.fold_left (fun acc o -> max acc (read_instr o)) d reads in
     (d, max last (d + 1))
   | Read_unit, [] -> invalid_arg "Allocator: empty read unit"
-  | Read_unit, (r0 :: _ as reads) ->
-    let last =
-      List.fold_left (fun acc r -> max acc r.Analysis.Duchain.read_instr)
-        r0.Analysis.Duchain.read_instr reads
-    in
-    (r0.Analysis.Duchain.read_instr, max last (r0.Analysis.Duchain.read_instr + 1))
+  | Read_unit, (o0 :: _ as reads) ->
+    let first = read_instr o0 in
+    let last = List.fold_left (fun acc o -> max acc (read_instr o)) first reads in
+    (first, max last (first + 1))
 
 let savings_of config k target cand =
   match cand.kind with
@@ -96,22 +98,15 @@ let shorten cand =
     true
   | Read_unit, _ -> false
 
-let dedup_reads reads =
-  let compare_read (a : Analysis.Duchain.read) (b : Analysis.Duchain.read) =
-    let c = Int.compare a.Analysis.Duchain.read_instr b.Analysis.Duchain.read_instr in
-    if c <> 0 then c else Int.compare a.Analysis.Duchain.slot b.Analysis.Duchain.slot
-  in
-  List.sort_uniq compare_read reads
-
 (* Assemble one write unit given its defs and the reads it may cover. *)
-let make_write_unit config (ctx : Context.t) ~defs ~reg ~strand ~reads ~extra_uncovered =
+let make_write_unit config (ctx : Context.t) ~id ~defs ~reg ~strand ~reads ~extra_uncovered =
   let k = ctx.Context.kernel in
   let partition = ctx.Context.partition in
   let def_instrs = List.map (Ir.Kernel.instr k) defs in
-  let safe (r : Analysis.Duchain.read) =
-    Strand.Partition.strand_of_instr partition r.Analysis.Duchain.read_instr = strand
-    && Strand.Must_defined.must_defined_before ctx.Context.must_defined
-         ~instr_id:r.Analysis.Duchain.read_instr reg
+  let safe o =
+    Strand.Partition.strand_of_instr partition (read_instr o) = strand
+    && Strand.Must_defined.must_defined_before ctx.Context.must_defined ~instr_id:(read_instr o)
+         reg
   in
   let covered, uncovered = List.partition safe reads in
   let width =
@@ -125,7 +120,7 @@ let make_write_unit config (ctx : Context.t) ~defs ~reg ~strand ~reads ~extra_un
   in
   let lrf_bank =
     if producer_dp <> Energy.Model.Private || width > 1 then None
-    else if List.exists (fun r -> consumer_dp k r = Energy.Model.Shared) covered then None
+    else if List.exists (fun o -> consumer_dp k o = Energy.Model.Shared) covered then None
     else begin
       match config.Config.lrf with
       | Config.No_lrf -> None
@@ -133,15 +128,13 @@ let make_write_unit config (ctx : Context.t) ~defs ~reg ~strand ~reads ~extra_un
       | Config.Split ->
         (match covered with
          | [] -> Some 0
-         | r0 :: rest ->
-           let slot = r0.Analysis.Duchain.slot in
-           if List.for_all (fun (r : Analysis.Duchain.read) -> r.Analysis.Duchain.slot = slot) rest
-           then Some slot
-           else None)
+         | o0 :: rest ->
+           let slot = read_slot o0 in
+           if List.for_all (fun o -> read_slot o = slot) rest then Some slot else None)
     end
   in
   {
-    id = -1;  (* renumbered once all units of the run exist *)
+    id;
     kind = Write_unit { defs };
     reg;
     strand;
@@ -152,7 +145,8 @@ let make_write_unit config (ctx : Context.t) ~defs ~reg ~strand ~reads ~extra_un
     lrf_bank;
   }
 
-(* Build the write units for one def-use group.
+(* Build the write units for one def-use group, numbering them from
+   [next_id].
 
    A group whose definitions all sit in one strand becomes a single
    unit covering merged reads too (Fig. 10(c): all definitions target
@@ -160,131 +154,176 @@ let make_write_unit config (ctx : Context.t) ~defs ~reg ~strand ~reads ~extra_un
    e.g. induction variables — each definition becomes its own unit
    covering only the reads it reaches uniquely; reads merged with other
    definitions stay in the MRF. *)
-let build_write_units config (ctx : Context.t) (members : Analysis.Duchain.instance list) =
+let build_write_units config (ctx : Context.t) next_id g =
   let k = ctx.Context.kernel in
   let partition = ctx.Context.partition in
-  match members with
-  | [] -> []
-  | (first_member : Analysis.Duchain.instance) :: _ ->
-    let reg = first_member.Analysis.Duchain.reg in
-    let defs = List.map (fun (m : Analysis.Duchain.instance) -> m.Analysis.Duchain.def) members in
-    let def_instrs = List.map (Ir.Kernel.instr k) defs in
-    let any_long_latency = List.exists Ir.Instr.is_long_latency def_instrs in
-    let strands = List.map (Strand.Partition.strand_of_instr partition) defs in
-    let strand = List.hd strands in
-    let same_strand_defs = List.for_all (Int.equal strand) strands in
-    if same_strand_defs && not any_long_latency then begin
-      (* One instance's reads are already ascending and distinct; a
-         merged group's share their join reads. *)
-      let reads =
-        match members with
-        | [ m ] -> m.Analysis.Duchain.reads
-        | _ ->
-          dedup_reads
-            (List.concat_map
-               (fun (m : Analysis.Duchain.instance) -> m.Analysis.Duchain.reads)
-               members)
-      in
-      [ make_write_unit config ctx ~defs ~reg ~strand ~reads ~extra_uncovered:false ]
-    end
-    else
-      (* Per-definition fallback: cover only uniquely reached reads. *)
-      List.filter_map
-        (fun (m : Analysis.Duchain.instance) ->
-          let d = m.Analysis.Duchain.def in
-          if Ir.Instr.is_long_latency (Ir.Kernel.instr k d) then None
-          else begin
-            let unique, shared_reads =
-              List.partition
-                (fun (r : Analysis.Duchain.read) ->
-                  match
-                    Analysis.Reaching.reaching_operand ctx.Context.reaching
-                      ~instr_id:r.Analysis.Duchain.read_instr ~slot:r.Analysis.Duchain.slot
-                  with
-                  | [ only ] -> only = d
-                  | [] | _ :: _ -> false)
-                m.Analysis.Duchain.reads
-            in
-            Some
-              (make_write_unit config ctx ~defs:[ d ] ~reg
-                 ~strand:(Strand.Partition.strand_of_instr partition d)
-                 ~reads:unique ~extra_uncovered:(shared_reads <> []))
-          end)
-        members
+  let du = ctx.Context.duchain in
+  let reaching = ctx.Context.reaching in
+  let fresh () =
+    let id = !next_id in
+    incr next_id;
+    id
+  in
+  let reads_of d = List.init (Analysis.Duchain.num_reads du d) (Analysis.Duchain.read_operand du d) in
+  let defs = List.init (Analysis.Duchain.group_size du g) (Analysis.Duchain.group_member du g) in
+  let first = List.hd defs in
+  let reg = Option.get (Ir.Kernel.instr k first).Ir.Instr.dst in
+  let is_ll d = Ir.Instr.is_long_latency (Ir.Kernel.instr k d) in
+  let strand = Strand.Partition.strand_of_instr partition first in
+  let same_strand_defs =
+    List.for_all (fun d -> Strand.Partition.strand_of_instr partition d = strand) defs
+  in
+  if same_strand_defs && not (List.exists is_ll defs) then begin
+    (* One instance's reads are already ascending and distinct; a
+       merged group's share their join reads. *)
+    let reads =
+      match defs with
+      | [ d ] -> reads_of d
+      | _ -> List.sort_uniq Int.compare (List.concat_map reads_of defs)
+    in
+    [ make_write_unit config ctx ~id:(fresh ()) ~defs ~reg ~strand ~reads ~extra_uncovered:false ]
+  end
+  else
+    (* Per-definition fallback: cover only uniquely reached reads. *)
+    List.filter_map
+      (fun d ->
+        if is_ll d then None
+        else begin
+          let unique, shared_reads =
+            List.partition
+              (fun o ->
+                let instr_id = read_instr o and slot = read_slot o in
+                Analysis.Reaching.num_reaching reaching ~instr_id ~slot = 1
+                && Analysis.Reaching.nth_reaching reaching ~instr_id ~slot 0 = d)
+              (reads_of d)
+          in
+          Some
+            (make_write_unit config ctx ~id:(fresh ()) ~defs:[ d ] ~reg
+               ~strand:(Strand.Partition.strand_of_instr partition d)
+               ~reads:unique ~extra_uncovered:(shared_reads <> []))
+        end)
+      defs
 
-(* Build read units (Sec. 4.4): per (strand, register), reads whose
-   reaching definitions all lie outside the strand.
+(* Build read units (Sec. 4.4), numbered from [first_id]: per (strand,
+   register), reads whose reaching definitions all lie outside the
+   strand.
 
    Strands are layout intervals, so walking the kernel visits each
    (strand, register) group in one stretch: [cell] holds the current
-   strand's group of each register, and a group is added to [table]
-   once, when it is first seen.  The table fixes the units' order: the
-   interval sort below is stable, so ties keep [Hashtbl.fold]'s order
-   over those keys. *)
-let build_read_units (ctx : Context.t) =
+   strand's group of each register, and the walk numbers the groups in
+   the order it first sees them and files each read under its group
+   ([read_group], by operand index).
+
+   The units are ordered by interval, and equal intervals keep the
+   order in which the allocator has always listed them: a [Hashtbl]
+   keyed by [(strand, reg)] (created at 64 buckets, doubling whenever
+   it holds more than twice as many keys as buckets) folded into a
+   list.  The fold visits buckets in index order, each newest key
+   first, and conses, so the list runs from the last bucket down, each
+   bucket oldest key first; a bucket is [Hashtbl.hash (strand, reg)]
+   masked by the final bucket count.  Sorting on (interval, bucket
+   descending, group number) reproduces that order without the table,
+   whose buckets and keys would be pointers stored into a major-heap
+   array. *)
+let build_read_units (ctx : Context.t) ~first_id =
   let k = ctx.Context.kernel in
   let partition = ctx.Context.partition in
   let reaching = ctx.Context.reaching in
-  let table : (int * Ir.Reg.t, Analysis.Duchain.read list ref) Hashtbl.t = Hashtbl.create 64 in
-  let cell = Array.make k.Ir.Kernel.num_regs (ref []) in
-  let cell_strand = Array.make k.Ir.Kernel.num_regs (-1) in
-  Ir.Kernel.iter_instrs k (fun _ i ->
+  let nr = k.Ir.Kernel.num_regs in
+  let read_group = Array.make (Ir.Kernel.instr_count k * Ir.Instr.num_slots) (-1) in
+  let cell = Array.make nr (-1) and cell_strand = Array.make nr (-1) in
+  let groups = ref 0 in
+  let rec outside id slot strand j =
+    j >= Analysis.Reaching.num_reaching reaching ~instr_id:id ~slot
+    || Strand.Partition.strand_of_instr partition
+         (Analysis.Reaching.nth_reaching reaching ~instr_id:id ~slot j)
+       <> strand
+       && outside id slot strand (j + 1)
+  in
+  let rec scan id strand slot = function
+    | [] -> ()
+    | r :: rest ->
+      if outside id slot strand 0 then begin
+        if cell_strand.(r) <> strand then begin
+          cell_strand.(r) <- strand;
+          cell.(r) <- !groups;
+          incr groups
+        end;
+        read_group.(Analysis.Duchain.operand ~instr_id:id ~slot) <- cell.(r)
+      end;
+      scan id strand (slot + 1) rest
+  in
+  Array.iter
+    (fun (i : Ir.Instr.t) ->
       let id = i.Ir.Instr.id in
-      let strand = Strand.Partition.strand_of_instr partition id in
-      List.iteri
-        (fun slot r ->
-          let defs = Analysis.Reaching.reaching_operand reaching ~instr_id:id ~slot in
-          let all_outside =
-            List.for_all (fun d -> Strand.Partition.strand_of_instr partition d <> strand) defs
-          in
-          if all_outside then begin
-            if cell_strand.(r) <> strand then begin
-              cell_strand.(r) <- strand;
-              cell.(r) <- ref [];
-              Hashtbl.add table (strand, r) cell.(r)
-            end;
-            cell.(r) := { Analysis.Duchain.read_instr = id; slot } :: !(cell.(r))
-          end)
-        i.Ir.Instr.srcs);
-  Hashtbl.fold
-    (fun (strand, reg) reads acc ->
-      (* Collected in reverse layout order, each (instr, slot) once. *)
-      match List.rev !reads with
-      | [] | [ _ ] -> acc  (* a single read cannot profit *)
-      | first :: rest ->
-        (* Later reads must be dominated by the fill read so the ORF
-           copy exists on every path — and must execute strictly after
-           it: the fill cannot serve another slot of its own
-           instruction. *)
-        let dominated =
-          List.filter
-            (fun (r : Analysis.Duchain.read) ->
-              r.Analysis.Duchain.read_instr > first.Analysis.Duchain.read_instr
-              && Analysis.Dominance.instr_dominates k ctx.Context.dominance
-                   first.Analysis.Duchain.read_instr r.Analysis.Duchain.read_instr)
-            rest
-        in
-        if dominated = [] then acc
-        else
-          let c =
-            {
-              id = -1;
-              kind = Read_unit;
-              reg;
-              strand;
-              covered = first :: dominated;
-              mrf_write_required = true;
-              width = 1;
-              producer_dp = Energy.Model.Private;
-              lrf_bank = None;
-            }
-          in
-          (interval_of c, c) :: acc)
-    table []
-  |> List.stable_sort (fun ((f1, l1), _) ((f2, l2), _) ->
-         let c = Int.compare f1 f2 in
-         if c <> 0 then c else Int.compare l1 l2)
-  |> List.map snd
+      scan id (Strand.Partition.strand_of_instr partition id) 0 i.Ir.Instr.srcs)
+    k.Ir.Kernel.instrs;
+  let groups = !groups in
+  (* Each group's reads in layout order: [reads.(start.(g) ..
+     start.(g + 1) - 1)]. *)
+  let start = Array.make (groups + 1) 0 in
+  Array.iter (fun g -> if g >= 0 then start.(g + 1) <- start.(g + 1) + 1) read_group;
+  for g = 1 to groups do
+    start.(g) <- start.(g) + start.(g - 1)
+  done;
+  let reads = Array.make start.(groups) 0 in
+  let next = Array.sub start 0 groups in
+  Array.iteri
+    (fun o g ->
+      if g >= 0 then begin
+        reads.(next.(g)) <- o;
+        next.(g) <- next.(g) + 1
+      end)
+    read_group;
+  let buckets =
+    let rec size n = if groups > 2 * n then size (2 * n) else n in
+    size 64
+  in
+  let units = ref [] in
+  for g = groups - 1 downto 0 do
+    (* A single read cannot profit. *)
+    if start.(g + 1) - start.(g) >= 2 then begin
+      (* Later reads must be dominated by the fill read so the ORF copy
+         exists on every path — and must execute strictly after it: the
+         fill cannot serve another slot of its own instruction. *)
+      let first = reads.(start.(g)) in
+      let fi = read_instr first in
+      let dominated = ref [] in
+      for j = start.(g + 1) - 1 downto start.(g) + 1 do
+        let o = reads.(j) in
+        if read_instr o > fi && Analysis.Dominance.instr_dominates k ctx.Context.dominance fi (read_instr o)
+        then dominated := o :: !dominated
+      done;
+      if !dominated <> [] then begin
+        let strand = Strand.Partition.strand_of_instr partition fi in
+        let reg = List.nth (Ir.Kernel.instr k fi).Ir.Instr.srcs (read_slot first) in
+        let covered = first :: !dominated in
+        let last = List.fold_left (fun acc o -> max acc (read_instr o)) fi covered in
+        let bucket = Hashtbl.hash (strand, reg) land (buckets - 1) in
+        units := (fi, max last (fi + 1), bucket, strand, reg, covered) :: !units
+      end
+    end
+  done;
+  List.stable_sort
+    (fun (f1, l1, b1, _, _, _) (f2, l2, b2, _, _, _) ->
+      let c = Int.compare f1 f2 in
+      if c <> 0 then c
+      else
+        let c = Int.compare l1 l2 in
+        if c <> 0 then c else Int.compare b2 b1)
+    !units
+  |> List.mapi (fun n (_, _, _, strand, reg, covered) ->
+         {
+           id = first_id + n;
+           kind = Read_unit;
+           reg;
+           strand;
+           covered;
+           mrf_write_required = true;
+           width = 1;
+           producer_dp = Energy.Model.Private;
+           lrf_bank = None;
+         })
 
 (* Report one allocation decision to the metrics registry and the
    audit sink (Obs.Audit). *)
@@ -355,12 +394,7 @@ let lrf_ineligibility config k c =
       config.Config.lrf = Config.Split
       && (match c.covered with
          | [] -> false
-         | r0 :: rest ->
-           not
-             (List.for_all
-                (fun (r : Analysis.Duchain.read) ->
-                  r.Analysis.Duchain.slot = r0.Analysis.Duchain.slot)
-                rest))
+         | o0 :: rest -> not (List.for_all (fun o -> read_slot o = read_slot o0) rest))
     then "covered reads span operand slots"
     else "not LRF-eligible"
 
@@ -380,11 +414,7 @@ let emit_decisions k trails units =
           first;
           last;
           defs = (match c.kind with Write_unit { defs } -> defs | Read_unit -> []);
-          covered =
-            List.map
-              (fun (r : Analysis.Duchain.read) ->
-                (r.Analysis.Duchain.read_instr, r.Analysis.Duchain.slot))
-              c.covered;
+          covered = List.map (fun o -> (read_instr o, read_slot o)) c.covered;
           dropped_reads = t.t_initial_reads - List.length c.covered;
           mrf_copy = c.mrf_write_required;
           candidates = List.filter_map Fun.id [ t.t_lrf; t.t_orf ];
@@ -392,8 +422,8 @@ let emit_decisions k trails units =
         })
     units
 
-(* Per-instruction static occupancy of one strand-local structure, for
-   the counter tracks: entries reserved over [at, at+1). *)
+(* Per-instruction static occupancy of one structure, for the counter
+   tracks: entries reserved over [at, at+1). *)
 let occupied_at occ ~at =
   let n = Occupancy.entries occ in
   let c = ref 0 in
@@ -408,27 +438,28 @@ let run_inner config (ctx : Context.t) =
   let duchain = ctx.Context.duchain in
   (* Sampled once per run: the allocator hot path sees one bool. *)
   let ex = Obs.Explain.is_enabled () in
-  (* Write units: one per def-use group, visiting each group once
-     (group ids are instruction ids). *)
-  let seen_groups = Array.make (Ir.Kernel.instr_count k) false in
-  let write_units =
-    List.concat_map
-      (fun (inst : Analysis.Duchain.instance) ->
-        let g = inst.Analysis.Duchain.group in
-        if seen_groups.(g) then []
-        else begin
-          seen_groups.(g) <- true;
-          build_write_units config ctx (Analysis.Duchain.group_members duchain g)
-        end)
-      (Analysis.Duchain.instances duchain)
+  (* Write units: one per def-use group, visiting each group once, at
+     its first def in layout order (group ids are instruction ids).
+     Ids are dense: write units first, then read units, in construction
+     order; every later phase keys its per-candidate arrays by id. *)
+  let ni = Ir.Kernel.instr_count k in
+  let seen_groups = Array.make ni false in
+  let next_id = ref 0 in
+  let rev_write_units = ref [] in
+  for d = 0 to ni - 1 do
+    if Analysis.Duchain.is_def duchain d then begin
+      let g = Analysis.Duchain.group_of duchain d in
+      if not seen_groups.(g) then begin
+        seen_groups.(g) <- true;
+        rev_write_units := List.rev_append (build_write_units config ctx next_id g) !rev_write_units
+      end
+    end
+  done;
+  let write_units = List.rev !rev_write_units in
+  let nw = !next_id in
+  let read_units =
+    if config.Config.read_operands then build_read_units ctx ~first_id:nw else []
   in
-  let read_units = if config.Config.read_operands then build_read_units ctx else [] in
-  (* Dense ids: write units first, then read units, in construction
-     order.  Every later phase works on the renumbered copies and keys
-     its per-candidate arrays by id. *)
-  let write_units = List.mapi (fun i c -> { c with id = i }) write_units in
-  let nw = List.length write_units in
-  let read_units = List.mapi (fun i c -> { c with id = nw + i }) read_units in
   let all_units = write_units @ read_units in
   let ncands = nw + List.length read_units in
   (* Each candidate's savings at each level, computed once.  LRF
@@ -481,10 +512,11 @@ let run_inner config (ctx : Context.t) =
                 }
         end)
       all_units;
-  (* Per-strand occupancy maps. *)
-  let num_strands = Strand.Partition.num_strands ctx.Context.partition in
-  let orf_occ = Array.init num_strands (fun _ -> Occupancy.create ~entries:config.Config.orf_entries) in
-  let lrf_occ = Array.init num_strands (fun _ -> Occupancy.create ~entries:(Config.lrf_banks config)) in
+  (* One occupancy map per structure serves every strand: a unit's
+     interval lies within its strand, and strands are disjoint layout
+     intervals. *)
+  let orf_occ = Occupancy.create ~entries:config.Config.orf_entries in
+  let lrf_occ = Occupancy.create ~entries:(Config.lrf_banks config) in
   let stats = ref { write_units = List.length write_units; read_units = List.length read_units;
                     lrf_allocated = 0; orf_allocated = 0; partial_allocated = 0 } in
   (* Phase 1: LRF. *)
@@ -496,18 +528,18 @@ let run_inner config (ctx : Context.t) =
       let first, last = interval_of c in
       let bank =
         match config.Config.lrf, c.lrf_bank with
-        | Config.Unified, Some b -> if Occupancy.available lrf_occ.(c.strand) ~entry:b ~first ~last then Some b else None
+        | Config.Unified, Some b -> if Occupancy.available lrf_occ ~entry:b ~first ~last then Some b else None
         | Config.Split, Some b ->
           (* A candidate with no covered reads may use any free bank. *)
-          if c.covered = [] then Occupancy.find_free lrf_occ.(c.strand) ~width:1 ~first ~last
-          else if Occupancy.available lrf_occ.(c.strand) ~entry:b ~first ~last then Some b
+          if c.covered = [] then Occupancy.find_free lrf_occ ~width:1 ~first ~last
+          else if Occupancy.available lrf_occ ~entry:b ~first ~last then Some b
           else None
         | (Config.No_lrf | Config.Unified | Config.Split), None -> None
         | Config.No_lrf, Some _ -> None
       in
       match bank with
       | Some b ->
-        Occupancy.reserve lrf_occ.(c.strand) ~entry:b ~first ~last;
+        Occupancy.reserve lrf_occ ~entry:b ~first ~last;
         lrf_allocs := (c, b) :: !lrf_allocs;
         in_lrf.(c.id) <- true;
         audit_alloc `Lrf c ~savings ~slot:b ~partial:false;
@@ -569,9 +601,9 @@ let run_inner config (ctx : Context.t) =
     end
     else begin
       let first, last = interval_of c in
-      match Occupancy.find_free orf_occ.(c.strand) ~width:c.width ~first ~last with
+      match Occupancy.find_free orf_occ ~width:c.width ~first ~last with
       | Some e ->
-        Occupancy.reserve_range orf_occ.(c.strand) ~entry:e ~width:c.width ~first ~last;
+        Occupancy.reserve_range orf_occ ~entry:e ~width:c.width ~first ~last;
         orf_allocs := (c, e) :: !orf_allocs;
         audit_alloc `Orf c ~savings:s ~slot:e ~partial:shortened;
         if ex then begin
@@ -605,9 +637,7 @@ let run_inner config (ctx : Context.t) =
   (* Emit placements. *)
   let set_covered_srcs level c =
     List.iter
-      (fun (r : Analysis.Duchain.read) ->
-        Placement.set_src placement ~instr:r.Analysis.Duchain.read_instr
-          ~pos:r.Analysis.Duchain.slot level)
+      (fun o -> Placement.set_src placement ~instr:(read_instr o) ~pos:(read_slot o) level)
       c.covered
   in
   List.iter
@@ -636,12 +666,11 @@ let run_inner config (ctx : Context.t) =
         (match c.covered with
          | [] -> assert false
          | fill :: rest ->
-           Placement.add_fill placement ~instr:fill.Analysis.Duchain.read_instr
-             ~pos:fill.Analysis.Duchain.slot ~entry;
+           Placement.add_fill placement ~instr:(read_instr fill) ~pos:(read_slot fill) ~entry;
            List.iter
-             (fun (r : Analysis.Duchain.read) ->
-               Placement.set_src placement ~instr:r.Analysis.Duchain.read_instr
-                 ~pos:r.Analysis.Duchain.slot (Placement.From_orf entry))
+             (fun o ->
+               Placement.set_src placement ~instr:(read_instr o) ~pos:(read_slot o)
+                 (Placement.From_orf entry))
              rest))
     !orf_allocs;
   if ex then emit_decisions k trails all_units;
@@ -650,11 +679,10 @@ let run_inner config (ctx : Context.t) =
   if Obs.Counters.is_enabled () then begin
     let n = Ir.Kernel.instr_count k in
     for i = 0 to n - 1 do
-      let strand = Strand.Partition.strand_of_instr ctx.Context.partition i in
       Obs.Counters.sample "alloc.orf_occupancy" ~at:(float_of_int i)
-        (float_of_int (occupied_at orf_occ.(strand) ~at:i));
+        (float_of_int (occupied_at orf_occ ~at:i));
       Obs.Counters.sample "alloc.lrf_occupancy" ~at:(float_of_int i)
-        (float_of_int (occupied_at lrf_occ.(strand) ~at:i))
+        (float_of_int (occupied_at lrf_occ ~at:i))
     done
   end;
   let s = !stats in

@@ -8,7 +8,15 @@
     another value is last read may reuse its entry — this is what lets
     a dependence chain flow through a single LRF bank.  A write always
     occupies at least its own slot, so callers pass
-    [last = max (last_read, first + 1)]. *)
+    [last = max (last_read, first + 1)].
+
+    Cost model: each entry is a row of bits over positions, so the
+    structure is one [int array] of [entries x positions / 63] words
+    (grown when a reservation reaches past it): [available] and
+    [reserve] cost one word per 63 positions the interval spans.  One
+    structure can therefore serve every strand of a kernel at once —
+    strands are disjoint layout intervals, so their reservations never
+    meet. *)
 
 type t
 
@@ -18,7 +26,8 @@ val create : entries:int -> t
 val entries : t -> int
 
 val available : t -> entry:int -> first:int -> last:int -> bool
-(** Is [[first, last)] free on the entry?  [last] must be > [first]. *)
+(** Is [[first, last)] free on the entry?  [last] must be > [first].
+    @raise Invalid_argument if [first < 0]. *)
 
 val reserve : t -> entry:int -> first:int -> last:int -> unit
 (** @raise Invalid_argument if the interval overlaps an existing

@@ -9,42 +9,125 @@ type dest = {
   to_mrf : bool;
 }
 
+(* Every per-instruction table holds immediates.  A destination is three
+   ints: [dst_mrf] is -1 for an instruction with no result, else 1 iff
+   the MRF is written; [dst_lrf]/[dst_orf] hold the bank or entry, or
+   [absent].  A source level is [level_tag lor (index lsl 2)], at
+   [src_start.(id) + pos]. *)
 type t = {
-  dsts : dest option array;
-  srcs : level array array;
+  dst_mrf : int array;
+  dst_lrf : int array;
+  dst_orf : int array;
+  src_start : int array;
+  srcs : int array;
   fills : (int * int) list array;
 }
+
+let absent = min_int
+let tag_mrf = 0
+let tag_orf = 1
+let tag_lrf = 2
+
+let code_of_level = function
+  | From_mrf -> tag_mrf
+  | From_orf e -> tag_orf lor (e lsl 2)
+  | From_lrf b -> tag_lrf lor (b lsl 2)
+
+(* The levels and destinations a placement can hold within the
+   hardware's bounds (ORF entries below Energy.Params.max_orf_entries,
+   one LRF bank per operand slot), built once: reading them back hands
+   out these shared cells and allocates nothing.  Anything outside the
+   bounds (only a corrupted placement holds such) is decoded fresh. *)
+let max_orf = Energy.Params.max_orf_entries
+let max_lrf = Ir.Instr.num_slots
+let orf_levels = Array.init max_orf (fun e -> From_orf e)
+let lrf_levels = Array.init max_lrf (fun b -> From_lrf b)
+
+let level_of_code c =
+  let i = c asr 2 in
+  match c land 3 with
+  | 0 -> From_mrf
+  | 1 -> if i >= 0 && i < max_orf then orf_levels.(i) else From_orf i
+  | _ -> if i >= 0 && i < max_lrf then lrf_levels.(i) else From_lrf i
+
+let option_of_code c = if c = absent then None else Some c
+
+(* [dest_cells] index: (lrf + 1, orf + 1, mrf) for lrf in [-1, max_lrf)
+   and orf in [-1, max_orf), -1 standing for None. *)
+let dest_cell_index ~lrf ~orf ~mrf = ((((lrf + 1) * (max_orf + 1)) + orf + 1) * 2) + mrf
+
+let dest_cells =
+  Array.init
+    ((max_lrf + 1) * (max_orf + 1) * 2)
+    (fun i ->
+      let mrf = i mod 2 and orf = (i / 2 mod (max_orf + 1)) - 1 and lrf = (i / 2 / (max_orf + 1)) - 1 in
+      Some
+        {
+          to_lrf = (if lrf < 0 then None else Some lrf);
+          to_orf = (if orf < 0 then None else Some orf);
+          to_mrf = mrf = 1;
+        })
 
 let mrf_only = { to_lrf = None; to_orf = None; to_mrf = true }
 
 let baseline (k : Ir.Kernel.t) =
   let n = Ir.Kernel.instr_count k in
-  let dsts = Array.make n None in
-  let srcs = Array.make n [||] in
-  let fills = Array.make n [] in
-  Ir.Kernel.iter_instrs k (fun _ i ->
+  let dst_mrf = Array.make n (-1) in
+  let src_start = Array.make (n + 1) 0 in
+  Array.iter
+    (fun (i : Ir.Instr.t) ->
       let id = i.Ir.Instr.id in
-      if Option.is_some i.Ir.Instr.dst then dsts.(id) <- Some mrf_only;
-      srcs.(id) <- Array.make (List.length i.Ir.Instr.srcs) From_mrf);
-  { dsts; srcs; fills }
+      if Option.is_some i.Ir.Instr.dst then dst_mrf.(id) <- 1;
+      src_start.(id + 1) <- src_start.(id) + List.length i.Ir.Instr.srcs)
+    k.Ir.Kernel.instrs;
+  {
+    dst_mrf;
+    dst_lrf = Array.make n absent;
+    dst_orf = Array.make n absent;
+    src_start;
+    srcs = Array.make src_start.(n) tag_mrf;
+    fills = Array.make n [];
+  }
 
-let dest t ~instr = t.dsts.(instr)
-let src t ~instr ~pos = t.srcs.(instr).(pos)
+let instr_count t = Array.length t.dst_mrf
+let arity t ~instr = t.src_start.(instr + 1) - t.src_start.(instr)
+
+let dest t ~instr =
+  let mrf = t.dst_mrf.(instr) in
+  if mrf < 0 then None
+  else begin
+    let lrf = t.dst_lrf.(instr) and orf = t.dst_orf.(instr) in
+    let lrf_i = if lrf = absent then -1 else lrf and orf_i = if orf = absent then -1 else orf in
+    if lrf_i >= -1 && lrf_i < max_lrf && orf_i >= -1 && orf_i < max_orf then
+      dest_cells.(dest_cell_index ~lrf:lrf_i ~orf:orf_i ~mrf)
+    else Some { to_lrf = option_of_code lrf; to_orf = option_of_code orf; to_mrf = mrf = 1 }
+  end
+
+let src_index t ~instr ~pos =
+  if pos < 0 || pos >= arity t ~instr then invalid_arg "index out of bounds";
+  t.src_start.(instr) + pos
+
+let src t ~instr ~pos = level_of_code t.srcs.(src_index t ~instr ~pos)
 let fills_of t ~instr = t.fills.(instr)
 
 let within t ~orf_entries =
-  let level = function From_orf e when e >= orf_entries -> From_mrf | l -> l in
-  let targets d =
-    match d.to_orf with Some e when e >= orf_entries -> { d with to_orf = None } | _ -> d
-  in
+  let drop e = if e <> absent && e >= orf_entries then absent else e in
+  let level c = if c land 3 = tag_orf && c asr 2 >= orf_entries then tag_mrf else c in
   {
-    dsts = Array.map (Option.map targets) t.dsts;
-    srcs = Array.map (Array.map level) t.srcs;
+    dst_mrf = Array.copy t.dst_mrf;
+    dst_lrf = Array.copy t.dst_lrf;
+    dst_orf = Array.map drop t.dst_orf;
+    src_start = Array.copy t.src_start;
+    srcs = Array.map level t.srcs;
     fills = Array.map (List.filter (fun (_, e) -> e < orf_entries)) t.fills;
   }
 
-let set_dest t ~instr d = t.dsts.(instr) <- Some d
-let set_src t ~instr ~pos level = t.srcs.(instr).(pos) <- level
+let set_dest t ~instr d =
+  t.dst_mrf.(instr) <- (if d.to_mrf then 1 else 0);
+  t.dst_lrf.(instr) <- Option.value ~default:absent d.to_lrf;
+  t.dst_orf.(instr) <- Option.value ~default:absent d.to_orf
+
+let set_src t ~instr ~pos level = t.srcs.(src_index t ~instr ~pos) <- code_of_level level
 let add_fill t ~instr ~pos ~entry = t.fills.(instr) <- (pos, entry) :: t.fills.(instr)
 
 let level_name = function
@@ -52,16 +135,19 @@ let level_name = function
   | From_orf e -> Printf.sprintf "ORF[%d]" e
   | From_mrf -> "MRF"
 
+let shape_matches (k : Ir.Kernel.t) t =
+  instr_count t = Ir.Kernel.instr_count k
+  && Array.for_all (fun (i : Ir.Instr.t) -> arity t ~instr:i.Ir.Instr.id = List.length i.Ir.Instr.srcs)
+       k.Ir.Kernel.instrs
+
 let check_shape (k : Ir.Kernel.t) t =
-  let n = Ir.Kernel.instr_count k in
-  if Array.length t.dsts <> n || Array.length t.srcs <> n || Array.length t.fills <> n then
-    Error "placement arrays do not match the kernel"
+  if instr_count t <> Ir.Kernel.instr_count k then Error "placement arrays do not match the kernel"
   else begin
     let problem = ref None in
     let fail fmt = Printf.ksprintf (fun s -> if !problem = None then problem := Some s) fmt in
     Ir.Kernel.iter_instrs k (fun _ i ->
         let id = i.Ir.Instr.id in
-        (match t.dsts.(id), i.Ir.Instr.dst with
+        (match dest t ~instr:id, i.Ir.Instr.dst with
          | None, Some _ -> fail "instr %d: result without destination placement" id
          | Some _, None -> fail "instr %d: destination placement without result" id
          | None, None -> ()
@@ -70,7 +156,7 @@ let check_shape (k : Ir.Kernel.t) t =
              fail "instr %d: destination written nowhere" id;
            if d.to_lrf <> None && d.to_orf <> None then
              fail "instr %d: destination written to both LRF and ORF" id);
-        if Array.length t.srcs.(id) <> List.length i.Ir.Instr.srcs then
+        if arity t ~instr:id <> List.length i.Ir.Instr.srcs then
           fail "instr %d: source placement arity mismatch" id);
     match !problem with None -> Ok () | Some msg -> Error msg
   end

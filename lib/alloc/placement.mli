@@ -21,11 +21,15 @@ type dest = {
   to_mrf : bool;
 }
 
-type t = {
-  dsts : dest option array;        (** by instr id; [None] iff no result *)
-  srcs : level array array;        (** by instr id, per source position *)
-  fills : (int * int) list array;  (** by instr id: (source position, ORF entry) *)
-}
+type t
+(** Cost model: every per-instruction table is an [int array] of codes
+    (three for the destination, one per source operand in compressed
+    rows), so a placement of any size stores no pointer and a minor
+    collection promotes none of it; only the rare fills are lists.
+    {!dest} and {!src} decode to shared cells built once for every level
+    and destination within the hardware's bounds
+    ([Energy.Params.max_orf_entries] ORF entries, one LRF bank per
+    operand slot), so reading a placement allocates nothing. *)
 
 val mrf_only : dest
 
@@ -33,8 +37,25 @@ val baseline : Ir.Kernel.t -> t
 (** Everything in the MRF — the paper's single-level baseline. *)
 
 val dest : t -> instr:int -> dest option
+(** [None] iff the instruction has no result. *)
+
 val src : t -> instr:int -> pos:int -> level
+(** @raise Invalid_argument if [pos] is not below the instruction's
+    source count. *)
+
 val fills_of : t -> instr:int -> (int * int) list
+(** (source position, ORF entry) pairs, most recently added first. *)
+
+val instr_count : t -> int
+(** The number of instructions the placement covers. *)
+
+val arity : t -> instr:int -> int
+(** The number of source positions the placement holds for the
+    instruction. *)
+
+val shape_matches : Ir.Kernel.t -> t -> bool
+(** Does the placement cover the kernel's instructions, with each
+    instruction's source count? *)
 
 val within : t -> orf_entries:int -> t
 (** [within p ~orf_entries:n] is [p] on an ORF of its first [n]
@@ -48,8 +69,9 @@ val set_src : t -> instr:int -> pos:int -> level -> unit
 val add_fill : t -> instr:int -> pos:int -> entry:int -> unit
 
 val check_shape : Ir.Kernel.t -> t -> (unit, string) result
-(** Structural checks only (verification proper is {!Verify}): array
-    shapes match the kernel; every result has a destination with at
-    least one target and not LRF+ORF together. *)
+(** Structural checks only (verification proper is {!Verify}): the
+    placement's shape matches the kernel ({!shape_matches}); every
+    result has a destination with at least one target and not LRF+ORF
+    together. *)
 
 val level_name : level -> string

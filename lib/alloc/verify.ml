@@ -8,39 +8,18 @@ type state = {
   mrf_ok : Util.Bitset.t;  (* per register: MRF copy is current *)
 }
 
-let copy s = { orf = Array.copy s.orf; lrf = Array.copy s.lrf; mrf_ok = Util.Bitset.copy s.mrf_ok }
-
-let copy_into ~dst src =
-  Array.blit src.orf 0 dst.orf 0 (Array.length src.orf);
-  Array.blit src.lrf 0 dst.lrf 0 (Array.length src.lrf);
-  Util.Bitset.clear_all dst.mrf_ok;
-  ignore (Util.Bitset.union_into ~dst:dst.mrf_ok src.mrf_ok)
-
-(* Meets [src] into [dst] in place; returns whether [dst] changed. *)
-let meet_into ~dst src =
-  let meet_cells d s =
-    let changed = ref false in
-    for i = 0 to Array.length d - 1 do
-      if d.(i) <> bottom && d.(i) <> s.(i) then begin
-        d.(i) <- bottom;
-        changed := true
-      end
-    done;
-    !changed
-  in
-  let orf = meet_cells dst.orf src.orf in
-  let lrf = meet_cells dst.lrf src.lrf in
-  Util.Bitset.inter_into ~dst:dst.mrf_ok src.mrf_ok || orf || lrf
-
-(* The replay indexes the placement by instruction and source position:
-   it needs arrays of the kernel's length and every arity to match. *)
-let replayable (k : Ir.Kernel.t) (p : Placement.t) =
-  let n = Ir.Kernel.instr_count k in
-  Array.length p.Placement.dsts = n
-  && Array.length p.Placement.srcs = n
-  && Array.length p.Placement.fills = n
-  && Ir.Kernel.fold_instrs k ~init:true ~f:(fun ok _ i ->
-         ok && Array.length p.Placement.srcs.(i.Ir.Instr.id) = List.length i.Ir.Instr.srcs)
+(* Meets [src]'s cells into the [n] cells of [d] from [off] in place;
+   returns whether they changed. *)
+let meet_cells d off (s : int array) n =
+  let changed = ref false in
+  for i = 0 to n - 1 do
+    let x = d.(off + i) in
+    if x <> bottom && x <> s.(i) then begin
+      d.(off + i) <- bottom;
+      changed := true
+    end
+  done;
+  !changed
 
 (* Replays [placement] over the CFG and reports every violation, after
    [shape]'s finding if any. *)
@@ -53,22 +32,23 @@ let replay_check (config : Config.t) (ctx : Context.t) (placement : Placement.t)
   let nr = k.Ir.Kernel.num_regs in
   let orf_entries = config.Config.orf_entries in
   let lrf_banks = Config.lrf_banks config in
+  let no = max orf_entries 1 and nl = max lrf_banks 1 in
   let fresh_state () =
-    {
-      orf = Array.make (max orf_entries 1) bottom;
-      lrf = Array.make (max lrf_banks 1) bottom;
-      mrf_ok = Util.Bitset.create nr;
-    }
+    { orf = Array.make no bottom; lrf = Array.make nl bottom; mrf_ok = Util.Bitset.create nr }
   in
-  (* Block-entry states, [None] until the block is reached; block 0
-     starts with every register's MRF copy current (kernel inputs live
-     in the MRF). *)
-  let entry = Array.make nb None in
-  let start = fresh_state () in
-  Util.Bitset.fill_all start.mrf_ok;
-  entry.(0) <- Some start;
-  (* The one state every replay works in. *)
+  (* Block-entry states, one table each: block l's ORF and LRF cells at
+     [l * no] and [l * nl], its current-MRF-copy set in row l.  A block
+     holds a state once [reached]; block 0 starts with every register's
+     MRF copy current (kernel inputs live in the MRF). *)
+  let entry_orf = Array.make (nb * no) bottom and entry_lrf = Array.make (nb * nl) bottom in
+  let entry_mrf = Util.Bitset.matrix ~rows:nb nr in
+  let reached = Array.make nb false in
+  (* The one state every replay works in, and a scratch set for meets. *)
   let st = fresh_state () in
+  let meet_mrf = Util.Bitset.create nr in
+  Util.Bitset.fill_all st.mrf_ok;
+  Util.Bitset.store_row entry_mrf 0 st.mrf_ok;
+  reached.(0) <- true;
   let invalidate_holding cells r =
     for i = 0 to Array.length cells - 1 do
       if cells.(i) = r then cells.(i) <- bottom
@@ -161,9 +141,11 @@ let replay_check (config : Config.t) (ctx : Context.t) (placement : Placement.t)
        | Some b -> if report then error "instr %d: destination LRF bank %d out of range" id b
        | None -> ())
   in
-  (* Replays block [l] from entry state [e] in [st]. *)
-  let replay ~report l e =
-    copy_into ~dst:st e;
+  (* Replays block [l] from its entry state in [st]. *)
+  let replay ~report l =
+    Array.blit entry_orf (l * no) st.orf 0 no;
+    Array.blit entry_lrf (l * nl) st.lrf 0 nl;
+    Util.Bitset.load_row ~dst:st.mrf_ok entry_mrf l;
     let instrs = k.Ir.Kernel.blocks.(l).Ir.Block.instrs in
     for j = 0 to Array.length instrs - 1 do
       transfer ~report instrs.(j)
@@ -182,11 +164,21 @@ let replay_check (config : Config.t) (ctx : Context.t) (placement : Placement.t)
   (* Meets the replayed block's exit state into successor [s]. *)
   let propagate s =
     let changed =
-      match entry.(s) with
-      | Some e -> meet_into ~dst:e st
-      | None ->
-        entry.(s) <- Some (copy st);
+      if reached.(s) then begin
+        Util.Bitset.load_row ~dst:meet_mrf entry_mrf s;
+        let mrf = Util.Bitset.inter_into ~dst:meet_mrf st.mrf_ok in
+        if mrf then Util.Bitset.store_row entry_mrf s meet_mrf;
+        let orf = meet_cells entry_orf (s * no) st.orf no in
+        let lrf = meet_cells entry_lrf (s * nl) st.lrf nl in
+        mrf || orf || lrf
+      end
+      else begin
+        reached.(s) <- true;
+        Array.blit st.orf 0 entry_orf (s * no) no;
+        Array.blit st.lrf 0 entry_lrf (s * nl) nl;
+        Util.Bitset.store_row entry_mrf s st.mrf_ok;
         true
+      end
     in
     if changed then begin
       let q = rpo_index.(s) in
@@ -200,18 +192,18 @@ let replay_check (config : Config.t) (ctx : Context.t) (placement : Placement.t)
     if pending.(p) then begin
       pending.(p) <- false;
       let l = rpo.(p) in
-      replay ~report:false l (Option.get entry.(l));
+      replay ~report:false l;
       List.iter propagate cfg.Analysis.Cfg.succs.(l)
     end
   done;
   (* Final reporting pass, in block order; unreachable blocks are
      skipped. *)
   for l = 0 to nb - 1 do
-    match entry.(l) with Some e -> replay ~report:true l e | None -> ()
+    if reached.(l) then replay ~report:true l
   done;
   match !errors with [] -> Ok () | errs -> Error (List.rev errs)
 
 let check config (ctx : Context.t) placement =
   match Placement.check_shape ctx.Context.kernel placement with
-  | Error msg when not (replayable ctx.Context.kernel placement) -> Error [ msg ]
+  | Error msg when not (Placement.shape_matches ctx.Context.kernel placement) -> Error [ msg ]
   | shape -> replay_check config ctx placement shape

@@ -62,34 +62,50 @@ let backward_targets t =
   List.iter (fun (_, dst) -> targets.(dst) <- true) (backward_edges t);
   targets
 
-let solve_union t ~forward ~join ~transfer ~kill =
+(* A layout-order sweep (reverse unless [forward]) that revisits a
+   block only when [step] reported that one of its sources grew: [step
+   b] recomputes b from its sources and says whether b's output grew,
+   and b's sinks then become pending. *)
+let sweep t ~forward step =
   let nb = t.num_blocks in
-  let sources, sinks = if forward then (t.preds, t.succs) else (t.succs, t.preds) in
-  let tmp = Util.Bitset.create (if nb = 0 then 0 else Util.Bitset.capacity kill.(0)) in
+  let sinks = if forward then t.succs else t.preds in
   let pending = Array.make nb true in
-  let step = if forward then 1 else -1 in
+  let dir = if forward then 1 else -1 in
   let cursor = ref (if forward then 0 else nb - 1) in
   while !cursor >= 0 && !cursor < nb do
     let b = !cursor in
-    cursor := b + step;
+    cursor := b + dir;
     if pending.(b) then begin
       pending.(b) <- false;
-      let grew =
-        List.fold_left
-          (fun grew x -> Util.Bitset.union_into ~dst:join.(b) transfer.(x) || grew)
-          false sources.(b)
-      in
-      if grew then begin
-        Util.Bitset.clear_all tmp;
-        ignore (Util.Bitset.union_into ~dst:tmp join.(b));
-        ignore (Util.Bitset.diff_into ~dst:tmp kill.(b));
-        if Util.Bitset.union_into ~dst:transfer.(b) tmp then
-          List.iter
-            (fun x ->
-              pending.(x) <- true;
-              (* A sink the sweep has passed moves the cursor back. *)
-              if (x - !cursor) * step < 0 then cursor := x)
-            sinks.(b)
-      end
+      if step b then
+        List.iter
+          (fun x ->
+            pending.(x) <- true;
+            (* A sink the sweep has passed moves the cursor back. *)
+            if (x - !cursor) * dir < 0 then cursor := x)
+          sinks.(b)
     end
   done
+
+let solve_union t ~forward ~join ~transfer ~kill =
+  let sources = if forward then t.preds else t.succs in
+  sweep t ~forward (fun b ->
+      let grew =
+        List.fold_left
+          (fun grew x -> Util.Bitset.union_rows ~dst:join b transfer x || grew)
+          false sources.(b)
+      in
+      grew && Util.Bitset.union_diff_rows ~dst:transfer b join ~minus:kill)
+
+(* reach(b) is the union over b's successors s of {s} and reach(s): a
+   backward union problem whose join and transfer are the same row. *)
+let reach t =
+  let m = Util.Bitset.matrix ~rows:t.num_blocks t.num_blocks in
+  sweep t ~forward:false (fun b ->
+      List.fold_left
+        (fun grew s ->
+          let fresh = not (Util.Bitset.row_mem m b s) in
+          if fresh then Util.Bitset.row_set m b s;
+          Util.Bitset.union_rows ~dst:m b m s || fresh || grew)
+        false t.succs.(b));
+  m

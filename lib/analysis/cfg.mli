@@ -30,14 +30,21 @@ val backward_targets : t -> bool array
 val solve_union :
   t ->
   forward:bool ->
-  join:Util.Bitset.t array ->
-  transfer:Util.Bitset.t array ->
-  kill:Util.Bitset.t array ->
+  join:Util.Bitset.matrix ->
+  transfer:Util.Bitset.matrix ->
+  kill:Util.Bitset.matrix ->
   unit
 (** The least fixpoint of a union (may) dataflow problem, solved in
-    place: [join.(b)] becomes the union of [transfer] over b's
-    predecessors (successors unless [forward]), and [transfer.(b)]
-    grows by [join.(b) - kill.(b)].  Call it with empty joins and each
-    [transfer.(b)] holding b's gen set.  A layout-order sweep (reverse
-    unless [forward]) revisits a block only when one of its sources
-    grew, and allocates one scratch set. *)
+    place over three [blocks]-row matrices of one capacity: row b of
+    [join] becomes the union of [transfer]'s rows over b's predecessors
+    (successors unless [forward]), and row b of [transfer] grows by
+    [join - kill].  Call it with an empty [join] and each [transfer]
+    row holding b's gen set.  A layout-order sweep (reverse unless
+    [forward]) revisits a block only when one of its sources grew; it
+    allocates only its pending flags. *)
+
+val reach : t -> Util.Bitset.matrix
+(** [reach cfg]: bit [c] of row [b] is set iff block [c] can be reached
+    from block [b] over at least one edge (so [b]'s own bit is set iff
+    [b] is on a cycle).  [blocks x blocks] bits, solved like
+    {!solve_union} backward, one sweep plus a revisit per loop. *)

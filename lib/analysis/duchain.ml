@@ -7,19 +7,44 @@ type instance = {
   group : int;
 }
 
+(* Flat int tables, indexed by instruction id.  A read is coded as its
+   operand index [read_instr * num_slots + slot].  The reads of def d are
+   [reads.(read_start.(d) .. read_start.(d + 1) - 1)] and the members of
+   group g are [members.(member_start.(g) .. member_start.(g + 1) - 1)],
+   both in layout order. *)
 type t = {
-  instance_list : instance list;
-  by_def : instance option array;       (* by instr id *)
-  by_group : instance list array;       (* by group id (a def's instr id) *)
-  inputs : (Ir.Reg.t * read list) list;
-  multi_read_defs : bool array;         (* by instr id: def with a shared read *)
+  kernel : Ir.Kernel.t;
+  reaching : Reaching.t;
+  group_of : int array;  (* group id of a def, -1 for an instruction with no result *)
+  read_start : int array;
+  reads : int array;
+  member_start : int array;
+  members : int array;
+  multi_read_defs : Util.Bitset.t;  (* defs with a shared read *)
 }
+
+let operand ~instr_id ~slot = (instr_id * Ir.Instr.num_slots) + slot
+
+(* Turns per-index counts in [start.(i + 1)] into offsets: afterwards
+   index i's range begins at [start.(i)]. *)
+let prefix_sum start =
+  for i = 1 to Array.length start - 1 do
+    start.(i) <- start.(i) + start.(i - 1)
+  done
+
+(* Fills a counted CSR in one more pass: [start.(i)] serves as index i's
+   cursor, which leaves it at index i + 1's offset, so the offsets are
+   shifted back once the pass is done. *)
+let fill_csr start data visit =
+  visit (fun i x ->
+      data.(start.(i)) <- x;
+      start.(i) <- start.(i) + 1);
+  Array.blit start 0 start 1 (Array.length start - 1);
+  start.(0) <- 0
 
 let compute (k : Ir.Kernel.t) (reaching : Reaching.t) =
   let ni = Ir.Kernel.instr_count k in
-  let reads_of_def = Array.make ni [] in
-  let input_reads = Array.make k.Ir.Kernel.num_regs [] in
-  let multi = Array.make ni false in
+  let multi = Util.Bitset.create ni in
   (* Union-find over definition ids; the first operand of a union keeps
      its root, so group ids are the same whatever the path compression. *)
   let parent = Array.init ni Fun.id in
@@ -36,52 +61,107 @@ let compute (k : Ir.Kernel.t) (reaching : Reaching.t) =
     let ra = find a and rb = find b in
     if ra <> rb then parent.(rb) <- ra
   in
-  Ir.Kernel.iter_instrs k (fun _ i ->
+  (* Every (def, read) pair in layout order of the reads. *)
+  let each_read f =
+    Array.iter
+      (fun (i : Ir.Instr.t) ->
+        let id = i.Ir.Instr.id in
+        for slot = 0 to List.length i.Ir.Instr.srcs - 1 do
+          for n = 0 to Reaching.num_reaching reaching ~instr_id:id ~slot - 1 do
+            f (Reaching.nth_reaching reaching ~instr_id:id ~slot n) (operand ~instr_id:id ~slot)
+          done
+        done)
+      k.Ir.Kernel.instrs
+  in
+  (* Count each def's reads; a read reached by several defs unions them. *)
+  let read_start = Array.make (ni + 1) 0 in
+  Array.iter
+    (fun (i : Ir.Instr.t) ->
+      let id = i.Ir.Instr.id in
+      for slot = 0 to List.length i.Ir.Instr.srcs - 1 do
+        let n = Reaching.num_reaching reaching ~instr_id:id ~slot in
+        for j = 0 to n - 1 do
+          let d' = Reaching.nth_reaching reaching ~instr_id:id ~slot j in
+          if n > 1 then begin
+            union (Reaching.nth_reaching reaching ~instr_id:id ~slot 0) d';
+            Util.Bitset.set multi d'
+          end;
+          read_start.(d' + 1) <- read_start.(d' + 1) + 1
+        done
+      done)
+    k.Ir.Kernel.instrs;
+  prefix_sum read_start;
+  let reads = Array.make read_start.(ni) 0 in
+  fill_csr read_start reads each_read;
+  (* Groups: every def's root, then the members of each, in layout
+     order. *)
+  let group_of = Array.make ni (-1) in
+  let member_start = Array.make (ni + 1) 0 in
+  Array.iter
+    (fun (i : Ir.Instr.t) ->
+      if Option.is_some i.Ir.Instr.dst then begin
+        let g = find i.Ir.Instr.id in
+        group_of.(i.Ir.Instr.id) <- g;
+        member_start.(g + 1) <- member_start.(g + 1) + 1
+      end)
+    k.Ir.Kernel.instrs;
+  prefix_sum member_start;
+  let members = Array.make member_start.(ni) 0 in
+  fill_csr member_start members (fun f ->
+      for d = 0 to ni - 1 do
+        if group_of.(d) >= 0 then f group_of.(d) d
+      done);
+  { kernel = k; reaching; group_of; read_start; reads; member_start; members;
+    multi_read_defs = multi }
+
+let in_range t i = i >= 0 && i < Array.length t.group_of
+let is_def t d = in_range t d && t.group_of.(d) >= 0
+let group_of t d = t.group_of.(d)
+let num_reads t d = t.read_start.(d + 1) - t.read_start.(d)
+let read_operand t d n = t.reads.(t.read_start.(d) + n)
+let group_size t g = t.member_start.(g + 1) - t.member_start.(g)
+let group_member t g n = t.members.(t.member_start.(g) + n)
+
+let read_of_operand o = { read_instr = o / Ir.Instr.num_slots; slot = o mod Ir.Instr.num_slots }
+
+let instance t d =
+  {
+    def = d;
+    reg = Option.get (Ir.Kernel.instr t.kernel d).Ir.Instr.dst;
+    reads = List.init (num_reads t d) (fun n -> read_of_operand (read_operand t d n));
+    group = t.group_of.(d);
+  }
+
+let instances t =
+  let acc = ref [] in
+  for d = Array.length t.group_of - 1 downto 0 do
+    if is_def t d then acc := instance t d :: !acc
+  done;
+  !acc
+
+let instance_of_def t d = if is_def t d then Some (instance t d) else None
+
+let group_members t g =
+  if is_def t g && t.group_of.(g) = g then
+    List.init (group_size t g) (fun n -> instance t (group_member t g n))
+  else []
+
+let input_reads t =
+  let k = t.kernel in
+  let by_reg = Array.make k.Ir.Kernel.num_regs [] in
+  Array.iter
+    (fun (i : Ir.Instr.t) ->
       let id = i.Ir.Instr.id in
       List.iteri
         (fun slot r ->
-          let read = { read_instr = id; slot } in
-          match Reaching.reaching_operand reaching ~instr_id:id ~slot with
-          | [] -> input_reads.(r) <- read :: input_reads.(r)
-          | [ d ] -> reads_of_def.(d) <- read :: reads_of_def.(d)
-          | d :: _ as ds ->
-            List.iter
-              (fun d' ->
-                union d d';
-                multi.(d') <- true;
-                reads_of_def.(d') <- read :: reads_of_def.(d'))
-              ds)
-        i.Ir.Instr.srcs);
-  (* Walk the definitions backwards so every list comes out in layout
-     order. *)
-  let by_def = Array.make ni None in
-  let by_group = Array.make ni [] in
-  let instance_list = ref [] in
-  for def = ni - 1 downto 0 do
-    match (Ir.Kernel.instr k def).Ir.Instr.dst with
-    | None -> ()
-    | Some reg ->
-      let group = find def in
-      let inst = { def; reg; reads = List.rev reads_of_def.(def); group } in
-      by_def.(def) <- Some inst;
-      by_group.(group) <- inst :: by_group.(group);
-      instance_list := inst :: !instance_list
-  done;
+          if Reaching.num_reaching t.reaching ~instr_id:id ~slot = 0 then
+            by_reg.(r) <- { read_instr = id; slot } :: by_reg.(r))
+        i.Ir.Instr.srcs)
+    k.Ir.Kernel.instrs;
   let inputs = ref [] in
-  for r = Array.length input_reads - 1 downto 0 do
-    if input_reads.(r) <> [] then inputs := (r, List.rev input_reads.(r)) :: !inputs
+  for r = Array.length by_reg - 1 downto 0 do
+    if by_reg.(r) <> [] then inputs := (r, List.rev by_reg.(r)) :: !inputs
   done;
-  {
-    instance_list = !instance_list;
-    by_def;
-    by_group;
-    inputs = !inputs;
-    multi_read_defs = multi;
-  }
+  !inputs
 
-let in_range a i = i >= 0 && i < Array.length a
-let instances t = t.instance_list
-let instance_of_def t d = if in_range t.by_def d then t.by_def.(d) else None
-let group_members t g = if in_range t.by_group g then t.by_group.(g) else []
-let input_reads t = t.inputs
-let reads_of_instance_multi t inst = t.multi_read_defs.(inst.def)
+let reads_of_instance_multi t inst = Util.Bitset.mem t.multi_read_defs inst.def

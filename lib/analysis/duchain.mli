@@ -23,6 +23,38 @@ type instance = {
 type t
 
 val compute : Ir.Kernel.t -> Reaching.t -> t
+(** Cost model: two passes over the per-operand reaching table
+    ({!Reaching.num_reaching}) fill flat int tables by instruction id —
+    each def's group id, each def's reads and each group's members as
+    compressed rows (a read coded as its operand index [read_instr *
+    Ir.Instr.num_slots + slot]) — so nothing stored is a pointer and
+    nothing is promoted.  The walks below ({!num_reads},
+    {!read_operand}, {!group_size}, {!group_member}) are array reads
+    that allocate nothing; {!instances}, {!instance_of_def},
+    {!group_members} and {!input_reads} build their lists per call. *)
+
+val operand : instr_id:int -> slot:int -> int
+(** The operand index [instr_id * Ir.Instr.num_slots + slot] that codes
+    a read. *)
+
+val is_def : t -> int -> bool
+(** Does the instruction write a register? *)
+
+val group_of : t -> int -> int
+(** The group id of a def (the [group] of its instance). *)
+
+val num_reads : t -> int -> int
+(** How many reads the def reaches. *)
+
+val read_operand : t -> int -> int -> int
+(** [read_operand t d n]: the operand index of def [d]'s [n]th read, in
+    layout order. *)
+
+val group_size : t -> int -> int
+(** How many defs the group holds (0 unless the id is a group's). *)
+
+val group_member : t -> int -> int -> int
+(** [group_member t g n]: the [n]th def of group [g], in layout order. *)
 
 val instances : t -> instance list
 (** All instances in layout order of their definitions. *)

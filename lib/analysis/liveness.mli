@@ -9,22 +9,23 @@
     per kernel).
 
     Cost model: {!compute} solves the block-level dataflow and keeps
-    only the block live-in and live-out sets, [2 x blocks] bitsets of
-    [num_regs] bits.  Per-instruction sets are not stored: {!iter_live_after}
-    streams them from one backward walk per block over a single scratch
-    set, O(instructions + blocks x num_regs / 63) words touched. *)
+    only the block live-in and live-out sets, two [blocks x num_regs]
+    {!Util.Bitset.matrix}es (one [int array] each, so nothing the
+    solve stores is ever promoted).  Per-instruction sets are not
+    stored: {!iter_live_after} streams them from one backward walk per
+    block over a single scratch set, O(instructions + blocks x num_regs
+    / 63) words touched. *)
 
 type t
 
 val compute : Ir.Kernel.t -> Cfg.t -> t
 
 val live_in_bits : t -> int -> Util.Bitset.t
-(** Live registers at block entry, as the analysis's own bitset — no
-    materialisation.  Treat as read-only: it is the stored dataflow
-    fact, not a copy. *)
+(** Live registers at block entry, as a fresh bitset copied from the
+    stored row: O(num_regs / 63) words. *)
 
 val live_out_bits : t -> int -> Util.Bitset.t
-(** Live registers at block exit; same aliasing caveat. *)
+(** Live registers at block exit, as a fresh bitset. *)
 
 val iter_live_after : t -> (Ir.Instr.t -> Util.Bitset.t -> unit) -> unit
 (** [iter_live_after t f] calls [f i live] once per instruction, with
@@ -35,8 +36,8 @@ val iter_live_after : t -> (Ir.Instr.t -> Util.Bitset.t -> unit) -> unit
     after [i]. *)
 
 val live_in : t -> int -> Ir.Reg.Set.t
-(** Live registers at block entry.  Materialises a fresh set per call —
-    prefer {!live_in_bits} on hot paths. *)
+(** Live registers at block entry, as a register set (materialised per
+    call). *)
 
 val live_out : t -> int -> Ir.Reg.Set.t
 (** Live registers at block exit (materialising; see {!live_out_bits}). *)

@@ -1,90 +1,175 @@
+(* Every table is a flat int array or one bit matrix, so nothing the
+   analysis stores is a pointer into the minor heap.
+
+   A register's definition sites are [sites.(site_start.(r) ..
+   site_start.(r + 1) - 1)], in layout order.  The sites of registers
+   with several definitions are numbered densely ([multi_index], -1 for
+   every other instruction) and only they take part in the block-level
+   fixpoint ([block_in], [block_out]).  A register with one definition
+   site d needs no fixpoint: every path from d is definition-clear, so
+   d reaches the entry of block b iff [reach] leads from d's block to b.
+
+   The per-operand table, at [id * num_slots + slot]: a site id >= 0 is
+   the one definition reaching that read, [none] means none does, and a
+   value [v <= -2] means several do: [shared.(-2 - v)] holds their count
+   and the sites follow it, ascending. *)
 type t = {
   kernel : Ir.Kernel.t;
-  def_sites : int list array;              (* per register, layout order *)
-  block_in : Util.Bitset.t array;          (* def-site sets at block entry *)
-  block_out : Util.Bitset.t array;
-  def_index : int array;                   (* instr id -> dense def index, or -1 *)
-  operands : int list array;               (* instr id * num_slots + slot -> reaching defs *)
+  site_start : int array;
+  sites : int array;
+  multi_index : int array;
+  block_in : Util.Bitset.matrix;
+  block_out : Util.Bitset.matrix;
+  reach : Util.Bitset.matrix;
+  operands : int array;
+  shared : int array;
 }
 
+let none = -1
+
+let def_count t r = t.site_start.(r + 1) - t.site_start.(r)
+
+(* Does register [r]'s site number [j] (of its list) reach the entry of
+   [block]? *)
+let reaches_entry t block r j =
+  let d = t.sites.(t.site_start.(r) + j) in
+  if def_count t r = 1 then Util.Bitset.row_mem t.reach (Ir.Kernel.block_of t.kernel d) block
+  else Util.Bitset.row_mem t.block_in block t.multi_index.(d)
+
 let entry_defs t block r =
-  List.filter (fun d -> Util.Bitset.mem t.block_in.(block) t.def_index.(d)) t.def_sites.(r)
+  let acc = ref [] in
+  for j = def_count t r - 1 downto 0 do
+    if reaches_entry t block r j then acc := t.sites.(t.site_start.(r) + j) :: !acc
+  done;
+  !acc
 
 let compute (k : Ir.Kernel.t) (cfg : Cfg.t) =
   let nb = Ir.Kernel.block_count k in
   let nr = k.Ir.Kernel.num_regs in
   let ni = Ir.Kernel.instr_count k in
-  (* Each register's definition sites, and a dense numbering of all
-     sites (the bit positions, last site first). *)
-  let def_index = Array.make ni (-1) in
-  let def_sites = Array.make nr [] in
-  let nd = ref 0 in
-  for id = ni - 1 downto 0 do
-    Option.iter
-      (fun r ->
-        def_sites.(r) <- id :: def_sites.(r);
-        def_index.(id) <- !nd;
-        incr nd)
-      (Ir.Kernel.instr k id).Ir.Instr.dst
+  (* Definition sites per register, counted then filled in layout order
+     ([next.(r)] is where r's next site goes). *)
+  let site_start = Array.make (nr + 1) 0 in
+  Array.iter
+    (fun (i : Ir.Instr.t) ->
+      match i.Ir.Instr.dst with
+      | Some r -> site_start.(r + 1) <- site_start.(r + 1) + 1
+      | None -> ())
+    k.Ir.Kernel.instrs;
+  for r = 0 to nr - 1 do
+    site_start.(r + 1) <- site_start.(r + 1) + site_start.(r)
   done;
-  let nd = !nd in
-  (* block_out starts as gen(b), the last def of each register written
-     in b; kill(b): every def of those registers (gen re-adds the
-     survivors).  [last_def.(r)] is r's last def in the block being
-     walked while [last_block.(r)] names that block. *)
-  let block_out = Array.init nb (fun _ -> Util.Bitset.create nd) in
-  let kill = Array.init nb (fun _ -> Util.Bitset.create nd) in
+  let sites = Array.make site_start.(nr) 0 in
+  let next = Array.sub site_start 0 nr in
+  let multi_index = Array.make ni (-1) in
+  let nm = ref 0 in
+  Array.iter
+    (fun (i : Ir.Instr.t) ->
+      match i.Ir.Instr.dst with
+      | Some r ->
+        sites.(next.(r)) <- i.Ir.Instr.id;
+        next.(r) <- next.(r) + 1;
+        if site_start.(r + 1) - site_start.(r) > 1 then begin
+          multi_index.(i.Ir.Instr.id) <- !nm;
+          incr nm
+        end
+      | None -> ())
+    k.Ir.Kernel.instrs;
+  let nm = !nm in
+  (* The fixpoint over multi-definition sites.  block_out starts as
+     gen(b), the last def of each such register written in b; kill(b):
+     every def of those registers (gen re-adds the survivors).
+     [last_def.(r)] is r's last def in the block being walked while
+     [last_block.(r)] names that block. *)
+  let block_out = Util.Bitset.matrix ~rows:nb nm in
+  let kill = Util.Bitset.matrix ~rows:nb nm in
   let last_def = Array.make nr (-1) and last_block = Array.make nr (-1) in
   Array.iter
     (fun (i : Ir.Instr.t) ->
-      let l = Ir.Kernel.block_of k i.Ir.Instr.id in
-      Option.iter
-        (fun r ->
-          if last_block.(r) <> l then
-            List.iter (fun d -> Util.Bitset.set kill.(l) def_index.(d)) def_sites.(r)
-          else Util.Bitset.clear block_out.(l) def_index.(last_def.(r));
-          Util.Bitset.set block_out.(l) def_index.(i.Ir.Instr.id);
-          last_def.(r) <- i.Ir.Instr.id;
-          last_block.(r) <- l)
-        i.Ir.Instr.dst)
+      let id = i.Ir.Instr.id in
+      if multi_index.(id) >= 0 then begin
+        let l = Ir.Kernel.block_of k id in
+        let r = Option.get i.Ir.Instr.dst in
+        if last_block.(r) <> l then
+          for j = site_start.(r) to site_start.(r + 1) - 1 do
+            Util.Bitset.row_set kill l multi_index.(sites.(j))
+          done
+        else Util.Bitset.row_clear block_out l multi_index.(last_def.(r));
+        Util.Bitset.row_set block_out l multi_index.(id);
+        last_def.(r) <- id;
+        last_block.(r) <- l
+      end)
     k.Ir.Kernel.instrs;
-  let block_in = Array.init nb (fun _ -> Util.Bitset.create nd) in
+  let block_in = Util.Bitset.matrix ~rows:nb nm in
   Cfg.solve_union cfg ~forward:true ~join:block_in ~transfer:block_out ~kill;
-  (* The per-operand table, one forward walk: the last in-block def if
-     there is one, else the register's defs live at block entry (one
-     list per block and register). *)
   let t =
-    { kernel = k; def_sites; block_in; block_out; def_index;
-      operands = Array.make (ni * Ir.Instr.num_slots) [] }
+    { kernel = k; site_start; sites; multi_index; block_in; block_out; reach = Cfg.reach cfg;
+      operands = Array.make (ni * Ir.Instr.num_slots) none; shared = [||] }
   in
-  let singleton = Array.map (fun (i : Ir.Instr.t) -> [ i.Ir.Instr.id ]) k.Ir.Kernel.instrs in
-  let at_entry = Array.make nr [] and at_entry_block = Array.make nr (-1) in
+  (* The per-operand table, one forward walk: the last in-block def if
+     there is one, else the register's defs live at block entry (coded
+     once per block and register, so the reads of one block share a
+     list of several sites). *)
+  let shared = Util.Intbuf.create 64 in
+  let at_entry = Array.make nr none and at_entry_block = Array.make nr (-1) in
+  let entry_code l r =
+    let n = ref 0 and only = ref none in
+    for j = 0 to def_count t r - 1 do
+      if reaches_entry t l r j then begin
+        incr n;
+        only := t.sites.(t.site_start.(r) + j)
+      end
+    done;
+    if !n <= 1 then !only
+    else begin
+      let code = -2 - Util.Intbuf.length shared in
+      Util.Intbuf.push shared !n;
+      for j = 0 to def_count t r - 1 do
+        if reaches_entry t l r j then Util.Intbuf.push shared t.sites.(t.site_start.(r) + j)
+      done;
+      code
+    end
+  in
+  let rec operands id l slot = function
+    | [] -> ()
+    | r :: rest ->
+      t.operands.((id * Ir.Instr.num_slots) + slot) <-
+        (if last_block.(r) = l then last_def.(r)
+         else begin
+           if at_entry_block.(r) <> l then begin
+             at_entry_block.(r) <- l;
+             at_entry.(r) <- entry_code l r
+           end;
+           at_entry.(r)
+         end);
+      operands id l (slot + 1) rest
+  in
   Array.fill last_block 0 nr (-1);
   Array.iter
     (fun (i : Ir.Instr.t) ->
       let id = i.Ir.Instr.id in
       let l = Ir.Kernel.block_of k id in
-      List.iteri
-        (fun slot r ->
-          t.operands.((id * Ir.Instr.num_slots) + slot) <-
-            (if last_block.(r) = l then singleton.(last_def.(r))
-             else begin
-               if at_entry_block.(r) <> l then begin
-                 at_entry_block.(r) <- l;
-                 at_entry.(r) <- entry_defs t l r
-               end;
-               at_entry.(r)
-             end))
-        i.Ir.Instr.srcs;
-      Option.iter
-        (fun r ->
-          last_def.(r) <- id;
-          last_block.(r) <- l)
-        i.Ir.Instr.dst)
+      operands id l 0 i.Ir.Instr.srcs;
+      match i.Ir.Instr.dst with
+      | Some r ->
+        last_def.(r) <- id;
+        last_block.(r) <- l
+      | None -> ())
     k.Ir.Kernel.instrs;
-  t
+  { t with shared = Util.Intbuf.to_array shared }
 
-let reaching_operand t ~instr_id ~slot = t.operands.((instr_id * Ir.Instr.num_slots) + slot)
+let code t ~instr_id ~slot = t.operands.((instr_id * Ir.Instr.num_slots) + slot)
+
+let num_reaching t ~instr_id ~slot =
+  let c = code t ~instr_id ~slot in
+  if c >= 0 then 1 else if c = none then 0 else t.shared.(-2 - c)
+
+let nth_reaching t ~instr_id ~slot n =
+  let c = code t ~instr_id ~slot in
+  if c >= 0 then c else t.shared.(-2 - c + 1 + n)
+
+let reaching_operand t ~instr_id ~slot =
+  List.init (num_reaching t ~instr_id ~slot) (nth_reaching t ~instr_id ~slot)
 
 let reaching_before t ~instr_id r =
   let k = t.kernel in
@@ -104,6 +189,13 @@ let reaching_before t ~instr_id r =
   in
   find 0 (Ir.Kernel.instr k instr_id).Ir.Instr.srcs
 
+(* A single-definition site is the last def of its register in its own
+   block, and no other block kills it. *)
 let reaches_block_end t ~block ~def =
-  let di = t.def_index.(def) in
-  di >= 0 && Util.Bitset.mem t.block_out.(block) di
+  match (Ir.Kernel.instr t.kernel def).Ir.Instr.dst with
+  | None -> false
+  | Some r ->
+    if def_count t r = 1 then
+      let home = Ir.Kernel.block_of t.kernel def in
+      home = block || Util.Bitset.row_mem t.reach home block
+    else Util.Bitset.row_mem t.block_out block t.multi_index.(def)

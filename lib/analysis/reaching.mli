@@ -6,13 +6,21 @@
     updates redefine, so reads can be reached by several definitions —
     the allocator's forward-branch cases (Fig. 10).
 
-    Cost model: {!compute} runs the block-level fixpoint over word
-    bitsets of definition sites, updated in place, then walks each
-    block forward once to fill a per-operand table: for every
-    (instruction, source slot), the definition sites that reach that
-    read.  {!reaching_operand} and {!reaching_before} on an operand's
-    register are then one array read that allocates nothing; the lists
-    are shared, so treat them as read-only values. *)
+    Cost model: the fixpoint runs over the definition sites of
+    registers with {e several} definitions only (about 30% of the sites
+    of generated kernels), in two [blocks x those sites] bit matrices.
+    A register with one definition site (the pseudo-SSA common case)
+    needs none: every path from its site is definition-clear, so the
+    site reaches a point iff a path leads there, which one [blocks x
+    blocks] reachability matrix ({!Cfg.reach}) answers.  One forward
+    walk then fills a per-operand table: for every (instruction, source
+    slot) one int, the reaching site itself when exactly one reaches
+    the read, else an index into one shared int array of longer lists
+    (one per block and register, shared by that block's reads).  Every
+    table is a flat [int array] or a bit matrix, so no pointer is
+    stored and nothing is promoted.  {!num_reaching} and
+    {!nth_reaching} read an operand's sites with no allocation;
+    {!reaching_operand} builds the list. *)
 
 type t
 
@@ -32,8 +40,18 @@ val reaching_before : t -> instr_id:int -> Ir.Reg.t -> int list
 
 val reaching_operand : t -> instr_id:int -> slot:int -> int list
 (** Definition sites reaching source operand [slot] (0 = A) of the
-    instruction: what {!reaching_before} returns for that operand's
-    register, read straight from the per-operand table. *)
+    instruction, ascending: what {!reaching_before} returns for that
+    operand's register, built from the per-operand table (it allocates
+    the list; hot walks use {!num_reaching} and {!nth_reaching}). *)
+
+val num_reaching : t -> instr_id:int -> slot:int -> int
+(** How many definition sites reach the operand: one array read. *)
+
+val nth_reaching : t -> instr_id:int -> slot:int -> int -> int
+(** [nth_reaching t ~instr_id ~slot n] is the [n]th (from 0, ascending)
+    site reaching the operand, for [n < num_reaching t ~instr_id ~slot]. *)
 
 val reaches_block_end : t -> block:int -> def:int -> bool
-(** Does the definition reach the exit of the given block? *)
+(** Does the definition reach the exit of the given block?  A site of
+    a one-definition register reaches the exit of its own block and of
+    every block reachable from it. *)

@@ -51,14 +51,14 @@ type t = {
   unit_free : int array;
   (* Traffic walk: per-pc count rows ([Energy.Counts.row_cells] cells
      each), executions and flag bits; the HW scheme's per-pc live-after
-     table ([pc * num_regs + reg]); per register, the walk time of its
+     table (one bit row of [words] ints per pc, 63 registers a word); per register, the walk time of its
      last long-latency issue (-1 = none) and its RFC residency; the RFC
      FIFO, oldest first; counter-track windows (MRF, ORF, LRF per
      window). *)
   mutable tr_rows : int array;
   mutable tr_exec : int array;
   mutable tr_flags : int array;
-  mutable tr_live : bool array;
+  mutable tr_live : int array;
   mutable tr_issued : int array;
   mutable tr_cached : bool array;
   mutable tr_rfc : int array;
@@ -149,7 +149,7 @@ let ensure_banks t ~banks ~num_instrs =
   Array.fill t.bank_counts 0 banks 0;
   t.conflict_extra <- grow_ints t.conflict_extra num_instrs
 
-let ensure_traffic t ~num_instrs ~num_regs ~rfc_entries ~live =
+let ensure_traffic t ~num_instrs ~num_regs ~rfc_entries ~live_words =
   let rows = num_instrs * Energy.Counts.row_cells in
   t.tr_rows <- grow_ints t.tr_rows rows;
   Array.fill t.tr_rows 0 rows 0;
@@ -157,7 +157,7 @@ let ensure_traffic t ~num_instrs ~num_regs ~rfc_entries ~live =
   Array.fill t.tr_exec 0 num_instrs 0;
   t.tr_flags <- grow_ints t.tr_flags num_instrs;
   Array.fill t.tr_flags 0 num_instrs 0;
-  if live then t.tr_live <- grow_bools t.tr_live (num_instrs * num_regs);
+  t.tr_live <- grow_ints t.tr_live (num_instrs * live_words);
   t.tr_issued <- grow_ints t.tr_issued num_regs;
   Array.fill t.tr_issued 0 num_regs (-1);
   t.tr_cached <- grow_bools t.tr_cached num_regs;

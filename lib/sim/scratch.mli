@@ -44,7 +44,7 @@ type t = {
   mutable tr_rows : int array;
   mutable tr_exec : int array;
   mutable tr_flags : int array;
-  mutable tr_live : bool array;
+  mutable tr_live : int array;
   mutable tr_issued : int array;
   mutable tr_cached : bool array;
   mutable tr_rfc : int array;
@@ -66,5 +66,5 @@ val dec_for : t -> Alloc.Context.t -> Dec.t
 val ensure_warps : t -> warps:int -> num_regs:int -> unit
 val ensure_banks : t -> banks:int -> num_instrs:int -> unit
 val ensure_traffic :
-  t -> num_instrs:int -> num_regs:int -> rfc_entries:int -> live:bool -> unit
+  t -> num_instrs:int -> num_regs:int -> rfc_entries:int -> live_words:int -> unit
 val cf : t -> int -> max_dynamic:int -> Ir.Kernel.t -> warp:int -> seed:int -> Cf.t

@@ -68,11 +68,11 @@ type walk = {
   rows : int array;
   exec : int array;  (* per pc: executions (Baseline, Sw), or 1 (Hw) *)
   flags : int array;
-  live : bool array;
+  live : int array;  (* per pc, a bit row of [live_words] ints: live after it *)
   issued : int array;
   cached : bool array;
   rfc : int array;
-  nr : int;
+  live_words : int;
   shadow : int;
   placement : Alloc.Placement.t option;  (* None = Hw *)
   sw : bool;  (* strand-start deschedules: Sw only *)
@@ -171,31 +171,39 @@ let static_step w placement id g =
 
 (* --- Hw: the RFC and LRF replayed per dynamic instruction ---------- *)
 
-let rec any_shared shared_dp = function
-  | [] -> false
-  | (r : Analysis.Duchain.read) :: tl ->
-    shared_dp.(r.Analysis.Duchain.read_instr) || any_shared shared_dp tl
+(* Does a read of def [d], from its [n]th on, run on the shared
+   datapath? *)
+let rec any_shared shared_dp du d n =
+  n < Analysis.Duchain.num_reads du d
+  && (shared_dp.(Analysis.Duchain.read_operand du d n / Ir.Instr.num_slots)
+     || any_shared shared_dp du d (n + 1))
+
+(* Registers a live-after row word holds. *)
+let live_bits = 63
 
 (* Static liveness after every instruction, and the flag bits.  The
-   compile path builds no liveness, so each run computes it here.  A Hw
-   row accumulates every execution's charges, so the fold weighs it
-   once. *)
+   compile path builds no liveness, so each run computes it here and
+   sets only the live registers' bits of each pc's row.  A Hw row
+   accumulates every execution's charges, so the fold weighs it once. *)
 let hw_tables w (ctx : Alloc.Context.t) =
   let dec = w.dec and k = ctx.Alloc.Context.kernel in
   Array.fill w.exec 0 dec.Dec.num_instrs 1;
+  let row = ref 0 in
+  let set_live r =
+    let i = !row + (r / live_bits) in
+    w.live.(i) <- w.live.(i) lor (1 lsl (r mod live_bits))
+  in
   Analysis.Liveness.iter_live_after
     (Analysis.Liveness.compute k ctx.Alloc.Context.cfg)
     (fun i live ->
-      let row = i.Ir.Instr.id * w.nr in
-      for r = 0 to k.Ir.Kernel.num_regs - 1 do
-        w.live.(row + r) <- Util.Bitset.mem live r
-      done);
-  List.iter
-    (fun (inst : Analysis.Duchain.instance) ->
-      if any_shared dec.Dec.shared_dp inst.Analysis.Duchain.reads then
-        let d = inst.Analysis.Duchain.def in
-        w.flags.(d) <- w.flags.(d) lor shared_consumer)
-    (Analysis.Duchain.instances ctx.Alloc.Context.duchain);
+      row := i.Ir.Instr.id * w.live_words;
+      Array.fill w.live !row w.live_words 0;
+      Util.Bitset.iter live set_live);
+  let du = ctx.Alloc.Context.duchain in
+  for d = 0 to dec.Dec.num_instrs - 1 do
+    if Analysis.Duchain.is_def du d && any_shared dec.Dec.shared_dp du d 0 then
+      w.flags.(d) <- w.flags.(d) lor shared_consumer
+  done;
   Array.iter
     (fun (b : Ir.Block.t) ->
       if Ir.Terminator.is_backward b.Ir.Block.term ~at:b.Ir.Block.label then
@@ -204,7 +212,8 @@ let hw_tables w (ctx : Alloc.Context.t) =
           (Ir.Block.last_id b))
     k.Ir.Kernel.blocks
 
-let live_after w id r = w.live.((id * w.nr) + r)
+let live_after w id r =
+  w.live.((id * w.live_words) + (r / live_bits)) land (1 lsl (r mod live_bits)) <> 0
 
 let rec reads (srcs : int array) base p n r =
   p < n && (srcs.(base + p) = r || reads srcs base (p + 1) n r)
@@ -418,7 +427,7 @@ let fold (ctx : Alloc.Context.t) (dec : Dec.t) rows weights ~scale ~attribution 
 let price ctx placement weights =
   let s = Scratch.domain_local () in
   let dec = Scratch.dec_for s ctx in
-  Scratch.ensure_traffic s ~num_instrs:dec.Dec.num_instrs ~num_regs:1 ~rfc_entries:0 ~live:false;
+  Scratch.ensure_traffic s ~num_instrs:dec.Dec.num_instrs ~num_regs:1 ~rfc_entries:0 ~live_words:0;
   static_rows s.Scratch.tr_rows dec placement;
   fst (fold ctx dec s.Scratch.tr_rows weights ~scale:1 ~attribution:false)
 
@@ -428,6 +437,7 @@ let run_inner ?(warps = 32) ?(seed = 0x5eed) ?max_dynamic_per_warp ?(long_latenc
   let k = ctx.Alloc.Context.kernel in
   let dec = Scratch.dec_for s ctx in
   let nr = max 1 k.Ir.Kernel.num_regs in
+  let live_words = (nr + live_bits - 1) / live_bits in
   let max_dynamic = Option.value max_dynamic_per_warp ~default:100_000 in
   (* Baseline and Sw have no hardware caches: their [opts] are unread. *)
   let placement, opts =
@@ -440,7 +450,7 @@ let run_inner ?(warps = 32) ?(seed = 0x5eed) ?max_dynamic_per_warp ?(long_latenc
   in
   let hw = Option.is_none placement in
   Scratch.ensure_traffic s ~num_instrs:dec.Dec.num_instrs ~num_regs:nr
-    ~rfc_entries:opts.rfc_entries ~live:hw;
+    ~rfc_entries:opts.rfc_entries ~live_words:(if hw then live_words else 0);
   (* Recorder enablement is sampled once per run: the sinks never
      change mid-run. *)
   let co = Obs.Counters.is_enabled () in
@@ -456,7 +466,7 @@ let run_inner ?(warps = 32) ?(seed = 0x5eed) ?max_dynamic_per_warp ?(long_latenc
       issued = s.Scratch.tr_issued;
       cached = s.Scratch.tr_cached;
       rfc = s.Scratch.tr_rfc;
-      nr;
+      live_words;
       shadow = long_latency_shadow;
       placement;
       sw = (match scheme with Sw _ -> true | Baseline | Hw _ -> false);

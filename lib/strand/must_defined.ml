@@ -1,20 +1,67 @@
+(* The sets reset at every strand start, so they hold only registers
+   written since, a handful however large the kernel: each block's entry
+   set is kept as an ascending run of register ids,
+   [entries.(entry_start.(b) .. entry_start.(b + 1) - 1)]. *)
 type t = {
   kernel : Ir.Kernel.t;
   partition : Partition.t;
-  entry_sets : Util.Bitset.t array;  (* per block: must-defined at block entry *)
+  entry_start : int array;
+  entries : int array;
 }
+
+(* Inserts [r] into the ascending run of the first [n] ints of [!cur],
+   growing the array when full; returns the new length. *)
+let insert cur n r =
+  let rec slot j = if j > 0 && !cur.(j - 1) > r then slot (j - 1) else j in
+  let j = slot n in
+  if j > 0 && !cur.(j - 1) = r then n
+  else begin
+    if n = Array.length !cur then begin
+      let bigger = Array.make (2 * n) 0 in
+      Array.blit !cur 0 bigger 0 n;
+      cur := bigger
+    end;
+    let a = !cur in
+    Array.blit a j a (j + 1) (n - j);
+    a.(j) <- r;
+    n + 1
+  end
 
 let compute (k : Ir.Kernel.t) (cfg : Analysis.Cfg.t) (partition : Partition.t) =
   let nb = Ir.Kernel.block_count k in
-  let nr = k.Ir.Kernel.num_regs in
   let reachable = Analysis.Cfg.reachable cfg in
-  let entry_sets = Array.init nb (fun _ -> Util.Bitset.create nr) in
-  let out_sets = Array.init nb (fun _ -> Util.Bitset.create nr) in
+  (* Every block's entry and exit sets as ascending runs, pushed in
+     block order; the block being computed works in the first [n] ints
+     of [!cur]. *)
+  let entry_start = Array.make (nb + 1) 0 and entries = Util.Intbuf.create 64 in
+  let out_start = Array.make (nb + 1) 0 and outs = Util.Intbuf.create 64 in
+  let cur = ref (Array.make 16 0) in
+  let n = ref 0 in
+  (* Keeps the members of [cur] that block [p]'s exit set holds (a
+     merge of two ascending runs). *)
+  let inter p =
+    let kept = ref 0 and j = ref out_start.(p) in
+    let stop = out_start.(p + 1) in
+    let a = !cur in
+    for i = 0 to !n - 1 do
+      let r = a.(i) in
+      while !j < stop && Util.Intbuf.get outs !j < r do
+        incr j
+      done;
+      if !j < stop && Util.Intbuf.get outs !j = r then begin
+        a.(!kept) <- r;
+        incr kept
+      end
+    done;
+    n := !kept
+  in
   for l = 0 to nb - 1 do
     let b = k.Ir.Kernel.blocks.(l) in
-    let entry = entry_sets.(l) in
+    n := 0;
     (* Strand context entering block l: does its first instruction start
-       a strand?  Empty blocks inherit the incoming context. *)
+       a strand?  Empty blocks inherit the incoming context.  A
+       predecessor not yet computed (a back edge) contributes the empty
+       set. *)
     let boundary_at_start =
       match Ir.Block.first_id b with
       | Some id -> Partition.starts_strand partition id
@@ -25,18 +72,39 @@ let compute (k : Ir.Kernel.t) (cfg : Analysis.Cfg.t) (partition : Partition.t) =
       match preds with
       | [] -> ()
       | first :: rest ->
-        ignore (Util.Bitset.union_into ~dst:entry out_sets.(first));
-        List.iter (fun p -> ignore (Util.Bitset.inter_into ~dst:entry out_sets.(p))) rest
+        if List.for_all (fun p -> p < l) preds then begin
+          for j = out_start.(first) to out_start.(first + 1) - 1 do
+            n := insert cur !n (Util.Intbuf.get outs j)
+          done;
+          List.iter inter rest
+        end
     end;
-    let cur = out_sets.(l) in
-    ignore (Util.Bitset.union_into ~dst:cur entry);
+    for i = 0 to !n - 1 do
+      Util.Intbuf.push entries !cur.(i)
+    done;
+    entry_start.(l + 1) <- Util.Intbuf.length entries;
     Array.iter
       (fun (i : Ir.Instr.t) ->
-        if Partition.starts_strand partition i.Ir.Instr.id then Util.Bitset.clear_all cur;
-        Option.iter (fun r -> Util.Bitset.set cur r) i.Ir.Instr.dst)
-      b.Ir.Block.instrs
+        if Partition.starts_strand partition i.Ir.Instr.id then n := 0;
+        match i.Ir.Instr.dst with Some r -> n := insert cur !n r | None -> ())
+      b.Ir.Block.instrs;
+    for i = 0 to !n - 1 do
+      Util.Intbuf.push outs !cur.(i)
+    done;
+    out_start.(l + 1) <- Util.Intbuf.length outs
   done;
-  { kernel = k; partition; entry_sets }
+  { kernel = k; partition; entry_start; entries = Util.Intbuf.to_array entries }
+
+(* Is [r] in block [b]'s entry run?  A binary search. *)
+let at_entry t b (r : int) =
+  let rec search lo hi =
+    lo < hi
+    &&
+    let mid = (lo + hi) / 2 in
+    let x = t.entries.(mid) in
+    x = r || if x < r then search (mid + 1) hi else search lo mid
+  in
+  search t.entry_start.(b) t.entry_start.(b + 1)
 
 (* Walk back from the instruction to the last strand start or write of
    [r] in its block; the block's entry set answers if neither comes
@@ -46,8 +114,7 @@ let must_defined_before t ~instr_id r =
   let block = Ir.Kernel.block_of k instr_id in
   let rec back id =
     if Partition.starts_strand t.partition id then false
-    else if id = 0 || Ir.Kernel.block_of k (id - 1) <> block then
-      Util.Bitset.mem t.entry_sets.(block) r
+    else if id = 0 || Ir.Kernel.block_of k (id - 1) <> block then at_entry t block r
     else
       match (Ir.Kernel.instr k (id - 1)).Ir.Instr.dst with
       | Some x when x = r -> true

@@ -21,8 +21,13 @@ val must_defined_before : t -> instr_id:int -> Ir.Reg.t -> bool
 (** Was the register definitely written between the current strand's
     start and this instruction, on every path?
 
-    Cost model: {!compute} keeps one [num_regs]-bit set per block, the
-    must-defined registers at its entry.  A query reads the register's
-    bit there and replays the block's instructions before [instr_id]
+    Cost model: the set resets at every strand start, so it only ever
+    holds registers written since — a handful, however large the
+    kernel.  {!compute} keeps each block's entry set as an ascending run
+    of register ids in one flat [int array] (exit sets likewise, while
+    it runs), meeting predecessors by merging runs: O(instructions +
+    edges x set size); nothing stored is a pointer, so nothing is
+    promoted.  A query binary-searches the register in its block's
+    entry run and replays the block's instructions before [instr_id]
     (a strand start clears it, a write of the register sets it): O(the
     instruction's position in its block), and it allocates nothing. *)

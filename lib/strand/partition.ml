@@ -1,8 +1,9 @@
 type t = {
   strand_of_instr : int array;
   starts : bool array;
-  starts_bits : Util.Bitset.t;    (* same content as [starts], O(1) words *)
-  intervals : (int * int) array;  (* strand id -> first, last instr id *)
+  starts_bits : Util.Bitset.t;  (* same content as [starts], O(1) words *)
+  first : int array;            (* strand id -> first instr id *)
+  last : int array;             (* strand id -> last instr id *)
 }
 
 let m_partitions = Obs.Metrics.counter "strand.partitions"
@@ -23,8 +24,35 @@ let compute ?(kinds = all_boundaries) (k : Ir.Kernel.t) (cfg : Analysis.Cfg.t)
   let ni = Ir.Kernel.instr_count k in
   let reachable = Analysis.Cfg.reachable cfg in
   let backward_target = Analysis.Cfg.backward_targets cfg in
-  (* Pending long-latency definition sites, as bitsets over instr ids. *)
-  let out_pending = Array.init nb (fun _ -> Util.Bitset.create ni) in
+  (* Pending long-latency definitions, as bit rows over the long-latency
+     definition sites only ([ll_index], -1 for every other instruction). *)
+  let ll_index = Array.make ni (-1) in
+  let nl = ref 0 in
+  Array.iter
+    (fun (i : Ir.Instr.t) ->
+      if Ir.Instr.is_long_latency i && Option.is_some i.Ir.Instr.dst then begin
+        ll_index.(i.Ir.Instr.id) <- !nl;
+        incr nl
+      end)
+    k.Ir.Kernel.instrs;
+  let nl = !nl in
+  let out_pending = Util.Bitset.matrix ~rows:nb nl in
+  let pending = Util.Bitset.create nl in
+  let may = Util.Bitset.create nl and must = Util.Bitset.create nl in
+  let is_pending d =
+    let j = ll_index.(d) in
+    j >= 0 && Util.Bitset.mem pending j
+  in
+  (* Does a read among slots [slot, n) of [id] have a pending reaching
+     def?  [j] walks the current slot's reaching defs. *)
+  let rec consumes_pending id slot n j =
+    slot < n
+    &&
+    if j < Analysis.Reaching.num_reaching reaching ~instr_id:id ~slot then
+      is_pending (Analysis.Reaching.nth_reaching reaching ~instr_id:id ~slot j)
+      || consumes_pending id slot n (j + 1)
+    else consumes_pending id (slot + 1) n 0
+  in
   let boundary_before = Array.make ni false in
   let block_start_boundary = Array.make nb false in
   let prev_block_ends_backward = Array.make nb false in
@@ -38,7 +66,7 @@ let compute ?(kinds = all_boundaries) (k : Ir.Kernel.t) (cfg : Analysis.Cfg.t)
      are cut at backward targets where the pending set is cleared. *)
   for l = 0 to nb - 1 do
     let b = k.Ir.Kernel.blocks.(l) in
-    let pending = Util.Bitset.create ni in
+    Util.Bitset.clear_all pending;
     if l = 0 then ()
     else if backward_target.(l) || prev_block_ends_backward.(l) then
       (* The pending set always clears here (the dataflow stays a single
@@ -49,12 +77,12 @@ let compute ?(kinds = all_boundaries) (k : Ir.Kernel.t) (cfg : Analysis.Cfg.t)
       match preds with
       | [] -> ()  (* unreachable or orphan block: empty pending *)
       | first :: rest ->
-        let may = Util.Bitset.copy out_pending.(first) in
-        let must = Util.Bitset.copy out_pending.(first) in
+        Util.Bitset.load_row ~dst:may out_pending first;
+        Util.Bitset.load_row ~dst:must out_pending first;
         List.iter
           (fun p ->
-            ignore (Util.Bitset.union_into ~dst:may out_pending.(p));
-            ignore (Util.Bitset.inter_into ~dst:must out_pending.(p)))
+            ignore (Util.Bitset.union_row_into ~dst:may out_pending p);
+            ignore (Util.Bitset.inter_row_into ~dst:must out_pending p))
           rest;
         if Util.Bitset.equal may must then
           ignore (Util.Bitset.union_into ~dst:pending may)
@@ -66,23 +94,14 @@ let compute ?(kinds = all_boundaries) (k : Ir.Kernel.t) (cfg : Analysis.Cfg.t)
     Array.iter
       (fun (i : Ir.Instr.t) ->
         let id = i.Ir.Instr.id in
-        let rec consumes_pending slot = function
-          | [] -> false
-          | _ :: rest ->
-            List.exists
-              (fun d -> Util.Bitset.mem pending d)
-              (Analysis.Reaching.reaching_operand reaching ~instr_id:id ~slot)
-            || consumes_pending (slot + 1) rest
-        in
-        if consumes_pending 0 i.Ir.Instr.srcs then begin
+        if consumes_pending id 0 (List.length i.Ir.Instr.srcs) 0 then begin
           boundary_before.(id) <- kinds.long_latency;
           Util.Bitset.clear_all pending
         end;
-        if Ir.Instr.is_long_latency i && Option.is_some i.Ir.Instr.dst then
-          Util.Bitset.set pending id)
+        if ll_index.(id) >= 0 then Util.Bitset.set pending ll_index.(id))
       b.Ir.Block.instrs;
     if Ir.Terminator.is_backward b.Ir.Block.term ~at:l then Util.Bitset.clear_all pending;
-    out_pending.(l) <- pending
+    Util.Bitset.store_row out_pending l pending
   done;
   (* Project boundaries onto layout order and number the strands. *)
   let strand_of_instr = Array.make ni 0 in
@@ -107,18 +126,17 @@ let compute ?(kinds = all_boundaries) (k : Ir.Kernel.t) (cfg : Analysis.Cfg.t)
         b.Ir.Block.instrs)
     k.Ir.Kernel.blocks;
   let num = if ni = 0 then 0 else !current + 1 in
-  let intervals = Array.make num (0, -1) in
-  for id = 0 to ni - 1 do
+  let first = Array.make num 0 and last = Array.make num (-1) in
+  for id = ni - 1 downto 0 do
     let s = strand_of_instr.(id) in
-    let first, last = intervals.(s) in
-    let first = if last < 0 then id else first in
-    intervals.(s) <- (first, id)
+    if last.(s) < 0 then last.(s) <- id;
+    first.(s) <- id
   done;
   Obs.Metrics.incr m_partitions;
   Obs.Metrics.incr ~by:num m_strands;
-  Array.iter
-    (fun (first, last) -> Obs.Metrics.observe m_strand_len (float_of_int (last - first + 1)))
-    intervals;
+  for s = 0 to num - 1 do
+    Obs.Metrics.observe m_strand_len (float_of_int (last.(s) - first.(s) + 1))
+  done;
   if Obs.Audit.is_enabled () then
     Array.iteri
       (fun id strand ->
@@ -126,9 +144,9 @@ let compute ?(kinds = all_boundaries) (k : Ir.Kernel.t) (cfg : Analysis.Cfg.t)
       strand_of_instr;
   let starts_bits = Util.Bitset.create ni in
   Array.iteri (fun id b -> if b then Util.Bitset.set starts_bits id) starts;
-  { strand_of_instr; starts; starts_bits; intervals }
+  { strand_of_instr; starts; starts_bits; first; last }
 
-let num_strands t = Array.length t.intervals
+let num_strands t = Array.length t.first
 
 let strand_of_instr t id = t.strand_of_instr.(id)
 
@@ -138,7 +156,7 @@ let starts_bits t = t.starts_bits
 
 let same_strand t a b = t.strand_of_instr.(a) = t.strand_of_instr.(b)
 
-let strand_interval t s = t.intervals.(s)
+let strand_interval t s = (t.first.(s), t.last.(s))
 
 let strand_ids t = List.init (num_strands t) Fun.id
 

@@ -35,23 +35,27 @@ let mem t i =
 let check_same a b =
   if a.capacity <> b.capacity then invalid_arg "Bitset: capacity mismatch"
 
-(* One loop for the three in-place operators: the operator is a
-   constant constructor matched per word, not a closure call. *)
-type op = Or | And | Andnot
+(* One loop for every in-place operator, over [n] words of [d] from
+   [doff] and of [s] from [soff] (a set is a row at offset 0): the
+   operator is a constant constructor matched per word, not a closure
+   call. *)
+type op = Or | And | Andnot | Copy
 
-let combine_into op ~dst src =
-  check_same dst src;
-  let d = dst.words and s = src.words in
+let combine op d doff s soff n =
   let changed = ref false in
-  for w = 0 to Array.length d - 1 do
-    let x = Array.unsafe_get d w and y = Array.unsafe_get s w in
-    let r = match op with Or -> x lor y | And -> x land y | Andnot -> x land lnot y in
+  for w = 0 to n - 1 do
+    let x = Array.unsafe_get d (doff + w) and y = Array.unsafe_get s (soff + w) in
+    let r = match op with Or -> x lor y | And -> x land y | Andnot -> x land lnot y | Copy -> y in
     if r <> x then begin
       changed := true;
-      Array.unsafe_set d w r
+      Array.unsafe_set d (doff + w) r
     end
   done;
   !changed
+
+let combine_into op ~dst src =
+  check_same dst src;
+  combine op dst.words 0 src.words 0 (Array.length dst.words)
 
 let union_into ~dst src = combine_into Or ~dst src
 let inter_into ~dst src = combine_into And ~dst src
@@ -78,16 +82,19 @@ let fill_all t =
 
 let clear_all t = Array.fill t.words 0 (Array.length t.words) 0
 
-(* Ascending order; zero words are skipped whole. *)
-let iter t f =
-  for w = 0 to Array.length t.words - 1 do
-    let x = ref (Array.unsafe_get t.words w) and i = ref (w * word_bits) in
+(* Members of the [n] words from [base], ascending; zero words are
+   skipped whole. *)
+let iter_words words base n f =
+  for w = 0 to n - 1 do
+    let x = ref (Array.unsafe_get words (base + w)) and i = ref (w * word_bits) in
     while !x <> 0 do
       if !x land 1 <> 0 then f !i;
       x := !x lsr 1;
       incr i
     done
   done
+
+let iter t f = iter_words t.words 0 (Array.length t.words) f
 
 let elements t =
   let acc = ref [] in
@@ -110,3 +117,92 @@ let count t =
     n := !n + popcount (Array.unsafe_get t.words w)
   done;
   !n
+
+(* A matrix is [rows] rows of [cols] bits, each row [stride] words at
+   [r * stride] of one array: the same layout as a set, so a row and a
+   set of the same capacity combine word for word. *)
+type matrix = { cells : int array; rows : int; cols : int; stride : int }
+
+let matrix ~rows cols =
+  if rows < 0 || cols < 0 then invalid_arg "Bitset.matrix";
+  let stride = (cols + word_bits - 1) / word_bits in
+  { cells = Array.make (rows * stride) 0; rows; cols; stride }
+
+let rows m = m.rows
+let cols m = m.cols
+
+let check_cell m r i =
+  if r < 0 || r >= m.rows || i < 0 || i >= m.cols then
+    invalid_arg (Printf.sprintf "Bitset: cell (%d, %d) out of %d x %d" r i m.rows m.cols)
+
+let row_mem m r i =
+  check_cell m r i;
+  Array.unsafe_get m.cells ((r * m.stride) + (i / word_bits)) land (1 lsl (i mod word_bits)) <> 0
+
+let row_set m r i =
+  check_cell m r i;
+  let w = (r * m.stride) + (i / word_bits) in
+  Array.unsafe_set m.cells w (Array.unsafe_get m.cells w lor (1 lsl (i mod word_bits)))
+
+let row_clear m r i =
+  check_cell m r i;
+  let w = (r * m.stride) + (i / word_bits) in
+  Array.unsafe_set m.cells w (Array.unsafe_get m.cells w land lnot (1 lsl (i mod word_bits)))
+
+let check_row m r =
+  if r < 0 || r >= m.rows then
+    invalid_arg (Printf.sprintf "Bitset: row %d out of [0, %d)" r m.rows)
+
+(* A set against row [r]: same capacity, row in range. *)
+let check_set_row t m r =
+  check_row m r;
+  if t.capacity <> m.cols then invalid_arg "Bitset: capacity mismatch"
+
+let row_op op ~dst m r =
+  check_set_row dst m r;
+  combine op dst.words 0 m.cells (r * m.stride) m.stride
+
+let load_row ~dst m r = ignore (row_op Copy ~dst m r)
+let union_row_into ~dst m r = row_op Or ~dst m r
+let inter_row_into ~dst m r = row_op And ~dst m r
+
+let store_row m r src =
+  check_set_row src m r;
+  ignore (combine Copy m.cells (r * m.stride) src.words 0 m.stride)
+
+let row m r =
+  let t = create m.cols in
+  load_row ~dst:t m r;
+  t
+
+let check_same_cols a b =
+  if a.cols <> b.cols then invalid_arg "Bitset: capacity mismatch"
+
+let union_rows ~dst r src s =
+  check_same_cols dst src;
+  check_row dst r;
+  check_row src s;
+  combine Or dst.cells (r * dst.stride) src.cells (s * src.stride) dst.stride
+
+let union_diff_rows ~dst r a ~minus =
+  check_same_cols dst a;
+  check_same_cols dst minus;
+  check_row dst r;
+  check_row a r;
+  check_row minus r;
+  let d = dst.cells and x = a.cells and k = minus.cells in
+  let base = r * dst.stride in
+  let changed = ref false in
+  for w = base to base + dst.stride - 1 do
+    let old = Array.unsafe_get d w in
+    let v = old lor (Array.unsafe_get x w land lnot (Array.unsafe_get k w)) in
+    if v <> old then begin
+      changed := true;
+      Array.unsafe_set d w v
+    end
+  done;
+  !changed
+
+let iter_row m r f =
+  check_row m r;
+  iter_words m.cells (r * m.stride) m.stride f

@@ -1,4 +1,4 @@
-(** Fixed-size mutable bitsets for dataflow analyses.
+(** Fixed-size mutable bitsets and bit matrices for dataflow analyses.
 
     Cost model: the bits live in an [int array], 63 to a word (every
     bit of an OCaml int), and the bits past the capacity are kept zero.
@@ -7,7 +7,18 @@
     [count] (a per-word popcount) are one closure-free loop over
     [capacity / 63] words.  [iter] and [elements] skip zero words whole,
     so a sparse set costs its words plus its members.  Only [create],
-    [copy] and [elements] (its list) allocate. *)
+    [copy] and [elements] (its list) allocate.
+
+    A {!matrix} is the per-block form of a dataflow fact: [rows] sets of
+    one capacity laid end to end in {e one} [int array], so a table of
+    any height is one block of immediates.  Past 256 words OCaml
+    allocates such an array directly in the major heap, where an array
+    of per-row sets would be an array of pointers: every set stored
+    into it is recorded by the write barrier and promoted by the next
+    minor collection, live or not, and [Array.init] over a fresh first
+    set forces that collection up front.  Row operations cost what the
+    set operations do, over one row's words, and allocate nothing but
+    {!row}'s copy. *)
 
 type t
 
@@ -41,3 +52,49 @@ val elements : t -> int list
 
 val count : t -> int
 (** Number of members: a popcount per word, not a probe per bit. *)
+
+(** {2 Bit matrices} *)
+
+type matrix
+
+val matrix : rows:int -> int -> matrix
+(** [matrix ~rows n]: [rows] all-zero rows of capacity [n], in one
+    [int array] of [rows * ceil (n / 63)] words. *)
+
+val rows : matrix -> int
+val cols : matrix -> int
+(** The capacity of every row. *)
+
+val row_mem : matrix -> int -> int -> bool
+(** [row_mem m r i]: is bit [i] of row [r] set? *)
+
+val row_set : matrix -> int -> int -> unit
+val row_clear : matrix -> int -> int -> unit
+
+val row : matrix -> int -> t
+(** A fresh set holding a copy of the row. *)
+
+val load_row : dst:t -> matrix -> int -> unit
+(** [load_row ~dst m r] overwrites [dst] with row [r]; [dst]'s capacity
+    must be the matrix's. *)
+
+val store_row : matrix -> int -> t -> unit
+(** [store_row m r src] overwrites row [r] with [src]. *)
+
+val union_row_into : dst:t -> matrix -> int -> bool
+(** Ors row [r] into [dst]; returns [true] if [dst] changed. *)
+
+val inter_row_into : dst:t -> matrix -> int -> bool
+(** Ands row [r] into [dst]; returns [true] if [dst] changed. *)
+
+val union_rows : dst:matrix -> int -> matrix -> int -> bool
+(** [union_rows ~dst r src s] ors row [s] of [src] into row [r] of
+    [dst]; returns [true] if it changed.  Row capacities must match. *)
+
+val union_diff_rows : dst:matrix -> int -> matrix -> minus:matrix -> bool
+(** [union_diff_rows ~dst r a ~minus] ors row [r] of [a] minus row [r]
+    of [minus] into row [r] of [dst] — a union dataflow's transfer
+    [out |= in - kill] in one pass; returns [true] if it changed. *)
+
+val iter_row : matrix -> int -> (int -> unit) -> unit
+(** Members of row [r] in ascending order. *)

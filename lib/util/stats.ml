@@ -14,7 +14,7 @@ let percent part whole = if whole = 0.0 then 0.0 else 100.0 *. part /. whole
 
 let ratio a b = if b = 0.0 then 0.0 else a /. b
 
-let clamp ~lo ~hi x = if x < lo then lo else if x > hi then hi else x
+let clamp ~lo ~hi (x : float) = if x < lo then lo else if x > hi then hi else x
 
 let round_to d x =
   let m = 10.0 ** float_of_int d in
@@ -35,7 +35,7 @@ let htotal h = Hashtbl.fold (fun _ r acc -> acc + !r) h 0
 
 let hbins_unsorted h = Hashtbl.fold (fun k r acc -> (k, !r) :: acc) h []
 
-let hbins h = List.sort (fun (a, _) (b, _) -> compare a b) (hbins_unsorted h)
+let hbins h = List.sort (fun (a, _) (b, _) -> Int.compare a b) (hbins_unsorted h)
 
 let hreset h = Hashtbl.reset h
 

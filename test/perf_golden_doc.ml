@@ -590,7 +590,7 @@ let level_token = function
    there are any. *)
 let instr_token (p : Alloc.Placement.t) id =
   let dest =
-    match p.Alloc.Placement.dsts.(id) with
+    match Alloc.Placement.dest p ~instr:id with
     | None -> "-"
     | Some d ->
       String.concat "+"
@@ -602,9 +602,11 @@ let instr_token (p : Alloc.Placement.t) id =
            ])
   in
   let srcs =
-    String.concat "," (Array.to_list (Array.map level_token p.Alloc.Placement.srcs.(id)))
+    String.concat ","
+      (List.init (Alloc.Placement.arity p ~instr:id) (fun pos ->
+           level_token (Alloc.Placement.src p ~instr:id ~pos)))
   in
-  match p.Alloc.Placement.fills.(id) with
+  match Alloc.Placement.fills_of p ~instr:id with
   | [] -> Printf.sprintf "%s:%s" dest srcs
   | fills ->
     Printf.sprintf "%s:%s:%s" dest srcs

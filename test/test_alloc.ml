@@ -565,14 +565,25 @@ let test_verify_malformed_placement () =
         | _ -> acc)
     |> Option.get
   in
-  let no_srcs = Alloc.Placement.baseline k in
-  no_srcs.Alloc.Placement.srcs.(first_sourced) <- [||];
+  (* A placement is shaped by the kernel it was made for: one of the
+     same kernel with that instruction's sources dropped, and one of a
+     longer kernel. *)
+  let drop_srcs (i : Ir.Instr.t) = if i.Ir.Instr.id = first_sourced then { i with Ir.Instr.srcs = [] } else i in
+  let no_srcs =
+    Ir.Kernel.make ~name:"no-srcs" ~num_regs:k.Ir.Kernel.num_regs
+      ~blocks:
+        (Array.map
+           (fun (b : Ir.Block.t) -> { b with Ir.Block.instrs = Array.map drop_srcs b.Ir.Block.instrs })
+           k.Ir.Kernel.blocks)
+  in
   check verdict "source arity mismatch"
     (Error [ Printf.sprintf "instr %d: source placement arity mismatch" first_sourced ])
-    (Alloc.Verify.check config ctx no_srcs);
+    (Alloc.Verify.check config ctx (Alloc.Placement.baseline no_srcs));
+  let longer = Rfh.benchmark "MatrixMul" in
+  check Alcotest.bool "a longer kernel" true (Ir.Kernel.instr_count longer > Ir.Kernel.instr_count k);
   check verdict "no destination array"
     (Error [ "placement arrays do not match the kernel" ])
-    (Alloc.Verify.check config ctx { (Alloc.Placement.baseline k) with Alloc.Placement.dsts = [||] })
+    (Alloc.Verify.check config ctx (Alloc.Placement.baseline longer))
 
 (* The context holds what the allocator and the verifier read; liveness
    is not among it, so building one opens no liveness span. *)
@@ -594,6 +605,42 @@ let test_context_spans () =
     "one span per analysis, in order"
     [ "cfg"; "dominance"; "reaching"; "duchain"; "partition"; "must_defined" ]
     names
+
+(* One compile of perfgate's kernel (size 256, seed 1: 1,678
+   instructions, 388 blocks, 1,150 registers) under a 4M-word minor
+   heap.  Every table the compile path builds past the 256-word young
+   limit holds immediates, so no [Array.make]/[Array.init] of a fresh
+   block forces a minor collection, and nothing the compile allocated
+   is recorded by the write barrier to be promoted once it is dead.
+   The compile runs in its own function so its results are garbage by
+   the time [Gc.minor] runs. *)
+let compile_verdict k =
+  let config = Alloc.Config.make () in
+  let ctx = Alloc.Context.create k in
+  let placement, _ = Alloc.Allocator.run config ctx in
+  Result.is_ok (Alloc.Verify.check config ctx placement)
+
+let test_compile_gc () =
+  let k = Workloads.Generator.kernel ~size:256 ~seed:1 () in
+  let expected = compile_verdict k in
+  let old = Gc.get () in
+  Gc.set { old with Gc.minor_heap_size = 4 * 1024 * 1024 };
+  Fun.protect
+    ~finally:(fun () -> Gc.set old)
+    (fun () ->
+      Gc.full_major ();
+      let s0 = Gc.quick_stat () in
+      let verdict = compile_verdict k in
+      let s1 = Gc.quick_stat () in
+      Gc.minor ();
+      let s2 = Gc.quick_stat () in
+      check Alcotest.bool "same verdict" expected verdict;
+      check Alcotest.int "minor collections during the compile" 0
+        (s1.Gc.minor_collections - s0.Gc.minor_collections);
+      let promoted = s2.Gc.promoted_words -. s0.Gc.promoted_words in
+      if promoted > 32768.0 then
+        Alcotest.failf "the compile and one minor collection promoted %.0f words (at most 32768)"
+          promoted)
 
 let suite =
   [
@@ -628,4 +675,6 @@ let suite =
     Alcotest.test_case "verify: multi-definition clobber" `Quick test_verify_clobber_shape;
     Alcotest.test_case "verify: malformed placement" `Quick test_verify_malformed_placement;
     Alcotest.test_case "context: analysis spans" `Quick test_context_spans;
+    Alcotest.test_case "compile path: no minor collection, little promoted" `Quick
+      test_compile_gc;
   ]
