@@ -12,7 +12,7 @@ let create ?boundary_kinds kernel =
   let span = Obs.Span.with_span in
   let cfg = span "cfg" (fun () -> Analysis.Cfg.of_kernel kernel) in
   let dominance = span "dominance" (fun () -> Analysis.Dominance.compute cfg) in
-  let reaching = span "reaching" (fun () -> Analysis.Reaching.compute kernel cfg) in
+  let reaching = span "reaching" (fun () -> Analysis.Reaching.compute kernel cfg dominance) in
   let duchain = span "duchain" (fun () -> Analysis.Duchain.compute kernel reaching) in
   let partition =
     span "partition" (fun () -> Strand.Partition.compute ?kinds:boundary_kinds kernel cfg reaching)

@@ -5,7 +5,7 @@ let bottom = -1
 type state = {
   orf : int array;
   lrf : int array;
-  mrf_ok : Util.Bitset.t;  (* per register: MRF copy is current *)
+  mrf_ok : Util.Bitset.t;  (* per tracked register: MRF copy is current *)
 }
 
 (* Meets [src]'s cells into the [n] cells of [d] from [off] in place;
@@ -33,19 +33,37 @@ let replay_check (config : Config.t) (ctx : Context.t) (placement : Placement.t)
   let orf_entries = config.Config.orf_entries in
   let lrf_banks = Config.lrf_banks config in
   let no = max orf_entries 1 and nl = max lrf_banks 1 in
+  (* Only a register that some instruction writes without an MRF copy
+     can find its MRF copy stale: the current-MRF-copy sets range over
+     those ([tracked.(r)] is r's bit, -1 for a register whose copy is
+     always current). *)
+  let tracked = Array.make nr (-1) in
+  let ntracked = ref 0 in
+  Array.iter
+    (fun (i : Ir.Instr.t) ->
+      match i.Ir.Instr.dst, Placement.dest placement ~instr:i.Ir.Instr.id with
+      | Some r, Some dest when (not dest.Placement.to_mrf) && tracked.(r) < 0 ->
+        tracked.(r) <- !ntracked;
+        incr ntracked
+      | _ -> ())
+    k.Ir.Kernel.instrs;
+  let ntracked = !ntracked in
   let fresh_state () =
-    { orf = Array.make no bottom; lrf = Array.make nl bottom; mrf_ok = Util.Bitset.create nr }
+    { orf = Array.make no bottom; lrf = Array.make nl bottom; mrf_ok = Util.Bitset.create ntracked }
   in
   (* Block-entry states, one table each: block l's ORF and LRF cells at
      [l * no] and [l * nl], its current-MRF-copy set in row l.  A block
      holds a state once [reached]; block 0 starts with every register's
      MRF copy current (kernel inputs live in the MRF). *)
   let entry_orf = Array.make (nb * no) bottom and entry_lrf = Array.make (nb * nl) bottom in
-  let entry_mrf = Util.Bitset.matrix ~rows:nb nr in
+  let entry_mrf = Util.Bitset.matrix ~rows:nb ntracked in
   let reached = Array.make nb false in
-  (* The one state every replay works in, and a scratch set for meets. *)
+  (* The one state every replay works in. *)
   let st = fresh_state () in
-  let meet_mrf = Util.Bitset.create nr in
+  let mrf_current r =
+    let c = tracked.(r) in
+    c < 0 || Util.Bitset.mem st.mrf_ok c
+  in
   Util.Bitset.fill_all st.mrf_ok;
   Util.Bitset.store_row entry_mrf 0 st.mrf_ok;
   reached.(0) <- true;
@@ -65,7 +83,7 @@ let replay_check (config : Config.t) (ctx : Context.t) (placement : Placement.t)
       let id = i.Ir.Instr.id in
       (match Placement.src placement ~instr:id ~pos with
        | Placement.From_mrf ->
-         if report && not (Util.Bitset.mem st.mrf_ok r) then
+         if report && not (mrf_current r) then
            error "instr %d slot %d: MRF read of %s but the MRF copy is stale" id pos
              (Ir.Reg.to_string r)
        | Placement.From_orf e ->
@@ -102,7 +120,7 @@ let replay_check (config : Config.t) (ctx : Context.t) (placement : Placement.t)
           | Placement.From_mrf -> ()
           | Placement.From_orf _ | Placement.From_lrf _ ->
             if report then error "instr %d slot %d: fill source is not an MRF read" id pos);
-         if report && not (Util.Bitset.mem st.mrf_ok r) then
+         if report && not (mrf_current r) then
            error "instr %d slot %d: fill of %s from a stale MRF copy" id pos (Ir.Reg.to_string r);
          if e >= 0 && e < orf_entries then st.orf.(e) <- r
          else if report then error "instr %d: fill into ORF entry %d out of range" id e);
@@ -123,8 +141,9 @@ let replay_check (config : Config.t) (ctx : Context.t) (placement : Placement.t)
     | Some d, Some dest ->
       invalidate_holding st.orf d;
       invalidate_holding st.lrf d;
-      if dest.Placement.to_mrf then Util.Bitset.set st.mrf_ok d
-      else Util.Bitset.clear st.mrf_ok d;
+      if tracked.(d) >= 0 then
+        if dest.Placement.to_mrf then Util.Bitset.set st.mrf_ok tracked.(d)
+        else Util.Bitset.clear st.mrf_ok tracked.(d);
       if Ir.Instr.is_long_latency i
          && (dest.Placement.to_lrf <> None || dest.Placement.to_orf <> None || not dest.Placement.to_mrf)
          && report
@@ -165,9 +184,7 @@ let replay_check (config : Config.t) (ctx : Context.t) (placement : Placement.t)
   let propagate s =
     let changed =
       if reached.(s) then begin
-        Util.Bitset.load_row ~dst:meet_mrf entry_mrf s;
-        let mrf = Util.Bitset.inter_into ~dst:meet_mrf st.mrf_ok in
-        if mrf then Util.Bitset.store_row entry_mrf s meet_mrf;
+        let mrf = Util.Bitset.inter_into_row entry_mrf s st.mrf_ok in
         let orf = meet_cells entry_orf (s * no) st.orf no in
         let lrf = meet_cells entry_lrf (s * nl) st.lrf nl in
         mrf || orf || lrf

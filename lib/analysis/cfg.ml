@@ -89,23 +89,16 @@ let sweep t ~forward step =
 
 let solve_union t ~forward ~join ~transfer ~kill =
   let sources = if forward then t.preds else t.succs in
+  let tmp = Util.Bitset.create (Util.Bitset.cols join) in
   sweep t ~forward (fun b ->
       let grew =
         List.fold_left
           (fun grew x -> Util.Bitset.union_rows ~dst:join b transfer x || grew)
           false sources.(b)
       in
-      grew && Util.Bitset.union_diff_rows ~dst:transfer b join ~minus:kill)
-
-(* reach(b) is the union over b's successors s of {s} and reach(s): a
-   backward union problem whose join and transfer are the same row. *)
-let reach t =
-  let m = Util.Bitset.matrix ~rows:t.num_blocks t.num_blocks in
-  sweep t ~forward:false (fun b ->
-      List.fold_left
-        (fun grew s ->
-          let fresh = not (Util.Bitset.row_mem m b s) in
-          if fresh then Util.Bitset.row_set m b s;
-          Util.Bitset.union_rows ~dst:m b m s || fresh || grew)
-        false t.succs.(b));
-  m
+      grew
+      && begin
+        Util.Bitset.load_row ~dst:tmp join b;
+        kill b tmp;
+        Util.Bitset.union_into_row transfer b tmp
+      end)

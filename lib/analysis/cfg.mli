@@ -32,19 +32,14 @@ val solve_union :
   forward:bool ->
   join:Util.Bitset.matrix ->
   transfer:Util.Bitset.matrix ->
-  kill:Util.Bitset.matrix ->
+  kill:(int -> Util.Bitset.t -> unit) ->
   unit
 (** The least fixpoint of a union (may) dataflow problem, solved in
-    place over three [blocks]-row matrices of one capacity: row b of
+    place over two [blocks]-row matrices of one capacity: row b of
     [join] becomes the union of [transfer]'s rows over b's predecessors
     (successors unless [forward]), and row b of [transfer] grows by
-    [join - kill].  Call it with an empty [join] and each [transfer]
-    row holding b's gen set.  A layout-order sweep (reverse unless
-    [forward]) revisits a block only when one of its sources grew; it
-    allocates only its pending flags. *)
-
-val reach : t -> Util.Bitset.matrix
-(** [reach cfg]: bit [c] of row [b] is set iff block [c] can be reached
-    from block [b] over at least one edge (so [b]'s own bit is set iff
-    [b] is on a cycle).  [blocks x blocks] bits, solved like
-    {!solve_union} backward, one sweep plus a revisit per loop. *)
+    [join] minus what [kill b] removes from a set (kill b s must
+    remove block b's kill set from s).  Call it with an empty [join]
+    and each [transfer] row holding b's gen set.  A layout-order sweep
+    (reverse unless [forward]) revisits a block only when one of its
+    sources grew; it allocates its pending flags and one scratch set. *)

@@ -14,7 +14,8 @@ val idom : t -> int -> int option
 
 val dominates : t -> int -> int -> bool
 (** [dominates t a b]: does block [a] dominate block [b]?  Reflexive.
-    [false] when either block is unreachable. *)
+    [false] when either block is unreachable.  O(1): b's interval in a
+    depth-first numbering of the dominator tree nests in a's. *)
 
 val instr_dominates : Ir.Kernel.t -> t -> int -> int -> bool
 (** [instr_dominates k t i j]: does instruction [i] dominate

@@ -45,9 +45,11 @@ let fill_csr start data visit =
 let compute (k : Ir.Kernel.t) (reaching : Reaching.t) =
   let ni = Ir.Kernel.instr_count k in
   let multi = Util.Bitset.create ni in
-  (* Union-find over definition ids; the first operand of a union keeps
-     its root, so group ids are the same whatever the path compression. *)
-  let parent = Array.init ni Fun.id in
+  (* Union-find over definition ids, in [group_of] until every def's
+     root is known; the first operand of a union keeps its root, so
+     group ids are the same whatever the path compression. *)
+  let group_of = Array.init ni Fun.id in
+  let parent = group_of in
   let rec find x =
     let p = parent.(x) in
     if p = x then x
@@ -93,17 +95,19 @@ let compute (k : Ir.Kernel.t) (reaching : Reaching.t) =
   prefix_sum read_start;
   let reads = Array.make read_start.(ni) 0 in
   fill_csr read_start reads each_read;
-  (* Groups: every def's root, then the members of each, in layout
+  (* Groups: every def's root (no find passes an instruction with no
+     result, which is marked -1), then the members of each, in layout
      order. *)
-  let group_of = Array.make ni (-1) in
   let member_start = Array.make (ni + 1) 0 in
   Array.iter
     (fun (i : Ir.Instr.t) ->
+      let id = i.Ir.Instr.id in
       if Option.is_some i.Ir.Instr.dst then begin
-        let g = find i.Ir.Instr.id in
-        group_of.(i.Ir.Instr.id) <- g;
+        let g = find id in
+        group_of.(id) <- g;
         member_start.(g + 1) <- member_start.(g + 1) + 1
-      end)
+      end
+      else group_of.(id) <- -1)
     k.Ir.Kernel.instrs;
   prefix_sum member_start;
   let members = Array.make member_start.(ni) 0 in

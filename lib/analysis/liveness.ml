@@ -23,7 +23,8 @@ let compute (k : Ir.Kernel.t) (cfg : Cfg.t) =
         b.Ir.Block.instrs)
     k.Ir.Kernel.blocks;
   let live_out = Util.Bitset.matrix ~rows:nb nr in
-  Cfg.solve_union cfg ~forward:false ~join:live_out ~transfer:live_in ~kill:def;
+  Cfg.solve_union cfg ~forward:false ~join:live_out ~transfer:live_in ~kill:(fun b s ->
+      ignore (Util.Bitset.diff_row_into ~dst:s def b));
   { kernel = k; block_live_in = live_in; block_live_out = live_out }
 
 let live_in_bits t b = Util.Bitset.row t.block_live_in b

@@ -7,7 +7,8 @@
    every other instruction) and only they take part in the block-level
    fixpoint ([block_in], [block_out]).  A register with one definition
    site d needs no fixpoint: every path from d is definition-clear, so
-   d reaches the entry of block b iff [reach] leads from d's block to b.
+   d reaches the entry of block b iff some path of at least one edge
+   leads from d's block to b ({!reaches}).
 
    The per-operand table, at [id * num_slots + slot]: a site id >= 0 is
    the one definition reaching that read, [none] means none does, and a
@@ -15,12 +16,13 @@
    and the sites follow it, ascending. *)
 type t = {
   kernel : Ir.Kernel.t;
+  cfg : Cfg.t;
+  dominance : Dominance.t;
   site_start : int array;
   sites : int array;
   multi_index : int array;
   block_in : Util.Bitset.matrix;
   block_out : Util.Bitset.matrix;
-  reach : Util.Bitset.matrix;
   operands : int array;
   shared : int array;
 }
@@ -29,26 +31,65 @@ let none = -1
 
 let def_count t r = t.site_start.(r + 1) - t.site_start.(r)
 
+(* A depth-first walk's scratch: block b is marked when [seen.(b)]
+   equals the walk's [stamp]. *)
+type walk = { seen : int array; stack : int array; mutable stamp : int }
+
+let walk_scratch t =
+  let nb = t.cfg.Cfg.num_blocks in
+  { seen = Array.make nb (-1); stack = Array.make nb 0; stamp = 0 }
+
+(* Is block [b] reachable from block [a] over at least one edge?  When
+   [a] strictly dominates [b] it is: b is reachable from the entry and
+   every path there passes a.  That settles all but a few reads of a
+   one-definition register (a def on one side of a hammock read after
+   it, a read at a loop head of a value defined later in the loop);
+   those walk forward from a's successors, in the scratch [w] (made on
+   first use). *)
+let reaches t w a b =
+  (a <> b && Dominance.dominates t.dominance a b)
+  ||
+  let w = Lazy.force w in
+  let top = ref 0 in
+  let push x =
+    if w.seen.(x) <> w.stamp then begin
+      w.seen.(x) <- w.stamp;
+      w.stack.(!top) <- x;
+      incr top
+    end
+  in
+  w.stamp <- w.stamp + 1;
+  List.iter push t.cfg.Cfg.succs.(a);
+  let found = ref false in
+  while (not !found) && !top > 0 do
+    decr top;
+    let x = w.stack.(!top) in
+    if x = b then found := true else List.iter push t.cfg.Cfg.succs.(x)
+  done;
+  !found
+
 (* Does register [r]'s site number [j] (of its list) reach the entry of
    [block]? *)
-let reaches_entry t block r j =
+let reaches_entry t w block r j =
   let d = t.sites.(t.site_start.(r) + j) in
-  if def_count t r = 1 then Util.Bitset.row_mem t.reach (Ir.Kernel.block_of t.kernel d) block
+  if def_count t r = 1 then reaches t w (Ir.Kernel.block_of t.kernel d) block
   else Util.Bitset.row_mem t.block_in block t.multi_index.(d)
 
 let entry_defs t block r =
+  let w = lazy (walk_scratch t) in
   let acc = ref [] in
   for j = def_count t r - 1 downto 0 do
-    if reaches_entry t block r j then acc := t.sites.(t.site_start.(r) + j) :: !acc
+    if reaches_entry t w block r j then acc := t.sites.(t.site_start.(r) + j) :: !acc
   done;
   !acc
 
-let compute (k : Ir.Kernel.t) (cfg : Cfg.t) =
+let compute (k : Ir.Kernel.t) (cfg : Cfg.t) (dominance : Dominance.t) =
   let nb = Ir.Kernel.block_count k in
   let nr = k.Ir.Kernel.num_regs in
   let ni = Ir.Kernel.instr_count k in
-  (* Definition sites per register, counted then filled in layout order
-     ([next.(r)] is where r's next site goes). *)
+  (* Definition sites per register: counted, then filled in layout order
+     with [site_start.(r)] as r's cursor, which leaves it at r + 1's
+     offset until the offsets are shifted back. *)
   let site_start = Array.make (nr + 1) 0 in
   Array.iter
     (fun (i : Ir.Instr.t) ->
@@ -56,66 +97,81 @@ let compute (k : Ir.Kernel.t) (cfg : Cfg.t) =
       | Some r -> site_start.(r + 1) <- site_start.(r + 1) + 1
       | None -> ())
     k.Ir.Kernel.instrs;
-  for r = 0 to nr - 1 do
-    site_start.(r + 1) <- site_start.(r + 1) + site_start.(r)
+  for r = 1 to nr do
+    site_start.(r) <- site_start.(r) + site_start.(r - 1)
   done;
   let sites = Array.make site_start.(nr) 0 in
-  let next = Array.sub site_start 0 nr in
+  Array.iter
+    (fun (i : Ir.Instr.t) ->
+      match i.Ir.Instr.dst with
+      | Some r ->
+        sites.(site_start.(r)) <- i.Ir.Instr.id;
+        site_start.(r) <- site_start.(r) + 1
+      | None -> ())
+    k.Ir.Kernel.instrs;
+  Array.blit site_start 0 site_start 1 nr;
+  site_start.(0) <- 0;
+  let multi r = site_start.(r + 1) - site_start.(r) > 1 in
   let multi_index = Array.make ni (-1) in
   let nm = ref 0 in
   Array.iter
     (fun (i : Ir.Instr.t) ->
       match i.Ir.Instr.dst with
-      | Some r ->
-        sites.(next.(r)) <- i.Ir.Instr.id;
-        next.(r) <- next.(r) + 1;
-        if site_start.(r + 1) - site_start.(r) > 1 then begin
-          multi_index.(i.Ir.Instr.id) <- !nm;
-          incr nm
-        end
-      | None -> ())
+      | Some r when multi r ->
+        multi_index.(i.Ir.Instr.id) <- !nm;
+        incr nm
+      | Some _ | None -> ())
     k.Ir.Kernel.instrs;
   let nm = !nm in
+  (* Per register, for the block being walked: [stamp.(r) = l] while
+     walking block l means [value.(r)] holds r's fact there (its last
+     def in l so far, below; what reaches a read of r, in the operand
+     walk). *)
+  let stamp = Array.make nr (-1) and value = Array.make nr none in
   (* The fixpoint over multi-definition sites.  block_out starts as
-     gen(b), the last def of each such register written in b; kill(b):
-     every def of those registers (gen re-adds the survivors).
-     [last_def.(r)] is r's last def in the block being walked while
-     [last_block.(r)] names that block. *)
+     gen(b), the last def of each such register written in b; kill(b),
+     applied to a set, removes every def of those registers. *)
   let block_out = Util.Bitset.matrix ~rows:nb nm in
-  let kill = Util.Bitset.matrix ~rows:nb nm in
-  let last_def = Array.make nr (-1) and last_block = Array.make nr (-1) in
   Array.iter
     (fun (i : Ir.Instr.t) ->
       let id = i.Ir.Instr.id in
       if multi_index.(id) >= 0 then begin
         let l = Ir.Kernel.block_of k id in
         let r = Option.get i.Ir.Instr.dst in
-        if last_block.(r) <> l then
-          for j = site_start.(r) to site_start.(r + 1) - 1 do
-            Util.Bitset.row_set kill l multi_index.(sites.(j))
-          done
-        else Util.Bitset.row_clear block_out l multi_index.(last_def.(r));
+        if stamp.(r) = l then Util.Bitset.row_clear block_out l multi_index.(value.(r));
         Util.Bitset.row_set block_out l multi_index.(id);
-        last_def.(r) <- id;
-        last_block.(r) <- l
+        stamp.(r) <- l;
+        value.(r) <- id
       end)
     k.Ir.Kernel.instrs;
+  let kill b set =
+    Array.iter
+      (fun (i : Ir.Instr.t) ->
+        match i.Ir.Instr.dst with
+        | Some r when multi r ->
+          for j = site_start.(r) to site_start.(r + 1) - 1 do
+            Util.Bitset.clear set multi_index.(sites.(j))
+          done
+        | Some _ | None -> ())
+      k.Ir.Kernel.blocks.(b).Ir.Block.instrs
+  in
   let block_in = Util.Bitset.matrix ~rows:nb nm in
   Cfg.solve_union cfg ~forward:true ~join:block_in ~transfer:block_out ~kill;
   let t =
-    { kernel = k; site_start; sites; multi_index; block_in; block_out; reach = Cfg.reach cfg;
+    { kernel = k; cfg; dominance; site_start; sites; multi_index; block_in; block_out;
       operands = Array.make (ni * Ir.Instr.num_slots) none; shared = [||] }
   in
-  (* The per-operand table, one forward walk: the last in-block def if
-     there is one, else the register's defs live at block entry (coded
-     once per block and register, so the reads of one block share a
-     list of several sites). *)
+  let w = lazy (walk_scratch t) in
+  (* The per-operand table, one forward walk.  Within a block, a read
+     of r takes r's last def before it if there is one, else r's defs
+     live at block entry, coded once per block and register (the reads
+     of one block share a list of several sites); either is then r's
+     [value] for the rest of the block until r is written. *)
   let shared = Util.Intbuf.create 64 in
-  let at_entry = Array.make nr none and at_entry_block = Array.make nr (-1) in
   let entry_code l r =
     let n = ref 0 and only = ref none in
     for j = 0 to def_count t r - 1 do
-      if reaches_entry t l r j then begin
+      if reaches_entry t w l r j then begin
         incr n;
         only := t.sites.(t.site_start.(r) + j)
       end
@@ -125,7 +181,7 @@ let compute (k : Ir.Kernel.t) (cfg : Cfg.t) =
       let code = -2 - Util.Intbuf.length shared in
       Util.Intbuf.push shared !n;
       for j = 0 to def_count t r - 1 do
-        if reaches_entry t l r j then Util.Intbuf.push shared t.sites.(t.site_start.(r) + j)
+        if reaches_entry t w l r j then Util.Intbuf.push shared t.sites.(t.site_start.(r) + j)
       done;
       code
     end
@@ -133,18 +189,14 @@ let compute (k : Ir.Kernel.t) (cfg : Cfg.t) =
   let rec operands id l slot = function
     | [] -> ()
     | r :: rest ->
-      t.operands.((id * Ir.Instr.num_slots) + slot) <-
-        (if last_block.(r) = l then last_def.(r)
-         else begin
-           if at_entry_block.(r) <> l then begin
-             at_entry_block.(r) <- l;
-             at_entry.(r) <- entry_code l r
-           end;
-           at_entry.(r)
-         end);
+      if stamp.(r) <> l then begin
+        stamp.(r) <- l;
+        value.(r) <- entry_code l r
+      end;
+      t.operands.((id * Ir.Instr.num_slots) + slot) <- value.(r);
       operands id l (slot + 1) rest
   in
-  Array.fill last_block 0 nr (-1);
+  Array.fill stamp 0 nr (-1);
   Array.iter
     (fun (i : Ir.Instr.t) ->
       let id = i.Ir.Instr.id in
@@ -152,8 +204,8 @@ let compute (k : Ir.Kernel.t) (cfg : Cfg.t) =
       operands id l 0 i.Ir.Instr.srcs;
       match i.Ir.Instr.dst with
       | Some r ->
-        last_def.(r) <- id;
-        last_block.(r) <- l
+        stamp.(r) <- l;
+        value.(r) <- id
       | None -> ())
     k.Ir.Kernel.instrs;
   { t with shared = Util.Intbuf.to_array shared }
@@ -197,5 +249,5 @@ let reaches_block_end t ~block ~def =
   | Some r ->
     if def_count t r = 1 then
       let home = Ir.Kernel.block_of t.kernel def in
-      home = block || Util.Bitset.row_mem t.reach home block
+      home = block || reaches t (lazy (walk_scratch t)) home block
     else Util.Bitset.row_mem t.block_out block t.multi_index.(def)

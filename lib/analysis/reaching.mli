@@ -11,8 +11,10 @@
     of generated kernels), in two [blocks x those sites] bit matrices.
     A register with one definition site (the pseudo-SSA common case)
     needs none: every path from its site is definition-clear, so the
-    site reaches a point iff a path leads there, which one [blocks x
-    blocks] reachability matrix ({!Cfg.reach}) answers.  One forward
+    site reaches a point iff a path leads there.  Dominance answers
+    that in O(1) for all but about 0.2% of such reads of generated
+    kernels (a block reaches every block it strictly dominates); the
+    rest take a forward walk from the site's block.  One forward
     walk then fills a per-operand table: for every (instruction, source
     slot) one int, the reaching site itself when exactly one reaches
     the read, else an index into one shared int array of longer lists
@@ -24,7 +26,7 @@
 
 type t
 
-val compute : Ir.Kernel.t -> Cfg.t -> t
+val compute : Ir.Kernel.t -> Cfg.t -> Dominance.t -> t
 
 val reaching_before : t -> instr_id:int -> Ir.Reg.t -> int list
 (** Definition sites of the register that reach the program point just
@@ -54,4 +56,5 @@ val nth_reaching : t -> instr_id:int -> slot:int -> int -> int
 val reaches_block_end : t -> block:int -> def:int -> bool
 (** Does the definition reach the exit of the given block?  A site of
     a one-definition register reaches the exit of its own block and of
-    every block reachable from it. *)
+    every block reachable from it (a walk over the blocks when the
+    site's block does not dominate the given one). *)

@@ -1,7 +1,8 @@
 (* The sets reset at every strand start, so they hold only registers
    written since, a handful however large the kernel: each block's entry
    set is kept as an ascending run of register ids,
-   [entries.(entry_start.(b) .. entry_start.(b + 1) - 1)]. *)
+   [entries.(entry_start.(b) .. entry_start.(b + 1) - 1)], and nothing
+   else is stored. *)
 type t = {
   kernel : Ir.Kernel.t;
   partition : Partition.t;
@@ -9,11 +10,13 @@ type t = {
   entries : int array;
 }
 
+(* Where [r] goes in the ascending run [a.(0 .. j - 1)]. *)
+let rec slot a j (r : int) = if j > 0 && a.(j - 1) > r then slot a (j - 1) r else j
+
 (* Inserts [r] into the ascending run of the first [n] ints of [!cur],
    growing the array when full; returns the new length. *)
 let insert cur n r =
-  let rec slot j = if j > 0 && !cur.(j - 1) > r then slot (j - 1) else j in
-  let j = slot n in
+  let j = slot !cur n r in
   if j > 0 && !cur.(j - 1) = r then n
   else begin
     if n = Array.length !cur then begin
@@ -27,29 +30,58 @@ let insert cur n r =
     n + 1
   end
 
+(* Is [r] in the ascending run [get lo .. get (hi - 1)]?  A binary
+   search. *)
+let rec mem_run get lo hi (r : int) =
+  lo < hi
+  &&
+  let mid = (lo + hi) / 2 in
+  let x = get mid in
+  x = r || if x < r then mem_run get (mid + 1) hi r else mem_run get lo mid r
+
 let compute (k : Ir.Kernel.t) (cfg : Analysis.Cfg.t) (partition : Partition.t) =
   let nb = Ir.Kernel.block_count k in
   let reachable = Analysis.Cfg.reachable cfg in
-  (* Every block's entry and exit sets as ascending runs, pushed in
-     block order; the block being computed works in the first [n] ints
-     of [!cur]. *)
+  let starts i = Partition.starts_strand partition i.Ir.Instr.id in
+  (* Every block's entry set as an ascending run, pushed in block order;
+     the block being computed works in the first [n] ints of [!cur]. *)
   let entry_start = Array.make (nb + 1) 0 and entries = Util.Intbuf.create 64 in
-  let out_start = Array.make (nb + 1) 0 and outs = Util.Intbuf.create 64 in
   let cur = ref (Array.make 16 0) in
   let n = ref 0 in
-  (* Keeps the members of [cur] that block [p]'s exit set holds (a
-     merge of two ascending runs). *)
-  let inter p =
-    let kept = ref 0 and j = ref out_start.(p) in
-    let stop = out_start.(p + 1) in
-    let a = !cur in
-    for i = 0 to !n - 1 do
-      let r = a.(i) in
-      while !j < stop && Util.Intbuf.get outs !j < r do
-        incr j
+  (* A computed block's exit set is not stored: it is what the block
+     writes after its last strand start, plus, if it starts no strand,
+     its entry set.  [load_exit p] puts it in [cur]; [in_exit p r]
+     scans p back from its end, where a write of [r] answers yes and a
+     strand start no. *)
+  let load_exit p =
+    let instrs = k.Ir.Kernel.blocks.(p).Ir.Block.instrs in
+    let rec last_start j = if j < 0 || starts instrs.(j) then j else last_start (j - 1) in
+    let s = last_start (Array.length instrs - 1) in
+    if s < 0 then
+      for j = entry_start.(p) to entry_start.(p + 1) - 1 do
+        n := insert cur !n (Util.Intbuf.get entries j)
       done;
-      if !j < stop && Util.Intbuf.get outs !j = r then begin
-        a.(!kept) <- r;
+    for j = max s 0 to Array.length instrs - 1 do
+      match instrs.(j).Ir.Instr.dst with Some r -> n := insert cur !n r | None -> ()
+    done
+  in
+  let in_exit p r =
+    let instrs = k.Ir.Kernel.blocks.(p).Ir.Block.instrs in
+    let rec back j =
+      if j < 0 then mem_run (Util.Intbuf.get entries) entry_start.(p) entry_start.(p + 1) r
+      else
+        match instrs.(j).Ir.Instr.dst with
+        | Some x when x = r -> true
+        | Some _ | None -> (not (starts instrs.(j))) && back (j - 1)
+    in
+    back (Array.length instrs - 1)
+  in
+  (* Keeps the members of [cur] that block [p]'s exit set holds. *)
+  let inter p =
+    let a = !cur and kept = ref 0 in
+    for i = 0 to !n - 1 do
+      if in_exit p a.(i) then begin
+        a.(!kept) <- a.(i);
         incr kept
       end
     done;
@@ -73,38 +105,19 @@ let compute (k : Ir.Kernel.t) (cfg : Analysis.Cfg.t) (partition : Partition.t) =
       | [] -> ()
       | first :: rest ->
         if List.for_all (fun p -> p < l) preds then begin
-          for j = out_start.(first) to out_start.(first + 1) - 1 do
-            n := insert cur !n (Util.Intbuf.get outs j)
-          done;
+          load_exit first;
           List.iter inter rest
         end
     end;
     for i = 0 to !n - 1 do
       Util.Intbuf.push entries !cur.(i)
     done;
-    entry_start.(l + 1) <- Util.Intbuf.length entries;
-    Array.iter
-      (fun (i : Ir.Instr.t) ->
-        if Partition.starts_strand partition i.Ir.Instr.id then n := 0;
-        match i.Ir.Instr.dst with Some r -> n := insert cur !n r | None -> ())
-      b.Ir.Block.instrs;
-    for i = 0 to !n - 1 do
-      Util.Intbuf.push outs !cur.(i)
-    done;
-    out_start.(l + 1) <- Util.Intbuf.length outs
+    entry_start.(l + 1) <- Util.Intbuf.length entries
   done;
   { kernel = k; partition; entry_start; entries = Util.Intbuf.to_array entries }
 
-(* Is [r] in block [b]'s entry run?  A binary search. *)
-let at_entry t b (r : int) =
-  let rec search lo hi =
-    lo < hi
-    &&
-    let mid = (lo + hi) / 2 in
-    let x = t.entries.(mid) in
-    x = r || if x < r then search (mid + 1) hi else search lo mid
-  in
-  search t.entry_start.(b) t.entry_start.(b + 1)
+(* Is [r] in block [b]'s entry run? *)
+let at_entry t b r = mem_run (Array.get t.entries) t.entry_start.(b) t.entry_start.(b + 1) r
 
 (* Walk back from the instruction to the last strand start or write of
    [r] in its block; the block's entry set answers if neither comes

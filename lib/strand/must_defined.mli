@@ -24,10 +24,10 @@ val must_defined_before : t -> instr_id:int -> Ir.Reg.t -> bool
     Cost model: the set resets at every strand start, so it only ever
     holds registers written since — a handful, however large the
     kernel.  {!compute} keeps each block's entry set as an ascending run
-    of register ids in one flat [int array] (exit sets likewise, while
-    it runs), meeting predecessors by merging runs: O(instructions +
-    edges x set size); nothing stored is a pointer, so nothing is
-    promoted.  A query binary-searches the register in its block's
+    of register ids in one flat [int array]; a predecessor's exit set
+    is re-derived from its entry run and its instructions when a
+    successor meets it: O(instructions + edges x set size x block
+    length); nothing stored is a pointer, so nothing is promoted.  A query binary-searches the register in its block's
     entry run and replays the block's instructions before [instr_id]
     (a strand start clears it, a write of the register sets it): O(the
     instruction's position in its block), and it allocates nothing. *)

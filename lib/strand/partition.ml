@@ -53,8 +53,6 @@ let compute ?(kinds = all_boundaries) (k : Ir.Kernel.t) (cfg : Analysis.Cfg.t)
       || consumes_pending id slot n (j + 1)
     else consumes_pending id (slot + 1) n 0
   in
-  let boundary_before = Array.make ni false in
-  let block_start_boundary = Array.make nb false in
   let prev_block_ends_backward = Array.make nb false in
   Array.iter
     (fun (b : Ir.Block.t) ->
@@ -63,15 +61,25 @@ let compute ?(kinds = all_boundaries) (k : Ir.Kernel.t) (cfg : Analysis.Cfg.t)
         prev_block_ends_backward.(l + 1) <- true)
     k.Ir.Kernel.blocks;
   (* Single pass in label order: forward preds are already done; cycles
-     are cut at backward targets where the pending set is cleared. *)
+     are cut at backward targets where the pending set is cleared.  The
+     same pass numbers the strands in layout order: a boundary before a
+     block (held across empty blocks) or before an instruction starts a
+     new strand, except before the kernel's first instruction, which
+     starts strand 0. *)
+  let strand_of_instr = Array.make ni 0 in
+  let starts = Array.make ni false in
+  let current = ref 0 in
+  let pending_block_boundary = ref false in
+  let seen_any = ref false in
   for l = 0 to nb - 1 do
     let b = k.Ir.Kernel.blocks.(l) in
     Util.Bitset.clear_all pending;
     if l = 0 then ()
-    else if backward_target.(l) || prev_block_ends_backward.(l) then
+    else if backward_target.(l) || prev_block_ends_backward.(l) then begin
       (* The pending set always clears here (the dataflow stays a single
          pass), but the boundary itself is subject to [kinds.backward]. *)
-      block_start_boundary.(l) <- kinds.backward
+      if kinds.backward then pending_block_boundary := true
+    end
     else begin
       let preds = List.filter (fun p -> reachable.(p)) cfg.Analysis.Cfg.preds.(l) in
       match preds with
@@ -88,43 +96,27 @@ let compute ?(kinds = all_boundaries) (k : Ir.Kernel.t) (cfg : Analysis.Cfg.t)
           ignore (Util.Bitset.union_into ~dst:pending may)
         else if kinds.merge then
           (* Uncertain merge (Fig. 5(b)): extra strand endpoint. *)
-          block_start_boundary.(l) <- true
+          pending_block_boundary := true
         else ignore (Util.Bitset.union_into ~dst:pending must)
     end;
     Array.iter
       (fun (i : Ir.Instr.t) ->
         let id = i.Ir.Instr.id in
-        if consumes_pending id 0 (List.length i.Ir.Instr.srcs) 0 then begin
-          boundary_before.(id) <- kinds.long_latency;
-          Util.Bitset.clear_all pending
+        let consumes = consumes_pending id 0 (List.length i.Ir.Instr.srcs) 0 in
+        if consumes then Util.Bitset.clear_all pending;
+        if (!pending_block_boundary || (consumes && kinds.long_latency)) && !seen_any then begin
+          incr current;
+          starts.(id) <- true
         end;
+        if not !seen_any then starts.(id) <- true;
+        seen_any := true;
+        pending_block_boundary := false;
+        strand_of_instr.(id) <- !current;
         if ll_index.(id) >= 0 then Util.Bitset.set pending ll_index.(id))
       b.Ir.Block.instrs;
     if Ir.Terminator.is_backward b.Ir.Block.term ~at:l then Util.Bitset.clear_all pending;
     Util.Bitset.store_row out_pending l pending
   done;
-  (* Project boundaries onto layout order and number the strands. *)
-  let strand_of_instr = Array.make ni 0 in
-  let starts = Array.make ni false in
-  let current = ref 0 in
-  let pending_block_boundary = ref false in
-  let seen_any = ref false in
-  Array.iter
-    (fun (b : Ir.Block.t) ->
-      if block_start_boundary.(b.Ir.Block.label) then pending_block_boundary := true;
-      Array.iter
-        (fun (i : Ir.Instr.t) ->
-          let id = i.Ir.Instr.id in
-          if (!pending_block_boundary || boundary_before.(id)) && !seen_any then begin
-            incr current;
-            starts.(id) <- true
-          end;
-          if not !seen_any then starts.(id) <- true;
-          seen_any := true;
-          pending_block_boundary := false;
-          strand_of_instr.(id) <- !current)
-        b.Ir.Block.instrs)
-    k.Ir.Kernel.blocks;
   let num = if ni = 0 then 0 else !current + 1 in
   let first = Array.make num 0 and last = Array.make num (-1) in
   for id = ni - 1 downto 0 do

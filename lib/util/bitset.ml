@@ -166,9 +166,6 @@ let load_row ~dst m r = ignore (row_op Copy ~dst m r)
 let union_row_into ~dst m r = row_op Or ~dst m r
 let inter_row_into ~dst m r = row_op And ~dst m r
 
-let store_row m r src =
-  check_set_row src m r;
-  ignore (combine Copy m.cells (r * m.stride) src.words 0 m.stride)
 
 let row m r =
   let t = create m.cols in
@@ -184,24 +181,15 @@ let union_rows ~dst r src s =
   check_row src s;
   combine Or dst.cells (r * dst.stride) src.cells (s * src.stride) dst.stride
 
-let union_diff_rows ~dst r a ~minus =
-  check_same_cols dst a;
-  check_same_cols dst minus;
-  check_row dst r;
-  check_row a r;
-  check_row minus r;
-  let d = dst.cells and x = a.cells and k = minus.cells in
-  let base = r * dst.stride in
-  let changed = ref false in
-  for w = base to base + dst.stride - 1 do
-    let old = Array.unsafe_get d w in
-    let v = old lor (Array.unsafe_get x w land lnot (Array.unsafe_get k w)) in
-    if v <> old then begin
-      changed := true;
-      Array.unsafe_set d w v
-    end
-  done;
-  !changed
+let diff_row_into ~dst m r = row_op Andnot ~dst m r
+
+let into_row op m r src =
+  check_set_row src m r;
+  combine op m.cells (r * m.stride) src.words 0 m.stride
+
+let store_row m r src = ignore (into_row Copy m r src)
+let union_into_row m r src = into_row Or m r src
+let inter_into_row m r src = into_row And m r src
 
 let iter_row m r f =
   check_row m r;

@@ -91,10 +91,16 @@ val union_rows : dst:matrix -> int -> matrix -> int -> bool
 (** [union_rows ~dst r src s] ors row [s] of [src] into row [r] of
     [dst]; returns [true] if it changed.  Row capacities must match. *)
 
-val union_diff_rows : dst:matrix -> int -> matrix -> minus:matrix -> bool
-(** [union_diff_rows ~dst r a ~minus] ors row [r] of [a] minus row [r]
-    of [minus] into row [r] of [dst] — a union dataflow's transfer
-    [out |= in - kill] in one pass; returns [true] if it changed. *)
+val diff_row_into : dst:t -> matrix -> int -> bool
+(** Removes row [r]'s bits from [dst]; returns [true] if [dst] changed. *)
+
+val union_into_row : matrix -> int -> t -> bool
+(** [union_into_row m r src] ors [src] into row [r]; returns [true] if
+    the row changed. *)
+
+val inter_into_row : matrix -> int -> t -> bool
+(** [inter_into_row m r src] ands [src] into row [r]; returns [true] if
+    the row changed. *)
 
 val iter_row : matrix -> int -> (int -> unit) -> unit
 (** Members of row [r] in ascending order. *)

@@ -157,7 +157,7 @@ let test_reaching_multi_def () =
   B.store b Op.St_global ~addr:r ~value:r;
   let k = B.finalize b in
   let cfg = Analysis.Cfg.of_kernel k in
-  let reach = Analysis.Reaching.compute k cfg in
+  let reach = Analysis.Reaching.compute k cfg (Analysis.Dominance.compute cfg) in
   (* The store is the last instruction. *)
   let store_id = Ir.Kernel.instr_count k - 1 in
   let defs = Analysis.Reaching.reaching_before reach ~instr_id:store_id r in
@@ -173,7 +173,7 @@ let test_reaching_input () =
   B.store b Op.St_global ~addr:x ~value:x;
   let k = B.finalize b in
   let cfg = Analysis.Cfg.of_kernel k in
-  let reach = Analysis.Reaching.compute k cfg in
+  let reach = Analysis.Reaching.compute k cfg (Analysis.Dominance.compute cfg) in
   check Alcotest.(list int) "input has no defs" []
     (Analysis.Reaching.reaching_before reach ~instr_id:0 input)
 

@@ -141,7 +141,7 @@ let prop_limit_relaxations_monotone =
     (fun seed ->
       let k = kernel_of_seed ~size:8 seed in
       let cfg = Analysis.Cfg.of_kernel k in
-      let reaching = Analysis.Reaching.compute k cfg in
+      let reaching = Analysis.Reaching.compute k cfg (Analysis.Dominance.compute cfg) in
       let full = Strand.Partition.compute k cfg reaching in
       let relaxed =
         Strand.Partition.compute
@@ -467,11 +467,12 @@ let naive_reaching (k : Ir.Kernel.t) =
    the generator; unrolling adds longer loop bodies. *)
 let prop_sparse_reaching =
   let arb = QCheck.pair seed_arb (QCheck.make ~print:string_of_int (QCheck.Gen.int_range 10 64)) in
-  QCheck.Test.make ~count:40 ~name:"sparse reaching = dense reaching" arb (fun (seed, size) ->
+  QCheck.Test.make ~count:20 ~name:"sparse reaching = dense reaching" arb (fun (seed, size) ->
       let base = kernel_of_seed ~size seed in
       List.for_all
         (fun (what, (k : Ir.Kernel.t)) ->
-          let reaching = Analysis.Reaching.compute k (Analysis.Cfg.of_kernel k) in
+          let cfg = Analysis.Cfg.of_kernel k in
+          let reaching = Analysis.Reaching.compute k cfg (Analysis.Dominance.compute cfg) in
           let block_in, block_out = naive_reaching k in
           let ni = Ir.Kernel.instr_count k in
           let fail fmt = QCheck.Test.fail_reportf ("seed %d size %d %s: " ^^ fmt) seed size what in

@@ -115,7 +115,7 @@ let test_boundary_kinds_relaxations () =
   let e = Option.get (Workloads.Registry.find "Reduction") in
   let k = Lazy.force e.Workloads.Registry.kernel in
   let cfg = Analysis.Cfg.of_kernel k in
-  let reaching = Analysis.Reaching.compute k cfg in
+  let reaching = Analysis.Reaching.compute k cfg (Analysis.Dominance.compute cfg) in
   let full = Strand.Partition.compute k cfg reaching in
   let none =
     Strand.Partition.compute
