@@ -164,7 +164,9 @@ let build_write_units config (ctx : Context.t) next_id g =
     incr next_id;
     id
   in
-  let reads_of d = List.init (Analysis.Duchain.num_reads du d) (Analysis.Duchain.read_operand du d) in
+  let reads_of d =
+    List.init (Analysis.Duchain.num_reads du d) (Analysis.Duchain.read_operand du d)
+  in
   let defs = List.init (Analysis.Duchain.group_size du g) (Analysis.Duchain.group_member du g) in
   let first = List.hd defs in
   let reg = Option.get (Ir.Kernel.instr k first).Ir.Instr.dst in
@@ -214,17 +216,17 @@ let build_write_units config (ctx : Context.t) next_id g =
    the order it first sees them and files each read under its group
    ([read_group], by operand index).
 
-   The units are ordered by interval, and equal intervals keep the
-   order in which the allocator has always listed them: a [Hashtbl]
-   keyed by [(strand, reg)] (created at 64 buckets, doubling whenever
-   it holds more than twice as many keys as buckets) folded into a
-   list.  The fold visits buckets in index order, each newest key
-   first, and conses, so the list runs from the last bucket down, each
-   bucket oldest key first; a bucket is [Hashtbl.hash (strand, reg)]
-   masked by the final bucket count.  Sorting on (interval, bucket
-   descending, group number) reproduces that order without the table,
-   whose buckets and keys would be pointers stored into a major-heap
-   array. *)
+   The units are ordered by interval.  Equal intervals keep a fixed
+   order that placements depend on (the placement golden pins it): the
+   order of folding a [Hashtbl] keyed by [(strand, reg)], created at 64
+   buckets and doubling whenever it holds more than twice as many keys
+   as buckets, into a list.  The fold visits buckets in index order,
+   each newest key first, and conses, so the list runs from the last
+   bucket down, each bucket oldest key first; a key's bucket is
+   [Hashtbl.hash (strand, reg)] masked by the final bucket count.
+   Sorting on (interval, bucket descending, group number) gives that
+   order without building the table, whose buckets and keys would be
+   pointers stored into a major-heap array. *)
 let build_read_units (ctx : Context.t) ~first_id =
   let k = ctx.Context.kernel in
   let partition = ctx.Context.partition in
@@ -291,7 +293,9 @@ let build_read_units (ctx : Context.t) ~first_id =
       let dominated = ref [] in
       for j = start.(g + 1) - 1 downto start.(g) + 1 do
         let o = reads.(j) in
-        if read_instr o > fi && Analysis.Dominance.instr_dominates k ctx.Context.dominance fi (read_instr o)
+        if
+          read_instr o > fi
+          && Analysis.Dominance.instr_dominates k ctx.Context.dominance fi (read_instr o)
         then dominated := o :: !dominated
       done;
       if !dominated <> [] then begin

@@ -60,7 +60,8 @@ let dest_cells =
   Array.init
     ((max_lrf + 1) * (max_orf + 1) * 2)
     (fun i ->
-      let mrf = i mod 2 and orf = (i / 2 mod (max_orf + 1)) - 1 and lrf = (i / 2 / (max_orf + 1)) - 1 in
+      let mrf = i mod 2 in
+      let orf = (i / 2 mod (max_orf + 1)) - 1 and lrf = (i / 2 / (max_orf + 1)) - 1 in
       Some
         {
           to_lrf = (if lrf < 0 then None else Some lrf);
@@ -137,7 +138,8 @@ let level_name = function
 
 let shape_matches (k : Ir.Kernel.t) t =
   instr_count t = Ir.Kernel.instr_count k
-  && Array.for_all (fun (i : Ir.Instr.t) -> arity t ~instr:i.Ir.Instr.id = List.length i.Ir.Instr.srcs)
+  && Array.for_all
+       (fun (i : Ir.Instr.t) -> arity t ~instr:i.Ir.Instr.id = List.length i.Ir.Instr.srcs)
        k.Ir.Kernel.instrs
 
 let check_shape (k : Ir.Kernel.t) t =

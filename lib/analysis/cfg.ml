@@ -62,43 +62,33 @@ let backward_targets t =
   List.iter (fun (_, dst) -> targets.(dst) <- true) (backward_edges t);
   targets
 
-(* A layout-order sweep (reverse unless [forward]) that revisits a
-   block only when [step] reported that one of its sources grew: [step
-   b] recomputes b from its sources and says whether b's output grew,
-   and b's sinks then become pending. *)
-let sweep t ~forward step =
+let solve_union t ~forward ~join ~transfer ~kill =
   let nb = t.num_blocks in
-  let sinks = if forward then t.succs else t.preds in
+  let sources, sinks = if forward then (t.preds, t.succs) else (t.succs, t.preds) in
+  let tmp = Util.Bitset.create (Util.Bitset.cols join) in
   let pending = Array.make nb true in
-  let dir = if forward then 1 else -1 in
+  let step = if forward then 1 else -1 in
   let cursor = ref (if forward then 0 else nb - 1) in
   while !cursor >= 0 && !cursor < nb do
     let b = !cursor in
-    cursor := b + dir;
+    cursor := b + step;
     if pending.(b) then begin
       pending.(b) <- false;
-      if step b then
-        List.iter
-          (fun x ->
-            pending.(x) <- true;
-            (* A sink the sweep has passed moves the cursor back. *)
-            if (x - !cursor) * dir < 0 then cursor := x)
-          sinks.(b)
-    end
-  done
-
-let solve_union t ~forward ~join ~transfer ~kill =
-  let sources = if forward then t.preds else t.succs in
-  let tmp = Util.Bitset.create (Util.Bitset.cols join) in
-  sweep t ~forward (fun b ->
       let grew =
         List.fold_left
           (fun grew x -> Util.Bitset.union_rows ~dst:join b transfer x || grew)
           false sources.(b)
       in
-      grew
-      && begin
+      if grew then begin
         Util.Bitset.load_row ~dst:tmp join b;
         kill b tmp;
-        Util.Bitset.union_into_row transfer b tmp
-      end)
+        if Util.Bitset.union_into_row transfer b tmp then
+          List.iter
+            (fun x ->
+              pending.(x) <- true;
+              (* A sink the sweep has passed moves the cursor back. *)
+              if (x - !cursor) * step < 0 then cursor := x)
+            sinks.(b)
+      end
+    end
+  done

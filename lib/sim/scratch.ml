@@ -51,10 +51,10 @@ type t = {
   unit_free : int array;
   (* Traffic walk: per-pc count rows ([Energy.Counts.row_cells] cells
      each), executions and flag bits; the HW scheme's per-pc live-after
-     table (one bit row of [words] ints per pc, 63 registers a word); per register, the walk time of its
-     last long-latency issue (-1 = none) and its RFC residency; the RFC
-     FIFO, oldest first; counter-track windows (MRF, ORF, LRF per
-     window). *)
+     table (a row of [live_words] ints per pc, 63 registers a word); per
+     register, the walk time of its last long-latency issue (-1 = none)
+     and its RFC residency; the RFC FIFO, oldest first; counter-track
+     windows (MRF, ORF, LRF per window). *)
   mutable tr_rows : int array;
   mutable tr_exec : int array;
   mutable tr_flags : int array;

@@ -27,7 +27,8 @@ val must_defined_before : t -> instr_id:int -> Ir.Reg.t -> bool
     of register ids in one flat [int array]; a predecessor's exit set
     is re-derived from its entry run and its instructions when a
     successor meets it: O(instructions + edges x set size x block
-    length); nothing stored is a pointer, so nothing is promoted.  A query binary-searches the register in its block's
-    entry run and replays the block's instructions before [instr_id]
-    (a strand start clears it, a write of the register sets it): O(the
-    instruction's position in its block), and it allocates nothing. *)
+    length); nothing stored is a pointer, so nothing is promoted.  A
+    query binary-searches the register in its block's entry run and
+    replays the block's instructions before [instr_id] (a strand start
+    clears it, a write of the register sets it): O(the instruction's
+    position in its block). *)

@@ -128,7 +128,6 @@ let matrix ~rows cols =
   let stride = (cols + word_bits - 1) / word_bits in
   { cells = Array.make (rows * stride) 0; rows; cols; stride }
 
-let rows m = m.rows
 let cols m = m.cols
 
 let check_cell m r i =

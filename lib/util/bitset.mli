@@ -61,7 +61,6 @@ val matrix : rows:int -> int -> matrix
 (** [matrix ~rows n]: [rows] all-zero rows of capacity [n], in one
     [int array] of [rows * ceil (n / 63)] words. *)
 
-val rows : matrix -> int
 val cols : matrix -> int
 (** The capacity of every row. *)
 

@@ -568,12 +568,15 @@ let test_verify_malformed_placement () =
   (* A placement is shaped by the kernel it was made for: one of the
      same kernel with that instruction's sources dropped, and one of a
      longer kernel. *)
-  let drop_srcs (i : Ir.Instr.t) = if i.Ir.Instr.id = first_sourced then { i with Ir.Instr.srcs = [] } else i in
+  let drop_srcs (i : Ir.Instr.t) =
+    if i.Ir.Instr.id = first_sourced then { i with Ir.Instr.srcs = [] } else i
+  in
   let no_srcs =
     Ir.Kernel.make ~name:"no-srcs" ~num_regs:k.Ir.Kernel.num_regs
       ~blocks:
         (Array.map
-           (fun (b : Ir.Block.t) -> { b with Ir.Block.instrs = Array.map drop_srcs b.Ir.Block.instrs })
+           (fun (b : Ir.Block.t) ->
+             { b with Ir.Block.instrs = Array.map drop_srcs b.Ir.Block.instrs })
            k.Ir.Kernel.blocks)
   in
   check verdict "source arity mismatch"
