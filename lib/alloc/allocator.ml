@@ -102,7 +102,6 @@ let shorten cand =
 let make_write_unit config (ctx : Context.t) ~id ~defs ~reg ~strand ~reads ~extra_uncovered =
   let k = ctx.Context.kernel in
   let partition = ctx.Context.partition in
-  let def_instrs = List.map (Ir.Kernel.instr k) defs in
   let safe o =
     Strand.Partition.strand_of_instr partition (read_instr o) = strand
     && Strand.Must_defined.must_defined_before ctx.Context.must_defined ~instr_id:(read_instr o)
@@ -110,11 +109,11 @@ let make_write_unit config (ctx : Context.t) ~id ~defs ~reg ~strand ~reads ~extr
   in
   let covered, uncovered = List.partition safe reads in
   let width =
-    List.fold_left (fun acc (i : Ir.Instr.t) -> max acc (Ir.Width.words i.Ir.Instr.width)) 1
-      def_instrs
+    List.fold_left (fun acc d -> max acc (Ir.Width.words (Ir.Kernel.instr k d).Ir.Instr.width)) 1
+      defs
   in
   let producer_dp =
-    if List.exists (fun (i : Ir.Instr.t) -> Ir.Op.is_shared_datapath i.Ir.Instr.op) def_instrs
+    if List.exists (fun d -> Ir.Op.is_shared_datapath (Ir.Kernel.instr k d).Ir.Instr.op) defs
     then Energy.Model.Shared
     else Energy.Model.Private
   in

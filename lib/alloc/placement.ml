@@ -9,53 +9,34 @@ type dest = {
   to_mrf : bool;
 }
 
-(* Every per-instruction table holds immediates.  A destination is three
-   ints: [dst_mrf] is -1 for an instruction with no result, else 1 iff
-   the MRF is written; [dst_lrf]/[dst_orf] hold the bank or entry, or
-   [absent].  A source level is [level_tag lor (index lsl 2)], at
-   [src_start.(id) + pos]. *)
+(* Every per-instruction table holds immediates or the shared cells
+   below, which are built once and so are never young when stored: no
+   table of a placement is a source of promotion.  Sources are compressed
+   rows: instruction [id]'s are at [src_start.(id) + pos]. *)
 type t = {
-  dst_mrf : int array;
-  dst_lrf : int array;
-  dst_orf : int array;
+  dsts : dest option array;
   src_start : int array;
-  srcs : int array;
+  srcs : level array;
   fills : (int * int) list array;
 }
 
-let absent = min_int
-let tag_mrf = 0
-let tag_orf = 1
-let tag_lrf = 2
-
-let code_of_level = function
-  | From_mrf -> tag_mrf
-  | From_orf e -> tag_orf lor (e lsl 2)
-  | From_lrf b -> tag_lrf lor (b lsl 2)
-
 (* The levels and destinations a placement can hold within the
    hardware's bounds (ORF entries below Energy.Params.max_orf_entries,
-   one LRF bank per operand slot), built once: reading them back hands
-   out these shared cells and allocates nothing.  Anything outside the
-   bounds (only a corrupted placement holds such) is decoded fresh. *)
+   one LRF bank per operand slot).  A value outside them (only a
+   corrupted placement holds one) is stored as given. *)
 let max_orf = Energy.Params.max_orf_entries
 let max_lrf = Ir.Instr.num_slots
 let orf_levels = Array.init max_orf (fun e -> From_orf e)
 let lrf_levels = Array.init max_lrf (fun b -> From_lrf b)
 
-let level_of_code c =
-  let i = c asr 2 in
-  match c land 3 with
-  | 0 -> From_mrf
-  | 1 -> if i >= 0 && i < max_orf then orf_levels.(i) else From_orf i
-  | _ -> if i >= 0 && i < max_lrf then lrf_levels.(i) else From_lrf i
+let shared_level = function
+  | From_orf e when e >= 0 && e < max_orf -> orf_levels.(e)
+  | From_lrf b when b >= 0 && b < max_lrf -> lrf_levels.(b)
+  | l -> l
 
-let option_of_code c = if c = absent then None else Some c
-
-(* [dest_cells] index: (lrf + 1, orf + 1, mrf) for lrf in [-1, max_lrf)
-   and orf in [-1, max_orf), -1 standing for None. *)
-let dest_cell_index ~lrf ~orf ~mrf = ((((lrf + 1) * (max_orf + 1)) + orf + 1) * 2) + mrf
-
+(* [dest_cells] holds [Some d] for every destination in bounds, at
+   index ((lrf + 1) * (max_orf + 1) + orf + 1) * 2 + mrf, with -1
+   standing for a missing LRF bank or ORF entry. *)
 let dest_cells =
   Array.init
     ((max_lrf + 1) * (max_orf + 1) * 2)
@@ -69,66 +50,54 @@ let dest_cells =
           to_mrf = mrf = 1;
         })
 
+let shared_dest d =
+  let index = function None -> Some (-1) | Some x -> Some x in
+  match index d.to_lrf, index d.to_orf with
+  | Some lrf, Some orf when lrf >= -1 && lrf < max_lrf && orf >= -1 && orf < max_orf ->
+    dest_cells.((((lrf + 1) * (max_orf + 1)) + orf + 1) * 2 + if d.to_mrf then 1 else 0)
+  | _ -> Some d
+
 let mrf_only = { to_lrf = None; to_orf = None; to_mrf = true }
 
 let baseline (k : Ir.Kernel.t) =
   let n = Ir.Kernel.instr_count k in
-  let dst_mrf = Array.make n (-1) in
+  let dsts = Array.make n None in
   let src_start = Array.make (n + 1) 0 in
+  let some_mrf_only = shared_dest mrf_only in
   Array.iter
     (fun (i : Ir.Instr.t) ->
       let id = i.Ir.Instr.id in
-      if Option.is_some i.Ir.Instr.dst then dst_mrf.(id) <- 1;
+      if Option.is_some i.Ir.Instr.dst then dsts.(id) <- some_mrf_only;
       src_start.(id + 1) <- src_start.(id) + List.length i.Ir.Instr.srcs)
     k.Ir.Kernel.instrs;
-  {
-    dst_mrf;
-    dst_lrf = Array.make n absent;
-    dst_orf = Array.make n absent;
-    src_start;
-    srcs = Array.make src_start.(n) tag_mrf;
-    fills = Array.make n [];
-  }
+  { dsts; src_start; srcs = Array.make src_start.(n) From_mrf; fills = Array.make n [] }
 
-let instr_count t = Array.length t.dst_mrf
+let instr_count t = Array.length t.dsts
 let arity t ~instr = t.src_start.(instr + 1) - t.src_start.(instr)
-
-let dest t ~instr =
-  let mrf = t.dst_mrf.(instr) in
-  if mrf < 0 then None
-  else begin
-    let lrf = t.dst_lrf.(instr) and orf = t.dst_orf.(instr) in
-    let lrf_i = if lrf = absent then -1 else lrf and orf_i = if orf = absent then -1 else orf in
-    if lrf_i >= -1 && lrf_i < max_lrf && orf_i >= -1 && orf_i < max_orf then
-      dest_cells.(dest_cell_index ~lrf:lrf_i ~orf:orf_i ~mrf)
-    else Some { to_lrf = option_of_code lrf; to_orf = option_of_code orf; to_mrf = mrf = 1 }
-  end
+let dest t ~instr = t.dsts.(instr)
 
 let src_index t ~instr ~pos =
   if pos < 0 || pos >= arity t ~instr then invalid_arg "index out of bounds";
   t.src_start.(instr) + pos
 
-let src t ~instr ~pos = level_of_code t.srcs.(src_index t ~instr ~pos)
+let src t ~instr ~pos = t.srcs.(src_index t ~instr ~pos)
 let fills_of t ~instr = t.fills.(instr)
 
 let within t ~orf_entries =
-  let drop e = if e <> absent && e >= orf_entries then absent else e in
-  let level c = if c land 3 = tag_orf && c asr 2 >= orf_entries then tag_mrf else c in
+  let level = function From_orf e when e >= orf_entries -> From_mrf | l -> l in
+  let targets = function
+    | Some ({ to_orf = Some e; _ } as d) when e >= orf_entries -> shared_dest { d with to_orf = None }
+    | d -> d
+  in
   {
-    dst_mrf = Array.copy t.dst_mrf;
-    dst_lrf = Array.copy t.dst_lrf;
-    dst_orf = Array.map drop t.dst_orf;
+    dsts = Array.map targets t.dsts;
     src_start = Array.copy t.src_start;
     srcs = Array.map level t.srcs;
     fills = Array.map (List.filter (fun (_, e) -> e < orf_entries)) t.fills;
   }
 
-let set_dest t ~instr d =
-  t.dst_mrf.(instr) <- (if d.to_mrf then 1 else 0);
-  t.dst_lrf.(instr) <- Option.value ~default:absent d.to_lrf;
-  t.dst_orf.(instr) <- Option.value ~default:absent d.to_orf
-
-let set_src t ~instr ~pos level = t.srcs.(src_index t ~instr ~pos) <- code_of_level level
+let set_dest t ~instr d = t.dsts.(instr) <- shared_dest d
+let set_src t ~instr ~pos level = t.srcs.(src_index t ~instr ~pos) <- shared_level level
 let add_fill t ~instr ~pos ~entry = t.fills.(instr) <- (pos, entry) :: t.fills.(instr)
 
 let level_name = function

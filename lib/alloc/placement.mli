@@ -22,14 +22,15 @@ type dest = {
 }
 
 type t
-(** Cost model: every per-instruction table is an [int array] of codes
-    (three for the destination, one per source operand in compressed
-    rows), so a placement of any size stores no pointer and a minor
-    collection promotes none of it; only the rare fills are lists.
-    {!dest} and {!src} decode to shared cells built once for every level
-    and destination within the hardware's bounds
-    ([Energy.Params.max_orf_entries] ORF entries, one LRF bank per
-    operand slot), so reading a placement allocates nothing. *)
+(** Cost model: a placement's per-instruction tables hold immediates
+    and shared cells: every level and destination within the
+    hardware's bounds ([Energy.Params.max_orf_entries] ORF entries, one
+    LRF bank per operand slot) is one cell built once, which {!set_dest}
+    and {!set_src} store in place of their argument.  A stored cell is
+    never young, so the write barrier records nothing and a minor
+    collection promotes none of the tables, whatever their size; only
+    the rare fills are fresh lists.  Sources are compressed rows over
+    one array.  Reads are one or two array loads and allocate nothing. *)
 
 val mrf_only : dest
 

@@ -119,18 +119,17 @@ let compute (k : Ir.Kernel.t) (cfg : Analysis.Cfg.t) (partition : Partition.t) =
 (* Is [r] in block [b]'s entry run? *)
 let at_entry t b r = mem_run (Array.get t.entries) t.entry_start.(b) t.entry_start.(b + 1) r
 
-(* Walk back from the instruction to the last strand start or write of
-   [r] in its block; the block's entry set answers if neither comes
-   first.  A write at a strand's first instruction follows the reset. *)
-let must_defined_before t ~instr_id r =
+(* Walk back from [id] to the last strand start or write of [r] in
+   [block]; the block's entry set answers if neither comes first.  A
+   write at a strand's first instruction follows the reset. *)
+let rec back t block r id =
   let k = t.kernel in
-  let block = Ir.Kernel.block_of k instr_id in
-  let rec back id =
-    if Partition.starts_strand t.partition id then false
-    else if id = 0 || Ir.Kernel.block_of k (id - 1) <> block then at_entry t block r
-    else
-      match (Ir.Kernel.instr k (id - 1)).Ir.Instr.dst with
-      | Some x when x = r -> true
-      | Some _ | None -> back (id - 1)
-  in
-  back instr_id
+  if Partition.starts_strand t.partition id then false
+  else if id = 0 || Ir.Kernel.block_of k (id - 1) <> block then at_entry t block r
+  else
+    match (Ir.Kernel.instr k (id - 1)).Ir.Instr.dst with
+    | Some x when x = r -> true
+    | Some _ | None -> back t block r (id - 1)
+
+let must_defined_before t ~instr_id r =
+  back t (Ir.Kernel.block_of t.kernel instr_id) r instr_id
