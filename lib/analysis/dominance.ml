@@ -8,7 +8,8 @@ type t = {
 let compute (cfg : Cfg.t) =
   let n = cfg.Cfg.num_blocks in
   let rpo = Cfg.reverse_postorder cfg in
-  let rpo_index = Cfg.rpo_index cfg in
+  let rpo_index = Array.make n (-1) in
+  Array.iteri (fun i b -> rpo_index.(b) <- i) rpo;
   let idom = Array.make n (-1) in
   if n > 0 then begin
     idom.(0) <- 0;
@@ -18,23 +19,23 @@ let compute (cfg : Cfg.t) =
       else if rpo_index.(a) > rpo_index.(b) then intersect idom.(a) b
       else intersect a idom.(b)
     in
+    (* Folds the processed predecessors (reachable, idom known) in
+       order: the first is the start, the rest are intersected in; -1
+       if there is none. *)
+    let meet acc p =
+      if rpo_index.(p) < 0 || idom.(p) < 0 then acc else if acc < 0 then p else intersect acc p
+    in
     let changed = ref true in
     while !changed do
       changed := false;
       Array.iter
         (fun b ->
           if b <> 0 then begin
-            let processed_preds =
-              List.filter (fun p -> rpo_index.(p) >= 0 && idom.(p) >= 0) cfg.Cfg.preds.(b)
-            in
-            match processed_preds with
-            | [] -> ()
-            | first :: rest ->
-              let new_idom = List.fold_left intersect first rest in
-              if idom.(b) <> new_idom then begin
-                idom.(b) <- new_idom;
-                changed := true
-              end
+            let new_idom = List.fold_left meet (-1) cfg.Cfg.preds.(b) in
+            if new_idom >= 0 && idom.(b) <> new_idom then begin
+              idom.(b) <- new_idom;
+              changed := true
+            end
           end)
         rpo
     done
