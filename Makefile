@@ -17,14 +17,15 @@ fmt:
 	dune build @fmt
 
 # Typed-comparison guard: no compiled module of the simulator, the
-# compile path or the utilities they share (the bitsets that carry the
+# compile path, the energy counters every traffic run folds its rows
+# into, or the utilities they share (the bitsets that carry the
 # dataflow) may call OCaml's polymorphic comparison.  `=`, `<` or
 # `compare` on a value whose type is left polymorphic (a local `let rec`
 # over an array, a tuple helper) compiles to a C call such as
 # caml_equal that walks the generic representation; annotating the
 # operands as int makes it one machine compare.  `nm -u` lists each
 # object's undefined symbols; a missing nm fails the check.
-POLYCMP_DIRS = $(addprefix _build/default/lib/,util sim alloc analysis strand)
+POLYCMP_DIRS = $(addprefix _build/default/lib/,util sim alloc analysis strand energy)
 POLYCMP_SYMS = caml_(equal|notequal|compare|lessthan|lessequal|greaterthan|greaterequal)
 polycmp: build
 	@command -v nm > /dev/null || { echo "polycmp: nm not found"; exit 1; }
@@ -37,7 +38,7 @@ polycmp: build
 	  if [ -n "$$refs" ]; then echo "$$o: $$refs"; bad=1; fi; \
 	done; \
 	test $$bad = 0 || { echo "polycmp: polymorphic comparison in the objects above; annotate the operands' types"; exit 1; }
-	@echo "polycmp OK: no object under lib/{util,sim,alloc,analysis,strand} calls polymorphic comparison"
+	@echo "polycmp OK: no object under lib/{util,sim,alloc,analysis,strand,energy} calls polymorphic comparison"
 
 # Page-parity check for the HTML smokes: every table title a command
 # printed (the line above a header whose dashed underline matches its

@@ -8,6 +8,8 @@
 type t
 
 val compute : Cfg.t -> t
+(** Node 0 of the graph is the entry, which {!Postdom} relies on: its
+    reversed CFG puts the virtual exit there. *)
 
 val idom : t -> int -> int option
 (** Immediate dominator; [None] for the entry and unreachable blocks. *)

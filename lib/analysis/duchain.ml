@@ -1,26 +1,14 @@
-type read = { read_instr : int; slot : int }
-
-type instance = {
-  def : int;
-  reg : Ir.Reg.t;
-  reads : read list;
-  group : int;
-}
-
 (* Flat int tables, indexed by instruction id.  A read is coded as its
    operand index [read_instr * num_slots + slot].  The reads of def d are
    [reads.(read_start.(d) .. read_start.(d + 1) - 1)] and the members of
    group g are [members.(member_start.(g) .. member_start.(g + 1) - 1)],
    both in layout order. *)
 type t = {
-  kernel : Ir.Kernel.t;
-  reaching : Reaching.t;
   group_of : int array;  (* group id of a def, -1 for an instruction with no result *)
   read_start : int array;
   reads : int array;
   member_start : int array;
   members : int array;
-  multi_read_defs : Util.Bitset.t;  (* defs with a shared read *)
 }
 
 let operand ~instr_id ~slot = (instr_id * Ir.Instr.num_slots) + slot
@@ -44,7 +32,6 @@ let fill_csr start data visit =
 
 let compute (k : Ir.Kernel.t) (reaching : Reaching.t) =
   let ni = Ir.Kernel.instr_count k in
-  let multi = Util.Bitset.create ni in
   (* Union-find over definition ids, in [group_of] until every def's
      root is known; the first operand of a union keeps its root, so
      group ids are the same whatever the path compression. *)
@@ -84,10 +71,7 @@ let compute (k : Ir.Kernel.t) (reaching : Reaching.t) =
         let n = Reaching.num_reaching reaching ~instr_id:id ~slot in
         for j = 0 to n - 1 do
           let d' = Reaching.nth_reaching reaching ~instr_id:id ~slot j in
-          if n > 1 then begin
-            union (Reaching.nth_reaching reaching ~instr_id:id ~slot 0) d';
-            Util.Bitset.set multi d'
-          end;
+          if n > 1 then union (Reaching.nth_reaching reaching ~instr_id:id ~slot 0) d';
           read_start.(d' + 1) <- read_start.(d' + 1) + 1
         done
       done)
@@ -115,8 +99,7 @@ let compute (k : Ir.Kernel.t) (reaching : Reaching.t) =
       for d = 0 to ni - 1 do
         if group_of.(d) >= 0 then f group_of.(d) d
       done);
-  { kernel = k; reaching; group_of; read_start; reads; member_start; members;
-    multi_read_defs = multi }
+  { group_of; read_start; reads; member_start; members }
 
 let in_range t i = i >= 0 && i < Array.length t.group_of
 let is_def t d = in_range t d && t.group_of.(d) >= 0
@@ -125,47 +108,3 @@ let num_reads t d = t.read_start.(d + 1) - t.read_start.(d)
 let read_operand t d n = t.reads.(t.read_start.(d) + n)
 let group_size t g = t.member_start.(g + 1) - t.member_start.(g)
 let group_member t g n = t.members.(t.member_start.(g) + n)
-
-let read_of_operand o = { read_instr = o / Ir.Instr.num_slots; slot = o mod Ir.Instr.num_slots }
-
-let instance t d =
-  {
-    def = d;
-    reg = Option.get (Ir.Kernel.instr t.kernel d).Ir.Instr.dst;
-    reads = List.init (num_reads t d) (fun n -> read_of_operand (read_operand t d n));
-    group = t.group_of.(d);
-  }
-
-let instances t =
-  let acc = ref [] in
-  for d = Array.length t.group_of - 1 downto 0 do
-    if is_def t d then acc := instance t d :: !acc
-  done;
-  !acc
-
-let instance_of_def t d = if is_def t d then Some (instance t d) else None
-
-let group_members t g =
-  if is_def t g && t.group_of.(g) = g then
-    List.init (group_size t g) (fun n -> instance t (group_member t g n))
-  else []
-
-let input_reads t =
-  let k = t.kernel in
-  let by_reg = Array.make k.Ir.Kernel.num_regs [] in
-  Array.iter
-    (fun (i : Ir.Instr.t) ->
-      let id = i.Ir.Instr.id in
-      List.iteri
-        (fun slot r ->
-          if Reaching.num_reaching t.reaching ~instr_id:id ~slot = 0 then
-            by_reg.(r) <- { read_instr = id; slot } :: by_reg.(r))
-        i.Ir.Instr.srcs)
-    k.Ir.Kernel.instrs;
-  let inputs = ref [] in
-  for r = Array.length by_reg - 1 downto 0 do
-    if by_reg.(r) <> [] then inputs := (r, List.rev by_reg.(r)) :: !inputs
-  done;
-  !inputs
-
-let reads_of_instance_multi t inst = Util.Bitset.mem t.multi_read_defs inst.def

@@ -9,23 +9,16 @@
     per kernel).
 
     Cost model: {!compute} solves the block-level dataflow and keeps
-    only the block live-in and live-out sets, two [blocks x num_regs]
-    {!Util.Bitset.matrix}es (one [int array] each, so nothing the
-    solve stores is ever promoted).  Per-instruction sets are not
-    stored: {!iter_live_after} streams them from one backward walk per
-    block over a single scratch set, O(instructions + blocks x num_regs
-    / 63) words touched. *)
+    only the block live-out sets, one [blocks x num_regs]
+    {!Util.Bitset.matrix} (one [int array], so nothing the solve
+    stores is ever promoted).  Per-instruction sets are not stored:
+    {!iter_live_after} streams them from one backward walk per block
+    over a single scratch set, O(instructions + blocks x num_regs / 63)
+    words touched. *)
 
 type t
 
 val compute : Ir.Kernel.t -> Cfg.t -> t
-
-val live_in_bits : t -> int -> Util.Bitset.t
-(** Live registers at block entry, as a fresh bitset copied from the
-    stored row: O(num_regs / 63) words. *)
-
-val live_out_bits : t -> int -> Util.Bitset.t
-(** Live registers at block exit, as a fresh bitset. *)
 
 val iter_live_after : t -> (Ir.Instr.t -> Util.Bitset.t -> unit) -> unit
 (** [iter_live_after t f] calls [f i live] once per instruction, with
@@ -34,16 +27,3 @@ val iter_live_after : t -> (Ir.Instr.t -> Util.Bitset.t -> unit) -> unit
     one scratch set the walk reuses: read it inside [f] only, and do
     not modify it.  [Util.Bitset.count live] is the register pressure
     after [i]. *)
-
-val live_in : t -> int -> Ir.Reg.Set.t
-(** Live registers at block entry, as a register set (materialised per
-    call). *)
-
-val live_out : t -> int -> Ir.Reg.Set.t
-(** Live registers at block exit (materialising; see {!live_out_bits}). *)
-
-val live_after_instr : t -> instr_id:int -> Ir.Reg.t -> bool
-(** Is the register live immediately after the given instruction
-    (i.e. might some path still read the value it holds)?  Walks the
-    instruction's block from its end, so a query costs O(block); use
-    {!iter_live_after} to visit every instruction. *)

@@ -1,85 +1,24 @@
-type t = {
-  ipdom : int array;      (* -1 = none; indices < n are blocks, n = virtual exit *)
-  num_blocks : int;
-}
+(* Dominance over the reversed CFG: node 0 is a virtual exit with an
+   edge to every [Ret] block, and block b is node b + 1, so the exit is
+   the entry [Dominance.compute] starts from. *)
+type t = Dominance.t
 
 let compute (k : Ir.Kernel.t) (cfg : Cfg.t) =
   let n = cfg.Cfg.num_blocks in
-  (* Reversed graph over n + 1 nodes; node n is the virtual exit, an
-     edge exit -> b for every Ret block b. *)
-  let rsuccs = Array.make (n + 1) [] in
-  let rpreds = Array.make (n + 1) [] in
+  let node b = b + 1 in
+  let succs = Array.make (n + 1) [] and preds = Array.make (n + 1) [] in
   Array.iter
     (fun (b : Ir.Block.t) ->
       let l = b.Ir.Block.label in
-      List.iter
-        (fun s ->
-          (* Reverse each CFG edge l -> s. *)
-          rsuccs.(s) <- l :: rsuccs.(s);
-          rpreds.(l) <- s :: rpreds.(l))
-        cfg.Cfg.succs.(l);
+      succs.(node l) <- List.map node cfg.Cfg.preds.(l);
+      preds.(node l) <- List.map node cfg.Cfg.succs.(l);
       match b.Ir.Block.term with
       | Ir.Terminator.Ret ->
-        rsuccs.(n) <- l :: rsuccs.(n);
-        rpreds.(l) <- n :: rpreds.(l)
+        succs.(0) <- node l :: succs.(0);
+        preds.(node l) <- 0 :: preds.(node l)
       | Ir.Terminator.Fallthrough | Ir.Terminator.Jump _ | Ir.Terminator.Branch _ -> ())
     k.Ir.Kernel.blocks;
-  (* Run the CHK algorithm directly with entry = the virtual exit n:
-     reverse postorder from it, then iterate. *)
-  let seen = Array.make (n + 1) false in
-  let order = ref [] in
-  let rec visit b =
-    if not seen.(b) then begin
-      seen.(b) <- true;
-      List.iter visit rsuccs.(b);
-      order := b :: !order
-    end
-  in
-  visit n;
-  let rpo = Array.of_list !order in
-  let rpo_index = Array.make (n + 1) (-1) in
-  Array.iteri (fun i b -> rpo_index.(b) <- i) rpo;
-  let ipdom = Array.make (n + 1) (-1) in
-  ipdom.(n) <- n;
-  let rec intersect a b =
-    if a = b then a
-    else if rpo_index.(a) > rpo_index.(b) then intersect ipdom.(a) b
-    else intersect a ipdom.(b)
-  in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    Array.iter
-      (fun b ->
-        if b <> n then begin
-          let processed =
-            List.filter (fun p -> rpo_index.(p) >= 0 && ipdom.(p) >= 0) rpreds.(b)
-          in
-          match processed with
-          | [] -> ()
-          | first :: rest ->
-            let nd = List.fold_left intersect first rest in
-            if ipdom.(b) <> nd then begin
-              ipdom.(b) <- nd;
-              changed := true
-            end
-        end)
-      rpo
-  done;
-  { ipdom; num_blocks = n }
+  Dominance.compute { Cfg.num_blocks = n + 1; succs; preds }
 
 let ipdom t b =
-  let p = t.ipdom.(b) in
-  if p < 0 || p >= t.num_blocks then None else Some p
-
-let postdominates t a b =
-  if t.ipdom.(b) < 0 then false
-  else begin
-    let rec walk x steps =
-      if steps > t.num_blocks + 2 then false
-      else if x = a then true
-      else if x = t.num_blocks || t.ipdom.(x) < 0 then false
-      else walk t.ipdom.(x) (steps + 1)
-    in
-    walk b 0
-  end
+  match Dominance.idom t (b + 1) with Some p when p > 0 -> Some (p - 1) | Some _ | None -> None

@@ -1,5 +1,6 @@
-(** Post-dominator tree, computed as dominance over the reversed CFG
-    with a virtual exit joining all [Ret] blocks.
+(** Post-dominator tree: {!Dominance.compute} over the reversed CFG,
+    whose node 0 (the entry) is a virtual exit joining all [Ret] blocks
+    and whose node b + 1 is block b.
 
     Used by the SIMT divergence executor: a divergent branch's
     reconvergence point is the branch block's immediate post-dominator
@@ -13,7 +14,3 @@ val compute : Ir.Kernel.t -> Cfg.t -> t
 val ipdom : t -> int -> int option
 (** Immediate post-dominator block; [None] when the block exits the
     kernel directly or cannot reach an exit. *)
-
-val postdominates : t -> int -> int -> bool
-(** [postdominates t a b]: every path from [b] to the kernel exit
-    passes through [a].  Reflexive. *)

@@ -1,43 +1,17 @@
-(* Every table is a flat int array or one bit matrix, so nothing the
-   analysis stores is a pointer into the minor heap.
-
-   A register's definition sites are [sites.(site_start.(r) ..
-   site_start.(r + 1) - 1)], in layout order.  The sites of registers
-   with several definitions are numbered densely ([multi_index], -1 for
-   every other instruction) and only they take part in the block-level
-   fixpoint ([block_in], [block_out]).  A register with one definition
-   site d needs no fixpoint: every path from d is definition-clear, so
-   d reaches the entry of block b iff some path of at least one edge
-   leads from d's block to b ({!reaches}).
+(* Every table is a flat int array, so nothing the analysis stores is
+   a pointer into the minor heap.
 
    The per-operand table, at [id * num_slots + slot]: a site id >= 0 is
    the one definition reaching that read, [none] means none does, and a
    value [v <= -2] means several do: [shared.(-2 - v)] holds their count
    and the sites follow it, ascending. *)
-type t = {
-  kernel : Ir.Kernel.t;
-  cfg : Cfg.t;
-  dominance : Dominance.t;
-  site_start : int array;
-  sites : int array;
-  multi_index : int array;
-  block_in : Util.Bitset.matrix;
-  block_out : Util.Bitset.matrix;
-  operands : int array;
-  shared : int array;
-}
+type t = { operands : int array; shared : int array }
 
 let none = -1
-
-let def_count t r = t.site_start.(r + 1) - t.site_start.(r)
 
 (* A depth-first walk's scratch: block b is marked when [seen.(b)]
    equals the walk's [stamp]. *)
 type walk = { seen : int array; stack : int array; mutable stamp : int }
-
-let walk_scratch t =
-  let nb = t.cfg.Cfg.num_blocks in
-  { seen = Array.make nb (-1); stack = Array.make nb 0; stamp = 0 }
 
 (* Is block [b] reachable from block [a] over at least one edge?  When
    [a] strictly dominates [b] it is: b is reachable from the entry and
@@ -46,8 +20,8 @@ let walk_scratch t =
    it, a read at a loop head of a value defined later in the loop);
    those walk forward from a's successors, in the scratch [w] (made on
    first use). *)
-let reaches t w a b =
-  (a <> b && Dominance.dominates t.dominance a b)
+let reaches (cfg : Cfg.t) dominance w a b =
+  (a <> b && Dominance.dominates dominance a b)
   ||
   let w = Lazy.force w in
   let top = ref 0 in
@@ -59,35 +33,21 @@ let reaches t w a b =
     end
   in
   w.stamp <- w.stamp + 1;
-  List.iter push t.cfg.Cfg.succs.(a);
+  List.iter push cfg.Cfg.succs.(a);
   let found = ref false in
   while (not !found) && !top > 0 do
     decr top;
     let x = w.stack.(!top) in
-    if x = b then found := true else List.iter push t.cfg.Cfg.succs.(x)
+    if x = b then found := true else List.iter push cfg.Cfg.succs.(x)
   done;
   !found
-
-(* Does register [r]'s site number [j] (of its list) reach the entry of
-   [block]? *)
-let reaches_entry t w block r j =
-  let d = t.sites.(t.site_start.(r) + j) in
-  if def_count t r = 1 then reaches t w (Ir.Kernel.block_of t.kernel d) block
-  else Util.Bitset.row_mem t.block_in block t.multi_index.(d)
-
-let entry_defs t block r =
-  let w = lazy (walk_scratch t) in
-  let acc = ref [] in
-  for j = def_count t r - 1 downto 0 do
-    if reaches_entry t w block r j then acc := t.sites.(t.site_start.(r) + j) :: !acc
-  done;
-  !acc
 
 let compute (k : Ir.Kernel.t) (cfg : Cfg.t) (dominance : Dominance.t) =
   let nb = Ir.Kernel.block_count k in
   let nr = k.Ir.Kernel.num_regs in
   let ni = Ir.Kernel.instr_count k in
-  (* Definition sites per register: counted, then filled in layout order
+  (* A register's definition sites are [sites.(site_start.(r) ..
+     site_start.(r + 1) - 1)], in layout order: counted, then filled
      with [site_start.(r)] as r's cursor, which leaves it at r + 1's
      offset until the offsets are shifted back. *)
   let site_start = Array.make (nr + 1) 0 in
@@ -111,7 +71,11 @@ let compute (k : Ir.Kernel.t) (cfg : Cfg.t) (dominance : Dominance.t) =
     k.Ir.Kernel.instrs;
   Array.blit site_start 0 site_start 1 nr;
   site_start.(0) <- 0;
-  let multi r = site_start.(r + 1) - site_start.(r) > 1 in
+  let def_count r = site_start.(r + 1) - site_start.(r) in
+  let multi r = def_count r > 1 in
+  (* The sites of registers with several definitions are numbered
+     densely ([multi_index], -1 for every other instruction) and only
+     they take part in the block-level fixpoint. *)
   let multi_index = Array.make ni (-1) in
   let nm = ref 0 in
   Array.iter
@@ -157,58 +121,65 @@ let compute (k : Ir.Kernel.t) (cfg : Cfg.t) (dominance : Dominance.t) =
   in
   let block_in = Util.Bitset.matrix ~rows:nb nm in
   Cfg.solve_union cfg ~forward:true ~join:block_in ~transfer:block_out ~kill;
-  let t =
-    { kernel = k; cfg; dominance; site_start; sites; multi_index; block_in; block_out;
-      operands = Array.make (ni * Ir.Instr.num_slots) none; shared = [||] }
+  (* A register with one definition site d needs no fixpoint: every
+     path from d is definition-clear, so d reaches the entry of block b
+     iff some path of at least one edge leads from d's block to b.
+     [reaches_entry l r j]: does r's site number [j] (of its list)
+     reach the entry of block [l]? *)
+  let w = lazy { seen = Array.make nb (-1); stack = Array.make nb 0; stamp = 0 } in
+  let reaches_entry l r j =
+    let d = sites.(site_start.(r) + j) in
+    if def_count r = 1 then reaches cfg dominance w (Ir.Kernel.block_of k d) l
+    else Util.Bitset.row_mem block_in l multi_index.(d)
   in
-  let w = lazy (walk_scratch t) in
   (* The per-operand table, one forward walk.  Within a block, a read
      of r takes r's last def before it if there is one, else r's defs
      live at block entry, coded once per block and register (the reads
      of one block share a list of several sites); either is then r's
      [value] for the rest of the block until r is written. *)
+  let operands = Array.make (ni * Ir.Instr.num_slots) none in
   let shared = Util.Intbuf.create 64 in
   let entry_code l r =
     let n = ref 0 and only = ref none in
-    for j = 0 to def_count t r - 1 do
-      if reaches_entry t w l r j then begin
+    for j = 0 to def_count r - 1 do
+      if reaches_entry l r j then begin
         incr n;
-        only := t.sites.(t.site_start.(r) + j)
+        only := sites.(site_start.(r) + j)
       end
     done;
     if !n <= 1 then !only
     else begin
       let code = -2 - Util.Intbuf.length shared in
       Util.Intbuf.push shared !n;
-      for j = 0 to def_count t r - 1 do
-        if reaches_entry t w l r j then Util.Intbuf.push shared t.sites.(t.site_start.(r) + j)
+      for j = 0 to def_count r - 1 do
+        if reaches_entry l r j then Util.Intbuf.push shared sites.(site_start.(r) + j)
       done;
       code
     end
   in
-  let rec operands id l slot = function
+  let rec fill id l slot = function
     | [] -> ()
     | r :: rest ->
       if stamp.(r) <> l then begin
         stamp.(r) <- l;
         value.(r) <- entry_code l r
       end;
-      t.operands.((id * Ir.Instr.num_slots) + slot) <- value.(r);
-      operands id l (slot + 1) rest
+      operands.((id * Ir.Instr.num_slots) + slot) <- value.(r);
+      fill id l (slot + 1) rest
   in
   Array.fill stamp 0 nr (-1);
   Array.iter
     (fun (i : Ir.Instr.t) ->
       let id = i.Ir.Instr.id in
       let l = Ir.Kernel.block_of k id in
-      operands id l 0 i.Ir.Instr.srcs;
+      fill id l 0 i.Ir.Instr.srcs;
       match i.Ir.Instr.dst with
       | Some r ->
         stamp.(r) <- l;
         value.(r) <- id
       | None -> ())
     k.Ir.Kernel.instrs;
-  { t with shared = Util.Intbuf.to_array shared }
+  { operands; shared = Util.Intbuf.to_array shared }
 
 let code t ~instr_id ~slot = t.operands.((instr_id * Ir.Instr.num_slots) + slot)
 
@@ -219,35 +190,3 @@ let num_reaching t ~instr_id ~slot =
 let nth_reaching t ~instr_id ~slot n =
   let c = code t ~instr_id ~slot in
   if c >= 0 then c else t.shared.(-2 - c + 1 + n)
-
-let reaching_operand t ~instr_id ~slot =
-  List.init (num_reaching t ~instr_id ~slot) (nth_reaching t ~instr_id ~slot)
-
-let reaching_before t ~instr_id r =
-  let k = t.kernel in
-  let block = Ir.Kernel.block_of k instr_id in
-  (* Not an operand: the last def of r before the instruction in its
-     block, else r's defs live at block entry. *)
-  let rec last_def id =
-    if id < 0 || Ir.Kernel.block_of k id <> block then entry_defs t block r
-    else
-      match (Ir.Kernel.instr k id).Ir.Instr.dst with
-      | Some x when x = r -> [ id ]
-      | Some _ | None -> last_def (id - 1)
-  in
-  let rec find slot = function
-    | [] -> last_def (instr_id - 1)
-    | r' :: rest -> if r' = r then reaching_operand t ~instr_id ~slot else find (slot + 1) rest
-  in
-  find 0 (Ir.Kernel.instr k instr_id).Ir.Instr.srcs
-
-(* A single-definition site is the last def of its register in its own
-   block, and no other block kills it. *)
-let reaches_block_end t ~block ~def =
-  match (Ir.Kernel.instr t.kernel def).Ir.Instr.dst with
-  | None -> false
-  | Some r ->
-    if def_count t r = 1 then
-      let home = Ir.Kernel.block_of t.kernel def in
-      home = block || reaches t (lazy (walk_scratch t)) home block
-    else Util.Bitset.row_mem t.block_out block t.multi_index.(def)

@@ -4,8 +4,8 @@ let num_levels = Array.length levels
 let level_index = function Model.Mrf -> 0 | Model.Orf -> 1 | Model.Rfc -> 2 | Model.Lrf -> 3
 let dp_index = function Model.Private -> 0 | Model.Shared -> 1
 
-(* Optional per-instruction attribution: when enabled, every count
-   carrying a [?pc] also lands in a pc-indexed row of [areads]/
+(* Optional per-instruction attribution: when enabled, every row added
+   with an in-range [pc] also lands in a pc-indexed row of [areads]/
    [awrites] (laid out [pc * cells + cell]) so energy can be charged
    back to the static instruction that caused the access.  The
    aggregate arrays stay authoritative; attribution is a side table
@@ -46,24 +46,12 @@ let enable_attribution t ~instrs =
         aprobes = Array.make instrs 0;
       }
 
-let attribution_enabled t = t.attrib <> None
-
-let attributed_instrs t = match t.attrib with None -> 0 | Some a -> a.instrs
-
 let copy_attrib a =
   {
     instrs = a.instrs;
     areads = Array.copy a.areads;
     awrites = Array.copy a.awrites;
     aprobes = Array.copy a.aprobes;
-  }
-
-let copy t =
-  {
-    reads = Array.copy t.reads;
-    writes = Array.copy t.writes;
-    probes = t.probes;
-    attrib = Option.map copy_attrib t.attrib;
   }
 
 let merge_into ~dst src =
@@ -78,23 +66,6 @@ let merge_into ~dst src =
     Array.iteri (fun i v -> da.awrites.(i) <- da.awrites.(i) + v) sa.awrites;
     Array.iteri (fun i v -> da.aprobes.(i) <- da.aprobes.(i) + v) sa.aprobes
   | Some _, Some _ -> invalid_arg "Energy.Counts.merge_into: attribution tables differ in size"
-
-let attr_bump arr a c pc n =
-  if pc >= 0 && pc < a.instrs then arr.((pc * attr_cells) + c) <- arr.((pc * attr_cells) + c) + n
-
-let add_read t level dp ?pc ?(n = 1) () =
-  let c = cell level dp in
-  t.reads.(c) <- t.reads.(c) + n;
-  match (t.attrib, pc) with
-  | Some a, Some pc -> attr_bump a.areads a c pc n
-  | _ -> ()
-
-let add_write t level dp ?pc ?(n = 1) () =
-  let c = cell level dp in
-  t.writes.(c) <- t.writes.(c) + n;
-  match (t.attrib, pc) with
-  | Some a, Some pc -> attr_bump a.awrites a c pc n
-  | _ -> ()
 
 (* Per-pc count rows: a simulator tallies each static instruction's
    accesses in a flat int row of [row_cells] cells (reads, then writes,
@@ -121,12 +92,6 @@ let add_row t row ~off ~times ~pc =
       a.awrites.(base + c) <- a.awrites.(base + c) + (times * row.(off + attr_cells + c))
     done;
     a.aprobes.(pc) <- a.aprobes.(pc) + probes
-  | _ -> ()
-
-let add_rfc_probe t ?pc ?(n = 1) () =
-  t.probes <- t.probes + n;
-  match (t.attrib, pc) with
-  | Some a, Some pc when pc >= 0 && pc < a.instrs -> a.aprobes.(pc) <- a.aprobes.(pc) + n
   | _ -> ()
 
 let reads t level = t.reads.(cell level Model.Private) + t.reads.(cell level Model.Shared)
@@ -171,40 +136,38 @@ let energy params ~orf_entries t =
 (* ------------------------------------------------------------------ *)
 (* Per-instruction attribution queries.                                *)
 
-let instr_energy params ~orf_entries t ~pc =
-  match t.attrib with
-  | None -> 0.0
-  | Some a when pc < 0 || pc >= a.instrs -> 0.0
-  | Some a ->
-    let e = ref 0.0 in
-    Array.iter
-      (fun level ->
-        List.iter
-          (fun dp ->
-            let c = (pc * attr_cells) + cell level dp in
-            let r = a.areads.(c) and w = a.awrites.(c) in
-            if r <> 0 then
-              e :=
-                !e
-                +. (float_of_int r
-                   *. (Model.access_only_read params ~orf_entries level
-                      +. Model.wire_only_read params level dp));
-            if w <> 0 then
-              e :=
-                !e
-                +. (float_of_int w
-                   *. (Model.access_only_write params ~orf_entries level
-                      +. Model.wire_only_write params level dp)))
-          [ Model.Private; Model.Shared ])
-      levels;
-    if a.aprobes.(pc) <> 0 then
-      e := !e +. (float_of_int a.aprobes.(pc) *. Model.rfc_probe_energy params);
-    !e
-
 let attributed_energies params ~orf_entries t =
   match t.attrib with
   | None -> [||]
-  | Some a -> Array.init a.instrs (fun pc -> instr_energy params ~orf_entries t ~pc)
+  | Some a ->
+    (* Register-file energy (pJ) charged to instruction [pc]. *)
+    let instr_energy pc =
+      let e = ref 0.0 in
+      Array.iter
+        (fun level ->
+          List.iter
+            (fun dp ->
+              let c = (pc * attr_cells) + cell level dp in
+              let r = a.areads.(c) and w = a.awrites.(c) in
+              if r <> 0 then
+                e :=
+                  !e
+                  +. (float_of_int r
+                     *. (Model.access_only_read params ~orf_entries level
+                        +. Model.wire_only_read params level dp));
+              if w <> 0 then
+                e :=
+                  !e
+                  +. (float_of_int w
+                     *. (Model.access_only_write params ~orf_entries level
+                        +. Model.wire_only_write params level dp)))
+            [ Model.Private; Model.Shared ])
+        levels;
+      if a.aprobes.(pc) <> 0 then
+        e := !e +. (float_of_int a.aprobes.(pc) *. Model.rfc_probe_energy params);
+      !e
+    in
+    Array.init a.instrs instr_energy
 
 let top_instrs params ~orf_entries ?(n = 10) t =
   let pjs = attributed_energies params ~orf_entries t in

@@ -8,28 +8,17 @@
 type t
 
 val create : unit -> t
-val copy : t -> t
 val merge_into : dst:t -> t -> unit
 (** Adds [src] into [dst], attribution tables included ([dst] adopts a
     copy of [src]'s table if it has none).
     @raise Invalid_argument if both carry tables of different sizes. *)
 
-val add_read : t -> Model.level -> Model.datapath -> ?pc:int -> ?n:int -> unit -> unit
-(** [?pc] is the static instruction id the access belongs to; it feeds
-    the attribution table when one is enabled and is ignored (at the
-    cost of one branch) otherwise.  Out-of-range pcs are dropped from
-    attribution but still counted in the aggregate. *)
-
-val add_write : t -> Model.level -> Model.datapath -> ?pc:int -> ?n:int -> unit -> unit
-
-val add_rfc_probe : t -> ?pc:int -> ?n:int -> unit -> unit
-(** RFC tag lookups that miss (tag energy, no data access). *)
-
 (** {2 Per-pc count rows}
 
-    A simulator that charges every access to a static instruction can
-    tally them in a flat int array, one row of [row_cells] cells per
-    instruction, and fold each row in once at the end of its run. *)
+    Counts are added a row at a time: a simulator charges every access
+    to a static instruction, tallies them in a flat int array, one row
+    of [row_cells] cells per instruction, and folds each row in once at
+    the end of its run. *)
 
 val row_cells : int
 (** Cells per row: reads and writes per (level, datapath), then RFC
@@ -49,33 +38,25 @@ val add_row : t -> int array -> off:int -> times:int -> pc:int -> unit
 (** [add_row t row ~off ~times ~pc] adds [times] × the row starting at
     [row.(off)] to the aggregate counts and, when attribution is on,
     to instruction [pc]'s attribution row (an out-of-range [pc] is
-    dropped from attribution only, as with [?pc]). *)
+    dropped from attribution only). *)
 
 (** {1 Per-instruction attribution}
 
-    Off by default: [create] allocates no side table and the [?pc]
-    arguments cost one branch.  After [enable_attribution t ~instrs],
-    every count carrying a [?pc] is also charged to that instruction,
-    so energy can be ranked over the static instruction stream.  The
-    attribution table never feeds {!to_json} — manifests are
-    unaffected. *)
+    Off by default: [create] allocates no side table and {!add_row}'s
+    [pc] costs one branch.  After [enable_attribution t ~instrs], every
+    row added with an in-range [pc] is also charged to that
+    instruction, so energy can be ranked over the static instruction
+    stream.  The attribution table never feeds {!to_json} — manifests
+    are unaffected. *)
 
 val enable_attribution : t -> instrs:int -> unit
 (** [instrs] is the kernel's instruction count (pc range). *)
 
-val attribution_enabled : t -> bool
-
-val attributed_instrs : t -> int
-(** Size of the attribution pc range; [0] when disabled. *)
-
-val instr_energy : Params.t -> orf_entries:int -> t -> pc:int -> float
-(** Register-file energy (pJ) attributed to one instruction; [0.0]
-    when attribution is off or [pc] is out of range. *)
-
 val attributed_energies : Params.t -> orf_entries:int -> t -> float array
-(** Per-pc attributed energy for the whole instruction stream; [[||]]
-    when attribution is off.  Sums to {!energy}'s [total] when every
-    recorded count carried a [?pc]. *)
+(** Per-pc attributed register-file energy (pJ) for the whole
+    instruction stream; [[||]] when attribution is off.  Sums to
+    {!energy}'s [total] when every row added carried an in-range
+    [pc]. *)
 
 val top_instrs : Params.t -> orf_entries:int -> ?n:int -> t -> (int * float) list
 (** The [n] highest-energy instructions as [(pc, pJ)], energy

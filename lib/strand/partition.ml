@@ -2,8 +2,7 @@ type t = {
   strand_of_instr : int array;
   starts : bool array;
   starts_bits : Util.Bitset.t;  (* same content as [starts], O(1) words *)
-  first : int array;            (* strand id -> first instr id *)
-  last : int array;             (* strand id -> last instr id *)
+  num_strands : int;
 }
 
 let m_partitions = Obs.Metrics.counter "strand.partitions"
@@ -117,17 +116,17 @@ let compute ?(kinds = all_boundaries) (k : Ir.Kernel.t) (cfg : Analysis.Cfg.t)
     if Ir.Terminator.is_backward b.Ir.Block.term ~at:l then Util.Bitset.clear_all pending;
     Util.Bitset.store_row out_pending l pending
   done;
-  let num = if ni = 0 then 0 else !current + 1 in
-  let first = Array.make num 0 and last = Array.make num (-1) in
-  for id = ni - 1 downto 0 do
-    let s = strand_of_instr.(id) in
-    if last.(s) < 0 then last.(s) <- id;
-    first.(s) <- id
-  done;
+  let num_strands = if ni = 0 then 0 else !current + 1 in
   Obs.Metrics.incr m_partitions;
-  Obs.Metrics.incr ~by:num m_strands;
-  for s = 0 to num - 1 do
-    Obs.Metrics.observe m_strand_len (float_of_int (last.(s) - first.(s) + 1))
+  Obs.Metrics.incr ~by:num_strands m_strands;
+  (* Strand ids grow along the layout, so each strand is one run of
+     ids, ended by the next start or the kernel's end. *)
+  let first = ref 0 in
+  for id = 1 to ni do
+    if id = ni || starts.(id) then begin
+      Obs.Metrics.observe m_strand_len (float_of_int (id - !first));
+      first := id
+    end
   done;
   if Obs.Audit.is_enabled () then
     Array.iteri
@@ -136,20 +135,12 @@ let compute ?(kinds = all_boundaries) (k : Ir.Kernel.t) (cfg : Analysis.Cfg.t)
       strand_of_instr;
   let starts_bits = Util.Bitset.create ni in
   Array.iteri (fun id b -> if b then Util.Bitset.set starts_bits id) starts;
-  { strand_of_instr; starts; starts_bits; first; last }
+  { strand_of_instr; starts; starts_bits; num_strands }
 
-let num_strands t = Array.length t.first
+let num_strands t = t.num_strands
 
 let strand_of_instr t id = t.strand_of_instr.(id)
 
 let starts_strand t id = t.starts.(id)
 
 let starts_bits t = t.starts_bits
-
-let same_strand t a b = t.strand_of_instr.(a) = t.strand_of_instr.(b)
-
-let strand_interval t s = (t.first.(s), t.last.(s))
-
-let strand_ids t = List.init (num_strands t) Fun.id
-
-let boundary_count t = num_strands t

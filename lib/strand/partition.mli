@@ -29,7 +29,7 @@
     pass works in three scratch sets.  A read consumes a pending value
     if a site that {!Analysis.Reaching.nth_reaching} lists is set, a
     walk that allocates nothing.  The result is flat: per-instruction
-    strand ids and boundary flags and per-strand first and last ids, all
+    strand ids and boundary flags and the strand count, all
     immediates. *)
 
 type t
@@ -65,15 +65,3 @@ val starts_bits : t -> Util.Bitset.t
     the form the simulator predecode ({!Sim.Dec}) copies out once per
     kernel so the cycle loop never calls back into this module.  Shared
     with the partition; callers must not mutate it. *)
-
-val same_strand : t -> int -> int -> bool
-
-val strand_interval : t -> int -> int * int
-(** [(first, last)] instruction ids of the strand, inclusive. *)
-
-val strand_ids : t -> int list
-(** All strand ids, ascending. *)
-
-val boundary_count : t -> int
-(** Number of strand boundaries (= [num_strands - 1] plus one per
-    kernel, used by the encoding-overhead study). *)

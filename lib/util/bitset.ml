@@ -1,7 +1,7 @@
 (* Bit [i] is bit [i mod word_bits] of [words.(i / word_bits)]: every
    bit of an OCaml int, so a word holds 63 of them.  Bits at or past
-   [capacity] in the last word are always zero, which lets [equal],
-   [is_empty] and [count] work a word at a time. *)
+   [capacity] in the last word are always zero, which lets [equal] and
+   [count] work a word at a time. *)
 type t = { words : int array; capacity : int }
 
 let word_bits = 63
@@ -9,10 +9,6 @@ let word_bits = 63
 let create capacity =
   if capacity < 0 then invalid_arg "Bitset.create";
   { words = Array.make ((capacity + word_bits - 1) / word_bits) 0; capacity }
-
-let capacity t = t.capacity
-
-let copy t = { words = Array.copy t.words; capacity = t.capacity }
 
 let check t i =
   if i < 0 || i >= t.capacity then
@@ -53,13 +49,9 @@ let combine op d doff s soff n =
   done;
   !changed
 
-let combine_into op ~dst src =
+let union_into ~dst src =
   check_same dst src;
-  combine op dst.words 0 src.words 0 (Array.length dst.words)
-
-let union_into ~dst src = combine_into Or ~dst src
-let inter_into ~dst src = combine_into And ~dst src
-let diff_into ~dst src = combine_into Andnot ~dst src
+  combine Or dst.words 0 src.words 0 (Array.length dst.words)
 
 let equal a b =
   a.capacity = b.capacity
@@ -69,32 +61,25 @@ let equal a b =
   in
   from (Array.length a.words - 1)
 
-let is_empty t =
-  let rec from w = w < 0 || (Array.unsafe_get t.words w = 0 && from (w - 1)) in
-  from (Array.length t.words - 1)
-
 let fill_all t =
   let n = Array.length t.words in
   Array.fill t.words 0 n (-1);
-  (* Zero the bits past capacity so equal/is_empty/count stay exact. *)
+  (* Zero the bits past capacity so equal/count stay exact. *)
   let tail = t.capacity mod word_bits in
   if tail <> 0 then t.words.(n - 1) <- (1 lsl tail) - 1
 
 let clear_all t = Array.fill t.words 0 (Array.length t.words) 0
 
-(* Members of the [n] words from [base], ascending; zero words are
-   skipped whole. *)
-let iter_words words base n f =
-  for w = 0 to n - 1 do
-    let x = ref (Array.unsafe_get words (base + w)) and i = ref (w * word_bits) in
+(* Members in ascending order; zero words are skipped whole. *)
+let iter t f =
+  for w = 0 to Array.length t.words - 1 do
+    let x = ref (Array.unsafe_get t.words w) and i = ref (w * word_bits) in
     while !x <> 0 do
       if !x land 1 <> 0 then f !i;
       x := !x lsr 1;
       incr i
     done
   done
-
-let iter t f = iter_words t.words 0 (Array.length t.words) f
 
 let elements t =
   let acc = ref [] in
@@ -165,12 +150,6 @@ let load_row ~dst m r = ignore (row_op Copy ~dst m r)
 let union_row_into ~dst m r = row_op Or ~dst m r
 let inter_row_into ~dst m r = row_op And ~dst m r
 
-
-let row m r =
-  let t = create m.cols in
-  load_row ~dst:t m r;
-  t
-
 let check_same_cols a b =
   if a.cols <> b.cols then invalid_arg "Bitset: capacity mismatch"
 
@@ -189,7 +168,3 @@ let into_row op m r src =
 let store_row m r src = ignore (into_row Copy m r src)
 let union_into_row m r src = into_row Or m r src
 let inter_into_row m r src = into_row And m r src
-
-let iter_row m r f =
-  check_row m r;
-  iter_words m.cells (r * m.stride) m.stride f

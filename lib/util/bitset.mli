@@ -3,11 +3,11 @@
     Cost model: the bits live in an [int array], 63 to a word (every
     bit of an OCaml int), and the bits past the capacity are kept zero.
     [set], [clear] and [mem] are O(1) with a bounds check.  The
-    [_into] operators, [equal], [is_empty], [fill_all], [clear_all] and
-    [count] (a per-word popcount) are one closure-free loop over
-    [capacity / 63] words.  [iter] and [elements] skip zero words whole,
-    so a sparse set costs its words plus its members.  Only [create],
-    [copy] and [elements] (its list) allocate.
+    [_into] operators, [equal], [fill_all], [clear_all] and [count] (a
+    per-word popcount) are one closure-free loop over [capacity / 63]
+    words.  [iter] and [elements] skip zero words whole, so a sparse
+    set costs its words plus its members.  Only [create] and
+    [elements] (its list) allocate.
 
     A {!matrix} is the per-block form of a dataflow fact: [rows] sets of
     one capacity laid end to end in {e one} [int array], so a table of
@@ -17,16 +17,13 @@
     into it is recorded by the write barrier and promoted by the next
     minor collection, live or not, and [Array.init] over a fresh first
     set forces that collection up front.  Row operations cost what the
-    set operations do, over one row's words, and allocate nothing but
-    {!row}'s copy. *)
+    set operations do, over one row's words, and allocate nothing. *)
 
 type t
 
 val create : int -> t
 (** All-zero bitset of the given capacity. *)
 
-val capacity : t -> int
-val copy : t -> t
 val set : t -> int -> unit
 val clear : t -> int -> unit
 val mem : t -> int -> bool
@@ -34,14 +31,7 @@ val union_into : dst:t -> t -> bool
 (** [union_into ~dst src] ors [src] into [dst]; returns [true] if [dst]
     changed.  Capacities must match. *)
 
-val inter_into : dst:t -> t -> bool
-(** Ands [src] into [dst]; returns [true] if [dst] changed. *)
-
-val diff_into : dst:t -> t -> bool
-(** Removes [src]'s bits from [dst]; returns [true] if [dst] changed. *)
-
 val equal : t -> t -> bool
-val is_empty : t -> bool
 val fill_all : t -> unit
 val clear_all : t -> unit
 val iter : t -> (int -> unit) -> unit
@@ -70,9 +60,6 @@ val row_mem : matrix -> int -> int -> bool
 val row_set : matrix -> int -> int -> unit
 val row_clear : matrix -> int -> int -> unit
 
-val row : matrix -> int -> t
-(** A fresh set holding a copy of the row. *)
-
 val load_row : dst:t -> matrix -> int -> unit
 (** [load_row ~dst m r] overwrites [dst] with row [r]; [dst]'s capacity
     must be the matrix's. *)
@@ -100,6 +87,3 @@ val union_into_row : matrix -> int -> t -> bool
 val inter_into_row : matrix -> int -> t -> bool
 (** [inter_into_row m r src] ands [src] into row [r]; returns [true] if
     the row changed. *)
-
-val iter_row : matrix -> int -> (int -> unit) -> unit
-(** Members of row [r] in ascending order. *)

@@ -1,6 +1,7 @@
 (* Helpers shared by more than one suite: substring search for the
-   suites that inspect rendered text and HTML pages, and the timeline
-   tiling check for the suites that record Sim.Perf runs. *)
+   suites that inspect rendered text and HTML pages, the timeline
+   tiling check for the suites that record Sim.Perf runs, and count
+   rows for the suites that fill Energy.Counts by hand. *)
 
 (* Offset of the first occurrence of [needle] in [s] at or after [from]. *)
 let find_sub ?(from = 0) s needle =
@@ -70,3 +71,11 @@ let timeline_errors (r : Sim.Perf.result) (ivs : Obs.Timeline.interval list) =
         Obs.Timeline.all_states)
     by_warp;
   List.rev !errs
+
+(* Adds one [Energy.Counts] row holding [n] in each listed cell
+   ([Energy.Counts.read_cell], [write_cell] or [probe_cell]), charged
+   to instruction [pc]. *)
+let add_counts ?(pc = 0) c cells =
+  let row = Array.make Energy.Counts.row_cells 0 in
+  List.iter (fun (cell, n) -> row.(cell) <- row.(cell) + n) cells;
+  Energy.Counts.add_row c row ~off:0 ~times:1 ~pc

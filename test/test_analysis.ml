@@ -95,6 +95,15 @@ let test_instr_dominates () =
   check Alcotest.bool "same block reverse" false (Analysis.Dominance.instr_dominates k dom 1 0);
   check Alcotest.bool "bb0 dominates bb1 instr" true (Analysis.Dominance.instr_dominates k dom 0 2)
 
+(* Each instruction's live-after registers, ascending, as
+   [iter_live_after] streams them. *)
+let live_after k =
+  let cfg = Analysis.Cfg.of_kernel k in
+  let after = Array.make (Ir.Kernel.instr_count k) [] in
+  Analysis.Liveness.iter_live_after (Analysis.Liveness.compute k cfg) (fun i live ->
+      after.(i.Ir.Instr.id) <- Util.Bitset.elements live);
+  after
+
 let test_liveness_straight_line () =
   let b = B.create "t" in
   let x = B.op0 b Op.Mov () in
@@ -102,17 +111,15 @@ let test_liveness_straight_line () =
   let z = B.op2 b Op.Iadd x y in
   B.store b Op.St_global ~addr:z ~value:z;
   let k = B.finalize b in
-  let cfg = Analysis.Cfg.of_kernel k in
-  let live = Analysis.Liveness.compute k cfg in
+  let after = live_after k in
   (* After the store (instr 3), nothing is live. *)
-  check Alcotest.bool "z dead at end" false
-    (Analysis.Liveness.live_after_instr live ~instr_id:3 z);
+  check Alcotest.bool "z dead at end" false (List.mem z after.(3));
   (* After instr 1 (y's def), both x and y are live (z's add reads both). *)
-  check Alcotest.bool "x live after 1" true (Analysis.Liveness.live_after_instr live ~instr_id:1 x);
-  check Alcotest.bool "y live after 1" true (Analysis.Liveness.live_after_instr live ~instr_id:1 y);
+  check Alcotest.bool "x live after 1" true (List.mem x after.(1));
+  check Alcotest.bool "y live after 1" true (List.mem y after.(1));
   (* After instr 2, x and y are dead, z live. *)
-  check Alcotest.bool "x dead after 2" false (Analysis.Liveness.live_after_instr live ~instr_id:2 x);
-  check Alcotest.bool "z live after 2" true (Analysis.Liveness.live_after_instr live ~instr_id:2 z)
+  check Alcotest.bool "x dead after 2" false (List.mem x after.(2));
+  check Alcotest.bool "z live after 2" true (List.mem z after.(2))
 
 let test_liveness_loop_carried () =
   let b = B.create "t" in
@@ -124,21 +131,20 @@ let test_liveness_loop_carried () =
   let (_ : B.label) = B.here b in
   B.store b Op.St_global ~addr:acc ~value:acc;
   let k = B.finalize b in
-  let cfg = Analysis.Cfg.of_kernel k in
-  let live = Analysis.Liveness.compute k cfg in
-  (* acc is live around the loop: live-in of the loop head includes it. *)
-  check Alcotest.bool "acc live into head" true
-    (Ir.Reg.Set.mem acc (Analysis.Liveness.live_in live 1));
-  check Alcotest.bool "acc live out of head" true
-    (Ir.Reg.Set.mem acc (Analysis.Liveness.live_out live 1));
-  (* The zero-materialisation accessors expose the same facts. *)
-  check Alcotest.bool "bits accessor agrees (in)" true
-    (Util.Bitset.mem (Analysis.Liveness.live_in_bits live 1) acc);
-  check Alcotest.bool "bits accessor agrees (out)" true
-    (Util.Bitset.mem (Analysis.Liveness.live_out_bits live 1) acc);
-  check Alcotest.(list int) "set and bits enumerate identically"
-    (Ir.Reg.Set.elements (Analysis.Liveness.live_in live 1))
-    (Util.Bitset.elements (Analysis.Liveness.live_in_bits live 1))
+  let after = live_after k in
+  let last (blk : Ir.Block.t) =
+    blk.Ir.Block.instrs.(Array.length blk.Ir.Block.instrs - 1).Ir.Instr.id
+  in
+  let entry_end = last k.Ir.Kernel.blocks.(0) and head_end = last k.Ir.Kernel.blocks.(1) in
+  (* acc is live around the loop: into the head (block 0 only falls
+     into it) and out of it, and at every point of the head. *)
+  check Alcotest.bool "acc live into head" true (List.mem acc after.(entry_end));
+  check Alcotest.bool "acc live out of head" true (List.mem acc after.(head_end));
+  Array.iter
+    (fun (i : Ir.Instr.t) ->
+      check Alcotest.bool "acc live through the head" true (List.mem acc after.(i.Ir.Instr.id)))
+    k.Ir.Kernel.blocks.(1).Ir.Block.instrs;
+  check Alcotest.(list int) "only acc leaves the head" [ acc ] after.(head_end)
 
 let test_reaching_multi_def () =
   (* Hammock writing r on both sides; the join read is reached by both. *)
@@ -160,11 +166,16 @@ let test_reaching_multi_def () =
   let reach = Analysis.Reaching.compute k cfg (Analysis.Dominance.compute cfg) in
   (* The store is the last instruction. *)
   let store_id = Ir.Kernel.instr_count k - 1 in
-  let defs = Analysis.Reaching.reaching_before reach ~instr_id:store_id r in
-  check Alcotest.int "two reaching defs" 2 (List.length defs);
-  (* Inside the then-branch, only the local def reaches its own block end. *)
-  check Alcotest.bool "then def reaches bb1 end" true
-    (Analysis.Reaching.reaches_block_end reach ~block:1 ~def:(List.nth defs 0))
+  List.iter
+    (fun slot ->
+      check Alcotest.int "two reaching defs" 2
+        (Analysis.Reaching.num_reaching reach ~instr_id:store_id ~slot);
+      (* Ascending: the then-branch's def (bb1), then the else-branch's
+         (bb2); the first def of r is killed on both paths. *)
+      check Alcotest.(list int) "one def from each side" [ 1; 2 ]
+        (List.init 2 (fun n ->
+             Ir.Kernel.block_of k (Analysis.Reaching.nth_reaching reach ~instr_id:store_id ~slot n))))
+    [ 0; 1 ]
 
 let test_reaching_input () =
   let b = B.create "t" in
@@ -174,8 +185,10 @@ let test_reaching_input () =
   let k = B.finalize b in
   let cfg = Analysis.Cfg.of_kernel k in
   let reach = Analysis.Reaching.compute k cfg (Analysis.Dominance.compute cfg) in
-  check Alcotest.(list int) "input has no defs" []
-    (Analysis.Reaching.reaching_before reach ~instr_id:0 input)
+  check Alcotest.int "input has no defs" 0
+    (Analysis.Reaching.num_reaching reach ~instr_id:0 ~slot:0);
+  check Alcotest.int "x's def reaches the store" 1
+    (Analysis.Reaching.num_reaching reach ~instr_id:1 ~slot:0)
 
 let test_duchain_instances () =
   let b = B.create "t" in
@@ -186,13 +199,14 @@ let test_duchain_instances () =
   let k = B.finalize b in
   let ctx = Alloc.Context.create k in
   let du = ctx.Alloc.Context.duchain in
-  let x_inst = Option.get (Analysis.Duchain.instance_of_def du 0) in
-  check Alcotest.int "x read 3 times" 3 (List.length x_inst.Analysis.Duchain.reads);
-  let z_inst = Option.get (Analysis.Duchain.instance_of_def du 2) in
-  check Alcotest.int "z read once" 1 (List.length z_inst.Analysis.Duchain.reads);
-  check Alcotest.int "z read at store slot 0" 0
-    (List.hd z_inst.Analysis.Duchain.reads).Analysis.Duchain.slot;
-  check Alcotest.bool "x not merged" false (Analysis.Duchain.reads_of_instance_multi du x_inst)
+  check Alcotest.int "x read 3 times" 3 (Analysis.Duchain.num_reads du 0);
+  check Alcotest.int "z read once" 1 (Analysis.Duchain.num_reads du 2);
+  check Alcotest.int "z read at store slot 0"
+    (Analysis.Duchain.operand ~instr_id:3 ~slot:0)
+    (Analysis.Duchain.read_operand du 2 0);
+  (* No read of x is reached by another def, so its group is itself. *)
+  check Alcotest.int "x not merged" 1
+    (Analysis.Duchain.group_size du (Analysis.Duchain.group_of du 0))
 
 let test_duchain_merged_group () =
   (* Both hammock sides write r; the join read merges the defs. *)
@@ -212,20 +226,22 @@ let test_duchain_merged_group () =
   let k = B.finalize b in
   let ctx = Alloc.Context.create k in
   let du = ctx.Alloc.Context.duchain in
-  (* Find the two defs of r (the op1_into instructions). *)
+  (* The defs of r: the initial mov, then the two hammock sides. *)
   let r_defs =
-    List.filter (fun (i : Analysis.Duchain.instance) -> i.Analysis.Duchain.reg = r)
-      (Analysis.Duchain.instances du)
+    List.filter
+      (fun id -> (Ir.Kernel.instr k id).Ir.Instr.dst = Some r)
+      (List.init (Ir.Kernel.instr_count k) Fun.id)
   in
   let group_sizes =
-    List.map
-      (fun (i : Analysis.Duchain.instance) ->
-        List.length (Analysis.Duchain.group_members du i.Analysis.Duchain.group))
-      r_defs
+    List.map (fun d -> Analysis.Duchain.group_size du (Analysis.Duchain.group_of du d)) r_defs
   in
   (* The initial mov of r is killed on both paths; the two hammock defs
      must share one group of size >= 2. *)
-  check Alcotest.bool "merged group exists" true (List.exists (fun n -> n >= 2) group_sizes)
+  check Alcotest.bool "merged group exists" true (List.exists (fun n -> n >= 2) group_sizes);
+  let sides = List.tl r_defs in
+  let g = Analysis.Duchain.group_of du (List.hd sides) in
+  check Alcotest.(list int) "its members are the hammock defs, in layout order" sides
+    (List.init (Analysis.Duchain.group_size du g) (Analysis.Duchain.group_member du g))
 
 let test_duchain_inputs () =
   let b = B.create "t" in
@@ -233,11 +249,14 @@ let test_duchain_inputs () =
   ignore (B.op2 b Op.Iadd input input);
   let k = B.finalize b in
   let ctx = Alloc.Context.create k in
-  let inputs = Analysis.Duchain.input_reads ctx.Alloc.Context.duchain in
-  check Alcotest.int "one input register" 1 (List.length inputs);
-  let r, reads = List.hd inputs in
-  check Alcotest.int "it is the input" input r;
-  check Alcotest.int "read twice" 2 (List.length reads)
+  let du = ctx.Alloc.Context.duchain in
+  (* The add is the only def, and nothing reads it: the input's two
+     reads belong to no instance and are served from the MRF. *)
+  check Alcotest.bool "the add is the one def" true
+    (Analysis.Duchain.is_def du 0 && Analysis.Duchain.num_reads du 0 = 0);
+  check Alcotest.(list int) "no def reaches either read of the input" [ 0; 0 ]
+    (List.init 2 (fun slot ->
+         Analysis.Reaching.num_reaching ctx.Alloc.Context.reaching ~instr_id:0 ~slot))
 
 let test_pressure () =
   (* x and y live together across the add; peak = 2. *)

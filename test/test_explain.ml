@@ -220,8 +220,6 @@ let test_attribution_sums_to_total () =
     Sim.Traffic.run ~warps:4 ~attribution:true ctx (Sim.Traffic.Sw { config; placement })
   in
   let params = Energy.Params.default in
-  check Alcotest.bool "attribution enabled" true
-    (Energy.Counts.attribution_enabled r.Sim.Traffic.counts);
   let energies = Energy.Counts.attributed_energies params ~orf_entries:3 r.Sim.Traffic.counts in
   check Alcotest.int "one slot per static instruction" (Ir.Kernel.instr_count k)
     (Array.length energies);
@@ -231,45 +229,51 @@ let test_attribution_sums_to_total () =
   in
   check (Alcotest.float 1e-6) "attributed energy sums to the breakdown total" total sum
 
+let mrf_reads = Energy.Counts.read_cell Energy.Model.Mrf Energy.Model.Private
+
 let test_attribution_off_is_empty () =
   let c = Energy.Counts.create () in
-  Energy.Counts.add_read c Energy.Model.Mrf Energy.Model.Private ~pc:0 ~n:3 ();
-  check Alcotest.bool "off by default" false (Energy.Counts.attribution_enabled c);
+  Helpers.add_counts c ~pc:0 [ (mrf_reads, 3) ];
   check Alcotest.int "no table" 0
     (Array.length (Energy.Counts.attributed_energies Energy.Params.default ~orf_entries:3 c));
-  check (Alcotest.float 0.0) "instr_energy is 0 when off" 0.0
-    (Energy.Counts.instr_energy Energy.Params.default ~orf_entries:3 c ~pc:0)
+  check Alcotest.int "no top instructions when off" 0
+    (List.length (Energy.Counts.top_instrs Energy.Params.default ~orf_entries:3 c));
+  check Alcotest.int "still counted" 3 (Energy.Counts.reads c Energy.Model.Mrf)
 
 let test_top_instrs_ordering () =
   let c = Energy.Counts.create () in
   Energy.Counts.enable_attribution c ~instrs:4;
   (* pc 2 heaviest, pcs 0 and 3 tie, pc 1 zero. *)
-  Energy.Counts.add_read c Energy.Model.Mrf Energy.Model.Private ~pc:2 ~n:10 ();
-  Energy.Counts.add_read c Energy.Model.Mrf Energy.Model.Private ~pc:0 ~n:2 ();
-  Energy.Counts.add_read c Energy.Model.Mrf Energy.Model.Private ~pc:3 ~n:2 ();
+  Helpers.add_counts c ~pc:2 [ (mrf_reads, 10) ];
+  Helpers.add_counts c ~pc:0 [ (mrf_reads, 2) ];
+  Helpers.add_counts c ~pc:3 [ (mrf_reads, 2) ];
   let top = Energy.Counts.top_instrs Energy.Params.default ~orf_entries:3 ~n:3 c in
   check Alcotest.(list int) "energy descending, pc ascending on ties" [ 2; 0; 3 ]
     (List.map fst top);
   (* Out-of-range pcs are dropped from attribution, still counted. *)
-  Energy.Counts.add_write c Energy.Model.Mrf Energy.Model.Private ~pc:99 ~n:5 ();
+  let before = Energy.Counts.attributed_energies Energy.Params.default ~orf_entries:3 c in
+  Helpers.add_counts c ~pc:99
+    [ (Energy.Counts.write_cell Energy.Model.Mrf Energy.Model.Private, 5) ];
   check Alcotest.int "aggregate keeps out-of-range counts" 5
     (Energy.Counts.writes c Energy.Model.Mrf);
-  check (Alcotest.float 0.0) "attribution drops them" 0.0
-    (Energy.Counts.instr_energy Energy.Params.default ~orf_entries:3 c ~pc:99)
+  check Alcotest.(array (float 0.0)) "attribution drops them" before
+    (Energy.Counts.attributed_energies Energy.Params.default ~orf_entries:3 c)
 
 let test_merge_adopts_attribution () =
   let params = Energy.Params.default in
   let a = Energy.Counts.create () in
   let b = Energy.Counts.create () in
+  let orf_reads = Energy.Counts.read_cell Energy.Model.Orf Energy.Model.Private in
+  let pc1 c = (Energy.Counts.attributed_energies params ~orf_entries:3 c).(1) in
   Energy.Counts.enable_attribution b ~instrs:2;
-  Energy.Counts.add_read b Energy.Model.Orf Energy.Model.Private ~pc:1 ~n:4 ();
+  Helpers.add_counts b ~pc:1 [ (orf_reads, 4) ];
   Energy.Counts.merge_into ~dst:a b;
-  check Alcotest.bool "dst adopts the table" true (Energy.Counts.attribution_enabled a);
-  check Alcotest.bool "adoption is a copy" false
-    (Energy.Counts.instr_energy params ~orf_entries:3 a ~pc:1 = 0.0);
-  Energy.Counts.add_read b Energy.Model.Orf Energy.Model.Private ~pc:1 ~n:4 ();
-  let ea = Energy.Counts.instr_energy params ~orf_entries:3 a ~pc:1 in
-  let eb = Energy.Counts.instr_energy params ~orf_entries:3 b ~pc:1 in
+  check Alcotest.int "dst adopts the table" 2
+    (Array.length (Energy.Counts.attributed_energies params ~orf_entries:3 a));
+  check Alcotest.bool "adoption is a copy" false (pc1 a = 0.0);
+  Helpers.add_counts b ~pc:1 [ (orf_reads, 4) ];
+  let ea = pc1 a in
+  let eb = pc1 b in
   check Alcotest.bool "src growth does not leak into dst" true (eb > ea);
   let wrong = Energy.Counts.create () in
   Energy.Counts.enable_attribution wrong ~instrs:5;

@@ -552,10 +552,13 @@ let test_regress_timing_tolerance () =
 
 let test_energy_counts_json_roundtrip () =
   let c = Energy.Counts.create () in
-  Energy.Counts.add_read c Energy.Model.Mrf Energy.Model.Private ~n:7 ();
-  Energy.Counts.add_write c Energy.Model.Orf Energy.Model.Shared ~n:3 ();
-  Energy.Counts.add_write c Energy.Model.Lrf Energy.Model.Private ~n:11 ();
-  Energy.Counts.add_rfc_probe c ~n:5 ();
+  Helpers.add_counts c
+    [
+      (Energy.Counts.read_cell Energy.Model.Mrf Energy.Model.Private, 7);
+      (Energy.Counts.write_cell Energy.Model.Orf Energy.Model.Shared, 3);
+      (Energy.Counts.write_cell Energy.Model.Lrf Energy.Model.Private, 11);
+      (Energy.Counts.probe_cell, 5);
+    ];
   let j = Energy.Counts.to_json c in
   match Energy.Counts.of_json j with
   | Error e -> Alcotest.fail e

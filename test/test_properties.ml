@@ -390,8 +390,8 @@ let naive_live_after (k : Ir.Kernel.t) =
   Array.sub live_out 0 ni
 
 (* [Liveness.iter_live_after] streams each instruction's live-after set
-   from the block sets; [live_after_instr] answers from the same walk.
-   Both must match the naive dataflow on every instruction. *)
+   from the block live-out sets; it must visit every instruction once
+   and match the naive dataflow there. *)
 let prop_liveness_walk =
   QCheck.Test.make ~count:100 ~name:"streamed live-after sets = naive dataflow" seed_arb
     (fun seed ->
@@ -406,10 +406,7 @@ let prop_liveness_walk =
           for r = 0 to nr - 1 do
             if Util.Bitset.mem bits r <> want.(id).(r) then
               QCheck.Test.fail_reportf "seed %d: walk has r%d live after instr %d: %b" seed r id
-                (Util.Bitset.mem bits r);
-            if Analysis.Liveness.live_after_instr live ~instr_id:id r <> want.(id).(r) then
-              QCheck.Test.fail_reportf "seed %d: live_after_instr r%d after instr %d differs" seed
-                r id
+                (Util.Bitset.mem bits r)
           done);
       Array.iteri
         (fun id n ->
@@ -421,7 +418,7 @@ let prop_liveness_walk =
    the textbook way: gen(b) is the last def of each register written in
    b, kill(b) every def of those registers, and out(b) = gen(b) + (in(b)
    - kill(b)) with in(b) the union of the predecessors' out sets, swept
-   until nothing changes.  Returns in and out as [block].(site) flags. *)
+   until nothing changes.  Returns in as [block].(site) flags. *)
 let naive_reaching (k : Ir.Kernel.t) =
   let nb = Ir.Kernel.block_count k and ni = Ir.Kernel.instr_count k in
   let dst d = (Ir.Kernel.instr k d).Ir.Instr.dst in
@@ -457,14 +454,13 @@ let naive_reaching (k : Ir.Kernel.t) =
       done
     done
   done;
-  (block_in, block_out)
+  block_in
 
 (* The sparse [Reaching] — a fixpoint over the sites of registers with
    several definitions, block reachability for the rest — must agree
-   with the dense one on every query: each operand's sites in order
-   (duchain's group roots depend on it), every (instruction, register)
-   point and every (block, site) exit.  Loops and hammocks come from
-   the generator; unrolling adds longer loop bodies. *)
+   with the dense one on each operand's sites in order (duchain's group
+   roots depend on it).  Loops and hammocks come from the generator;
+   unrolling adds longer loop bodies. *)
 let prop_sparse_reaching =
   let arb = QCheck.pair seed_arb (QCheck.make ~print:string_of_int (QCheck.Gen.int_range 10 64)) in
   QCheck.Test.make ~count:20 ~name:"sparse reaching = dense reaching" arb (fun (seed, size) ->
@@ -473,7 +469,7 @@ let prop_sparse_reaching =
         (fun (what, (k : Ir.Kernel.t)) ->
           let cfg = Analysis.Cfg.of_kernel k in
           let reaching = Analysis.Reaching.compute k cfg (Analysis.Dominance.compute cfg) in
-          let block_in, block_out = naive_reaching k in
+          let block_in = naive_reaching k in
           let ni = Ir.Kernel.instr_count k in
           let fail fmt = QCheck.Test.fail_reportf ("seed %d size %d %s: " ^^ fmt) seed size what in
           (* Each block walked forward: [cur.(r)] is r's reaching sites
@@ -493,25 +489,122 @@ let prop_sparse_reaching =
                   let id = i.Ir.Instr.id in
                   List.iteri
                     (fun slot r ->
-                      if Analysis.Reaching.reaching_operand reaching ~instr_id:id ~slot <> cur.(r)
-                      then fail "operand (%d, %d) differs" id slot)
+                      let got =
+                        List.init
+                          (Analysis.Reaching.num_reaching reaching ~instr_id:id ~slot)
+                          (Analysis.Reaching.nth_reaching reaching ~instr_id:id ~slot)
+                      in
+                      if got <> cur.(r) then fail "operand (%d, %d) differs" id slot)
                     i.Ir.Instr.srcs;
-                  Array.iteri
-                    (fun r want ->
-                      if Analysis.Reaching.reaching_before reaching ~instr_id:id r <> want then
-                        fail "reaching_before instr %d r%d differs" id r)
-                    cur;
                   match i.Ir.Instr.dst with Some r -> cur.(r) <- [ id ] | None -> ())
                 b.Ir.Block.instrs)
             k.Ir.Kernel.blocks;
+          true)
+        [ ("", base); ("unrolled", Transform.Unroll.kernel ~factor:2 base) ])
+
+(* Post-dominators the slow way: one set of nodes per block (node nb is
+   the exit), each full at first, then pdom(b) = {b} + the intersection
+   of pdom(s) over b's successors that have a path to a [Ret] (and the
+   exit itself when b returns), swept until nothing changes.  A block
+   with no such path has no post-dominator.  The strict post-dominators
+   of a block form a chain, so the immediate one is the one with the
+   most post-dominators of its own. *)
+let naive_ipdom (k : Ir.Kernel.t) =
+  let nb = Ir.Kernel.block_count k in
+  let succs = (Analysis.Cfg.of_kernel k).Analysis.Cfg.succs in
+  let returns b =
+    match k.Ir.Kernel.blocks.(b).Ir.Block.term with
+    | Ir.Terminator.Ret -> true
+    | Ir.Terminator.Fallthrough | Ir.Terminator.Jump _ | Ir.Terminator.Branch _ -> false
+  in
+  let exits = Array.init nb returns in
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    for b = 0 to nb - 1 do
+      if (not exits.(b)) && List.exists (fun s -> exits.(s)) succs.(b) then begin
+        exits.(b) <- true;
+        changed := true
+      end
+    done
+  done;
+  let pdom = Array.init (nb + 1) (fun b -> Array.init (nb + 1) (fun x -> b < nb || x = nb)) in
+  changed := true;
+  while !changed do
+    changed := false;
+    for b = 0 to nb - 1 do
+      if exits.(b) then begin
+        let targets =
+          (if returns b then [ nb ] else []) @ List.filter (fun s -> exits.(s)) succs.(b)
+        in
+        for x = 0 to nb do
+          let v = x = b || List.for_all (fun s -> pdom.(s).(x)) targets in
+          if v <> pdom.(b).(x) then begin
+            pdom.(b).(x) <- v;
+            changed := true
+          end
+        done
+      end
+    done
+  done;
+  let size x = Array.fold_left (fun n v -> if v then n + 1 else n) 0 pdom.(x) in
+  Array.init nb (fun b ->
+      if not exits.(b) then None
+      else begin
+        let best = ref (-1) in
+        for x = 0 to nb do
+          if x <> b && pdom.(b).(x) && (!best < 0 || size x > size !best) then best := x
+        done;
+        if !best = nb then None else Some !best
+      end)
+
+(* [Postdom] is dominance over the reversed CFG; its [ipdom] must match
+   the naive sets on every block.  Each generated kernel (and its
+   unrolled copy) is reshaped first: two or more blocks return, and one
+   block jumps to itself, so no path leads from it to a [Ret] and its
+   [ipdom] is [None].  No registry kernel has either shape. *)
+let prop_postdom =
+  let arb =
+    QCheck.triple seed_arb
+      (QCheck.make ~print:string_of_int (QCheck.Gen.int_range 10 64))
+      QCheck.bool
+  in
+  QCheck.Test.make ~count:30 ~name:"ipdom = naive post-dominator sets" arb
+    (fun (seed, size, prob_branches) ->
+      let base = Workloads.Generator.kernel ~size ~prob_branches ~seed () in
+      List.for_all
+        (fun (what, (k : Ir.Kernel.t)) ->
+          let fail fmt =
+            QCheck.Test.fail_reportf ("seed %d size %d prob %b %s: " ^^ fmt) seed size
+              prob_branches what
+          in
+          let nb = Ir.Kernel.block_count k in
+          if nb < 3 then fail "only %d blocks" nb;
+          let st = Random.State.make [| seed; nb |] in
+          let stuck = Random.State.int st nb in
+          let rets =
+            [ (stuck + 1) mod nb; (stuck + 2) mod nb ]
+            @ List.filter (fun _ -> Random.State.int st 4 = 0) (List.init nb Fun.id)
+          in
+          let blocks =
+            Array.map
+              (fun (b : Ir.Block.t) ->
+                let l = b.Ir.Block.label in
+                if l = stuck then { b with Ir.Block.term = Ir.Terminator.Jump l }
+                else if List.mem l rets then { b with Ir.Block.term = Ir.Terminator.Ret }
+                else b)
+              k.Ir.Kernel.blocks
+          in
+          let k = Ir.Kernel.make ~name:k.Ir.Kernel.name ~blocks ~num_regs:k.Ir.Kernel.num_regs in
+          let pd = Analysis.Postdom.compute k (Analysis.Cfg.of_kernel k) in
+          if Analysis.Postdom.ipdom pd stuck <> None then fail "block %d never exits" stuck;
           Array.iteri
-            (fun l out ->
-              Array.iteri
-                (fun d want ->
-                  if Analysis.Reaching.reaches_block_end reaching ~block:l ~def:d <> want then
-                    fail "reaches_block_end block %d def %d differs" l d)
-                out)
-            block_out;
+            (fun b want ->
+              let got = Analysis.Postdom.ipdom pd b in
+              if got <> want then
+                let show = function None -> "none" | Some p -> string_of_int p in
+                fail "ipdom %d = %s, want %s" b (show got) (show want))
+            (naive_ipdom k);
           true)
         [ ("", base); ("unrolled", Transform.Unroll.kernel ~factor:2 base) ])
 
@@ -544,4 +637,5 @@ let suite =
       prop_traffic_one_walk;
       prop_liveness_walk;
       prop_sparse_reaching;
+      prop_postdom;
     ]

@@ -121,7 +121,7 @@ let test_stats_histogram () =
 
 let test_bitset_basic () =
   let b = Util.Bitset.create 20 in
-  check Alcotest.bool "initially empty" true (Util.Bitset.is_empty b);
+  check Alcotest.int "initially empty" 0 (Util.Bitset.count b);
   Util.Bitset.set b 0;
   Util.Bitset.set b 19;
   Util.Bitset.set b 7;
@@ -143,15 +143,23 @@ let test_bitset_ops () =
   Util.Bitset.set a 2;
   Util.Bitset.set b 2;
   Util.Bitset.set b 3;
-  let u = Util.Bitset.copy a in
+  (* A copy of [a]; [b] as a matrix row for the row operators. *)
+  let copy_a () =
+    let c = Util.Bitset.create 10 in
+    ignore (Util.Bitset.union_into ~dst:c a);
+    c
+  in
+  let m = Util.Bitset.matrix ~rows:2 10 in
+  Util.Bitset.store_row m 1 b;
+  let u = copy_a () in
   check Alcotest.bool "union changed" true (Util.Bitset.union_into ~dst:u b);
   check Alcotest.(list int) "union" [ 1; 2; 3 ] (Util.Bitset.elements u);
   check Alcotest.bool "union idempotent" false (Util.Bitset.union_into ~dst:u b);
-  let i = Util.Bitset.copy a in
-  ignore (Util.Bitset.inter_into ~dst:i b);
+  let i = copy_a () in
+  ignore (Util.Bitset.inter_row_into ~dst:i m 1);
   check Alcotest.(list int) "inter" [ 2 ] (Util.Bitset.elements i);
-  let d = Util.Bitset.copy a in
-  ignore (Util.Bitset.diff_into ~dst:d b);
+  let d = copy_a () in
+  ignore (Util.Bitset.diff_row_into ~dst:d m 1);
   check Alcotest.(list int) "diff" [ 1 ] (Util.Bitset.elements d)
 
 let test_bitset_fill_all () =
@@ -170,9 +178,10 @@ let test_bitset_capacity_mismatch () =
 
 (* A word-based Bitset against a [bool array] model: random
    set/clear/union/inter/diff/fill/clear-all/copy steps on two sets of
-   one capacity, every returned "changed" flag checked, and after every
-   step mem, equal, is_empty, count, elements and iter order compared.
-   The capacities straddle the 63-bit word boundaries. *)
+   one capacity (inter, diff and copy through a one-row matrix, as the
+   dataflow passes use them), every returned "changed" flag checked,
+   and after every step mem, equal, count, elements and iter order
+   compared.  The capacities straddle the 63-bit word boundaries. *)
 type bitset_step =
   | Set of bool * int  (* true: the first set *)
   | Clear of bool * int
@@ -243,9 +252,7 @@ let prop_bitset_model =
             let seen = ref [] in
             B.iter set (fun i -> seen := i :: !seen);
             if List.rev !seen <> members then fail "%s: set %d iter order" what s;
-            if B.count set <> List.length members then fail "%s: set %d count" what s;
-            if B.is_empty set <> (members = []) then fail "%s: set %d is_empty" what s;
-            if B.capacity set <> cap then fail "%s: set %d capacity" what s)
+            if B.count set <> List.length members then fail "%s: set %d count" what s)
           sets;
         if B.equal sets.(0) sets.(1) <> (models.(0) = models.(1)) then fail "%s: equal" what
       in
@@ -255,6 +262,12 @@ let prop_bitset_model =
         Array.iteri (fun i x -> models.(d).(i) <- f x models.(1 - d).(i)) before;
         let changed = op ~dst:sets.(d) sets.(1 - d) in
         if changed <> (before <> models.(d)) then fail "%s: changed flag %b" what changed
+      in
+      (* [src] as the one row of a matrix. *)
+      let as_row src =
+        let m = B.matrix ~rows:1 cap in
+        B.store_row m 0 src;
+        m
       in
       List.iter
         (fun step ->
@@ -267,8 +280,11 @@ let prop_bitset_model =
              models.(pick f).(i mod cap) <- false
            | Set _ | Clear _ -> ()
            | Union f -> binop "union" B.union_into ( || ) f
-           | Inter f -> binop "inter" B.inter_into ( && ) f
-           | Diff f -> binop "diff" B.diff_into (fun x y -> x && not y) f
+           | Inter f ->
+             binop "inter" (fun ~dst src -> B.inter_row_into ~dst (as_row src) 0) ( && ) f
+           | Diff f ->
+             binop "diff" (fun ~dst src -> B.diff_row_into ~dst (as_row src) 0)
+               (fun x y -> x && not y) f
            | Fill f ->
              B.fill_all sets.(pick f);
              Array.fill models.(pick f) 0 cap true
@@ -276,7 +292,7 @@ let prop_bitset_model =
              B.clear_all sets.(pick f);
              Array.fill models.(pick f) 0 cap false
            | Copy f ->
-             sets.(pick f) <- B.copy sets.(1 - pick f);
+             B.load_row ~dst:sets.(pick f) (as_row sets.(1 - pick f)) 0;
              models.(pick f) <- Array.copy models.(1 - pick f));
           agree (show_step step))
         steps;
@@ -287,7 +303,7 @@ let prop_bitset_model =
         | exception Invalid_argument m when m = msg -> ()
         | exception Invalid_argument m -> fail "%S instead of %S" m msg
       in
-      let a = sets.(0) and other = B.create (cap + 1) in
+      let a = sets.(0) and other = B.create (cap + 1) and wide = B.matrix ~rows:1 (cap + 1) in
       List.iter
         (fun i ->
           let msg = Printf.sprintf "Bitset: index %d out of [0, %d)" i cap in
@@ -296,8 +312,12 @@ let prop_bitset_model =
           raises msg (fun () -> ignore (B.mem a i)))
         [ -1; cap ];
       List.iter
-        (fun op -> raises "Bitset: capacity mismatch" (fun () -> ignore (op ~dst:a other)))
-        [ B.union_into; B.inter_into; B.diff_into ];
+        (fun op -> raises "Bitset: capacity mismatch" (fun () -> ignore (op ())))
+        [
+          (fun () -> B.union_into ~dst:a other);
+          (fun () -> B.inter_row_into ~dst:a wide 0);
+          (fun () -> B.diff_row_into ~dst:a wide 0);
+        ];
       raises "Bitset.create" (fun () -> B.create (-1));
       true)
 
