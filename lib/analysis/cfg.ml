@@ -50,16 +50,11 @@ let rpo_index t =
   Array.iteri (fun i b -> index.(b) <- i) rpo;
   index
 
-let backward_edges t =
-  let acc = ref [] in
-  for src = t.num_blocks - 1 downto 0 do
-    List.iter (fun dst -> if dst <= src then acc := (src, dst) :: !acc) t.succs.(src)
-  done;
-  !acc
-
 let backward_targets t =
   let targets = Array.make t.num_blocks false in
-  List.iter (fun (_, dst) -> targets.(dst) <- true) (backward_edges t);
+  for src = 0 to t.num_blocks - 1 do
+    List.iter (fun dst -> if dst <= src then targets.(dst) <- true) t.succs.(src)
+  done;
   targets
 
 let solve_union t ~forward ~join ~transfer ~kill =

@@ -18,14 +18,11 @@ val rpo_index : t -> int array
 (** [rpo_index.(b)] is the position of block [b] in reverse postorder;
     [-1] for unreachable blocks. *)
 
-val backward_edges : t -> (int * int) list
-(** Layout-order backward edges [(src, dst)] with [dst <= src] — the
-    paper's "backwards branch" notion (Sec. 4.1), which is defined on
-    code layout, not on dominance. *)
-
 val backward_targets : t -> bool array
-(** [backward_targets.(b)] iff some backward edge targets [b]; such
-    blocks must begin a new strand. *)
+(** [backward_targets.(b)] iff some layout-order backward edge
+    [src -> b] with [b <= src] targets [b] — the paper's "backwards
+    branch" notion (Sec. 4.1), which is defined on code layout, not on
+    dominance.  Such blocks must begin a new strand. *)
 
 val solve_union :
   t ->

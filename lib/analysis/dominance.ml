@@ -1,6 +1,5 @@
 type t = {
   idom : int array;       (* -1 = undefined (entry / unreachable) *)
-  rpo_index : int array;  (* -1 = unreachable *)
   pre : int array;        (* dominator-tree preorder number; -1 = unreachable *)
   post : int array;       (* dominator-tree postorder number *)
 }
@@ -82,7 +81,7 @@ let compute (cfg : Cfg.t) =
       end
     done
   end;
-  { idom; rpo_index; pre; post }
+  { idom; pre; post }
 
 let idom t b =
   if b = 0 || t.idom.(b) < 0 then None else Some t.idom.(b)
