@@ -9,6 +9,7 @@
      dune exec test/gen_perf_golden.exe -- verify > test/verify_golden.jsonl
      dune exec test/gen_perf_golden.exe -- placement > test/placement_golden.jsonl
      dune exec test/gen_perf_golden.exe -- simt > test/simt_golden.jsonl
+     dune exec test/gen_perf_golden.exe -- streams > test/alloc_streams_golden.jsonl
      dune build && dune exec test/gen_perf_golden.exe -- cli > test/cli_golden.txt
 
    perf_golden.json was captured from the pre-predecode list-based
@@ -25,13 +26,17 @@
    tables before the compile path moved to word bitsets and once-scored
    candidates, simt_golden.jsonl from the Sim.Simt and Sim.Variable_orf
    walks that priced every dynamic instruction operand by operand,
-   before they reused Sim.Traffic's per-pc rows.  Re-run this only
+   before they reused Sim.Traffic's per-pc rows,
+   alloc_streams_golden.jsonl from the allocator whose two phases wrote
+   its explain verdicts into a side table as they drained, before each
+   candidate recorded its own outcome.  Re-run this only
    when the simulated semantics or the verdicts deliberately change,
    never to make a perf-only rewrite pass.  The allocator's multi-definition clobber fix (ROADMAP item 1)
    is such a change: it turns the rejecting seeds' verdicts into "ok",
    so it regenerates verify_golden.jsonl deliberately, and it changes
-   the rejecting kernels' placements, so it regenerates
-   placement_golden.jsonl deliberately too.  cli_golden.txt is the rfh
+   the rejecting kernels' placements and streams, so it regenerates
+   placement_golden.jsonl and alloc_streams_golden.jsonl deliberately
+   too.  cli_golden.txt is the rfh
    transcript (see cli_transcript.ml); run from the repository root, it
    drives the built bin/rfh.exe. *)
 
@@ -47,9 +52,10 @@ let () =
   | [ _; "verify" ] -> print_string (Perf_golden_doc.verify_doc ())
   | [ _; "placement" ] -> print_string (Perf_golden_doc.placement_doc ())
   | [ _; "simt" ] -> print_string (Perf_golden_doc.simt_doc ())
+  | [ _; "streams" ] -> print_string (Perf_golden_doc.streams_doc ())
   | [ _; "cli" ] ->
     print_string
       (Cli_transcript.render ~rfh:"_build/default/bin/rfh.exe" ~baseline:"baselines/default.json")
   | _ ->
-    prerr_endline "usage: gen_perf_golden [timeline|wide|cut|traffic|verify|placement|simt|cli]";
+    prerr_endline "usage: gen_perf_golden [timeline|wide|cut|traffic|verify|placement|simt|streams|cli]";
     exit 2

@@ -612,6 +612,10 @@ let instr_token (p : Alloc.Placement.t) id =
     Printf.sprintf "%s:%s:%s" dest srcs
       (String.concat "," (List.map (fun (pos, e) -> Printf.sprintf "%d>%d" pos e) fills))
 
+let config_label config =
+  Format.asprintf "%a%s" Alloc.Config.pp config
+    (if config.Alloc.Config.mirror_mrf then " mirror-mrf" else "")
+
 let placement_line buf ~label ctx config =
   let placement, (s : Alloc.Allocator.stats) = Alloc.Allocator.run config ctx in
   let n = Ir.Kernel.instr_count ctx.Alloc.Context.kernel in
@@ -619,10 +623,7 @@ let placement_line buf ~label ctx config =
     (Obs.Json.Obj
        [
          ("kernel", Obs.Json.Str label);
-         ( "config",
-           Obs.Json.Str
-             (Format.asprintf "%a%s" Alloc.Config.pp config
-                (if config.Alloc.Config.mirror_mrf then " mirror-mrf" else "")) );
+         ("config", Obs.Json.Str (config_label config));
          ( "stats",
            Obs.Json.Arr
              (List.map Obs.Json.int
@@ -632,14 +633,12 @@ let placement_line buf ~label ctx config =
          ("instrs", Obs.Json.Str (String.concat " " (List.init n (instr_token placement))));
        ])
 
-(* Four sections: every registry kernel under [curated_configs];
-   generator seeds 0-299 at sizes 8-48 and seeds 0-2 at sizes 128 and
-   256, each under [config_of_seed]; then MatrixMul's audit events
-   (strand boundaries and allocations) and explain decisions under the
-   default config, verbatim and in emission order. *)
-let placement_doc () =
-  let buf = Buffer.create (1 lsl 20) in
-  let section name = line buf (Obs.Json.Obj [ ("section", Obs.Json.Str name) ]) in
+(* The allocator runs both allocator goldens pin, in three sections:
+   every registry kernel under [curated_configs]; generator seeds 0-299
+   at sizes 8-48; seeds 0-2 at sizes 128 and 256, each generated kernel
+   under [config_of_seed].  [section] is called with each section's
+   name before its runs. *)
+let allocator_runs ~section run =
   section "curated";
   List.iter
     (fun (e : Workloads.Registry.entry) ->
@@ -647,13 +646,12 @@ let placement_doc () =
         (fun (k : Ir.Kernel.t) ->
           let ctx = Alloc.Context.create k in
           let label = e.Workloads.Registry.name ^ "/" ^ k.Ir.Kernel.name in
-          List.iter (placement_line buf ~label ctx) curated_configs)
+          List.iter (run ~label ctx) curated_configs)
         (Lazy.force e.Workloads.Registry.kernels))
     (Workloads.Registry.all ());
   let generated ~seed ~size =
     let ctx = Alloc.Context.create (Workloads.Generator.kernel ~size ~seed ()) in
-    placement_line buf ~label:(Printf.sprintf "gen seed %d size %d" seed size) ctx
-      (config_of_seed seed)
+    run ~label:(Printf.sprintf "gen seed %d size %d" seed size) ctx (config_of_seed seed)
   in
   section "generated";
   for seed = 0 to 299 do
@@ -665,7 +663,15 @@ let placement_doc () =
       for seed = 0 to 2 do
         generated ~seed ~size
       done)
-    [ 128; 256 ];
+    [ 128; 256 ]
+
+(* The [allocator_runs] sections, then MatrixMul's audit events
+   (strand boundaries and allocations) and explain decisions under the
+   default config, verbatim and in emission order. *)
+let placement_doc () =
+  let buf = Buffer.create (1 lsl 20) in
+  let section name = line buf (Obs.Json.Obj [ ("section", Obs.Json.Str name) ]) in
+  allocator_runs ~section (placement_line buf);
   section "matrixmul-streams";
   let audit_sink, audit_events = Obs.Audit.memory_sink () in
   let explain_sink, decisions = Obs.Explain.memory_sink () in
@@ -678,6 +684,46 @@ let placement_doc () =
     (fun () -> ignore (Alloc.Allocator.run (Alloc.Config.make ()) (ctx_of "MatrixMul")));
   List.iter (fun ev -> line buf (Obs.Audit.to_json ev)) (audit_events ());
   List.iter (fun d -> line buf (Obs.Explain.to_json d)) (decisions ());
+  Buffer.contents buf
+
+(* --- allocator streams: test/alloc_streams_golden.jsonl ------------ *)
+
+(* One line per [allocator_runs] run, with the audit and explain
+   recorders on: the decision count, the [Alloc]-event count, and the
+   MD5 of each stream's JSONL in emission order. *)
+let streams_line buf ~label ctx config =
+  let audit_sink, audit_events = Obs.Audit.memory_sink () in
+  let explain_sink, decisions = Obs.Explain.memory_sink () in
+  Obs.Audit.set_sink audit_sink;
+  Obs.Explain.set_sink explain_sink;
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.Audit.disable ();
+      Obs.Explain.disable ())
+    (fun () -> ignore (Alloc.Allocator.run config ctx));
+  let events = audit_events () and decisions = decisions () in
+  let md5 to_json xs =
+    let b = Buffer.create 4096 in
+    List.iter (fun x -> line b (to_json x)) xs;
+    Obs.Json.Str (Digest.to_hex (Digest.string (Buffer.contents b)))
+  in
+  line buf
+    (Obs.Json.Obj
+       [
+         ("kernel", Obs.Json.Str label);
+         ("config", Obs.Json.Str (config_label config));
+         ("decisions", Obs.Json.int (List.length decisions));
+         ( "alloc_events",
+           Obs.Json.int
+             (List.length
+                (List.filter (function Obs.Audit.Alloc _ -> true | _ -> false) events)) );
+         ("audit_md5", md5 Obs.Audit.to_json events);
+         ("explain_md5", md5 Obs.Explain.to_json decisions);
+       ])
+
+let streams_doc () =
+  let buf = Buffer.create (1 lsl 17) in
+  allocator_runs ~section:ignore (streams_line buf);
   Buffer.contents buf
 
 (* --- SIMT and variable-ORF walks: test/simt_golden.jsonl ----------- *)

@@ -51,7 +51,14 @@
    by operand, before they reused Sim.Traffic's per-pc rows: every
    registry kernel's SIMT baseline and SW counts and stats, and its
    variable-ORF counts and grant counters at five pool sizes, at two
-   (warps, seed) points, byte-for-byte. *)
+   (warps, seed) points, byte-for-byte.
+
+   test/alloc_streams_golden.jsonl was captured from the allocator whose
+   two phases wrote its explain verdicts into a side table as they
+   drained, before each candidate recorded its own outcome: for every
+   run of the placement golden's curated, generated and large
+   sections, the decision and allocation-event counts and the MD5 of
+   the explain and audit streams, byte-for-byte. *)
 
 let check = Alcotest.check
 
@@ -154,6 +161,12 @@ let test_placement_golden () =
 let test_simt_golden () =
   check_jsonl_golden ~what:"SIMT or variable-ORF results" "simt_golden.jsonl"
     (Perf_golden_doc.simt_doc ())
+
+(* The allocator's explain and audit streams under every config of the
+   placement golden, held to the capture from the side-table explainer. *)
+let test_alloc_streams_golden () =
+  check_jsonl_golden ~what:"allocator explain or audit streams" "alloc_streams_golden.jsonl"
+    (Perf_golden_doc.streams_doc ())
 
 (* --- round-robin issue order -------------------------------------- *)
 
@@ -423,4 +436,6 @@ let suite =
       test_cut_mid_jump_is_exact;
     Alcotest.test_case "SIMT and variable-ORF walks match the per-operand golden" `Quick
       test_simt_golden;
+    Alcotest.test_case "allocator streams match the side-table golden" `Quick
+      test_alloc_streams_golden;
   ]
