@@ -18,21 +18,44 @@ type kind =
   | Write_unit of { defs : int list }
   | Read_unit
 
+(* Where the phases left a candidate: its LRF bank or ORF entry. *)
+type outcome =
+  | Mrf
+  | Lrf of int
+  | Orf of int
+
+(* The savings a candidate last estimated at each level.  An all-float
+   record is stored flat, so writing an estimate allocates nothing; as
+   float fields of [cand], every estimate would be a fresh box, which
+   the write barrier promotes when the candidate is already old. *)
+type savings = {
+  mutable at_lrf : float;
+  mutable at_orf : float;
+}
+
 (* One allocation candidate: a value (or MRF-resident read range) and
    the reads an upper-level copy would serve.  A read is its operand
    index ({!Analysis.Duchain.operand}), so the covered list holds
-   immediates. *)
+   immediates.  The candidate is also the allocator's only record of
+   its decision: the LRF verdict settled at construction, then what
+   the phases write — the outcome, the shortening count and each
+   level's last savings estimate. *)
 type cand = {
-  id : int;  (* dense per-run index; keys the explainer's side table *)
+  id : int;  (* dense per-run index, construction order *)
   kind : kind;
   reg : Ir.Reg.t;
   strand : int;
+  first : int;  (* half-open occupancy span [first, last) *)
+  mutable last : int;
   mutable covered : int list;  (* operand indices, ascending; head of a
                                   Read_unit is the MRF-served fill *)
   mutable mrf_write_required : bool;  (* write units only *)
   width : int;
   producer_dp : Energy.Model.datapath;
-  lrf_bank : int option;  (* eligible LRF bank, if any *)
+  lrf : (int, string) result;  (* eligible LRF bank, or why there is none *)
+  savings : savings;
+  mutable shortened : int;
+  mutable outcome : outcome;
 }
 
 let read_instr o = o / Ir.Instr.num_slots
@@ -43,22 +66,31 @@ let datapath_of_op op =
 
 let consumer_dp k o = datapath_of_op (Ir.Kernel.instr k (read_instr o)).Ir.Instr.op
 
-(* Half-open occupancy span: the write occupies at least its own slot,
-   and protection extends up to (excluding) the last covered read. *)
-let interval_of cand =
-  match cand.kind, cand.covered with
-  | Write_unit { defs }, [] ->
-    let d = List.fold_left min max_int defs in
-    (d, d + 1)
-  | Write_unit { defs }, reads ->
-    let d = List.fold_left min max_int defs in
-    let last = List.fold_left (fun acc o -> max acc (read_instr o)) d reads in
-    (d, max last (d + 1))
-  | Read_unit, [] -> invalid_arg "Allocator: empty read unit"
-  | Read_unit, (o0 :: _ as reads) ->
-    let first = read_instr o0 in
-    let last = List.fold_left (fun acc o -> max acc (read_instr o)) first reads in
-    (first, max last (first + 1))
+(* End of the occupancy span that starts at [first]: the write occupies
+   at least its own slot, and protection extends up to (excluding) the
+   last covered read. *)
+let span_end first reads =
+  max (List.fold_left (fun acc o -> max acc (read_instr o)) first reads) (first + 1)
+
+(* A candidate before the phases: unpriced, unshortened, in the MRF. *)
+let candidate ~id ~kind ~reg ~strand ~first ~covered ~mrf_write_required ~width ~producer_dp
+    ~lrf =
+  {
+    id;
+    kind;
+    reg;
+    strand;
+    first;
+    last = span_end first covered;
+    covered;
+    mrf_write_required;
+    width;
+    producer_dp;
+    lrf;
+    savings = { at_lrf = neg_infinity; at_orf = neg_infinity };
+    shortened = 0;
+    outcome = Mrf;
+  }
 
 let savings_of config k target cand =
   match cand.kind with
@@ -71,32 +103,38 @@ let savings_of config k target cand =
      | `Lrf -> neg_infinity  (* read units are ORF-only *)
      | `Orf -> Savings.read_unit config ~reads:(List.map (consumer_dp k) cand.covered))
 
-(* A phase visits its candidates in decreasing priority, construction
-   (id) order on ties.  Each priority is computed once and one stable
-   sort orders the phase: a waiting candidate's priority never changes,
-   since only the candidate being placed is ever shortened. *)
-let by_priority savings cands =
-  List.map
+let placed c = match c.outcome with Mrf -> false | Lrf _ | Orf _ -> true
+
+(* A phase visits the candidates whose estimate at its level is
+   positive, in decreasing priority, construction (id) order on ties.
+   Each priority is computed once and one stable sort orders the phase:
+   a waiting candidate's priority never changes, since only the
+   candidate being placed is ever shortened. *)
+let by_priority level cands =
+  List.filter_map
     (fun c ->
-      let first, last = interval_of c in
-      (Savings.priority ~savings:savings.(c.id) ~first ~last, c))
+      let s = match level with `Lrf -> c.savings.at_lrf | `Orf -> c.savings.at_orf in
+      if s > 0.0 then Some (Savings.priority ~savings:s ~first:c.first ~last:c.last, c) else None)
     cands
   |> List.stable_sort (fun (p, _) (q, _) -> Float.compare q p)
   |> List.map snd
 
-(* Drop the last covered read (Sec. 4.3's iterative shortening).
-   Returns false when the candidate cannot be shortened further. *)
-let shorten cand =
-  match cand.kind, List.rev cand.covered with
-  | Write_unit _, (_ :: (_ :: _ as rev_rest)) ->
-    cand.covered <- List.rev rev_rest;
-    cand.mrf_write_required <- true;
+(* Drop the last covered read (Sec. 4.3's iterative shortening), which
+   pulls the span's end in.  Returns false when the candidate cannot
+   be shortened further. *)
+let shorten c =
+  let drop rev_rest =
+    c.covered <- List.rev rev_rest;
+    c.last <- span_end c.first c.covered;
+    c.shortened <- c.shortened + 1;
     true
-  | Write_unit _, _ -> false
-  | Read_unit, (_ :: rest) when List.length rest >= 2 ->
-    cand.covered <- List.rev rest;
-    true
-  | Read_unit, _ -> false
+  in
+  match c.kind, List.rev c.covered with
+  | Write_unit _, _ :: (_ :: _ as rev_rest) ->
+    c.mrf_write_required <- true;
+    drop rev_rest
+  | Read_unit, _ :: (_ :: _ :: _ as rev_rest) -> drop rev_rest
+  | (Write_unit _ | Read_unit), _ -> false
 
 (* Assemble one write unit given its defs and the reads it may cover. *)
 let make_write_unit config (ctx : Context.t) ~id ~defs ~reg ~strand ~reads ~extra_uncovered =
@@ -117,32 +155,29 @@ let make_write_unit config (ctx : Context.t) ~id ~defs ~reg ~strand ~reads ~extr
     then Energy.Model.Shared
     else Energy.Model.Private
   in
-  let lrf_bank =
-    if producer_dp <> Energy.Model.Private || width > 1 then None
-    else if List.exists (fun o -> consumer_dp k o = Energy.Model.Shared) covered then None
-    else begin
-      match config.Config.lrf with
-      | Config.No_lrf -> None
-      | Config.Unified -> Some 0
-      | Config.Split ->
-        (match covered with
-         | [] -> Some 0
-         | o0 :: rest ->
-           let slot = read_slot o0 in
-           if List.for_all (fun o -> read_slot o = slot) rest then Some slot else None)
-    end
+  (* The LRF rules, in the order the explainer reports the first that
+     fails. *)
+  let lrf =
+    match config.Config.lrf with
+    | Config.No_lrf -> Error "no LRF in this configuration"
+    | _ when producer_dp <> Energy.Model.Private -> Error "shared-datapath producer"
+    | _ when width > 1 -> Error "wide (multi-word) value"
+    | _ when List.exists (fun o -> consumer_dp k o = Energy.Model.Shared) covered ->
+      Error "shared-datapath consumer"
+    | Config.Unified -> Ok 0
+    | Config.Split ->
+      (match covered with
+       | [] -> Ok 0
+       | o0 :: rest ->
+         let slot = read_slot o0 in
+         if List.for_all (fun o -> read_slot o = slot) rest then Ok slot
+         else Error "covered reads span operand slots")
   in
-  {
-    id;
-    kind = Write_unit { defs };
-    reg;
-    strand;
-    covered;
-    mrf_write_required = extra_uncovered || uncovered <> [];
-    width;
-    producer_dp;
-    lrf_bank;
-  }
+  candidate ~id ~kind:(Write_unit { defs }) ~reg ~strand
+    ~first:(List.fold_left min max_int defs)
+    ~covered
+    ~mrf_write_required:(extra_uncovered || uncovered <> [])
+    ~width ~producer_dp ~lrf
 
 (* Build the write units for one def-use group, numbering them from
    [next_id].
@@ -301,9 +336,8 @@ let build_read_units (ctx : Context.t) ~first_id =
         let strand = Strand.Partition.strand_of_instr partition fi in
         let reg = List.nth (Ir.Kernel.instr k fi).Ir.Instr.srcs (read_slot first) in
         let covered = first :: !dominated in
-        let last = List.fold_left (fun acc o -> max acc (read_instr o)) fi covered in
         let bucket = Hashtbl.hash (strand, reg) land (buckets - 1) in
-        units := (fi, max last (fi + 1), bucket, strand, reg, covered) :: !units
+        units := (fi, span_end fi covered, bucket, strand, reg, covered) :: !units
       end
     end
   done;
@@ -315,25 +349,22 @@ let build_read_units (ctx : Context.t) ~first_id =
         let c = Int.compare l1 l2 in
         if c <> 0 then c else Int.compare b2 b1)
     !units
-  |> List.mapi (fun n (_, _, _, strand, reg, covered) ->
-         {
-           id = first_id + n;
-           kind = Read_unit;
-           reg;
-           strand;
-           covered;
-           mrf_write_required = true;
-           width = 1;
-           producer_dp = Energy.Model.Private;
-           lrf_bank = None;
-         })
+  |> List.mapi (fun n (first, _, _, strand, reg, covered) ->
+         candidate ~id:(first_id + n) ~kind:Read_unit ~reg ~strand ~first ~covered
+           ~mrf_write_required:true ~width:1 ~producer_dp:Energy.Model.Private
+           ~lrf:(Error "read units are ORF-only"))
 
-(* Report one allocation decision to the metrics registry and the
-   audit sink (Obs.Audit). *)
-let audit_alloc target c ~savings ~slot ~partial =
+(* Report one placed candidate, at the savings that placed it, to the
+   metrics registry and the audit sink (Obs.Audit). *)
+let audit_alloc c =
+  let level, slot, savings =
+    match c.outcome with
+    | Lrf b -> (Obs.Audit.Lrf, b, c.savings.at_lrf)
+    | Orf e -> (Obs.Audit.Orf, e, c.savings.at_orf)
+    | Mrf -> invalid_arg "Allocator: auditing an unplaced candidate"
+  in
   Obs.Metrics.observe m_unit_savings savings;
-  if Obs.Audit.is_enabled () then begin
-    let first, last = interval_of c in
+  if Obs.Audit.is_enabled () then
     Obs.Audit.emit
       (Obs.Audit.Alloc
          {
@@ -343,87 +374,93 @@ let audit_alloc target c ~savings ~slot ~partial =
               | Write_unit _ -> Obs.Audit.Write_unit
               | Read_unit -> Obs.Audit.Read_unit);
            strand = c.strand;
-           level = (match target with `Lrf -> Obs.Audit.Lrf | `Orf -> Obs.Audit.Orf);
+           level;
            slot;
-           first;
-           last;
+           first = c.first;
+           last = c.last;
            reads = List.length c.covered;
            savings;
-           partial;
+           partial = c.shortened > 0;
            mrf_copy = c.mrf_write_required;
          })
-  end
 
-(* ------------------------------------------------------------------ *)
-(* Explainer side table.  When Obs.Explain is enabled, one [trail] per
-   candidate accumulates what the two phases concluded about it;
-   everything is emitted at the end of the run in candidate-id order,
-   so the event stream is deterministic regardless of the priority
-   order in which the queues drained.  When disabled, none of this is
-   allocated and the per-decision cost is zero. *)
-
-type trail = {
-  mutable t_lrf : Obs.Explain.candidate option;
-  mutable t_orf : Obs.Explain.candidate option;
-  mutable t_shortened : int;
-  mutable t_outcome : Obs.Explain.outcome;
-  t_initial_reads : int;
-}
-
-(* Savings estimates can be [neg_infinity] — or raise — for
-   structurally impossible pairings (the energy model refuses an LRF
-   wired to the shared datapath); clamp for the event stream so the
-   JSONL stays finite. *)
+(* Savings estimates can be [neg_infinity] for structurally impossible
+   pairings; clamp for the event stream so the JSONL stays finite. *)
 let finite s = if Float.is_finite s then s else 0.0
 
-let safe_savings config k lvl c =
-  match savings_of config k lvl c with
-  | s -> finite s
-  | exception Invalid_argument _ -> 0.0
+(* The explainer's account of one candidate (Obs.Explain), read off its
+   record.  A level is [Chosen] if it won and [Ineligible] if the LRF
+   rules excluded it; otherwise its last estimate says why it lost:
+   [Negative_savings] at or below zero, else [No_free_slot].  Each
+   shortening dropped one read. *)
+let decision k c =
+  let level name savings verdict =
+    { Obs.Explain.level = name; savings = finite savings; verdict }
+  in
+  let lost savings =
+    if savings <= 0.0 then Obs.Explain.Negative_savings else Obs.Explain.No_free_slot
+  in
+  let lrf =
+    level "lrf" c.savings.at_lrf
+      (match c.lrf, c.outcome with
+       | Error why, _ -> Obs.Explain.Ineligible why
+       | Ok _, Lrf _ -> Obs.Explain.Chosen
+       | Ok _, (Orf _ | Mrf) -> lost c.savings.at_lrf)
+  in
+  let candidates, outcome =
+    match c.outcome with
+    | Lrf bank -> ([ lrf ], Obs.Explain.To_lrf { bank })
+    | Orf entry ->
+      ( [ lrf; level "orf" c.savings.at_orf Obs.Explain.Chosen ],
+        Obs.Explain.To_orf { entry; shortened = c.shortened } )
+    | Mrf -> ([ lrf; level "orf" c.savings.at_orf (lost c.savings.at_orf) ], Obs.Explain.To_mrf)
+  in
+  {
+    Obs.Explain.seq = c.id;
+    kernel = k.Ir.Kernel.name;
+    reg = Ir.Reg.to_string c.reg;
+    kind = (match c.kind with Write_unit _ -> "write_unit" | Read_unit -> "read_unit");
+    strand = c.strand;
+    width = c.width;
+    first = c.first;
+    last = c.last;
+    defs = (match c.kind with Write_unit { defs } -> defs | Read_unit -> []);
+    covered = List.map (fun o -> (read_instr o, read_slot o)) c.covered;
+    dropped_reads = c.shortened;
+    mrf_copy = c.mrf_write_required;
+    candidates;
+    outcome;
+  }
 
-(* Re-derive why [make_write_unit] withheld an LRF bank (it collapses
-   the reasons into [lrf_bank = None]); explain-path only, so the extra
-   walk over covered reads is fine. *)
-let lrf_ineligibility config k c =
-  match c.kind with
-  | Read_unit -> "read units are ORF-only"
-  | Write_unit _ ->
-    if config.Config.lrf = Config.No_lrf then "no LRF in this configuration"
-    else if c.producer_dp <> Energy.Model.Private then "shared-datapath producer"
-    else if c.width > 1 then "wide (multi-word) value"
-    else if List.exists (fun r -> consumer_dp k r = Energy.Model.Shared) c.covered then
-      "shared-datapath consumer"
-    else if
-      config.Config.lrf = Config.Split
-      && (match c.covered with
-         | [] -> false
-         | o0 :: rest -> not (List.for_all (fun o -> read_slot o = read_slot o0) rest))
-    then "covered reads span operand slots"
-    else "not LRF-eligible"
-
-let emit_decisions k trails units =
-  List.iter
-    (fun c ->
-      let t = trails.(c.id) in
-      let first, last = interval_of c in
-      Obs.Explain.emit
-        {
-          Obs.Explain.seq = c.id;
-          kernel = k.Ir.Kernel.name;
-          reg = Ir.Reg.to_string c.reg;
-          kind = (match c.kind with Write_unit _ -> "write_unit" | Read_unit -> "read_unit");
-          strand = c.strand;
-          width = c.width;
-          first;
-          last;
-          defs = (match c.kind with Write_unit { defs } -> defs | Read_unit -> []);
-          covered = List.map (fun o -> (read_instr o, read_slot o)) c.covered;
-          dropped_reads = t.t_initial_reads - List.length c.covered;
-          mrf_copy = c.mrf_write_required;
-          candidates = List.filter_map Fun.id [ t.t_lrf; t.t_orf ];
-          outcome = t.t_outcome;
-        })
-    units
+(* Write one placed candidate into the placement: its definitions'
+   destinations, and its covered reads (a read unit's first read stays
+   in the MRF and fills the entry). *)
+let write_placement placement c =
+  let set_srcs level =
+    List.iter (fun o -> Placement.set_src placement ~instr:(read_instr o) ~pos:(read_slot o) level)
+  in
+  let set_dests to_lrf to_orf =
+    match c.kind with
+    | Write_unit { defs } ->
+      List.iter
+        (fun d ->
+          Placement.set_dest placement ~instr:d
+            { Placement.to_lrf; to_orf; to_mrf = c.mrf_write_required })
+        defs
+    | Read_unit -> ()
+  in
+  match c.outcome, c.kind, c.covered with
+  | Lrf bank, _, covered ->
+    set_dests (Some bank) None;
+    set_srcs (Placement.From_lrf bank) covered
+  | Orf entry, Write_unit _, covered ->
+    set_dests None (Some entry);
+    set_srcs (Placement.From_orf entry) covered
+  | Orf entry, Read_unit, fill :: rest ->
+    Placement.add_fill placement ~instr:(read_instr fill) ~pos:(read_slot fill) ~entry;
+    set_srcs (Placement.From_orf entry) rest
+  | Orf _, Read_unit, [] -> invalid_arg "Allocator: empty read unit"
+  | Mrf, _, _ -> ()
 
 (* Per-instruction static occupancy of one structure, for the counter
    tracks: entries reserved over [at, at+1). *)
@@ -437,14 +474,11 @@ let occupied_at occ ~at =
 
 let run_inner config (ctx : Context.t) =
   let k = ctx.Context.kernel in
-  let placement = Placement.baseline k in
   let duchain = ctx.Context.duchain in
-  (* Sampled once per run: the allocator hot path sees one bool. *)
-  let ex = Obs.Explain.is_enabled () in
   (* Write units: one per def-use group, visiting each group once, at
      its first def in layout order (group ids are instruction ids).
      Ids are dense: write units first, then read units, in construction
-     order; every later phase keys its per-candidate arrays by id. *)
+     order. *)
   let ni = Ir.Kernel.instr_count k in
   let seen_groups = Array.make ni false in
   let next_id = ref 0 in
@@ -459,112 +493,53 @@ let run_inner config (ctx : Context.t) =
     end
   done;
   let write_units = List.rev !rev_write_units in
-  let nw = !next_id in
   let read_units =
-    if config.Config.read_operands then build_read_units ctx ~first_id:nw else []
+    if config.Config.read_operands then build_read_units ctx ~first_id:!next_id else []
   in
   let all_units = write_units @ read_units in
-  let ncands = nw + List.length read_units in
-  (* Each candidate's savings at each level, computed once.  LRF
-     savings exist only for LRF-eligible write units. *)
-  let lrf_savings = Array.make ncands neg_infinity in
+  (* Each LRF-eligible candidate's LRF savings, estimated once.  The
+     explainer also reports what the LRF would have saved on the
+     others, priced at their initial shape (the energy model may refuse
+     such a pairing outright). *)
+  let ex = Obs.Explain.is_enabled () in
   List.iter
-    (fun c -> if c.lrf_bank <> None then lrf_savings.(c.id) <- savings_of config k `Lrf c)
-    write_units;
-  let trails =
-    if ex then
-      Array.of_list
-        (List.map
-           (fun c ->
-             {
-               t_lrf = None;
-               t_orf = None;
-               t_shortened = 0;
-               t_outcome = Obs.Explain.To_mrf;
-               t_initial_reads = List.length c.covered;
-             })
-           all_units)
-    else [||]
-  in
-  let trail c = trails.(c.id) in
-  (* Pre-drain LRF verdicts for candidates the queue will never see:
-     structurally ineligible ones and those with non-positive savings. *)
-  if ex then
-    List.iter
-      (fun c ->
-        if c.lrf_bank = None then
-          (trail c).t_lrf <-
-            Some
-              {
-                Obs.Explain.level = "lrf";
-                savings =
-                  (match c.kind with
-                  | Write_unit _ -> safe_savings config k `Lrf c
-                  | Read_unit -> 0.0);
-                verdict = Obs.Explain.Ineligible (lrf_ineligibility config k c);
-              }
-        else begin
-          let s = lrf_savings.(c.id) in
-          if s <= 0.0 then
-            (trail c).t_lrf <-
-              Some
-                {
-                  Obs.Explain.level = "lrf";
-                  savings = finite s;
-                  verdict = Obs.Explain.Negative_savings;
-                }
-        end)
-      all_units;
+    (fun c ->
+      match c.lrf with
+      | Ok _ -> c.savings.at_lrf <- savings_of config k `Lrf c
+      | Error _ when ex ->
+        c.savings.at_lrf <- (try savings_of config k `Lrf c with Invalid_argument _ -> 0.0)
+      | Error _ -> ())
+    all_units;
   (* One occupancy map per structure serves every strand: a unit's
      interval lies within its strand, and strands are disjoint layout
      intervals. *)
   let orf_occ = Occupancy.create ~entries:config.Config.orf_entries in
   let lrf_occ = Occupancy.create ~entries:(Config.lrf_banks config) in
-  let stats = ref { write_units = List.length write_units; read_units = List.length read_units;
-                    lrf_allocated = 0; orf_allocated = 0; partial_allocated = 0 } in
   (* Phase 1: LRF. *)
-  let lrf_allocs : (cand * int) list ref = ref [] in
-  let in_lrf = Array.make ncands false in
+  let lrf_queue = by_priority `Lrf (List.filter (fun c -> Result.is_ok c.lrf) write_units) in
   List.iter
     (fun c ->
-      let savings = lrf_savings.(c.id) in
-      let first, last = interval_of c in
+      let first = c.first and last = c.last in
       let bank =
-        match config.Config.lrf, c.lrf_bank with
-        | Config.Unified, Some b -> if Occupancy.available lrf_occ ~entry:b ~first ~last then Some b else None
-        | Config.Split, Some b ->
-          (* A candidate with no covered reads may use any free bank. *)
-          if c.covered = [] then Occupancy.find_free lrf_occ ~width:1 ~first ~last
-          else if Occupancy.available lrf_occ ~entry:b ~first ~last then Some b
-          else None
-        | (Config.No_lrf | Config.Unified | Config.Split), None -> None
-        | Config.No_lrf, Some _ -> None
+        match c.lrf with
+        | Ok _ when config.Config.lrf = Config.Split && c.covered = [] ->
+          (* A split-mode candidate with no covered reads may use any
+             free bank. *)
+          Occupancy.find_free lrf_occ ~width:1 ~first ~last
+        | Ok b when Occupancy.available lrf_occ ~entry:b ~first ~last -> Some b
+        | Ok _ | Error _ -> None
       in
-      match bank with
-      | Some b ->
-        Occupancy.reserve lrf_occ ~entry:b ~first ~last;
-        lrf_allocs := (c, b) :: !lrf_allocs;
-        in_lrf.(c.id) <- true;
-        audit_alloc `Lrf c ~savings ~slot:b ~partial:false;
-        if ex then begin
-          (trail c).t_lrf <-
-            Some
-              { Obs.Explain.level = "lrf"; savings = finite savings; verdict = Obs.Explain.Chosen };
-          (trail c).t_outcome <- Obs.Explain.To_lrf { bank = b }
-        end;
-        stats := { !stats with lrf_allocated = !stats.lrf_allocated + 1 }
-      | None ->
-        if ex then
-          (trail c).t_lrf <-
-            Some
-              {
-                Obs.Explain.level = "lrf";
-                savings = finite savings;
-                verdict = Obs.Explain.No_free_slot;
-              })
-    (by_priority lrf_savings (List.filter (fun c -> lrf_savings.(c.id) > 0.0) write_units));
+      Option.iter
+        (fun b ->
+          Occupancy.reserve lrf_occ ~entry:b ~first ~last;
+          c.outcome <- Lrf b)
+        bank)
+    lrf_queue;
+  (* A phase places a candidate when its queue reaches it, so each queue
+     filtered to its winners is that phase's placement order. *)
+  let lrf_placed = List.filter placed lrf_queue in
   (* Phase 2: ORF for everything not already in the LRF. *)
-  let orf_candidates = List.filter (fun c -> not in_lrf.(c.id)) write_units @ read_units in
+  let orf_candidates = List.filter (fun c -> not (placed c)) write_units @ read_units in
   (* Variable-ORF support (Sec. 7): every ORF-resident value keeps an
      MRF copy so a warp granted fewer entries can fall back to it.
      LRF values are exempt — LRF banks are per-warp, never pooled. *)
@@ -572,123 +547,50 @@ let run_inner config (ctx : Context.t) =
     List.iter
       (fun c -> match c.kind with Write_unit _ -> c.mrf_write_required <- true | Read_unit -> ())
       orf_candidates;
-  let orf_savings = Array.make ncands neg_infinity in
-  List.iter (fun c -> orf_savings.(c.id) <- savings_of config k `Orf c) orf_candidates;
-  if ex then
-    List.iter
-      (fun c ->
-        let s = orf_savings.(c.id) in
-        if s <= 0.0 then
-          (trail c).t_orf <-
-            Some
-              {
-                Obs.Explain.level = "orf";
-                savings = finite s;
-                verdict = Obs.Explain.Negative_savings;
-              })
-      orf_candidates;
-  let orf_allocs : (cand * int) list ref = ref [] in
-  (* A candidate that does not fit is shortened and retried in place;
-     it never goes back in the queue. *)
-  let rec attempt c ~savings:s ~shortened =
-    if s <= 0.0 then begin
-      (* Shortening drove the estimate negative: give up. *)
-      if ex then
-        (trail c).t_orf <-
-          Some
-            {
-              Obs.Explain.level = "orf";
-              savings = finite s;
-              verdict = Obs.Explain.Negative_savings;
-            }
-    end
-    else begin
-      let first, last = interval_of c in
-      match Occupancy.find_free orf_occ ~width:c.width ~first ~last with
-      | Some e ->
-        Occupancy.reserve_range orf_occ ~entry:e ~width:c.width ~first ~last;
-        orf_allocs := (c, e) :: !orf_allocs;
-        audit_alloc `Orf c ~savings:s ~slot:e ~partial:shortened;
-        if ex then begin
-          (trail c).t_orf <-
-            Some { Obs.Explain.level = "orf"; savings = finite s; verdict = Obs.Explain.Chosen };
-          (trail c).t_outcome <-
-            Obs.Explain.To_orf { entry = e; shortened = (trail c).t_shortened }
-        end;
-        stats :=
-          { !stats with
-            orf_allocated = !stats.orf_allocated + 1;
-            partial_allocated = !stats.partial_allocated + (if shortened then 1 else 0) }
-      | None ->
-        if config.Config.partial_ranges && shorten c then begin
-          if ex then (trail c).t_shortened <- (trail c).t_shortened + 1;
-          attempt c ~savings:(savings_of config k `Orf c) ~shortened:true
-        end
-        else if ex then
-          (trail c).t_orf <-
-            Some
-              {
-                Obs.Explain.level = "orf";
-                savings = finite s;
-                verdict = Obs.Explain.No_free_slot;
-              }
-    end
+  List.iter (fun c -> c.savings.at_orf <- savings_of config k `Orf c) orf_candidates;
+  (* A candidate that does not fit is shortened and retried in place
+     while its estimate stays positive; it never goes back in the
+     queue. *)
+  let rec attempt c =
+    match Occupancy.find_free orf_occ ~width:c.width ~first:c.first ~last:c.last with
+    | Some e ->
+      Occupancy.reserve_range orf_occ ~entry:e ~width:c.width ~first:c.first ~last:c.last;
+      c.outcome <- Orf e
+    | None ->
+      if config.Config.partial_ranges && shorten c then begin
+        c.savings.at_orf <- savings_of config k `Orf c;
+        if c.savings.at_orf > 0.0 then attempt c
+      end
   in
-  List.iter
-    (fun c -> attempt c ~savings:orf_savings.(c.id) ~shortened:false)
-    (by_priority orf_savings (List.filter (fun c -> orf_savings.(c.id) > 0.0) orf_candidates));
-  (* Emit placements. *)
-  let set_covered_srcs level c =
-    List.iter
-      (fun o -> Placement.set_src placement ~instr:(read_instr o) ~pos:(read_slot o) level)
-      c.covered
-  in
-  List.iter
-    (fun (c, bank) ->
-      (match c.kind with
-       | Write_unit { defs } ->
-         List.iter
-           (fun d ->
-             Placement.set_dest placement ~instr:d
-               { Placement.to_lrf = Some bank; to_orf = None; to_mrf = c.mrf_write_required })
-           defs
-       | Read_unit -> assert false);
-      set_covered_srcs (Placement.From_lrf bank) c)
-    !lrf_allocs;
-  List.iter
-    (fun (c, entry) ->
-      match c.kind with
-      | Write_unit { defs } ->
-        List.iter
-          (fun d ->
-            Placement.set_dest placement ~instr:d
-              { Placement.to_lrf = None; to_orf = Some entry; to_mrf = c.mrf_write_required })
-          defs;
-        set_covered_srcs (Placement.From_orf entry) c
-      | Read_unit ->
-        (match c.covered with
-         | [] -> assert false
-         | fill :: rest ->
-           Placement.add_fill placement ~instr:(read_instr fill) ~pos:(read_slot fill) ~entry;
-           List.iter
-             (fun o ->
-               Placement.set_src placement ~instr:(read_instr o) ~pos:(read_slot o)
-                 (Placement.From_orf entry))
-             rest))
-    !orf_allocs;
-  if ex then emit_decisions k trails all_units;
+  let orf_queue = by_priority `Orf orf_candidates in
+  List.iter attempt orf_queue;
+  let orf_placed = List.filter placed orf_queue in
+  (* Everything reported is read off the candidates. *)
+  List.iter audit_alloc lrf_placed;
+  List.iter audit_alloc orf_placed;
+  let placement = Placement.baseline k in
+  List.iter (write_placement placement) (List.rev lrf_placed);
+  List.iter (write_placement placement) (List.rev orf_placed);
+  if ex then List.iter (fun c -> Obs.Explain.emit (decision k c)) all_units;
   (* Static ORF/LRF occupancy over the instruction stream, as counter
      tracks (simulated time = instruction id). *)
   if Obs.Counters.is_enabled () then begin
-    let n = Ir.Kernel.instr_count k in
-    for i = 0 to n - 1 do
+    for i = 0 to ni - 1 do
       Obs.Counters.sample "alloc.orf_occupancy" ~at:(float_of_int i)
         (float_of_int (occupied_at orf_occ ~at:i));
       Obs.Counters.sample "alloc.lrf_occupancy" ~at:(float_of_int i)
         (float_of_int (occupied_at lrf_occ ~at:i))
     done
   end;
-  let s = !stats in
+  let s =
+    {
+      write_units = !next_id;
+      read_units = List.length read_units;
+      lrf_allocated = List.length lrf_placed;
+      orf_allocated = List.length orf_placed;
+      partial_allocated = List.length (List.filter (fun c -> c.shortened > 0) orf_placed);
+    }
+  in
   Obs.Metrics.incr m_runs;
   Obs.Metrics.incr ~by:s.write_units m_write_units;
   Obs.Metrics.incr ~by:s.read_units m_read_units;

@@ -14,14 +14,22 @@
       inputs): the first read stays in the MRF and fills an ORF entry;
       later reads that the first read dominates are served by the ORF.
     + Phase 1 (Sec. 4.6): allocate LRF-eligible write units to the LRF
-      greedily by savings per occupied issue slot.  Eligibility:
-      private producer, private covered consumers, 32-bit, and — in
-      split mode — a single operand slot across all covered reads.
+      greedily by savings per occupied issue slot.  The LRF rules, in
+      the order the explainer reports the first one a unit fails: the
+      configuration has an LRF; a private-datapath producer; a 32-bit
+      value; private-datapath covered consumers; and — in split mode —
+      a single operand slot across all covered reads.  Read units are
+      ORF-only.
     + Phase 2: allocate the rest to the ORF by the same priority,
       iteratively shortening ranges that do not fit when partial-range
       allocation (Sec. 4.3) is enabled.
 
-    The result is a {!Placement.t} mapping every operand to a level. *)
+    The result is a {!Placement.t} mapping every operand to a level.
+    Each candidate records its own decision — its outcome, how often
+    it was shortened and its last savings estimate at each level — and
+    the statistics, the [alloc.*] metrics, the {!Obs.Audit} allocation
+    events and the {!Obs.Explain} decisions are all read off those
+    records after the two phases. *)
 
 type stats = {
   write_units : int;      (** candidates considered *)
