@@ -32,8 +32,6 @@ type t
     the rare fills are fresh lists.  Sources are compressed rows over
     one array.  Reads are one or two array loads and allocate nothing. *)
 
-val mrf_only : dest
-
 val baseline : Ir.Kernel.t -> t
 (** Everything in the MRF — the paper's single-level baseline. *)
 
@@ -46,9 +44,6 @@ val src : t -> instr:int -> pos:int -> level
 
 val fills_of : t -> instr:int -> (int * int) list
 (** (source position, ORF entry) pairs, most recently added first. *)
-
-val instr_count : t -> int
-(** The number of instructions the placement covers. *)
 
 val arity : t -> instr:int -> int
 (** The number of source positions the placement holds for the

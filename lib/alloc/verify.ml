@@ -175,7 +175,8 @@ let replay_check (config : Config.t) (ctx : Context.t) (placement : Placement.t)
      it terminates. *)
   let cfg = ctx.Context.cfg in
   let rpo = Analysis.Cfg.reverse_postorder cfg in
-  let rpo_index = Analysis.Cfg.rpo_index cfg in
+  let rpo_index = Array.make nb (-1) in
+  Array.iteri (fun i b -> rpo_index.(b) <- i) rpo;
   let pending = Array.make (Array.length rpo) false in
   pending.(0) <- true;
   (* Every pending position is at or after [cursor]. *)

@@ -28,7 +28,7 @@ let reachable t =
   if t.num_blocks > 0 then visit 0;
   seen
 
-let postorder t =
+let reverse_postorder t =
   let seen = Array.make t.num_blocks false in
   let order = ref [] in
   let rec visit b =
@@ -39,16 +39,8 @@ let postorder t =
     end
   in
   if t.num_blocks > 0 then visit 0;
-  (* [order] currently holds reverse postorder (last finished first). *)
-  List.rev !order
-
-let reverse_postorder t = Array.of_list (List.rev (postorder t))
-
-let rpo_index t =
-  let rpo = reverse_postorder t in
-  let index = Array.make t.num_blocks (-1) in
-  Array.iteri (fun i b -> index.(b) <- i) rpo;
-  index
+  (* Each block is consed as it finishes: last finished first. *)
+  Array.of_list !order
 
 let backward_targets t =
   let targets = Array.make t.num_blocks false in

@@ -14,10 +14,6 @@ val reachable : t -> bool array
 val reverse_postorder : t -> int array
 (** Reverse postorder of the blocks reachable from the entry. *)
 
-val rpo_index : t -> int array
-(** [rpo_index.(b)] is the position of block [b] in reverse postorder;
-    [-1] for unreachable blocks. *)
-
 val backward_targets : t -> bool array
 (** [backward_targets.(b)] iff some layout-order backward edge
     [src -> b] with [b <= src] targets [b] — the paper's "backwards

@@ -202,43 +202,6 @@ let to_json t =
           levels)
     @ [ ("rfc_probes", Obs.Json.int t.probes) ])
 
-let of_json j =
-  let ( let* ) = Result.bind in
-  let int_at path v =
-    match Option.bind v Obs.Json.to_int with
-    | Some n -> Ok n
-    | None -> Error (Printf.sprintf "Energy.Counts: missing or ill-typed %S" path)
-  in
-  let t = create () in
-  let* () =
-    Array.fold_left
-      (fun acc level ->
-        let* () = acc in
-        let lv = Obs.Json.member (json_key level) j in
-        let* () =
-          List.fold_left
-            (fun acc (dir, store) ->
-              let* () = acc in
-              let dv = Option.bind lv (Obs.Json.member dir) in
-              List.fold_left
-                (fun acc (dp_name, dp) ->
-                  let* () = acc in
-                  let path = Printf.sprintf "%s.%s.%s" (json_key level) dir dp_name in
-                  let* n = int_at path (Option.bind dv (Obs.Json.member dp_name)) in
-                  store.(cell level dp) <- n;
-                  Ok ())
-                (Ok ())
-                [ ("private", Model.Private); ("shared", Model.Shared) ])
-            (Ok ())
-            [ ("reads", t.reads); ("writes", t.writes) ]
-        in
-        Ok ())
-      (Ok ()) levels
-  in
-  let* probes = int_at "rfc_probes" (Obs.Json.member "rfc_probes" j) in
-  t.probes <- probes;
-  Ok t
-
 let pp fmt t =
   Array.iter
     (fun level ->

@@ -96,8 +96,4 @@ val to_json : t -> Obs.Json.t
     manifests embed.  Field order is fixed, so encodings of equal
     counts are byte-identical. *)
 
-val of_json : Obs.Json.t -> (t, string) result
-(** Decode a {!to_json} rendering; [Error] names the first missing or
-    ill-typed field. *)
-
 val pp : Format.formatter -> t -> unit

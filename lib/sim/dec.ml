@@ -28,7 +28,8 @@ type t = {
 let unit_index op =
   match Ir.Op.unit_class op with Ir.Op.Alu -> 0 | Ir.Op.Sfu -> 1 | Ir.Op.Mem -> 2 | Ir.Op.Tex -> 3
 
-let of_kernel ?partition (k : Ir.Kernel.t) =
+let of_context (ctx : Alloc.Context.t) =
+  let k = ctx.Alloc.Context.kernel and partition = ctx.Alloc.Context.partition in
   let ni = Ir.Kernel.instr_count k in
   let t =
     {
@@ -48,7 +49,6 @@ let of_kernel ?partition (k : Ir.Kernel.t) =
       uniq = Array.make (ni * max_srcs) (-1);
     }
   in
-  let starts = Option.map Strand.Partition.starts_bits partition in
   Array.iteri
     (fun id (i : Ir.Instr.t) ->
       let op = i.Ir.Instr.op in
@@ -61,9 +61,7 @@ let of_kernel ?partition (k : Ir.Kernel.t) =
          t.dst.(id) <- d;
          t.is_ll.(id) <- Ir.Op.is_long_latency op
        | None -> ());
-      (match starts with
-       | Some bits -> t.starts_strand.(id) <- Util.Bitset.mem bits id
-       | None -> ());
+      t.starts_strand.(id) <- Strand.Partition.starts_strand partition id;
       List.iteri
         (fun pos r ->
           t.srcs.((id * max_srcs) + pos) <- r;
@@ -84,9 +82,6 @@ let of_kernel ?partition (k : Ir.Kernel.t) =
       done)
     k.Ir.Kernel.instrs;
   t
-
-let of_context (ctx : Alloc.Context.t) =
-  of_kernel ~partition:ctx.Alloc.Context.partition ctx.Alloc.Context.kernel
 
 (* Same-bank distinct sources serialize their extra operand fetches;
    re-reads of one register broadcast.  [bank_counts] is a caller-owned

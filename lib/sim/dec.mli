@@ -20,7 +20,7 @@ type t = private {
   dst : int array;            (** destination register, [-1] = none *)
   is_ll : bool array;         (** long-latency op producing a result *)
   shared_dp : bool array;     (** {!Ir.Op.is_shared_datapath} *)
-  starts_strand : bool array; (** {!Strand.Partition.starts_strand}, or all-false without a partition *)
+  starts_strand : bool array; (** {!Strand.Partition.starts_strand} *)
   nsrcs : int array;          (** source-operand count *)
   srcs : int array;           (** positional sources at [id * max_srcs + pos], [-1] padded *)
   nuniq : int array;          (** distinct-source count *)
@@ -29,8 +29,6 @@ type t = private {
 
 val max_srcs : int
 (** Row stride of [srcs]/[uniq] (= {!Ir.Instr.num_slots}). *)
-
-val of_kernel : ?partition:Strand.Partition.t -> Ir.Kernel.t -> t
 
 val of_context : Alloc.Context.t -> t
 (** Predecode against the context's kernel and strand partition. *)

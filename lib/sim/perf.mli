@@ -97,9 +97,6 @@ val breakdown_total : stall_breakdown -> int
 (** Sum of all fields; equals [cycles * warps] for [result.stalls] and
     [cycles] for each per-warp breakdown. *)
 
-val stalled_cycles : stall_breakdown -> int
-(** Warp-cycles neither issued nor finished. *)
-
 val mean_residency : sched_stats -> float
 (** {!Obs.Manifest.mean_residency}: average active-set visit length in
     cycles ([resident_cycles / entries]; [0.] when there were no

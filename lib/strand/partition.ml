@@ -1,7 +1,6 @@
 type t = {
   strand_of_instr : int array;
   starts : bool array;
-  starts_bits : Util.Bitset.t;  (* same content as [starts], O(1) words *)
   num_strands : int;
 }
 
@@ -133,14 +132,10 @@ let compute ?(kinds = all_boundaries) (k : Ir.Kernel.t) (cfg : Analysis.Cfg.t)
       (fun id strand ->
         if starts.(id) then Obs.Audit.emit (Obs.Audit.Strand_boundary { instr = id; strand }))
       strand_of_instr;
-  let starts_bits = Util.Bitset.create ni in
-  Array.iteri (fun id b -> if b then Util.Bitset.set starts_bits id) starts;
-  { strand_of_instr; starts; starts_bits; num_strands }
+  { strand_of_instr; starts; num_strands }
 
 let num_strands t = t.num_strands
 
 let strand_of_instr t id = t.strand_of_instr.(id)
 
 let starts_strand t id = t.starts.(id)
-
-let starts_bits t = t.starts_bits

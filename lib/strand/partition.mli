@@ -40,11 +40,9 @@ type boundary_kinds = {
   merge : bool;         (** extra endpoints at uncertain merges (Fig. 5(b)) *)
 }
 
-val all_boundaries : boundary_kinds
-(** The paper's strand definition — the default. *)
-
 val compute : ?kinds:boundary_kinds -> Ir.Kernel.t -> Analysis.Cfg.t -> Analysis.Reaching.t -> t
-(** Disabling boundary kinds yields the idealized partitions of the
+(** [kinds] defaults to every kind: the paper's strand definition.
+    Disabling boundary kinds yields the idealized partitions of the
     Sec. 7 limit study: without [long_latency] boundaries, values
     survive deschedules (the never-flush idealization); without
     [backward], values may live in the ORF across loop iterations. *)
@@ -59,9 +57,3 @@ val starts_strand : t -> int -> bool
     equivalently as end-of-strand on the dynamic predecessor).  The
     two-level scheduler deschedules a warp at such an instruction iff
     it still has outstanding long-latency operations. *)
-
-val starts_bits : t -> Util.Bitset.t
-(** The {!starts_strand} predicate as a bitset over instruction ids —
-    the form the simulator predecode ({!Sim.Dec}) copies out once per
-    kernel so the cycle loop never calls back into this module.  Shared
-    with the partition; callers must not mutate it. *)

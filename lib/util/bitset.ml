@@ -81,11 +81,6 @@ let iter t f =
     done
   done
 
-let elements t =
-  let acc = ref [] in
-  iter t (fun i -> acc := i :: !acc);
-  List.rev !acc
-
 (* SWAR popcount of one 63-bit word: pairs, nibbles and bytes are
    summed in place, then one multiply gathers the byte sums into the
    top byte.  Bit 62 (the sign bit) falls in the top pair, whose upper

@@ -5,9 +5,8 @@
     [set], [clear] and [mem] are O(1) with a bounds check.  The
     [_into] operators, [equal], [fill_all], [clear_all] and [count] (a
     per-word popcount) are one closure-free loop over [capacity / 63]
-    words.  [iter] and [elements] skip zero words whole, so a sparse
-    set costs its words plus its members.  Only [create] and
-    [elements] (its list) allocate.
+    words.  [iter] skips zero words whole, so a sparse set costs its
+    words plus its members.  Only [create] allocates.
 
     A {!matrix} is the per-block form of a dataflow fact: [rows] sets of
     one capacity laid end to end in {e one} [int array], so a table of
@@ -35,9 +34,6 @@ val equal : t -> t -> bool
 val fill_all : t -> unit
 val clear_all : t -> unit
 val iter : t -> (int -> unit) -> unit
-(** Members in ascending order. *)
-
-val elements : t -> int list
 (** Members in ascending order. *)
 
 val count : t -> int
