@@ -84,13 +84,18 @@ regress: build
 # Allocation-explainer smoke (see docs/observability.md): the decision
 # stream must cross-check against the manifest's allocator stats, and
 # the JSONL + HTML outputs land under _build/ for CI to upload; the
-# page must carry every table the command printed.
+# page must carry every table the command printed.  A second run on a
+# two-level config (no LRF, two ORF entries) cross-checks the verdicts
+# the default config never reaches: every LRF verdict ineligible, and
+# a shortened ORF placement.
 explain-smoke: build
 	dune exec bin/rfh.exe -- explain mm --top 10 --warps 8 \
 	  --jsonl-out _build/explain-mm.jsonl \
 	  --report-out _build/explain-mm.html > _build/explain-mm.txt
 	$(call check_titles,_build/explain-mm.txt,_build/explain-mm.html)
-	@echo "explain smoke OK: decision stream matches the manifest allocator stats; the page has every printed table"
+	dune exec bin/rfh.exe -- explain mm --lrf none --entries 2 --warps 8 \
+	  > _build/explain-mm-two-level.txt
+	@echo "explain smoke OK: decision streams match the manifest allocator stats at the default and a two-level config; the page has every printed table"
 
 # Warp-timeline smoke (see docs/observability.md): every warp-cycle
 # must be attributed to a stall cause (the command exits 1 if the
