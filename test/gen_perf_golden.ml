@@ -26,7 +26,7 @@
    tables before the compile path moved to word bitsets and once-scored
    candidates, simt_golden.jsonl from the Sim.Simt and Sim.Variable_orf
    walks that priced every dynamic instruction operand by operand,
-   before they reused Sim.Traffic's per-pc rows,
+   before they reused Sim.Traffic's per-pc rows, and
    alloc_streams_golden.jsonl from the allocator whose two phases wrote
    its explain verdicts into a side table as they drained, before each
    candidate recorded its own outcome.  Re-run this only
@@ -36,9 +36,8 @@
    so it regenerates verify_golden.jsonl deliberately, and it changes
    the rejecting kernels' placements and streams, so it regenerates
    placement_golden.jsonl and alloc_streams_golden.jsonl deliberately
-   too.  cli_golden.txt is the rfh
-   transcript (see cli_transcript.ml); run from the repository root, it
-   drives the built bin/rfh.exe. *)
+   too.  cli_golden.txt is the rfh transcript (see cli_transcript.ml);
+   run from the repository root, it drives the built bin/rfh.exe. *)
 
 let () =
   match Array.to_list Sys.argv with
@@ -57,5 +56,6 @@ let () =
     print_string
       (Cli_transcript.render ~rfh:"_build/default/bin/rfh.exe" ~baseline:"baselines/default.json")
   | _ ->
-    prerr_endline "usage: gen_perf_golden [timeline|wide|cut|traffic|verify|placement|simt|streams|cli]";
+    prerr_endline
+      "usage: gen_perf_golden [timeline|wide|cut|traffic|verify|placement|simt|streams|cli]";
     exit 2

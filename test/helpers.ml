@@ -72,9 +72,6 @@ let timeline_errors (r : Sim.Perf.result) (ivs : Obs.Timeline.interval list) =
     by_warp;
   List.rev !errs
 
-(* Adds one [Energy.Counts] row holding [n] in each listed cell
-   ([Energy.Counts.read_cell], [write_cell] or [probe_cell]), charged
-   to instruction [pc]. *)
 (* A bitset's members in ascending order, as [Util.Bitset.iter] visits
    them. *)
 let bitset_members b =
@@ -82,6 +79,9 @@ let bitset_members b =
   Util.Bitset.iter b (fun i -> acc := i :: !acc);
   List.rev !acc
 
+(* Adds one [Energy.Counts] row holding [n] in each listed cell
+   ([Energy.Counts.read_cell], [write_cell] or [probe_cell]), charged
+   to instruction [pc]. *)
 let add_counts ?(pc = 0) c cells =
   let row = Array.make Energy.Counts.row_cells 0 in
   List.iter (fun (cell, n) -> row.(cell) <- row.(cell) + n) cells;
