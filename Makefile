@@ -23,10 +23,13 @@ fmt:
 # `compare` on a value whose type is left polymorphic (a local `let rec`
 # over an array, a tuple helper) compiles to a C call such as
 # caml_equal that walks the generic representation; annotating the
-# operands as int makes it one machine compare.  `nm -u` lists each
-# object's undefined symbols; a missing nm fails the check.
+# operands as int makes it one machine compare.  `Stdlib.min` and
+# `Stdlib.max` are polymorphic too: each call is a call to
+# camlStdlib.min_NN/max_NN, whose compare is caml_lessequal or
+# caml_greaterequal; `Int.min`/`Int.max` are typed.  `nm -u` lists
+# each object's undefined symbols; a missing nm fails the check.
 POLYCMP_DIRS = $(addprefix _build/default/lib/,util sim alloc analysis strand energy)
-POLYCMP_SYMS = caml_(equal|notequal|compare|lessthan|lessequal|greaterthan|greaterequal)
+POLYCMP_SYMS = caml_(equal|notequal|compare|lessthan|lessequal|greaterthan|greaterequal)|camlStdlib\.(min|max)_[0-9]+
 polycmp: build
 	@command -v nm > /dev/null || { echo "polycmp: nm not found"; exit 1; }
 	@objs=$$(find $(POLYCMP_DIRS) -name '*.o'); \
@@ -37,7 +40,7 @@ polycmp: build
 	  refs=$$(echo "$$syms" | awk '{ print $$NF }' | grep -xE '$(POLYCMP_SYMS)' | tr '\n' ' '); \
 	  if [ -n "$$refs" ]; then echo "$$o: $$refs"; bad=1; fi; \
 	done; \
-	test $$bad = 0 || { echo "polycmp: polymorphic comparison in the objects above; annotate the operands' types"; exit 1; }
+	test $$bad = 0 || { echo "polycmp: polymorphic comparison in the objects above; annotate the operands' types (Int.min/Int.max for min/max)"; exit 1; }
 	@echo "polycmp OK: no object under lib/{util,sim,alloc,analysis,strand,energy} calls polymorphic comparison"
 
 # Page-parity check for the HTML smokes: every table title a command
@@ -170,11 +173,11 @@ why-smoke: build
 	$(call check_titles,_build/why.txt,_build/why.html)
 	@echo "why smoke OK: the flipped decision ranks #1; analysis is byte-deterministic; the page has every printed table"
 
-# Performance gate (see docs/performance.md): time the ten probes
+# Performance gate (see docs/performance.md): time the eleven probes
 # sim:perf-two-level, sim:perf-lowipc, sim:perf-single-level,
 # sim:perf-two-level-16, sim:traffic-hw, sim:traffic-sw,
-# compile:context, compile:allocate, compile:verify and
-# compile:context-1024 and measure
+# compile:context, compile:allocate, compile:verify,
+# compile:context-1024 and compile:allocate-1024 and measure
 # their steady-state allocation, failing if a probe's median regresses
 # >2x over its committed threshold in baselines/perfgate.json or if a
 # probe allocates past its caps there.  (The compile probes time the

@@ -1,8 +1,8 @@
 (* Performance gate (make perfgate; wired into make ci).
 
-   Times ten probes — four Sim.Perf, two Sim.Traffic and four on the
-   compile path (Alloc.Context at two kernel sizes, Alloc.Allocator,
-   Alloc.Verify) —
+   Times eleven probes — four Sim.Perf, two Sim.Traffic and five on the
+   compile path (Alloc.Context and Alloc.Allocator at two kernel sizes
+   each, Alloc.Verify) —
    and measures the steady-state minor-heap cost of one run of each:
 
    - sim:perf-two-level — MatrixMul, 8 warps, Two_level 8, capped at
@@ -40,7 +40,8 @@
    - compile:allocate — Alloc.Allocator.run on that kernel under the
      default config, on a context built outside the timed region (what
      the compile path outputs is pinned by test/placement_golden.jsonl,
-     not here);
+     not here): its candidates live in a reused per-domain table, so a
+     run allocates little more than its placement;
    - compile:verify — Alloc.Verify.check alone on that kernel under
      the default config; the context and placement are built outside
      the timed region;
@@ -48,7 +49,10 @@
      generated kernel of seed 1 (6,410 instructions, 1,542 blocks,
      4,397 registers): the compile path's scaling gate, which slows by
      several times per instruction if an analysis goes back to a dense
-     table over every definition site or register per block.
+     table over every definition site or register per block;
+   - compile:allocate-1024 — Alloc.Allocator.run on that kernel under
+     the default config, its context built outside the timed region:
+     the allocator's scaling gate.
 
    Every number is checked against the committed threshold file
    baselines/perfgate.json:
@@ -57,7 +61,8 @@
      committed threshold (ns_per_run, lowipc_ns_per_run,
      single_level_ns_per_run, two_level_16_ns_per_run,
      traffic_ns_per_run, traffic_sw_ns_per_run, context_ns_per_run,
-     allocate_ns_per_run, verify_ns_per_run, context_1024_ns_per_run): generous enough for
+     allocate_ns_per_run, verify_ns_per_run, context_1024_ns_per_run,
+     allocate_1024_ns_per_run): generous enough for
      machine-to-machine variance, tight enough to catch a loop
      re-growing a per-step allocation, a quadratic scan, a lost
      dead-cycle jump, an active queue copied per cycle again, a cache
@@ -76,7 +81,8 @@
    The simulator probes share one set of caps (max_minor_words_per_run,
    max_promoted_words_per_run, max_major_words_per_run).  Each compile
    probe has its own (the same keys prefixed context_, allocate_,
-   verify_ or context_1024_): those runs build per-kernel tables, so
+   verify_, context_1024_ or allocate_1024_): those runs build
+   per-kernel tables, so
    they allocate in proportion to the kernel, and the caps sit between
    today's cost and the cost of what they replaced, so a return to it
    fails on allocation even where the 2x time tolerance would let it
@@ -135,20 +141,24 @@ let sim_caps = { prefix = ""; minor = 8192.0; promoted = 8192.0; major = 16384.0
 let verify_caps = { prefix = "verify_"; minor = 16384.0; promoted = 32768.0; major = 65536.0 }
 
 (* Context.create on the probe's kernel allocates ~65k minor words and
-   ~64k major words and promotes ~2k; an allocator run allocates ~270k
-   minor and ~50k major words and promotes ~29k (its candidate lists,
-   live across the run's minor collections).  With per-block sets and
-   per-instruction lists and records they cost 329k/124k/160k and
-   355k/57k/80k (minor/promoted/major), and before the compile path
-   moved to word bitsets, per-operand reaching tables and once-scored
-   candidates 777k/249k/279k and 1,206k/102k/114k.  At size 1024,
-   Context.create allocates ~261k minor and ~402k major words and
+   ~64k major words and promotes ~2k.  With per-block sets and
+   per-instruction lists and records it cost 329k/124k/160k
+   (minor/promoted/major), and before the compile path moved to word
+   bitsets and per-operand reaching tables 777k/249k/279k.  At size
+   1024, Context.create allocates ~261k minor and ~402k major words and
    promotes ~14k; with per-block sets over every definition site it
-   cost 2,084k/1,151k/1,316k. *)
+   cost 2,084k/1,151k/1,316k.  An allocator run keeps its candidates in
+   a reused per-domain table of immediates: on the size-256 kernel it
+   allocates ~18k minor and ~7-12k major words (mostly its placement)
+   and promotes a few hundred.  With candidates built from per-group
+   lists, closures, records and boxed floats it cost 290k/34-40k/46-63k,
+   and before once-scored candidates 1,206k/102k/114k. *)
 let context_caps = { prefix = "context_"; minor = 131072.0; promoted = 16384.0; major = 98304.0 }
-let allocate_caps = { prefix = "allocate_"; minor = 327680.0; promoted = 49152.0; major = 65536.0 }
+let allocate_caps = { prefix = "allocate_"; minor = 49152.0; promoted = 8192.0; major = 24576.0 }
 let context_1024_caps =
   { prefix = "context_1024_"; minor = 786432.0; promoted = 65536.0; major = 655360.0 }
+let allocate_1024_caps =
+  { prefix = "allocate_1024_"; minor = 196608.0; promoted = 32768.0; major = 98304.0 }
 
 (* [what] is "minor", "promoted" or "major". *)
 let cap_key c what = Printf.sprintf "%smax_%s_words_per_run" c.prefix what
@@ -195,6 +205,12 @@ let traffic_fields (r : Sim.Traffic.result) =
     ("desched_events", Obs.Json.int r.Sim.Traffic.desched_events);
   ]
 
+let allocate_fields (_, (s : Alloc.Allocator.stats)) =
+  [
+    ("candidates", Obs.Json.int (s.write_units + s.read_units));
+    ("placed", Obs.Json.int (s.lrf_allocated + s.orf_allocated));
+  ]
+
 let verify_fields = function
   | Ok () -> [ ("verdict", Obs.Json.Str "ok") ]
   | Error errs -> [ ("verdict", Obs.Json.Str "rejected"); ("errors", Obs.Json.int (List.length errs)) ]
@@ -205,6 +221,7 @@ let probes () =
   let gen_kernel = Workloads.Generator.kernel ~size:256 ~seed:1 () in
   let gen = Alloc.Context.create gen_kernel in
   let gen_1024 = Workloads.Generator.kernel ~size:1024 ~seed:1 () in
+  let gen_1024_ctx = Alloc.Context.create gen_1024 in
   let config = Alloc.Config.make () in
   let placement = Alloc.Allocator.place config gen in
   let sad_sw = Sim.Traffic.Sw { config; placement = Alloc.Allocator.place config sad } in
@@ -243,11 +260,7 @@ let probes () =
         [ ("strands", Obs.Json.int (Strand.Partition.num_strands c.Alloc.Context.partition)) ]);
     probe ~name:"compile:allocate" ~key:"allocate_ns_per_run" ~caps:allocate_caps
       (fun () -> Alloc.Allocator.run config gen)
-      (fun (_, (s : Alloc.Allocator.stats)) ->
-        [
-          ("candidates", Obs.Json.int (s.write_units + s.read_units));
-          ("placed", Obs.Json.int (s.lrf_allocated + s.orf_allocated));
-        ]);
+      allocate_fields;
     probe ~name:"compile:verify" ~key:"verify_ns_per_run" ~caps:verify_caps
       (fun () -> Alloc.Verify.check config gen placement)
       verify_fields;
@@ -255,6 +268,9 @@ let probes () =
       (fun () -> Alloc.Context.create gen_1024)
       (fun (c : Alloc.Context.t) ->
         [ ("strands", Obs.Json.int (Strand.Partition.num_strands c.Alloc.Context.partition)) ]);
+    probe ~name:"compile:allocate-1024" ~key:"allocate_1024_ns_per_run" ~caps:allocate_1024_caps
+      (fun () -> Alloc.Allocator.run config gen_1024_ctx)
+      allocate_fields;
   ]
 
 let median a =
@@ -349,7 +365,7 @@ let () =
             let key = cap_key c what in
             (key, threshold key default))
           (cap_defaults c))
-      [ sim_caps; context_caps; allocate_caps; verify_caps; context_1024_caps ]
+      [ sim_caps; context_caps; allocate_caps; verify_caps; context_1024_caps; allocate_1024_caps ]
   in
   if !recorded <> [] then begin
     write_json baseline_path

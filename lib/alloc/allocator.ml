@@ -14,582 +14,573 @@ type stats = {
   partial_allocated : int;
 }
 
-type kind =
-  | Write_unit of { defs : int list }
-  | Read_unit
+(* The candidate table: a candidate is a row of immediates whose index
+   is its id, write units first, then read units, in construction
+   order.  The row is the allocator's only record of its decision: the
+   LRF verdict settled at construction, then the outcome, shortening
+   count and estimates the phases write.  Each domain keeps one table,
+   as {!Sim.Scratch} keeps the simulator's buffers; its arrays only grow
+   and a run writes every cell before reading it, so a warm domain's run
+   allocates none of it and no minor collection promotes from it. *)
+module F = struct
+  (* Row fields, [rows.(c * size + f)]: the span [first, last); 1 for
+     a shared-datapath producer; LRF bank or reason code; 1 for an MRF
+     copy; outcome level and bank or entry; covered reads (ascending
+     operand indices, a read unit's fill first) [ints.(cov ..)] and
+     definitions [ints.(defs ..)], none for a read unit. *)
+  let reg = 0 and strand = 1 and first = 2 and last = 3 and width = 4 and shared = 5
+  let lrf = 6 and mrf_copy = 7 and level = 8 and slot = 9 and shortened = 10
+  let cov = 11 and ncov = 12 and defs = 13 and ndefs = 14 and size = 15
+end
 
-(* Where the phases left a candidate: its LRF bank or ORF entry. *)
-type outcome =
-  | Mrf
-  | Lrf of int
-  | Orf of int
+let mrf = 0 and lrf = 1 and orf = 2
 
-(* The savings a candidate last estimated at each level.  An all-float
-   record is stored flat, so writing an estimate allocates nothing; as
-   float fields of [cand], every estimate would be a fresh box, which
-   the write barrier promotes when the candidate is already old. *)
-type savings = {
-  mutable at_lrf : float;
-  mutable at_orf : float;
+(* Why a candidate has no LRF bank: code [-1 - i] is [reasons.(i)]. *)
+let reasons =
+  [| "no LRF in this configuration"; "shared-datapath producer"; "wide (multi-word) value";
+     "shared-datapath consumer"; "covered reads span operand slots"; "read units are ORF-only" |]
+
+type t = {
+  mutable rows : int array;
+  mutable n : int;  (* candidates this run *)
+  mutable ints : int array;
+  mutable n_ints : int;
+  mutable est : float array;  (* candidate c's at level l: [ix c l] *)
+  mutable prio : float array;  (* per candidate, in the current phase *)
+  mutable queue : int array;  (* the LRF queue, then the ORF queue *)
+  mutable tmp : int array;  (* merge scratch; before, grouped reads *)
+  (* Per instruction, read once per run: its strand, then its result's
+     width in words, a long-latency bit and a shared-datapath bit. *)
+  mutable facts : int array;
+  (* Read units: per register, the current strand's group; per group,
+     where its reads end; per unit, its bucket. *)
+  mutable cell : int array;
+  mutable cell_strand : int array;
+  mutable start : int array;
+  mutable bucket : int array;
+  mutable terms : float array;  (* the run's {!Savings.terms} *)
 }
 
-(* One allocation candidate: a value (or MRF-resident read range) and
-   the reads an upper-level copy would serve.  A read is its operand
-   index ({!Analysis.Duchain.operand}), so the covered list holds
-   immediates.  The candidate is also the allocator's only record of
-   its decision: the LRF verdict settled at construction, then what
-   the phases write — the outcome, the shortening count and each
-   level's last savings estimate. *)
-type cand = {
-  id : int;  (* dense per-run index, construction order *)
-  kind : kind;
-  reg : Ir.Reg.t;
-  strand : int;
-  first : int;  (* half-open occupancy span [first, last) *)
-  mutable last : int;
-  mutable covered : int list;  (* operand indices, ascending; head of a
-                                  Read_unit is the MRF-served fill *)
-  mutable mrf_write_required : bool;  (* write units only *)
-  width : int;
-  producer_dp : Energy.Model.datapath;
-  lrf : (int, string) result;  (* eligible LRF bank, or why there is none *)
-  savings : savings;
-  mutable shortened : int;
-  mutable outcome : outcome;
-}
+let key =
+  Domain.DLS.new_key (fun () ->
+      let e = [||] in
+      { rows = e; n = 0; ints = e; n_ints = 0; est = [||]; prio = [||]; queue = e; tmp = e;
+        facts = e; cell = e; cell_strand = e; start = e; bucket = e; terms = [||] })
+
+(* [a] with room for [n] cells, its contents kept. *)
+let grow a n x =
+  if Array.length a >= n then a
+  else
+    let b = Array.make (Int.max n (2 * Array.length a)) x in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+
+let get t c f = t.rows.((c * F.size) + f)
+let set t c f v = t.rows.((c * F.size) + f) <- v
+let is_read_unit t c = get t c F.ndefs = 0
+let ix c level = (2 * c) + level - 1
+let est t c level = t.est.(ix c level)
+
+let push t v =
+  if t.n_ints = Array.length t.ints then t.ints <- grow t.ints (t.n_ints + 1) 0;
+  t.ints.(t.n_ints) <- v;
+  t.n_ints <- t.n_ints + 1
 
 let read_instr o = o / Ir.Instr.num_slots
 let read_slot o = o mod Ir.Instr.num_slots
-
-let datapath_of_op op =
-  if Ir.Op.is_shared_datapath op then Energy.Model.Shared else Energy.Model.Private
-
-let consumer_dp k o = datapath_of_op (Ir.Kernel.instr k (read_instr o)).Ir.Instr.op
+let strand_of t i = t.facts.(i) lsr 5
+let words t i = (t.facts.(i) lsr 2) land 7
+let is_ll t i = t.facts.(i) land 2 <> 0
+let shared_op t i = t.facts.(i) land 1
+let consumer_dp t o = shared_op t (read_instr o)
 
 (* End of the occupancy span that starts at [first]: the write occupies
    at least its own slot, and protection extends up to (excluding) the
    last covered read. *)
-let span_end first reads =
-  max (List.fold_left (fun acc o -> max acc (read_instr o)) first reads) (first + 1)
+let span_end t first cov ncov =
+  let e = ref first in
+  for j = cov to cov + ncov - 1 do e := Int.max !e (read_instr t.ints.(j)) done;
+  Int.max !e (first + 1)
 
-(* A candidate before the phases: unpriced, unshortened, in the MRF. *)
-let candidate ~id ~kind ~reg ~strand ~first ~covered ~mrf_write_required ~width ~producer_dp
-    ~lrf =
-  {
-    id;
-    kind;
-    reg;
-    strand;
-    first;
-    last = span_end first covered;
-    covered;
-    mrf_write_required;
-    width;
-    producer_dp;
-    lrf;
-    savings = { at_lrf = neg_infinity; at_orf = neg_infinity };
-    shortened = 0;
-    outcome = Mrf;
-  }
+(* Appends a candidate: unpriced, unshortened, in the MRF. *)
+let add t ~reg ~strand ~first ~width ~shared ~lrf ~mrf_copy ~cov ~ncov ~defs ~ndefs =
+  let c = t.n in
+  t.n <- c + 1;
+  if t.n * F.size > Array.length t.rows then t.rows <- grow t.rows (t.n * F.size) 0;
+  set t c F.reg reg; set t c F.strand strand; set t c F.first first;
+  set t c F.last (span_end t first cov ncov); set t c F.width width; set t c F.shared shared;
+  set t c F.lrf lrf; set t c F.mrf_copy mrf_copy; set t c F.level mrf; set t c F.shortened 0;
+  set t c F.cov cov; set t c F.ncov ncov; set t c F.defs defs; set t c F.ndefs ndefs
 
-let savings_of config k target cand =
-  match cand.kind with
-  | Write_unit _ ->
-    let reads = List.map (consumer_dp k) cand.covered in
-    Savings.write_unit config ~target ~producer_dp:cand.producer_dp ~reads
-      ~mrf_write_required:cand.mrf_write_required
-  | Read_unit ->
-    (match target with
-     | `Lrf -> neg_infinity  (* read units are ORF-only *)
-     | `Orf -> Savings.read_unit config ~reads:(List.map (consumer_dp k) cand.covered))
+(* Candidate [c]'s savings at [level], as {!Savings.write_unit} and
+   {!Savings.read_unit} compute them, from the same terms in the same
+   order; stored as its last estimate there.  An estimate that uses an
+   LRF term of the shared datapath is NaN. *)
+let estimate t c level =
+  let cov = get t c F.cov and ncov = get t c F.ncov and read = is_read_unit t c in
+  let base = if level = lrf then 4 else 0 and p = get t c F.shared and gain = ref 0.0 in
+  (* A read unit's fill read stays in the MRF. *)
+  for j = (if read then cov + 1 else cov) to cov + ncov - 1 do
+    gain := !gain +. t.terms.(base + consumer_dp t t.ints.(j))
+  done;
+  t.est.(ix c level) <-
+    (if read && (level = lrf || ncov < 2) then neg_infinity
+     else if read then (* the fill write, at the first consumer's datapath *)
+       !gain -. t.terms.(2 + consumer_dp t t.ints.(cov))
+     else if get t c F.mrf_copy = 1 then !gain -. t.terms.(base + 2 + p)
+     else !gain -. t.terms.(base + 2 + p) +. t.terms.(8 + p))
 
-let placed c = match c.outcome with Mrf -> false | Lrf _ | Orf _ -> true
+(* Pushes those reads of def [d] that are safe to serve from an upper
+   level (in [strand], [reg] must-defined on every path) and, when
+   [unique], reached by [d] alone, into the ascending run of distinct
+   reads from [cov] on (a merged group's defs share their join reads);
+   says whether it left one out, which forces an MRF copy. *)
+let push_reads (ctx : Context.t) t d ~reg ~strand ~cov ~unique =
+  let reaching = ctx.Context.reaching and left = ref false in
+  for n = 0 to Analysis.Duchain.num_reads ctx.Context.duchain d - 1 do
+    let o = Analysis.Duchain.read_operand ctx.Context.duchain d n in
+    let instr_id = read_instr o and slot = read_slot o in
+    if
+      (unique
+      && not
+           (Analysis.Reaching.num_reaching reaching ~instr_id ~slot = 1
+           && Analysis.Reaching.nth_reaching reaching ~instr_id ~slot 0 = d))
+      || strand_of t instr_id <> strand
+      || not (Strand.Must_defined.must_defined_before ctx.Context.must_defined ~instr_id reg)
+    then left := true
+    else begin
+      let j = ref t.n_ints in
+      while !j > cov && t.ints.(!j - 1) > o do decr j done;
+      if !j = cov || t.ints.(!j - 1) <> o then begin
+        push t o;
+        Array.blit t.ints !j t.ints (!j + 1) (t.n_ints - 1 - !j);
+        t.ints.(!j) <- o
+      end
+    end
+  done;
+  !left
 
-(* A phase visits the candidates whose estimate at its level is
-   positive, in decreasing priority, construction (id) order on ties.
-   Each priority is computed once and one stable sort orders the phase:
-   a waiting candidate's priority never changes, since only the
-   candidate being placed is ever shortened. *)
-let by_priority level cands =
-  List.filter_map
-    (fun c ->
-      let s = match level with `Lrf -> c.savings.at_lrf | `Orf -> c.savings.at_orf in
-      if s > 0.0 then Some (Savings.priority ~savings:s ~first:c.first ~last:c.last, c) else None)
-    cands
-  |> List.stable_sort (fun (p, _) (q, _) -> Float.compare q p)
-  |> List.map snd
-
-(* Drop the last covered read (Sec. 4.3's iterative shortening), which
-   pulls the span's end in.  Returns false when the candidate cannot
-   be shortened further. *)
-let shorten c =
-  let drop rev_rest =
-    c.covered <- List.rev rev_rest;
-    c.last <- span_end c.first c.covered;
-    c.shortened <- c.shortened + 1;
-    true
-  in
-  match c.kind, List.rev c.covered with
-  | Write_unit _, _ :: (_ :: _ as rev_rest) ->
-    c.mrf_write_required <- true;
-    drop rev_rest
-  | Read_unit, _ :: (_ :: _ :: _ as rev_rest) -> drop rev_rest
-  | (Write_unit _ | Read_unit), _ -> false
-
-(* Assemble one write unit given its defs and the reads it may cover. *)
-let make_write_unit config (ctx : Context.t) ~id ~defs ~reg ~strand ~reads ~extra_uncovered =
-  let k = ctx.Context.kernel in
-  let partition = ctx.Context.partition in
-  let safe o =
-    Strand.Partition.strand_of_instr partition (read_instr o) = strand
-    && Strand.Must_defined.must_defined_before ctx.Context.must_defined ~instr_id:(read_instr o)
-         reg
-  in
-  let covered, uncovered = List.partition safe reads in
-  let width =
-    List.fold_left (fun acc d -> max acc (Ir.Width.words (Ir.Kernel.instr k d).Ir.Instr.width)) 1
-      defs
-  in
-  let producer_dp =
-    if List.exists (fun d -> Ir.Op.is_shared_datapath (Ir.Kernel.instr k d).Ir.Instr.op) defs
-    then Energy.Model.Shared
-    else Energy.Model.Private
-  in
-  (* The LRF rules, in the order the explainer reports the first that
-     fails. *)
+(* Appends the write unit of the definitions [ints.(defs .. defs +
+   ndefs - 1)], covering the reads pushed after them.  The LRF rules go
+   in the order the explainer reports the first that fails. *)
+let write_unit config t ~reg ~strand ~defs ~ndefs ~uncovered =
+  let cov = defs + ndefs and first = ref max_int and width = ref 1 and shared = ref 0 in
+  for j = defs to cov - 1 do
+    first := Int.min !first t.ints.(j);
+    width := Int.max !width (words t t.ints.(j));
+    shared := Int.max !shared (shared_op t t.ints.(j))
+  done;
+  let shared_read = ref false and one_slot = ref true in
+  for j = cov to t.n_ints - 1 do
+    if consumer_dp t t.ints.(j) = 1 then shared_read := true;
+    if read_slot t.ints.(j) <> read_slot t.ints.(cov) then one_slot := false
+  done;
   let lrf =
     match config.Config.lrf with
-    | Config.No_lrf -> Error "no LRF in this configuration"
-    | _ when producer_dp <> Energy.Model.Private -> Error "shared-datapath producer"
-    | _ when width > 1 -> Error "wide (multi-word) value"
-    | _ when List.exists (fun o -> consumer_dp k o = Energy.Model.Shared) covered ->
-      Error "shared-datapath consumer"
-    | Config.Unified -> Ok 0
-    | Config.Split ->
-      (match covered with
-       | [] -> Ok 0
-       | o0 :: rest ->
-         let slot = read_slot o0 in
-         if List.for_all (fun o -> read_slot o = slot) rest then Ok slot
-         else Error "covered reads span operand slots")
+    | Config.No_lrf -> -1
+    | _ when !shared = 1 -> -2
+    | _ when !width > 1 -> -3
+    | _ when !shared_read -> -4
+    | Config.Unified -> 0
+    | Config.Split when cov = t.n_ints -> 0
+    | Config.Split -> if !one_slot then read_slot t.ints.(cov) else -5
   in
-  candidate ~id ~kind:(Write_unit { defs }) ~reg ~strand
-    ~first:(List.fold_left min max_int defs)
-    ~covered
-    ~mrf_write_required:(extra_uncovered || uncovered <> [])
-    ~width ~producer_dp ~lrf
+  add t ~reg ~strand ~first:!first ~width:!width ~shared:!shared ~lrf
+    ~mrf_copy:(if uncovered then 1 else 0) ~cov ~ncov:(t.n_ints - cov) ~defs ~ndefs
 
-(* Build the write units for one def-use group, numbering them from
-   [next_id].
+(* Appends the write units of one def-use group.
 
    A group whose definitions all sit in one strand becomes a single
    unit covering merged reads too (Fig. 10(c): all definitions target
    the same entry).  Otherwise — loop-carried or cross-strand groups,
    e.g. induction variables — each definition becomes its own unit
    covering only the reads it reaches uniquely; reads merged with other
-   definitions stay in the MRF. *)
-let build_write_units config (ctx : Context.t) next_id g =
-  let k = ctx.Context.kernel in
-  let partition = ctx.Context.partition in
-  let du = ctx.Context.duchain in
-  let reaching = ctx.Context.reaching in
-  let fresh () =
-    let id = !next_id in
-    incr next_id;
-    id
-  in
-  let reads_of d =
-    List.init (Analysis.Duchain.num_reads du d) (Analysis.Duchain.read_operand du d)
-  in
-  let defs = List.init (Analysis.Duchain.group_size du g) (Analysis.Duchain.group_member du g) in
-  let first = List.hd defs in
-  let reg = Option.get (Ir.Kernel.instr k first).Ir.Instr.dst in
-  let is_ll d = Ir.Instr.is_long_latency (Ir.Kernel.instr k d) in
-  let strand = Strand.Partition.strand_of_instr partition first in
-  let same_strand_defs =
-    List.for_all (fun d -> Strand.Partition.strand_of_instr partition d = strand) defs
-  in
-  if same_strand_defs && not (List.exists is_ll defs) then begin
-    (* One instance's reads are already ascending and distinct; a
-       merged group's share their join reads. *)
-    let reads =
-      match defs with
-      | [ d ] -> reads_of d
-      | _ -> List.sort_uniq Int.compare (List.concat_map reads_of defs)
-    in
-    [ make_write_unit config ctx ~id:(fresh ()) ~defs ~reg ~strand ~reads ~extra_uncovered:false ]
+   definitions stay in the MRF.  Long-latency definitions make none. *)
+let build_write_units config (ctx : Context.t) t g =
+  let k = ctx.Context.kernel and du = ctx.Context.duchain and defs = t.n_ints in
+  let ndefs = Analysis.Duchain.group_size du g and d0 = Analysis.Duchain.group_member du g 0 in
+  let reg = Option.get (Ir.Kernel.instr k d0).Ir.Instr.dst and strand = strand_of t d0 in
+  let merged = ref true in
+  for n = 0 to ndefs - 1 do
+    let d = Analysis.Duchain.group_member du g n in
+    push t d;
+    if strand_of t d <> strand || is_ll t d then merged := false
+  done;
+  if !merged then begin
+    let uncovered = ref false in
+    for n = 0 to ndefs - 1 do
+      let d = Analysis.Duchain.group_member du g n in
+      if push_reads ctx t d ~reg ~strand ~cov:(defs + ndefs) ~unique:false then uncovered := true
+    done;
+    write_unit config t ~reg ~strand ~defs ~ndefs ~uncovered:!uncovered
   end
-  else
-    (* Per-definition fallback: cover only uniquely reached reads. *)
-    List.filter_map
-      (fun d ->
-        if is_ll d then None
-        else begin
-          let unique, shared_reads =
-            List.partition
-              (fun o ->
-                let instr_id = read_instr o and slot = read_slot o in
-                Analysis.Reaching.num_reaching reaching ~instr_id ~slot = 1
-                && Analysis.Reaching.nth_reaching reaching ~instr_id ~slot 0 = d)
-              (reads_of d)
-          in
-          Some
-            (make_write_unit config ctx ~id:(fresh ()) ~defs:[ d ] ~reg
-               ~strand:(Strand.Partition.strand_of_instr partition d)
-               ~reads:unique ~extra_uncovered:(shared_reads <> []))
-        end)
-      defs
+  else begin
+    t.n_ints <- defs;
+    for n = 0 to ndefs - 1 do
+      let d = Analysis.Duchain.group_member du g n and defs = t.n_ints in
+      if not (is_ll t d) then begin
+        push t d;
+        let strand = strand_of t d in
+        let uncovered = push_reads ctx t d ~reg ~strand ~cov:(defs + 1) ~unique:true in
+        write_unit config t ~reg ~strand ~defs ~ndefs:1 ~uncovered
+      end
+    done
+  end
 
-(* Build read units (Sec. 4.4), numbered from [first_id]: per (strand,
-   register), reads whose reaching definitions all lie outside the
-   strand.
+(* Sorts [q.(lo .. hi - 1)] by [before] (may [a] come first?), keeping
+   the order of equals, merging through [tmp]. *)
+let rec merge_sort before q tmp lo hi =
+  if hi - lo > 1 then begin
+    let mid = (lo + hi) / 2 in
+    merge_sort before q tmp lo mid;
+    merge_sort before q tmp mid hi;
+    Array.blit q lo tmp lo (hi - lo);
+    let i = ref lo and j = ref mid in
+    for n = lo to hi - 1 do
+      let left = !j >= hi || (!i < mid && before tmp.(!i) tmp.(!j)) in
+      q.(n) <- (if left then tmp.(!i) else tmp.(!j));
+      if left then incr i else incr j
+    done
+  end
 
-   Strands are layout intervals, so walking the kernel visits each
-   (strand, register) group in one stretch: [cell] holds the current
-   strand's group of each register, and the walk numbers the groups in
-   the order it first sees them and files each read under its group
-   ([read_group], by operand index).
-
-   The units are ordered by interval.  Equal intervals keep a fixed
-   order that placements depend on (the placement golden pins it): the
-   order of folding a [Hashtbl] keyed by [(strand, reg)], created at 64
-   buckets and doubling whenever it holds more than twice as many keys
-   as buckets, into a list.  The fold visits buckets in index order,
-   each newest key first, and conses, so the list runs from the last
-   bucket down, each bucket oldest key first; a key's bucket is
-   [Hashtbl.hash (strand, reg)] masked by the final bucket count.
-   Sorting on (interval, bucket descending, group number) gives that
-   order without building the table, whose buckets and keys would be
-   pointers stored into a major-heap array. *)
-let build_read_units (ctx : Context.t) ~first_id =
-  let k = ctx.Context.kernel in
-  let partition = ctx.Context.partition in
+(* Do all of [id]'s reaching definitions of [slot] from the [j]th on
+   lie outside [strand]? *)
+let rec outside (ctx : Context.t) t id slot strand j =
   let reaching = ctx.Context.reaching in
-  let nr = k.Ir.Kernel.num_regs in
-  let read_group = Array.make (Ir.Kernel.instr_count k * Ir.Instr.num_slots) (-1) in
-  let cell = Array.make nr (-1) and cell_strand = Array.make nr (-1) in
+  j >= Analysis.Reaching.num_reaching reaching ~instr_id:id ~slot
+  || strand_of t (Analysis.Reaching.nth_reaching reaching ~instr_id:id ~slot j) <> strand
+     && outside ctx t id slot strand (j + 1)
+
+(* Pushes [id]'s reads from [slot] on whose reaching definitions all
+   lie outside its strand as [group * no + operand], numbering a
+   (strand, register) group when it is first seen; returns the number
+   of groups. *)
+let rec scan ctx t no groups id strand slot = function
+  | [] -> groups
+  | r :: rest ->
+    let out = outside ctx t id slot strand 0 in
+    let fresh = out && t.cell_strand.(r) <> strand in
+    if fresh then t.cell.(r) <- groups;
+    if out then begin
+      t.cell_strand.(r) <- strand;
+      push t ((t.cell.(r) * no) + Analysis.Duchain.operand ~instr_id:id ~slot)
+    end;
+    scan ctx t no (if fresh then groups + 1 else groups) id strand (slot + 1) rest
+
+(* Appends the read units (Sec. 4.4): per (strand, register), reads
+   whose reaching definitions all lie outside the strand.  Strands are
+   layout intervals, so one walk of the kernel numbers the groups in
+   the order it first sees them.
+
+   The units are ordered by interval.  Equal intervals keep the order
+   the placement golden pins: that of folding into a list a [Hashtbl]
+   keyed by [(strand, reg)], created at 64 buckets and doubling
+   whenever it holds more than twice as many keys as buckets.  The fold
+   runs from the last bucket down, each bucket oldest key first, and a
+   key's bucket is [Hashtbl.hash (strand, reg)] masked by the final
+   bucket count; so the units sort on (interval, bucket descending,
+   group number), without the table's pointers. *)
+let build_read_units (ctx : Context.t) t =
+  let k = ctx.Context.kernel and first_id = t.n and filed = t.n_ints in
+  let nr = k.Ir.Kernel.num_regs and no = Ir.Kernel.instr_count k * Ir.Instr.num_slots in
+  t.cell <- grow t.cell nr 0;
+  t.cell_strand <- grow t.cell_strand nr 0;
+  Array.fill t.cell_strand 0 nr (-1);
   let groups = ref 0 in
-  let rec outside id slot strand j =
-    j >= Analysis.Reaching.num_reaching reaching ~instr_id:id ~slot
-    || Strand.Partition.strand_of_instr partition
-         (Analysis.Reaching.nth_reaching reaching ~instr_id:id ~slot j)
-       <> strand
-       && outside id slot strand (j + 1)
-  in
-  let rec scan id strand slot = function
-    | [] -> ()
-    | r :: rest ->
-      if outside id slot strand 0 then begin
-        if cell_strand.(r) <> strand then begin
-          cell_strand.(r) <- strand;
-          cell.(r) <- !groups;
-          incr groups
-        end;
-        read_group.(Analysis.Duchain.operand ~instr_id:id ~slot) <- cell.(r)
-      end;
-      scan id strand (slot + 1) rest
-  in
   Array.iter
     (fun (i : Ir.Instr.t) ->
       let id = i.Ir.Instr.id in
-      scan id (Strand.Partition.strand_of_instr partition id) 0 i.Ir.Instr.srcs)
+      groups := scan ctx t no !groups id (strand_of t id) 0 i.Ir.Instr.srcs)
     k.Ir.Kernel.instrs;
+  (* Counted out by group into [tmp], each group's reads in layout
+     order end at [start.(g)]. *)
   let groups = !groups in
-  (* Each group's reads in layout order: [reads.(start.(g) ..
-     start.(g + 1) - 1)]. *)
-  let start = Array.make (groups + 1) 0 in
-  Array.iter (fun g -> if g >= 0 then start.(g + 1) <- start.(g + 1) + 1) read_group;
-  for g = 1 to groups do
-    start.(g) <- start.(g) + start.(g - 1)
+  t.start <- grow t.start (groups + 1) 0;
+  Array.fill t.start 0 (groups + 1) 0;
+  for j = filed to t.n_ints - 1 do
+    t.start.((t.ints.(j) / no) + 1) <- t.start.((t.ints.(j) / no) + 1) + 1
   done;
-  let reads = Array.make start.(groups) 0 in
-  let next = Array.sub start 0 groups in
-  Array.iteri
-    (fun o g ->
-      if g >= 0 then begin
-        reads.(next.(g)) <- o;
-        next.(g) <- next.(g) + 1
-      end)
-    read_group;
-  let buckets =
-    let rec size n = if groups > 2 * n then size (2 * n) else n in
-    size 64
-  in
-  let units = ref [] in
-  for g = groups - 1 downto 0 do
-    (* A single read cannot profit. *)
-    if start.(g + 1) - start.(g) >= 2 then begin
-      (* Later reads must be dominated by the fill read so the ORF copy
-         exists on every path — and must execute strictly after it: the
-         fill cannot serve another slot of its own instruction. *)
-      let first = reads.(start.(g)) in
-      let fi = read_instr first in
-      let dominated = ref [] in
-      for j = start.(g + 1) - 1 downto start.(g) + 1 do
-        let o = reads.(j) in
-        if
-          read_instr o > fi
-          && Analysis.Dominance.instr_dominates k ctx.Context.dominance fi (read_instr o)
-        then dominated := o :: !dominated
-      done;
-      if !dominated <> [] then begin
-        let strand = Strand.Partition.strand_of_instr partition fi in
-        let reg = List.nth (Ir.Kernel.instr k fi).Ir.Instr.srcs (read_slot first) in
-        let covered = first :: !dominated in
-        let bucket = Hashtbl.hash (strand, reg) land (buckets - 1) in
-        units := (fi, span_end fi covered, bucket, strand, reg, covered) :: !units
-      end
+  for g = 1 to groups do t.start.(g) <- t.start.(g) + t.start.(g - 1) done;
+  t.tmp <- grow t.tmp (t.n_ints - filed) 0;
+  for j = filed to t.n_ints - 1 do
+    let g = t.ints.(j) / no in
+    t.tmp.(t.start.(g)) <- t.ints.(j) mod no;
+    t.start.(g) <- t.start.(g) + 1
+  done;
+  t.n_ints <- filed;
+  let rec size n = if groups > 2 * n then size (2 * n) else n in
+  let buckets = size 64 in
+  t.bucket <- grow t.bucket groups 0;
+  for g = 0 to groups - 1 do
+    let lo = if g = 0 then 0 else t.start.(g - 1) and hi = t.start.(g) in
+    (* A single read cannot profit.  Later reads must be dominated by
+       the fill read so the ORF copy exists on every path — and must
+       execute strictly after it: the fill cannot serve another slot of
+       its own instruction. *)
+    let fill = t.tmp.(lo) and cov = t.n_ints in
+    let fi = read_instr fill in
+    if hi - lo >= 2 then push t fill;
+    for j = lo + 1 to hi - 1 do
+      let i = read_instr t.tmp.(j) in
+      if i > fi && Analysis.Dominance.instr_dominates k ctx.Context.dominance fi i then
+        push t t.tmp.(j)
+    done;
+    if t.n_ints - cov < 2 then t.n_ints <- cov
+    else begin
+      let strand = strand_of t fi in
+      let reg = List.nth (Ir.Kernel.instr k fi).Ir.Instr.srcs (read_slot fill) in
+      t.bucket.(t.n - first_id) <- Hashtbl.hash (strand, reg) land (buckets - 1);
+      add t ~reg ~strand ~first:fi ~width:1 ~shared:0 ~lrf:(-6) ~mrf_copy:1 ~cov
+        ~ncov:(t.n_ints - cov) ~defs:0 ~ndefs:0
     end
   done;
-  List.stable_sort
-    (fun (f1, l1, b1, _, _, _) (f2, l2, b2, _, _, _) ->
-      let c = Int.compare f1 f2 in
-      if c <> 0 then c
-      else
-        let c = Int.compare l1 l2 in
-        if c <> 0 then c else Int.compare b2 b1)
-    !units
-  |> List.mapi (fun n (first, _, _, strand, reg, covered) ->
-         candidate ~id:(first_id + n) ~kind:Read_unit ~reg ~strand ~first ~covered
-           ~mrf_write_required:true ~width:1 ~producer_dp:Energy.Model.Private
-           ~lrf:(Error "read units are ORF-only"))
+  (* Renumber the units in order: sort their ids, then copy their rows
+     past the table and back. *)
+  let units = t.n - first_id in
+  t.queue <- grow t.queue units 0;
+  t.tmp <- grow t.tmp units 0;
+  for u = 0 to units - 1 do t.queue.(u) <- first_id + u done;
+  let before a b =
+    let first c = get t c F.first and last c = get t c F.last in
+    first a < first b
+    || first a = first b
+       && (last a < last b
+          || (last a = last b && t.bucket.(a - first_id) >= t.bucket.(b - first_id)))
+  in
+  merge_sort before t.queue t.tmp 0 units;
+  t.rows <- grow t.rows ((t.n + units) * F.size) 0;
+  Array.blit t.rows (first_id * F.size) t.rows (t.n * F.size) (units * F.size);
+  for u = 0 to units - 1 do
+    Array.blit t.rows ((t.queue.(u) + units) * F.size) t.rows ((first_id + u) * F.size) F.size
+  done
+
+(* Drop the last covered read (Sec. 4.3's iterative shortening), which
+   pulls the span's end in: a write unit keeps one read and needs an
+   MRF copy, a read unit keeps its fill and one more.  False when the
+   candidate cannot be shortened further. *)
+let shorten t c =
+  let ncov = get t c F.ncov and read = is_read_unit t c in
+  ncov > (if read then 2 else 1)
+  && begin
+    if not read then set t c F.mrf_copy 1;
+    set t c F.ncov (ncov - 1);
+    set t c F.last (span_end t (get t c F.first) (get t c F.cov) (ncov - 1));
+    set t c F.shortened (get t c F.shortened + 1);
+    true
+  end
+
+(* A candidate that does not fit is shortened and retried in place
+   while its estimate stays positive; it never goes back in the
+   queue. *)
+let rec attempt config t occ c =
+  let first = get t c F.first and last = get t c F.last and width = get t c F.width in
+  match Occupancy.find_free occ ~width ~first ~last with
+  | Some e ->
+    Occupancy.reserve_range occ ~entry:e ~width ~first ~last;
+    set t c F.level orf;
+    set t c F.slot e
+  | None ->
+    if config.Config.partial_ranges && shorten t c then begin
+      estimate t c orf;
+      if est t c orf > 0.0 then attempt config t occ c
+    end
+
+(* Queues candidate [c] at [q] if its estimate at the phase's [level]
+   is positive; returns the queue's length. *)
+let enqueue t c q level =
+  let savings = est t c level in
+  if savings > 0.0 then begin
+    t.prio.(c) <- Savings.priority ~savings ~first:(get t c F.first) ~last:(get t c F.last);
+    t.queue.(q) <- c;
+    q + 1
+  end
+  else q
 
 (* Report one placed candidate, at the savings that placed it, to the
    metrics registry and the audit sink (Obs.Audit). *)
-let audit_alloc c =
-  let level, slot, savings =
-    match c.outcome with
-    | Lrf b -> (Obs.Audit.Lrf, b, c.savings.at_lrf)
-    | Orf e -> (Obs.Audit.Orf, e, c.savings.at_orf)
-    | Mrf -> invalid_arg "Allocator: auditing an unplaced candidate"
-  in
-  Obs.Metrics.observe m_unit_savings savings;
+let audit_alloc t c =
+  let level = get t c F.level in
+  Obs.Metrics.observe m_unit_savings (est t c level);
   if Obs.Audit.is_enabled () then
     Obs.Audit.emit
       (Obs.Audit.Alloc
-         {
-           reg = Ir.Reg.to_string c.reg;
-           kind =
-             (match c.kind with
-              | Write_unit _ -> Obs.Audit.Write_unit
-              | Read_unit -> Obs.Audit.Read_unit);
-           strand = c.strand;
-           level;
-           slot;
-           first = c.first;
-           last = c.last;
-           reads = List.length c.covered;
-           savings;
-           partial = c.shortened > 0;
-           mrf_copy = c.mrf_write_required;
-         })
-
-(* Savings estimates can be [neg_infinity] for structurally impossible
-   pairings; clamp for the event stream so the JSONL stays finite. *)
-let finite s = if Float.is_finite s then s else 0.0
+         { reg = Ir.Reg.to_string (get t c F.reg);
+           kind = (if is_read_unit t c then Obs.Audit.Read_unit else Obs.Audit.Write_unit);
+           strand = get t c F.strand; level = (if level = lrf then Obs.Audit.Lrf else Obs.Audit.Orf);
+           slot = get t c F.slot; first = get t c F.first; last = get t c F.last;
+           reads = get t c F.ncov; savings = est t c level; partial = get t c F.shortened > 0;
+           mrf_copy = get t c F.mrf_copy = 1 })
 
 (* The explainer's account of one candidate (Obs.Explain), read off its
-   record.  A level is [Chosen] if it won and [Ineligible] if the LRF
-   rules excluded it; otherwise its last estimate says why it lost:
+   row.  A level is [Chosen] if it won and [Ineligible] if the LRF rules
+   excluded it; otherwise its last estimate says why it lost:
    [Negative_savings] at or below zero, else [No_free_slot].  Each
-   shortening dropped one read. *)
-let decision k c =
-  let level name savings verdict =
-    { Obs.Explain.level = name; savings = finite savings; verdict }
+   shortening dropped one read; estimates clamp to finite values. *)
+let decision t (k : Ir.Kernel.t) c =
+  let level l verdict =
+    let s = est t c l in
+    { Obs.Explain.level = (if l = lrf then "lrf" else "orf");
+      savings = (if Float.is_finite s then s else 0.0); verdict }
   in
-  let lost savings =
-    if savings <= 0.0 then Obs.Explain.Negative_savings else Obs.Explain.No_free_slot
-  in
-  let lrf =
-    level "lrf" c.savings.at_lrf
-      (match c.lrf, c.outcome with
-       | Error why, _ -> Obs.Explain.Ineligible why
-       | Ok _, Lrf _ -> Obs.Explain.Chosen
-       | Ok _, (Orf _ | Mrf) -> lost c.savings.at_lrf)
+  let lost l = if est t c l <= 0.0 then Obs.Explain.Negative_savings else Obs.Explain.No_free_slot in
+  let won = get t c F.level and slot = get t c F.slot and bank = get t c F.lrf in
+  let lrf_level =
+    level lrf
+      (if bank < 0 then Obs.Explain.Ineligible reasons.(-1 - bank)
+       else if won = lrf then Obs.Explain.Chosen
+       else lost lrf)
   in
   let candidates, outcome =
-    match c.outcome with
-    | Lrf bank -> ([ lrf ], Obs.Explain.To_lrf { bank })
-    | Orf entry ->
-      ( [ lrf; level "orf" c.savings.at_orf Obs.Explain.Chosen ],
-        Obs.Explain.To_orf { entry; shortened = c.shortened } )
-    | Mrf -> ([ lrf; level "orf" c.savings.at_orf (lost c.savings.at_orf) ], Obs.Explain.To_mrf)
+    if won = lrf then ([ lrf_level ], Obs.Explain.To_lrf { bank = slot })
+    else if won = orf then
+      ( [ lrf_level; level orf Obs.Explain.Chosen ],
+        Obs.Explain.To_orf { entry = slot; shortened = get t c F.shortened } )
+    else ([ lrf_level; level orf (lost orf) ], Obs.Explain.To_mrf)
   in
-  {
-    Obs.Explain.seq = c.id;
-    kernel = k.Ir.Kernel.name;
-    reg = Ir.Reg.to_string c.reg;
-    kind = (match c.kind with Write_unit _ -> "write_unit" | Read_unit -> "read_unit");
-    strand = c.strand;
-    width = c.width;
-    first = c.first;
-    last = c.last;
-    defs = (match c.kind with Write_unit { defs } -> defs | Read_unit -> []);
-    covered = List.map (fun o -> (read_instr o, read_slot o)) c.covered;
-    dropped_reads = c.shortened;
-    mrf_copy = c.mrf_write_required;
-    candidates;
-    outcome;
-  }
+  let range f n g = List.init (get t c n) (fun j -> g t.ints.(get t c f + j)) in
+  { Obs.Explain.seq = c; kernel = k.Ir.Kernel.name; reg = Ir.Reg.to_string (get t c F.reg);
+    kind = (if is_read_unit t c then "read_unit" else "write_unit");
+    strand = get t c F.strand; width = get t c F.width; first = get t c F.first;
+    last = get t c F.last; defs = range F.defs F.ndefs Fun.id;
+    covered = range F.cov F.ncov (fun o -> (read_instr o, read_slot o));
+    dropped_reads = get t c F.shortened; mrf_copy = get t c F.mrf_copy = 1; candidates; outcome }
 
 (* Write one placed candidate into the placement: its definitions'
    destinations, and its covered reads (a read unit's first read stays
    in the MRF and fills the entry). *)
-let write_placement placement c =
-  let set_srcs level =
-    List.iter (fun o -> Placement.set_src placement ~instr:(read_instr o) ~pos:(read_slot o) level)
-  in
-  let set_dests to_lrf to_orf =
-    match c.kind with
-    | Write_unit { defs } ->
-      List.iter
-        (fun d ->
-          Placement.set_dest placement ~instr:d
-            { Placement.to_lrf; to_orf; to_mrf = c.mrf_write_required })
-        defs
-    | Read_unit -> ()
-  in
-  match c.outcome, c.kind, c.covered with
-  | Lrf bank, _, covered ->
-    set_dests (Some bank) None;
-    set_srcs (Placement.From_lrf bank) covered
-  | Orf entry, Write_unit _, covered ->
-    set_dests None (Some entry);
-    set_srcs (Placement.From_orf entry) covered
-  | Orf entry, Read_unit, fill :: rest ->
-    Placement.add_fill placement ~instr:(read_instr fill) ~pos:(read_slot fill) ~entry;
-    set_srcs (Placement.From_orf entry) rest
-  | Orf _, Read_unit, [] -> invalid_arg "Allocator: empty read unit"
-  | Mrf, _, _ -> ()
+let write_placement t placement c =
+  let slot = get t c F.slot and cov = get t c F.cov and in_lrf = get t c F.level = lrf in
+  let to_lrf, to_orf = if in_lrf then (Some slot, None) else (None, Some slot) in
+  let dest = { Placement.to_lrf; to_orf; to_mrf = get t c F.mrf_copy = 1 } in
+  for j = get t c F.defs to get t c F.defs + get t c F.ndefs - 1 do
+    Placement.set_dest placement ~instr:t.ints.(j) dest
+  done;
+  let read = is_read_unit t c in
+  if read then
+    Placement.add_fill placement ~instr:(read_instr t.ints.(cov)) ~pos:(read_slot t.ints.(cov))
+      ~entry:slot;
+  let src = if in_lrf then Placement.From_lrf slot else Placement.From_orf slot in
+  for j = (if read then cov + 1 else cov) to cov + get t c F.ncov - 1 do
+    Placement.set_src placement ~instr:(read_instr t.ints.(j)) ~pos:(read_slot t.ints.(j)) src
+  done
 
 (* Per-instruction static occupancy of one structure, for the counter
    tracks: entries reserved over [at, at+1). *)
 let occupied_at occ ~at =
-  let n = Occupancy.entries occ in
   let c = ref 0 in
-  for e = 0 to n - 1 do
+  for e = 0 to Occupancy.entries occ - 1 do
     if not (Occupancy.available occ ~entry:e ~first:at ~last:(at + 1)) then incr c
   done;
-  !c
+  float_of_int !c
 
 let run_inner config (ctx : Context.t) =
-  let k = ctx.Context.kernel in
-  let duchain = ctx.Context.duchain in
-  (* Write units: one per def-use group, visiting each group once, at
-     its first def in layout order (group ids are instruction ids).
-     Ids are dense: write units first, then read units, in construction
-     order. *)
+  let k = ctx.Context.kernel and du = ctx.Context.duchain and t = Domain.DLS.get key in
+  t.n <- 0;
+  t.n_ints <- 0;
+  t.terms <- Savings.terms config;
+  t.facts <- grow t.facts (Ir.Kernel.instr_count k) 0;
+  Array.iter
+    (fun (i : Ir.Instr.t) ->
+      t.facts.(i.Ir.Instr.id) <-
+        (Strand.Partition.strand_of_instr ctx.Context.partition i.Ir.Instr.id lsl 5)
+        lor (Ir.Width.words i.Ir.Instr.width lsl 2)
+        lor (if Ir.Instr.is_long_latency i then 2 else 0)
+        lor if Ir.Op.is_shared_datapath i.Ir.Instr.op then 1 else 0)
+    k.Ir.Kernel.instrs;
+  (* Write units, one per def-use group, built at its first def in
+     layout order; then read units. *)
   let ni = Ir.Kernel.instr_count k in
-  let seen_groups = Array.make ni false in
-  let next_id = ref 0 in
-  let rev_write_units = ref [] in
   for d = 0 to ni - 1 do
-    if Analysis.Duchain.is_def duchain d then begin
-      let g = Analysis.Duchain.group_of duchain d in
-      if not seen_groups.(g) then begin
-        seen_groups.(g) <- true;
-        rev_write_units := List.rev_append (build_write_units config ctx next_id g) !rev_write_units
-      end
+    let g = if Analysis.Duchain.is_def du d then Analysis.Duchain.group_of du d else -1 in
+    if g >= 0 && Analysis.Duchain.group_member du g 0 = d then build_write_units config ctx t g
+  done;
+  let n_write = t.n in
+  if config.Config.read_operands then build_read_units ctx t;
+  let n = t.n in
+  t.est <- grow t.est (2 * n) 0.0;
+  t.prio <- grow t.prio n 0.0;
+  (* The ORF queue takes the LRF queue's losers again. *)
+  t.queue <- grow t.queue (2 * n) 0;
+  t.tmp <- grow t.tmp (2 * n) 0;
+  (* A phase visits the candidates with a positive estimate at its
+     level by decreasing priority, id order on ties: one stable sort, as
+     only the candidate being placed is ever shortened. *)
+  let by_priority lo hi = merge_sort (fun a b -> t.prio.(a) >= t.prio.(b)) t.queue t.tmp lo hi in
+  (* Phase 1: LRF, for the LRF-eligible write units.  The explainer also
+     reports what the LRF would have saved on the others (NaN, reported
+     as 0, where the energy model refuses the pairing outright). *)
+  let ex = Obs.Explain.is_enabled () and lrf_end = ref 0 in
+  for c = 0 to n - 1 do
+    if get t c F.lrf >= 0 || ex then estimate t c lrf;
+    if get t c F.lrf >= 0 then lrf_end := enqueue t c !lrf_end lrf
+  done;
+  let lrf_end = !lrf_end in
+  by_priority 0 lrf_end;
+  (* One occupancy map per structure serves every strand: strands are
+     disjoint layout intervals. *)
+  let lrf_occ = Occupancy.create ~entries:(Config.lrf_banks config) in
+  for q = 0 to lrf_end - 1 do
+    let c = t.queue.(q) in
+    let first = get t c F.first and last = get t c F.last in
+    let bank =
+      (* A split-mode candidate with no covered reads takes any bank. *)
+      if config.Config.lrf = Config.Split && get t c F.ncov = 0 then
+        Option.value ~default:(-1) (Occupancy.find_free lrf_occ ~width:1 ~first ~last)
+      else get t c F.lrf
+    in
+    if bank >= 0 && Occupancy.available lrf_occ ~entry:bank ~first ~last then begin
+      Occupancy.reserve lrf_occ ~entry:bank ~first ~last;
+      set t c F.level lrf;
+      set t c F.slot bank
     end
   done;
-  let write_units = List.rev !rev_write_units in
-  let read_units =
-    if config.Config.read_operands then build_read_units ctx ~first_id:!next_id else []
-  in
-  let all_units = write_units @ read_units in
-  (* Each LRF-eligible candidate's LRF savings, estimated once.  The
-     explainer also reports what the LRF would have saved on the
-     others, priced at their initial shape (the energy model may refuse
-     such a pairing outright). *)
-  let ex = Obs.Explain.is_enabled () in
-  List.iter
-    (fun c ->
-      match c.lrf with
-      | Ok _ -> c.savings.at_lrf <- savings_of config k `Lrf c
-      | Error _ when ex ->
-        c.savings.at_lrf <- (try savings_of config k `Lrf c with Invalid_argument _ -> 0.0)
-      | Error _ -> ())
-    all_units;
-  (* One occupancy map per structure serves every strand: a unit's
-     interval lies within its strand, and strands are disjoint layout
-     intervals. *)
-  let orf_occ = Occupancy.create ~entries:config.Config.orf_entries in
-  let lrf_occ = Occupancy.create ~entries:(Config.lrf_banks config) in
-  (* Phase 1: LRF. *)
-  let lrf_queue = by_priority `Lrf (List.filter (fun c -> Result.is_ok c.lrf) write_units) in
-  List.iter
-    (fun c ->
-      let first = c.first and last = c.last in
-      let bank =
-        match c.lrf with
-        | Ok _ when config.Config.lrf = Config.Split && c.covered = [] ->
-          (* A split-mode candidate with no covered reads may use any
-             free bank. *)
-          Occupancy.find_free lrf_occ ~width:1 ~first ~last
-        | Ok b when Occupancy.available lrf_occ ~entry:b ~first ~last -> Some b
-        | Ok _ | Error _ -> None
-      in
-      Option.iter
-        (fun b ->
-          Occupancy.reserve lrf_occ ~entry:b ~first ~last;
-          c.outcome <- Lrf b)
-        bank)
-    lrf_queue;
-  (* A phase places a candidate when its queue reaches it, so each queue
-     filtered to its winners is that phase's placement order. *)
-  let lrf_placed = List.filter placed lrf_queue in
-  (* Phase 2: ORF for everything not already in the LRF. *)
-  let orf_candidates = List.filter (fun c -> not (placed c)) write_units @ read_units in
-  (* Variable-ORF support (Sec. 7): every ORF-resident value keeps an
-     MRF copy so a warp granted fewer entries can fall back to it.
-     LRF values are exempt — LRF banks are per-warp, never pooled. *)
-  if config.Config.mirror_mrf then
-    List.iter
-      (fun c -> match c.kind with Write_unit _ -> c.mrf_write_required <- true | Read_unit -> ())
-      orf_candidates;
-  List.iter (fun c -> c.savings.at_orf <- savings_of config k `Orf c) orf_candidates;
-  (* A candidate that does not fit is shortened and retried in place
-     while its estimate stays positive; it never goes back in the
-     queue. *)
-  let rec attempt c =
-    match Occupancy.find_free orf_occ ~width:c.width ~first:c.first ~last:c.last with
-    | Some e ->
-      Occupancy.reserve_range orf_occ ~entry:e ~width:c.width ~first:c.first ~last:c.last;
-      c.outcome <- Orf e
-    | None ->
-      if config.Config.partial_ranges && shorten c then begin
-        c.savings.at_orf <- savings_of config k `Orf c;
-        if c.savings.at_orf > 0.0 then attempt c
-      end
-  in
-  let orf_queue = by_priority `Orf orf_candidates in
-  List.iter attempt orf_queue;
-  let orf_placed = List.filter placed orf_queue in
-  (* Everything reported is read off the candidates. *)
-  List.iter audit_alloc lrf_placed;
-  List.iter audit_alloc orf_placed;
+  (* Phase 2: ORF for everything not in the LRF.  Under [mirror_mrf]
+     (variable ORF, Sec. 7) every ORF value keeps an MRF copy for a warp
+     granted fewer entries; LRF banks are per-warp, never pooled. *)
+  let orf_end = ref lrf_end in
+  for c = 0 to n - 1 do
+    if get t c F.level = mrf then begin
+      if config.Config.mirror_mrf && c < n_write then set t c F.mrf_copy 1;
+      estimate t c orf;
+      orf_end := enqueue t c !orf_end orf
+    end
+  done;
+  let orf_end = !orf_end and orf_occ = Occupancy.create ~entries:config.Config.orf_entries in
+  by_priority lrf_end orf_end;
+  for q = lrf_end to orf_end - 1 do
+    attempt config t orf_occ t.queue.(q)
+  done;
+  (* Everything reported is read off the rows.  Each queue filtered to
+     its winners is its phase's placement order. *)
+  let won q = get t t.queue.(q) F.level = if q < lrf_end then lrf else orf in
+  let lrf_allocated = ref 0 and orf_allocated = ref 0 and partial_allocated = ref 0 in
+  for q = 0 to orf_end - 1 do
+    if won q then begin
+      audit_alloc t t.queue.(q);
+      if q < lrf_end then incr lrf_allocated else incr orf_allocated;
+      if q >= lrf_end && get t t.queue.(q) F.shortened > 0 then incr partial_allocated
+    end
+  done;
   let placement = Placement.baseline k in
-  List.iter (write_placement placement) (List.rev lrf_placed);
-  List.iter (write_placement placement) (List.rev orf_placed);
-  if ex then List.iter (fun c -> Obs.Explain.emit (decision k c)) all_units;
-  (* Static ORF/LRF occupancy over the instruction stream, as counter
-     tracks (simulated time = instruction id). *)
-  if Obs.Counters.is_enabled () then begin
+  for q = lrf_end - 1 downto 0 do
+    if won q then write_placement t placement t.queue.(q)
+  done;
+  for q = orf_end - 1 downto lrf_end do
+    if won q then write_placement t placement t.queue.(q)
+  done;
+  if ex then
+    for c = 0 to n - 1 do
+      Obs.Explain.emit (decision t k c)
+    done;
+  (* Static occupancy as counter tracks (time = instruction id). *)
+  if Obs.Counters.is_enabled () then
     for i = 0 to ni - 1 do
-      Obs.Counters.sample "alloc.orf_occupancy" ~at:(float_of_int i)
-        (float_of_int (occupied_at orf_occ ~at:i));
-      Obs.Counters.sample "alloc.lrf_occupancy" ~at:(float_of_int i)
-        (float_of_int (occupied_at lrf_occ ~at:i))
-    done
-  end;
+      Obs.Counters.sample "alloc.orf_occupancy" ~at:(float_of_int i) (occupied_at orf_occ ~at:i);
+      Obs.Counters.sample "alloc.lrf_occupancy" ~at:(float_of_int i) (occupied_at lrf_occ ~at:i)
+    done;
   let s =
-    {
-      write_units = !next_id;
-      read_units = List.length read_units;
-      lrf_allocated = List.length lrf_placed;
-      orf_allocated = List.length orf_placed;
-      partial_allocated = List.length (List.filter (fun c -> c.shortened > 0) orf_placed);
-    }
+    { write_units = n_write; read_units = n - n_write; lrf_allocated = !lrf_allocated;
+      orf_allocated = !orf_allocated; partial_allocated = !partial_allocated }
   in
   Obs.Metrics.incr m_runs;
   Obs.Metrics.incr ~by:s.write_units m_write_units;

@@ -29,7 +29,13 @@
     it was shortened and its last savings estimate at each level — and
     the statistics, the [alloc.*] metrics, the {!Obs.Audit} allocation
     events and the {!Obs.Explain} decisions are all read off those
-    records after the two phases. *)
+    records after the two phases.
+
+    Cost model: candidates are rows of a table of immediates that each
+    domain keeps and only grows, priced from {!Savings.terms} once per
+    run; a warm domain's run allocates about 10 minor words per
+    instruction, mostly its placement, and promotes nothing.  [run] is
+    not re-entrant within a domain. *)
 
 type stats = {
   write_units : int;      (** candidates considered *)

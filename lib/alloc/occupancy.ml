@@ -20,7 +20,7 @@ let entries t = t.num_entries
 
 let grow t last =
   if last > t.slots then begin
-    let slots = max last (2 * t.slots) in
+    let slots = Int.max last (2 * t.slots) in
     let stride = (slots + word_bits - 1) / word_bits in
     let bits = Array.make (t.num_entries * stride) 0 in
     for e = 0 to t.num_entries - 1 do
@@ -34,7 +34,7 @@ let grow t last =
 (* The word of the row at [base] holding position [i], and the mask of
    positions [i, upto) in it, where [upto] is the word's end or [last]. *)
 let word base i = base + (i / word_bits)
-let upto i last = min last (((i / word_bits) + 1) * word_bits)
+let upto i last = Int.min last (((i / word_bits) + 1) * word_bits)
 
 let mask i last =
   let n = upto i last - i in
@@ -54,7 +54,7 @@ let rec fill bits base first last =
 let available t ~entry ~first ~last =
   if first < 0 then invalid_arg "Occupancy: negative position";
   entry >= 0 && entry < t.num_entries && first < last
-  && free t.bits (entry * t.stride) first (min last t.slots)
+  && free t.bits (entry * t.stride) first (Int.min last t.slots)
 
 let reserve t ~entry ~first ~last =
   if not (available t ~entry ~first ~last) then
@@ -63,14 +63,17 @@ let reserve t ~entry ~first ~last =
   grow t last;
   fill t.bits (entry * t.stride) first last
 
-let find_free t ~width ~first ~last =
+let rec fits t ~width ~first ~last e w =
+  w = width || (available t ~entry:(e + w) ~first ~last && fits t ~width ~first ~last e (w + 1))
+
+(* Top-level recursion: a search allocates no closure. *)
+let rec search t ~width ~first ~last e =
   if width < 1 then invalid_arg "Occupancy.find_free: width < 1";
-  let fits e =
-    let rec all w = w = width || (available t ~entry:(e + w) ~first ~last && all (w + 1)) in
-    all 0
-  in
-  let rec search e = if e + width > t.num_entries then None else if fits e then Some e else search (e + 1) in
-  search 0
+  if e + width > t.num_entries then None
+  else if fits t ~width ~first ~last e 0 then Some e
+  else search t ~width ~first ~last (e + 1)
+
+let find_free t ~width ~first ~last = search t ~width ~first ~last 0
 
 let reserve_range t ~entry ~width ~first ~last =
   for w = 0 to width - 1 do

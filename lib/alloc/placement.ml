@@ -51,11 +51,11 @@ let dest_cells =
         })
 
 let shared_dest d =
-  let index = function None -> Some (-1) | Some x -> Some x in
-  match index d.to_lrf, index d.to_orf with
-  | Some lrf, Some orf when lrf >= -1 && lrf < max_lrf && orf >= -1 && orf < max_orf ->
+  let index = function None -> -1 | Some x -> x in
+  let lrf = index d.to_lrf and orf = index d.to_orf in
+  if lrf >= -1 && lrf < max_lrf && orf >= -1 && orf < max_orf then
     dest_cells.((((lrf + 1) * (max_orf + 1)) + orf + 1) * 2 + if d.to_mrf then 1 else 0)
-  | _ -> Some d
+  else Some d
 
 let mrf_only = { to_lrf = None; to_orf = None; to_mrf = true }
 

@@ -1,38 +1,34 @@
-let upper_read_energy (cfg : Config.t) target dp =
-  match target with
-  | `Orf -> Energy.Model.read_energy cfg.Config.params ~orf_entries:(Config.cost_entries cfg) Energy.Model.Orf dp
-  | `Lrf -> Energy.Model.read_energy cfg.Config.params ~orf_entries:1 Energy.Model.Lrf dp
+let terms (cfg : Config.t) =
+  let energy f level ~orf_entries dp =
+    try f cfg.Config.params ~orf_entries level dp with Invalid_argument _ -> Float.nan
+  in
+  let read = energy Energy.Model.read_energy and write = energy Energy.Model.write_energy in
+  let e = Config.cost_entries cfg and t = Array.make 10 0.0 in
+  List.iteri
+    (fun i dp ->
+      let mrf_read = read Energy.Model.Mrf ~orf_entries:1 dp in
+      t.(i) <- mrf_read -. read Energy.Model.Orf ~orf_entries:e dp;
+      t.(2 + i) <- write Energy.Model.Orf ~orf_entries:e dp;
+      t.(4 + i) <- mrf_read -. read Energy.Model.Lrf ~orf_entries:1 dp;
+      t.(6 + i) <- write Energy.Model.Lrf ~orf_entries:1 dp;
+      t.(8 + i) <- write Energy.Model.Mrf ~orf_entries:1 dp)
+    [ Energy.Model.Private; Energy.Model.Shared ];
+  t
 
-let upper_write_energy (cfg : Config.t) target dp =
-  match target with
-  | `Orf -> Energy.Model.write_energy cfg.Config.params ~orf_entries:(Config.cost_entries cfg) Energy.Model.Orf dp
-  | `Lrf -> Energy.Model.write_energy cfg.Config.params ~orf_entries:1 Energy.Model.Lrf dp
-
-let mrf_read_energy (cfg : Config.t) dp =
-  Energy.Model.read_energy cfg.Config.params ~orf_entries:1 Energy.Model.Mrf dp
-
-let mrf_write_energy (cfg : Config.t) dp =
-  Energy.Model.write_energy cfg.Config.params ~orf_entries:1 Energy.Model.Mrf dp
+let base = function `Orf -> 0 | `Lrf -> 4
+let dp = function Energy.Model.Private -> 0 | Energy.Model.Shared -> 1
 
 let write_unit cfg ~target ~producer_dp ~reads ~mrf_write_required =
-  let read_savings =
-    List.fold_left
-      (fun acc dp -> acc +. (mrf_read_energy cfg dp -. upper_read_energy cfg target dp))
-      0.0 reads
-  in
-  let savings = read_savings -. upper_write_energy cfg target producer_dp in
-  if mrf_write_required then savings else savings +. mrf_write_energy cfg producer_dp
+  let t = terms cfg and b = base target and p = dp producer_dp in
+  let savings = List.fold_left (fun acc d -> acc +. t.(b + dp d)) 0.0 reads -. t.(b + 2 + p) in
+  if mrf_write_required then savings else savings +. t.(8 + p)
 
 let read_unit cfg ~reads =
   match reads with
   | [] | [ _ ] -> neg_infinity
   | first_dp :: rest ->
-    let read_savings =
-      List.fold_left
-        (fun acc dp -> acc +. (mrf_read_energy cfg dp -. upper_read_energy cfg `Orf dp))
-        0.0 rest
-    in
+    let t = terms cfg in
     (* The fill write is charged at the first consumer's datapath. *)
-    read_savings -. upper_write_energy cfg `Orf first_dp
+    List.fold_left (fun acc d -> acc +. t.(dp d)) 0.0 rest -. t.(2 + dp first_dp)
 
-let priority ~savings ~first ~last = savings /. float_of_int (max 1 (last - first))
+let priority ~savings ~first ~last = savings /. float_of_int (Int.max 1 (last - first))

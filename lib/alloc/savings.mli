@@ -25,6 +25,12 @@ val read_unit : Config.t -> reads:Energy.Model.datapath list -> float
 (** [reads] lists every read of the range including the first
     (MRF-served) one; callers guarantee at least two. *)
 
+val terms : Config.t -> float array
+(** The terms [write_unit] and [read_unit] add, at [base + dp] (dp 0
+    private, 1 shared): a served read's MRF read less the level's at the
+    ORF (base 0) and LRF (4), the level's write at 2 and 6, the MRF
+    write at 8; NaN for the LRF's shared datapath, which it lacks. *)
+
 val priority : savings:float -> first:int -> last:int -> float
 (** Savings divided by the static issue slots the value would occupy
     (Fig. 7's weighting). *)

@@ -32,7 +32,7 @@ let replay_check (config : Config.t) (ctx : Context.t) (placement : Placement.t)
   let nr = k.Ir.Kernel.num_regs in
   let orf_entries = config.Config.orf_entries in
   let lrf_banks = Config.lrf_banks config in
-  let no = max orf_entries 1 and nl = max lrf_banks 1 in
+  let no = Int.max orf_entries 1 and nl = Int.max lrf_banks 1 in
   (* Only a register that some instruction writes without an MRF copy
      can find its MRF copy stale: the current-MRF-copy sets range over
      those ([tracked.(r)] is r's bit, -1 for a register whose copy is
@@ -174,9 +174,7 @@ let replay_check (config : Config.t) (ctx : Context.t) (placement : Placement.t)
      in reverse postorder.  Entries only descend in a finite lattice, so
      it terminates. *)
   let cfg = ctx.Context.cfg in
-  let rpo = Analysis.Cfg.reverse_postorder cfg in
-  let rpo_index = Array.make nb (-1) in
-  Array.iteri (fun i b -> rpo_index.(b) <- i) rpo;
+  let rpo = cfg.Analysis.Cfg.rpo and rpo_index = cfg.Analysis.Cfg.rpo_index in
   let pending = Array.make (Array.length rpo) false in
   pending.(0) <- true;
   (* Every pending position is at or after [cursor]. *)

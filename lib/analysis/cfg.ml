@@ -2,7 +2,27 @@ type t = {
   num_blocks : int;
   succs : int list array;
   preds : int list array;
+  rpo : int array;
+  rpo_index : int array;
 }
+
+(* One depth-first walk from the entry: each block is consed as it
+   finishes, last finished first; [rpo_index] marks a block seen (0)
+   before it holds the block's position. *)
+let make ~succs ~preds =
+  let num_blocks = Array.length succs in
+  let rpo_index = Array.make num_blocks (-1) and order = ref [] in
+  let rec visit b =
+    if rpo_index.(b) < 0 then begin
+      rpo_index.(b) <- 0;
+      List.iter visit succs.(b);
+      order := b :: !order
+    end
+  in
+  if num_blocks > 0 then visit 0;
+  let rpo = Array.of_list !order in
+  Array.iteri (fun i b -> rpo_index.(b) <- i) rpo;
+  { num_blocks; succs; preds; rpo; rpo_index }
 
 let of_kernel (k : Ir.Kernel.t) =
   let num_blocks = Ir.Kernel.block_count k in
@@ -15,32 +35,7 @@ let of_kernel (k : Ir.Kernel.t) =
       List.iter (fun s -> preds.(s) <- b.Ir.Block.label :: preds.(s)) ss)
     k.Ir.Kernel.blocks;
   Array.iteri (fun i ps -> preds.(i) <- List.rev ps) preds;
-  { num_blocks; succs; preds }
-
-let reachable t =
-  let seen = Array.make t.num_blocks false in
-  let rec visit b =
-    if not seen.(b) then begin
-      seen.(b) <- true;
-      List.iter visit t.succs.(b)
-    end
-  in
-  if t.num_blocks > 0 then visit 0;
-  seen
-
-let reverse_postorder t =
-  let seen = Array.make t.num_blocks false in
-  let order = ref [] in
-  let rec visit b =
-    if not seen.(b) then begin
-      seen.(b) <- true;
-      List.iter visit t.succs.(b);
-      order := b :: !order
-    end
-  in
-  if t.num_blocks > 0 then visit 0;
-  (* Each block is consed as it finishes: last finished first. *)
-  Array.of_list !order
+  make ~succs ~preds
 
 let backward_targets t =
   let targets = Array.make t.num_blocks false in

@@ -4,15 +4,15 @@ type t = {
   num_blocks : int;
   succs : int list array;
   preds : int list array;
+  rpo : int array;  (** reverse postorder of the blocks reachable from the entry (block 0) *)
+  rpo_index : int array;  (** each block's position in [rpo]; -1 if unreachable *)
 }
 
 val of_kernel : Ir.Kernel.t -> t
 
-val reachable : t -> bool array
-(** Reachability from the entry (block 0). *)
-
-val reverse_postorder : t -> int array
-(** Reverse postorder of the blocks reachable from the entry. *)
+val make : succs:int list array -> preds:int list array -> t
+(** The graph with these edges, its order computed in one depth-first
+    walk; {!of_kernel} builds a kernel's through it, once per compile. *)
 
 val backward_targets : t -> bool array
 (** [backward_targets.(b)] iff some layout-order backward edge

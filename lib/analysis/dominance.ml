@@ -6,9 +6,7 @@ type t = {
 
 let compute (cfg : Cfg.t) =
   let n = cfg.Cfg.num_blocks in
-  let rpo = Cfg.reverse_postorder cfg in
-  let rpo_index = Array.make n (-1) in
-  Array.iteri (fun i b -> rpo_index.(b) <- i) rpo;
+  let rpo = cfg.Cfg.rpo and rpo_index = cfg.Cfg.rpo_index in
   let idom = Array.make n (-1) in
   if n > 0 then begin
     idom.(0) <- 0;

@@ -18,7 +18,7 @@ let compute (k : Ir.Kernel.t) (cfg : Cfg.t) =
         preds.(node l) <- 0 :: preds.(node l)
       | Ir.Terminator.Fallthrough | Ir.Terminator.Jump _ | Ir.Terminator.Branch _ -> ())
     k.Ir.Kernel.blocks;
-  Dominance.compute { Cfg.num_blocks = n + 1; succs; preds }
+  Dominance.compute (Cfg.make ~succs ~preds)
 
 let ipdom t b =
   match Dominance.idom t (b + 1) with Some p when p > 0 -> Some (p - 1) | Some _ | None -> None

@@ -176,7 +176,7 @@ let top_instrs params ~orf_entries ?(n = 10) t =
     (fun (pa, a) (pb, b) ->
       match compare (b : float) a with 0 -> compare (pa : int) pb | c -> c)
     ranked;
-  Array.to_list (Array.sub ranked 0 (min n (Array.length ranked)))
+  Array.to_list (Array.sub ranked 0 (Int.min n (Array.length ranked)))
 
 (* JSON codec: dp-resolved counts per level, keyed by the lowercase
    level name in the paper's MRF, ORF, RFC, LRF order.  Field order is

@@ -105,7 +105,7 @@ let stall_table ~bench ~warps runs =
   in
   List.iter
     (fun (label, r) ->
-      let total = float_of_int (max 1 (breakdown_total r.stalls)) in
+      let total = float_of_int (Int.max 1 (breakdown_total r.stalls)) in
       Util.Table.add_row t
         ([ label; string_of_int r.cycles; Printf.sprintf "%.3f" r.ipc ]
         @ List.map
@@ -174,7 +174,7 @@ let run_inner ?(warps = 32) ?(seed = 0x5eed) ?(max_dynamic_per_warp = 2_000)
     | Some r -> r := !r + n
     | None -> Hashtbl.add tbl w (ref n)
   in
-  let nr = max 1 k.Ir.Kernel.num_regs in
+  let nr = Int.max 1 k.Ir.Kernel.num_regs in
   let ni = dec.Dec.num_instrs in
   Scratch.ensure_warps s ~warps ~num_regs:nr;
   for w = 0 to warps - 1 do
@@ -199,7 +199,7 @@ let run_inner ?(warps = 32) ?(seed = 0x5eed) ?(max_dynamic_per_warp = 2_000)
         Dec.conflict_extra dec ~banks ~bank_counts:s.Scratch.bank_counts id
     done
   end;
-  let active_limit = match scheduler with Single_level -> warps | Two_level n -> max 1 n in
+  let active_limit = match scheduler with Single_level -> warps | Two_level n -> Int.max 1 n in
   let at_strand = policy = At_strand_boundaries in
   let two_level = match scheduler with Two_level _ -> true | Single_level -> false in
   (* Active set as a doubly linked queue over warp ids in round-robin

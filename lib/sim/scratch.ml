@@ -170,7 +170,7 @@ let cf t i ~max_dynamic kernel ~warp ~seed =
   let n = Array.length t.cfs in
   if i >= n then
     t.cfs <-
-      Array.init (max (i + 1) (2 * n)) (fun j ->
+      Array.init (Int.max (i + 1) (2 * n)) (fun j ->
           if j < n then t.cfs.(j) else Cf.create ~max_dynamic kernel ~warp:j ~seed);
   let cf = t.cfs.(i) in
   Cf.reset cf ~max_dynamic kernel ~warp ~seed;

@@ -137,7 +137,7 @@ let run_warp_pre ?(threads_per_warp = 32) ?(max_dynamic = 100_000) postdom (k : 
               let taken_frame = { block = target; mask = taken_mask; rpc } in
               (* Replace top with reconv, then stack the two sides. *)
               stack := taken_frame :: fall_frame :: reconv :: rest;
-              max_depth := max !max_depth (List.length !stack)
+              max_depth := Int.max !max_depth (List.length !stack)
             end
         end
       end
@@ -172,7 +172,7 @@ let merge_stats a b =
     simd_efficiency =
       (if warp_instructions = 0 then 1.0
        else float_of_int thread_instructions /. float_of_int (warp_instructions * 32));
-    max_stack_depth = max a.max_stack_depth b.max_stack_depth;
+    max_stack_depth = Int.max a.max_stack_depth b.max_stack_depth;
     divergent_branches = a.divergent_branches + b.divergent_branches;
     reconvergences = a.reconvergences + b.reconvergences;
   }

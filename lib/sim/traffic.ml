@@ -410,7 +410,7 @@ let fold (ctx : Alloc.Context.t) (dec : Dec.t) rows weights ~scale ~attribution 
     if attribution then Energy.Counts.enable_attribution c ~instrs:ni;
     c
   in
-  let per_strand = Array.init (max 1 (Strand.Partition.num_strands partition)) create in
+  let per_strand = Array.init (Int.max 1 (Strand.Partition.num_strands partition)) create in
   let counts = create () in
   for pc = 0 to ni - 1 do
     let times = weights.(pc) * scale in
@@ -436,7 +436,7 @@ let run_inner ?(warps = 32) ?(seed = 0x5eed) ?max_dynamic_per_warp ?(long_latenc
   let s = match scratch with Some s -> s | None -> Scratch.domain_local () in
   let k = ctx.Alloc.Context.kernel in
   let dec = Scratch.dec_for s ctx in
-  let nr = max 1 k.Ir.Kernel.num_regs in
+  let nr = Int.max 1 k.Ir.Kernel.num_regs in
   let live_words = (nr + live_bits - 1) / live_bits in
   let max_dynamic = Option.value max_dynamic_per_warp ~default:100_000 in
   (* Baseline and Sw have no hardware caches: their [opts] are unread. *)
@@ -496,7 +496,7 @@ let run_inner ?(warps = 32) ?(seed = 0x5eed) ?max_dynamic_per_warp ?(long_latenc
      audit and counter recorders emit per warp, so their runs walk
      every warp. *)
   let walked, weight =
-    if (not hw) && (not w.au) && (not co) && Cf.warp_invariant k then (min warps 1, warps)
+    if (not hw) && (not w.au) && (not co) && Cf.warp_invariant k then (Int.min warps 1, warps)
     else (warps, 1)
   in
   for warp = 0 to walked - 1 do

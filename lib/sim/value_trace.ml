@@ -14,13 +14,13 @@ let collect ?(warps = 4) ?(seed = 0x5eed) ?max_dynamic_per_warp (k : Ir.Kernel.t
   let read_counts = Util.Stats.histogram () in
   let lifetimes = Util.Stats.histogram () in
   let produced = ref 0 in
-  let nr = max 1 k.Ir.Kernel.num_regs in
+  let nr = Int.max 1 k.Ir.Kernel.num_regs in
   for w = 0 to warps - 1 do
     let current : live_value option array = Array.make nr None in
     let finalize v =
       incr produced;
       Util.Stats.hincr read_counts v.reads;
-      if v.reads = 1 then Util.Stats.hincr lifetimes (max 1 (v.first_read - v.born))
+      if v.reads = 1 then Util.Stats.hincr lifetimes (Int.max 1 (v.first_read - v.born))
     in
     let cf = Cf.create ?max_dynamic:max_dynamic_per_warp k ~warp:w ~seed in
     let rec step () =

@@ -9,7 +9,7 @@ type result = {
 let strand_requests (ctx : Alloc.Context.t) (placement : Alloc.Placement.t) =
   let k = ctx.Alloc.Context.kernel in
   let partition = ctx.Alloc.Context.partition in
-  let n = max 1 (Strand.Partition.num_strands partition) in
+  let n = Int.max 1 (Strand.Partition.num_strands partition) in
   let used = Array.init n (fun _ -> Hashtbl.create 4) in
   Ir.Kernel.iter_instrs k (fun _ i ->
       let id = i.Ir.Instr.id in
@@ -44,7 +44,7 @@ let run ?(active = 8) ?(warps = 32) ?(seed = 0x5eed) ?max_dynamic_per_warp ~pool
      entries.  A grant never exceeds its request. *)
   let executions =
     Array.init
-      (Array.fold_left max 0 requests + 1)
+      (Array.fold_left Int.max 0 requests + 1)
       (fun _ -> Array.make (Ir.Kernel.instr_count k) 0)
   in
   let pool_free = ref pool_entries in
@@ -53,9 +53,9 @@ let run ?(active = 8) ?(warps = 32) ?(seed = 0x5eed) ?max_dynamic_per_warp ~pool
   let partial_grants = ref 0 in
   let entries_denied = ref 0 in
   let mk_warp w = { cf = Cf.create ?max_dynamic:max_dynamic_per_warp k ~warp:w ~seed; grant = 0 } in
-  let next_warp = ref (min active warps) in
+  let next_warp = ref (Int.min active warps) in
   let active_set = Queue.create () in
-  for w = 0 to min active warps - 1 do
+  for w = 0 to Int.min active warps - 1 do
     Queue.add (mk_warp w) active_set
   done;
   let release st =
@@ -66,7 +66,7 @@ let run ?(active = 8) ?(warps = 32) ?(seed = 0x5eed) ?max_dynamic_per_warp ~pool
     release st;
     incr strand_executions;
     let want = requests.(strand) in
-    let got = min want !pool_free in
+    let got = Int.min want !pool_free in
     pool_free := !pool_free - got;
     st.grant <- got;
     if got >= want then incr full_grants else incr partial_grants;

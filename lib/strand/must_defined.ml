@@ -41,7 +41,6 @@ let rec mem_run get lo hi (r : int) =
 
 let compute (k : Ir.Kernel.t) (cfg : Analysis.Cfg.t) (partition : Partition.t) =
   let nb = Ir.Kernel.block_count k in
-  let reachable = Analysis.Cfg.reachable cfg in
   let starts i = Partition.starts_strand partition i.Ir.Instr.id in
   (* Every block's entry set as an ascending run, pushed in block order;
      the block being computed works in the first [n] ints of [!cur]. *)
@@ -61,7 +60,7 @@ let compute (k : Ir.Kernel.t) (cfg : Analysis.Cfg.t) (partition : Partition.t) =
       for j = entry_start.(p) to entry_start.(p + 1) - 1 do
         n := insert cur !n (Util.Intbuf.get entries j)
       done;
-    for j = max s 0 to Array.length instrs - 1 do
+    for j = Int.max s 0 to Array.length instrs - 1 do
       match instrs.(j).Ir.Instr.dst with Some r -> n := insert cur !n r | None -> ()
     done
   in
@@ -100,7 +99,7 @@ let compute (k : Ir.Kernel.t) (cfg : Analysis.Cfg.t) (partition : Partition.t) =
       | None -> false
     in
     if l > 0 && not boundary_at_start then begin
-      let preds = List.filter (fun p -> reachable.(p)) cfg.Analysis.Cfg.preds.(l) in
+      let preds = List.filter (fun p -> cfg.Analysis.Cfg.rpo_index.(p) >= 0) cfg.Analysis.Cfg.preds.(l) in
       match preds with
       | [] -> ()
       | first :: rest ->

@@ -20,7 +20,6 @@ let compute ?(kinds = all_boundaries) (k : Ir.Kernel.t) (cfg : Analysis.Cfg.t)
     (reaching : Analysis.Reaching.t) =
   let nb = Ir.Kernel.block_count k in
   let ni = Ir.Kernel.instr_count k in
-  let reachable = Analysis.Cfg.reachable cfg in
   let backward_target = Analysis.Cfg.backward_targets cfg in
   (* Pending long-latency definitions, as bit rows over the long-latency
      definition sites only ([ll_index], -1 for every other instruction). *)
@@ -79,7 +78,7 @@ let compute ?(kinds = all_boundaries) (k : Ir.Kernel.t) (cfg : Analysis.Cfg.t)
       if kinds.backward then pending_block_boundary := true
     end
     else begin
-      let preds = List.filter (fun p -> reachable.(p)) cfg.Analysis.Cfg.preds.(l) in
+      let preds = List.filter (fun p -> cfg.Analysis.Cfg.rpo_index.(p) >= 0) cfg.Analysis.Cfg.preds.(l) in
       match preds with
       | [] -> ()  (* unreachable or orphan block: empty pending *)
       | first :: rest ->

@@ -1,6 +1,6 @@
 type t = { mutable data : int array; mutable len : int }
 
-let create n = { data = Array.make (max n 1) 0; len = 0 }
+let create n = { data = Array.make (Int.max n 1) 0; len = 0 }
 let length t = t.len
 
 let push t x =

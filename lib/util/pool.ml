@@ -73,7 +73,7 @@ let run_team ~jobs ~label f (arr : 'a array) : ('b, exn * Printexc.raw_backtrace
            { region; dom = (Domain.get_id d :> int); start = t0; stop = Eprof.now_rel_ns () })
     end
   in
-  let spawned = List.init (min (jobs - 1) (n - 1)) (fun _ -> spawn1 ()) in
+  let spawned = List.init (Int.min (jobs - 1) (n - 1)) (fun _ -> spawn1 ()) in
   worker ();
   List.iter join1 spawned;
   if prof then Eprof.emit (Eprof.Region_end { region; t = Eprof.now_rel_ns () });

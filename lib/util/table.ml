@@ -16,14 +16,14 @@ let add_float_row t label ?(decimals = 3) xs =
 
 let rows_in_order t = List.rev t.rows
 
-let pad s width = s ^ String.make (max 0 (width - String.length s)) ' '
+let pad s width = s ^ String.make (Int.max 0 (width - String.length s)) ' '
 
 let render t =
   let ncols = List.length t.columns in
   let cell row i = match List.nth_opt row i with Some c -> c | None -> "" in
   let width i =
     let rows = t.columns :: rows_in_order t in
-    List.fold_left (fun acc row -> max acc (String.length (cell row i))) 0 rows
+    List.fold_left (fun acc row -> Int.max acc (String.length (cell row i))) 0 rows
   in
   let widths = List.init ncols width in
   let render_row row =

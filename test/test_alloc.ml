@@ -610,13 +610,16 @@ let test_context_spans () =
     names
 
 (* One compile of perfgate's kernel (size 256, seed 1: 1,678
-   instructions, 388 blocks, 1,150 registers) under a 4M-word minor
-   heap.  Every table the compile path builds past the 256-word young
-   limit holds immediates, so no [Array.make]/[Array.init] of a fresh
-   block forces a minor collection, and nothing the compile allocated
-   is recorded by the write barrier to be promoted once it is dead.
-   The compile runs in its own function so its results are garbage by
-   the time [Gc.minor] runs. *)
+   instructions, 388 blocks, 1,150 registers), under a 4M-word minor
+   heap and under OCaml's default 256k-word one.  Every table the
+   compile path builds past the 256-word young limit holds immediates,
+   so no [Array.make]/[Array.init] of a fresh block forces a minor
+   collection, and nothing the compile allocated is recorded by the
+   write barrier to be promoted once it is dead.  The allocator keeps
+   its candidates in a reused per-domain table, so the whole compile
+   (about 60k minor words) fits in the default minor heap too.  The
+   compile runs in its own function so its results are garbage by the
+   time [Gc.minor] runs. *)
 let compile_verdict k =
   let config = Alloc.Config.make () in
   let ctx = Alloc.Context.create k in
@@ -627,23 +630,84 @@ let test_compile_gc () =
   let k = Workloads.Generator.kernel ~size:256 ~seed:1 () in
   let expected = compile_verdict k in
   let old = Gc.get () in
-  Gc.set { old with Gc.minor_heap_size = 4 * 1024 * 1024 };
   Fun.protect
     ~finally:(fun () -> Gc.set old)
     (fun () ->
-      Gc.full_major ();
-      let s0 = Gc.quick_stat () in
-      let verdict = compile_verdict k in
-      let s1 = Gc.quick_stat () in
-      Gc.minor ();
-      let s2 = Gc.quick_stat () in
-      check Alcotest.bool "same verdict" expected verdict;
-      check Alcotest.int "minor collections during the compile" 0
-        (s1.Gc.minor_collections - s0.Gc.minor_collections);
-      let promoted = s2.Gc.promoted_words -. s0.Gc.promoted_words in
-      if promoted > 32768.0 then
-        Alcotest.failf "the compile and one minor collection promoted %.0f words (at most 32768)"
-          promoted)
+      List.iter
+        (fun words ->
+          Gc.set { old with Gc.minor_heap_size = words };
+          Gc.full_major ();
+          let s0 = Gc.quick_stat () in
+          let verdict = compile_verdict k in
+          let s1 = Gc.quick_stat () in
+          Gc.minor ();
+          let s2 = Gc.quick_stat () in
+          check Alcotest.bool "same verdict" expected verdict;
+          check Alcotest.int
+            (Printf.sprintf "minor collections during the compile (%d-word minor heap)" words)
+            0
+            (s1.Gc.minor_collections - s0.Gc.minor_collections);
+          let promoted = s2.Gc.promoted_words -. s0.Gc.promoted_words in
+          if promoted > 32768.0 then
+            Alcotest.failf
+              "%d-word minor heap: the compile and one minor collection promoted %.0f words (at \
+               most 32768)"
+              words promoted)
+        [ 4 * 1024 * 1024; 262_144 ])
+
+(* The allocator's per-domain candidate table is reused from run to
+   run.  A shuffled sequence of generated kernels of sizes 8-256,
+   allocated one after another on this domain under split LRF and under
+   unified LRF with [mirror_mrf], must give each kernel the placement,
+   stats and explain stream that a freshly spawned domain (a fresh
+   table) gives it, so a row, covered read or flag left over from an
+   earlier, larger kernel shows.  One domain is spawned at a time. *)
+let test_table_reuse () =
+  let configs =
+    [ Alloc.Config.make (); Alloc.Config.make ~lrf:Alloc.Config.Unified ~mirror_mrf:true () ]
+  in
+  let runs =
+    Array.of_list
+      (List.concat_map
+         (fun size ->
+           List.concat_map
+             (fun seed ->
+               let ctx = Alloc.Context.create (Workloads.Generator.kernel ~size ~seed ()) in
+               List.map (fun config -> (size, seed, ctx, config)) configs)
+             [ 1; 2; 3 ])
+         [ 8; 16; 32; 64; 128; 256 ])
+  in
+  let rng = Random.State.make [| 30 |] in
+  for i = Array.length runs - 1 downto 1 do
+    let j = Random.State.int rng (i + 1) in
+    let x = runs.(i) in
+    runs.(i) <- runs.(j);
+    runs.(j) <- x
+  done;
+  (* The placement as the placement golden renders it, the stats, and
+     the explain stream as JSON lines. *)
+  let allocate ctx config () =
+    let sink, decisions = Obs.Explain.memory_sink () in
+    Obs.Explain.set_sink sink;
+    let placement, s = Alloc.Allocator.run config ctx in
+    Obs.Explain.disable ();
+    let n = Ir.Kernel.instr_count ctx.Alloc.Context.kernel in
+    ( String.concat " " (List.init n (Perf_golden_doc.instr_token placement)),
+      Alloc.Allocator.[ s.write_units; s.read_units; s.lrf_allocated; s.orf_allocated;
+                        s.partial_allocated ],
+      List.map (fun d -> Obs.Json.to_string (Obs.Explain.to_json d)) (decisions ()) )
+  in
+  Fun.protect ~finally:Obs.Explain.disable (fun () ->
+      Array.iter
+        (fun (size, seed, ctx, config) ->
+          let here = allocate ctx config () in
+          let fresh = Domain.join (Domain.spawn (allocate ctx config)) in
+          let what = Format.asprintf "size %d seed %d, %a" size seed Alloc.Config.pp config in
+          let p, s, e = here and p', s', e' = fresh in
+          check Alcotest.string ("placement, " ^ what) p' p;
+          check Alcotest.(list int) ("stats, " ^ what) s' s;
+          check Alcotest.(list string) ("explain stream, " ^ what) e' e)
+        runs)
 
 let suite =
   [
@@ -680,4 +744,6 @@ let suite =
     Alcotest.test_case "context: analysis spans" `Quick test_context_spans;
     Alcotest.test_case "compile path: no minor collection, little promoted" `Quick
       test_compile_gc;
+    Alcotest.test_case "allocator table reused across kernels = fresh table" `Quick
+      test_table_reuse;
   ]
