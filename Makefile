@@ -173,10 +173,10 @@ why-smoke: build
 	$(call check_titles,_build/why.txt,_build/why.html)
 	@echo "why smoke OK: the flipped decision ranks #1; analysis is byte-deterministic; the page has every printed table"
 
-# Performance gate (see docs/performance.md): time the eleven probes
+# Performance gate (see docs/performance.md): time the twelve probes
 # sim:perf-two-level, sim:perf-lowipc, sim:perf-single-level,
-# sim:perf-two-level-16, sim:traffic-hw, sim:traffic-sw,
-# compile:context, compile:allocate, compile:verify,
+# sim:perf-two-level-16, sim:perf-per-warp-streams, sim:traffic-hw,
+# sim:traffic-sw, compile:context, compile:allocate, compile:verify,
 # compile:context-1024 and compile:allocate-1024 and measure
 # their steady-state allocation, failing if a probe's median regresses
 # >2x over its committed threshold in baselines/perfgate.json or if a

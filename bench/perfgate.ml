@@ -1,6 +1,6 @@
 (* Performance gate (make perfgate; wired into make ci).
 
-   Times eleven probes — four Sim.Perf, two Sim.Traffic and five on the
+   Times twelve probes — five Sim.Perf, two Sim.Traffic and five on the
    compile path (Alloc.Context and Alloc.Allocator at two kernel sizes
    each, Alloc.Verify) —
    and measures the steady-state minor-heap cost of one run of each:
@@ -24,6 +24,11 @@
      their next visit through the strand-boundary and bank-conflict
      causes, so this probe slows if the walk goes back to classifying
      every warp behind the issuer each cycle;
+   - sim:perf-per-warp-streams — Mandelbrot, 32 warps, Two_level 8
+     under At_strand_boundaries: Mandelbrot's loops exit on
+     probabilistic branches, so the run fills and reads one instruction
+     stream per warp, where the four probes above run warp-invariant
+     kernels whose warps share one stream;
    - sim:traffic-hw — sad, 32 warps, a 3-entry hardware RFC with a
      hardware LRF: the traffic walk's costliest scheme, which replays
      both caches on every dynamic instruction;
@@ -60,8 +65,9 @@
    - each probe's median ns per run may regress at most 2x over its own
      committed threshold (ns_per_run, lowipc_ns_per_run,
      single_level_ns_per_run, two_level_16_ns_per_run,
-     traffic_ns_per_run, traffic_sw_ns_per_run, context_ns_per_run,
-     allocate_ns_per_run, verify_ns_per_run, context_1024_ns_per_run,
+     per_warp_streams_ns_per_run, traffic_ns_per_run,
+     traffic_sw_ns_per_run, context_ns_per_run, allocate_ns_per_run,
+     verify_ns_per_run, context_1024_ns_per_run,
      allocate_1024_ns_per_run): generous enough for
      machine-to-machine variance, tight enough to catch a loop
      re-growing a per-step allocation, a quadratic scan, a lost
@@ -218,6 +224,7 @@ let verify_fields = function
 let probes () =
   let ctx name = Alloc.Context.create (Rfh.benchmark name) in
   let mm = ctx "MatrixMul" and conv = ctx "ConvolutionSeparable" and sad = ctx "sad" in
+  let mandel = ctx "Mandelbrot" in
   let gen_kernel = Workloads.Generator.kernel ~size:256 ~seed:1 () in
   let gen = Alloc.Context.create gen_kernel in
   let gen_1024 = Workloads.Generator.kernel ~size:1024 ~seed:1 () in
@@ -245,6 +252,11 @@ let probes () =
       (fun () ->
         Sim.Perf.run ~warps:32 ~max_dynamic_per_warp:100 ~mrf_banks:8
           ~scheduler:(Sim.Perf.Two_level 16) ~policy:Sim.Perf.At_strand_boundaries mm)
+      perf_fields;
+    probe ~name:"sim:perf-per-warp-streams" ~key:"per_warp_streams_ns_per_run"
+      (fun () ->
+        Sim.Perf.run ~warps:32 ~scheduler:(Sim.Perf.Two_level 8)
+          ~policy:Sim.Perf.At_strand_boundaries mandel)
       perf_fields;
     probe ~name:"sim:traffic-hw" ~key:"traffic_ns_per_run"
       (fun () ->

@@ -13,13 +13,17 @@
 let rlock = Util.Eprof.lock_create "obs.metrics.registry"
 let hlock = Util.Eprof.lock_create "obs.metrics.hist"
 
+module Bins = Hashtbl.Make (Int)
+
+(* [stats] holds the running sum, min and max, in that order: stores
+   into a float array neither box nor go through the write barrier, as
+   float fields of a mixed record would.  [bins] counts observations
+   truncated to int, in a table specialised to int keys. *)
 type hist = {
   hmu : Mutex.t;
   mutable hcount : int;
-  mutable hsum : float;
-  mutable hmin : float;
-  mutable hmax : float;
-  bins : Util.Stats.histogram;  (* observations truncated to int *)
+  stats : float array;
+  bins : int ref Bins.t;
 }
 
 type registry = {
@@ -73,19 +77,21 @@ let histogram ?(registry = default) name =
       {
         hmu = Mutex.create ();
         hcount = 0;
-        hsum = 0.0;
-        hmin = infinity;
-        hmax = neg_infinity;
-        bins = Util.Stats.histogram ();
+        stats = [| 0.0; infinity; neg_infinity |];
+        bins = Bins.create 16;
       })
 
 let observe h v =
   Util.Eprof.lock_acquire hlock h.hmu;
   h.hcount <- h.hcount + 1;
-  h.hsum <- h.hsum +. v;
-  if v < h.hmin then h.hmin <- v;
-  if v > h.hmax then h.hmax <- v;
-  Util.Stats.hincr h.bins (int_of_float v);
+  let st = h.stats in
+  st.(0) <- st.(0) +. v;
+  if v < st.(1) then st.(1) <- v;
+  if v > st.(2) then st.(2) <- v;
+  let bin = int_of_float v in
+  (match Bins.find h.bins bin with
+   | n -> n := !n + 1
+   | exception Not_found -> Bins.add h.bins bin (ref 1));
   Mutex.unlock h.hmu
 
 type hist_summary = {
@@ -131,10 +137,10 @@ let percentile_of_sorted_bins bins total q =
 let summarize h =
   Util.Eprof.lock_acquire hlock h.hmu;
   let count = h.hcount in
-  let sum = h.hsum in
-  let hmin = h.hmin in
-  let hmax = h.hmax in
-  let bins = Util.Stats.hbins_unsorted h.bins in
+  let sum = h.stats.(0) in
+  let hmin = h.stats.(1) in
+  let hmax = h.stats.(2) in
+  let bins = Bins.fold (fun k n acc -> (k, !n) :: acc) h.bins [] in
   Mutex.unlock h.hmu;
   let bins = List.sort (fun (a, _) (b, _) -> compare (a : int) b) bins in
   {
@@ -196,10 +202,10 @@ let reset ?(registry = default) () =
     (fun _ h ->
       Util.Eprof.lock_acquire hlock h.hmu;
       h.hcount <- 0;
-      h.hsum <- 0.0;
-      h.hmin <- infinity;
-      h.hmax <- neg_infinity;
-      Util.Stats.hreset h.bins;
+      h.stats.(0) <- 0.0;
+      h.stats.(1) <- infinity;
+      h.stats.(2) <- neg_infinity;
+      Bins.reset h.bins;
       Mutex.unlock h.hmu)
     registry.hists;
   Mutex.unlock registry.rmu

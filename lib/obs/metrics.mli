@@ -7,8 +7,8 @@
     {!diff} them, or {!reset} the registry between runs.
 
     Histograms keep running count/sum/min/max plus integer-binned
-    observations (backed by {!Util.Stats.histogram}) from which the
-    summary percentiles are estimated. *)
+    observations from which the summary percentiles are estimated; an
+    observation boxes nothing beyond its argument. *)
 
 type registry
 

@@ -177,17 +177,24 @@ let run_inner ?(warps = 32) ?(seed = 0x5eed) ?(max_dynamic_per_warp = 2_000)
   let nr = Int.max 1 k.Ir.Kernel.num_regs in
   let ni = dec.Dec.num_instrs in
   Scratch.ensure_warps s ~warps ~num_regs:nr;
-  for w = 0 to warps - 1 do
-    ignore (Scratch.cf s w ~max_dynamic:max_dynamic_per_warp k ~warp:w ~seed)
-  done;
-  let cfs = s.Scratch.cfs in
-  for w = 0 to warps - 1 do
-    Array.fill s.Scratch.ready.(w) 0 nr 0;
-    Array.fill s.Scratch.ready_base.(w) 0 nr 0;
-    s.Scratch.ll_len.(w) <- 0;
-    s.Scratch.wake.(w) <- 0
-  done;
+  (* Each warp's instruction stream, walked once per distinct stream
+     before the loop: warp [w]'s next instruction is [ids.(pc.(w))]
+     (-1 once it is done), and issuing advances [pc.(w)] by one. *)
+  Scratch.fill_streams s ~max_dynamic:max_dynamic_per_warp k ~warps ~seed;
+  let ids = s.Scratch.ids and pc = s.Scratch.pc in
+  (* Scoreboards: warp [w]'s register [r] at [w * nr + r]. *)
+  let ready = s.Scratch.ready and ready_base = s.Scratch.ready_base in
+  Array.fill ready 0 (warps * nr) 0;
+  Array.fill ready_base 0 (warps * nr) 0;
+  let ll = s.Scratch.ll and ll_len = s.Scratch.ll_len and wake = s.Scratch.wake in
+  Array.fill ll_len 0 warps 0;
+  Array.fill wake 0 warps 0;
   Array.fill s.Scratch.unit_free 0 4 0;
+  (* The predecoded columns the walk reads. *)
+  let nsrcs = dec.Dec.nsrcs and srcs = dec.Dec.srcs and dst = dec.Dec.dst in
+  let unit_of = dec.Dec.unit_of and issue_cycles = dec.Dec.issue_cycles in
+  let latency = dec.Dec.latency and is_ll = dec.Dec.is_ll in
+  let starts_strand = dec.Dec.starts_strand in
   (* Banked-MRF conflict serialization is a static property of each
      instruction's distinct operands: resolve it into a table now so
      the issue path reads one int. *)
@@ -199,6 +206,7 @@ let run_inner ?(warps = 32) ?(seed = 0x5eed) ?(max_dynamic_per_warp = 2_000)
         Dec.conflict_extra dec ~banks ~bank_counts:s.Scratch.bank_counts id
     done
   end;
+  let conflict_extra = s.Scratch.conflict_extra in
   let active_limit = match scheduler with Single_level -> warps | Two_level n -> Int.max 1 n in
   let at_strand = policy = At_strand_boundaries in
   let two_level = match scheduler with Two_level _ -> true | Single_level -> false in
@@ -212,7 +220,12 @@ let run_inner ?(warps = 32) ?(seed = 0x5eed) ?(max_dynamic_per_warp = 2_000)
   let head = ref (-1) in
   let tail = ref (-1) in
   let active_len = ref 0 in
-  let push_back w =
+  (* The queue moves here, [classify], and [try_issue] with the
+     [issue] it makes are marked [@inline]: each is reached from more
+     than one place on the walk's hot path, and a local function with
+     more than one caller is called rather than substituted (see the
+     long-latency helpers below). *)
+  let[@inline] push_back w =
     let t = !tail in
     prev_active.(w) <- t;
     next_active.(w) <- -1;
@@ -220,7 +233,7 @@ let run_inner ?(warps = 32) ?(seed = 0x5eed) ?(max_dynamic_per_warp = 2_000)
     tail := w;
     incr active_len
   in
-  let unlink w =
+  let[@inline] unlink w =
     let p = prev_active.(w) and n = next_active.(w) in
     if p >= 0 then next_active.(p) <- n else head := n;
     if n >= 0 then prev_active.(n) <- p else tail := p;
@@ -248,7 +261,7 @@ let run_inner ?(warps = 32) ?(seed = 0x5eed) ?(max_dynamic_per_warp = 2_000)
      termination test is one compare instead of a scan over all warps. *)
   let live = ref 0 in
   for w = 0 to warps - 1 do
-    if not (Cf.finished cfs.(w)) then incr live
+    if ids.(pc.(w)) >= 0 then incr live
   done;
   (* Exact warp-cycle accounting: every warp is in one open stint, a
      stall row of [breakdown] and the cycle it began, from cycle 0 to
@@ -271,7 +284,7 @@ let run_inner ?(warps = 32) ?(seed = 0x5eed) ?(max_dynamic_per_warp = 2_000)
       stall_until.(w) <- 0
     end
     else begin
-      stint_cause.(w) <- (if Cf.finished cfs.(w) then 6 (* Finished *) else 4 (* pending *));
+      stint_cause.(w) <- (if ids.(pc.(w)) < 0 then 6 (* Finished *) else 4 (* pending *));
       stall_until.(w) <- max_int
     end
   done;
@@ -296,7 +309,7 @@ let run_inner ?(warps = 32) ?(seed = 0x5eed) ?(max_dynamic_per_warp = 2_000)
      current row changes nothing, so a stint runs from one change of
      cause to the next, and its interval is the merged one per-cycle
      classification would emit. *)
-  let classify w ci t =
+  let[@inline] classify w ci t =
     if stint_cause.(w) <> ci then begin
       end_stint w t;
       stint_cause.(w) <- ci;
@@ -324,24 +337,22 @@ let run_inner ?(warps = 32) ?(seed = 0x5eed) ?(max_dynamic_per_warp = 2_000)
       else ll_keep buf n now (i + 1) m
     end
   in
-  let ll_compact w now =
-    s.Scratch.ll_len.(w) <- ll_keep s.Scratch.ll.(w) s.Scratch.ll_len.(w) now 0 0
-  in
+  let ll_compact w now = ll_len.(w) <- ll_keep ll.(w) ll_len.(w) now 0 0 in
   let ll_add w v now =
     ll_compact w now;
-    let buf = s.Scratch.ll.(w) in
-    let n = s.Scratch.ll_len.(w) in
+    let buf = ll.(w) in
+    let n = ll_len.(w) in
     let buf =
       if n < Array.length buf then buf
       else begin
         let nb = Array.make (2 * Array.length buf) 0 in
         Array.blit buf 0 nb 0 n;
-        s.Scratch.ll.(w) <- nb;
+        ll.(w) <- nb;
         nb
       end
     in
     buf.(n) <- v;
-    s.Scratch.ll_len.(w) <- n + 1
+    ll_len.(w) <- n + 1
   in
   let rec ll_any_from (buf : int array) n now i =
     i < n && (buf.(i) > now || ll_any_from buf n now (i + 1))
@@ -349,17 +360,17 @@ let run_inner ?(warps = 32) ?(seed = 0x5eed) ?(max_dynamic_per_warp = 2_000)
   (* The helpers marked [@inline] serve both the step and the
      catch-up: a local function with one caller is substituted into it,
      one with two is called, and these sit on the walk's hot path. *)
-  let[@inline] ll_any_pure w now = ll_any_from s.Scratch.ll.(w) s.Scratch.ll_len.(w) now 0 in
+  let[@inline] ll_any_pure w now = ll_any_from ll.(w) ll_len.(w) now 0 in
   let rec ll_mem_from (buf : int array) n v i =
     i < n && (buf.(i) = v || ll_mem_from buf n v (i + 1))
   in
-  let[@inline] ll_mem w v = ll_mem_from s.Scratch.ll.(w) s.Scratch.ll_len.(w) v 0 in
+  let[@inline] ll_mem w v = ll_mem_from ll.(w) ll_len.(w) v 0 in
   let rec ll_max_from (buf : int array) n acc i =
     if i >= n then acc
     else ll_max_from buf n (if buf.(i) > acc then buf.(i) else acc) (i + 1)
   in
-  let[@inline] ll_max w acc = ll_max_from s.Scratch.ll.(w) s.Scratch.ll_len.(w) acc 0 in
-  let warp_done w = Cf.finished cfs.(w) in
+  let[@inline] ll_max w acc = ll_max_from ll.(w) ll_len.(w) acc 0 in
+  let warp_done w = ids.(pc.(w)) < 0 in
   (* The first cycle a refill-promoted warp is classified as active,
      which ends its pending stint: the start-of-cycle refill runs
      before classification (the promoted warp is classified as active
@@ -374,6 +385,7 @@ let run_inner ?(warps = 32) ?(seed = 0x5eed) ?(max_dynamic_per_warp = 2_000)
   (* Refill partition counters, hoisted so refills allocate nothing. *)
   let nready = ref 0 in
   let nrest = ref 0 in
+  let ready_buf = s.Scratch.ready_buf and rest_buf = s.Scratch.rest_buf in
   let refill_active () =
     let missing = active_limit - !active_len in
     if missing > 0 && !pending_len > 0 && !wake_min <= !cycle then begin
@@ -382,18 +394,18 @@ let run_inner ?(warps = 32) ?(seed = 0x5eed) ?(max_dynamic_per_warp = 2_000)
       nrest := 0;
       for i = 0 to !pending_len - 1 do
         let w = pending.(i) in
-        if s.Scratch.wake.(w) <= now && not (warp_done w) then begin
-          s.Scratch.ready_buf.(!nready) <- w;
+        if wake.(w) <= now && not (warp_done w) then begin
+          ready_buf.(!nready) <- w;
           incr nready
         end
         else begin
-          s.Scratch.rest_buf.(!nrest) <- w;
+          rest_buf.(!nrest) <- w;
           incr nrest
         end
       done;
       let take = if !nready < missing then !nready else missing in
       for j = 0 to take - 1 do
-        let w = s.Scratch.ready_buf.(j) in
+        let w = ready_buf.(j) in
         stall_until.(w) <- !promote_end;
         push_back w
       done;
@@ -403,23 +415,22 @@ let run_inner ?(warps = 32) ?(seed = 0x5eed) ?(max_dynamic_per_warp = 2_000)
       pending_len := 0;
       wake_min := max_int;
       for j = take to !nready - 1 do
-        let w = s.Scratch.ready_buf.(j) in
+        let w = ready_buf.(j) in
         pending.(!pending_len) <- w;
         pending_len := !pending_len + 1;
-        if s.Scratch.wake.(w) < !wake_min then wake_min := s.Scratch.wake.(w)
+        if wake.(w) < !wake_min then wake_min := wake.(w)
       done;
       for j = 0 to !nrest - 1 do
-        let w = s.Scratch.rest_buf.(j) in
+        let w = rest_buf.(j) in
         pending.(!pending_len) <- w;
         pending_len := !pending_len + 1;
-        if s.Scratch.wake.(w) < !wake_min && not (warp_done w) then
-          wake_min := s.Scratch.wake.(w)
+        if wake.(w) < !wake_min && not (warp_done w) then wake_min := wake.(w)
       done
     end
   in
-  let deschedule w ~wake =
-    s.Scratch.wake.(w) <- wake;
-    if wake < !wake_min then wake_min := wake;
+  let deschedule w ~wake:at =
+    wake.(w) <- at;
+    if at < !wake_min then wake_min := at;
     (* The warp was classified as active for this cycle; its pending
        stint starts next cycle (a wake is always in the future, so the
        refill below cannot promote it back within this cycle) and holds
@@ -459,11 +470,10 @@ let run_inner ?(warps = 32) ?(seed = 0x5eed) ?(max_dynamic_per_warp = 2_000)
     scan_base := false;
     scan_ll := false;
     scan_next := max_int;
-    let ready = s.Scratch.ready.(w) in
-    let ready_base = s.Scratch.ready_base.(w) in
+    let row = w * nr in
     let base = id * Dec.max_srcs in
-    for p = 0 to dec.Dec.nsrcs.(id) - 1 do
-      let r = dec.Dec.srcs.(base + p) in
+    for p = 0 to nsrcs.(id) - 1 do
+      let r = row + srcs.(base + p) in
       let rr = ready.(r) in
       if rr > now then begin
         scan_blocked := true;
@@ -484,24 +494,24 @@ let run_inner ?(warps = 32) ?(seed = 0x5eed) ?(max_dynamic_per_warp = 2_000)
      unit, post the destination's ready cycles, track long-latency
      completion, advance the PC and rotate the issuer to the back of
      the active queue (round-robin). *)
-  let issue w id now =
-    let extra = if banks = 0 then 0 else s.Scratch.conflict_extra.(id) in
+  let[@inline] issue w id now =
+    let extra = if banks = 0 then 0 else conflict_extra.(id) in
     if co then begin
       let win = now / counter_window in
       bin_bump issued_bins win 1;
-      bin_bump access_bins win
-        (dec.Dec.nsrcs.(id) + if dec.Dec.dst.(id) >= 0 then 1 else 0)
+      bin_bump access_bins win (nsrcs.(id) + if dst.(id) >= 0 then 1 else 0)
     end;
-    unit_free.(dec.Dec.unit_of.(id)) <- now + dec.Dec.issue_cycles.(id);
-    let d = dec.Dec.dst.(id) in
+    unit_free.(unit_of.(id)) <- now + issue_cycles.(id);
+    let d = dst.(id) in
     if d >= 0 then begin
-      let rb = now + dec.Dec.latency.(id) in
-      s.Scratch.ready_base.(w).(d) <- rb;
-      s.Scratch.ready.(w).(d) <- rb + extra;
-      if dec.Dec.is_ll.(id) then ll_add w (rb + extra) now
+      let rb = now + latency.(id) in
+      ready_base.((w * nr) + d) <- rb;
+      ready.((w * nr) + d) <- rb + extra;
+      if is_ll.(id) then ll_add w (rb + extra) now
     end;
-    Cf.advance cfs.(w);
-    if Cf.finished cfs.(w) then decr live;
+    let p = pc.(w) + 1 in
+    pc.(w) <- p;
+    if ids.(p) < 0 then decr live;
     stall_until.(w) <- now + 1;
     incr instructions;
     unlink w;
@@ -539,8 +549,8 @@ let run_inner ?(warps = 32) ?(seed = 0x5eed) ?(max_dynamic_per_warp = 2_000)
      walk only tries to issue it.  A busy unit stays booked until
      [unit_free] — nobody can issue on it before then — so the walk
      skips the warp until that cycle.  Returns whether it issued. *)
-  let try_issue w id now =
-    let free = unit_free.(dec.Dec.unit_of.(id)) in
+  let[@inline] try_issue w id now =
+    let free = unit_free.(unit_of.(id)) in
     if free > now then begin
       stall_until.(w) <- free;
       false
@@ -574,7 +584,7 @@ let run_inner ?(warps = 32) ?(seed = 0x5eed) ?(max_dynamic_per_warp = 2_000)
   let rec catch_up w id now =
     let t = stall_until.(w) in
     if id < 0 then (cache_stall w 6 (* Finished *) now t; true)
-    else if at_strand && dec.Dec.starts_strand.(id) && ll_any_pure w t then begin
+    else if at_strand && starts_strand.(id) && ll_any_pure w t then begin
       let e = ll_max w t in
       cache_stall w 1 (* Wait_long_latency *) (if e < now then e else now) t;
       e >= now || catch_up w id now
@@ -604,7 +614,7 @@ let run_inner ?(warps = 32) ?(seed = 0x5eed) ?(max_dynamic_per_warp = 2_000)
       incr exits;
       refill_active ()
     end
-    else if at_strand && dec.Dec.starts_strand.(id) && ll_any_pure w now then begin
+    else if at_strand && starts_strand.(id) && ll_any_pure w now then begin
       classify w 1 (* Wait_long_latency *) now;
       audit_desched w id Obs.Audit.Sw_boundary;
       ll_compact w now;
@@ -673,7 +683,7 @@ let run_inner ?(warps = 32) ?(seed = 0x5eed) ?(max_dynamic_per_warp = 2_000)
       (* Cached and issuable warps owe nothing per cycle. *)
       let su = stall_until.(w) in
       if su <= now then begin
-        let id = Cf.peek_id cfs.(w) in
+        let id = ids.(pc.(w)) in
         (* A warp that sat behind an issuer first classifies what it
            owes, which may leave it cached past [now] or issuable. *)
         if stint_cause.(w) = 5 (* No_issue_slot *) then ignore (try_issue w id now)
@@ -710,7 +720,7 @@ let run_inner ?(warps = 32) ?(seed = 0x5eed) ?(max_dynamic_per_warp = 2_000)
      closes at the last cycle, which is at most the cut-off. *)
   for w = 0 to warps - 1 do
     if stall_until.(w) < !cycle && stint_cause.(w) <> 5 then
-      ignore (catch_up w (Cf.peek_id cfs.(w)) !cycle);
+      ignore (catch_up w ids.(pc.(w)) !cycle);
     end_stint w !cycle;
     if tl then List.iter Obs.Timeline.emit (List.rev closed_ivs.(w))
   done;

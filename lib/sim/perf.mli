@@ -160,4 +160,13 @@ val run :
     waiting warp ahead of each issuer, plus one per active warp on
     each cycle that issues nothing and is not jumped, plus the real
     work, independent of how many cycles are dead; the stall
-    attribution stays exact. *)
+    attribution stays exact.
+
+    The walk reads flat per-run tables in the scratch.  Before the
+    loop, each distinct instruction stream is walked once with {!Cf}
+    into one id table: one stream shared by every warp on a
+    {!Cf.warp_invariant} kernel, one per warp otherwise.  A warp's next
+    instruction is then one load through its stream index, and an
+    issue advances the index.  Each scoreboard is one [warps x
+    num_regs] int array.  The set-up costs one {!Cf} step per stored
+    instruction, and the walk itself never calls {!Cf}. *)

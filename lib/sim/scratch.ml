@@ -10,10 +10,21 @@ type t = {
      same compiled context under many configurations. *)
   mutable dec_ctx : Alloc.Context.t option;
   mutable dec : Dec.t option;
-  (* Per-warp state (outer index = warp). *)
-  mutable cfs : Cf.t array;
-  mutable ready : int array array;       (* per register: cycle its value is ready *)
-  mutable ready_base : int array array;  (* same, without bank-conflict serialization *)
+  (* The one control-flow walker, reset in place for each warp walked:
+     the stream fill below and the traffic walk take warps one at a
+     time. *)
+  mutable walker : Cf.t option;
+  (* The timing loop's instruction streams, filled once per run by
+     [fill_streams]: each distinct stream's instruction ids in order,
+     ended by -1, back to back.  [pc] holds each warp's index into
+     [ids] of its next instruction; on a warp-invariant kernel every
+     warp starts at the one stream's index 0. *)
+  mutable ids : int array;
+  mutable pc : int array;
+  (* Per-warp state.  The scoreboards are flat [warps x num_regs]
+     rows, row-major (warp [w]'s register [r] at [w * num_regs + r]). *)
+  mutable ready : int array;             (* cycle each register's value is ready *)
+  mutable ready_base : int array;        (* same, without bank-conflict serialization *)
   mutable ll : int array array;          (* outstanding long-latency ready cycles *)
   mutable ll_len : int array;
   mutable wake : int array;
@@ -69,7 +80,9 @@ let create () =
   {
     dec_ctx = None;
     dec = None;
-    cfs = [||];
+    walker = None;
+    ids = [||];
+    pc = [||];
     ready = [||];
     ready_base = [||];
     ll = [||];
@@ -129,8 +142,8 @@ let grow_rows rows n ~inner =
   rows
 
 let ensure_warps t ~warps ~num_regs =
-  t.ready <- grow_rows t.ready warps ~inner:num_regs;
-  t.ready_base <- grow_rows t.ready_base warps ~inner:num_regs;
+  t.ready <- grow_ints t.ready (warps * num_regs);
+  t.ready_base <- grow_ints t.ready_base (warps * num_regs);
   t.ll <- grow_rows t.ll warps ~inner:8;
   t.ll_len <- grow_ints t.ll_len warps;
   t.wake <- grow_ints t.wake warps;
@@ -164,14 +177,38 @@ let ensure_traffic t ~num_instrs ~num_regs ~rfc_entries ~live_words =
   Array.fill t.tr_cached 0 num_regs false;
   t.tr_rfc <- grow_ints t.tr_rfc rfc_entries
 
-(* [cfs] grows here rather than in [ensure_warps]: a walker can only be
-   created for a kernel. *)
-let cf t i ~max_dynamic kernel ~warp ~seed =
-  let n = Array.length t.cfs in
-  if i >= n then
-    t.cfs <-
-      Array.init (Int.max (i + 1) (2 * n)) (fun j ->
-          if j < n then t.cfs.(j) else Cf.create ~max_dynamic kernel ~warp:j ~seed);
-  let cf = t.cfs.(i) in
-  Cf.reset cf ~max_dynamic kernel ~warp ~seed;
-  cf
+let walker t ~max_dynamic kernel ~warp ~seed =
+  match t.walker with
+  | Some cf ->
+    Cf.reset cf ~max_dynamic kernel ~warp ~seed;
+    cf
+  | None ->
+    let cf = Cf.create ~max_dynamic kernel ~warp ~seed in
+    t.walker <- Some cf;
+    cf
+
+(* Store [v] at [ids.(n)], doubling the table when it is full. *)
+let push_id t n v =
+  if n >= Array.length t.ids then begin
+    let a = Array.make (Int.max 256 (2 * n)) 0 in
+    Array.blit t.ids 0 a 0 n;
+    t.ids <- a
+  end;
+  t.ids.(n) <- v
+
+let fill_streams t ~max_dynamic kernel ~warps ~seed =
+  t.pc <- grow_ints t.pc warps;
+  let streams = if Cf.warp_invariant kernel then Int.min warps 1 else warps in
+  let n = ref 0 in
+  for warp = 0 to streams - 1 do
+    let cf = walker t ~max_dynamic kernel ~warp ~seed in
+    t.pc.(warp) <- !n;
+    while not (Cf.finished cf) do
+      push_id t !n (Cf.peek_id cf);
+      incr n;
+      Cf.advance cf
+    done;
+    push_id t !n (-1);
+    incr n
+  done;
+  Array.fill t.pc streams (warps - streams) 0

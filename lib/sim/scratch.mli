@@ -22,9 +22,16 @@
 type t = {
   mutable dec_ctx : Alloc.Context.t option;
   mutable dec : Dec.t option;
-  mutable cfs : Cf.t array;
-  mutable ready : int array array;
-  mutable ready_base : int array array;
+  mutable walker : Cf.t option;
+      (* the one {!Cf} walker, reset in place for each warp walked *)
+  mutable ids : int array;
+      (* {!Perf}'s instruction streams: each distinct stream's ids, ended by -1 *)
+  mutable pc : int array;
+      (* per warp: index into [ids] of its next instruction *)
+  mutable ready : int array;
+      (* warps x num_regs, row-major: cycle each register's value is ready *)
+  mutable ready_base : int array;
+      (* same layout, without bank-conflict serialization *)
   mutable ll : int array array;
   mutable ll_len : int array;
   mutable wake : int array;
@@ -59,6 +66,16 @@ val domain_local : unit -> t
 val dec_for : t -> Alloc.Context.t -> Dec.t
 (** Predecode of the context's kernel, cached by context identity. *)
 
+val fill_streams : t -> max_dynamic:int -> Ir.Kernel.t -> warps:int -> seed:int -> unit
+(** Fill [ids] and [pc] with the instruction streams of [warps] warps:
+    one {!Cf} walk per distinct stream, so a {!Cf.warp_invariant}
+    kernel stores one stream that every warp starts at (index 0), and
+    any other kernel stores one stream per warp.  Warp [w]'s stream is
+    [ids.(pc.(w))], [ids.(pc.(w) + 1)], ... up to the first [-1], the
+    ids a fresh [Cf.create ~max_dynamic kernel ~warp:w ~seed] walk
+    visits.  The table only grows; a run of [n] dynamic instructions
+    per stream over [s] streams holds [s * (n + 1)] ints. *)
+
 (**/**)
 
 (* Growth/reset helpers for the simulators. *)
@@ -67,4 +84,6 @@ val ensure_warps : t -> warps:int -> num_regs:int -> unit
 val ensure_banks : t -> banks:int -> num_instrs:int -> unit
 val ensure_traffic :
   t -> num_instrs:int -> num_regs:int -> rfc_entries:int -> live_words:int -> unit
-val cf : t -> int -> max_dynamic:int -> Ir.Kernel.t -> warp:int -> seed:int -> Cf.t
+val walker : t -> max_dynamic:int -> Ir.Kernel.t -> warp:int -> seed:int -> Cf.t
+(* The scratch's one walker, reset for [warp]: valid until the next
+   call on this scratch. *)

@@ -500,7 +500,7 @@ let run_inner ?(warps = 32) ?(seed = 0x5eed) ?max_dynamic_per_warp ?(long_latenc
     else (warps, 1)
   in
   for warp = 0 to walked - 1 do
-    let cf = Scratch.cf s warp ~max_dynamic k ~warp ~seed in
+    let cf = Scratch.walker s ~max_dynamic k ~warp ~seed in
     w.warp <- warp;
     w.cleared <- w.clock;
     for i = 0 to w.rfc_len - 1 do

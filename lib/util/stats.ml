@@ -33,11 +33,8 @@ let hcount h key = match Hashtbl.find_opt h key with Some r -> !r | None -> 0
 
 let htotal h = Hashtbl.fold (fun _ r acc -> acc + !r) h 0
 
-let hbins_unsorted h = Hashtbl.fold (fun k r acc -> (k, !r) :: acc) h []
-
-let hbins h = List.sort (fun (a, _) (b, _) -> Int.compare a b) (hbins_unsorted h)
-
-let hreset h = Hashtbl.reset h
+let hbins h =
+  List.sort (fun (a, _) (b, _) -> Int.compare a b) (Hashtbl.fold (fun k r acc -> (k, !r) :: acc) h [])
 
 let hfraction h pred =
   let total = htotal h in

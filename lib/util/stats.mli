@@ -29,12 +29,5 @@ val htotal : histogram -> int
 val hbins : histogram -> (int * int) list
 (** Sorted (key, count) pairs. *)
 
-val hbins_unsorted : histogram -> (int * int) list
-(** (key, count) pairs in hash order — an O(n) copy for callers that
-    must minimize time spent holding a lock and can sort afterwards. *)
-
-val hreset : histogram -> unit
-(** Drop every bin. *)
-
 val hfraction : histogram -> (int -> bool) -> float
 (** Fraction of total mass whose key satisfies the predicate. *)

@@ -1,3 +1,14 @@
+(* The tests run as two executables of about equal run time, which
+   `dune runtest` starts side by side: this one (the compile path, the
+   host engine, the recorders and the CLI) and test_sim_main.ml (the
+   simulators and the goldens that pin them).  Each suite is in exactly
+   one of them, its cases in order.
+
+   Alcotest cuts a case's name to fit the line after a column as wide
+   as the longest suite name in its run.  The empty suite at the end is
+   as wide as "variable-orf", the longest in the other executable, so
+   both print every name cut where one executable running every suite
+   cut it. *)
 let () =
   Alcotest.run "rfh"
     [
@@ -9,11 +20,6 @@ let () =
       ("strand", Test_strand.suite);
       ("energy", Test_energy.suite);
       ("alloc", Test_alloc.suite);
-      ("sim", Test_sim.suite);
-      ("perf-golden", Test_perf_golden.suite);
-      ("simt", Test_simt.suite);
-      ("trace", Test_trace.suite);
-      ("variable-orf", Test_variable_orf.suite);
       ("extra", Test_extra.suite);
       ("pipeline", Test_pipeline.suite);
       ("workloads", Test_workloads.suite);
@@ -24,11 +30,8 @@ let () =
       ("history", Test_history.suite);
       ("trend", Test_trend.suite);
       ("why", Test_why.suite);
-      ("explain", Test_explain.suite);
-      ("timeline", Test_timeline.suite);
       ("recorder", Test_recorder.suite);
-      ("engine", Test_engine.suite);
-      ("gcprof", Test_gcprof.suite);
       ("properties", Test_properties.suite);
       ("cli", Test_cli.suite);
+      ("label-column", []);
     ]

@@ -270,6 +270,11 @@ let test_wake_order_refill () =
 
 (* --- probe purity / scratch independence --------------------------- *)
 
+let bench name =
+  match Workloads.Registry.find name with
+  | Some e -> Alloc.Context.create (Lazy.force e.Workloads.Registry.kernel)
+  | None -> Alcotest.failf "no bench %s" name
+
 let test_probe_pure_and_scratch_independent () =
   let e = List.hd (Workloads.Registry.all ()) in
   let ctx = Alloc.Context.create (Lazy.force e.Workloads.Registry.kernel) in
@@ -291,7 +296,58 @@ let test_probe_pure_and_scratch_independent () =
   in
   check Alcotest.bool "fresh = domain-local" true (fresh = dls1);
   check Alcotest.bool "repeat on domain-local scratch" true (dls1 = dls2);
-  check Alcotest.bool "reused scratch" true (fresh = reused)
+  check Alcotest.bool "reused scratch" true (fresh = reused);
+  (* One scratch through a shuffled sequence of runs that resizes every
+     per-run table: warp-invariant kernels, whose warps share one
+     instruction stream, and kernels with probabilistic branches, whose
+     warps each get their own; 8 and 32 warps; caps that cut the walk
+     or not; both schedulers and policies, with and without banking.
+     Each run must equal the same run on a fresh scratch, so no stream,
+     stream position, scoreboard row or queue link of an earlier run
+     leaks into a later one. *)
+  let configs =
+    List.concat_map
+      (fun name ->
+        let ctx = bench name in
+        List.concat_map
+          (fun warps ->
+            List.concat_map
+              (fun cap ->
+                List.concat_map
+                  (fun scheduler ->
+                    List.map
+                      (fun policy -> (name, ctx, warps, cap, scheduler, policy))
+                      [ Sim.Perf.On_dependence; Sim.Perf.At_strand_boundaries ])
+                  [ Sim.Perf.Single_level; Sim.Perf.Two_level 4 ])
+              [ 300; 2_000 ])
+          [ 8; 32 ])
+      [ "sad"; "MatrixMul"; "Mandelbrot"; "needle" ]
+    |> Array.of_list
+  in
+  let g = Util.Prng.create 31 in
+  for i = Array.length configs - 1 downto 1 do
+    let j = Util.Prng.int g (i + 1) in
+    let t = configs.(i) in
+    configs.(i) <- configs.(j);
+    configs.(j) <- t
+  done;
+  let s = Sim.Scratch.create () in
+  Array.iteri
+    (fun i (name, ctx, warps, cap, scheduler, policy) ->
+      let mrf_banks = if i mod 2 = 0 then None else Some 4 in
+      let run scratch =
+        Sim.Perf.run ~warps ~max_dynamic_per_warp:cap ?mrf_banks ~scratch ~scheduler ~policy ctx
+      in
+      if run s <> run (Sim.Scratch.create ()) then
+        Alcotest.failf "run %d (%s, %d warps, cap %d, %s, %s): the reused scratch changed the result"
+          i name warps cap
+          (match scheduler with
+           | Sim.Perf.Single_level -> "Single_level"
+           | Sim.Perf.Two_level n -> Printf.sprintf "Two_level %d" n)
+          (match policy with
+           | Sim.Perf.On_dependence -> "On_dependence"
+           | Sim.Perf.At_strand_boundaries -> "At_strand_boundaries"))
+    configs
 
 (* --- steady-state allocation -------------------------------------- *)
 
@@ -299,11 +355,6 @@ let minor_delta f =
   let before = Gc.minor_words () in
   let r = f () in
   (r, Gc.minor_words () -. before)
-
-let bench name =
-  match Workloads.Registry.find name with
-  | Some e -> Alloc.Context.create (Lazy.force e.Workloads.Registry.kernel)
-  | None -> Alcotest.failf "no bench %s" name
 
 (* The longest-running registry benchmark, so per-run constants drown
    in the per-cycle signal. *)

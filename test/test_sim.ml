@@ -481,9 +481,13 @@ let test_perf_banked_attribution () =
     (run (Some 1024)).Sim.Perf.stalls.Sim.Perf.bank_conflict_serialization
 
 (* [Sim.Cf.warp_invariant] is what lets [Sim.Traffic] walk one warp
-   for all: on every registry kernel it holds for, all 32 warps capture
-   one block sequence at both seeds; a kernel with a probabilistic
-   branch is not invariant. *)
+   for all and [Sim.Perf] store one instruction stream for all: on every
+   registry kernel it holds for, all 32 warps capture one block sequence
+   at both seeds; a kernel with a probabilistic branch is not invariant.
+   The timing loop's stream table ([Sim.Scratch.fill_streams], one
+   scratch reused throughout) must hold each warp's stream exactly as a
+   fresh walker visits it, uncapped and under a cap that cuts the walk
+   short, and one stream shared by every warp of an invariant kernel. *)
 let test_cf_warp_invariant () =
   let kernels =
     List.concat_map
@@ -507,7 +511,37 @@ let test_cf_warp_invariant () =
         [ 1; 0x5eed ])
     invariant;
   check Alcotest.bool "a probabilistic branch is not invariant" false
-    (Sim.Cf.warp_invariant (prob_kernel ()))
+    (Sim.Cf.warp_invariant (prob_kernel ()));
+  let s = Sim.Scratch.create () in
+  let truncated = ref 0 in
+  List.iter
+    (fun k ->
+      let shared = Sim.Cf.warp_invariant k in
+      List.iter
+        (fun (seed, max_dynamic) ->
+          Sim.Scratch.fill_streams s ~max_dynamic k ~warps:32 ~seed;
+          let ids = s.Sim.Scratch.ids and pc = s.Sim.Scratch.pc in
+          for warp = 0 to 31 do
+            let where = Printf.sprintf "%s, seed %d, cap %d, warp %d" k.Ir.Kernel.name seed max_dynamic warp in
+            if shared && pc.(warp) <> 0 then
+              Alcotest.failf "%s: starts at %d, not at the one shared stream" where pc.(warp);
+            if (not shared) && warp > 0 && pc.(warp) <= pc.(warp - 1) then
+              Alcotest.failf "%s: does not get a stream of its own" where;
+            let cf = Sim.Cf.create ~max_dynamic k ~warp ~seed in
+            let i = ref pc.(warp) in
+            while not (Sim.Cf.finished cf) do
+              if ids.(!i) <> Sim.Cf.peek_id cf then
+                Alcotest.failf "%s: instruction %d is %d, the walker's is %d" where
+                  (!i - pc.(warp)) ids.(!i) (Sim.Cf.peek_id cf);
+              incr i;
+              Sim.Cf.advance cf
+            done;
+            if ids.(!i) <> -1 then Alcotest.failf "%s: the stream runs past the walker's end" where;
+            if Sim.Cf.hit_cap cf then incr truncated
+          done)
+        [ (1, 2_000); (0x5eed, 2_000); (1, 50); (0x5eed, 50) ])
+    kernels;
+  check Alcotest.bool "the cap cuts some walks short" true (!truncated > 0)
 
 let suite =
   [
