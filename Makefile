@@ -55,14 +55,19 @@ check_titles = titles=$$(awk '{ l[NR] = $$0 } END { for (i = 1; i + 2 <= NR; i++
 	done
 
 # Multicore smoke: every artefact rendered serially and on 2 and 4
-# domains must be byte-identical (see docs/parallelism.md).
+# domains must be byte-identical (see docs/parallelism.md), and the
+# serial run must be byte-identical to the committed golden
+# test/all_golden.txt.  Regenerate the golden only for a deliberate
+# change of rfh all's output:
+#   dune exec bin/rfh.exe -- all --warps 8 --jobs 1 > test/all_golden.txt
 parity: build
 	dune exec bin/rfh.exe -- all --warps 8 --jobs 1 > _build/parity-serial.txt
 	dune exec bin/rfh.exe -- all --warps 8 --jobs 2 > _build/parity-jobs2.txt
 	dune exec bin/rfh.exe -- all --warps 8 --jobs 4 > _build/parity-jobs4.txt
+	diff -u test/all_golden.txt _build/parity-serial.txt
 	diff -u _build/parity-serial.txt _build/parity-jobs2.txt
 	diff -u _build/parity-serial.txt _build/parity-jobs4.txt
-	@echo "parity OK: rfh all --jobs 2 and --jobs 4 are byte-identical to serial"
+	@echo "parity OK: rfh all matches test/all_golden.txt, and --jobs 2 and --jobs 4 are byte-identical to serial"
 
 # Regression gate (see docs/observability.md): check the fresh run
 # manifest against the committed golden one, recording it first if it

@@ -10,10 +10,10 @@ let result (opts : Options.t) (e : Workloads.Registry.entry) ~policy ~active =
   let key = (e.Workloads.Registry.name, active, policy, opts.Options.seed) in
   Util.Memo.find_or_compute result_cache key (fun () ->
       let scheduler = if active >= 32 then Sim.Perf.Single_level else Sim.Perf.Two_level active in
-      (* The domain-local scratch makes every run on this worker reuse
-         one set of simulation buffers across the whole sweep. *)
-      Sim.Perf.run ~warps:32 ~seed:opts.Options.seed ~max_dynamic_per_warp:600
-        ~scratch:(Sim.Scratch.domain_local ()) ~scheduler ~policy (Sweep.context e))
+      (* Runs use this domain's scratch, so every run on this worker
+         reuses one set of simulation buffers across the whole sweep. *)
+      Sim.Perf.run ~warps:32 ~seed:opts.Options.seed ~max_dynamic_per_warp:600 ~scheduler ~policy
+        (Sweep.context e))
 
 let ipc opts e ~policy ~active = (result opts e ~policy ~active).Sim.Perf.ipc
 

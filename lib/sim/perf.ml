@@ -177,9 +177,9 @@ let run_inner ?(warps = 32) ?(seed = 0x5eed) ?(max_dynamic_per_warp = 2_000)
   let nr = Int.max 1 k.Ir.Kernel.num_regs in
   let ni = dec.Dec.num_instrs in
   Scratch.ensure_warps s ~warps ~num_regs:nr;
-  (* Each warp's instruction stream, walked once per distinct stream
+  (* Each warp's instruction stream, filled once per distinct stream
      before the loop: warp [w]'s next instruction is [ids.(pc.(w))]
-     (-1 once it is done), and issuing advances [pc.(w)] by one. *)
+     (negative once it is done), and issuing advances [pc.(w)] by one. *)
   Scratch.fill_streams s ~max_dynamic:max_dynamic_per_warp k ~warps ~seed;
   let ids = s.Scratch.ids and pc = s.Scratch.pc in
   (* Scoreboards: warp [w]'s register [r] at [w * nr + r]. *)

@@ -163,10 +163,11 @@ val run :
     attribution stays exact.
 
     The walk reads flat per-run tables in the scratch.  Before the
-    loop, each distinct instruction stream is walked once with {!Cf}
-    into one id table: one stream shared by every warp on a
-    {!Cf.warp_invariant} kernel, one per warp otherwise.  A warp's next
-    instruction is then one load through its stream index, and an
-    issue advances the index.  Each scoreboard is one [warps x
-    num_regs] int array.  The set-up costs one {!Cf} step per stored
-    instruction, and the walk itself never calls {!Cf}. *)
+    loop, {!Scratch.fill_streams} fills each distinct instruction
+    stream once into one id table: one stream shared by every warp on
+    a {!Cf.warp_invariant} kernel, one per warp otherwise.  A warp's
+    next instruction is then one load through its stream index, an
+    issue advances the index, and the warp is done at the stream's
+    negative end marker.  Each scoreboard is one [warps x num_regs] int
+    array.  The set-up costs one fill step per stored instruction, and
+    the walk itself never calls {!Cf}. *)

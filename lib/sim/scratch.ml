@@ -10,17 +10,15 @@ type t = {
      same compiled context under many configurations. *)
   mutable dec_ctx : Alloc.Context.t option;
   mutable dec : Dec.t option;
-  (* The one control-flow walker, reset in place for each warp walked:
-     the stream fill below and the traffic walk take warps one at a
-     time. *)
-  mutable walker : Cf.t option;
-  (* The timing loop's instruction streams, filled once per run by
-     [fill_streams]: each distinct stream's instruction ids in order,
-     ended by -1, back to back.  [pc] holds each warp's index into
-     [ids] of its next instruction; on a warp-invariant kernel every
-     warp starts at the one stream's index 0. *)
+  (* The simulators' instruction streams, filled by [fill_streams]:
+     each distinct stream's instruction ids in order, ended by its
+     {!Cf} marker (-1 after [Ret], -2 at the cap), back to back.  [pc]
+     holds each warp's index into [ids] of its next instruction; on a
+     warp-invariant kernel every warp starts at the one stream's index
+     0.  [cf_counters] is the fill's per-block state. *)
   mutable ids : int array;
   mutable pc : int array;
+  mutable cf_counters : int array;
   (* Per-warp state.  The scoreboards are flat [warps x num_regs]
      rows, row-major (warp [w]'s register [r] at [w * num_regs + r]). *)
   mutable ready : int array;             (* cycle each register's value is ready *)
@@ -80,9 +78,9 @@ let create () =
   {
     dec_ctx = None;
     dec = None;
-    walker = None;
     ids = [||];
     pc = [||];
+    cf_counters = [||];
     ready = [||];
     ready_base = [||];
     ll = [||];
@@ -177,15 +175,7 @@ let ensure_traffic t ~num_instrs ~num_regs ~rfc_entries ~live_words =
   Array.fill t.tr_cached 0 num_regs false;
   t.tr_rfc <- grow_ints t.tr_rfc rfc_entries
 
-let walker t ~max_dynamic kernel ~warp ~seed =
-  match t.walker with
-  | Some cf ->
-    Cf.reset cf ~max_dynamic kernel ~warp ~seed;
-    cf
-  | None ->
-    let cf = Cf.create ~max_dynamic kernel ~warp ~seed in
-    t.walker <- Some cf;
-    cf
+let default_max_dynamic = 100_000
 
 (* Store [v] at [ids.(n)], doubling the table when it is full. *)
 let push_id t n v =
@@ -198,17 +188,15 @@ let push_id t n v =
 
 let fill_streams t ~max_dynamic kernel ~warps ~seed =
   t.pc <- grow_ints t.pc warps;
+  t.cf_counters <- grow_ints t.cf_counters (2 * Ir.Kernel.block_count kernel);
   let streams = if Cf.warp_invariant kernel then Int.min warps 1 else warps in
   let n = ref 0 in
-  for warp = 0 to streams - 1 do
-    let cf = walker t ~max_dynamic kernel ~warp ~seed in
-    t.pc.(warp) <- !n;
-    while not (Cf.finished cf) do
-      push_id t !n (Cf.peek_id cf);
-      incr n;
-      Cf.advance cf
-    done;
-    push_id t !n (-1);
+  let push v =
+    push_id t !n v;
     incr n
+  in
+  for warp = 0 to streams - 1 do
+    t.pc.(warp) <- !n;
+    Cf.fill ~max_dynamic kernel ~warp ~seed ~counters:t.cf_counters push
   done;
   Array.fill t.pc streams (warps - streams) 0

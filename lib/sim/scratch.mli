@@ -1,10 +1,13 @@
 (** Reusable simulation buffers.
 
-    {!Perf.run} and {!Traffic.run} keep all per-run mutable state — warp
-    scoreboards, scheduler queues, stall matrices, per-pc count rows,
-    the RFC replay, the {!Dec} predecode — in a scratch so sweeps that simulate
-    the same kernels under many configurations reuse memory instead of
-    reallocating per run.  After a warm-up run at the largest
+    {!Perf.run} and {!Traffic.run} keep all per-run mutable state — the
+    instruction streams, warp scoreboards, scheduler queues, stall
+    matrices, per-pc count rows, the RFC replay, the {!Dec} predecode —
+    in a scratch so sweeps that simulate the same kernels under many
+    configurations reuse memory instead of reallocating per run.
+    {!Trace.capture}, {!Value_trace.collect} and {!Variable_orf.run}
+    read their streams from {!domain_local}'s table too.  After a
+    warm-up run at the largest
     configuration, a simulation's steady-state cycle loop allocates
     zero minor words (recorders off) and a whole run allocates only its
     result record.
@@ -22,12 +25,12 @@
 type t = {
   mutable dec_ctx : Alloc.Context.t option;
   mutable dec : Dec.t option;
-  mutable walker : Cf.t option;
-      (* the one {!Cf} walker, reset in place for each warp walked *)
   mutable ids : int array;
-      (* {!Perf}'s instruction streams: each distinct stream's ids, ended by -1 *)
+      (* the instruction streams: each distinct stream's ids, ended by its marker *)
   mutable pc : int array;
       (* per warp: index into [ids] of its next instruction *)
+  mutable cf_counters : int array;
+      (* {!Cf.fill}'s per-block state *)
   mutable ready : int array;
       (* warps x num_regs, row-major: cycle each register's value is ready *)
   mutable ready_base : int array;
@@ -66,15 +69,24 @@ val domain_local : unit -> t
 val dec_for : t -> Alloc.Context.t -> Dec.t
 (** Predecode of the context's kernel, cached by context identity. *)
 
+val default_max_dynamic : int
+(** 100,000: the stream-length cap of {!Trace.capture},
+    {!Value_trace.collect} and {!Variable_orf.run}, and {!Traffic.run}'s
+    default. *)
+
 val fill_streams : t -> max_dynamic:int -> Ir.Kernel.t -> warps:int -> seed:int -> unit
 (** Fill [ids] and [pc] with the instruction streams of [warps] warps:
-    one {!Cf} walk per distinct stream, so a {!Cf.warp_invariant}
-    kernel stores one stream that every warp starts at (index 0), and
-    any other kernel stores one stream per warp.  Warp [w]'s stream is
-    [ids.(pc.(w))], [ids.(pc.(w) + 1)], ... up to the first [-1], the
-    ids a fresh [Cf.create ~max_dynamic kernel ~warp:w ~seed] walk
-    visits.  The table only grows; a run of [n] dynamic instructions
-    per stream over [s] streams holds [s * (n + 1)] ints. *)
+    the one producer of the dynamic streams every simulator reads.  One
+    {!Cf.fill} per distinct stream, so a {!Cf.warp_invariant} kernel
+    stores one stream that every warp starts at (index 0), and any
+    other kernel stores one stream per warp; with [warps > 1], warps
+    share one stream iff [pc.(warps - 1) = 0].  Warp [w]'s stream is
+    [ids.(pc.(w))], [ids.(pc.(w) + 1)], ... up to the first negative
+    entry, the ids [Cf.fill ~max_dynamic kernel ~warp:w ~seed] pushes,
+    and that entry is its end marker: [-1] after [Ret], [-2] at the
+    cap.  The table only grows, and the next fill on this scratch
+    overwrites it; a run of [n] dynamic instructions per stream over
+    [s] streams holds [s * (n + 1)] ints. *)
 
 (**/**)
 
@@ -84,6 +96,3 @@ val ensure_warps : t -> warps:int -> num_regs:int -> unit
 val ensure_banks : t -> banks:int -> num_instrs:int -> unit
 val ensure_traffic :
   t -> num_instrs:int -> num_regs:int -> rfc_entries:int -> live_words:int -> unit
-val walker : t -> max_dynamic:int -> Ir.Kernel.t -> warp:int -> seed:int -> Cf.t
-(* The scratch's one walker, reset for [warp]: valid until the next
-   call on this scratch. *)

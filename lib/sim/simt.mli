@@ -3,7 +3,7 @@
     The baseline SM (paper Sec. 2) executes 32-thread warps under an
     active mask; threads may take different paths, reconverging at the
     branch's immediate post-dominator (the standard stack model).  The
-    warp-uniform walker ({!Cf}) is sufficient for the paper's
+    warp-uniform stream ({!Cf}) is sufficient for the paper's
     energy accounting — traffic is counted per warp instruction — but
     this module completes the substrate and quantifies how divergence
     changes the picture:

@@ -10,32 +10,23 @@ let rle_push acc (block : int) =
   | (b, n) :: rest when b = block -> (b, n + 1) :: rest
   | _ -> (block, 1) :: acc
 
-let capture ?(warps = 32) ?(seed = 0x5eed) ?max_dynamic_per_warp (k : Ir.Kernel.t) =
-  let sequences =
-    Array.init warps (fun w ->
-        let cf = Cf.create ?max_dynamic:max_dynamic_per_warp k ~warp:w ~seed in
-        let acc = ref [] in
-        let last_block = ref (-1) in
-        let last_idx = ref (-1) in
-        let rec go () =
-          match Cf.peek cf with
-          | None -> ()
-          | Some i ->
-            let blk = Ir.Kernel.block_of k i.Ir.Instr.id in
-            let idx = i.Ir.Instr.id in
-            (* A new block visit starts when the block changes OR when
-               we re-enter the same block (id not the successor of the
-               previous one). *)
-            if blk <> !last_block || idx <= !last_idx then acc := rle_push !acc blk;
-            last_block := blk;
-            last_idx := idx;
-            Cf.advance cf;
-            go ()
-        in
-        go ();
-        List.rev !acc)
+let capture ?(warps = 32) ?(seed = 0x5eed) (k : Ir.Kernel.t) =
+  let s = Scratch.domain_local () in
+  Scratch.fill_streams s ~max_dynamic:Scratch.default_max_dynamic k ~warps ~seed;
+  let ids = s.Scratch.ids and pc = s.Scratch.pc in
+  (* A new block visit starts when the block changes OR when we
+     re-enter the same block (id not the successor of the previous
+     one). *)
+  let rec go i last_block last_id acc =
+    let id = ids.(i) in
+    if id < 0 then List.rev acc
+    else begin
+      let blk = Ir.Kernel.block_of k id in
+      let acc = if blk <> last_block || id <= last_id then rle_push acc blk else acc in
+      go (i + 1) blk id acc
+    end
   in
-  { sequences }
+  { sequences = Array.init warps (fun w -> go pc.(w) (-1) (-1) []) }
 
 let block_sequence t ~warp =
   List.concat_map (fun (b, n) -> List.init n (fun _ -> b)) t.sequences.(warp)
@@ -126,38 +117,47 @@ let of_string s =
           int_of_string (String.trim n)
         | _ -> failwith "bad header"
       in
+      (* One line per declared warp, as [to_string] writes them: the
+         count is checked before anything is sized by it. *)
+      let lines = List.filter (fun l -> l <> "") (List.map String.trim rest) in
+      let nlines = List.length lines in
+      if nlines <> nwarps then failwith (Printf.sprintf "warps=%d but %d warp lines" nwarps nlines);
       let sequences = Array.make nwarps [] in
+      let listed = Array.make nwarps false in
       List.iter
         (fun line ->
-          let line = String.trim line in
-          if line <> "" then begin
-            match String.index_opt line ':' with
-            | None -> failwith ("bad line: " ^ line)
-            | Some colon ->
-              let w =
-                int_of_string
-                  (String.trim (String.sub line 5 (colon - 5)))
-              in
-              if w < 0 || w >= nwarps then failwith "warp out of range";
-              let body = String.sub line (colon + 1) (String.length line - colon - 1) in
-              let entries =
-                String.split_on_char ' ' body
-                |> List.filter (fun x -> x <> "")
-                |> List.map (fun tok ->
-                       let block, repeats =
-                         match String.index_opt tok 'x' with
-                         | Some i ->
-                           ( int_of_string (String.sub tok 0 i),
-                             int_of_string (String.sub tok (i + 1) (String.length tok - i - 1)) )
-                         | None -> (int_of_string tok, 1)
-                       in
-                       if block < 0 then failwith ("negative block: " ^ tok);
-                       if repeats < 1 then failwith ("repeat count below 1: " ^ tok);
-                       (block, repeats))
-              in
-              sequences.(w) <- entries
-          end)
-        rest;
+          match String.index_opt line ':' with
+          | Some colon when String.starts_with ~prefix:"warp " line ->
+            let w = int_of_string (String.trim (String.sub line 5 (colon - 5))) in
+            if w < 0 || w >= nwarps then failwith "warp out of range";
+            if listed.(w) then failwith (Printf.sprintf "warp %d listed twice" w);
+            listed.(w) <- true;
+            let body = String.sub line (colon + 1) (String.length line - colon - 1) in
+            (* Blocks so far: no capture expands past its cap. *)
+            let total = ref 0 in
+            let entries =
+              String.split_on_char ' ' body
+              |> List.filter (fun x -> x <> "")
+              |> List.map (fun tok ->
+                     let block, repeats =
+                       match String.index_opt tok 'x' with
+                       | Some i ->
+                         ( int_of_string (String.sub tok 0 i),
+                           int_of_string (String.sub tok (i + 1) (String.length tok - i - 1)) )
+                       | None -> (int_of_string tok, 1)
+                     in
+                     if block < 0 then failwith ("negative block: " ^ tok);
+                     if repeats < 1 then failwith ("repeat count below 1: " ^ tok);
+                     if repeats > Scratch.default_max_dynamic - !total then
+                       failwith
+                         (Printf.sprintf "warp %d expands past %d blocks at %s" w
+                            Scratch.default_max_dynamic tok);
+                     total := !total + repeats;
+                     (block, repeats))
+            in
+            sequences.(w) <- entries
+          | Some _ | None -> failwith ("bad line: " ^ line))
+        lines;
       Ok { sequences }
   with
   | Failure msg -> Error msg

@@ -20,9 +20,10 @@
 
 type t
 
-val capture :
-  ?warps:int -> ?seed:int -> ?max_dynamic_per_warp:int -> Ir.Kernel.t -> t
-(** Execute (via {!Cf}) and record. *)
+val capture : ?warps:int -> ?seed:int -> Ir.Kernel.t -> t
+(** Record the streams of [warps] warps (default 32), read from this
+    domain's {!Scratch.fill_streams} table, each capped at
+    {!Scratch.default_max_dynamic} instructions. *)
 
 val warps : t -> int
 
@@ -46,5 +47,8 @@ val synthesize : t -> Ir.Kernel.t -> seed:int -> int list
 
 val to_string : t -> string
 val of_string : string -> (t, string) result
-(** Round-trips [to_string].  [Error] on a malformed header or line, a
-    warp out of range, a negative block or a repeat count below 1. *)
+(** Round-trips [to_string].  [Error] on a malformed header or line,
+    a line count other than the header's warp count, a warp out of
+    range or listed twice, a negative block, a repeat count below 1,
+    or a warp whose expanded sequence is longer than a capture can be
+    ({!Scratch.default_max_dynamic} blocks). *)

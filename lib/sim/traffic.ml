@@ -367,10 +367,12 @@ let bin_levels w id now sign =
       bins.(i) <- bins.(i) + (sign * level_sum w.rows off level))
     Energy.Model.[ Mrf; Orf; Lrf ]
 
-let rec walk_warp w cf base =
-  let id = Cf.peek_id cf in
+(* Walk one warp's stream from [ids.(i)] to its end marker, -2 when
+   the cap cut it short. *)
+let rec walk_warp w ids i base =
+  let id = ids.(i) in
   if id < 0 then begin
-    if Cf.hit_cap cf then w.capped <- w.capped + 1
+    if id = -2 then w.capped <- w.capped + 1
   end
   else begin
     let g = w.clock in
@@ -383,8 +385,7 @@ let rec walk_warp w cf base =
        if w.co then bin_levels w id (g - base) (-1);
        hw_step w id g;
        if w.co then bin_levels w id (g - base) 1);
-    Cf.advance cf;
-    walk_warp w cf base
+    walk_warp w ids (i + 1) base
   end
 
 (* Emit the window bins as counter samples stamped with the warp-local
@@ -431,14 +432,13 @@ let price ctx placement weights =
   static_rows s.Scratch.tr_rows dec placement;
   fst (fold ctx dec s.Scratch.tr_rows weights ~scale:1 ~attribution:false)
 
-let run_inner ?(warps = 32) ?(seed = 0x5eed) ?max_dynamic_per_warp ?(long_latency_shadow = 50)
-    ?(attribution = false) ?scratch (ctx : Alloc.Context.t) scheme =
+let run_inner ?(warps = 32) ?(seed = 0x5eed) ?(max_dynamic_per_warp = Scratch.default_max_dynamic)
+    ?(long_latency_shadow = 50) ?(attribution = false) ?scratch (ctx : Alloc.Context.t) scheme =
   let s = match scratch with Some s -> s | None -> Scratch.domain_local () in
   let k = ctx.Alloc.Context.kernel in
   let dec = Scratch.dec_for s ctx in
   let nr = Int.max 1 k.Ir.Kernel.num_regs in
   let live_words = (nr + live_bits - 1) / live_bits in
-  let max_dynamic = Option.value max_dynamic_per_warp ~default:100_000 in
   (* Baseline and Sw have no hardware caches: their [opts] are unread. *)
   let placement, opts =
     match scheme with
@@ -488,19 +488,20 @@ let run_inner ?(warps = 32) ?(seed = 0x5eed) ?max_dynamic_per_warp ?(long_latenc
     }
   in
   (match placement with Some pl -> static_rows w.rows dec pl | None -> hw_tables w ctx);
+  Scratch.fill_streams s ~max_dynamic:max_dynamic_per_warp k ~warps ~seed;
+  let ids = s.Scratch.ids and pc = s.Scratch.pc in
   (* Under Baseline and Sw a step's counts are static per pc, and each
      warp starts with [cleared] at the walk clock, so no earlier warp's
      long-latency issue is outstanding: a warp's counts depend only on
-     its stream.  On a warp-invariant kernel every warp replays one
-     stream, so warp 0 is walked alone and stands for all [warps].  The
+     its stream.  When every warp starts at the one stream the fill
+     stored, warp 0 is walked alone and stands for all [warps].  The
      audit and counter recorders emit per warp, so their runs walk
      every warp. *)
   let walked, weight =
-    if (not hw) && (not w.au) && (not co) && Cf.warp_invariant k then (Int.min warps 1, warps)
+    if (not hw) && (not w.au) && (not co) && warps > 1 && pc.(warps - 1) = 0 then (1, warps)
     else (warps, 1)
   in
   for warp = 0 to walked - 1 do
-    let cf = Scratch.walker s ~max_dynamic k ~warp ~seed in
     w.warp <- warp;
     w.cleared <- w.clock;
     for i = 0 to w.rfc_len - 1 do
@@ -508,7 +509,7 @@ let run_inner ?(warps = 32) ?(seed = 0x5eed) ?max_dynamic_per_warp ?(long_latenc
     done;
     w.rfc_len <- 0;
     w.lrf <- -1;
-    walk_warp w cf w.clock
+    walk_warp w ids pc.(warp) w.clock
   done;
   if co then emit_counters w;
   let counts, per_strand = fold ctx dec w.rows w.exec ~scale:weight ~attribution in

@@ -25,9 +25,11 @@
     DRAM latency divided by the warp's issue share under the two-level
     scheduler.
 
-    {b Cost model.}  One walk visits the warps' dynamic instruction
-    streams; its per-instruction path reads int arrays in {!Scratch}
-    and {!Dec} and calls only {!Cf}.  Under [Baseline] and [Sw] every
+    {b Cost model.}  A run first fills its warps' dynamic instruction
+    streams into the scratch's table ({!Scratch.fill_streams}: one
+    {!Cf.fill} per distinct stream); then one walk reads them, and its
+    per-instruction path reads only int arrays in {!Scratch} and
+    {!Dec}.  Under [Baseline] and [Sw] every
     access count is fixed per static instruction by the placement
     ([Baseline] is {!Alloc.Placement.baseline} with deschedules off),
     so a step only counts the instruction's executions and checks the
@@ -37,18 +39,20 @@
     instruction's row.
 
     Which warps are walked: under [Hw], every warp.  Under [Baseline]
-    and [Sw] on a {!Cf.warp_invariant} kernel, warp 0 alone, standing
-    for all [warps]: every warp replays one stream, each warp starts
-    with no long-latency issue outstanding, and a step's counts are
-    static per instruction, so each warp adds the same executions,
-    deschedules and caps.  The fold multiplies the executions, and the
+    and [Sw], when the table holds one stream that every warp starts at
+    (a {!Cf.warp_invariant} kernel), warp 0 alone, standing for all
+    [warps]: every warp replays that stream, each warp starts with no
+    long-latency issue outstanding, and a step's counts are static per
+    instruction, so each warp adds the same executions, deschedules
+    and caps.  The fold multiplies the executions, and the
     result's [dynamic_instrs], [desched_events] and [capped_warps] (and
     the [sim.traffic.*] metric counters) are warp 0's times [warps].
     A kernel with a [Taken_with_prob] branch, or a run with the audit
     or counter recorder on (both emit per warp), walks every warp.
 
-    Per run: O(blocks) for the invariance check; O(static
-    instructions) to build the [Sw]/[Baseline] table.  A [Hw] run
+    Per run: the fill, O(dynamic instructions) of each distinct
+    stream; O(static instructions) to build the [Sw]/[Baseline]
+    table.  A [Hw] run
     computes the kernel's block liveness itself ([Alloc.Context]
     carries none) and fills its live-after table from one backward
     walk per block, in O(static instructions x registers).  Then one
@@ -80,7 +84,7 @@ type result = {
   per_strand : Energy.Counts.t array;  (** indexed by strand id *)
   dynamic_instrs : int;
   desched_events : int;
-  capped_warps : int;  (** warps stopped by the dynamic-length cap *)
+  capped_warps : int;  (** warps whose stream the dynamic-length cap ended *)
 }
 
 val run :
@@ -97,9 +101,11 @@ val run :
     [long_latency_shadow] defaults to 50 (400 DRAM cycles divided by a
     warp's 1-in-8 issue share under the two-level scheduler).
 
-    [scratch] (default: this domain's {!Scratch.domain_local}) supplies
-    the reusable walker state, per-instruction rows and cache replay
-    arrays; results are identical whatever scratch is passed.
+    [max_dynamic_per_warp] (default {!Scratch.default_max_dynamic})
+    caps each warp's stream.  [scratch] (default: this domain's
+    {!Scratch.domain_local}) supplies the stream table, per-instruction
+    rows and cache replay arrays, and the run refills its stream table;
+    results are identical whatever scratch is passed.
 
     @raise Invalid_argument if an [Hw] scheme has [rfc_entries < 1].
 
@@ -122,4 +128,5 @@ val price : Alloc.Context.t -> Alloc.Placement.t -> int array -> Energy.Counts.t
     [Baseline] and [Sw], without a walk.  This is the one place a
     placement becomes counts: {!Simt} weights each pc by its active
     clusters and {!Variable_orf} by its executions under each ORF
-    grant.  The rows are built in this domain's {!Scratch.domain_local}. *)
+    grant.  The rows are built in this domain's {!Scratch.domain_local},
+    whose stream table it leaves as it is. *)

@@ -10,11 +10,14 @@ type live_value = {
   mutable first_read : int;
 }
 
-let collect ?(warps = 4) ?(seed = 0x5eed) ?max_dynamic_per_warp (k : Ir.Kernel.t) =
+let collect ?(warps = 4) ?(seed = 0x5eed) (k : Ir.Kernel.t) =
   let read_counts = Util.Stats.histogram () in
   let lifetimes = Util.Stats.histogram () in
   let produced = ref 0 in
   let nr = Int.max 1 k.Ir.Kernel.num_regs in
+  let s = Scratch.domain_local () in
+  Scratch.fill_streams s ~max_dynamic:Scratch.default_max_dynamic k ~warps ~seed;
+  let ids = s.Scratch.ids and pc = s.Scratch.pc in
   for w = 0 to warps - 1 do
     let current : live_value option array = Array.make nr None in
     let finalize v =
@@ -22,12 +25,11 @@ let collect ?(warps = 4) ?(seed = 0x5eed) ?max_dynamic_per_warp (k : Ir.Kernel.t
       Util.Stats.hincr read_counts v.reads;
       if v.reads = 1 then Util.Stats.hincr lifetimes (Int.max 1 (v.first_read - v.born))
     in
-    let cf = Cf.create ?max_dynamic:max_dynamic_per_warp k ~warp:w ~seed in
-    let rec step () =
-      match Cf.peek cf with
-      | None -> ()
-      | Some i ->
-        let now = Cf.dynamic_count cf in
+    (* [now] is the warp's dynamic index of the instruction. *)
+    let rec step now =
+      let id = ids.(pc.(w) + now) in
+      if id >= 0 then begin
+        let i = Ir.Kernel.instr k id in
         List.iter
           (fun r ->
             match current.(r) with
@@ -41,10 +43,10 @@ let collect ?(warps = 4) ?(seed = 0x5eed) ?max_dynamic_per_warp (k : Ir.Kernel.t
             Option.iter finalize current.(d);
             current.(d) <- Some { born = now; reads = 0; first_read = now })
           i.Ir.Instr.dst;
-        Cf.advance cf;
-        step ()
+        step (now + 1)
+      end
     in
-    step ();
+    step 0;
     Array.iter (fun v -> Option.iter finalize v) current
   done;
   { values_produced = !produced; read_counts; lifetimes_read_once = lifetimes }

@@ -13,8 +13,10 @@ type stats = {
   (** key = dynamic instruction distance def->read, for read-once values *)
 }
 
-val collect :
-  ?warps:int -> ?seed:int -> ?max_dynamic_per_warp:int -> Ir.Kernel.t -> stats
+val collect : ?warps:int -> ?seed:int -> Ir.Kernel.t -> stats
+(** Over the streams of [warps] warps (default 4), read from this
+    domain's {!Scratch.fill_streams} table, each capped at
+    {!Scratch.default_max_dynamic} instructions. *)
 
 val merge : stats list -> stats
 (** Pool statistics across kernels (per-suite aggregation). *)

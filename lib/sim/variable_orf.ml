@@ -28,11 +28,11 @@ let strand_requests (ctx : Alloc.Context.t) (placement : Alloc.Placement.t) =
   Array.map Hashtbl.length used
 
 type warp_state = {
-  cf : Cf.t;
+  mutable at : int;  (* index of the warp's next instruction in the stream table *)
   mutable grant : int;  (* entries this warp's current strand holds *)
 }
 
-let run ?(active = 8) ?(warps = 32) ?(seed = 0x5eed) ?max_dynamic_per_warp ~pool_entries
+let run ?(active = 8) ?(warps = 32) ?(seed = 0x5eed) ~pool_entries
     ~(config : Alloc.Config.t) ~placement (ctx : Alloc.Context.t) =
   if not config.Alloc.Config.mirror_mrf then
     invalid_arg "Variable_orf.run: the placement must be compiled with mirror_mrf";
@@ -52,7 +52,10 @@ let run ?(active = 8) ?(warps = 32) ?(seed = 0x5eed) ?max_dynamic_per_warp ~pool
   let full_grants = ref 0 in
   let partial_grants = ref 0 in
   let entries_denied = ref 0 in
-  let mk_warp w = { cf = Cf.create ?max_dynamic:max_dynamic_per_warp k ~warp:w ~seed; grant = 0 } in
+  let s = Scratch.domain_local () in
+  Scratch.fill_streams s ~max_dynamic:Scratch.default_max_dynamic k ~warps ~seed;
+  let ids = s.Scratch.ids and pc = s.Scratch.pc in
+  let mk_warp w = { at = pc.(w); grant = 0 } in
   let next_warp = ref (Int.min active warps) in
   let active_set = Queue.create () in
   for w = 0 to Int.min active warps - 1 do
@@ -76,21 +79,22 @@ let run ?(active = 8) ?(warps = 32) ?(seed = 0x5eed) ?max_dynamic_per_warp ~pool
      for the pool exactly as concurrently-active warps would. *)
   while not (Queue.is_empty active_set) do
     let st = Queue.pop active_set in
-    (match Cf.peek st.cf with
-     | None ->
-       release st;
-       if !next_warp < warps then begin
-         Queue.add (mk_warp !next_warp) active_set;
-         incr next_warp
-       end
-     | Some i ->
-       let id = i.Ir.Instr.id in
-       if Strand.Partition.starts_strand partition id then
-         acquire st (Strand.Partition.strand_of_instr partition id);
-       let row = executions.(st.grant) in
-       row.(id) <- row.(id) + 1;
-       Cf.advance st.cf;
-       Queue.add st active_set)
+    let id = ids.(st.at) in
+    if id < 0 then begin
+      release st;
+      if !next_warp < warps then begin
+        Queue.add (mk_warp !next_warp) active_set;
+        incr next_warp
+      end
+    end
+    else begin
+      if Strand.Partition.starts_strand partition id then
+        acquire st (Strand.Partition.strand_of_instr partition id);
+      let row = executions.(st.grant) in
+      row.(id) <- row.(id) + 1;
+      st.at <- st.at + 1;
+      Queue.add st active_set
+    end
   done;
   (* An entry past the grant is read from the MRF copy mirror_mrf
      keeps, and is neither filled nor written. *)

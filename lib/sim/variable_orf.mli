@@ -16,8 +16,11 @@
     grant contention reflects genuinely concurrent strands — no oracle
     knowledge of future warps.
 
-    The walk only counts each instruction's executions per grant size
-    [g]; {!Traffic.price} then prices grant [g]'s executions under
+    The walk reads each warp's stream from this domain's
+    {!Scratch.fill_streams} table (capped at
+    {!Scratch.default_max_dynamic} instructions) and only counts each
+    instruction's executions per grant size [g]; {!Traffic.price} then
+    prices grant [g]'s executions under
     [Alloc.Placement.within placement ~orf_entries:g]. *)
 
 type result = {
@@ -32,7 +35,6 @@ val run :
   ?active:int ->          (* default 8: the two-level scheduler's active set *)
   ?warps:int ->
   ?seed:int ->
-  ?max_dynamic_per_warp:int ->
   pool_entries:int ->
   config:Alloc.Config.t ->
   placement:Alloc.Placement.t ->

@@ -8,7 +8,7 @@ let copy t = { state = t.state }
 
 (* Inlined so its callers keep their int64s unboxed: a call boxes its
    argument and its result, which would cost [hash2] six words, and
-   [Sim.Cf] eighteen per probabilistic branch it resolves. *)
+   [Sim.Cf] twelve per probabilistic branch it resolves. *)
 let[@inline] mix64 z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in

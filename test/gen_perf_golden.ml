@@ -12,6 +12,11 @@
      dune exec test/gen_perf_golden.exe -- streams > test/alloc_streams_golden.jsonl
      dune build && dune exec test/gen_perf_golden.exe -- cli > test/cli_golden.txt
 
+   test/all_golden.txt, which make parity diffs the serial rfh all
+   against, is rfh's own output and not this program's:
+
+     dune exec bin/rfh.exe -- all --warps 8 --jobs 1 > test/all_golden.txt
+
    perf_golden.json was captured from the pre-predecode list-based
    engine, perf_timeline_golden.jsonl from the per-cycle engine before
    dead-cycle jumping, perf_wide_golden.jsonl from the engine that

@@ -1,7 +1,20 @@
 (* Helpers shared by more than one suite: substring search for the
    suites that inspect rendered text and HTML pages, the timeline
-   tiling check for the suites that record Sim.Perf runs, and count
-   rows for the suites that fill Energy.Counts by hand. *)
+   tiling check for the suites that record Sim.Perf runs, count rows
+   for the suites that fill Energy.Counts by hand, and one warp's
+   instruction stream for the suites that check a simulator against
+   it. *)
+
+(* Warp [warp]'s stream from its own [Sim.Cf.fill], independent of any
+   scratch table: the instruction ids in order and the end marker (-1
+   after Ret, -2 at the cap), under the simulators' default cap unless
+   [max_dynamic] is given. *)
+let cf_stream ?(max_dynamic = Sim.Scratch.default_max_dynamic) k ~warp ~seed =
+  let counters = Array.make (2 * Ir.Kernel.block_count k) 0 in
+  let ids = ref [] and marker = ref 0 in
+  Sim.Cf.fill ~max_dynamic k ~warp ~seed ~counters (fun id ->
+      if id < 0 then marker := id else ids := id :: !ids);
+  (List.rev !ids, !marker)
 
 (* Offset of the first occurrence of [needle] in [s] at or after [from]. *)
 let find_sub ?(from = 0) s needle =

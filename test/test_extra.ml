@@ -90,9 +90,8 @@ exit:
    | Ir.Terminator.Branch { target = 0; behavior = Ir.Terminator.Loop 3 } -> ()
    | _ -> Alcotest.fail "self-loop expected");
   (* And it executes the expected number of dynamic instructions. *)
-  let cf = Sim.Cf.create k ~warp:0 ~seed:1 in
-  let rec drain n = match Sim.Cf.peek cf with None -> n | Some _ -> Sim.Cf.advance cf; drain (n + 1) in
-  check Alcotest.int "3 trips x 3 instrs" 9 (drain 0)
+  check Alcotest.int "3 trips x 3 instrs" 9
+    (List.length (fst (Helpers.cf_stream k ~warp:0 ~seed:1)))
 
 let test_facade () =
   let compiled = Rfh.compile (Rfh.benchmark "hotspot") in

@@ -155,13 +155,7 @@ let prop_simt_matches_cf_when_uniform =
     seed_arb
     (fun seed ->
       let k = Workloads.Generator.kernel ~size:6 ~prob_branches:false ~seed () in
-      let cf_count =
-        let cf = Sim.Cf.create k ~warp:1 ~seed in
-        let rec go n =
-          match Sim.Cf.peek cf with None -> n | Some _ -> Sim.Cf.advance cf; go (n + 1)
-        in
-        go 0
-      in
+      let cf_count = List.length (fst (Helpers.cf_stream k ~warp:1 ~seed)) in
       let simt = Sim.Simt.run_warp k ~warp:1 ~seed ~on_instr:(fun _ ~active:_ ~clusters:_ -> ()) in
       simt.Sim.Simt.warp_instructions = cf_count
       && simt.Sim.Simt.divergent_branches = 0
@@ -171,16 +165,10 @@ let dynamic_work k =
   (* Count non-control dynamic instructions across a few warps. *)
   let total = ref 0 in
   for w = 0 to 2 do
-    let cf = Sim.Cf.create k ~warp:w ~seed:77 in
-    let rec go () =
-      match Sim.Cf.peek cf with
-      | None -> ()
-      | Some i ->
-        (match i.Ir.Instr.op with Ir.Op.Bra | Ir.Op.Setp -> () | _ -> incr total);
-        Sim.Cf.advance cf;
-        go ()
-    in
-    go ()
+    List.iter
+      (fun id ->
+        match (Ir.Kernel.instr k id).Ir.Instr.op with Ir.Op.Bra | Ir.Op.Setp -> () | _ -> incr total)
+      (fst (Helpers.cf_stream k ~warp:w ~seed:77))
   done;
   !total
 

@@ -20,38 +20,26 @@ let loop_kernel trips =
   B.store b Op.St_global ~addr:x ~value:x;
   B.finalize b
 
-let drain cf =
-  let rec go acc =
-    match Sim.Cf.peek cf with
-    | None -> List.rev acc
-    | Some i ->
-      Sim.Cf.advance cf;
-      go (i.Ir.Instr.id :: acc)
-  in
-  go []
+let drain k ~warp ~seed = fst (Helpers.cf_stream k ~warp ~seed)
 
 let test_cf_loop_trips () =
   let k = loop_kernel 4 in
-  let cf = Sim.Cf.create k ~warp:0 ~seed:1 in
-  let stream = drain cf in
+  let stream, marker = Helpers.cf_stream k ~warp:0 ~seed:1 in
   (* mov + 4 * (add, setp, bra) + store = 14 dynamic instructions. *)
   check Alcotest.int "dynamic length" 14 (List.length stream);
-  check Alcotest.int "count matches" 14 (Sim.Cf.dynamic_count cf);
-  check Alcotest.bool "finished" true (Sim.Cf.finished cf);
-  check Alcotest.bool "not capped" false (Sim.Cf.hit_cap cf)
+  check Alcotest.int "ended by Ret, not the cap" (-1) marker
 
 let test_cf_deterministic () =
   let k = loop_kernel 3 in
-  let s1 = drain (Sim.Cf.create k ~warp:2 ~seed:9) in
-  let s2 = drain (Sim.Cf.create k ~warp:2 ~seed:9) in
-  check Alcotest.(list int) "same stream" s1 s2
+  let s1 = Helpers.cf_stream k ~warp:2 ~seed:9 in
+  let s2 = Helpers.cf_stream k ~warp:2 ~seed:9 in
+  check Alcotest.(pair (list int) int) "same stream" s1 s2
 
 let test_cf_cap () =
   let k = loop_kernel 1000 in
-  let cf = Sim.Cf.create ~max_dynamic:50 k ~warp:0 ~seed:1 in
-  ignore (drain cf);
-  check Alcotest.bool "capped" true (Sim.Cf.hit_cap cf);
-  check Alcotest.int "stopped at cap" 50 (Sim.Cf.dynamic_count cf)
+  let stream, marker = Helpers.cf_stream ~max_dynamic:50 k ~warp:0 ~seed:1 in
+  check Alcotest.int "capped" (-2) marker;
+  check Alcotest.int "stopped at cap" 50 (List.length stream)
 
 (* One probabilistic branch over one instruction. *)
 let prob_kernel () =
@@ -69,7 +57,7 @@ let prob_kernel () =
 let test_cf_prob_branch_varies_by_warp () =
   let k = prob_kernel () in
   let lengths =
-    List.init 16 (fun w -> List.length (drain (Sim.Cf.create k ~warp:w ~seed:3)))
+    List.init 16 (fun w -> List.length (drain k ~warp:w ~seed:3))
   in
   (* Some warps take the branch (3 instrs), some fall through (4). *)
   check Alcotest.bool "warps diverge" true
@@ -89,9 +77,9 @@ let test_cf_always_never () =
     B.finalize b
   in
   check Alcotest.int "always skips" 3
-    (List.length (drain (Sim.Cf.create (mk Ir.Terminator.Always_taken) ~warp:0 ~seed:1)));
+    (List.length (drain (mk Ir.Terminator.Always_taken) ~warp:0 ~seed:1));
   check Alcotest.int "never falls through" 4
-    (List.length (drain (Sim.Cf.create (mk Ir.Terminator.Never_taken) ~warp:0 ~seed:1)))
+    (List.length (drain (mk Ir.Terminator.Never_taken) ~warp:0 ~seed:1))
 
 (* --- Traffic: exact baseline counts -------------------------------- *)
 
@@ -481,13 +469,14 @@ let test_perf_banked_attribution () =
     (run (Some 1024)).Sim.Perf.stalls.Sim.Perf.bank_conflict_serialization
 
 (* [Sim.Cf.warp_invariant] is what lets [Sim.Traffic] walk one warp
-   for all and [Sim.Perf] store one instruction stream for all: on every
-   registry kernel it holds for, all 32 warps capture one block sequence
-   at both seeds; a kernel with a probabilistic branch is not invariant.
-   The timing loop's stream table ([Sim.Scratch.fill_streams], one
-   scratch reused throughout) must hold each warp's stream exactly as a
-   fresh walker visits it, uncapped and under a cap that cuts the walk
-   short, and one stream shared by every warp of an invariant kernel. *)
+   for all and the stream table store one instruction stream for all:
+   on every registry kernel it holds for, all 32 warps' own fills are
+   one stream at both seeds; a kernel with a probabilistic branch is
+   not invariant.  The stream table ([Sim.Scratch.fill_streams], one
+   scratch reused throughout) must hold each warp's stream exactly as
+   that warp's own fill pushes it, marker included, uncapped and under
+   a cap that cuts the walk short, and one stream shared by every warp
+   of an invariant kernel. *)
 let test_cf_warp_invariant () =
   let kernels =
     List.concat_map
@@ -501,11 +490,10 @@ let test_cf_warp_invariant () =
     (fun k ->
       List.iter
         (fun seed ->
-          let t = Sim.Trace.capture ~warps:32 ~seed k in
-          let first = Sim.Trace.block_sequence t ~warp:0 in
+          let first = Helpers.cf_stream k ~warp:0 ~seed in
           for warp = 1 to 31 do
-            if Sim.Trace.block_sequence t ~warp <> first then
-              Alcotest.failf "%s, seed %d: warp %d's blocks differ from warp 0's"
+            if Helpers.cf_stream k ~warp ~seed <> first then
+              Alcotest.failf "%s, seed %d: warp %d's stream differs from warp 0's"
                 k.Ir.Kernel.name seed warp
           done)
         [ 1; 0x5eed ])
@@ -527,21 +515,64 @@ let test_cf_warp_invariant () =
               Alcotest.failf "%s: starts at %d, not at the one shared stream" where pc.(warp);
             if (not shared) && warp > 0 && pc.(warp) <= pc.(warp - 1) then
               Alcotest.failf "%s: does not get a stream of its own" where;
-            let cf = Sim.Cf.create ~max_dynamic k ~warp ~seed in
-            let i = ref pc.(warp) in
-            while not (Sim.Cf.finished cf) do
-              if ids.(!i) <> Sim.Cf.peek_id cf then
-                Alcotest.failf "%s: instruction %d is %d, the walker's is %d" where
-                  (!i - pc.(warp)) ids.(!i) (Sim.Cf.peek_id cf);
-              incr i;
-              Sim.Cf.advance cf
-            done;
-            if ids.(!i) <> -1 then Alcotest.failf "%s: the stream runs past the walker's end" where;
-            if Sim.Cf.hit_cap cf then incr truncated
+            let own, marker = Helpers.cf_stream ~max_dynamic k ~warp ~seed in
+            List.iteri
+              (fun n id ->
+                if ids.(pc.(warp) + n) <> id then
+                  Alcotest.failf "%s: instruction %d is %d, the warp's own fill's is %d" where n
+                    ids.(pc.(warp) + n) id)
+              own;
+            let ended = ids.(pc.(warp) + List.length own) in
+            if ended <> marker then
+              Alcotest.failf "%s: the stream ends in %d, the warp's own fill in %d" where ended
+                marker;
+            if marker = -2 then incr truncated
           done)
         [ (1, 2_000); (0x5eed, 2_000); (1, 50); (0x5eed, 50) ])
     kernels;
   check Alcotest.bool "the cap cuts some walks short" true (!truncated > 0)
+
+(* [capped_warps] and [dynamic_instrs] against each warp's own fill,
+   under caps that cut walks short.  MatrixMul is warp-invariant, so
+   its Baseline and Sw runs walk warp 0 alone and weight it, and every
+   warp is cut at half its length.  Mandelbrot's loops exit on
+   probabilistic branches, so the table holds a stream per warp, and
+   the cap at its median length cuts some warps and not others. *)
+let test_traffic_capped_warps () =
+  let warps = 16 and seed = 0x5eed in
+  let config = Alloc.Config.make () in
+  List.iter
+    (fun (name, invariant, cap_of) ->
+      let k = Rfh.benchmark name in
+      check Alcotest.bool (name ^ " warp-invariant") invariant (Sim.Cf.warp_invariant k);
+      let fills max_dynamic =
+        List.init warps (fun warp -> Helpers.cf_stream ~max_dynamic k ~warp ~seed)
+      in
+      let lengths = List.map (fun (ids, _) -> List.length ids) in
+      let cap = cap_of (List.sort Int.compare (lengths (fills Sim.Scratch.default_max_dynamic))) in
+      let own = fills cap in
+      let capped = List.length (List.filter (fun (_, marker) -> marker = -2) own) in
+      let dynamic = List.fold_left ( + ) 0 (lengths own) in
+      if invariant then check Alcotest.int (name ^ ": the cap cuts every warp") warps capped
+      else
+        check Alcotest.bool (name ^ ": the cap cuts some warps and not others") true
+          (capped > 0 && capped < warps);
+      let ctx = Alloc.Context.create k in
+      List.iter
+        (fun (scheme_name, scheme) ->
+          let r = Sim.Traffic.run ~warps ~seed ~max_dynamic_per_warp:cap ctx scheme in
+          let what = Printf.sprintf "%s %s, cap %d: " name scheme_name cap in
+          check Alcotest.int (what ^ "capped_warps") capped r.Sim.Traffic.capped_warps;
+          check Alcotest.int (what ^ "dynamic_instrs") dynamic r.Sim.Traffic.dynamic_instrs)
+        [
+          ("baseline", Sim.Traffic.Baseline);
+          ("sw", Sim.Traffic.Sw { config; placement = Alloc.Allocator.place config ctx });
+          ("hw", Sim.Traffic.Hw (Sim.Traffic.hw_defaults ~rfc_entries:3));
+        ])
+    [
+      ("MatrixMul", true, fun sorted -> List.hd sorted / 2);
+      ("Mandelbrot", false, fun sorted -> List.nth sorted (List.length sorted / 2));
+    ]
 
 let suite =
   [
@@ -577,4 +608,5 @@ let suite =
     Alcotest.test_case "perf two-level policies" `Quick test_perf_two_level_policies;
     Alcotest.test_case "cf warp-invariant kernels replay one stream" `Quick
       test_cf_warp_invariant;
+    Alcotest.test_case "traffic capped warps = per-warp fills" `Quick test_traffic_capped_warps;
   ]

@@ -92,9 +92,9 @@ let test_simt_loop_uniform () =
   let stats = count_instrs k ~warp:0 ~seed:1 in
   check Alcotest.int "no divergence on counted loops" 0 stats.Sim.Simt.divergent_branches;
   (* Same dynamic count as the warp-uniform walker. *)
-  let cf = Sim.Cf.create k ~warp:0 ~seed:1 in
-  let rec drain n = match Sim.Cf.peek cf with None -> n | Some _ -> Sim.Cf.advance cf; drain (n + 1) in
-  check Alcotest.int "matches Cf stream length" (drain 0) stats.Sim.Simt.warp_instructions
+  check Alcotest.int "matches Cf stream length"
+    (List.length (fst (Helpers.cf_stream k ~warp:0 ~seed:1)))
+    stats.Sim.Simt.warp_instructions
 
 let test_simt_clusters () =
   (* clusters_of is exposed indirectly: a fully active warp reports 8

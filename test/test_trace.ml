@@ -3,19 +3,6 @@
 
 let check = Alcotest.check
 
-let live_stream k ~warp ~seed =
-  let cf = Sim.Cf.create k ~warp ~seed in
-  let acc = ref [] in
-  let rec go () =
-    match Sim.Cf.peek cf with
-    | None -> List.rev !acc
-    | Some i ->
-      acc := i.Ir.Instr.id :: !acc;
-      Sim.Cf.advance cf;
-      go ()
-  in
-  go ()
-
 let traced_stream trace k ~warp =
   let acc = ref [] in
   Sim.Trace.replay trace k ~warp (fun i -> acc := i.Ir.Instr.id :: !acc);
@@ -29,7 +16,7 @@ let test_replay_matches_live () =
       for w = 0 to 2 do
         check Alcotest.(list int)
           (Printf.sprintf "%s warp %d" name w)
-          (live_stream k ~warp:w ~seed:9)
+          (fst (Helpers.cf_stream k ~warp:w ~seed:9))
           (traced_stream trace k ~warp:w)
       done)
     [ "VectorAdd"; "Mandelbrot"; "MatrixMul"; "needle" ]
@@ -49,16 +36,34 @@ let test_serialization_roundtrip () =
     done;
     check Alcotest.string "fixpoint" text (Sim.Trace.to_string trace2)
 
+(* The header's warp count must match the lines that follow, one per
+   warp as [to_string] writes them, so a header cannot size the trace
+   past its input. *)
 let test_of_string_errors () =
-  (match Sim.Trace.of_string "garbage" with
-   | Error _ -> ()
-   | Ok _ -> Alcotest.fail "accepted garbage");
-  match Sim.Trace.of_string "trace v1 warps=1\nwarp 7: 0" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "accepted out-of-range warp"
+  List.iter
+    (fun (text, what) ->
+      match Sim.Trace.of_string text with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "accepted %s" what)
+    [
+      ("garbage", "garbage");
+      ("trace v1 warps=1\nwarp 7: 0", "out-of-range warp");
+      ("trace v1 warps=1000000000000", "a warp count with no warp lines");
+      ("trace v1 warps=-1", "a negative warp count");
+      ("trace v1 warps=2\nwarp 0: 0", "a missing warp line");
+      ("trace v1 warps=2\nwarp 0: 0\nwarp 0: 1", "a warp listed twice");
+      ("trace v1 warps=1\nwarp 0: 0\nwarp 0: 0", "more lines than warps");
+      ("trace v1 warps=1\nwarx 0: 0", "a line that is not a warp's");
+    ];
+  match Sim.Trace.of_string "trace v1 warps=2\n\nwarp 1: 0x2\nwarp 0:\n" with
+  | Ok t ->
+    check Alcotest.(list int) "warps in any order" [ 0; 0 ] (Sim.Trace.block_sequence t ~warp:1)
+  | Error msg -> Alcotest.failf "rejected a well-formed trace: %s" msg
 
-(* A repeat count below 1 or a negative block is an error, not a trace
-   that block_sequence, replay and edge_profile fail on later. *)
+(* A repeat count below 1, a negative block or a warp longer than a
+   capture can be (100,000 blocks; the line already holds one) is an
+   error, not a trace that block_sequence, replay and edge_profile
+   fail on or expand without bound later. *)
 let test_of_string_bad_entries () =
   List.iter
     (fun (line, what) ->
@@ -71,7 +76,14 @@ let test_of_string_bad_entries () =
       ("0x0", "a zero repeat count");
       ("-1", "a negative block");
       ("-3x2", "a repeated negative block");
-    ]
+      ("1x100000", "a sequence past the capture cap");
+      ("2x4611686018427387903", "a repeat count of max_int");
+    ];
+  match Sim.Trace.of_string "trace v1 warps=1\nwarp 0: 1 1x99999" with
+  | Ok t ->
+    check Alcotest.int "a sequence at the cap" 100_000
+      (List.length (Sim.Trace.block_sequence t ~warp:0))
+  | Error msg -> Alcotest.failf "rejected a sequence at the cap: %s" msg
 
 let test_edge_profile_loop () =
   (* An 8-trip self loop: the backedge fires 7 times per warp. *)

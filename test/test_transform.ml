@@ -127,18 +127,10 @@ let test_unroll_preserves_work () =
   let k = Workloads.Micro.loop_carried 8 in
   let k4 = Transform.Unroll.kernel ~factor:4 k in
   let count pred kernel =
-    let cf = Sim.Cf.create kernel ~warp:0 ~seed:1 in
-    let n = ref 0 in
-    let rec go () =
-      match Sim.Cf.peek cf with
-      | None -> ()
-      | Some i ->
-        if pred i then incr n;
-        Sim.Cf.advance cf;
-        go ()
-    in
-    go ();
-    !n
+    List.length
+      (List.filter
+         (fun id -> pred (Ir.Kernel.instr kernel id))
+         (fst (Helpers.cf_stream kernel ~warp:0 ~seed:1)))
   in
   let is_work (i : Ir.Instr.t) =
     match i.Ir.Instr.op with Op.Bra | Op.Setp -> false | _ -> true
