@@ -140,8 +140,9 @@ engine-smoke: build
 # Trend smoke (see docs/observability.md): append three deterministic
 # history records from the same tree, then gate on them.  Identical
 # runs must classify as stable on every gated series (trend --check
-# exits 0); the self-contained dashboard lands under _build/ for CI to
-# upload.
+# exits 0), and the table's title must report no undecodable line: the
+# records were just written by the same binary.  The self-contained
+# dashboard lands under _build/ for CI to upload.
 trend-smoke: build
 	rm -f _build/trend-history.jsonl
 	dune exec bin/rfh.exe -- fig13 --warps 8 -b VectorAdd,MatrixMul,Reduction,cp \
@@ -152,15 +153,17 @@ trend-smoke: build
 	  --history-out _build/trend-history.jsonl > /dev/null
 	dune exec bin/rfh.exe -- trend --history _build/trend-history.jsonl --check \
 	  --html-out _build/trend-dashboard.html > _build/trend.txt
+	@if grep -q 'undecodable' _build/trend.txt; then head -1 _build/trend.txt; exit 1; fi
 	$(call check_titles,_build/trend.txt,_build/trend-dashboard.html)
-	@echo "trend smoke OK: three identical runs classify stable; gate exit 0; the page has every printed table"
+	@echo "trend smoke OK: three identical runs classify stable; gate exit 0; every record decodes; the page has every printed table"
 
 # Root-cause smoke (see docs/observability.md): record a manifest +
 # explain stream, copy them, flip exactly one allocation decision in
 # the copy (first ORF placement -> MRF), and `rfh why` must name that
 # move as the #1 cause with its attribution self-check passing —
-# byte-identically across two runs.  The JSON and HTML analyses land
-# under _build/ for CI to upload.
+# byte-identically across two runs — and skip no line of either stream
+# as undecodable (its stderr stays in _build/why.err).  The JSON and
+# HTML analyses land under _build/ for CI to upload.
 why-smoke: build
 	dune exec bin/rfh.exe -- baseline record --warps 8 -b mm,cp \
 	  --baseline _build/why-base.json > /dev/null
@@ -169,14 +172,16 @@ why-smoke: build
 	sed -E '0,/"to":"orf"/s//"to":"mrf"/' _build/why-base.jsonl > _build/why-cand.jsonl
 	dune exec bin/rfh.exe -- why _build/why-base.json _build/why-base.json \
 	  --explain-a _build/why-base.jsonl --explain-b _build/why-cand.jsonl \
-	  --json-out _build/why.json --report-out _build/why.html > _build/why.txt
+	  --json-out _build/why.json --report-out _build/why.html > _build/why.txt 2> _build/why.err \
+	  || { cat _build/why.err; exit 1; }
+	@if grep -q 'undecodable' _build/why.err; then cat _build/why.err; exit 1; fi
 	dune exec bin/rfh.exe -- why _build/why-base.json _build/why-base.json \
 	  --explain-a _build/why-base.jsonl --explain-b _build/why-cand.jsonl \
 	  --json-out _build/why-rerun.json > /dev/null
 	cmp _build/why.json _build/why-rerun.json
 	grep -q 'top cause — MatrixMul: moved orf -> mrf' _build/why.txt
 	$(call check_titles,_build/why.txt,_build/why.html)
-	@echo "why smoke OK: the flipped decision ranks #1; analysis is byte-deterministic; the page has every printed table"
+	@echo "why smoke OK: the flipped decision ranks #1; every explain line decodes; analysis is byte-deterministic; the page has every printed table"
 
 # Performance gate (see docs/performance.md): time the twelve probes
 # sim:perf-two-level, sim:perf-lowipc, sim:perf-single-level,

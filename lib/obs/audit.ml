@@ -4,37 +4,38 @@ type cause = Sw_boundary | Hw_dependence | Bank_conflict | Scheduler
 
 type unit_kind = Write_unit | Read_unit
 
+type alloc = {
+  reg : string;
+  kind : unit_kind;
+  strand : int;
+  level : level;
+  slot : int;
+  first : int;
+  last : int;
+  reads : int;
+  savings : float;
+  partial : bool;
+  mrf_copy : bool;
+}
+
+type place = { warp : int; instr : int; level : level }
+type fill = { warp : int; instr : int; pos : int; entry : int }
+type evict = { warp : int; instr : int; level : level; writeback : bool }
+type strand_boundary = { instr : int; strand : int }
+type desched = { warp : int; instr : int; cause : cause }
+
 type event =
-  | Alloc of {
-      reg : string;
-      kind : unit_kind;
-      strand : int;
-      level : level;
-      slot : int;
-      first : int;
-      last : int;
-      reads : int;
-      savings : float;
-      partial : bool;
-      mrf_copy : bool;
-    }
-  | Place of { warp : int; instr : int; level : level }
-  | Fill of { warp : int; instr : int; pos : int; entry : int }
-  | Evict of { warp : int; instr : int; level : level; writeback : bool }
-  | Strand_boundary of { instr : int; strand : int }
-  | Desched of { warp : int; instr : int; cause : cause }
+  | Alloc of alloc
+  | Place of place
+  | Fill of fill
+  | Evict of evict
+  | Strand_boundary of strand_boundary
+  | Desched of desched
 
 (* ------------------------------------------------------------------ *)
 (* Encoding.                                                           *)
 
 let level_name = function Lrf -> "lrf" | Orf -> "orf" | Mrf -> "mrf" | Rfc -> "rfc"
-
-let level_of_name = function
-  | "lrf" -> Some Lrf
-  | "orf" -> Some Orf
-  | "mrf" -> Some Mrf
-  | "rfc" -> Some Rfc
-  | _ -> None
 
 let cause_name = function
   | Sw_boundary -> "sw_boundary"
@@ -42,129 +43,67 @@ let cause_name = function
   | Bank_conflict -> "bank_conflict"
   | Scheduler -> "scheduler"
 
-let cause_of_name = function
-  | "sw_boundary" -> Some Sw_boundary
-  | "hw_dependence" -> Some Hw_dependence
-  | "bank_conflict" -> Some Bank_conflict
-  | "scheduler" -> Some Scheduler
-  | _ -> None
-
 let kind_name = function Write_unit -> "write_unit" | Read_unit -> "read_unit"
 
-let kind_of_name = function
-  | "write_unit" -> Some Write_unit
-  | "read_unit" -> Some Read_unit
-  | _ -> None
+(* A getter of a label several shapes share (warp, instr, level,
+   strand) names its record type. *)
+let codec =
+  let level = Json.enum level_name [ Lrf; Orf; Mrf; Rfc ] in
+  Json.(
+    seal
+      (tagged "ev"
+         [
+           case "alloc"
+             (obj (fun reg kind strand level slot first last reads savings partial mrf_copy ->
+                  { reg; kind; strand; level; slot; first; last; reads; savings; partial; mrf_copy })
+             |> req "reg" str (fun a -> a.reg)
+             |> req "kind" (enum kind_name [ Write_unit; Read_unit ]) (fun a -> a.kind)
+             |> req "strand" integer (fun (a : alloc) -> a.strand)
+             |> req "level" level (fun (a : alloc) -> a.level)
+             |> req "slot" integer (fun a -> a.slot)
+             |> req "first" integer (fun a -> a.first)
+             |> req "last" integer (fun a -> a.last)
+             |> req "reads" integer (fun a -> a.reads)
+             |> req "savings" num (fun a -> a.savings)
+             |> req "partial" bool (fun a -> a.partial)
+             |> req "mrf_copy" bool (fun a -> a.mrf_copy))
+             (fun a -> Alloc a) (function Alloc a -> Some a | _ -> None);
+           case "place"
+             (obj (fun warp instr level -> { warp; instr; level })
+             |> req "warp" integer (fun (p : place) -> p.warp)
+             |> req "instr" integer (fun (p : place) -> p.instr)
+             |> req "level" level (fun (p : place) -> p.level))
+             (fun p -> Place p) (function Place p -> Some p | _ -> None);
+           case "fill"
+             (obj (fun warp instr pos entry -> { warp; instr; pos; entry })
+             |> req "warp" integer (fun (f : fill) -> f.warp)
+             |> req "instr" integer (fun (f : fill) -> f.instr)
+             |> req "pos" integer (fun f -> f.pos)
+             |> req "entry" integer (fun f -> f.entry))
+             (fun f -> Fill f) (function Fill f -> Some f | _ -> None);
+           case "evict"
+             (obj (fun warp instr level writeback -> { warp; instr; level; writeback })
+             |> req "warp" integer (fun (e : evict) -> e.warp)
+             |> req "instr" integer (fun (e : evict) -> e.instr)
+             |> req "level" level (fun (e : evict) -> e.level)
+             |> req "writeback" bool (fun e -> e.writeback))
+             (fun e -> Evict e) (function Evict e -> Some e | _ -> None);
+           case "strand_boundary"
+             (obj (fun instr strand -> { instr; strand })
+             |> req "instr" integer (fun (s : strand_boundary) -> s.instr)
+             |> req "strand" integer (fun (s : strand_boundary) -> s.strand))
+             (fun s -> Strand_boundary s) (function Strand_boundary s -> Some s | _ -> None);
+           case "desched"
+             (obj (fun warp instr cause -> { warp; instr; cause })
+             |> req "warp" integer (fun (d : desched) -> d.warp)
+             |> req "instr" integer (fun (d : desched) -> d.instr)
+             |> req "cause" (enum cause_name [ Sw_boundary; Hw_dependence; Bank_conflict; Scheduler ])
+                  (fun d -> d.cause))
+             (fun d -> Desched d) (function Desched d -> Some d | _ -> None);
+         ]))
 
-let to_json = function
-  | Alloc a ->
-    Json.Obj
-      [
-        ("ev", Json.Str "alloc");
-        ("reg", Json.Str a.reg);
-        ("kind", Json.Str (kind_name a.kind));
-        ("strand", Json.int a.strand);
-        ("level", Json.Str (level_name a.level));
-        ("slot", Json.int a.slot);
-        ("first", Json.int a.first);
-        ("last", Json.int a.last);
-        ("reads", Json.int a.reads);
-        ("savings", Json.Num a.savings);
-        ("partial", Json.Bool a.partial);
-        ("mrf_copy", Json.Bool a.mrf_copy);
-      ]
-  | Place p ->
-    Json.Obj
-      [
-        ("ev", Json.Str "place");
-        ("warp", Json.int p.warp);
-        ("instr", Json.int p.instr);
-        ("level", Json.Str (level_name p.level));
-      ]
-  | Fill f ->
-    Json.Obj
-      [
-        ("ev", Json.Str "fill");
-        ("warp", Json.int f.warp);
-        ("instr", Json.int f.instr);
-        ("pos", Json.int f.pos);
-        ("entry", Json.int f.entry);
-      ]
-  | Evict e ->
-    Json.Obj
-      [
-        ("ev", Json.Str "evict");
-        ("warp", Json.int e.warp);
-        ("instr", Json.int e.instr);
-        ("level", Json.Str (level_name e.level));
-        ("writeback", Json.Bool e.writeback);
-      ]
-  | Strand_boundary s ->
-    Json.Obj
-      [
-        ("ev", Json.Str "strand_boundary");
-        ("instr", Json.int s.instr);
-        ("strand", Json.int s.strand);
-      ]
-  | Desched d ->
-    Json.Obj
-      [
-        ("ev", Json.Str "desched");
-        ("warp", Json.int d.warp);
-        ("instr", Json.int d.instr);
-        ("cause", Json.Str (cause_name d.cause));
-      ]
-
-let of_json j =
-  let ( let* ) = Result.bind in
-  let field name conv = Json.field "audit event" j name conv in
-  let int_f name = field name Json.to_int in
-  let str_f name = field name Json.to_str in
-  let bool_f name = field name Json.to_bool in
-  let num_f name = field name Json.to_num in
-  let level_f name = field name (fun v -> Option.bind (Json.to_str v) level_of_name) in
-  let* ev = str_f "ev" in
-  match ev with
-  | "alloc" ->
-    let* reg = str_f "reg" in
-    let* kind = field "kind" (fun v -> Option.bind (Json.to_str v) kind_of_name) in
-    let* strand = int_f "strand" in
-    let* level = level_f "level" in
-    let* slot = int_f "slot" in
-    let* first = int_f "first" in
-    let* last = int_f "last" in
-    let* reads = int_f "reads" in
-    let* savings = num_f "savings" in
-    let* partial = bool_f "partial" in
-    let* mrf_copy = bool_f "mrf_copy" in
-    Ok (Alloc { reg; kind; strand; level; slot; first; last; reads; savings; partial; mrf_copy })
-  | "place" ->
-    let* warp = int_f "warp" in
-    let* instr = int_f "instr" in
-    let* level = level_f "level" in
-    Ok (Place { warp; instr; level })
-  | "fill" ->
-    let* warp = int_f "warp" in
-    let* instr = int_f "instr" in
-    let* pos = int_f "pos" in
-    let* entry = int_f "entry" in
-    Ok (Fill { warp; instr; pos; entry })
-  | "evict" ->
-    let* warp = int_f "warp" in
-    let* instr = int_f "instr" in
-    let* level = level_f "level" in
-    let* writeback = bool_f "writeback" in
-    Ok (Evict { warp; instr; level; writeback })
-  | "strand_boundary" ->
-    let* instr = int_f "instr" in
-    let* strand = int_f "strand" in
-    Ok (Strand_boundary { instr; strand })
-  | "desched" ->
-    let* warp = int_f "warp" in
-    let* instr = int_f "instr" in
-    let* cause = field "cause" (fun v -> Option.bind (Json.to_str v) cause_of_name) in
-    Ok (Desched { warp; instr; cause })
-  | other -> Error (Printf.sprintf "audit event: unknown kind %S" other)
+let to_json = Json.encode codec
+let of_json = Json.decode codec
 
 let pp fmt = function
   | Alloc a ->
@@ -191,8 +130,7 @@ include Recorder.Make (struct
   type t = event
 
   let name = "audit"
-  let to_json = to_json
-  let of_json = of_json
+  let codec = codec
   let pp = pp
 end)
 

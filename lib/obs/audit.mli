@@ -31,25 +31,33 @@ type cause = Sw_boundary | Hw_dependence | Bank_conflict | Scheduler
 
 type unit_kind = Write_unit | Read_unit
 
+type alloc = {
+  reg : string;
+  kind : unit_kind;
+  strand : int;
+  level : level;  (** [Lrf] or [Orf] *)
+  slot : int;     (** LRF bank or ORF entry *)
+  first : int;    (** occupancy interval, instr ids *)
+  last : int;
+  reads : int;    (** covered reads *)
+  savings : float;
+  partial : bool; (** range was iteratively shortened *)
+  mrf_copy : bool;
+}
+
+type place = { warp : int; instr : int; level : level }
+type fill = { warp : int; instr : int; pos : int; entry : int }
+type evict = { warp : int; instr : int; level : level; writeback : bool }
+type strand_boundary = { instr : int; strand : int }
+type desched = { warp : int; instr : int; cause : cause }
+
 type event =
-  | Alloc of {
-      reg : string;
-      kind : unit_kind;
-      strand : int;
-      level : level;  (** [Lrf] or [Orf] *)
-      slot : int;     (** LRF bank or ORF entry *)
-      first : int;    (** occupancy interval, instr ids *)
-      last : int;
-      reads : int;    (** covered reads *)
-      savings : float;
-      partial : bool; (** range was iteratively shortened *)
-      mrf_copy : bool;
-    }
-  | Place of { warp : int; instr : int; level : level }
-  | Fill of { warp : int; instr : int; pos : int; entry : int }
-  | Evict of { warp : int; instr : int; level : level; writeback : bool }
-  | Strand_boundary of { instr : int; strand : int }
-  | Desched of { warp : int; instr : int; cause : cause }
+  | Alloc of alloc
+  | Place of place
+  | Fill of fill
+  | Evict of evict
+  | Strand_boundary of strand_boundary
+  | Desched of desched
 
 include Recorder.S with type t = event
 (** The recorder; [printer_sink] is the [-v] output. *)

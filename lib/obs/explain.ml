@@ -61,147 +61,74 @@ type kernel_report = {
 (* ------------------------------------------------------------------ *)
 (* Encoding.                                                           *)
 
-let verdict_to_json = function
-  | Chosen -> Json.Obj [ ("verdict", Json.Str "chosen") ]
-  | Ineligible why ->
-    Json.Obj [ ("verdict", Json.Str "ineligible"); ("why", Json.Str why) ]
-  | Negative_savings -> Json.Obj [ ("verdict", Json.Str "negative_savings") ]
-  | No_free_slot -> Json.Obj [ ("verdict", Json.Str "no_free_slot") ]
+(* A case with no field of its own. *)
+let bare tag v = Json.(case tag (obj ()) (fun () -> v) (fun x -> if x = v then Some () else None))
 
-let verdict_of_json j =
-  match Option.bind (Json.member "verdict" j) Json.to_str with
-  | Some "chosen" -> Ok Chosen
-  | Some "ineligible" ->
-    Ok (Ineligible (Option.value ~default:"" (Option.bind (Json.member "why" j) Json.to_str)))
-  | Some "negative_savings" -> Ok Negative_savings
-  | Some "no_free_slot" -> Ok No_free_slot
-  | Some other -> Error (Printf.sprintf "explain: unknown verdict %S" other)
-  | None -> Error "explain: missing verdict"
+let verdict_fields =
+  Json.(
+    tagged "verdict"
+      [
+        bare "chosen" Chosen;
+        case "ineligible"
+          (obj Fun.id |> req ~default:"" "why" str Fun.id)
+          (fun why -> Ineligible why) (function Ineligible why -> Some why | _ -> None);
+        bare "negative_savings" Negative_savings;
+        bare "no_free_slot" No_free_slot;
+      ])
 
-let candidate_to_json c =
-  match verdict_to_json c.verdict with
-  | Json.Obj fields ->
-    Json.Obj (("level", Json.Str c.level) :: ("savings", Json.Num c.savings) :: fields)
-  | _ -> assert false
+let candidate_codec =
+  Json.(
+    obj (fun level savings verdict -> { level; savings; verdict })
+    |> req "level" str (fun c -> c.level)
+    |> req "savings" num (fun c -> c.savings)
+    |> inline verdict_fields (fun c -> c.verdict)
+    |> seal)
 
-let candidate_of_json j =
-  let ( let* ) = Result.bind in
-  let* level =
-    match Option.bind (Json.member "level" j) Json.to_str with
-    | Some l -> Ok l
-    | None -> Error "explain: candidate missing level"
-  in
-  let* savings =
-    match Option.bind (Json.member "savings" j) Json.to_num with
-    | Some s -> Ok s
-    | None -> Error "explain: candidate missing savings"
-  in
-  let* verdict = verdict_of_json j in
-  Ok { level; savings; verdict }
+(* Fields that do not belong to the outcome's kind are ignored and
+   missing ones read as 0: [make why-smoke] rewrites an ORF outcome's
+   "to" in place and leaves its entry and shortening count behind. *)
+let outcome_codec =
+  Json.(
+    seal
+      (tagged "to"
+         [
+           case "lrf"
+             (obj Fun.id |> req ~default:0 "bank" integer Fun.id)
+             (fun bank -> To_lrf { bank }) (function To_lrf { bank } -> Some bank | _ -> None);
+           case "orf"
+             (obj (fun entry shortened -> (entry, shortened))
+             |> req ~default:0 "entry" integer fst
+             |> req ~default:0 "shortened" integer snd)
+             (fun (entry, shortened) -> To_orf { entry; shortened })
+             (function To_orf { entry; shortened } -> Some (entry, shortened) | _ -> None);
+           bare "mrf" To_mrf;
+         ]))
 
-let outcome_to_json = function
-  | To_lrf { bank } -> Json.Obj [ ("to", Json.Str "lrf"); ("bank", Json.int bank) ]
-  | To_orf { entry; shortened } ->
-    Json.Obj
-      [ ("to", Json.Str "orf"); ("entry", Json.int entry); ("shortened", Json.int shortened) ]
-  | To_mrf -> Json.Obj [ ("to", Json.Str "mrf") ]
+let codec =
+  Json.(
+    obj (fun seq kernel reg kind strand width first last defs covered dropped_reads mrf_copy
+             candidates outcome ->
+        { seq; kernel; reg; kind; strand; width; first; last; defs; covered; dropped_reads;
+          mrf_copy; candidates; outcome })
+    |> const "ev" (Str "decision")
+    |> req "seq" integer (fun d -> d.seq)
+    |> req "kernel" str (fun d -> d.kernel)
+    |> req "reg" str (fun d -> d.reg)
+    |> req "kind" str (fun d -> d.kind)
+    |> req "strand" integer (fun (d : decision) -> d.strand) (* not [instr_line]'s *)
+    |> req "width" integer (fun d -> d.width)
+    |> req "first" integer (fun d -> d.first)
+    |> req "last" integer (fun d -> d.last)
+    |> req "defs" (list integer) (fun d -> d.defs)
+    |> req "covered" (list (pair integer integer)) (fun d -> d.covered)
+    |> req "dropped_reads" integer (fun d -> d.dropped_reads)
+    |> req "mrf_copy" bool (fun d -> d.mrf_copy)
+    |> req "candidates" (list candidate_codec) (fun d -> d.candidates)
+    |> req "outcome" outcome_codec (fun d -> d.outcome)
+    |> seal)
 
-let outcome_of_json j =
-  let int_d name = Option.value ~default:0 (Option.bind (Json.member name j) Json.to_int) in
-  match Option.bind (Json.member "to" j) Json.to_str with
-  | Some "lrf" -> Ok (To_lrf { bank = int_d "bank" })
-  | Some "orf" -> Ok (To_orf { entry = int_d "entry"; shortened = int_d "shortened" })
-  | Some "mrf" -> Ok To_mrf
-  | Some other -> Error (Printf.sprintf "explain: unknown outcome %S" other)
-  | None -> Error "explain: missing outcome"
-
-let to_json d =
-  Json.Obj
-    [
-      ("ev", Json.Str "decision");
-      ("seq", Json.int d.seq);
-      ("kernel", Json.Str d.kernel);
-      ("reg", Json.Str d.reg);
-      ("kind", Json.Str d.kind);
-      ("strand", Json.int d.strand);
-      ("width", Json.int d.width);
-      ("first", Json.int d.first);
-      ("last", Json.int d.last);
-      ("defs", Json.Arr (List.map Json.int d.defs));
-      ( "covered",
-        Json.Arr
-          (List.map
-             (fun (instr, slot) -> Json.Arr [ Json.int instr; Json.int slot ])
-             d.covered) );
-      ("dropped_reads", Json.int d.dropped_reads);
-      ("mrf_copy", Json.Bool d.mrf_copy);
-      ("candidates", Json.Arr (List.map candidate_to_json d.candidates));
-      ("outcome", outcome_to_json d.outcome);
-    ]
-
-let of_json j =
-  let ( let* ) = Result.bind in
-  let field name conv = Json.field "explain" j name conv in
-  let* seq = field "seq" Json.to_int in
-  let* kernel = field "kernel" Json.to_str in
-  let* reg = field "reg" Json.to_str in
-  let* kind = field "kind" Json.to_str in
-  let* strand = field "strand" Json.to_int in
-  let* width = field "width" Json.to_int in
-  let* first = field "first" Json.to_int in
-  let* last = field "last" Json.to_int in
-  let* defs_j = field "defs" Json.to_list in
-  let* defs =
-    List.fold_left
-      (fun acc v ->
-        let* acc = acc in
-        match Json.to_int v with
-        | Some i -> Ok (i :: acc)
-        | None -> Error "explain: non-integer def")
-      (Ok []) defs_j
-    |> Result.map List.rev
-  in
-  let* covered_j = field "covered" Json.to_list in
-  let* covered =
-    List.fold_left
-      (fun acc v ->
-        let* acc = acc in
-        match Option.map (List.filter_map Json.to_int) (Json.to_list v) with
-        | Some [ instr; slot ] -> Ok ((instr, slot) :: acc)
-        | _ -> Error "explain: ill-formed covered read")
-      (Ok []) covered_j
-    |> Result.map List.rev
-  in
-  let* dropped_reads = field "dropped_reads" Json.to_int in
-  let* mrf_copy = field "mrf_copy" Json.to_bool in
-  let* cands_j = field "candidates" Json.to_list in
-  let* candidates =
-    List.fold_left
-      (fun acc v ->
-        let* acc = acc in
-        let* c = candidate_of_json v in
-        Ok (c :: acc))
-      (Ok []) cands_j
-    |> Result.map List.rev
-  in
-  let* outcome = Result.bind (field "outcome" Option.some) outcome_of_json in
-  Ok
-    {
-      seq;
-      kernel;
-      reg;
-      kind;
-      strand;
-      width;
-      first;
-      last;
-      defs;
-      covered;
-      dropped_reads;
-      mrf_copy;
-      candidates;
-      outcome;
-    }
+let to_json = Json.encode codec
+let of_json = Json.decode codec
 
 let verdict_name = function
   | Chosen -> "chosen"
@@ -236,8 +163,7 @@ include Recorder.Make (struct
   type t = decision
 
   let name = "explain"
-  let to_json = to_json
-  let of_json = of_json
+  let codec = codec
   let pp = pp
 end)
 

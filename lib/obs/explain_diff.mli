@@ -88,10 +88,6 @@ val align : a:Explain.decision list -> b:Explain.decision list -> t
 (** Deterministic: both inputs are sorted by (kernel, seq) before
     alignment, so file order and producer [--jobs] do not matter. *)
 
-val chosen_savings : Explain.decision -> float
-(** Savings estimate of the [Chosen] candidate (0 when none, i.e. the
-    value stayed in the MRF). *)
-
 val flip_name : flip -> string
 (** Compact deterministic description, e.g.
     ["moved orf -> mrf"], ["lrf verdict chosen -> no_free_slot"]. *)

@@ -75,8 +75,6 @@ type capture = {
   c_unmatched : int;  (** [runtime_end] events without a matching begin *)
 }
 
-val empty_capture : capture
-
 val enabled : unit -> bool
 (** One atomic load. *)
 
@@ -88,6 +86,6 @@ val start : unit -> unit
 val stop : unit -> capture
 (** Stop capturing and return everything captured since {!start}:
     joins the consumer, drains the cursor, uninstalls the hooks and
-    pauses runtime-events collection.  Returns {!empty_capture} when
+    pauses runtime-events collection.  Returns an empty capture when
     not capturing.  Pause timestamps are resolved against the
     {!Util.Eprof} epoch of the capture window. *)

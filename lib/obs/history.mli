@@ -68,9 +68,7 @@ val of_manifest :
     the manifest options.  [timestamp]/[host] default to now/here —
     pass them explicitly to get byte-reproducible records in tests. *)
 
-val to_json : t -> Json.t
 val to_string : t -> string
-val of_json : Json.t -> (t, string) result
 val of_string : string -> (t, string) result
 
 val append : path:string -> t -> unit
@@ -80,5 +78,6 @@ val append : path:string -> t -> unit
 
 val load : path:string -> t list * int
 (** All decodable records in file order, plus the number of
-    non-empty lines that failed to decode (garbage, foreign schema).
-    A missing file loads as [([], 0)]. *)
+    non-empty lines that failed to decode (garbage, foreign schema),
+    read by {!Json.load_jsonl}.  A missing file loads as [([], 0)].
+    @raise Sys_error when the file exists but cannot be read. *)

@@ -86,24 +86,12 @@ let utc_now () =
 (* ------------------------------------------------------------------ *)
 (* Codec.                                                              *)
 
-let to_json (h : t) =
-  Json.Obj
-    [
-      ("cores", Json.int h.cores);
-      ("os", Json.Str h.os);
-      ("ocaml", Json.Str h.ocaml);
-      ("git_rev", Json.Str h.git_rev);
-      ("git_dirty", Json.Bool h.git_dirty);
-    ]
-
-let ( let* ) = Result.bind
-
-let field j = Json.field "host" j
-
-let of_json j =
-  let* cores = field j "cores" Json.to_int in
-  let* os = field j "os" Json.to_str in
-  let* ocaml = field j "ocaml" Json.to_str in
-  let* git_rev = field j "git_rev" Json.to_str in
-  let* git_dirty = field j "git_dirty" Json.to_bool in
-  Ok { cores; os; ocaml; git_rev; git_dirty }
+let codec =
+  Json.(
+    obj (fun cores os ocaml git_rev git_dirty -> { cores; os; ocaml; git_rev; git_dirty })
+    |> req "cores" integer (fun h -> h.cores)
+    |> req "os" str (fun h -> h.os)
+    |> req "ocaml" str (fun h -> h.ocaml)
+    |> req "git_rev" str (fun h -> h.git_rev)
+    |> req "git_dirty" bool (fun h -> h.git_dirty)
+    |> seal)

@@ -30,7 +30,4 @@ val short_rev : string -> string
 val utc_now : unit -> string
 (** Current UTC wall-clock time as ["YYYY-MM-DDTHH:MM:SSZ"]. *)
 
-val to_json : t -> Json.t
-(** Fixed field order (byte-stable, like every obs codec). *)
-
-val of_json : Json.t -> (t, string) result
+val codec : t Json.codec

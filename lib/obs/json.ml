@@ -203,15 +203,13 @@ let member key = function
   | Obj fields -> List.assoc_opt key fields
   | _ -> None
 
-let field what j name conv =
-  match Option.bind (member name j) conv with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "%s: missing or ill-typed field %S" what name)
-
 let to_num = function Num x -> Some x | _ -> None
 
+(* [int_of_float] of a float outside OCaml's [-2^62, 2^62) is
+   unspecified (1e300 reads as 0 on x86-64), so those are not ints. *)
 let to_int = function
-  | Num x when Float.is_integer x -> Some (int_of_float x)
+  | Num x when Float.is_integer x && x >= Float.of_int min_int && x < -.Float.of_int min_int ->
+    Some (int_of_float x)
   | _ -> None
 
 let to_str = function Str s -> Some s | _ -> None
@@ -220,3 +218,157 @@ let to_bool = function Bool b -> Some b | _ -> None
 
 let to_list = function Arr xs -> Some xs | _ -> None
 let to_obj = function Obj fields -> Some fields | _ -> None
+
+(* ------------------------------------------------------------------ *)
+(* Codecs.                                                             *)
+
+type 'a codec = { enc : 'a -> t; dec : t -> ('a, string) result }
+
+(* A decoding error starts with the path to the value it is about, as
+   in "benches[3].sched.entries: missing"; [at] prefixes one step of
+   it (".name" or "[i]"), and [decode] drops the leading dot. *)
+let at step e =
+  if e <> "" && (e.[0] = '.' || e.[0] = '[') then step ^ e else step ^ ": " ^ e
+
+let encode c v = c.enc v
+
+let decode c j =
+  match c.dec j with
+  | Error e when e <> "" && e.[0] = '.' -> Error (String.sub e 1 (String.length e - 1))
+  | r -> r
+
+let decode_string c s = Result.bind (parse s) (decode c)
+
+(* Decode a value of one JSON shape with [f], and reject any other. *)
+let expect what conv f j = match conv j with Some x -> f x | None -> Error ("expected " ^ what)
+
+let integer = { enc = int; dec = expect "an integer" to_int Result.ok }
+let num = { enc = (fun x -> Num x); dec = expect "a number" to_num Result.ok }
+let str = { enc = (fun s -> Str s); dec = expect "a string" to_str Result.ok }
+let bool = { enc = (fun b -> Bool b); dec = expect "a boolean" to_bool Result.ok }
+let raw = { enc = Fun.id; dec = Result.ok }
+
+(* Decode every item in order, or name the first that fails. *)
+let decode_all step dec items =
+  let rec go i acc = function
+    | [] -> Ok (List.rev acc)
+    | x :: rest -> (
+      match dec x with Ok y -> go (i + 1) (y :: acc) rest | Error e -> Error (at (step i x) e))
+  in
+  go 0 [] items
+
+let list c =
+  {
+    enc = (fun xs -> Arr (List.map c.enc xs));
+    dec = expect "an array" to_list (decode_all (fun i _ -> Printf.sprintf "[%d]" i) c.dec);
+  }
+
+let assoc c =
+  {
+    enc = (fun kvs -> Obj (List.map (fun (k, v) -> (k, c.enc v)) kvs));
+    dec =
+      expect "an object" to_obj
+        (decode_all (fun _ (k, _) -> "." ^ k) (fun (k, j) -> Result.map (fun v -> (k, v)) (c.dec j)));
+  }
+
+let pair a b =
+  {
+    enc = (fun (x, y) -> Arr [ a.enc x; b.enc y ]);
+    dec =
+      (function
+      | Arr [ x; y ] -> Result.bind (a.dec x) (fun x -> Result.map (fun y -> (x, y)) (b.dec y))
+      | _ -> Error "expected a two-element array");
+  }
+
+let enum name values =
+  {
+    enc = (fun v -> Str (name v));
+    dec =
+      expect "a string" to_str (fun s ->
+          match List.find_opt (fun v -> String.equal (name v) s) values with
+          | Some v -> Ok v
+          | None -> Error (Printf.sprintf "unknown value %S" s));
+  }
+
+let map dec enc c = { enc = (fun x -> c.enc (enc x)); dec = (fun j -> Result.bind (c.dec j) dec) }
+
+let version n =
+  map
+    (fun v -> if v = n then Ok () else Error (Printf.sprintf "unsupported version %d (expected %d)" v n))
+    (fun () -> n) integer
+
+(* An object under construction: [fields] prepends the declared fields'
+   encodings to an accumulator (so it holds them in reverse), [build]
+   reads them into ['k], the constructor applied to the fields so far. *)
+type ('o, 'k) obj = {
+  fields : 'o -> (string * t) list -> (string * t) list;
+  build : (string * t) list -> ('k, string) result;
+}
+
+let obj make = { fields = (fun _ acc -> acc); build = (fun _ -> Ok make) }
+
+let field write read o =
+  {
+    fields = (fun v acc -> write v (o.fields v acc));
+    build = (fun kvs -> Result.bind (o.build kvs) (fun k -> Result.map k (read kvs)));
+  }
+
+(* Decode the member [name] of an object's [kvs], or [absent] without it. *)
+let read_member name dec kvs ~absent =
+  match List.assoc_opt name kvs with
+  | Some j -> Result.map_error (at ("." ^ name)) (dec j)
+  | None -> absent
+
+let req ?default name c get =
+  field
+    (fun v acc -> (name, c.enc (get v)) :: acc)
+    (fun kvs ->
+      read_member name c.dec kvs
+        ~absent:(Option.to_result ~none:(at ("." ^ name) "missing") default))
+
+let opt name c get =
+  field
+    (fun v acc -> match get v with Some x -> (name, c.enc x) :: acc | None -> acc)
+    (fun kvs -> read_member name (fun j -> Result.map Option.some (c.dec j)) kvs ~absent:(Ok None))
+
+let const name j o = { o with fields = (fun v acc -> (name, j) :: o.fields v acc) }
+let inline inner get = field (fun v acc -> inner.fields (get v) acc) inner.build
+let seal o = { enc = (fun v -> Obj (List.rev (o.fields v []))); dec = expect "an object" to_obj o.build }
+
+type 'a case = {
+  tag : string;
+  write : 'a -> (string * t) list -> (string * t) list option;
+  read : (string * t) list -> ('a, string) result;
+}
+
+let case tag o inj proj =
+  {
+    tag;
+    write = (fun v acc -> Option.map (fun b -> o.fields b acc) (proj v));
+    read = (fun kvs -> Result.map inj (o.build kvs));
+  }
+
+let tagged key cases =
+  {
+    fields =
+      (fun v acc ->
+        match List.find_map (fun c -> c.write v ((key, Str c.tag) :: acc)) cases with
+        | Some fields -> fields
+        | None -> invalid_arg ("Json.tagged: a value with no " ^ key ^ " case"));
+    build =
+      (fun kvs ->
+        Result.bind
+          (read_member key str.dec kvs ~absent:(Error (at ("." ^ key) "missing")))
+          (fun tag ->
+            match List.find_opt (fun c -> String.equal c.tag tag) cases with
+            | Some c -> c.read kvs
+            | None -> Error (at ("." ^ key) (Printf.sprintf "unknown kind %S" tag))));
+  }
+
+let load_jsonl ~path c =
+  match In_channel.with_open_bin path In_channel.input_all with
+  | exception Sys_error msg -> Error msg
+  | text ->
+    let lines = List.filter (( <> ) "") (List.map String.trim (String.split_on_char '\n' text)) in
+    let decoded = List.filter_map (fun l -> Result.to_option (decode_string c l)) lines in
+    Ok (decoded, List.length lines - List.length decoded)

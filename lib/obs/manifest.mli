@@ -83,7 +83,6 @@ type t = {
 
 val to_json : t -> Json.t
 val to_string : t -> string
-val of_json : Json.t -> (t, string) result
 val of_string : string -> (t, string) result
 
 val write_file : path:string -> t -> unit

@@ -240,61 +240,25 @@ let to_table ?(title = "Metrics") s =
     s.histograms;
   t
 
-let to_json s =
-  Json.Obj
-    [
-      ("counters", Json.Obj (List.map (fun (k, v) -> (k, Json.int v)) s.counters));
-      ("gauges", Json.Obj (List.map (fun (k, v) -> (k, Json.Num v)) s.gauges));
-      ( "histograms",
-        Json.Obj
-          (List.map
-             (fun (k, (h : hist_summary)) ->
-               ( k,
-                 Json.Obj
-                   [
-                     ("count", Json.int h.count);
-                     ("sum", Json.Num h.sum);
-                     ("mean", Json.Num h.mean);
-                     ("min", Json.Num h.min);
-                     ("max", Json.Num h.max);
-                     ("p50", Json.Num h.p50);
-                     ("p95", Json.Num h.p95);
-                     ("p99", Json.Num h.p99);
-                   ] ))
-             s.histograms) );
-    ]
+let summary_codec =
+  Json.(
+    obj (fun count sum mean min max p50 p95 p99 -> { count; sum; mean; min; max; p50; p95; p99 })
+    |> req "count" integer (fun h -> h.count)
+    |> req "sum" num (fun h -> h.sum)
+    |> req "mean" num (fun h -> h.mean)
+    |> req "min" num (fun h -> h.min)
+    |> req "max" num (fun h -> h.max)
+    |> req "p50" num (fun h -> h.p50)
+    |> req "p95" num (fun h -> h.p95)
+    |> req "p99" num (fun h -> h.p99)
+    |> seal)
 
-let snapshot_of_json j =
-  let ( let* ) = Result.bind in
-  let obj_fields name =
-    match Json.member name j with
-    | Some (Json.Obj fields) -> Ok fields
-    | Some _ -> Error (Printf.sprintf "metrics snapshot: %S is not an object" name)
-    | None -> Error (Printf.sprintf "metrics snapshot: missing field %S" name)
-  in
-  let conv_all name conv fields =
-    List.fold_left
-      (fun acc (k, v) ->
-        let* acc = acc in
-        match conv v with
-        | Some x -> Ok ((k, x) :: acc)
-        | None -> Error (Printf.sprintf "metrics snapshot: ill-typed entry %S in %S" k name))
-      (Ok []) fields
-    |> Result.map List.rev
-  in
-  let summary_of v =
-    let num name = Option.bind (Json.member name v) Json.to_num in
-    match
-      ( Option.bind (Json.member "count" v) Json.to_int,
-        num "sum", num "mean", num "min", num "max", num "p50", num "p95", num "p99" )
-    with
-    | Some count, Some sum, Some mean, Some min, Some max, Some p50, Some p95, Some p99 ->
-      Some { count; sum; mean; min; max; p50; p95; p99 }
-    | _ -> None
-  in
-  let* counters = Result.bind (obj_fields "counters") (conv_all "counters" Json.to_int) in
-  let* gauges = Result.bind (obj_fields "gauges") (conv_all "gauges" Json.to_num) in
-  let* histograms =
-    Result.bind (obj_fields "histograms") (conv_all "histograms" summary_of)
-  in
-  Ok { counters; gauges; histograms }
+let snapshot_codec =
+  Json.(
+    obj (fun counters gauges histograms -> { counters; gauges; histograms })
+    |> req "counters" (assoc integer) (fun s -> s.counters)
+    |> req "gauges" (assoc num) (fun s -> s.gauges)
+    |> req "histograms" (assoc summary_codec) (fun s -> s.histograms)
+    |> seal)
+
+let to_json = Json.encode snapshot_codec

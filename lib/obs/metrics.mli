@@ -68,8 +68,8 @@ val is_empty : snapshot -> bool
 val to_table : ?title:string -> snapshot -> Util.Table.t
 val to_json : snapshot -> Json.t
 
-val snapshot_of_json : Json.t -> (snapshot, string) result
-(** Decode a {!to_json} rendering back into a snapshot (run manifests
-    embed one).  Entry ordering is preserved from the JSON, which
-    {!to_json} emits name-sorted, so a decode/re-encode round-trip is
+val snapshot_codec : snapshot Json.codec
+(** The {!to_json} encoding and its decoder (run manifests embed a
+    snapshot).  Entry order is kept from the JSON, which {!to_json}
+    emits name-sorted, so a decode/re-encode round-trip is
     byte-stable. *)

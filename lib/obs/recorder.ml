@@ -2,8 +2,7 @@ module type EVENT = sig
   type t
 
   val name : string
-  val to_json : t -> Json.t
-  val of_json : Json.t -> (t, string) result
+  val codec : t Json.codec
   val pp : Format.formatter -> t -> unit
 end
 
@@ -62,29 +61,10 @@ module Make (E : EVENT) = struct
   let tee sinks ev = List.iter (fun s -> s ev) sinks
 
   let jsonl_sink oc ev =
-    Json.to_channel oc (E.to_json ev);
+    Json.to_channel oc (Json.encode E.codec ev);
     output_char oc '\n'
 
   let printer_sink fmt ev = Format.fprintf fmt "%a@." E.pp ev
 
-  let load_jsonl ~path =
-    match
-      let ic = open_in_bin path in
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () ->
-          let events = ref [] and rejected = ref 0 in
-          (try
-             while true do
-               let line = String.trim (input_line ic) in
-               if line <> "" then
-                 match Result.bind (Json.parse line) E.of_json with
-                 | Ok ev -> events := ev :: !events
-                 | Error _ -> incr rejected
-             done
-           with End_of_file -> ());
-          (List.rev !events, !rejected))
-    with
-    | exception Sys_error msg -> Error msg
-    | result -> Ok result
+  let load_jsonl ~path = Json.load_jsonl ~path E.codec
 end

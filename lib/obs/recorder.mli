@@ -17,8 +17,10 @@ module type EVENT = sig
   val name : string
   (** Short recorder name: the lock is ["obs.<name>.sink"]. *)
 
-  val to_json : t -> Json.t
-  val of_json : Json.t -> (t, string) result
+  val codec : t Json.codec
+  (** The JSONL line format: what [jsonl_sink] writes and [load_jsonl]
+      reads back. *)
+
   val pp : Format.formatter -> t -> unit
 end
 
@@ -57,9 +59,9 @@ module type S = sig
   (** {1 Reading back} *)
 
   val load_jsonl : path:string -> (t list * int, string) result
-  (** Garbage-tolerant loader: every decodable line in file order plus
-      the count of non-empty lines that failed to parse or decode.
-      [Error] only when the file itself cannot be read. *)
+  (** {!Json.load_jsonl} over the event's codec: every decodable line
+      in file order plus the count of non-empty lines that failed to
+      parse or decode; [Error] only when the file cannot be read. *)
 end
 
 module Make (E : EVENT) : S with type t = E.t

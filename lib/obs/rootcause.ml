@@ -40,6 +40,8 @@ type t = {
 let eps = 1e-12
 let num = Printf.sprintf "%.4g"
 
+(* Signed relative delta, symmetric in scale so that a doubling and a
+   halving score alike. *)
 let rel_delta a b =
   let scale = Float.max (Float.abs a) (Float.abs b) in
   if scale <= 0.0 then 0.0 else (b -. a) /. scale

@@ -57,10 +57,6 @@ type t = {
   r_only_b : string list;
 }
 
-val rel_delta : float -> float -> float
-(** Signed relative delta [(b - a) / max |a| |b|] (0 when both are
-    0); symmetric in scale so a doubling and a halving score alike. *)
-
 val analyze :
   ?explain:Explain_diff.t ->
   baseline:Manifest.t ->

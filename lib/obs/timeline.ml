@@ -31,43 +31,33 @@ let state_name = function
   | No_issue_slot -> "no_issue_slot"
   | Finished -> "finished"
 
-let state_of_name = function
-  | "issued" -> Some Issued
-  | "wait_long_latency" -> Some Wait_long_latency
-  | "wait_short_latency" -> Some Wait_short_latency
-  | "bank_conflict_serialization" -> Some Bank_conflict_serialization
-  | "descheduled_pending" -> Some Descheduled_pending
-  | "no_issue_slot" -> Some No_issue_slot
-  | "finished" -> Some Finished
-  | _ -> None
+let state_of_name n = List.find_opt (fun s -> String.equal (state_name s) n) all_states
 
 type interval = { warp : int; state : state; start : int; stop : int }
 
 (* ------------------------------------------------------------------ *)
 (* Encoding.                                                           *)
 
-let to_json iv =
-  Json.Obj
-    [
-      ("ev", Json.Str "interval");
-      ("warp", Json.int iv.warp);
-      ("state", Json.Str (state_name iv.state));
-      ("start", Json.int iv.start);
-      ("stop", Json.int iv.stop);
-    ]
+(* One tagged case, so that a line of another stream is rejected. *)
+let codec =
+  Json.(
+    map
+      (fun iv -> if iv.stop < iv.start then Error "interval ends before it starts" else Ok iv)
+      Fun.id
+      (seal
+         (tagged "ev"
+            [
+              case "interval"
+                (obj (fun warp state start stop -> { warp; state; start; stop })
+                |> req "warp" integer (fun iv -> iv.warp)
+                |> req "state" (enum state_name all_states) (fun iv -> iv.state)
+                |> req "start" integer (fun iv -> iv.start)
+                |> req "stop" integer (fun iv -> iv.stop))
+                Fun.id Option.some;
+            ])))
 
-let of_json j =
-  let ( let* ) = Result.bind in
-  let field name conv = Json.field "timeline" j name conv in
-  let* ev = field "ev" Json.to_str in
-  if ev <> "interval" then Error (Printf.sprintf "timeline: unknown event kind %S" ev)
-  else
-    let* warp = field "warp" Json.to_int in
-    let* state = field "state" (fun v -> Option.bind (Json.to_str v) state_of_name) in
-    let* start = field "start" Json.to_int in
-    let* stop = field "stop" Json.to_int in
-    if stop < start then Error "timeline: interval ends before it starts"
-    else Ok { warp; state; start; stop }
+let to_json = Json.encode codec
+let of_json = Json.decode codec
 
 let pp fmt iv =
   Format.fprintf fmt "warp %d [%d, %d) %s" iv.warp iv.start iv.stop (state_name iv.state)
@@ -76,7 +66,6 @@ include Recorder.Make (struct
   type t = interval
 
   let name = "timeline"
-  let to_json = to_json
-  let of_json = of_json
+  let codec = codec
   let pp = pp
 end)

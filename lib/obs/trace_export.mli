@@ -64,15 +64,6 @@ val earliest_span_ns : Span.span list -> int64
 (** The default rebase point: the earliest span timestamp (0 when
     there are no spans). *)
 
-val json_of_spans :
-  ?process_name:string ->
-  ?counters:Counters.track list ->
-  ?timeline:Timeline.interval list ->
-  ?base_ns:int64 ->
-  ?extra:Json.t list ->
-  Span.span list ->
-  Json.t
-
 val to_string :
   ?process_name:string ->
   ?counters:Counters.track list ->

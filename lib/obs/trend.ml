@@ -91,7 +91,9 @@ let cp_sigmas = 3.0
 
 let cp_rel_floor = 0.05
 
-let change_points ?(min_seg = 3) xs =
+let min_seg = 3
+
+let change_points xs =
   let n = Array.length xs in
   let found = ref [] in
   let seg lo hi = Array.sub xs lo (hi - lo) in
@@ -262,7 +264,9 @@ type failure = {
 
 type gate_result = { g_exit : int; g_failures : failure list; g_analyses : analysis list }
 
-let gate ?(min_records = 3) (records : History.t list) =
+let min_records = 3
+
+let gate (records : History.t list) =
   if List.length records < min_records then
     { g_exit = 2; g_failures = []; g_analyses = [] }
   else begin

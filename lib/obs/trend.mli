@@ -68,14 +68,14 @@ val sparkline : float array -> string
 (** Unicode block sparkline (▁▂▃▄▅▆▇█) of the values, min-max
     normalized; empty string for the empty array. *)
 
-val change_points : ?min_seg:int -> float array -> int list
+val change_points : float array -> int list
 (** Binary segmentation: ascending positions where a new segment
     starts.  The candidate split minimizes the summed
     least-absolute-deviations cost of the two halves (exact
     localization at a clean step); it is accepted only when the
     median jump clears both 3 sigmas of the pooled residual deviation
     about the segment medians and a 5% relative floor, and both sides
-    keep at least [min_seg] (default 3) points. *)
+    keep at least 3 points. *)
 
 val analyze : series -> analysis
 
@@ -106,9 +106,9 @@ type gate_result = {
   g_analyses : analysis list;
 }
 
-val gate : ?min_records:int -> History.t list -> gate_result
-(** [min_records] defaults to 3: with fewer records the result is
-    exit 2 and no analyses are attempted. *)
+val gate : History.t list -> gate_result
+(** With fewer than 3 records the result is exit 2 and no analyses
+    are attempted. *)
 
 val table :
   history_path:string -> rejected:int -> History.t list -> gate_result -> Util.Table.t

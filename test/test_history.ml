@@ -184,6 +184,54 @@ let test_of_manifest_stall_shares () =
       b.Obs.History.hb_stalls
   | l -> Alcotest.failf "expected one bench point, got %d" (List.length l)
 
+let gen_record =
+  let open QCheck.Gen in
+  let num = Test_obs.gen_num and str = Test_obs.gen_str in
+  let bench =
+    let+ hb_bench = str and+ hb_ipc = num and+ hb_norm_energy = num
+    and+ hb_stalls = Test_obs.gen_assoc num in
+    { Obs.History.hb_bench; hb_ipc; hb_norm_energy; hb_stalls }
+  in
+  let perfgate =
+    let+ pg_ns_per_run = num and+ pg_p90_ns = num and+ pg_minor_words = num
+    and+ pg_runs = Test_obs.gen_int and+ pg_promoted_words = opt num
+    and+ pg_major_words = opt num in
+    { Obs.History.pg_ns_per_run; pg_p90_ns; pg_minor_words; pg_runs; pg_promoted_words;
+      pg_major_words }
+  in
+  let+ timestamp = str and+ source = str and+ host = Test_obs.gen_host
+  and+ jobs = Test_obs.gen_int and+ wall_s = num and+ benches = Test_obs.gen_list bench
+  and+ perfgate = opt perfgate in
+  { Obs.History.timestamp; source; host; jobs; wall_s; benches; perfgate }
+
+let prop_record_round_trip =
+  Test_obs.round_trip ~name:"record codec round-trip" gen_record Obs.History.to_string
+    Obs.History.of_string
+
+(* Every committed record without a retired section re-encodes to its
+   exact line (3 of the first 4 today). *)
+let test_committed_lines_reencode () =
+  let lines =
+    In_channel.with_open_bin "../baselines/history.jsonl" In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun line -> line <> "")
+  in
+  let current =
+    List.filter
+      (fun line ->
+        match Obs.Json.parse line with
+        | Ok j -> List.for_all (fun k -> Obs.Json.member k j = None) [ "engine"; "gc"; "jobs2_slower" ]
+        | Error e -> Alcotest.fail e)
+      lines
+  in
+  check Alcotest.bool "at least 3 current records" true (List.length current >= 3);
+  List.iter
+    (fun line ->
+      match Obs.History.of_string line with
+      | Ok r -> check Alcotest.string "re-encodes to its line" line (Obs.History.to_string r)
+      | Error e -> Alcotest.fail e)
+    current
+
 let suite =
   [
     Alcotest.test_case "record JSONL round-trip" `Quick test_roundtrip;
@@ -197,4 +245,7 @@ let suite =
       test_byte_stable_modulo_timestamp_rev;
     Alcotest.test_case "manifest stall counts become shares" `Quick
       test_of_manifest_stall_shares;
+    prop_record_round_trip;
+    Alcotest.test_case "committed lines re-encode to their bytes" `Quick
+      test_committed_lines_reencode;
   ]

@@ -654,6 +654,188 @@ let test_regress_zero_tol_against_own_file () =
           "no violation at tolerance 0" []
           (List.map (fun v -> v.Obs.Regress.path) r.Obs.Regress.violations))
 
+(* --- Record codecs --------------------------------------------------- *)
+
+(* A property: decoding a generated value's encoding gives the value
+   back, and re-encoding it gives the same bytes. *)
+let round_trip ~name ?(count = 200) gen to_string of_string =
+  QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 1 |])
+    (QCheck.Test.make ~count ~name (QCheck.make ~print:to_string gen) (fun v ->
+         let line = to_string v in
+         match of_string line with
+         | Error e -> QCheck.Test.fail_reportf "%s: %s" line e
+         | Ok v' -> (v' = v && to_string v' = line) || QCheck.Test.fail_report "value or bytes changed"))
+
+let codec_strings c = (Obs.Json.(fun v -> to_string (encode c v)), Obs.Json.decode_string c)
+
+(* [s] with the first [sub] replaced by [by]. *)
+let replace_first s ~sub ~by =
+  match Helpers.find_sub s sub with
+  | None -> Alcotest.failf "%S not in %s" sub s
+  | Some at ->
+    let rest = at + String.length sub in
+    String.sub s 0 at ^ by ^ String.sub s rest (String.length s - rest)
+
+let gen_int = QCheck.Gen.int_range (-1_000_000) 1_000_000
+
+(* Multiples of 1/64 below 2^14 print exactly in 12 significant digits. *)
+let gen_num = QCheck.Gen.map (fun n -> float_of_int n /. 64.0) gen_int
+
+let gen_str = QCheck.Gen.(string_size ~gen:char (int_bound 8))
+let gen_list g = QCheck.Gen.(list_size (int_bound 3) g)
+let gen_assoc g = gen_list (QCheck.Gen.pair gen_str g)
+
+let gen_raw =
+  QCheck.Gen.map
+    (fun kvs -> Obs.Json.Obj (List.map (fun (k, n) -> (k, Obs.Json.int n)) kvs))
+    (gen_assoc gen_int)
+
+let gen_host =
+  let open QCheck.Gen in
+  let+ cores = gen_int and+ os = gen_str and+ ocaml = gen_str and+ git_rev = gen_str
+  and+ git_dirty = bool in
+  { Obs.Host.cores; os; ocaml; git_rev; git_dirty }
+
+let gen_snapshot =
+  let open QCheck.Gen in
+  let summary =
+    let+ count = gen_int and+ sum = gen_num and+ mean = gen_num and+ min = gen_num
+    and+ max = gen_num and+ p50 = gen_num and+ p95 = gen_num and+ p99 = gen_num in
+    { Obs.Metrics.count; sum; mean; min; max; p50; p95; p99 }
+  in
+  let+ counters = gen_assoc gen_int and+ gauges = gen_assoc gen_num
+  and+ histograms = gen_assoc summary in
+  { Obs.Metrics.counters; gauges; histograms }
+
+let gen_manifest =
+  let open QCheck.Gen in
+  let options =
+    let+ warps = gen_int and+ seed = gen_int and+ jobs = gen_int and+ orf_entries = gen_int
+    and+ lrf = gen_str and+ params_fp = gen_str and+ benchmarks = gen_list gen_str in
+    { Obs.Manifest.warps; seed; jobs; orf_entries; lrf; params_fp; benchmarks }
+  in
+  let sched =
+    let+ entries = gen_int and+ exits = gen_int and+ resident_cycles = gen_int
+    and+ desched_long_latency = gen_int and+ desched_strand_boundary = gen_int
+    and+ desched_bank_conflict = gen_int in
+    { Obs.Manifest.entries; exits; resident_cycles; desched_long_latency;
+      desched_strand_boundary; desched_bank_conflict }
+  in
+  let bench =
+    let+ bench = gen_str and+ strands = gen_int and+ write_units = gen_int
+    and+ read_units = gen_int and+ lrf_allocs = gen_int and+ orf_allocs = gen_int
+    and+ partial_allocs = gen_int and+ dynamic_instrs = gen_int and+ desched_events = gen_int
+    and+ capped_warps = gen_int and+ norm_energy = gen_num and+ total_pj = gen_num
+    and+ baseline_pj = gen_num and+ ipc = gen_num and+ stalls = gen_assoc gen_int
+    and+ sched = sched and+ counts = gen_raw
+    and+ energy_pj = gen_assoc (pair gen_num gen_num) in
+    { Obs.Manifest.bench; strands; write_units; read_units; lrf_allocs; orf_allocs;
+      partial_allocs; dynamic_instrs; desched_events; capped_warps; norm_energy; total_pj;
+      baseline_pj; ipc; stalls; sched; counts; energy_pj }
+  in
+  let phase =
+    let+ phase = gen_str and+ calls = gen_int and+ total_ms = gen_num in
+    { Obs.Manifest.phase; calls; total_ms }
+  in
+  let+ options = options and+ meta = gen_host and+ benches = gen_list bench
+  and+ metrics = gen_snapshot and+ phases = gen_list phase and+ alloc_events = gen_int
+  and+ top_allocs = gen_list gen_raw in
+  { Obs.Manifest.options; meta; benches; metrics; phases; audit = { alloc_events; top_allocs } }
+
+let prop_manifest_round_trip =
+  round_trip ~name:"manifest codec round-trip" ~count:100 gen_manifest Obs.Manifest.to_string
+    Obs.Manifest.of_string
+
+let prop_host_round_trip =
+  let to_string, of_string = codec_strings Obs.Host.codec in
+  round_trip ~name:"host codec round-trip" gen_host to_string of_string
+
+let prop_snapshot_round_trip =
+  let to_string, of_string = codec_strings Obs.Metrics.snapshot_codec in
+  round_trip ~name:"metrics snapshot codec round-trip" gen_snapshot to_string of_string
+
+(* Integral numbers outside OCaml's int range are not ints: converting
+   them is unspecified, and 1e300 read as 0 on x86-64. *)
+let test_json_to_int_range () =
+  let to_int x = Obs.Json.to_int (Obs.Json.Num x) in
+  let int = Alcotest.(option int) in
+  check int "1e300" None (to_int 1e300);
+  check int "2^62" None (to_int 4.6116860184273879e18);
+  check int "-2^62 is min_int" (Some min_int) (to_int (-4.6116860184273879e18));
+  check int "the largest float below 2^62" (Some 4611686018427387392) (to_int 4611686018427387392.0);
+  check int "a fraction" None (to_int 0.5);
+  let record =
+    {
+      Obs.History.timestamp = "2026-08-08T00:00:00Z";
+      source = "test";
+      host = { Obs.Host.cores = 2; os = "Unix"; ocaml = "5.1.1"; git_rev = "r"; git_dirty = false };
+      jobs = 7;
+      wall_s = 1.0;
+      benches = [];
+      perfgate = None;
+    }
+  in
+  let huge = replace_first (Obs.History.to_string record) ~sub:"\"jobs\":7" ~by:"\"jobs\":1e300" in
+  check Alcotest.bool "a history line with jobs 1e300 does not decode" true
+    (Result.is_error (Obs.History.of_string huge))
+
+(* The committed golden manifest decodes and re-encodes to its exact
+   bytes (write_file adds the trailing newline). *)
+let test_default_baseline_bytes () =
+  let text = In_channel.with_open_bin "../baselines/default.json" In_channel.input_all in
+  match Obs.Manifest.of_string (String.trim text) with
+  | Error e -> Alcotest.fail e
+  | Ok m -> check Alcotest.string "re-encodes to its bytes" text (Obs.Manifest.to_string m ^ "\n")
+
+let test_decoder_edge_cases () =
+  let m = collect_small () in
+  let baseline = Obs.Manifest.to_json m in
+  let decode j = Obs.Manifest.of_string (Obs.Json.to_string j) in
+  let with_field keys f = decode (update keys f baseline) in
+  let error_names what = function
+    | Ok _ -> Alcotest.failf "decoded a manifest with %s" what
+    | Error e ->
+      if Helpers.find_sub e what = None then Alcotest.failf "error %S does not name %s" e what
+  in
+  (match
+     with_field [ "options" ] (function
+       | Obs.Json.Obj fields -> Obs.Json.Obj (fields @ [ ("arch", Obs.Json.Str "x86_64") ])
+       | _ -> Alcotest.fail "options is not an object")
+   with
+  | Ok m' ->
+    check Alcotest.string "an unknown key is ignored" (Obs.Manifest.to_string m)
+      (Obs.Manifest.to_string m')
+  | Error e -> Alcotest.fail e);
+  error_names "benches[0].sched.entries"
+    (with_field [ "benches"; "0"; "sched" ] (function
+      | Obs.Json.Obj fields -> Obs.Json.Obj (List.remove_assoc "entries" fields)
+      | _ -> Alcotest.fail "sched is not an object"));
+  error_names "options.warps" (with_field [ "options"; "warps" ] (fun _ -> Obs.Json.Str "four"));
+  (* An explain line edited as [make why-smoke] edits it: the ORF
+     outcome becomes an MRF one in place, leaving its entry and
+     shortening count behind.  A missing outcome field reads as 0 and
+     a missing "why" as "". *)
+  let d =
+    {
+      (Test_why.dec ~outcome:(Obs.Explain.To_orf { entry = 2; shortened = 1 }) 0) with
+      candidates = [ Test_why.cand "lrf" 0.0 (Obs.Explain.Ineligible "") ];
+    }
+  in
+  let line = Obs.Json.to_string (Obs.Explain.to_json d) in
+  let decode_edited ~sub ~by =
+    Result.bind (Obs.Json.parse (replace_first line ~sub ~by)) Obs.Explain.of_json
+  in
+  let decodes_to what want = function
+    | Ok d' -> check Alcotest.bool what true (d' = want)
+    | Error e -> Alcotest.failf "%s: %s" what e
+  in
+  decodes_to "the why-smoke edit decodes to To_mrf" { d with outcome = To_mrf }
+    (decode_edited ~sub:"\"to\":\"orf\"" ~by:"\"to\":\"mrf\"");
+  decodes_to "a missing shortening count reads as 0"
+    { d with outcome = To_orf { entry = 2; shortened = 0 } }
+    (decode_edited ~sub:",\"shortened\":1" ~by:"");
+  decodes_to "a missing why reads as \"\"" d (decode_edited ~sub:",\"why\":\"\"" ~by:"")
+
 let suite =
   [
     Alcotest.test_case "counter arithmetic" `Quick (isolated test_counter_arithmetic);
@@ -683,4 +865,10 @@ let suite =
     Alcotest.test_case "explain page standalone" `Quick (isolated test_explain_page_standalone);
     Alcotest.test_case "regress tolerance 0 against own file" `Quick
       (isolated test_regress_zero_tol_against_own_file);
+    Alcotest.test_case "json to_int within int range" `Quick test_json_to_int_range;
+    prop_manifest_round_trip;
+    prop_host_round_trip;
+    prop_snapshot_round_trip;
+    Alcotest.test_case "default.json re-encodes to its bytes" `Quick test_default_baseline_bytes;
+    Alcotest.test_case "codec decoder edge cases" `Quick (isolated test_decoder_edge_cases);
   ]

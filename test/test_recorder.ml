@@ -125,5 +125,86 @@ let contract (module R : CASE) =
       ("printer_sink lines", printer_one_line_per_event);
     ]
 
+(* --- Codec round-trips over generated events ------------------------- *)
+
+let gen_int = Test_obs.gen_int
+let gen_num = Test_obs.gen_num
+let gen_str = Test_obs.gen_str
+
+let gen_decision =
+  let open QCheck.Gen in
+  let verdict =
+    oneof
+      [
+        return Obs.Explain.Chosen;
+        map (fun why -> Obs.Explain.Ineligible why) gen_str;
+        return Obs.Explain.Negative_savings;
+        return Obs.Explain.No_free_slot;
+      ]
+  in
+  let candidate =
+    let+ level = gen_str and+ savings = gen_num and+ verdict = verdict in
+    { Obs.Explain.level; savings; verdict }
+  in
+  let outcome =
+    oneof
+      [
+        map (fun bank -> Obs.Explain.To_lrf { bank }) gen_int;
+        map2 (fun entry shortened -> Obs.Explain.To_orf { entry; shortened }) gen_int gen_int;
+        return Obs.Explain.To_mrf;
+      ]
+  in
+  let+ seq = gen_int and+ kernel = gen_str and+ reg = gen_str and+ kind = gen_str
+  and+ strand = gen_int and+ width = gen_int and+ first = gen_int and+ last = gen_int
+  and+ defs = Test_obs.gen_list gen_int and+ covered = Test_obs.gen_list (pair gen_int gen_int)
+  and+ dropped_reads = gen_int and+ mrf_copy = bool
+  and+ candidates = Test_obs.gen_list candidate and+ outcome = outcome in
+  { Obs.Explain.seq; kernel; reg; kind; strand; width; first; last; defs; covered;
+    dropped_reads; mrf_copy; candidates; outcome }
+
+let gen_interval =
+  let open QCheck.Gen in
+  let+ warp = gen_int and+ state = oneofl Obs.Timeline.all_states and+ start = gen_int
+  and+ length = nat in
+  { Obs.Timeline.warp; state; start; stop = start + length }
+
+let gen_event =
+  let open QCheck.Gen in
+  let level = oneofl [ Obs.Audit.Lrf; Orf; Mrf; Rfc ] in
+  oneof
+    [
+      (let+ reg = gen_str and+ kind = oneofl [ Obs.Audit.Write_unit; Read_unit ]
+       and+ strand = gen_int and+ level = level and+ slot = gen_int and+ first = gen_int
+       and+ last = gen_int and+ reads = gen_int and+ savings = gen_num and+ partial = bool
+       and+ mrf_copy = bool in
+       Obs.Audit.Alloc
+         { reg; kind; strand; level; slot; first; last; reads; savings; partial; mrf_copy });
+      (let+ warp = gen_int and+ instr = gen_int and+ level = level in
+       Obs.Audit.Place { warp; instr; level });
+      (let+ warp = gen_int and+ instr = gen_int and+ pos = gen_int and+ entry = gen_int in
+       Obs.Audit.Fill { warp; instr; pos; entry });
+      (let+ warp = gen_int and+ instr = gen_int and+ level = level and+ writeback = bool in
+       Obs.Audit.Evict { warp; instr; level; writeback });
+      (let+ instr = gen_int and+ strand = gen_int in
+       Obs.Audit.Strand_boundary { instr; strand });
+      (let+ warp = gen_int and+ instr = gen_int
+       and+ cause = oneofl [ Obs.Audit.Sw_boundary; Hw_dependence; Bank_conflict; Scheduler ] in
+       Obs.Audit.Desched { warp; instr; cause });
+    ]
+
+(* The round trip through one JSONL line, as jsonl_sink writes it. *)
+let event_round_trip ~name gen to_json of_json =
+  Test_obs.round_trip ~name gen
+    (fun v -> Obs.Json.to_string (to_json v))
+    (fun line -> Result.bind (Obs.Json.parse line) of_json)
+
 let suite =
   contract (module Audit_case) @ contract (module Explain_case) @ contract (module Timeline_case)
+  @ [
+      event_round_trip ~name:"explain codec round-trip" gen_decision Obs.Explain.to_json
+        Obs.Explain.of_json;
+      event_round_trip ~name:"timeline codec round-trip" gen_interval Obs.Timeline.to_json
+        Obs.Timeline.of_json;
+      event_round_trip ~name:"audit codec round-trip" gen_event Obs.Audit.to_json
+        Obs.Audit.of_json;
+    ]

@@ -359,7 +359,11 @@ let test_cli_exit_2 dir =
   check Alcotest.int "missing manifest is exit 2" 2
     (sh "%s why %s/nope.json %s > /dev/null 2>&1" rfh_exe dir a_json);
   check Alcotest.int "lone --explain-a is exit 2" 2
-    (sh "%s why %s %s --explain-a %s > /dev/null 2>&1" rfh_exe a_json a_json a_jsonl)
+    (sh "%s why %s %s --explain-a %s > /dev/null 2>&1" rfh_exe a_json a_json a_jsonl);
+  let err = Filename.concat dir "err.txt" in
+  check Alcotest.int "a directory for a manifest is exit 2" 2
+    (sh "%s why %s %s > /dev/null 2> %s" rfh_exe dir dir err);
+  check Alcotest.bool "says it is a directory" true (contains (read_file err) "Is a directory")
 
 let test_cli_garbage_stream dir =
   let a_json, a_jsonl = gen_fixtures dir in
