@@ -162,8 +162,11 @@ trend-smoke: build
 # the copy (first ORF placement -> MRF), and `rfh why` must name that
 # move as the #1 cause with its attribution self-check passing —
 # byte-identically across two runs — and skip no line of either stream
-# as undecodable (its stderr stays in _build/why.err).  The JSON and
-# HTML analyses land under _build/ for CI to upload.
+# as undecodable (its stderr stays in _build/why.err).  Then compare
+# that manifest with one at 16 warps on mm,hotspot: the analysis must
+# be byte-identical across two runs, rank a stall cause, name the
+# benchmarks on one side only and draw the stall tables on its page.
+# The JSON and HTML analyses land under _build/ for CI to upload.
 why-smoke: build
 	dune exec bin/rfh.exe -- baseline record --warps 8 -b mm,cp \
 	  --baseline _build/why-base.json > /dev/null
@@ -181,7 +184,18 @@ why-smoke: build
 	cmp _build/why.json _build/why-rerun.json
 	grep -q 'top cause — MatrixMul: moved orf -> mrf' _build/why.txt
 	$(call check_titles,_build/why.txt,_build/why.html)
-	@echo "why smoke OK: the flipped decision ranks #1; every explain line decodes; analysis is byte-deterministic; the page has every printed table"
+	dune exec bin/rfh.exe -- baseline record --warps 16 -b mm,hotspot \
+	  --baseline _build/why-w16.json > /dev/null
+	dune exec bin/rfh.exe -- why _build/why-base.json _build/why-w16.json \
+	  --json-out _build/why-alt.json --report-out _build/why-alt.html > _build/why-alt.txt
+	dune exec bin/rfh.exe -- why _build/why-base.json _build/why-w16.json \
+	  --json-out _build/why-alt-rerun.json > /dev/null
+	cmp _build/why-alt.json _build/why-alt-rerun.json
+	grep -qE '^[0-9]+ +[^ ]+ +stall ' _build/why-alt.txt
+	grep -qF 'only in baseline: [cp] · only in candidate: [hotspot]' _build/why-alt.html
+	grep -q 'Stall attribution deltas' _build/why-alt.html
+	$(call check_titles,_build/why-alt.txt,_build/why-alt.html)
+	@echo "why smoke OK: the flipped decision ranks #1; every explain line decodes; analysis is byte-deterministic; two differing runs rank a stall cause; the pages have every printed table"
 
 # Performance gate (see docs/performance.md): time the twelve probes
 # sim:perf-two-level, sim:perf-lowipc, sim:perf-single-level,

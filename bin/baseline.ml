@@ -51,7 +51,7 @@ let check =
     let doc = "Relative tolerance for non-integral numbers." in
     Term.(
       const (tolerance "--float-tol")
-      $ Arg.(value & opt float 1e-9 & info [ "float-tol" ] ~docv:"TOL" ~doc))
+      $ Arg.(value & opt float Obs.Json.float_tol & info [ "float-tol" ] ~docv:"TOL" ~doc))
   in
   let timing_tol =
     let doc =

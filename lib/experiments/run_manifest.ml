@@ -31,7 +31,7 @@ let allocator_pass (opts : Options.t) ~entries ~lrf =
   let events = ref 0 and allocs = ref [] in
   Obs.Audit.set_sink (fun ev ->
       incr events;
-      match ev with Obs.Audit.Alloc _ -> allocs := ev :: !allocs | _ -> ());
+      match ev with Obs.Audit.Alloc a -> allocs := a :: !allocs | _ -> ());
   let config = Alloc.Config.make ~orf_entries:entries ~lrf ~params:opts.Options.params () in
   let stats =
     List.map
@@ -62,18 +62,11 @@ let allocator_pass (opts : Options.t) ~entries ~lrf =
     (* Stable sort: emission order (deterministic — the replay is
        serial) breaks savings ties. *)
     List.stable_sort
-      (fun a b ->
-        match (a, b) with
-        | Obs.Audit.Alloc a, Obs.Audit.Alloc b -> compare b.savings a.savings
-        | _ -> 0)
+      (fun (a : Obs.Audit.alloc) (b : Obs.Audit.alloc) -> compare b.savings a.savings)
       (List.rev !allocs)
   in
   let rec take n = function x :: tl when n > 0 -> x :: take (n - 1) tl | _ -> [] in
-  ( stats,
-    {
-      Obs.Manifest.alloc_events = !events;
-      top_allocs = List.map Obs.Audit.to_json (take top_allocs_limit top);
-    } )
+  (stats, { Obs.Manifest.alloc_events = !events; top_allocs = take top_allocs_limit top })
 
 (* Phase B: parallel traffic/energy/IPC per benchmark. *)
 let bench_row (opts : Options.t) scheme ~entries (e : Workloads.Registry.entry)

@@ -66,6 +66,10 @@ include Recorder.S with type t = event
 
 val level_name : level -> string
 val cause_name : cause -> string
+
+val codec : event Json.codec
+(** One JSONL line of the stream, tagged by its ["ev"] field. *)
+
 val to_json : event -> Json.t
 val of_json : Json.t -> (event, string) result
 val pp : Format.formatter -> event -> unit

@@ -63,9 +63,7 @@ type t = {
 let sort_decisions ds =
   List.stable_sort
     (fun (a : Explain.decision) (b : Explain.decision) ->
-      match compare a.Explain.kernel b.Explain.kernel with
-      | 0 -> compare a.Explain.seq b.Explain.seq
-      | c -> c)
+      compare (a.kernel, a.seq) (b.kernel, b.seq))
     ds
 
 (* Occurrence indices disambiguate a register re-used with the same
@@ -107,13 +105,6 @@ let chosen_savings (d : Explain.decision) =
   | Some c -> c.Explain.savings
   | None -> 0.0
 
-let rel_differs a b =
-  let scale = Float.max (Float.abs a) (Float.abs b) in
-  scale > 0.0 && Float.abs (a -. b) /. scale > 1e-9
-
-let candidate_levels (d : Explain.decision) =
-  List.map (fun (c : Explain.candidate) -> c.Explain.level) d.Explain.candidates
-
 let candidate_of level (d : Explain.decision) =
   List.find_opt (fun (c : Explain.candidate) -> c.Explain.level = level) d.Explain.candidates
 
@@ -122,7 +113,10 @@ let flips_of (a : Explain.decision) (b : Explain.decision) =
     let la = Explain.outcome_level a and lb = Explain.outcome_level b in
     if la <> lb then [ Level_changed { from_level = la; to_level = lb } ] else []
   in
-  let levels = List.sort_uniq compare (candidate_levels a @ candidate_levels b) in
+  let levels =
+    List.sort_uniq compare
+      (List.map (fun (c : Explain.candidate) -> c.level) (a.candidates @ b.candidates))
+  in
   let candidate_flips =
     List.concat_map
       (fun level ->
@@ -141,8 +135,9 @@ let flips_of (a : Explain.decision) (b : Explain.decision) =
             else []
           in
           let s =
-            if rel_differs ca.Explain.savings cb.Explain.savings then
-              [ Savings_changed { level; was = ca.Explain.savings; now = cb.Explain.savings } ]
+            let was = ca.Explain.savings and now = cb.Explain.savings in
+            if Float.abs (Util.Stats.rel_delta was now) > Json.float_tol then
+              [ Savings_changed { level; was; now } ]
             else []
           in
           v @ s
@@ -190,20 +185,14 @@ let align ~a ~b =
   (* Leftovers of a, kept in a's deterministic (kernel, seq) order. *)
   let only_a = List.filter_map (fun (k, d) -> if Hashtbl.mem index_a k then Some d else None) ka in
   let pairs = List.rev !pairs and only_b = List.rev !only_b in
-  (* Per-kernel aggregation, kernels in sorted-stream order. *)
-  let kernel_order = ref [] in
-  let note k = if not (List.mem k !kernel_order) then kernel_order := k :: !kernel_order in
-  List.iter (fun (_, (d : Explain.decision)) -> note d.Explain.kernel) ka;
-  List.iter (fun (_, (d : Explain.decision)) -> note d.Explain.kernel) kb;
+  (* Per-kernel aggregation, kernels in name order. *)
   let kernels =
-    List.rev_map
+    List.map
       (fun kernel ->
         let kp = List.filter (fun p -> p.p_key.k_kernel = kernel) pairs in
-        let in_kernel (d : Explain.decision) = d.Explain.kernel = kernel in
-        let aligned_k =
-          List.length (List.filter (fun ((k : key), _) -> k.k_kernel = kernel) ka)
-          - List.length (List.filter in_kernel only_a)
-        in
+        let in_kernel (d : Explain.decision) = d.kernel = kernel in
+        let count ds = List.length (List.filter in_kernel ds) in
+        let only_a_k = count only_a in
         let moves =
           List.fold_left
             (fun acc p ->
@@ -223,16 +212,13 @@ let align ~a ~b =
                   | _ -> acc)
                 acc p.p_flips)
             [] kp
-          |> List.sort (fun a b ->
-                 match compare a.m_from b.m_from with 0 -> compare a.m_to b.m_to | c -> c)
+          |> List.sort (fun a b -> compare (a.m_from, a.m_to) (b.m_from, b.m_to))
         in
         let verdict_flips =
-          List.fold_left
-            (fun acc p ->
-              acc
-              + List.length
-                  (List.filter (function Verdict_changed _ -> true | _ -> false) p.p_flips))
-            0 kp
+          List.length
+            (List.filter
+               (function Verdict_changed _ -> true | _ -> false)
+               (List.concat_map (fun p -> p.p_flips) kp))
         in
         let covered_delta, dropped_delta =
           List.fold_left
@@ -246,18 +232,17 @@ let align ~a ~b =
         in
         {
           ks_kernel = kernel;
-          ks_aligned = aligned_k;
+          ks_aligned = count (List.map snd ka) - only_a_k;
           ks_changed = List.length kp;
           ks_moves = moves;
           ks_verdict_flips = verdict_flips;
           ks_savings_delta = savings_delta;
           ks_covered_delta = covered_delta;
           ks_dropped_delta = dropped_delta;
-          ks_only_a = List.length (List.filter in_kernel only_a);
-          ks_only_b = List.length (List.filter in_kernel only_b);
+          ks_only_a = only_a_k;
+          ks_only_b = count only_b;
         })
-      !kernel_order
-    |> List.sort (fun a b -> compare a.ks_kernel b.ks_kernel)
+      (List.sort_uniq compare (List.map (fun ((k : key), _) -> k.k_kernel) (ka @ kb)))
   in
   {
     d_pairs = pairs;

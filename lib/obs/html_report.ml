@@ -324,18 +324,12 @@ let audit_table (a : Manifest.audit) =
   let t =
     Util.Table.create
       ~title:(Printf.sprintf "Allocator audit (%d allocation events recorded)" a.alloc_events)
-      ~columns:[ "value"; "level"; "accesses"; "saved pJ" ]
+      ~columns:[ "reg"; "level"; "reads"; "savings pJ" ]
   in
   List.iter
-    (fun ev ->
-      let field name conv default = Option.value ~default (Option.bind (Json.member name ev) conv) in
+    (fun (e : Audit.alloc) ->
       Util.Table.add_row t
-        [
-          field "value" Json.to_str "-";
-          field "level" Json.to_str "-";
-          string_of_int (field "accesses" Json.to_int 0);
-          num (field "saved_pj" Json.to_num 0.0);
-        ])
+        [ e.reg; Audit.level_name e.level; string_of_int e.reads; num e.savings ])
     a.top_allocs;
   t
 
@@ -430,5 +424,4 @@ let why_details (r : Rootcause.t) =
   why_delta_bars r
   :: List.map
        (fun t -> Table t)
-       (Option.fold ~none:[] ~some:Stall_diff.tables r.r_stalls
-       @ Option.fold ~none:[] ~some:Explain_diff.tables r.r_explain)
+       (Rootcause.stall_tables r @ Option.fold ~none:[] ~some:Explain_diff.tables r.r_explain)

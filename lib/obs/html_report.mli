@@ -66,5 +66,5 @@ val why_header :
 
 val why_details : Rootcause.t -> block list
 (** Per-benchmark signed metric delta bars (red = bad direction: IPC
-    down or energy up), then the {!Stall_diff} and {!Explain_diff}
-    tables when those inputs were supplied. *)
+    down or energy up), then {!Rootcause.stall_tables} and, when
+    explain streams were supplied, the {!Explain_diff} tables. *)

@@ -24,10 +24,15 @@ let escape buf s =
     s;
   Buffer.add_char buf '"'
 
+let float_tol = 1e-9
+
+(* Below 2^53 every integer is a float, so "%.0f" prints it exactly
+   and parsing gives it back. *)
+let is_integral x = Float.is_integer x && Float.abs x < 0x1p53
+
 let add_num buf x =
   if not (Float.is_finite x) then Buffer.add_string buf "null"
-  else if Float.is_integer x && Float.abs x < 1e15 then
-    Buffer.add_string buf (Printf.sprintf "%.0f" x)
+  else if is_integral x then Buffer.add_string buf (Printf.sprintf "%.0f" x)
   else Buffer.add_string buf (Printf.sprintf "%.12g" x)
 
 let rec add buf = function

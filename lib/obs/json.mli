@@ -20,9 +20,17 @@ val int : int -> t
 (** Integer-valued {!Num}. *)
 
 val to_string : t -> string
-(** Compact single-line rendering.  Integral numbers print without a
-    decimal point; non-finite numbers print as [null] (JSON has no
-    representation for them). *)
+(** Compact single-line rendering.  {!is_integral} numbers print
+    exactly, other finite ones to 12 significant digits, and non-finite
+    ones as [null] (JSON has no representation for them). *)
+
+val is_integral : float -> bool
+(** An integer below 2{^53} in magnitude. *)
+
+val float_tol : float
+(** [1e-9], the relative difference below which two non-integral
+    numbers count as equal: far above the 5e-12 that printing to 12
+    significant digits can move one. *)
 
 val to_channel : out_channel -> t -> unit
 

@@ -42,7 +42,7 @@ type bench = {
 
 type phase = { phase : string; calls : int; total_ms : float }
 
-type audit = { alloc_events : int; top_allocs : Json.t list }
+type audit = { alloc_events : int; top_allocs : Audit.alloc list }
 
 type t = {
   options : options;
@@ -129,10 +129,16 @@ let phase_codec =
     |> seal)
 
 let audit_codec =
+  let alloc =
+    Json.map
+      (function Audit.Alloc a -> Ok a | _ -> Error "not an alloc event")
+      (fun a -> Audit.Alloc a)
+      Audit.codec
+  in
   Json.(
     obj (fun alloc_events top_allocs -> { alloc_events; top_allocs })
     |> req "alloc_events" integer (fun a -> a.alloc_events)
-    |> req "top_allocs" (list raw) (fun a -> a.top_allocs)
+    |> req "top_allocs" (list alloc) (fun a -> a.top_allocs)
     |> seal)
 
 let codec =

@@ -65,7 +65,9 @@ type phase = { phase : string; calls : int; total_ms : float }
 
 type audit = {
   alloc_events : int;
-  top_allocs : Json.t list;  (** [Audit.to_json] of the top Alloc events *)
+  top_allocs : Audit.alloc list;
+      (** the top [Alloc] events by savings, each written as its
+          audit-stream line *)
 }
 
 type t = {

@@ -57,13 +57,7 @@ let type_name = function
 (* ------------------------------------------------------------------ *)
 (* Diff.                                                               *)
 
-let is_integral f = Float.is_integer f && Float.abs f < 1e15
-
-let rel_delta a b =
-  let scale = Float.max (Float.abs a) (Float.abs b) in
-  if scale = 0.0 then 0.0 else Float.abs (a -. b) /. scale
-
-let diff_json ?(float_tol = 1e-9) ?timing_tol ~baseline ~current () =
+let diff_json ?(float_tol = Json.float_tol) ?timing_tol ~baseline ~current () =
   let violations = ref [] and compared = ref 0 in
   let violate path kind expected actual =
     violations := { path; kind; expected; actual } :: !violations
@@ -76,16 +70,16 @@ let diff_json ?(float_tol = 1e-9) ?timing_tol ~baseline ~current () =
         | None -> ()
         | Some tol ->
           incr compared;
-          if rel_delta x y > tol then
+          if Float.abs (Util.Stats.rel_delta x y) > tol then
             violate path
               (Printf.sprintf "timing drift > %g" tol)
               (render a) (render b))
       | Json.Num x, Json.Num y ->
         incr compared;
-        if is_integral x && is_integral y then begin
+        if Json.is_integral x && Json.is_integral y then begin
           if x <> y then violate path "count mismatch" (render a) (render b)
         end
-        else if rel_delta x y > float_tol then
+        else if Float.abs (Util.Stats.rel_delta x y) > float_tol then
           violate path
             (Printf.sprintf "value drift > %g" float_tol)
             (render a) (render b)

@@ -38,7 +38,7 @@ val diff :
   current:Manifest.t ->
   unit ->
   report
-(** [float_tol] defaults to [1e-9].  [timing_tol] absent means timing
+(** [float_tol] defaults to {!Json.float_tol}.  [timing_tol] absent means timing
     fields are not compared at all.  Both manifests are compared as a
     file stores them: after one {!Json} encode/decode round trip, which
     keeps 12 significant digits of a non-integral number.  So a fresh

@@ -14,6 +14,10 @@ let percent part whole = if whole = 0.0 then 0.0 else 100.0 *. part /. whole
 
 let ratio a b = if b = 0.0 then 0.0 else a /. b
 
+let rel_delta a b =
+  let scale = Float.max (Float.abs a) (Float.abs b) in
+  if scale <= 0.0 then 0.0 else (b -. a) /. scale
+
 let clamp ~lo ~hi (x : float) = if x < lo then lo else if x > hi then hi else x
 
 let round_to d x =

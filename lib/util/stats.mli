@@ -14,6 +14,11 @@ val percent : float -> float -> float
 val ratio : float -> float -> float
 (** [ratio a b] is [a /. b]; 0 if [b = 0]. *)
 
+val rel_delta : float -> float -> float
+(** [rel_delta a b] is the signed relative change [(b - a) / max |a| |b|];
+    0 when both are 0.  Symmetric in scale: a doubling and a halving
+    move by the same magnitude. *)
+
 val clamp : lo:float -> hi:float -> float -> float
 
 val round_to : int -> float -> float

@@ -690,6 +690,14 @@ let gen_raw =
     (fun kvs -> Obs.Json.Obj (List.map (fun (k, n) -> (k, Obs.Json.int n)) kvs))
     (gen_assoc gen_int)
 
+let gen_alloc =
+  let open QCheck.Gen in
+  let+ reg = gen_str and+ kind = oneofl [ Obs.Audit.Write_unit; Read_unit ] and+ strand = gen_int
+  and+ level = oneofl [ Obs.Audit.Lrf; Orf; Mrf; Rfc ] and+ slot = gen_int and+ first = gen_int
+  and+ last = gen_int and+ reads = gen_int and+ savings = gen_num and+ partial = bool
+  and+ mrf_copy = bool in
+  { Obs.Audit.reg; kind; strand; level; slot; first; last; reads; savings; partial; mrf_copy }
+
 let gen_host =
   let open QCheck.Gen in
   let+ cores = gen_int and+ os = gen_str and+ ocaml = gen_str and+ git_rev = gen_str
@@ -739,7 +747,7 @@ let gen_manifest =
   in
   let+ options = options and+ meta = gen_host and+ benches = gen_list bench
   and+ metrics = gen_snapshot and+ phases = gen_list phase and+ alloc_events = gen_int
-  and+ top_allocs = gen_list gen_raw in
+  and+ top_allocs = gen_list gen_alloc in
   { Obs.Manifest.options; meta; benches; metrics; phases; audit = { alloc_events; top_allocs } }
 
 let prop_manifest_round_trip =
@@ -836,6 +844,39 @@ let test_decoder_edge_cases () =
     (decode_edited ~sub:",\"shortened\":1" ~by:"");
   decodes_to "a missing why reads as \"\"" d (decode_edited ~sub:",\"why\":\"\"" ~by:"")
 
+(* The run report's audit table shows each top allocation's register,
+   level, covered reads and estimated savings, as the audit stream
+   recorded them. *)
+let test_report_audit_table () =
+  let m = collect_small () in
+  match m.Obs.Manifest.audit.top_allocs with
+  | [] -> Alcotest.fail "no allocation recorded"
+  | a :: _ ->
+    let html = Obs.Html_report.page ~title:"rfh run report" (Obs.Html_report.render m) in
+    let row =
+      Printf.sprintf "<tr><td class=l>%s</td><td>%s</td><td>%d</td><td>%.4g</td></tr>" a.reg
+        (Obs.Audit.level_name a.level) a.reads a.savings
+    in
+    check Alcotest.bool ("the report has the top allocation's row " ^ row) true
+      (Helpers.count_sub html row = 1)
+
+(* Integral numbers below 2^53 print exactly, so every int there reads
+   back as itself and the gate compares it as a count. *)
+let test_json_large_ints () =
+  List.iter
+    (fun n ->
+      let line = Obs.Json.to_string (Obs.Json.int n) in
+      check Alcotest.(result int string) line (Ok n) (Obs.Json.decode_string Obs.Json.integer line))
+    [ 1_000_000_000_000_001; -1_000_000_000_000_001; (1 lsl 53) - 1; 1 - (1 lsl 53) ];
+  let r =
+    Obs.Regress.diff_json ~baseline:(Obs.Json.int 1_000_000_000_000_000)
+      ~current:(Obs.Json.int 1_000_000_000_000_001) ()
+  in
+  check
+    Alcotest.(list string)
+    "1e15 + 1 is another count than 1e15" [ "count mismatch" ]
+    (List.map (fun v -> v.Obs.Regress.kind) r.Obs.Regress.violations)
+
 let suite =
   [
     Alcotest.test_case "counter arithmetic" `Quick (isolated test_counter_arithmetic);
@@ -871,4 +912,6 @@ let suite =
     prop_snapshot_round_trip;
     Alcotest.test_case "default.json re-encodes to its bytes" `Quick test_default_baseline_bytes;
     Alcotest.test_case "codec decoder edge cases" `Quick (isolated test_decoder_edge_cases);
+    Alcotest.test_case "report audit table" `Quick (isolated test_report_audit_table);
+    Alcotest.test_case "json ints below 2^53 round-trip" `Quick test_json_large_ints;
   ]

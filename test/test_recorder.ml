@@ -173,12 +173,7 @@ let gen_event =
   let level = oneofl [ Obs.Audit.Lrf; Orf; Mrf; Rfc ] in
   oneof
     [
-      (let+ reg = gen_str and+ kind = oneofl [ Obs.Audit.Write_unit; Read_unit ]
-       and+ strand = gen_int and+ level = level and+ slot = gen_int and+ first = gen_int
-       and+ last = gen_int and+ reads = gen_int and+ savings = gen_num and+ partial = bool
-       and+ mrf_copy = bool in
-       Obs.Audit.Alloc
-         { reg; kind; strand; level; slot; first; last; reads; savings; partial; mrf_copy });
+      map (fun a -> Obs.Audit.Alloc a) Test_obs.gen_alloc;
       (let+ warp = gen_int and+ instr = gen_int and+ level = level in
        Obs.Audit.Place { warp; instr; level });
       (let+ warp = gen_int and+ instr = gen_int and+ pos = gen_int and+ entry = gen_int in

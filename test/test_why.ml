@@ -1,6 +1,6 @@
 (* Tests for the rfh why differential root-cause engine:
-   Obs.Explain_diff alignment and loading, Obs.Stall_diff /
-   Obs.Rootcause over real collected manifests, and the CLI exit-code
+   Obs.Explain_diff alignment and loading, Obs.Rootcause over real
+   collected manifests and their history records, and the CLI exit-code
    contract (0 analysis / 1 self-check failure / 2 missing input)
    end-to-end through the built binary.
 
@@ -136,11 +136,9 @@ let test_load_jsonl_garbage_tolerant () =
 
 (* --- Rootcause over real manifests -------------------------------- *)
 
-let collect_manifest ?(jobs = 1) () =
-  let opts =
-    { (Experiments.Options.default ()) with Experiments.Options.warps = 4; seed = 0x5eed }
-  in
-  let opts = Experiments.Options.with_benchmarks opts [ "mm" ] in
+let collect_manifest ?(jobs = 1) ?(warps = 4) ?(benches = [ "mm" ]) () =
+  let opts = { (Experiments.Options.default ()) with Experiments.Options.warps; seed = 0x5eed } in
+  let opts = Experiments.Options.with_benchmarks opts benches in
   Experiments.Run_manifest.collect (Experiments.Options.with_jobs opts jobs)
 
 (* Bump the smallest stall cause by +37 warp-cycles: the induced share
@@ -212,16 +210,16 @@ let test_rootcause_explain_perturbation_top_cause () =
       c.Obs.Rootcause.c_what;
     check Alcotest.string "alloc kind" "alloc" (Obs.Rootcause.kind_name c.Obs.Rootcause.c_kind)
 
-let test_stall_diff_invariants () =
+let test_stall_invariants () =
   let m = collect_manifest () in
   let m', _ = bump_min_stall m in
-  let d = Obs.Stall_diff.diff ~baseline:m ~current:m' in
-  check Alcotest.(list string) "invariants hold" [] (Obs.Stall_diff.check d);
-  match d.Obs.Stall_diff.s_benches with
-  | [ b ] ->
+  let r = Obs.Rootcause.analyze ~baseline:m ~candidate:m' () in
+  check Alcotest.(list string) "invariants hold" [] (Obs.Rootcause.check r);
+  match r.Obs.Rootcause.r_stalls with
+  | Some [ b ] ->
     check Alcotest.int "budget delta is the bump" 37
-      (b.Obs.Stall_diff.sb_total_b - b.Obs.Stall_diff.sb_total_a)
-  | bs -> Alcotest.failf "expected 1 bench, got %d" (List.length bs)
+      (b.Obs.Rootcause.sb_total_b - b.Obs.Rootcause.sb_total_a)
+  | _ -> Alcotest.fail "expected the stalls of 1 bench"
 
 (* BinomialOptions' residency in baselines/default.json: the warp whose
    last issue ends the run never leaves the active set, so entries =
@@ -237,13 +235,66 @@ let test_mean_residency_per_entry () =
   check (Alcotest.float 0.0) "no entries" 0.0
     (Obs.Manifest.mean_residency { sched with Obs.Manifest.entries = 0 });
   let m' = { m with Obs.Manifest.benches = [ { b with Obs.Manifest.sched } ] } in
-  match (Obs.Stall_diff.diff ~baseline:m' ~current:m').Obs.Stall_diff.s_benches with
-  | [ d ] ->
+  let path keys j = List.fold_left (fun j k -> Option.bind j (Obs.Json.member k)) (Some j) keys in
+  let json = Obs.Rootcause.to_json (Obs.Rootcause.analyze ~baseline:m' ~candidate:m' ()) in
+  match Option.bind (path [ "stalls"; "benches" ] json) Obs.Json.to_list with
+  | Some [ bench ] ->
     check
-      Alcotest.(pair (float 0.0) (float 0.0))
-      "why reports the same mean" (1991.875, 1991.875)
-      d.Obs.Stall_diff.sb_sched.Obs.Stall_diff.sd_mean_residency
-  | ds -> Alcotest.failf "expected 1 bench, got %d" (List.length ds)
+      Alcotest.(option string)
+      "why reports the same mean" (Some "[1991.875,1991.875]")
+      (Option.map Obs.Json.to_string (path [ "sched"; "mean_residency" ] bench))
+  | _ -> Alcotest.fail "expected the stalls of 1 bench"
+
+(* A history record keeps a manifest's IPC, normalized energy and
+   stall shares, so [of_history] on the records of two manifests ranks
+   exactly [analyze]'s causes over those, without the warp-cycle counts
+   a record does not carry. *)
+let test_of_history_is_analyze () =
+  let a = collect_manifest ~warps:4 ~benches:[ "mm"; "cp" ] () in
+  let b = collect_manifest ~warps:8 ~benches:[ "mm"; "hotspot" ] () in
+  let record m =
+    Obs.History.of_manifest ~timestamp:"2026-10-20T00:00:00Z"
+      ~host:{ Obs.Host.cores = 1; os = "Unix"; ocaml = "5.1.1"; git_rev = "r"; git_dirty = false }
+      ~source:"test" ~wall_s:0.0 m
+  in
+  let r = Obs.Rootcause.analyze ~baseline:a ~candidate:b () in
+  let h = Obs.Rootcause.of_history ~before:(record a) ~after:(record b) in
+  let in_history what =
+    what = "ipc" || what = "norm_energy" || String.starts_with ~prefix:"stall " what
+  in
+  let metric (m : Obs.Rootcause.metric_delta) =
+    Printf.sprintf "%s %s %h -> %h (%h)" m.md_bench m.md_metric m.md_a m.md_b m.md_rel
+  in
+  let cause (c : Obs.Rootcause.cause) =
+    let delta =
+      match Helpers.find_sub c.c_delta ", " with Some i -> String.sub c.c_delta 0 i | None -> c.c_delta
+    in
+    Printf.sprintf "%s %s %s — %s (%h)" c.c_bench (Obs.Rootcause.kind_name c.c_kind) c.c_what delta
+      c.c_score
+  in
+  check
+    Alcotest.(list string)
+    "ipc and norm_energy deltas"
+    (List.filter_map
+       (fun (m : Obs.Rootcause.metric_delta) ->
+         if in_history m.md_metric then Some (metric m) else None)
+       r.r_metrics)
+    (List.map metric h.r_metrics);
+  check
+    Alcotest.(list string)
+    "the same causes in the same order"
+    (List.filter_map
+       (fun (c : Obs.Rootcause.cause) -> if in_history c.c_what then Some (cause c) else None)
+       r.r_causes)
+    (List.map cause h.r_causes);
+  check Alcotest.bool "stall causes among them" true
+    (List.exists (fun (c : Obs.Rootcause.cause) -> c.c_kind = Obs.Rootcause.Stall) h.r_causes);
+  check
+    Alcotest.(pair (list string) (list string))
+    "benches on one side only" ([ "cp" ], [ "hotspot" ]) (h.r_only_a, h.r_only_b);
+  check
+    Alcotest.(pair (list string) (list string))
+    "the same as analyze's" (r.r_only_a, r.r_only_b) (h.r_only_a, h.r_only_b)
 
 (* --- rfh why / baseline check --why end-to-end -------------------- *)
 
@@ -418,7 +469,7 @@ let suite =
     Alcotest.test_case "rootcause: jobs 1 vs 4 parity" `Quick test_rootcause_jobs_parity;
     Alcotest.test_case "rootcause: decision flip is top cause" `Quick
       test_rootcause_explain_perturbation_top_cause;
-    Alcotest.test_case "stall_diff invariants" `Quick test_stall_diff_invariants;
+    Alcotest.test_case "stall_diff invariants" `Quick test_stall_invariants;
     Alcotest.test_case "rfh why: identical runs" `Quick (with_temp_dir test_cli_identical);
     Alcotest.test_case "rfh why: flip ranked #1, deterministic" `Quick
       (with_temp_dir test_cli_flip_is_top_cause);
@@ -430,4 +481,5 @@ let suite =
     Alcotest.test_case "rfh baseline check --why" `Quick
       (with_temp_dir test_cli_baseline_check_why);
     Alcotest.test_case "mean residency per entry" `Quick test_mean_residency_per_entry;
+    Alcotest.test_case "of_history = analyze" `Quick test_of_history_is_analyze;
   ]
